@@ -8,7 +8,7 @@ every finitely checkable identity among them.
 
 from .errors import ResourceLimitError
 from .exact import ExactValue
-from .localfield import ResidueParam, SquareClass, legendre, sgn_minus_one, sq_mul
+from .localfield import ResidueParam, SquareClass, legendre, sgn_minus_one
 from .partitions import Partition, SymplecticPartition, enumerate_symplectic, is_symplectic, union
 from .weyl import WeylClassA, WeylClassB, class_size_a, class_size_b, sgn_cd
 
@@ -18,5 +18,5 @@ __all__ = [
     "ExactValue", "Partition", "SymplecticPartition", "ResidueParam", "SquareClass",
     "WeylClassA", "WeylClassB", "ResourceLimitError",
     "class_size_a", "class_size_b", "enumerate_symplectic", "is_symplectic",
-    "legendre", "sgn_cd", "sgn_minus_one", "sq_mul", "union",
+    "legendre", "sgn_cd", "sgn_minus_one", "union",
 ]

@@ -4,9 +4,11 @@ Usage:
     endosign verify SUITE [flags]     run one verification sweep
     endosign enumerate KIND --n N     emit an enumeration report
 
+The verify suites and their flags come from the registry suites.SUITES.
 Output is JSON by default (CSV with --format csv), written to stdout or to
 --out FILE.  Exit codes: 0 all checks passed, 1 failures found, 2 usage
-error, 3 a resource cap was hit (partial report flagged incomplete).
+error (an unknown flag or an invalid flag value, reported before any sweep
+runs), 3 a resource cap was hit (partial report flagged incomplete).
 """
 
 from __future__ import annotations
@@ -21,19 +23,6 @@ from . import suites
 from .errors import ResourceLimitError
 from .report import VerificationReport
 
-VERIFY_SUITES = {
-    "aux": (suites.verify_aux_identities, ("rmax",), {"rmax": 30}),
-    "split": (suites.verify_split, ("rmax", "nmax"), {"rmax": 30, "nmax": 10}),
-    "kappasum": (suites.verify_kappa_sums, ("max_rr",), {"max_rr": 6}),
-    "counting": (suites.verify_counting, ("qs", "t2max"), {"qs": (5, 7, 13), "t2max": 2}),
-    "constprod": (suites.verify_product_identity, ("qs", "rmax"),
-                  {"qs": (5, 7, 13), "rmax": 6}),
-    "signchain": (suites.verify_sign_chain, ("rmax",), {"rmax": 8}),
-    "transfer": (suites.verify_transfer_factorization, ("qs", "rrmax"),
-                 {"qs": (5, 7), "rrmax": 4}),
-    "weyl": (suites.verify_weyl_classes, ("nmax",), {"nmax": 4}),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -43,14 +32,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ver = sub.add_parser("verify", help="run a verification sweep")
-    ver.add_argument("suite", choices=sorted(VERIFY_SUITES) + ["all"])
-    ver.add_argument("--rmax", type=int, default=None)
-    ver.add_argument("--nmax", type=int, default=None)
-    ver.add_argument("--max-rr", dest="max_rr", type=int, default=None)
-    ver.add_argument("--rrmax", type=int, default=None)
-    ver.add_argument("--t2max", type=int, default=None)
-    ver.add_argument("--q", dest="qs", type=_parse_q_list, default=None,
-                     help="comma-separated residue cardinalities, e.g. 5,7,13")
+    ver.add_argument("suite", choices=sorted(suites.SUITES) + ["all"])
+    readers: dict[str, list[str]] = {}
+    for name, (_, specs) in suites.SUITES.items():
+        for spec in specs:
+            readers.setdefault(spec[0], []).append(name)
+    for key, names in readers.items():
+        flag, kind, metavar = (("--q", _parse_q_list, "Q1,Q2,...") if key == "qs"
+                               else ("--" + key.replace("_", "-"), int, "N"))
+        ver.add_argument(flag, dest=key, type=kind, metavar=metavar, default=None,
+                         help=f"read by {', '.join(names)}")
     _output_flags(ver)
 
     enum = sub.add_parser("enumerate", help="emit an enumeration report")
@@ -72,13 +63,10 @@ def _parse_q_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad q list {text!r}") from None
 
 
-def _run_suite(name: str, args) -> VerificationReport:
-    func, wanted, defaults = VERIFY_SUITES[name]
-    kwargs = {}
-    for key in wanted:
-        flag = getattr(args, key if key != "qs" else "qs", None)
-        kwargs[key] = flag if flag is not None else defaults[key]
-    return func(**kwargs)
+def _given(name: str, args) -> dict:
+    """The suite's parameters that were set on the command line."""
+    keys = (spec[0] for spec in suites.SUITES[name][1])
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def _emit(payload, fmt: str, out: str | None) -> None:
@@ -107,14 +95,21 @@ def _csv_cell(value):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "verify":
-        names = sorted(VERIFY_SUITES) if args.suite == "all" else [args.suite]
+        names = sorted(suites.SUITES) if args.suite == "all" else [args.suite]
+        given = {name: _given(name, args) for name in names}
+        for name in names:
+            try:
+                suites.parameters(name, given[name])
+            except ValueError as exc:
+                parser.error(f"verify {name}: {exc}")
         reports = []
         exit_code = 0
         for name in names:
             try:
-                report = _run_suite(name, args)
+                report = suites.run(name, **given[name])
             except ResourceLimitError as exc:
                 report = VerificationReport(name, {"error": str(exc)}, incomplete=True)
                 exit_code = 3

@@ -14,25 +14,16 @@ The headline identities verified exhaustively at desk scale:
 from __future__ import annotations
 
 import itertools
-import time
 from fractions import Fraction
 
 from . import families as fam
-from .errors import ResourceLimitError
 from .exact import ExactValue
 from .localfield import ResidueParam, SquareClass, legendre, sgn_minus_one
-from .report import VerificationReport
 from .weyl import WeylClassB, class_size_b, order_b, sgn_cd
 
 # Sign witnesses used by sweeps: cuspidal classes with sgn_cd = +1 / -1.
 W_PLUS = WeylClassB((), ())
 W_MINUS = WeylClassB((), (1,))
-
-AUX_R_CAP = 60
-SPLIT_R_CAP = 60
-SPLIT_N_CAP = 20
-PRODUCT_R_CAP = 10
-CHAIN_R_CAP = 20
 
 
 def _floor_div2(x: int) -> int:
@@ -362,51 +353,37 @@ def collapse_and_product_constants(rp: int, rpp: int, w1: WeylClassB, w2: WeylCl
 
 
 # ---------------------------------------------------------------------------
-# Sweep verifiers.
+# Sweep point generators (see endosign.suites): each yields the failure
+# records of one checked point, () when the point passes.
 # ---------------------------------------------------------------------------
 
-def verify_aux_identities(rmax: int = 30) -> VerificationReport:
+def aux_points(rmax: int):
     """Auxiliary identities over r' in [0, rmax], r'' in [-rmax, rmax]."""
-    if rmax > AUX_R_CAP:
-        raise ResourceLimitError(f"rmax capped at {AUX_R_CAP}")
-    start = time.monotonic()
-    report = VerificationReport("aux", {"rmax": rmax})
     for rp in range(rmax + 1):
         for rpp in range(-rmax, rmax + 1):
-            report.points_checked += 1
             aux = split_pair_identities(rp, rpp)
-            if not aux.passed:
-                report.record_failure(rp=rp, rpp=rpp, detail=aux.to_json())
-    report.elapsed_ms = int((time.monotonic() - start) * 1000)
-    return report
+            yield () if aux.passed else ({"rp": rp, "rpp": rpp, "detail": aux.to_json()},)
 
 
-def verify_split(rmax: int = 30, nmax: int = 10) -> VerificationReport:
+def split_points(rmax: int, nmax: int):
     """Size-sum identity and the r'' <-> -r'' swap symmetry of the splitting."""
-    if rmax > SPLIT_R_CAP or nmax > SPLIT_N_CAP:
-        raise ResourceLimitError(
-            f"split sweep capped at rmax {SPLIT_R_CAP}, nmax {SPLIT_N_CAP}")
-    start = time.monotonic()
-    report = VerificationReport("split", {"rmax": rmax, "nmax": nmax})
     for rp in range(rmax + 1):
         for rpp in range(-rmax, rmax + 1):
             vals = split_pair_values(rp, rpp)
-            swapped = split_pair_values(rp, -rpp)
+            pairs_swap = split_pair_values(rp, -rpp) == (vals[2], vals[3], vals[0], vals[1])
+            n = rp * rp + rp + rpp * rpp
             for Np in range(nmax + 1):
                 for Npp in range(nmax + 1):
-                    report.points_checked += 1
+                    failures = ()
                     n1, n2 = split_sizes(rp, rpp, Np, Npp)
-                    total = rp * rp + rp + rpp * rpp + Np + Npp
+                    total = n + Np + Npp
                     if n1 + n2 != total:
-                        report.record_failure(rp=rp, rpp=rpp, Np=Np, Npp=Npp,
-                                              lhs=n1 + n2, rhs=total, identity="sum")
-                    sn1, sn2 = split_sizes(rp, -rpp, Npp, Np)
-                    if (swapped[0], swapped[1], swapped[2], swapped[3], sn1, sn2) != \
-                            (vals[2], vals[3], vals[0], vals[1], n2, n1):
-                        report.record_failure(rp=rp, rpp=rpp, Np=Np, Npp=Npp,
-                                              identity="swap")
-    report.elapsed_ms = int((time.monotonic() - start) * 1000)
-    return report
+                        failures += ({"rp": rp, "rpp": rpp, "Np": Np, "Npp": Npp,
+                                      "lhs": n1 + n2, "rhs": total, "identity": "sum"},)
+                    if not pairs_swap or split_sizes(rp, -rpp, Npp, Np) != (n2, n1):
+                        failures += ({"rp": rp, "rpp": rpp, "Np": Np, "Npp": Npp,
+                                      "identity": "swap"},)
+                    yield failures
 
 
 def _degenerate_cases(rp, rpp, scd1, scd2, eta, eta1, eta2):
@@ -425,55 +402,15 @@ def _degenerate_cases(rp, rpp, scd1, scd2, eta, eta1, eta2):
     return cases
 
 
-def verify_product_identity(qs=(5, 7, 13), rmax: int = 6) -> VerificationReport:
+def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
     """The product-formula constant identity over the full sign sweep.
 
     For every q, every (r', r'') of equal parity up to rmax, all class and
     sign choices, and every admissible beta:
         2^(-1-beta) * C_total * |families| = C_even,
     checked exactly; the left side must carry no residual q^(1/2).
+    alt_two_power evaluates C_total under the alternate two-power reading.
     """
-    if rmax > PRODUCT_R_CAP:
-        raise ResourceLimitError(f"rmax capped at {PRODUCT_R_CAP}")
-    start = time.monotonic()
-    report = VerificationReport("constprod", {"q": list(qs), "rmax": rmax})
-    for q in qs:
-        field = ResidueParam(q)
-        for rp in range(rmax + 1):
-            for rpp in range(rmax + 1):
-                if (rp - rpp) % 2:
-                    continue
-                shape = fam.SplitShape(rp, rpp)
-                count = ExactValue(
-                    fam.transversal_family_count_formula(shape, field), q=q)
-                for ue, ue2, s1, s2 in itertools.product((1, -1), repeat=4):
-                    eta = SquareClass(rpp % 2, ue)
-                    eta2 = SquareClass(shape.t2 % 2, ue2)
-                    eta1 = eta * eta2
-                    w1 = W_PLUS if s1 == 1 else W_MINUS
-                    w2 = W_PLUS if s2 == 1 else W_MINUS
-                    for beta in _degenerate_cases(rp, rpp, s1, s2, eta, eta1, eta2):
-                        report.points_checked += 1
-                        _, product = collapse_and_product_constants(
-                            rp, rpp, w1, w2, eta, eta1, eta2, beta, field)
-                        lhs = ExactValue(Fraction(1, 2 ** (1 + beta)), q=q) * product * count
-                        rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, w2, eta, field)
-                        if lhs.q_half != 0 or lhs != ExactValue.from_sign(rhs):
-                            report.record_failure(
-                                q=q, rp=rp, rpp=rpp, eta=eta.name(), eta1=eta1.name(),
-                                eta2=eta2.name(), scd1=s1, scd2=s2, beta=beta,
-                                lhs=lhs.to_json(), rhs=rhs)
-    if report.failures:
-        alt = _product_identity_alt_reading(qs, rmax)
-        report.notes.append(
-            "failures re-evaluated under the alternate two-power reading: "
-            f"{'pass' if alt else 'fail'}")
-    report.elapsed_ms = int((time.monotonic() - start) * 1000)
-    return report
-
-
-def _product_identity_alt_reading(qs, rmax) -> bool:
-    """Re-run the product identity with the alternate two-power exponent."""
     for q in qs:
         field = ResidueParam(q)
         for rp in range(rmax + 1):
@@ -492,12 +429,16 @@ def _product_identity_alt_reading(qs, rmax) -> bool:
                     for beta in _degenerate_cases(rp, rpp, s1, s2, eta, eta1, eta2):
                         _, product = collapse_and_product_constants(
                             rp, rpp, w1, w2, eta, eta1, eta2, beta, field,
-                            alt_two_power=True)
+                            alt_two_power=alt_two_power)
                         lhs = ExactValue(Fraction(1, 2 ** (1 + beta)), q=q) * product * count
                         rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, w2, eta, field)
-                        if lhs != ExactValue.from_sign(rhs):
-                            return False
-    return True
+                        if lhs == ExactValue.from_sign(rhs):
+                            yield ()
+                        else:
+                            yield ({"q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
+                                    "eta1": eta1.name(), "eta2": eta2.name(), "scd1": s1,
+                                    "scd2": s2, "beta": beta, "lhs": lhs.to_json(),
+                                    "rhs": rhs},)
 
 
 class ChainSigns:
@@ -564,12 +505,8 @@ def chain_sign_constants(rp: int, rpp: int, w1: WeylClassB, w2: WeylClassB,
     return ChainSigns(base, sharp, endo, reduction, u_sign(rp, rpp, m))
 
 
-def verify_sign_chain(rmax: int = 8) -> VerificationReport:
+def sign_chain_points(rmax: int):
     """The sign-chain collapse: chain = (-1)^n U, U = U1 U2, full product = 1."""
-    if rmax > CHAIN_R_CAP:
-        raise ResourceLimitError(f"rmax capped at {CHAIN_R_CAP}")
-    start = time.monotonic()
-    report = VerificationReport("signchain", {"rmax": rmax})
     for q in (5, 7):  # the chain depends on q only through m = sgn(-1): +1 at 5, -1 at 7
         field = ResidueParam(q)
         m = sgn_minus_one(field)
@@ -578,7 +515,6 @@ def verify_sign_chain(rmax: int = 8) -> VerificationReport:
                 r1p, r1pp, r2p, r2pp = split_pair_values(rp, rpp)
                 for s1, s2, d2, d1, npar in itertools.product(
                         (1, -1), (1, -1), (0, 1), (0, 1), (0, 1)):
-                    report.points_checked += 1
                     w1 = W_PLUS if s1 == 1 else W_MINUS
                     w2 = W_PLUS if s2 == 1 else W_MINUS
                     d = d1 + d2
@@ -587,15 +523,14 @@ def verify_sign_chain(rmax: int = 8) -> VerificationReport:
                         * (-1) ** ((d2 * rpp) % 2)
                     target = (-1) ** npar * signs.u_value
                     if chain != target:
-                        report.record_failure(q=q, rp=rp, rpp=rpp, scd1=s1, scd2=s2,
-                                              d2=d2, d=d, n=npar, lhs=chain, rhs=target,
-                                              identity="chain")
+                        yield ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
+                                "d2": d2, "d": d, "n": npar, "lhs": chain, "rhs": target,
+                                "identity": "chain"},)
                         continue
                     u12 = u_sign(r1p, r1pp, m) * u_sign(r2p, r2pp, m)
                     if signs.u_value != u12:
-                        report.record_failure(q=q, rp=rp, rpp=rpp,
-                                              lhs=signs.u_value, rhs=u12,
-                                              identity="u_product")
+                        yield ({"q": q, "rp": rp, "rpp": rpp, "lhs": signs.u_value,
+                                "rhs": u12, "identity": "u_product"},)
                         continue
                     # full nine-constant product; companion data has trivial
                     # second factors, so their block counts do not contribute
@@ -606,11 +541,9 @@ def verify_sign_chain(rmax: int = 8) -> VerificationReport:
                         total *= cj.base * cj.endo * cj.reduction
                     # chain used parity npar; realign to n = n1 + n2
                     total *= (-1) ** ((npar + n1 + n2) % 2)
-                    if total != 1:
-                        report.record_failure(q=q, rp=rp, rpp=rpp, scd1=s1, scd2=s2,
-                                              d2=d2, d=d, value=total, identity="collapse")
-    report.elapsed_ms = int((time.monotonic() - start) * 1000)
-    return report
+                    yield () if total == 1 else (
+                        {"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2, "d2": d2,
+                         "d": d, "value": total, "identity": "collapse"},)
 
 
 def factorwise_transfer_check(shape: fam.SplitShape, gamma: fam.GammaVector,

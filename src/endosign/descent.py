@@ -212,44 +212,35 @@ class ClassSplit(NamedTuple):
                 "blocks": [b.to_json() for b in self.beta_blocks]}
 
 
-def _partition_splits(beta: Partition, sizes: tuple[int, int],
-                      blocks: tuple[UnitaryBlock, ...],
-                      block_targets: tuple[int, ...]) -> list[ClassSplit]:
-    """All splittings beta = beta_+ u beta_- u union_i f_i * beta_i.
+def class_splits(beta: Partition, degrees: tuple[int, ...]):
+    """Every splitting beta = beta_+ u beta_- u union_i f_i * beta_i, of any sizes.
 
-    beta_+ and beta_- must have the prescribed sizes; beta_i must be an
-    all-odd partition of the prescribed block target, entering beta with
-    parts scaled by f_i.
+    degrees lists the f_i; each beta_i must be all-odd, entering beta with
+    parts scaled by f_i.  Splittings are yielded once per multiset.
     """
-    nbins = 2 + len(blocks)
+    nbins = 2 + len(degrees)
     seen = set()
-    out = []
-    parts = beta.parts
-    for assign in itertools.product(range(nbins), repeat=len(parts)):
+    for assign in itertools.product(range(nbins), repeat=beta.length()):
         bins = [[] for _ in range(nbins)]
-        for part, where in zip(parts, assign):
+        for part, where in zip(beta.parts, assign):
             bins[where].append(part)
         key = tuple(tuple(sorted(b)) for b in bins)
         if key in seen:
             continue
         seen.add(key)
-        bplus, bminus = Partition(bins[0]), Partition(bins[1])
-        if bplus.size() != sizes[0] or bminus.size() != sizes[1]:
-            continue
-        ok = True
-        scaled = []
-        for blk, target, raw in zip(blocks, block_targets, bins[2:]):
-            if any(p % blk.f or (p // blk.f) % 2 == 0 for p in raw):
-                ok = False
-                break
-            inner = Partition(p // blk.f for p in raw)
-            if inner.size() != target:
-                ok = False
-                break
-            scaled.append(inner)
-        if ok:
-            out.append(ClassSplit(bplus, bminus, tuple(scaled)))
-    return out
+        if all(p % f == 0 and (p // f) % 2 for f, raw in zip(degrees, bins[2:]) for p in raw):
+            yield ClassSplit(Partition(bins[0]), Partition(bins[1]),
+                             tuple(Partition(p // f for p in raw)
+                                   for f, raw in zip(degrees, bins[2:])))
+
+
+def _partition_splits(beta: Partition, sizes: tuple[int, int],
+                      blocks: tuple[UnitaryBlock, ...],
+                      block_targets: tuple[int, ...]) -> list[ClassSplit]:
+    """The class splittings with beta_+, beta_- and each beta_i of the prescribed sizes."""
+    return [v for v in class_splits(beta, tuple(b.f for b in blocks))
+            if (v.beta_plus.size(), v.beta_minus.size()) == sizes
+            and tuple(b.size() for b in v.beta_blocks) == block_targets]
 
 
 def enumerate_class_splits(split: SizeSplit, beta_p: Partition, beta_pp: Partition,

@@ -314,14 +314,6 @@ class ComponentGamma:
             out *= self.sgn(i, rp_field)
         return out
 
-    def weight(self, rp_field: ResidueParam) -> ExactValue:
-        """sigma for an all-high shape: product of sgn(-entry) over odd positions."""
-        m = sgn_minus_one(rp_field)
-        value = 1
-        for i in range(1, len(self.entries) + 1, 2):
-            value *= m * self.sgn(i, rp_field)
-        return ExactValue(value, q=rp_field.q)
-
     def __eq__(self, other):
         return isinstance(other, ComponentGamma) and self.entries == other.entries
 

@@ -9,7 +9,7 @@ character sgn, realized on the residue field by the Legendre symbol.
 from __future__ import annotations
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n % 2 == 0:
@@ -28,7 +28,7 @@ class ResidueParam:
     __slots__ = ("q", "_table")
 
     def __init__(self, q: int):
-        if not _is_prime(q) or q < 5:
+        if not is_prime(q) or q < 5:
             raise ValueError(f"q must be a prime >= 5, got {q}")
         self.q = q
         table = [0] * q
@@ -118,7 +118,3 @@ PI_CLASS = SquareClass(1, 1)
 XI_PI = SquareClass(1, -1)
 ALL_CLASSES = (TRIVIAL, XI, PI_CLASS, XI_PI)
 
-
-def sq_mul(a: SquareClass, b: SquareClass) -> SquareClass:
-    """Group law on square classes (exponent-2 group)."""
-    return a * b

@@ -232,15 +232,7 @@ def eval_character(param: UnipQuadParam, h) -> int:
     """
     if isinstance(h, InvolutionSplit):
         h = refine_splits(param, h)
-    image = h_image(param, h)
-    value = 1
-    for k in param.lam_plus.jord_bp:
-        if image[PLUS, k] < 0:
-            value *= param.eps_plus[k]
-    for k in param.lam_minus.jord_bp:
-        if image[MINUS, k] < 0:
-            value *= param.eps_minus[k]
-    return value
+    return eval_character_on_image(param, h_image(param, h))
 
 
 def eval_character_on_image(param: UnipQuadParam, image: Mapping[tuple[int, int], int]) -> int:

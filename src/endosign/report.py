@@ -22,9 +22,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures and not self.incomplete
 
-    def record_failure(self, **data: Any) -> None:
-        self.failures.append(data)
-
     def to_json_dict(self) -> dict[str, Any]:
         out = {
             "suite": self.suite,

@@ -1,9 +1,14 @@
 """Batch verification sweeps and enumeration reports.
 
 Each suite sweeps one family of identities exhaustively over a desk-scale
-window and returns a VerificationReport; the CLI exposes them as
-subcommands.  Suites re-exported from the constants module live there
-because they are themselves operations on the named constants.
+window.  SUITES is its registry: a suite's name maps to its point generator
+and the specification of its parameters.  A generator yields, per checked
+point, the tuple of that point's failure records, () when it passes.  run()
+owns everything else: it checks the parameters against their bounds and
+caps before any point is checked, counts and times the points, collects the
+failures and builds the VerificationReport.  The CLI derives its verify
+subcommands and flags from SUITES.  The generators of the identities among
+the named constants live in the constants module.
 """
 
 from __future__ import annotations
@@ -15,28 +20,25 @@ from math import factorial
 from . import descent as dsc
 from . import families as fam
 from . import params as par
-from .constants import (QuadrupleGamma, W_MINUS, W_PLUS, factorwise_transfer_check,
-                        split_sizes, verify_aux_identities, verify_product_identity,
-                        verify_sign_chain, verify_split)
+from .constants import (QuadrupleGamma, W_MINUS, W_PLUS, aux_points,
+                        factorwise_transfer_check, product_identity_points,
+                        sign_chain_points, split_points, split_sizes)
 from .errors import ResourceLimitError
 from .exact import ExactValue
-from .localfield import ResidueParam, SquareClass
+from .localfield import ResidueParam, SquareClass, is_prime
 from .partitions import Partition, enumerate_partitions, enumerate_symplectic
 from .report import VerificationReport
 from .weyl import (WeylClassA, WeylClassB, brute_class_sizes, brute_class_sizes_a,
                    class_size_a, class_size_b, conjugation_orbit_sizes, order_b)
 
 __all__ = [
+    "SUITES", "parameters", "run",
     "verify_aux_identities", "verify_split", "verify_kappa_sums", "verify_counting",
     "verify_product_identity", "verify_sign_chain", "verify_transfer_factorization",
     "verify_weyl_classes", "verify_descent", "verify_params",
     "enumerate_params_report", "enumerate_descent_report",
 ]
 
-KAPPA_RR_CAP = 10
-COUNTING_T2_CAP = 3
-TRANSFER_RR_CAP = 6
-WEYL_N_CAP = 5
 ENUM_N_CAP = 8
 
 
@@ -44,33 +46,25 @@ def _sign_witness(s: int) -> WeylClassB:
     return W_PLUS if s == 1 else W_MINUS
 
 
-def verify_kappa_sums(max_rr: int = 6) -> VerificationReport:
+def kappa_sum_points(max_rr: int):
     """Transversal character sums against the distinguished-subgroup law.
 
     For every shape with R - r up to max_rr (both the r = 0 and r > 0
     regimes) and every sign vector e: the sum over pairings of kappa_l2(e)
     is 0 off the distinguished subgroup and |pairings| * kappa_zero(e) on it.
     """
-    if max_rr > KAPPA_RR_CAP:
-        raise ResourceLimitError(f"max_rr capped at {KAPPA_RR_CAP}")
-    start = time.monotonic()
-    report = VerificationReport("kappasum", {"max_rr": max_rr})
     for rr in range(0, max_rr + 1, 2):
         for r in (0, 1, 2):
             shape = fam.SplitShape(rr + r, r)
             pairs = fam.enumerate_L(shape)
             for e in fam.enumerate_e(shape):
-                report.points_checked += 1
                 total = fam.transversal_character_sum(e, shape)
                 if e.in_distinguished_subgroup(shape):
                     expected = len(pairs) * fam.kappa_zero(e, shape)
                 else:
                     expected = 0
-                if total != expected:
-                    report.record_failure(rr=rr, r=r, e=list(e.signs),
-                                          lhs=total, rhs=expected)
-    report.elapsed_ms = int((time.monotonic() - start) * 1000)
-    return report
+                yield () if total == expected else (
+                    {"rr": rr, "r": r, "e": list(e.signs), "lhs": total, "rhs": expected},)
 
 
 def _counting_shapes(t2: int, q: int):
@@ -80,7 +74,7 @@ def _counting_shapes(t2: int, q: int):
     return [s for s in shapes if s != (0, 0) or t2 == 0]
 
 
-def verify_counting(qs=(5, 7, 13), t2max: int = 2) -> VerificationReport:
+def counting_points(qs, t2max: int):
     """Fiber sizes and family counts of the transversal reassembly map.
 
     Checks, per field and shape: (a) the family count against its closed
@@ -90,10 +84,6 @@ def verify_counting(qs=(5, 7, 13), t2max: int = 2) -> VerificationReport:
     the per-vector counting operation.  Includes the worked small values
     (family count 4 at q = 5 with one pair slot; fibers of sizes 2 and 1).
     """
-    if t2max > COUNTING_T2_CAP:
-        raise ResourceLimitError(f"t2max capped at {COUNTING_T2_CAP}")
-    start = time.monotonic()
-    report = VerificationReport("counting", {"q": list(qs), "t2max": t2max})
     worked_family_count = None
     worked_fiber_sizes: set[int] = set()
     for q in qs:
@@ -103,10 +93,9 @@ def verify_counting(qs=(5, 7, 13), t2max: int = 2) -> VerificationReport:
             shape0 = fam.SplitShape(2 * t2, 0)
             counted = fam.count_transversal_families(shape0, field)
             formula = fam.transversal_family_count_formula(shape0, field)
-            report.points_checked += 1
-            if counted != formula:
-                report.record_failure(q=q, t2=t2, identity="family_count",
-                                      lhs=counted, rhs=str(formula))
+            yield () if counted == formula else (
+                {"q": q, "t2": t2, "identity": "family_count", "lhs": counted,
+                 "rhs": str(formula)},)
             if q == 5 and t2 == 1:
                 worked_family_count = counted
             if t2 > fiber_cap:
@@ -145,14 +134,14 @@ def verify_counting(qs=(5, 7, 13), t2max: int = 2) -> VerificationReport:
                                 for c2 in tables[fi][1][tau2]:
                                     gv = fam.reassemble(c1, c2, pair, shape)
                                     tally[gv] = tally.get(gv, 0) + 1
-                        report.points_checked += 1
                         if set(tally) != expected:
-                            report.record_failure(q=q, rp=rp, rpp=rpp, scd1=s1, scd2=s2,
-                                                  eta=eta.name(), eta2=eta2.name(),
-                                                  identity="image",
-                                                  extra=len(set(tally) - expected),
-                                                  missing=len(expected - set(tally)))
+                            yield ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
+                                    "eta": eta.name(), "eta2": eta2.name(),
+                                    "identity": "image",
+                                    "extra": len(set(tally) - expected),
+                                    "missing": len(expected - set(tally))},)
                             continue
+                        failures = ()
                         for g in gammas:
                             check = fam.fiber_count_check(g, shape, field, pair,
                                                           eta, w2, eta1, eta2)
@@ -161,25 +150,20 @@ def verify_counting(qs=(5, 7, 13), t2max: int = 2) -> VerificationReport:
                                     (g in expected and not check.ok) or \
                                     (g in expected and
                                      ExactValue(observed) != check.predicted):
-                                report.record_failure(
-                                    q=q, rp=rp, rpp=rpp, eta=eta.name(),
-                                    eta2=eta2.name(), gamma=g.to_json(),
-                                    identity="fiber", observed=observed,
-                                    slotwise=check.observed,
-                                    predicted=check.predicted.to_json())
+                                failures += ({
+                                    "q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
+                                    "eta2": eta2.name(), "gamma": g.to_json(),
+                                    "identity": "fiber", "observed": observed,
+                                    "slotwise": check.observed,
+                                    "predicted": check.predicted.to_json()},)
                             elif q == 5 and t2 == 1 and g in expected:
                                 worked_fiber_sizes.add(observed)
+                        yield failures
     if 5 in qs and t2max >= 1:
-        report.points_checked += 1
-        if worked_family_count != 4:
-            report.record_failure(identity="worked_family_count",
-                                  lhs=worked_family_count, rhs=4)
-        report.points_checked += 1
-        if worked_fiber_sizes != {1, 2}:
-            report.record_failure(identity="worked_fibers",
-                                  lhs=sorted(worked_fiber_sizes), rhs=[1, 2])
-    report.elapsed_ms = int((time.monotonic() - start) * 1000)
-    return report
+        yield () if worked_family_count == 4 else (
+            {"identity": "worked_family_count", "lhs": worked_family_count, "rhs": 4},)
+        yield () if worked_fiber_sizes == {1, 2} else (
+            {"identity": "worked_fibers", "lhs": sorted(worked_fiber_sizes), "rhs": [1, 2]},)
 
 
 def _transfer_shapes(rrmax: int, q: int):
@@ -191,17 +175,13 @@ def _transfer_shapes(rrmax: int, q: int):
                 yield r, rr + r
 
 
-def verify_transfer_factorization(qs=(5, 7), rrmax: int = 4) -> VerificationReport:
+def transfer_points(qs, rrmax: int):
     """Per-factor versus closed-form evaluation of the descent transfer factor.
 
     Exhaustive over admissible assignment vectors, all sign vectors, all
     block vectors for small two-block class data, and all pairings, in both
     branch-switch regimes.
     """
-    if rrmax > TRANSFER_RR_CAP:
-        raise ResourceLimitError(f"rrmax capped at {TRANSFER_RR_CAP}")
-    start = time.monotonic()
-    report = VerificationReport("transfer", {"q": list(qs), "rrmax": rrmax})
     beta_options = [Partition(), Partition([1])]
     for q in qs:
         field = ResidueParam(q)
@@ -223,91 +203,46 @@ def verify_transfer_factorization(qs=(5, 7), rrmax: int = 4) -> VerificationRepo
                         for pair in pairs:
                             for e in evecs:
                                 for u in uvecs:
-                                    report.points_checked += 1
                                     fw, cl = factorwise_transfer_check(
                                         shape, gamma, e, u, pair, w1, w2, eta, field)
-                                    if fw != cl:
-                                        report.record_failure(
-                                            q=q, rp=rp, rpp=rpp,
-                                            gamma=gamma.to_json(), e=list(e.signs),
-                                            u=list(u.u), pair=pair.to_json(),
-                                            lhs=fw, rhs=cl)
-    report.elapsed_ms = int((time.monotonic() - start) * 1000)
-    return report
+                                    yield () if fw == cl else (
+                                        {"q": q, "rp": rp, "rpp": rpp,
+                                         "gamma": gamma.to_json(), "e": list(e.signs),
+                                         "u": list(u.u), "pair": pair.to_json(),
+                                         "lhs": fw, "rhs": cl},)
 
 
-def verify_weyl_classes(nmax: int = 4) -> VerificationReport:
+def weyl_points(nmax: int):
     """Class sizes against the brute-force signed-permutation oracle.
 
     Checks the centralizer-order formula classwise against full group
     enumeration for N up to nmax, the total-order sum, the independent
     conjugation-orbit oracle at N <= 3, and the symmetric-group analogue.
     """
-    if nmax > WEYL_N_CAP:
-        raise ResourceLimitError(f"nmax capped at {WEYL_N_CAP}")
-    start = time.monotonic()
-    report = VerificationReport("weyl", {"nmax": nmax})
     for N in range(nmax + 1):
         brute = brute_class_sizes(N)
         total = 0
         for c, size in sorted(brute.items(), key=lambda kv: repr(kv[0])):
-            report.points_checked += 1
             formula = class_size_b(c)
             total += size
-            if formula != size:
-                report.record_failure(N=N, cls=c.to_json(), lhs=formula, rhs=size)
-        report.points_checked += 1
-        if total != order_b(N):
-            report.record_failure(N=N, identity="total", lhs=total, rhs=order_b(N))
+            yield () if formula == size else (
+                {"N": N, "cls": c.to_json(), "lhs": formula, "rhs": size},)
+        yield () if total == order_b(N) else (
+            {"N": N, "identity": "total", "lhs": total, "rhs": order_b(N)},)
         if N <= 3:
-            orbit = conjugation_orbit_sizes(N)
-            report.points_checked += 1
-            if orbit != brute:
-                report.record_failure(N=N, identity="orbit_oracle")
+            yield () if conjugation_orbit_sizes(N) == brute else (
+                {"N": N, "identity": "orbit_oracle"},)
     for d in range(7):
         brute_a = brute_class_sizes_a(d)
         for c, size in sorted(brute_a.items(), key=lambda kv: repr(kv[0])):
-            report.points_checked += 1
-            if class_size_a(c) != size:
-                report.record_failure(d=d, cls=c.to_json(),
-                                      lhs=class_size_a(c), rhs=size)
-        report.points_checked += 1
+            yield () if class_size_a(c) == size else (
+                {"d": d, "cls": c.to_json(), "lhs": class_size_a(c), "rhs": size},)
         total_a = sum(class_size_a(WeylClassA(p, d)) for p in enumerate_partitions(d))
-        if total_a != factorial(d):
-            report.record_failure(d=d, identity="total_a", lhs=total_a,
-                                  rhs=factorial(d))
-    report.elapsed_ms = int((time.monotonic() - start) * 1000)
-    return report
+        yield () if total_a == factorial(d) else (
+            {"d": d, "identity": "total_a", "lhs": total_a, "rhs": factorial(d)},)
 
 
-def _all_class_splits(beta: Partition, fs: tuple[int, ...]):
-    """All splittings of beta into (plus, minus, per-degree blocks), any sizes.
-
-    Block entries must be divisible by their degree with odd quotient.
-    Yields (beta_plus, beta_minus, inner_partitions) deduplicated as multisets.
-    """
-    nbins = 2 + len(fs)
-    seen = set()
-    for assign in itertools.product(range(nbins), repeat=beta.length()):
-        bins = [[] for _ in range(nbins)]
-        for part, where in zip(beta.parts, assign):
-            bins[where].append(part)
-        key = tuple(tuple(sorted(b)) for b in bins)
-        if key in seen:
-            continue
-        seen.add(key)
-        ok = True
-        inners = []
-        for f, raw in zip(fs, bins[2:]):
-            if any(p % f or (p // f) % 2 == 0 for p in raw):
-                ok = False
-                break
-            inners.append(Partition(p // f for p in raw))
-        if ok:
-            yield Partition(bins[0]), Partition(bins[1]), tuple(inners)
-
-
-def verify_descent(beta_max: int = 8) -> VerificationReport:
+def descent_points(beta_max: int):
     """Descent splitting checks.
 
     (a) the sign-character relation on every class splitting with inner
@@ -315,20 +250,12 @@ def verify_descent(beta_max: int = 8) -> VerificationReport:
     size split selected by an assignment against a full scan; (c) sector
     sums of the size relations reproduce the quadruple splitting sizes.
     """
-    start = time.monotonic()
-    report = VerificationReport("descent", {"beta_max": beta_max})
-
     for total in range(beta_max + 1):
         for beta in enumerate_partitions(total):
             for fs in ((), (1,), (2,), (1, 2)):
-                for bplus, bminus, inners in _all_class_splits(beta, fs):
-                    report.points_checked += 1
-                    lhs = (-1) ** (beta.length() % 2)
-                    rhs = (-1) ** ((bplus.length() + bminus.length()
-                                    + sum(p.size() for p in inners)) % 2)
-                    if lhs != rhs:
-                        report.record_failure(beta=beta.to_json(), fs=list(fs),
-                                              identity="class_sign", lhs=lhs, rhs=rhs)
+                for split in dsc.class_splits(beta, fs):
+                    yield () if dsc.check_v_sign_relation(beta, split) else (
+                        {"beta": beta.to_json(), "fs": list(fs), "identity": "class_sign"},)
 
     blocks_options = [(), ((1, 1),), ((1, 2),), ((2, 1),), ((1, 1), (1, 1))]
     for rp, rpp in itertools.product(range(3), repeat=2):
@@ -352,18 +279,17 @@ def verify_descent(beta_max: int = 8) -> VerificationReport:
                     except ValueError:
                         continue
                     feas = dsc.descent_feasibility(dd, g)
-                    report.points_checked += 1
                     if not feas.holds or (feas.N_plus, feas.N_minus) != (N_plus, N_minus):
-                        report.record_failure(g=g.to_json(), identity="feasibility")
+                        yield ({"g": g.to_json(), "identity": "feasibility"},)
                         continue
+                    yield ()
                     splits = dsc.enumerate_size_splits(dd, g, N_plus, N_minus)
                     expected_sizes = split_sizes(rp, rpp, Np, Npp)
                     for split in splits:
-                        report.points_checked += 1
-                        if dsc.sector_size_sum(g, split, dd.blocks) != expected_sizes:
-                            report.record_failure(g=g.to_json(),
-                                                  split=split.to_json(),
-                                                  identity="sector_sum")
+                        sums = dsc.sector_size_sum(g, split, dd.blocks)
+                        yield () if sums == expected_sizes else (
+                            {"g": g.to_json(), "split": split.to_json(),
+                             "identity": "sector_sum"},)
                         sizes = dsc.assignment_sizes(g, split)
                         eta1_minus = SquareClass(((r_minus + rpp) // 2) % 2, 1)
                         eta2_minus = eta_minus * eta1_minus
@@ -374,13 +300,9 @@ def verify_descent(beta_max: int = 8) -> VerificationReport:
                         matches = [s for s in splits
                                    if dsc.assignment_sizes(g, s) == sizes
                                    and s.pairs == split.pairs]
-                        report.points_checked += 1
-                        if got != split or matches != [split]:
-                            report.record_failure(g=g.to_json(),
-                                                  split=split.to_json(),
-                                                  identity="unique_split")
-    report.elapsed_ms = int((time.monotonic() - start) * 1000)
-    return report
+                        yield () if got == split and matches == [split] else (
+                            {"g": g.to_json(), "split": split.to_json(),
+                             "identity": "unique_split"},)
 
 
 def _unip_quad_params(n: int):
@@ -390,34 +312,33 @@ def _unip_quad_params(n: int):
                 yield par.UnipQuadParam(lp, lm)
 
 
-def verify_params(nmax: int = 3) -> VerificationReport:
+def params_points(nmax: int):
     """Parameter-algebra checks.
 
     Term counts of the virtual combination, double-swap identity, and
     character bilinearity on component-group images with up to three even
     blocks per side.
     """
-    start = time.monotonic()
-    report = VerificationReport("params", {"nmax": nmax})
     for n in range(nmax + 1):
         for n1, n2 in par.endoscopic_pairs(n):
             for t1 in _unip_quad_params(n1):
                 for t2 in _unip_quad_params(n2):
                     triple = par.assemble_triple(t1, t2, (n1, n2))
-                    report.points_checked += 1
+                    failures = ()
                     s = triple.s_split()
                     expect = 2 ** (len(s.part_plus.jord_bp) + len(s.part_minus.jord_bp))
                     if len(par.virtual_rep(triple)) != expect:
-                        report.record_failure(n=n, identity="term_count",
-                                              triple=triple.to_json())
+                        failures += ({"n": n, "identity": "term_count",
+                                      "triple": triple.to_json()},)
                     if par.involution_swap(par.involution_swap(triple)) != triple:
-                        report.record_failure(n=n, identity="swap_involution",
-                                              triple=triple.to_json())
+                        failures += ({"n": n, "identity": "swap_involution",
+                                      "triple": triple.to_json()},)
                     back1, back2 = triple.restrict(par.PLUS), triple.restrict(par.MINUS)
                     if (back1[0] != t1.lam_plus or back1[1] != t1.lam_minus
                             or back2[0] != t2.lam_plus or back2[1] != t2.lam_minus):
-                        report.record_failure(n=n, identity="restriction",
-                                              triple=triple.to_json())
+                        failures += ({"n": n, "identity": "restriction",
+                                      "triple": triple.to_json()},)
+                    yield failures
 
     # bilinearity of the character pairing on images
     for blocks_plus in ((), (2,), (4, 2), (6, 4, 2)):
@@ -437,17 +358,137 @@ def verify_params(nmax: int = 3) -> VerificationReport:
                           for bits in itertools.product((1, -1), repeat=len(keys))]
                 for im1 in images:
                     for im2 in images:
-                        report.points_checked += 1
                         prod = {k: im1[k] * im2[k] for k in keys}
                         lhs = par.eval_character_on_image(param, prod)
                         rhs = par.eval_character_on_image(param, im1) * \
                             par.eval_character_on_image(param, im2)
-                        if lhs != rhs:
-                            report.record_failure(identity="bilinearity",
-                                                  blocks=[list(blocks_plus),
-                                                          list(blocks_minus)])
+                        yield () if lhs == rhs else (
+                            {"identity": "bilinearity",
+                             "blocks": [list(blocks_plus), list(blocks_minus)]},)
+
+
+# ---------------------------------------------------------------------------
+# The registry and its runner.
+# ---------------------------------------------------------------------------
+
+# name -> (point generator, parameters).  A parameter is (keyword, default,
+# lower bound, cap, step); the q list "qs" is (keyword, default) and must
+# hold distinct primes >= 5.  Entries stay plain tuples so that tooling can
+# wrap the generators in place.
+SUITES = {
+    "aux": (aux_points, (("rmax", 30, 0, 60, 1),)),
+    "split": (split_points, (("rmax", 30, 0, 60, 1), ("nmax", 10, 0, 20, 1))),
+    "kappasum": (kappa_sum_points, (("max_rr", 6, 0, 10, 2),)),
+    "counting": (counting_points, (("qs", (5, 7, 13)), ("t2max", 2, 0, 3, 1))),
+    "constprod": (product_identity_points, (("qs", (5, 7, 13)), ("rmax", 6, 0, 10, 1))),
+    "signchain": (sign_chain_points, (("rmax", 8, 0, 20, 1),)),
+    "transfer": (transfer_points, (("qs", (5, 7)), ("rrmax", 4, 0, 6, 2))),
+    "weyl": (weyl_points, (("nmax", 4, 0, 5, 1),)),
+    "descent": (descent_points, (("beta_max", 8, 0, 10, 1),)),
+    "params": (params_points, (("nmax", 3, 0, ENUM_N_CAP, 1),)),
+}
+
+
+def parameters(name: str, given: dict) -> dict:
+    """The suite's keyword arguments: the given values over the defaults.
+
+    Raises ValueError for a value below its lower bound or off its step,
+    and for a q list that is empty, repeats a value, or holds a value that
+    is not a prime >= 5.  Caps are checked by run().
+    """
+    specs = SUITES[name][1]
+    unknown = sorted(set(given) - {spec[0] for spec in specs})
+    if unknown:
+        raise TypeError(f"suite {name!r} takes no parameter {unknown[0]!r}")
+    values = {}
+    for key, default, *bounds in specs:
+        value = given.get(key, default)
+        if key == "qs":
+            value = tuple(value)
+            if not value or len(set(value)) < len(value) or \
+                    any(q < 5 or not is_prime(q) for q in value):
+                raise ValueError(f"q must list distinct primes >= 5, got {list(value)}")
+        else:
+            low, _, step = bounds
+            if value < low or (value - low) % step:
+                kind = "an even integer" if step == 2 else "an integer"
+                raise ValueError(f"{key} must be {kind} >= {low}, got {value}")
+        values[key] = value
+    return values
+
+
+def run(name: str, **given) -> VerificationReport:
+    """Sweep one suite and report every failing point.
+
+    The parameters are checked before any point: ValueError for an invalid
+    value, ResourceLimitError for one above its cap.  When constprod fails,
+    the same sweep is re-evaluated under the alternate two-power reading
+    and the outcome is recorded as a note.
+    """
+    points, specs = SUITES[name]
+    values = parameters(name, given)
+    for key, _, *bounds in specs:
+        if bounds and values[key] > bounds[1]:
+            raise ResourceLimitError(f"{key} capped at {bounds[1]}")
+    start = time.monotonic()
+    shown = dict(values)
+    if "qs" in shown:
+        shown["q"] = list(shown.pop("qs"))
+    report = VerificationReport(name, shown)
+    checked = 0
+    for failures in points(**values):
+        checked += 1
+        if failures:
+            report.failures.extend(failures)
+    report.points_checked = checked
+    if report.failures and name == "constprod":
+        held = not any(points(**values, alt_two_power=True))
+        report.notes.append("failures re-evaluated under the alternate two-power "
+                            f"reading: {'pass' if held else 'fail'}")
     report.elapsed_ms = int((time.monotonic() - start) * 1000)
     return report
+
+
+# The entry points by suite; keyword arguments as in SUITES.
+
+def verify_aux_identities(**params) -> VerificationReport:
+    return run("aux", **params)
+
+
+def verify_split(**params) -> VerificationReport:
+    return run("split", **params)
+
+
+def verify_kappa_sums(**params) -> VerificationReport:
+    return run("kappasum", **params)
+
+
+def verify_counting(**params) -> VerificationReport:
+    return run("counting", **params)
+
+
+def verify_product_identity(**params) -> VerificationReport:
+    return run("constprod", **params)
+
+
+def verify_sign_chain(**params) -> VerificationReport:
+    return run("signchain", **params)
+
+
+def verify_transfer_factorization(**params) -> VerificationReport:
+    return run("transfer", **params)
+
+
+def verify_weyl_classes(**params) -> VerificationReport:
+    return run("weyl", **params)
+
+
+def verify_descent(**params) -> VerificationReport:
+    return run("descent", **params)
+
+
+def verify_params(**params) -> VerificationReport:
+    return run("params", **params)
 
 
 # ---------------------------------------------------------------------------

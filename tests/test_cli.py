@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+from endosign import constants, suites
 from endosign.cli import main
+
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 def run_cli(capsys, *argv):
@@ -107,5 +111,47 @@ def test_verify_all_aggregates(capsys):
     reports = json.loads(out)
     assert {r["suite"] for r in reports} == {
         "aux", "split", "kappasum", "counting", "constprod", "signchain",
-        "transfer", "weyl"}
+        "transfer", "weyl", "descent", "params"}
     assert all(r["pass"] for r in reports)
+
+
+@pytest.mark.parametrize("argv", [
+    ["counting", "--q", "4"],
+    ["transfer", "--q", "9", "--rrmax", "0"],
+    ["aux", "--rmax", "-1"],
+    ["split", "--nmax", "-3"],
+    ["kappasum", "--max-rr", "7"],
+    ["transfer", "--rrmax", "1"],
+    ["counting", "--q", "5,5"],
+    ["all", "--max-rr", "7"],
+])
+def test_invalid_value_exit_two(argv, monkeypatch, capsys):
+    def no_sweep(name, **params):
+        raise AssertionError(f"{name} ran despite an invalid value")
+
+    monkeypatch.setattr(suites, "run", no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_value_error_inside_sweep_is_not_a_usage_error(monkeypatch):
+    def broken(rp, rpp):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(constants, "split_pair_identities", broken)
+    with pytest.raises(ValueError, match="planted"):
+        main(["verify", "aux", "--rmax", "1"])
+
+
+@pytest.mark.parametrize("suite", ["aux", "split", "kappasum", "constprod", "signchain",
+                                   "weyl", "descent", "params"])
+def test_default_reports_match_references(suite, capsys):
+    code, out = run_cli(capsys, "verify", suite)
+    assert code == 0
+    timing = [line for line in out.splitlines(keepends=True)
+              if line.startswith('  "elapsed_ms": ')]
+    assert len(timing) == 1
+    reference = REFERENCE_DIR / f"{suite}.json"
+    assert out.replace(timing[0], "") == reference.read_text(encoding="utf-8")

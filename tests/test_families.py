@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from endosign.exact import ExactValue
-from endosign.families import (ComponentGamma, EVector, GammaVector, LPair, SplitShape,
+from endosign.families import (EVector, GammaVector, LPair, SplitShape,
                                UVector, count_transversal_families, enumerate_e,
                                enumerate_gamma, enumerate_L,
                                enumerate_transversal_families, eta_of_L1, eta_of_L2,
@@ -248,10 +248,3 @@ def test_family_selection_sign_condition():
     # halving: the two target signs partition all candidates
     other = family_selections(family, 1, shape, F5, eta1, WP)
     assert len(sels) + len(other) == 2 ** shape.t1
-
-
-def test_component_weight():
-    comp = ComponentGamma((("res", 2), ("sign", -1), ("res", 4)))
-    # odd positions 1 and 3: sgn(-2) * sgn(-4) over F5 = (1*-1) * (1*1)
-    assert comp.weight(F5) == ExactValue(-1)
-    assert ComponentGamma(()).weight(F5) == ExactValue(1)
