@@ -8,7 +8,7 @@ The verify suites and their flags come from the registry suites.SUITES.
 Output is JSON by default (CSV with --format csv), written to stdout or to
 --out FILE.  Exit codes: 0 all checks passed, 1 failures found, 2 usage
 error (an unknown flag or an invalid flag value, reported before any sweep
-runs), 3 a resource cap was hit (partial report flagged incomplete).
+or enumeration runs), 3 a resource cap was hit (partial report flagged incomplete).
 """
 
 from __future__ import annotations
@@ -121,6 +121,8 @@ def main(argv=None) -> int:
         return exit_code
 
     # enumerate
+    if args.n < 0:
+        parser.error(f"enumerate {args.kind}: n must be nonnegative, got {args.n}")
     builder = (suites.enumerate_params_report if args.kind == "params"
                else suites.enumerate_descent_report)
     try:

@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import families as fam
 from .exact import ExactValue
 from .localfield import ResidueParam, SquareClass, legendre, sgn_minus_one
+from .partitions import Partition
 from .weyl import WeylClassB, class_size_b, order_b, sgn_cd
 
 # Sign witnesses used by sweeps: cuspidal classes with sgn_cd = +1 / -1.
@@ -546,37 +547,143 @@ def sign_chain_points(rmax: int):
                          "d": d, "value": total, "identity": "collapse"},)
 
 
+def factorwise_gamma_factor(shape: fam.SplitShape, gamma: fam.GammaVector,
+                            pair: fam.LPair, w1: WeylClassB, w2: WeylClassB,
+                            eta: SquareClass, rp_field: ResidueParam) -> int:
+    """The per-factor route's (gamma, pairing) factor.
+
+    The product over the pair slots l = 2j of unit(eta) * sgn_cd(w') sgn_cd(w'')
+    * sgn(g_{l-1} - g_l), times m * sgn(g_{l2}) when B = 1, times the signs of
+    the slots above l.
+    """
+    m = sgn_minus_one(rp_field)
+    scd = sgn_cd(w1) * sgn_cd(w2)
+    B = shape.b_switch
+    out = 1
+    for j in range(1, shape.t2 + 1):
+        l = 2 * j
+        term = eta.unit_sign * scd
+        term *= legendre(gamma.low[l - 2] - gamma.low[l - 1], rp_field)
+        if B:
+            term *= m * legendre(gamma.low[pair.l2[j - 1] - 1], rp_field)
+        for h in range(l + 1, shape.R + 1):
+            term *= gamma.sgn_slot(h, rp_field)
+        out *= term
+    return out
+
+
+def factorwise_e_factor(e: fam.EVector, pair: fam.LPair) -> int:
+    """The per-factor route's e-factor: the product of e over the L2 slots."""
+    out = 1
+    for l2 in pair.l2:
+        out *= e.signs[l2 - 1]
+    return out
+
+
+def factorwise_u_factor(u: fam.UVector, eta: SquareClass) -> int:
+    """The per-factor route's unramified block signs (-1)^(val(eta) + u_k) over K''."""
+    out = 1
+    for k in u.k_second:
+        if (eta.val_parity + u.u[k - 1]) % 2:
+            out = -out
+    return out
+
+
 def factorwise_transfer_check(shape: fam.SplitShape, gamma: fam.GammaVector,
                               e: fam.EVector, u: fam.UVector, pair: fam.LPair,
                               w1: WeylClassB, w2: WeylClassB, eta: SquareClass,
                               rp_field: ResidueParam) -> tuple[int, int]:
-    """Two routes to the descent transfer factor: per-factor and closed form.
+    """Two routes to the descent transfer factor at one point: per-factor and closed form.
 
-    The per-factor route multiplies the unramified block signs
-    (-1)^(val(eta) + u_k) over the second block with, for each pair slot,
-    the displayed product of unit, class, vector and difference signs.  The
-    closed route is d * kappa_l2(e) * kappa_u(u).  The two must agree.
+    The per-factor route multiplies its (gamma, pairing) factor, its
+    e-factor and the unramified block signs of u.  The closed route is
+    d * kappa_l2(e) * kappa_u(u), with d = transfer_factor_sign at the class
+    eta[L2, gamma].  The two must agree.
     """
-    m = sgn_minus_one(rp_field)
-    val = eta.val_parity
-    factorwise = 1
-    for k in u.k_second:
-        if (val + u.u[k - 1]) % 2:
-            factorwise *= -1
-    scd = sgn_cd(w1) * sgn_cd(w2)
-    B = shape.b_switch
-    for j in range(1, shape.t2 + 1):
-        l = 2 * j
-        l2 = pair.l2[j - 1]
-        term = eta.unit_sign * scd * e.at(l2)
-        term *= legendre(gamma.low[l - 2] - gamma.low[l - 1], rp_field)
-        if B:
-            term *= m * legendre(gamma.low[l2 - 1], rp_field)
-        for h in range(l + 1, shape.R + 1):
-            term *= gamma.sgn_slot(h, rp_field)
-        factorwise *= term
-
+    factorwise = factorwise_gamma_factor(shape, gamma, pair, w1, w2, eta, rp_field) \
+        * factorwise_e_factor(e, pair) * factorwise_u_factor(u, eta)
     eta2L = fam.eta_of_L2(gamma, pair, shape, w2, rp_field)
     closed = transfer_factor_sign(shape, gamma, pair, w1, w2, eta, eta2L, rp_field) \
         * fam.kappa_l2(e, pair) * fam.kappa_u(u)
     return factorwise, closed
+
+
+def _transfer_shapes(rrmax: int, q: int):
+    for rr in range(0, rrmax + 1, 2):
+        rs = (0, 1, 2) if rr <= 2 else ((0, 1) if q == 5 else (0,))
+        for r in rs:
+            yield rr + r, r
+            if rr:
+                yield r, rr + r
+
+
+def transfer_points(qs, rrmax: int):
+    """Per-factor versus closed-form evaluation of the descent transfer factor.
+
+    Exhaustive over admissible assignment vectors, all sign vectors, all
+    block vectors for small two-block class data, and all pairings, in both
+    branch-switch regimes.
+
+    A cell is one (q, shape, beta', beta'', eta, gamma, pairing); its points
+    are every sign vector e times every block vector u.  Within a cell each
+    route's value changes only through an e-part and a u-part, so each route
+    does its work at three levels:
+
+      * per cell: one factorwise_transfer_check at the cell's first point
+        (e0, u0).  Its closed side calls eta_of_L2 and transfer_factor_sign,
+        its per-factor side the (gamma, pairing) factor.  Each side times its
+        own e- and u-entries at (e0, u0), all +-1, is that route's per-cell
+        factor;
+      * per table: for each pairing (once per shape) a row of per-factor
+        e-factors and a separate row of kappa_l2 over all e; per
+        (beta', beta''), kappa_u over all u; per (beta', beta'', eta), the
+        per-factor block signs over all u;
+      * per point: one product per side, the route's per-cell factor times
+        its own e- and u-entries, compared in the order e, then u.
+
+    The routes stay independent: they share only the leaf primitives
+    legendre, sgn_cd and sgn_minus_one.  No table or per-cell value is used
+    by both sides and neither side is derived from the other, so a wrong
+    formula on either side fails exactly the points at which
+    factorwise_transfer_check would fail.
+    """
+    beta_options = [Partition(), Partition([1])]
+    for q in qs:
+        field = ResidueParam(q)
+        for rp, rpp in _transfer_shapes(rrmax, q):
+            shape = fam.SplitShape(rp, rpp)
+            pairs = fam.enumerate_L(shape)
+            evecs = fam.enumerate_e(shape)
+            e0 = evecs[0]
+            factor_rows = [[factorwise_e_factor(e, pair) for e in evecs] for pair in pairs]
+            kappa_rows = [[fam.kappa_l2(e, pair) for e in evecs] for pair in pairs]
+            for beta1, beta2 in itertools.product(beta_options, repeat=2):
+                w1 = WeylClassB(Partition(), beta1)
+                w2 = WeylClassB(Partition(), beta2)
+                t = beta1.length() + beta2.length()
+                k_split = (tuple(range(1, beta1.length() + 1)),
+                           tuple(range(beta1.length() + 1, t + 1)))
+                uvecs = [fam.UVector(u, k_split)
+                         for u in itertools.product((0, 1), repeat=t)]
+                u0 = uvecs[0]
+                kappa_us = [fam.kappa_u(u) for u in uvecs]
+                for ue in (1, -1):
+                    eta = SquareClass(rpp % 2, ue)
+                    u_row = [factorwise_u_factor(u, eta) for u in uvecs]
+                    u_cols = list(zip(uvecs, u_row, kappa_us))
+                    for gamma in fam.enumerate_gamma(shape, field, eta, w1, w2):
+                        for pair, factor_row, kappa_row in zip(pairs, factor_rows, kappa_rows):
+                            fw, cl = factorwise_transfer_check(
+                                shape, gamma, e0, u0, pair, w1, w2, eta, field)
+                            # divide out (e0, u0), each route by its own +-1 entries
+                            fw *=factor_row[0] * u_row[0]
+                            cl *= kappa_row[0] * kappa_us[0]
+                            for e, fe, ke in zip(evecs, factor_row, kappa_row):
+                                fw_e, cl_e = fw * fe, cl * ke
+                                for u, fu, ku in u_cols:
+                                    lhs, rhs = fw_e * fu, cl_e * ku
+                                    yield () if lhs == rhs else (
+                                        {"q": q, "rp": rp, "rpp": rpp,
+                                         "gamma": gamma.to_json(), "e": list(e.signs),
+                                         "u": list(u.u), "pair": pair.to_json(),
+                                         "lhs": lhs, "rhs": rhs},)

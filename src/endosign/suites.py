@@ -21,8 +21,8 @@ from . import descent as dsc
 from . import families as fam
 from . import params as par
 from .constants import (QuadrupleGamma, W_MINUS, W_PLUS, aux_points,
-                        factorwise_transfer_check, product_identity_points,
-                        sign_chain_points, split_points, split_sizes)
+                        product_identity_points, sign_chain_points, split_points,
+                        split_sizes, transfer_points)
 from .errors import ResourceLimitError
 from .exact import ExactValue
 from .localfield import ResidueParam, SquareClass, is_prime
@@ -164,52 +164,6 @@ def counting_points(qs, t2max: int):
             {"identity": "worked_family_count", "lhs": worked_family_count, "rhs": 4},)
         yield () if worked_fiber_sizes == {1, 2} else (
             {"identity": "worked_fibers", "lhs": sorted(worked_fiber_sizes), "rhs": [1, 2]},)
-
-
-def _transfer_shapes(rrmax: int, q: int):
-    for rr in range(0, rrmax + 1, 2):
-        rs = (0, 1, 2) if rr <= 2 else ((0, 1) if q == 5 else (0,))
-        for r in rs:
-            yield rr + r, r
-            if rr:
-                yield r, rr + r
-
-
-def transfer_points(qs, rrmax: int):
-    """Per-factor versus closed-form evaluation of the descent transfer factor.
-
-    Exhaustive over admissible assignment vectors, all sign vectors, all
-    block vectors for small two-block class data, and all pairings, in both
-    branch-switch regimes.
-    """
-    beta_options = [Partition(), Partition([1])]
-    for q in qs:
-        field = ResidueParam(q)
-        for rp, rpp in _transfer_shapes(rrmax, q):
-            shape = fam.SplitShape(rp, rpp)
-            pairs = fam.enumerate_L(shape)
-            evecs = fam.enumerate_e(shape)
-            for beta1, beta2 in itertools.product(beta_options, repeat=2):
-                w1 = WeylClassB(Partition(), beta1)
-                w2 = WeylClassB(Partition(), beta2)
-                t = beta1.length() + beta2.length()
-                k_split = (tuple(range(1, beta1.length() + 1)),
-                           tuple(range(beta1.length() + 1, t + 1)))
-                uvecs = [fam.UVector(u, k_split)
-                         for u in itertools.product((0, 1), repeat=t)]
-                for ue in (1, -1):
-                    eta = SquareClass(rpp % 2, ue)
-                    for gamma in fam.enumerate_gamma(shape, field, eta, w1, w2):
-                        for pair in pairs:
-                            for e in evecs:
-                                for u in uvecs:
-                                    fw, cl = factorwise_transfer_check(
-                                        shape, gamma, e, u, pair, w1, w2, eta, field)
-                                    yield () if fw == cl else (
-                                        {"q": q, "rp": rp, "rpp": rpp,
-                                         "gamma": gamma.to_json(), "e": list(e.signs),
-                                         "u": list(u.u), "pair": pair.to_json(),
-                                         "lhs": fw, "rhs": cl},)
 
 
 def weyl_points(nmax: int):

@@ -116,22 +116,25 @@ def test_verify_all_aggregates(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["counting", "--q", "4"],
-    ["transfer", "--q", "9", "--rrmax", "0"],
-    ["aux", "--rmax", "-1"],
-    ["split", "--nmax", "-3"],
-    ["kappasum", "--max-rr", "7"],
-    ["transfer", "--rrmax", "1"],
-    ["counting", "--q", "5,5"],
-    ["all", "--max-rr", "7"],
+    ["verify", "counting", "--q", "4"],
+    ["verify", "transfer", "--q", "9", "--rrmax", "0"],
+    ["verify", "aux", "--rmax", "-1"],
+    ["verify", "split", "--nmax", "-3"],
+    ["verify", "kappasum", "--max-rr", "7"],
+    ["verify", "transfer", "--rrmax", "1"],
+    ["verify", "counting", "--q", "5,5"],
+    ["verify", "all", "--max-rr", "7"],
+    ["enumerate", "params", "--n", "-1"],
+    ["enumerate", "descent", "--n", "-1"],
 ])
 def test_invalid_value_exit_two(argv, monkeypatch, capsys):
-    def no_sweep(name, **params):
-        raise AssertionError(f"{name} ran despite an invalid value")
+    def no_sweep(*args, **params):
+        raise AssertionError(f"{argv[:2]} ran despite an invalid value")
 
-    monkeypatch.setattr(suites, "run", no_sweep)
+    for entry in ("run", "enumerate_params_report", "enumerate_descent_report"):
+        monkeypatch.setattr(suites, entry, no_sweep)
     with pytest.raises(SystemExit) as exc:
-        main(["verify", *argv])
+        main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
 
@@ -145,13 +148,24 @@ def test_value_error_inside_sweep_is_not_a_usage_error(monkeypatch):
         main(["verify", "aux", "--rmax", "1"])
 
 
+def assert_matches_reference(out, name):
+    timing = [line for line in out.splitlines(keepends=True)
+              if line.startswith('  "elapsed_ms": ')]
+    assert len(timing) == 1
+    reference = REFERENCE_DIR / f"{name}.json"
+    assert out.replace(timing[0], "") == reference.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("suite", ["aux", "split", "kappasum", "constprod", "signchain",
                                    "weyl", "descent", "params"])
 def test_default_reports_match_references(suite, capsys):
     code, out = run_cli(capsys, "verify", suite)
     assert code == 0
-    timing = [line for line in out.splitlines(keepends=True)
-              if line.startswith('  "elapsed_ms": ')]
-    assert len(timing) == 1
-    reference = REFERENCE_DIR / f"{suite}.json"
-    assert out.replace(timing[0], "") == reference.read_text(encoding="utf-8")
+    assert_matches_reference(out, suite)
+
+
+@pytest.mark.parametrize("q", ["5", "7"])
+def test_transfer_reports_match_references(q, capsys):
+    code, out = run_cli(capsys, "verify", "transfer", "--q", q, "--rrmax", "4")
+    assert code == 0
+    assert_matches_reference(out, f"transfer-q{q}")

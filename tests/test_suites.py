@@ -1,6 +1,14 @@
 """Each sweep must fail on a planted wrong formula (non-vacuity)."""
 
+import itertools
+
+import pytest
+
 from endosign import constants, suites
+from endosign import families as fam
+from endosign.localfield import ResidueParam, SquareClass
+from endosign.partitions import Partition
+from endosign.weyl import WeylClassB
 
 
 def test_transfer_fails_on_a_flipped_transfer_factor_sign(monkeypatch):
@@ -45,3 +53,95 @@ def test_constprod_alternate_reading_can_fail_too(monkeypatch):
     report = suites.verify_product_identity(qs=(5,), rmax=1)
     assert len(report.failures) == report.points_checked > 0
     assert report.notes == ["failures re-evaluated under the alternate two-power reading: fail"]
+
+
+@pytest.mark.parametrize("factor", ["factorwise_gamma_factor", "factorwise_e_factor",
+                                    "factorwise_u_factor"])
+def test_transfer_fails_on_a_negated_factorwise_factor(factor, monkeypatch):
+    original = getattr(constants, factor)
+    monkeypatch.setattr(constants, factor, lambda *args: -original(*args))
+    report = suites.verify_transfer_factorization(qs=(5,), rrmax=2)
+    assert len(report.failures) == report.points_checked > 0
+    assert not report.passed
+
+
+def _flip_where(module, name, when):
+    original = getattr(module, name)
+    return module, name, lambda *args: -original(*args) if when(*args) else original(*args)
+
+
+# Faults on a subset of the points, on either side of the identity.  The
+# faults on the e- and u-parts also hit each cell's first point.
+PARTIAL_FAULTS = {
+    "transfer_factor_sign": lambda: _flip_where(
+        constants, "transfer_factor_sign", lambda shape, gamma, *rest: sum(gamma.low) % 3 == 1),
+    "factorwise_gamma_factor": lambda: _flip_where(
+        constants, "factorwise_gamma_factor",
+        lambda shape, gamma, pair, *rest: pair.l2[:1] == (1,) and gamma.high[:1] == (-1,)),
+    "factorwise_e_factor": lambda: _flip_where(
+        constants, "factorwise_e_factor", lambda e, pair: e.signs[-1:] == (1,)),
+    "factorwise_u_factor": lambda: _flip_where(
+        constants, "factorwise_u_factor", lambda u, eta: sum(u.u) != 1),
+    "kappa_l2": lambda: _flip_where(
+        fam, "kappa_l2", lambda e, pair: e.signs[:1] == (1,) and len(pair.l2) == 1),
+    "kappa_u": lambda: _flip_where(fam, "kappa_u", lambda u: u.u[:1] == (0,)),
+}
+
+
+def _per_point_transfer_failures(q, rrmax):
+    """The transfer sweep's failures from factorwise_transfer_check at every point.
+
+    Only for rrmax <= 2, where every R - r takes all of r = 0, 1, 2.
+    """
+    field = ResidueParam(q)
+    failures = []
+    for rr in range(0, rrmax + 1, 2):
+        for r in (0, 1, 2):
+            for rp, rpp in ((rr + r, r), (r, rr + r)) if rr else ((r, r),):
+                shape = fam.SplitShape(rp, rpp)
+                for beta1, beta2 in itertools.product((Partition(), Partition([1])), repeat=2):
+                    w1, w2 = WeylClassB(Partition(), beta1), WeylClassB(Partition(), beta2)
+                    t1, t = beta1.length(), beta1.length() + beta2.length()
+                    k_split = (tuple(range(1, t1 + 1)), tuple(range(t1 + 1, t + 1)))
+                    for ue in (1, -1):
+                        eta = SquareClass(rpp % 2, ue)
+                        for gamma in fam.enumerate_gamma(shape, field, eta, w1, w2):
+                            for pair in fam.enumerate_L(shape):
+                                for e in fam.enumerate_e(shape):
+                                    for bits in itertools.product((0, 1), repeat=t):
+                                        u = fam.UVector(bits, k_split)
+                                        fw, cl = constants.factorwise_transfer_check(
+                                            shape, gamma, e, u, pair, w1, w2, eta, field)
+                                        if fw != cl:
+                                            failures.append(
+                                                {"q": q, "rp": rp, "rpp": rpp,
+                                                 "gamma": gamma.to_json(),
+                                                 "e": list(e.signs), "u": list(bits),
+                                                 "pair": pair.to_json(),
+                                                 "lhs": fw, "rhs": cl})
+    return failures
+
+
+@pytest.mark.parametrize("fault", sorted(PARTIAL_FAULTS))
+def test_transfer_sweep_fails_where_the_per_point_check_fails(fault, monkeypatch):
+    monkeypatch.setattr(*PARTIAL_FAULTS[fault]())
+    report = suites.verify_transfer_factorization(qs=(5,), rrmax=2)
+    assert 0 < len(report.failures) < report.points_checked
+    assert report.failures == _per_point_transfer_failures(5, 2)
+
+
+def test_kappasum_fails_on_a_negated_kappa_zero(monkeypatch):
+    original = fam.kappa_zero
+    monkeypatch.setattr(fam, "kappa_zero", lambda *args: -original(*args))
+    report = suites.verify_kappa_sums(max_rr=2)
+    assert report.failures and not report.passed
+    assert all(f["lhs"] == -f["rhs"] != 0 for f in report.failures)
+
+
+def test_weyl_fails_on_an_off_by_one_class_size(monkeypatch):
+    original = suites.class_size_b
+    monkeypatch.setattr(suites, "class_size_b", lambda c: original(c) + 1)
+    report = suites.verify_weyl_classes(nmax=2)
+    # every class of W_0, W_1 and W_2 (1 + 2 + 5 of them), and nothing else
+    assert len(report.failures) == 8
+    assert all(f["lhs"] == f["rhs"] + 1 for f in report.failures)
