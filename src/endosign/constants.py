@@ -27,6 +27,11 @@ W_PLUS = WeylClassB((), ())
 W_MINUS = WeylClassB((), (1,))
 
 
+def sign_witness(s: int) -> WeylClassB:
+    """The witness class with sgn_cd equal to s."""
+    return W_PLUS if s == 1 else W_MINUS
+
+
 def _floor_div2(x: int) -> int:
     return x // 2  # Python floor division is the mathematical floor
 
@@ -387,7 +392,7 @@ def split_points(rmax: int, nmax: int):
                     yield failures
 
 
-def _degenerate_cases(rp, rpp, scd1, scd2, eta, eta1, eta2):
+def _degenerate_cases(rp, rpp, scd1, scd2, eta1, eta2):
     """Admissible beta values with their forced degeneracies.
 
     beta = 1 needs both split sizes positive (always realizable).  beta = 0
@@ -425,9 +430,9 @@ def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
                     eta = SquareClass(rpp % 2, ue)
                     eta2 = SquareClass(shape.t2 % 2, ue2)
                     eta1 = eta * eta2
-                    w1 = W_PLUS if s1 == 1 else W_MINUS
-                    w2 = W_PLUS if s2 == 1 else W_MINUS
-                    for beta in _degenerate_cases(rp, rpp, s1, s2, eta, eta1, eta2):
+                    w1 = sign_witness(s1)
+                    w2 = sign_witness(s2)
+                    for beta in _degenerate_cases(rp, rpp, s1, s2, eta1, eta2):
                         _, product = collapse_and_product_constants(
                             rp, rpp, w1, w2, eta, eta1, eta2, beta, field,
                             alt_two_power=alt_two_power)
@@ -516,8 +521,8 @@ def sign_chain_points(rmax: int):
                 r1p, r1pp, r2p, r2pp = split_pair_values(rp, rpp)
                 for s1, s2, d2, d1, npar in itertools.product(
                         (1, -1), (1, -1), (0, 1), (0, 1), (0, 1)):
-                    w1 = W_PLUS if s1 == 1 else W_MINUS
-                    w2 = W_PLUS if s2 == 1 else W_MINUS
+                    w1 = sign_witness(s1)
+                    w2 = sign_witness(s2)
                     d = d1 + d2
                     signs = chain_sign_constants(rp, rpp, w1, w2, d2, npar, d, field)
                     chain = signs.base * signs.endo * signs.reduction \

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple
 
-from .constants import QuadrupleGamma, r_plus_minus
+from .constants import QuadrupleGamma, branch_switch, r_plus_minus
 from .localfield import SquareClass
 from .partitions import Partition, scale, union
 
@@ -148,7 +148,7 @@ def descent_feasibility(dd: DescentDatum, g: QuadrupleGamma) -> Feasibility:
     """
     rp, rpp = g.rp, g.rpp
     r_plus, r_minus = r_plus_minus(rp, rpp)
-    b = 0 if rpp > 0 or (rpp == 0 and rp % 2 == 0) else 1
+    b = branch_switch(rp, rpp)
     if dd.eta_minus.val_parity != rpp % 2:
         return Feasibility(False, None, None, b)
     if 2 * dd.n_plus + 1 < r_plus ** 2 + rpp ** 2 or \

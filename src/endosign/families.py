@@ -14,6 +14,11 @@ in {+1, -1}).  This module enumerates:
   * families of two-element square/non-square transversals with the
     reassembly map used in the product-formula fiber count.
 
+A pairing splits gamma into two components gamma1 and gamma2, which are
+again GammaVectors: residues on their pair slots, and (for gamma1) signs on
+their top slots.  A transversal family is the plain tuple of its per-slot
+(G1, G2) pairs.
+
 All weights and counts are exact.
 """
 
@@ -284,57 +289,16 @@ def enumerate_e(shape: SplitShape) -> list[EVector]:
     return [EVector(signs) for signs in itertools.product((1, -1), repeat=shape.R)]
 
 
-class ComponentGamma:
-    """A component vector produced by a transversal split.
-
-    Entries drawn from low slots keep their residue lift ('res', v); entries
-    drawn from high slots are bare signs ('sign', s).  All weight formulas
-    consume entries only through their square-class sign, but the lifts are
-    needed to reassemble the parent vector.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(entries)
-        for tag, _ in self.entries:
-            if tag not in ("res", "sign"):
-                raise ValueError(f"unknown entry tag {tag!r}")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def sgn(self, i: int, rp_field: ResidueParam) -> int:
-        tag, v = self.entries[i - 1]
-        return legendre(v, rp_field) if tag == "res" else v
-
-    def sign_product(self, rp_field: ResidueParam) -> int:
-        out = 1
-        for i in range(1, len(self.entries) + 1):
-            out *= self.sgn(i, rp_field)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, ComponentGamma) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"ComponentGamma({self.entries})"
-
-
 def gamma_L_split(gamma: GammaVector, pair: LPair,
-                  shape: SplitShape) -> tuple[ComponentGamma, ComponentGamma]:
-    """Split gamma along (L1, L2) into components of lengths t1 and t2."""
-    t1, t2 = shape.t1, shape.t2
-    first = []
-    for j in range(1, t2 + 1):
-        first.append(("res", gamma.low[pair.l1[j - 1] - 1]))
-    for j in range(t2 + 1, t1 + 1):
-        first.append(("sign", gamma.high[j - t2 - 1]))
-    second = [("res", gamma.low[pair.l2[j - 1] - 1]) for j in range(1, t2 + 1)]
-    return ComponentGamma(first), ComponentGamma(second)
+                  shape: SplitShape) -> tuple[GammaVector, GammaVector]:
+    """Split gamma along (L1, L2) into its components gamma1 and gamma2.
+
+    gamma1 takes the residues at the L1 slots and all the top signs of
+    gamma (length t1); gamma2 takes the residues at the L2 slots (length t2).
+    """
+    low = gamma.low
+    return (GammaVector(tuple(low[slot - 1] for slot in pair.l1), gamma.high),
+            GammaVector(tuple(low[slot - 1] for slot in pair.l2), ()))
 
 
 def eta_of_L2(gamma: GammaVector, pair: LPair, shape: SplitShape,
@@ -355,28 +319,6 @@ def eta_of_L1(gamma: GammaVector, pair: LPair, shape: SplitShape, w2: WeylClassB
     return eta * eta_of_L2(gamma, pair, shape, w2, rp_field)
 
 
-class TransversalFamily:
-    """Per pair slot, disjoint two-element square/non-square transversals.
-
-    slots[j-1] = (G1, G2) where each of G1, G2 is (square element,
-    non-square element) and the four residues are pairwise distinct.
-    """
-
-    __slots__ = ("slots",)
-
-    def __init__(self, slots):
-        self.slots = tuple(slots)
-
-    def __eq__(self, other):
-        return isinstance(other, TransversalFamily) and self.slots == other.slots
-
-    def __hash__(self):
-        return hash(self.slots)
-
-    def __repr__(self):
-        return f"TransversalFamily({self.slots})"
-
-
 def _slot_choices(rp_field: ResidueParam) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     squares = sorted(rp_field.squares())
     nonsquares = sorted(set(rp_field.units()) - set(squares))
@@ -388,12 +330,14 @@ def _slot_choices(rp_field: ResidueParam) -> list[tuple[tuple[int, int], tuple[i
     return out
 
 
-def enumerate_transversal_families(shape: SplitShape,
-                                   rp_field: ResidueParam) -> list[TransversalFamily]:
-    """All families of disjoint transversal pairs over the pair slots."""
-    choices = _slot_choices(rp_field)
-    return [TransversalFamily(slots)
-            for slots in itertools.product(choices, repeat=shape.t2)]
+def enumerate_transversal_families(shape: SplitShape, rp_field: ResidueParam) -> list:
+    """All families of disjoint transversal pairs over the pair slots.
+
+    A family is the tuple of its t2 per-slot pairs (G1, G2), where each of
+    G1, G2 is (square element, non-square element) and the four residues
+    are pairwise distinct.
+    """
+    return list(itertools.product(_slot_choices(rp_field), repeat=shape.t2))
 
 
 def count_transversal_families(shape: SplitShape, rp_field: ResidueParam) -> int:
@@ -408,51 +352,41 @@ def transversal_family_count_formula(shape: SplitShape, rp_field: ResidueParam) 
     return Fraction((q - 1) ** (2 * t2) * (q - 3) ** (2 * t2), 2 ** (4 * t2))
 
 
-def family_selections(family: TransversalFamily, index: int, shape: SplitShape,
-                      rp_field: ResidueParam, eta_j: SquareClass,
-                      w_j: WeylClassB) -> list[ComponentGamma]:
+def family_selections(family, index: int, shape: SplitShape, rp_field: ResidueParam,
+                      eta_j: SquareClass, w_j: WeylClassB) -> list[GammaVector]:
     """Selections gamma_j from the family's side `index` (1 or 2).
 
-    Side 1 draws from the G1 transversals on the pair slots plus free signs
-    on the top slots; side 2 from the G2 transversals.  A selection is kept
-    when unit(eta_j) times its sign product equals sgn_cd(w_j).
+    Side 1 draws its residues from the G1 transversals on the pair slots
+    and takes free signs on the top slots; side 2 draws from the G2
+    transversals.  A selection is kept when unit(eta_j) times its sign
+    product equals sgn_cd(w_j).
     """
     if index not in (1, 2):
         raise ValueError("index must be 1 or 2")
-    per_slot = []
-    for g1, g2 in family.slots:
-        per_slot.append([("res", v) for v in (g1 if index == 1 else g2)])
-    if index == 1:
-        per_slot.extend([("sign", 1), ("sign", -1)] for _ in range(shape.t1 - shape.t2))
+    per_slot = [g1 if index == 1 else g2 for g1, g2 in family]
+    tops = list(itertools.product((1, -1), repeat=shape.r if index == 1 else 0))
     target = sgn_cd(w_j)
     out = []
-    for entries in itertools.product(*per_slot):
-        comp = ComponentGamma(entries)
-        if eta_j.unit_sign * comp.sign_product(rp_field) == target:
-            out.append(comp)
+    for low in itertools.product(*per_slot):
+        for high in tops:
+            comp = GammaVector(low, high)
+            if eta_j.unit_sign * comp.sign_product(rp_field) == target:
+                out.append(comp)
     return out
 
 
-def reassemble(comp1: ComponentGamma, comp2: ComponentGamma, pair: LPair,
+def reassemble(comp1: GammaVector, comp2: GammaVector, pair: LPair,
                shape: SplitShape) -> GammaVector:
-    """The reassembly map: component vectors and a pairing back to a full vector."""
-    if len(comp1) != shape.t1 or len(comp2) != shape.t2:
+    """The reassembly map: components gamma1, gamma2 and a pairing back to gamma."""
+    if (len(comp1.low), len(comp1.high), len(comp2.low), len(comp2.high)) != \
+            (shape.t2, shape.r, shape.t2, 0):
         raise ValueError("component lengths do not match the shape")
     low = [0] * (shape.R - shape.r)
-    high = []
-    for j in range(1, shape.t2 + 1):
-        tag1, v1 = comp1.entries[j - 1]
-        tag2, v2 = comp2.entries[j - 1]
-        if tag1 != "res" or tag2 != "res":
-            raise ValueError("pair-slot entries must carry residue lifts")
-        low[pair.l1[j - 1] - 1] = v1
-        low[pair.l2[j - 1] - 1] = v2
-    for j in range(shape.t2 + 1, shape.t1 + 1):
-        tag, v = comp1.entries[j - 1]
-        if tag != "sign":
-            raise ValueError("top entries must be signs")
-        high.append(v)
-    return GammaVector(tuple(low), tuple(high))
+    for slot, v in zip(pair.l1, comp1.low):
+        low[slot - 1] = v
+    for slot, v in zip(pair.l2, comp2.low):
+        low[slot - 1] = v
+    return GammaVector(low, comp1.high)
 
 
 def fiber_size_prediction(gamma: GammaVector, shape: SplitShape,

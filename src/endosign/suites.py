@@ -20,16 +20,16 @@ from math import factorial
 from . import descent as dsc
 from . import families as fam
 from . import params as par
-from .constants import (QuadrupleGamma, W_MINUS, W_PLUS, aux_points,
-                        product_identity_points, sign_chain_points, split_points,
-                        split_sizes, transfer_points)
+from .constants import (QuadrupleGamma, aux_points, product_identity_points,
+                        sign_chain_points, sign_witness, split_points, split_sizes,
+                        transfer_points)
 from .errors import ResourceLimitError
 from .exact import ExactValue
 from .localfield import ResidueParam, SquareClass, is_prime
 from .partitions import Partition, enumerate_partitions, enumerate_symplectic
 from .report import VerificationReport
-from .weyl import (WeylClassA, WeylClassB, brute_class_sizes, brute_class_sizes_a,
-                   class_size_a, class_size_b, conjugation_orbit_sizes, order_b)
+from .weyl import (WeylClassA, brute_class_sizes, brute_class_sizes_a, class_size_a,
+                   class_size_b, conjugation_orbit_sizes, order_b)
 
 __all__ = [
     "SUITES", "parameters", "run",
@@ -40,10 +40,9 @@ __all__ = [
 ]
 
 ENUM_N_CAP = 8
-
-
-def _sign_witness(s: int) -> WeylClassB:
-    return W_PLUS if s == 1 else W_MINUS
+# The largest q a sweep accepts; ResidueParam tabulates the Legendre symbol
+# at all q residues.
+Q_CAP = 101
 
 
 def kappa_sum_points(max_rr: int):
@@ -111,14 +110,12 @@ def counting_points(qs, t2max: int):
                     for idx in (1, 2):
                         trivial = SquareClass((shape.t1 if idx == 1 else shape.t2) % 2, 1)
                         per_side.append({
-                            1: fam.family_selections(family, idx, shape, field,
-                                                     trivial, W_PLUS),
-                            -1: fam.family_selections(family, idx, shape, field,
-                                                      trivial, W_MINUS),
-                        })
+                            s: fam.family_selections(family, idx, shape, field,
+                                                     trivial, sign_witness(s))
+                            for s in (1, -1)})
                     tables.append(per_side)
                 for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4):
-                    w1, w2 = _sign_witness(s1), _sign_witness(s2)
+                    w1, w2 = sign_witness(s1), sign_witness(s2)
                     eta = SquareClass(rpp % 2, ue)
                     eta2 = SquareClass(t2 % 2, ue2)
                     eta1 = eta * eta2
@@ -326,17 +323,18 @@ def params_points(nmax: int):
 # ---------------------------------------------------------------------------
 
 # name -> (point generator, parameters).  A parameter is (keyword, default,
-# lower bound, cap, step); the q list "qs" is (keyword, default) and must
-# hold distinct primes >= 5.  Entries stay plain tuples so that tooling can
-# wrap the generators in place.
+# lower bound, cap, step); the q list "qs" is (keyword, default, lower bound,
+# cap), must hold distinct primes, and its cap bounds the largest q.  Entries
+# stay plain tuples so that tooling can wrap the generators in place.
 SUITES = {
     "aux": (aux_points, (("rmax", 30, 0, 60, 1),)),
     "split": (split_points, (("rmax", 30, 0, 60, 1), ("nmax", 10, 0, 20, 1))),
     "kappasum": (kappa_sum_points, (("max_rr", 6, 0, 10, 2),)),
-    "counting": (counting_points, (("qs", (5, 7, 13)), ("t2max", 2, 0, 3, 1))),
-    "constprod": (product_identity_points, (("qs", (5, 7, 13)), ("rmax", 6, 0, 10, 1))),
+    "counting": (counting_points, (("qs", (5, 7, 13), 5, Q_CAP), ("t2max", 2, 0, 3, 1))),
+    "constprod": (product_identity_points, (("qs", (5, 7, 13), 5, Q_CAP),
+                                            ("rmax", 6, 0, 10, 1))),
     "signchain": (sign_chain_points, (("rmax", 8, 0, 20, 1),)),
-    "transfer": (transfer_points, (("qs", (5, 7)), ("rrmax", 4, 0, 6, 2))),
+    "transfer": (transfer_points, (("qs", (5, 7), 5, Q_CAP), ("rrmax", 4, 0, 6, 2))),
     "weyl": (weyl_points, (("nmax", 4, 0, 5, 1),)),
     "descent": (descent_points, (("beta_max", 8, 0, 10, 1),)),
     "params": (params_points, (("nmax", 3, 0, ENUM_N_CAP, 1),)),
@@ -348,22 +346,23 @@ def parameters(name: str, given: dict) -> dict:
 
     Raises ValueError for a value below its lower bound or off its step,
     and for a q list that is empty, repeats a value, or holds a value that
-    is not a prime >= 5.  Caps are checked by run().
+    is not a prime >= 5.  Caps are checked by run(); a q above its cap is
+    left to that check unexamined, so no large q is ever trial-divided.
     """
     specs = SUITES[name][1]
     unknown = sorted(set(given) - {spec[0] for spec in specs})
     if unknown:
         raise TypeError(f"suite {name!r} takes no parameter {unknown[0]!r}")
     values = {}
-    for key, default, *bounds in specs:
+    for key, default, low, cap, *step in specs:
         value = given.get(key, default)
         if key == "qs":
             value = tuple(value)
             if not value or len(set(value)) < len(value) or \
-                    any(q < 5 or not is_prime(q) for q in value):
-                raise ValueError(f"q must list distinct primes >= 5, got {list(value)}")
+                    any(q < low or q <= cap and not is_prime(q) for q in value):
+                raise ValueError(f"q must list distinct primes >= {low}, got {list(value)}")
         else:
-            low, _, step = bounds
+            step, = step
             if value < low or (value - low) % step:
                 kind = "an even integer" if step == 2 else "an integer"
                 raise ValueError(f"{key} must be {kind} >= {low}, got {value}")
@@ -381,9 +380,9 @@ def run(name: str, **given) -> VerificationReport:
     """
     points, specs = SUITES[name]
     values = parameters(name, given)
-    for key, _, *bounds in specs:
-        if bounds and values[key] > bounds[1]:
-            raise ResourceLimitError(f"{key} capped at {bounds[1]}")
+    for key, _, _, cap, *_ in specs:
+        if (max(values[key]) if key == "qs" else values[key]) > cap:
+            raise ResourceLimitError(f"{'q' if key == 'qs' else key} capped at {cap}")
     start = time.monotonic()
     shown = dict(values)
     if "qs" in shown:

@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from endosign import constants, suites
 from endosign.cli import main
+from endosign.localfield import ResidueParam
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
@@ -43,6 +45,21 @@ def test_resource_cap_exit_three(capsys):
     assert code == 3
     report = json.loads(out)
     assert report["incomplete"] is True and report["pass"] is False
+
+
+@pytest.mark.parametrize("qs", ["5,1000000007", "1000000008"])
+def test_q_cap_exit_three_before_any_field_is_built(qs, monkeypatch, capsys):
+    def no_field(self, q):
+        raise AssertionError(f"ResidueParam({q}) was built above the q cap")
+
+    monkeypatch.setattr(ResidueParam, "__init__", no_field)
+    start = time.monotonic()
+    code, out = run_cli(capsys, "verify", "counting", "--q", qs)
+    assert time.monotonic() - start < 1
+    assert code == 3
+    report = json.loads(out)
+    assert report["incomplete"] is True and report["points_checked"] == 0
+    assert report["parameters"] == {"error": "q capped at 101"}
 
 
 def test_usage_error_exit_two(capsys):
@@ -169,3 +186,10 @@ def test_transfer_reports_match_references(q, capsys):
     code, out = run_cli(capsys, "verify", "transfer", "--q", q, "--rrmax", "4")
     assert code == 0
     assert_matches_reference(out, f"transfer-q{q}")
+
+
+@pytest.mark.parametrize("q", ["5", "13"])
+def test_counting_reports_match_references(q, capsys):
+    code, out = run_cli(capsys, "verify", "counting", "--q", q, "--t2max", "2")
+    assert code == 0
+    assert_matches_reference(out, f"counting-q{q}")

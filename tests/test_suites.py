@@ -6,6 +6,7 @@ import pytest
 
 from endosign import constants, suites
 from endosign import families as fam
+from endosign import params as par
 from endosign.localfield import ResidueParam, SquareClass
 from endosign.partitions import Partition
 from endosign.weyl import WeylClassB
@@ -145,3 +146,60 @@ def test_weyl_fails_on_an_off_by_one_class_size(monkeypatch):
     # every class of W_0, W_1 and W_2 (1 + 2 + 5 of them), and nothing else
     assert len(report.failures) == 8
     assert all(f["lhs"] == f["rhs"] + 1 for f in report.failures)
+
+
+def test_counting_fails_on_a_reassembly_with_l1_and_l2_swapped(monkeypatch):
+    original = fam.reassemble
+    monkeypatch.setattr(fam, "reassemble", lambda comp1, comp2, pair, shape: original(
+        comp1, comp2, fam.LPair(pair.l2, pair.l1), shape))
+    report = suites.verify_counting(qs=(5,), t2max=1)
+    assert report.failures and not report.passed
+    assert {f["identity"] for f in report.failures} == {"image", "worked_fibers"}
+
+
+def test_counting_fails_on_a_doubled_fiber_size_prediction(monkeypatch):
+    original = fam.fiber_size_prediction
+    monkeypatch.setattr(fam, "fiber_size_prediction", lambda *args: original(*args) * 2)
+    report = suites.verify_counting(qs=(5,), t2max=1)
+    assert report.failures and not report.passed
+    assert {f["identity"] for f in report.failures} == {"fiber", "worked_fibers"}
+
+
+def test_aux_fails_on_a_negated_u_sign(monkeypatch):
+    original = constants.u_sign
+    monkeypatch.setattr(constants, "u_sign", lambda *args: -original(*args))
+    report = suites.verify_aux_identities(rmax=2)
+    assert len(report.failures) == report.points_checked > 0
+    for f in report.failures:
+        failed = {name for name, check in f["detail"]["checks"].items() if not check["pass"]}
+        assert failed == {"u_multiplicative"}
+
+
+def test_split_fails_on_an_off_by_one_split_size(monkeypatch):
+    original = constants.split_sizes
+
+    def off_by_one(rp, rpp, Np, Npp):
+        n1, n2 = original(rp, rpp, Np, Npp)
+        return n1 + 1, n2
+
+    monkeypatch.setattr(constants, "split_sizes", off_by_one)
+    report = suites.verify_split(rmax=2, nmax=1)
+    sums = [f for f in report.failures if f["identity"] == "sum"]
+    assert len(sums) == report.points_checked > 0
+    assert all(f["lhs"] == f["rhs"] + 1 for f in sums)
+
+
+def test_signchain_fails_on_a_negated_u_sign(monkeypatch):
+    original = constants.u_sign
+    monkeypatch.setattr(constants, "u_sign", lambda *args: -original(*args))
+    report = suites.verify_sign_chain(rmax=2)
+    assert len(report.failures) == report.points_checked > 0
+    assert {f["identity"] for f in report.failures} == {"chain"}
+
+
+def test_params_fails_on_a_constant_character(monkeypatch):
+    monkeypatch.setattr(par, "eval_character_on_image", lambda param, image: -1)
+    report = suites.verify_params(nmax=0)
+    # every point but the single n = 0 triple is a bilinearity check
+    assert len(report.failures) == report.points_checked - 1 > 0
+    assert {f["identity"] for f in report.failures} == {"bilinearity"}
