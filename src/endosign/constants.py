@@ -681,7 +681,7 @@ def transfer_points(qs, rrmax: int):
                             fw, cl = factorwise_transfer_check(
                                 shape, gamma, e0, u0, pair, w1, w2, eta, field)
                             # divide out (e0, u0), each route by its own +-1 entries
-                            fw *=factor_row[0] * u_row[0]
+                            fw *= factor_row[0] * u_row[0]
                             cl *= kappa_row[0] * kappa_us[0]
                             for e, fe, ke in zip(evecs, factor_row, kappa_row):
                                 fw_e, cl_e = fw * fe, cl * ke

@@ -111,4 +111,3 @@ class ExactValue:
 
 
 ONE = ExactValue(1)
-MINUS_ONE = ExactValue(1, sign=-1)

@@ -137,7 +137,7 @@ class EVector:
 class UVector:
     """A vector in (Z/2)^t with a two-block split (K', K'') of the index set."""
 
-    __slots__ = ("u", "k_first", "k_second")
+    __slots__ = ("u", "k_second")
 
     def __init__(self, u: tuple[int, ...], k_split: tuple[tuple[int, ...], tuple[int, ...]]):
         if any(x not in (0, 1) for x in u):
@@ -146,7 +146,6 @@ class UVector:
         if sorted(k1 + k2) != list(range(1, len(u) + 1)):
             raise ValueError("K' and K'' must partition {1..t}")
         self.u = tuple(u)
-        self.k_first = k1
         self.k_second = k2
 
     def __repr__(self):
@@ -165,14 +164,6 @@ class LPair:
             if {a, b} != {2 * j - 1, 2 * j}:
                 raise ValueError(f"pair {j} must split {{{2*j-1}, {2*j}}}, got ({a}, {b})")
 
-    @property
-    def set1(self) -> frozenset[int]:
-        return frozenset(self.l1)
-
-    @property
-    def set2(self) -> frozenset[int]:
-        return frozenset(self.l2)
-
     def __eq__(self, other):
         return isinstance(other, LPair) and self.l1 == other.l1
 
@@ -183,7 +174,7 @@ class LPair:
         return f"LPair(l1={self.l1}, l2={self.l2})"
 
     def to_json(self):
-        return {"L1": sorted(self.set1), "L2": sorted(self.set2)}
+        return {"L1": sorted(self.l1), "L2": sorted(self.l2)}
 
 
 def enumerate_L(shape: SplitShape) -> list[LPair]:
@@ -399,44 +390,15 @@ def fiber_size_prediction(gamma: GammaVector, shape: SplitShape,
     return ExactValue(value, q=q)
 
 
-class FiberCheck:
-    """Observed vs predicted fiber cardinality over one assignment vector."""
+def fiber_count_check(gamma: GammaVector, pair: LPair, choices: list) -> int:
+    """The number of reassembly preimages of gamma along pair, counted slotwise.
 
-    __slots__ = ("observed", "predicted", "in_image")
-
-    def __init__(self, observed: int, predicted: ExactValue, in_image: bool):
-        self.observed = observed
-        self.predicted = predicted
-        self.in_image = in_image
-
-    @property
-    def ok(self) -> bool:
-        return (self.in_image and self.predicted == ExactValue(self.observed)) or \
-            (not self.in_image and self.observed == 0)
-
-    def to_json(self):
-        return {"observed": self.observed, "predicted": self.predicted.to_json(),
-                "in_image": self.in_image}
-
-
-def fiber_count_check(gamma: GammaVector, shape: SplitShape, rp_field: ResidueParam,
-                      pair: LPair, eta: SquareClass, w2: WeylClassB,
-                      eta1: SquareClass, eta2: SquareClass) -> FiberCheck:
-    """Count reassembly preimages of gamma against the closed-form prediction.
-
-    gamma lies in the image exactly when eta[L2, gamma] = eta2 (and then
-    automatically eta[L1, gamma] = eta1).  The observed count multiplies,
-    over pair slots, the number of transversal pairs containing the slot's
-    residues, each counted by exhaustive enumeration.
+    gamma must lie in the image.  The count multiplies, over pair slots, the
+    number of transversal pairs (G1, G2) in choices (the per-slot choices of
+    _slot_choices) with the slot's L1 residue in G1 and its L2 residue in G2.
     """
-    in_image = (eta_of_L2(gamma, pair, shape, w2, rp_field) == eta2
-                and eta * eta2 == eta1)
-    if not in_image:
-        return FiberCheck(0, fiber_size_prediction(gamma, shape, rp_field), False)
-    choices = _slot_choices(rp_field)
     observed = 1
-    for j in range(1, shape.t2 + 1):
-        x = gamma.low[pair.l1[j - 1] - 1]
-        y = gamma.low[pair.l2[j - 1] - 1]
+    for l1, l2 in zip(pair.l1, pair.l2):
+        x, y = gamma.low[l1 - 1], gamma.low[l2 - 1]
         observed *= sum(1 for g1, g2 in choices if x in g1 and y in g2)
-    return FiberCheck(observed, fiber_size_prediction(gamma, shape, rp_field), True)
+    return observed

@@ -188,7 +188,7 @@ def test_transfer_reports_match_references(q, capsys):
     assert_matches_reference(out, f"transfer-q{q}")
 
 
-@pytest.mark.parametrize("q", ["5", "13"])
+@pytest.mark.parametrize("q", ["5", "7", "13"])
 def test_counting_reports_match_references(q, capsys):
     code, out = run_cli(capsys, "verify", "counting", "--q", q, "--t2max", "2")
     assert code == 0

@@ -4,11 +4,11 @@ import pytest
 
 from endosign.exact import ExactValue
 from endosign.families import (EVector, GammaVector, LPair, SplitShape,
-                               UVector, count_transversal_families, enumerate_e,
-                               enumerate_gamma, enumerate_L,
+                               UVector, _slot_choices, count_transversal_families,
+                               enumerate_e, enumerate_gamma, enumerate_L,
                                enumerate_transversal_families, eta_of_L1, eta_of_L2,
                                family_selections, fiber_count_check,
-                               gamma_L_split, gamma_weight,
+                               fiber_size_prediction, gamma_L_split, gamma_weight,
                                kappa_l2, kappa_u, kappa_zero, reassemble,
                                transversal_character_sum,
                                transversal_family_count_formula)
@@ -211,30 +211,17 @@ def test_transversal_family_counts():
 
 def test_fiber_count_examples():
     shape = SplitShape(2, 0)
-    pair = enumerate_L(shape)[0]
+    choices = _slot_choices(F5)
     eta = SquareClass(0, 1)
-    for gamma in enumerate_gamma(shape, F5, eta, WP, WP):
-        eta2 = eta_of_L2(gamma, pair, shape, WP, F5)
-        check = fiber_count_check(gamma, shape, F5, pair, eta, WP, eta * eta2, eta2)
-        assert check.in_image and check.ok
-        s = legendre(gamma.low[0] * gamma.low[1], F5)
-        assert check.observed == (2 if s == 1 else 1)
+    for pair in enumerate_L(shape):
+        for gamma in enumerate_gamma(shape, F5, eta, WP, WP):
+            observed = fiber_count_check(gamma, pair, choices)
+            s = legendre(gamma.low[0] * gamma.low[1], F5)
+            assert observed == (2 if s == 1 else 1)
+            assert ExactValue(observed) == fiber_size_prediction(gamma, shape, F5)
     # trivial shape: single empty fiber
-    shape0 = SplitShape(0, 0)
-    check = fiber_count_check(GammaVector((), ()), shape0, F5, LPair((), ()),
-                              eta, WP, eta, SquareClass(0, 1))
-    assert check.observed == 1 and check.predicted == ExactValue(1)
-
-
-def test_fiber_out_of_image():
-    shape = SplitShape(2, 0)
-    pair = enumerate_L(shape)[0]
-    eta = SquareClass(0, 1)
-    gamma = enumerate_gamma(shape, F5, eta, WP, WP)[0]
-    eta2 = eta_of_L2(gamma, pair, shape, WP, F5)
-    wrong = SquareClass(eta2.val_parity, -eta2.unit_sign)
-    check = fiber_count_check(gamma, shape, F5, pair, eta, WP, eta * wrong, wrong)
-    assert not check.in_image and check.observed == 0 and check.ok
+    assert fiber_count_check(GammaVector((), ()), LPair((), ()), choices) == 1
+    assert fiber_size_prediction(GammaVector((), ()), SplitShape(0, 0), F5) == ExactValue(1)
 
 
 def test_family_selection_sign_condition():

@@ -165,6 +165,32 @@ def test_counting_fails_on_a_doubled_fiber_size_prediction(monkeypatch):
     assert {f["identity"] for f in report.failures} == {"fiber", "worked_fibers"}
 
 
+def test_counting_fails_on_a_slotwise_count_off_by_one(monkeypatch):
+    original = fam.fiber_count_check
+    monkeypatch.setattr(fam, "fiber_count_check", lambda *args: original(*args) + 1)
+    report = suites.verify_counting(qs=(5,), t2max=1)
+    assert {f["identity"] for f in report.failures} == {"fiber", "worked_fibers"}
+    fibers = [f for f in report.failures if f["identity"] == "fiber"]
+    assert len(fibers) == len(report.failures) - 1 == 492
+    assert all(f["slotwise"] == f["observed"] + 1 for f in fibers)
+
+
+def test_counting_builds_the_slot_choices_once_per_field_count_and_shape(monkeypatch):
+    original = fam._slot_choices
+    builds = []
+
+    def counted(field):
+        builds.append(field.q)
+        return original(field)
+
+    monkeypatch.setattr(fam, "_slot_choices", counted)
+    report = suites.verify_counting(qs=(5,), t2max=1)
+    assert report.passed
+    # one for the slotwise count, one per family count (t2 = 0, 1) and one
+    # per shape ((0, 0), (1, 1) at t2 = 0; (2, 0), (3, 1), (0, 2), (1, 3) at t2 = 1)
+    assert len(builds) <= 9
+
+
 def test_aux_fails_on_a_negated_u_sign(monkeypatch):
     original = constants.u_sign
     monkeypatch.setattr(constants, "u_sign", lambda *args: -original(*args))
