@@ -18,9 +18,9 @@ from fractions import Fraction
 
 from . import families as fam
 from .exact import ExactValue
-from .localfield import ResidueParam, SquareClass, legendre, sgn_minus_one
+from .localfield import TRIVIAL, ResidueParam, SquareClass, legendre, sgn_minus_one
 from .partitions import Partition
-from .weyl import WeylClassB, class_size_b, order_b, sgn_cd
+from .weyl import WeylClassB, sgn_cd
 
 # Sign witnesses used by sweeps: cuspidal classes with sgn_cd = +1 / -1.
 W_PLUS = WeylClassB((), ())
@@ -84,27 +84,6 @@ def split_sizes(rp: int, rpp: int, Np: int, Npp: int) -> tuple[int, int]:
     n1 = ((rp + rpp) ** 2 + (rp + rpp + 1) ** 2 - 1) // 4 + Np
     n2 = ((rp - rpp) ** 2 + (rp - rpp + 1) ** 2 - 1) // 4 + Npp
     return n1, n2
-
-
-class SplitResult:
-    __slots__ = ("g1", "g2", "n1", "n2")
-
-    def __init__(self, g1, g2, n1, n2):
-        self.g1 = g1
-        self.g2 = g2
-        self.n1 = n1
-        self.n2 = n2
-
-    def __repr__(self):
-        return f"SplitResult(g1={self.g1!r}, g2={self.g2!r}, n1={self.n1}, n2={self.n2})"
-
-
-def split_quadruple(g: QuadrupleGamma) -> SplitResult:
-    """Split a quadruple into its two companion quadruples and sizes (n1, n2)."""
-    r1p, r1pp, r2p, r2pp = split_pair_values(g.rp, g.rpp)
-    n1, n2 = split_sizes(g.rp, g.rpp, g.Np, g.Npp)
-    return SplitResult(QuadrupleGamma(r1p, r1pp, g.Np, 0),
-                       QuadrupleGamma(r2p, r2pp, g.Npp, 0), n1, n2)
 
 
 def r_plus_minus(rp: int, rpp: int) -> tuple[int, int]:
@@ -185,17 +164,6 @@ def split_pair_identities(rp: int, rpp: int) -> AuxIdentityReport:
 # Named constants of the even orthogonal transfer computation.
 # ---------------------------------------------------------------------------
 
-def cuspidal_class_constant(w: WeylClassB, rp_field: ResidueParam) -> ExactValue:
-    """|class| / |W_N| * q^(N/2) / prod over beta parts (q^part + 1); cuspidal only."""
-    if not w.is_cuspidal():
-        raise ValueError(f"{w!r} is not cuspidal (alpha must be empty)")
-    q = rp_field.q
-    value = Fraction(class_size_b(w), order_b(w.N))
-    for part in w.beta:
-        value /= q ** part + 1
-    return ExactValue(value, q_half=w.N, q=q)
-
-
 def alpha_constant(rp: int, rpp: int, w1: WeylClassB, w2: WeylClassB,
                    eta: SquareClass, rp_field: ResidueParam) -> int:
     """The orientation sign alpha(r', r'', w', w'').
@@ -220,29 +188,6 @@ def pair_power_constant(rp: int, rpp: int, rp_field: ResidueParam) -> ExactValue
     t2 = abs(rp - rpp) // 2
     value = Fraction(2) ** (1 - rp - rpp) / ((q - 1) ** 2 * (q - 3)) ** t2
     return ExactValue(value, q=q)
-
-
-def odd_case_transfer_constant(rp: int, rpp: int, w2: WeylClassB, eta2: SquareClass,
-                               eta: SquareClass, rp_field: ResidueParam) -> int:
-    """The odd orthogonal transfer constant.
-
-    m^((r'+r''-1)/2) * sgn(-unit(eta2))^val(eta), picking up sgn_cd(w'')
-    and raising the last exponent by one when r' < r''.
-    """
-    if rp % 2 != (1 + eta.val_parity) % 2 or rpp % 2 != eta.val_parity:
-        raise ValueError("odd-case parities violated: need r' = 1 + val(eta), "
-                         "r'' = val(eta) mod 2")
-    m = sgn_minus_one(rp_field)
-    out = m if ((rp + rpp - 1) // 2) % 2 else 1
-    minus_eta2 = m * eta2.unit_sign
-    if rpp <= rp:
-        exp = eta.val_parity
-    else:
-        out *= sgn_cd(w2)
-        exp = 1 + eta.val_parity
-    if exp % 2:
-        out *= minus_eta2
-    return out
 
 
 def even_case_transfer_constant(eta1: SquareClass, eta2: SquareClass, rp: int, rpp: int,
@@ -401,9 +346,9 @@ def _degenerate_cases(rp, rpp, scd1, scd2, eta1, eta2):
     r' = r'' = 0 with the first data trivial.
     """
     cases = [1]
-    if rp == rpp and scd2 == 1 and eta2 == SquareClass(0, 1):
+    if rp == rpp and scd2 == 1 and eta2 == TRIVIAL:
         cases.append(0)
-    elif rp == rpp == 0 and scd1 == 1 and eta1 == SquareClass(0, 1):
+    elif rp == rpp == 0 and scd1 == 1 and eta1 == TRIVIAL:
         cases.append(0)
     return cases
 

@@ -16,8 +16,8 @@ import itertools
 from typing import Iterable, NamedTuple
 
 from .constants import QuadrupleGamma, branch_switch, r_plus_minus
-from .localfield import SquareClass
-from .partitions import Partition, scale, union
+from .localfield import TRIVIAL, SquareClass
+from .partitions import Partition
 
 
 class UnitaryBlock(NamedTuple):
@@ -47,7 +47,7 @@ class DescentDatum:
             raise ValueError("val(eta_+) + val(eta_-) must be even")
         if eta_plus.unit_sign * eta_minus.unit_sign != (-1) ** (d % 2):
             raise ValueError("unit signs must satisfy sgn(eta_+) sgn(eta_-) = (-1)^d")
-        if n_minus == 1 and eta_minus == SquareClass(0, 1):
+        if n_minus == 1 and eta_minus == TRIVIAL:
             raise ValueError("ellipticity excludes (n_-, eta_-) = (1, trivial)")
         self.n_plus = n_plus
         self.eta_plus = eta_plus
@@ -110,26 +110,6 @@ class SplitAssignment:
     def __repr__(self):
         return (f"SplitAssignment(plus=({self.n1_plus},{self.n2_plus}), "
                 f"minus=({self.n1_minus},{self.n2_minus}), pairs={list(self.pairs)})")
-
-
-def sign_star_aggregate(components: Iterable[int], d: int, eta_minus: SquareClass) -> int:
-    """Product of the per-sector group-form signs, twisted by (-1)^(d val(eta_-))."""
-    out = -1 if (d * eta_minus.val_parity) % 2 else 1
-    for s in components:
-        if s not in (1, -1):
-            raise ValueError("component signs must be +-1")
-        out *= s
-    return out
-
-
-def delta_descent(component_deltas: Iterable[int], d2: int, eta_minus: SquareClass) -> int:
-    """Descended transfer factor: (-1)^(d2 val(eta_-)) times the sector product."""
-    out = -1 if (d2 * eta_minus.val_parity) % 2 else 1
-    for s in component_deltas:
-        if s not in (1, -1):
-            raise ValueError("component factors must be +-1")
-        out *= s
-    return out
 
 
 class Feasibility(NamedTuple):
@@ -234,25 +214,6 @@ def class_splits(beta: Partition, degrees: tuple[int, ...]):
                                    for f, raw in zip(degrees, bins[2:])))
 
 
-def _partition_splits(beta: Partition, sizes: tuple[int, int],
-                      blocks: tuple[UnitaryBlock, ...],
-                      block_targets: tuple[int, ...]) -> list[ClassSplit]:
-    """The class splittings with beta_+, beta_- and each beta_i of the prescribed sizes."""
-    return [v for v in class_splits(beta, tuple(b.f for b in blocks))
-            if (v.beta_plus.size(), v.beta_minus.size()) == sizes
-            and tuple(b.size() for b in v.beta_blocks) == block_targets]
-
-
-def enumerate_class_splits(split: SizeSplit, beta_p: Partition, beta_pp: Partition,
-                           blocks: tuple[UnitaryBlock, ...]) -> list[tuple[ClassSplit, ClassSplit]]:
-    """Compatible splittings of both class partitions for one size split."""
-    first = _partition_splits(beta_p, (split.Np_plus, split.Np_minus), blocks,
-                              tuple(p[0] for p in split.pairs))
-    second = _partition_splits(beta_pp, (split.Npp_plus, split.Npp_minus), blocks,
-                               tuple(p[1] for p in split.pairs))
-    return [(v1, v2) for v1 in first for v2 in second]
-
-
 def assignment_sizes(g: QuadrupleGamma, split: SizeSplit) -> tuple[int, int, int, int]:
     """Sector sizes (n_{1,+}, n_{2,+}, n_{1,-}, n_{2,-}) from the size relations."""
     r_plus, r_minus = r_plus_minus(g.rp, g.rpp)
@@ -312,24 +273,9 @@ def sector_size_sum(g: QuadrupleGamma, split: SizeSplit,
     return n1, n2
 
 
-def sector_label_sets(rp: int, rpp: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The candidate label sets {(r'_+ + r'' +- 1)/2} and {(r'_- + r'' +- 1)/2}."""
-    r_plus, r_minus = r_plus_minus(rp, rpp)
-    return (frozenset(((r_plus + rpp + 1) // 2, (r_plus + rpp - 1) // 2)),
-            frozenset(((r_minus + rpp + 1) // 2, (r_minus + rpp - 1) // 2)))
-
-
 def check_v_sign_relation(beta: Partition, split: ClassSplit) -> bool:
     """(-1)^len(beta) = (-1)^len(beta_+) (-1)^len(beta_-) (-1)^(sum |beta_i|)."""
     lhs = (-1) ** (beta.length() % 2)
     rhs = (-1) ** ((split.beta_plus.length() + split.beta_minus.length()
                     + sum(b.size() for b in split.beta_blocks)) % 2)
     return lhs == rhs
-
-
-def recombine_class_split(split: ClassSplit, blocks: tuple[UnitaryBlock, ...]) -> Partition:
-    """Reassemble beta from a class split (sanity inverse)."""
-    out = union(split.beta_plus, split.beta_minus)
-    for inner, blk in zip(split.beta_blocks, blocks):
-        out = union(out, scale(inner, blk.f))
-    return out

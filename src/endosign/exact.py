@@ -83,18 +83,6 @@ class ExactValue:
     def __hash__(self):
         return hash((self.sign, self.rational, self.q_half, self.q if self.q_half else None))
 
-    def as_sign(self) -> int:
-        """Return +-1, requiring the value to be a pure sign."""
-        if self.rational != 1 or self.q_half != 0:
-            raise ValueError(f"not a pure sign: {self!r}")
-        return self.sign
-
-    def as_fraction(self) -> Fraction:
-        """Return the value as a rational, requiring an integral q-power."""
-        if self.q_half != 0:
-            raise ValueError(f"irrational value (residual sqrt factor): {self!r}")
-        return self.sign * self.rational
-
     def __repr__(self):
         body = f"{'-' if self.sign < 0 else ''}{self.rational}"
         if self.q_half:
@@ -108,6 +96,3 @@ class ExactValue:
             "denominator": self.rational.denominator,
             "q_half_power": self.q_half,
         }
-
-
-ONE = ExactValue(1)

@@ -28,7 +28,7 @@ import itertools
 from fractions import Fraction
 
 from .exact import ExactValue
-from .localfield import ResidueParam, SquareClass, legendre, sgn_minus_one
+from .localfield import ResidueParam, SquareClass, legendre
 from .weyl import WeylClassB, sgn_cd
 
 
@@ -49,11 +49,6 @@ class SplitShape:
         self.t1 = (self.R + self.r) // 2
         self.t2 = (self.R - self.r) // 2
         self.jhat = tuple(j for j in range(2, self.R - self.r + 1, 2))
-
-    @property
-    def low_slots(self) -> range:
-        """Residue-valued slots 1..R-r."""
-        return range(1, self.R - self.r + 1)
 
     @property
     def high_slots(self) -> range:
@@ -224,25 +219,6 @@ def enumerate_gamma(shape: SplitShape, rp_field: ResidueParam, eta: SquareClass,
     return out
 
 
-def gamma_weight(gamma: GammaVector, shape: SplitShape, rp_field: ResidueParam) -> ExactValue:
-    """The weight sigma(gamma).
-
-    Product over even pair slots j of (q - 2 + sgn(g_{j-1} g_j)) times
-    sgn(g_{j-1} g_j (g_{j-1} - g_j)), times sgn(-g_j) over odd high slots.
-    """
-    q = rp_field.q
-    value = 1
-    for j in shape.jhat:
-        a, b = gamma.low[j - 2], gamma.low[j - 1]
-        s_ab = legendre(a * b, rp_field)
-        value *= (q - 2 + s_ab) * legendre(a * b * (a - b), rp_field)
-    m = sgn_minus_one(rp_field)
-    for j in shape.high_slots:
-        if j % 2:
-            value *= m * gamma.sgn_slot(j, rp_field)
-    return ExactValue(value, q=q)
-
-
 def kappa_u(u: UVector) -> int:
     """(-1)^(sum of u over the second block K'')."""
     return -1 if sum(u.u[k - 1] for k in u.k_second) % 2 else 1
@@ -304,12 +280,6 @@ def eta_of_L2(gamma: GammaVector, pair: LPair, shape: SplitShape,
     return SquareClass(shape.t2 % 2, unit)
 
 
-def eta_of_L1(gamma: GammaVector, pair: LPair, shape: SplitShape, w2: WeylClassB,
-              eta: SquareClass, rp_field: ResidueParam) -> SquareClass:
-    """The complementary class: eta[L1, gamma] * eta[L2, gamma] = eta."""
-    return eta * eta_of_L2(gamma, pair, shape, w2, rp_field)
-
-
 def _slot_choices(rp_field: ResidueParam) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     squares = sorted(rp_field.squares())
     nonsquares = sorted(set(rp_field.units()) - set(squares))
@@ -321,19 +291,20 @@ def _slot_choices(rp_field: ResidueParam) -> list[tuple[tuple[int, int], tuple[i
     return out
 
 
-def enumerate_transversal_families(shape: SplitShape, rp_field: ResidueParam) -> list:
+def enumerate_transversal_families(shape: SplitShape, choices: list) -> list:
     """All families of disjoint transversal pairs over the pair slots.
 
-    A family is the tuple of its t2 per-slot pairs (G1, G2), where each of
-    G1, G2 is (square element, non-square element) and the four residues
-    are pairwise distinct.
+    A family is the tuple of its t2 per-slot pairs (G1, G2), drawn from
+    choices (the per-slot choices of _slot_choices): each of G1, G2 is
+    (square element, non-square element) and the four residues are
+    pairwise distinct.
     """
-    return list(itertools.product(_slot_choices(rp_field), repeat=shape.t2))
+    return list(itertools.product(choices, repeat=shape.t2))
 
 
-def count_transversal_families(shape: SplitShape, rp_field: ResidueParam) -> int:
+def count_transversal_families(shape: SplitShape, choices: list) -> int:
     """|families| by per-slot enumeration (slots are independent by construction)."""
-    return len(_slot_choices(rp_field)) ** shape.t2
+    return len(choices) ** shape.t2
 
 
 def transversal_family_count_formula(shape: SplitShape, rp_field: ResidueParam) -> Fraction:

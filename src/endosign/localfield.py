@@ -67,7 +67,6 @@ def sgn_minus_one(rp: ResidueParam) -> int:
 
 
 _NAMES = {(0, 1): "1", (0, -1): "xi", (1, 1): "pi", (1, -1): "xi.pi"}
-_FROM_NAME = {v: k for k, v in _NAMES.items()}
 
 
 class SquareClass:
@@ -98,13 +97,6 @@ class SquareClass:
     def name(self) -> str:
         return _NAMES[(self.val_parity, self.unit_sign)]
 
-    @classmethod
-    def from_name(cls, name: str) -> "SquareClass":
-        try:
-            return cls(*_FROM_NAME[name])
-        except KeyError:
-            raise ValueError(f"unknown square class {name!r}") from None
-
     def __repr__(self):
         return f"SquareClass({self.name()!r})"
 
@@ -113,8 +105,3 @@ class SquareClass:
 
 
 TRIVIAL = SquareClass(0, 1)
-XI = SquareClass(0, -1)
-PI_CLASS = SquareClass(1, 1)
-XI_PI = SquareClass(1, -1)
-ALL_CLASSES = (TRIVIAL, XI, PI_CLASS, XI_PI)
-

@@ -75,9 +75,6 @@ class InvolutionSplit:
     def ambient(self) -> Partition:
         return union(self.part_plus.base, self.part_minus.base)
 
-    def is_trivial(self) -> bool:
-        return self.part_minus.total == 0
-
     def __eq__(self, other):
         return (isinstance(other, InvolutionSplit)
                 and self.part_plus == other.part_plus
@@ -301,41 +298,3 @@ def virtual_rep(triple: AssembledTriple) -> VirtualRep:
             param = UnipQuadParam(lam_plus, lam_minus, eps_p, eps_m)
             terms[param.label()] = eval_character(param, triple)
     return VirtualRep(terms)
-
-
-class TemperedParam:
-    """A tempered parameter: a core plus GL blocks for non-real eigenvalue pairs."""
-
-    __slots__ = ("core", "gl_blocks", "n")
-
-    def __init__(self, core: UnipQuadParam, gl_blocks: list[tuple[str, Partition]] = ()):
-        self.core = core
-        self.gl_blocks = list(gl_blocks)
-        self.n = core.n + sum(p.size() for _, p in self.gl_blocks)
-
-    def __repr__(self):
-        return f"TemperedParam(core={self.core!r}, gl_blocks={self.gl_blocks!r})"
-
-
-class LeviReduction:
-    """Result of stripping GL blocks off a tempered parameter."""
-
-    __slots__ = ("gl_factors", "core", "degenerate")
-
-    def __init__(self, gl_factors, core, degenerate):
-        self.gl_factors = gl_factors
-        self.core = core
-        self.degenerate = degenerate
-
-
-def levi_reduction(t: TemperedParam) -> LeviReduction:
-    """GL factor sizes m_b = |lambda_b| and the residual core.
-
-    The degenerate flag marks the case of an empty core, where the induced
-    representation on the non-split form vanishes.
-    """
-    gl_factors = [(b, p.size()) for b, p in t.gl_blocks]
-    n0 = t.n - sum(m for _, m in gl_factors)
-    if n0 != t.core.n:
-        raise ValueError("block sizes inconsistent with the core")
-    return LeviReduction(gl_factors, t.core, degenerate=(n0 == 0))

@@ -66,13 +66,6 @@ def union(p1: Partition, p2: Partition) -> Partition:
     return Partition(p1.parts + p2.parts)
 
 
-def scale(p: Partition, f: int) -> Partition:
-    """Partition with every part multiplied by f >= 1."""
-    if f < 1:
-        raise ValueError("scale factor must be >= 1")
-    return Partition(part * f for part in p.parts)
-
-
 def is_symplectic(p: Partition, two_n: int) -> bool:
     """True iff p is a partition of two_n whose odd parts all have even multiplicity."""
     if two_n < 0 or two_n % 2:

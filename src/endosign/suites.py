@@ -80,8 +80,9 @@ def counting_points(qs, t2max: int):
     form, slot choices enumerated exhaustively; (b) the reassembly tally
     over all families and admissible selections lands exactly on the
     predicted image, and over each vector of the image the tallied fiber
-    has the predicted size and agrees with the slotwise count, whose slot
-    choices are built once per field.  Includes the worked small values
+    has the predicted size and agrees with the slotwise count.  The family
+    count, the families and the slotwise count read one table of slot
+    choices, built once per field.  Includes the worked small values
     (family count 4 at q = 5 with one pair slot; fibers of sizes 2 and 1).
     """
     worked_family_count = None
@@ -92,7 +93,7 @@ def counting_points(qs, t2max: int):
         fiber_cap = 1 if q == 13 else t2max
         for t2 in range(t2max + 1):
             shape0 = fam.SplitShape(2 * t2, 0)
-            counted = fam.count_transversal_families(shape0, field)
+            counted = fam.count_transversal_families(shape0, choices)
             formula = fam.transversal_family_count_formula(shape0, field)
             yield () if counted == formula else (
                 {"q": q, "t2": t2, "identity": "family_count", "lhs": counted,
@@ -103,7 +104,7 @@ def counting_points(qs, t2max: int):
                 continue
             for rp, rpp in _counting_shapes(t2, q):
                 shape = fam.SplitShape(rp, rpp)
-                families = fam.enumerate_transversal_families(shape, field)
+                families = fam.enumerate_transversal_families(shape, choices)
                 # selections keyed by their sign product; a selection for
                 # (eta_j, w_j) is the bucket at sgn_cd(w_j) * unit(eta_j)
                 tables = []

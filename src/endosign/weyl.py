@@ -13,9 +13,8 @@ import itertools
 from math import factorial
 
 from .errors import ResourceLimitError
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition
 
-CUSPIDAL_ENUM_CAP = 20
 BRUTE_FORCE_CAP = 6
 
 
@@ -37,10 +36,6 @@ class WeylClassB:
         self.alpha = alpha
         self.beta = beta
         self.N = N
-
-    def is_cuspidal(self) -> bool:
-        """True iff the class label is of the form (empty, beta)."""
-        return self.alpha.length() == 0
 
     def __eq__(self, other):
         return (isinstance(other, WeylClassB)
@@ -121,25 +116,6 @@ def class_size_a(c: WeylClassA) -> int:
 def sgn_cd(c: WeylClassB) -> int:
     """Sign character (-1)^(number of parts of beta) of the class (alpha, beta)."""
     return -1 if c.beta.length() % 2 else 1
-
-
-def cuspidal_classes_b(N: int) -> list[WeylClassB]:
-    """All cuspidal classes (empty, beta) of W_N, beta descending-lex."""
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    if N > CUSPIDAL_ENUM_CAP:
-        raise ResourceLimitError(f"cuspidal enumeration capped at {CUSPIDAL_ENUM_CAP}")
-    return [WeylClassB(Partition(), beta, N) for beta in enumerate_partitions(N)]
-
-
-def u_cuspidal_classes_a(d: int) -> list[WeylClassA]:
-    """Classes of S_d whose partition has all parts odd."""
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    if d > CUSPIDAL_ENUM_CAP:
-        raise ResourceLimitError(f"cuspidal enumeration capped at {CUSPIDAL_ENUM_CAP}")
-    return [WeylClassA(p, d) for p in enumerate_partitions(d)
-            if all(part % 2 for part in p)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,45 +4,30 @@ import pytest
 
 from endosign.constants import (W_MINUS, W_PLUS, QuadrupleGamma, branch_switch,
                                 chain_sign_constants, collapse_and_product_constants,
-                                cuspidal_class_constant, even_case_transfer_constant,
-                                factorwise_transfer_check, odd_case_transfer_constant,
+                                even_case_transfer_constant, factorwise_transfer_check,
                                 pair_power_constant, r_plus_minus,
-                                split_pair_identities, split_pair_values,
-                                split_quadruple, transfer_factor_sign, u_exponent,
+                                split_pair_identities, split_pair_values, split_sizes,
+                                transfer_factor_sign, u_exponent,
                                 u_sign, alpha_constant, weil_ratio_sign)
 from endosign.exact import ExactValue
 from endosign.families import (EVector, GammaVector, LPair, SplitShape, UVector,
                                enumerate_L, eta_of_L2)
 from endosign.localfield import ResidueParam, SquareClass
-from endosign.weyl import WeylClassB
 
 F5 = ResidueParam(5)
 F7 = ResidueParam(7)
-
-
-def test_split_quadruple_values():
-    res = split_quadruple(QuadrupleGamma(0, 0, 2, 1))
-    assert (res.n1, res.n2) == (2, 1)
-    assert res.g1 == QuadrupleGamma(0, 0, 2, 0)
-    assert res.g2 == QuadrupleGamma(0, 0, 1, 0)
-
-    res = split_quadruple(QuadrupleGamma(1, -1, 0, 0))
-    assert (res.n1, res.n2) == (0, 3)
-    assert res.g2 == QuadrupleGamma(1, 1, 0, 0)
-
-    res = split_quadruple(QuadrupleGamma(0, 0, 0, 0))
-    assert (res.n1, res.n2) == (0, 0)
 
 
 def test_split_sum_identity_sample():
     for rp in range(6):
         for rpp in range(-6, 7):
             g = QuadrupleGamma(rp, rpp, 2, 3)
-            res = split_quadruple(g)
-            assert res.n1 + res.n2 == g.n
-            # companion membership: n_j = r'_j^2 + r'_j + r''_j^2 + N_j' + 0
-            assert res.n1 == res.g1.rp ** 2 + res.g1.rp + res.g1.rpp ** 2 + res.g1.Np
-            assert res.n2 == res.g2.rp ** 2 + res.g2.rp + res.g2.rpp ** 2 + res.g2.Np
+            n1, n2 = split_sizes(rp, rpp, 2, 3)
+            r1p, r1pp, r2p, r2pp = split_pair_values(rp, rpp)
+            assert n1 + n2 == g.n
+            # companion membership: n_j is the size of (r'_j, r''_j, N_j, 0)
+            assert n1 == QuadrupleGamma(r1p, r1pp, 2, 0).n
+            assert n2 == QuadrupleGamma(r2p, r2pp, 3, 0).n
 
 
 def test_r_plus_minus():
@@ -65,17 +50,6 @@ def test_aux_identities_worked_points():
     assert split_pair_identities(0, 0).passed
 
 
-def test_cuspidal_class_constant():
-    assert cuspidal_class_constant(W_PLUS, F5) == ExactValue(1)
-    got = cuspidal_class_constant(WeylClassB((), (1,)), F5)
-    assert got == ExactValue(Fraction(1, 12), q_half=1, q=5)
-    # class (empty, [1,1]): size 1, |W_2| = 8, two factors (q + 1)
-    got = cuspidal_class_constant(WeylClassB((), (1, 1)), F5)
-    assert got == ExactValue(Fraction(1, 8) * Fraction(5, 36), q=5)
-    with pytest.raises(ValueError):
-        cuspidal_class_constant(WeylClassB((1,), ()), F5)
-
-
 def test_alpha_constant():
     eta = SquareClass(0, 1)
     assert alpha_constant(0, 0, W_PLUS, W_PLUS, eta, F5) == 1
@@ -92,17 +66,6 @@ def test_pair_power_constant():
     assert pair_power_constant(1, 1, F5) == ExactValue(Fraction(1, 2))
     with pytest.raises(ValueError):
         pair_power_constant(1, 0, F5)
-
-
-def test_odd_case_transfer_constant():
-    eta_even = SquareClass(0, 1)
-    eta2 = SquareClass(0, 1)
-    assert odd_case_transfer_constant(1, 0, W_PLUS, eta2, eta_even, F5) == 1
-    # r' < r'': constant picks up sgn_cd(w''); exponent 1 + val(eta) is even
-    eta_odd = SquareClass(1, 1)
-    assert odd_case_transfer_constant(0, 1, W_MINUS, eta2, eta_odd, F5) == -1
-    with pytest.raises(ValueError):
-        odd_case_transfer_constant(0, 0, W_PLUS, eta2, eta_even, F5)
 
 
 def test_even_case_transfer_constant():

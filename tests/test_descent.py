@@ -4,10 +4,8 @@ import pytest
 
 from endosign.constants import QuadrupleGamma, split_sizes
 from endosign.descent import (DescentDatum, SplitAssignment, assignment_sizes,
-                              delta_descent, descent_feasibility,
-                              enumerate_class_splits, enumerate_size_splits,
-                              recombine_class_split, sector_label_sets,
-                              sector_size_sum, sign_star_aggregate, SizeSplit,
+                              class_splits, descent_feasibility,
+                              enumerate_size_splits, sector_size_sum, SizeSplit,
                               solve_split_family, check_v_sign_relation)
 from endosign.localfield import SquareClass
 from endosign.partitions import Partition
@@ -15,7 +13,6 @@ from endosign.partitions import Partition
 ONE = SquareClass(0, 1)
 XI = SquareClass(0, -1)
 PI = SquareClass(1, 1)
-XIPI = SquareClass(1, -1)
 
 
 def test_descent_datum_validation_messages():
@@ -32,20 +29,6 @@ def test_descent_datum_validation_messages():
     # a valid one: d = 1 needs opposite unit signs
     dd = DescentDatum(1, XI, 2, ONE, ((1, 1),), 4)
     assert dd.d == 1
-
-
-def test_sign_star_aggregate():
-    assert sign_star_aggregate([1, 1], 1, ONE) == 1
-    assert sign_star_aggregate([1, 1, 1], 1, PI) == -1
-    assert sign_star_aggregate([-1], 2, PI) == -1
-    assert sign_star_aggregate([], 3, XIPI) == -1
-
-
-def test_delta_descent():
-    assert delta_descent([1, -1], 0, PI) == -1
-    assert delta_descent([1, 1], 1, PI) == -1
-    assert delta_descent([], 1, XIPI) == -1
-    assert delta_descent([], 2, PI) == 1
 
 
 def test_feasibility():
@@ -108,35 +91,39 @@ def test_enumerate_size_splits_matches_brute_force():
             assert sorted(got) == sorted(want)
 
 
+def class_split_sizes(v):
+    """(|beta_+|, |beta_-|, (|beta_i|, ...)) of a class split."""
+    return v.beta_plus.size(), v.beta_minus.size(), tuple(b.size() for b in v.beta_blocks)
+
+
 def test_class_splits():
-    split = SizeSplit(1, 0, 0, 0, ())
-    combos = enumerate_class_splits(split, Partition([1]), Partition(), ())
+    combos = [v for v in class_splits(Partition([1]), ())
+              if class_split_sizes(v) == (1, 0, ())]
     assert len(combos) == 1
-    v1, v2 = combos[0]
+    v1 = combos[0]
     assert v1.beta_plus.to_json() == [1] and v1.beta_minus.to_json() == []
     assert check_v_sign_relation(Partition([1]), v1)
 
     # scaled block: a part must be divisible by f with odd quotient
-    from endosign.descent import UnitaryBlock
-    split = SizeSplit(0, 0, 0, 0, ((1, 0),))
-    combos = enumerate_class_splits(split, Partition([2]), Partition(),
-                                    (UnitaryBlock(1, 2),))
+    combos = [v for v in class_splits(Partition([2]), (2,))
+              if class_split_sizes(v) == (0, 0, (1,))]
     assert len(combos) == 1  # [2] = f * [1]
-    combos = enumerate_class_splits(split, Partition([1, 1]), Partition(),
-                                    (UnitaryBlock(1, 2),))
+    combos = [v for v in class_splits(Partition([1, 1]), (2,))
+              if class_split_sizes(v) == (0, 0, (1,))]
     assert combos == []  # no part divisible by 2 summing right
 
 
 def test_class_split_recombination_and_signs():
-    from endosign.descent import UnitaryBlock
-    blocks = (UnitaryBlock(2, 1), UnitaryBlock(1, 2))
-    split = SizeSplit(2, 1, 0, 0, ((2, 0), (1, 0)))
-    beta_p = Partition([2, 2, 1, 1, 1])  # sizes: 2 + 1 + blocks 2*1 + 1*2
-    combos = enumerate_class_splits(split, beta_p, Partition(), blocks)
-    assert combos
-    for v1, _ in combos:
-        assert check_v_sign_relation(beta_p, v1)
-        assert recombine_class_split(v1, blocks) == beta_p
+    degrees = (1, 2)
+    beta = Partition([2, 2, 1, 1, 1])
+    splits = list(class_splits(beta, degrees))
+    # sizes 2 + 1 + blocks 2*1 + 1*2
+    assert any(class_split_sizes(v) == (2, 1, (2, 1)) for v in splits)
+    for v in splits:
+        assert check_v_sign_relation(beta, v)
+        parts = list(v.beta_plus) + list(v.beta_minus)
+        parts += [p * f for inner, f in zip(v.beta_blocks, degrees) for p in inner]
+        assert Partition(parts) == beta
 
 
 def test_solver_roundtrip_and_rejection():
@@ -167,16 +154,6 @@ def test_sector_sums_match_split_sizes():
     feas = descent_feasibility(dd, g)
     for split in enumerate_size_splits(dd, g, feas.N_plus, feas.N_minus):
         assert sector_size_sum(g, split, dd.blocks) == split_sizes(1, 0, 2, 1)
-
-
-def test_sector_label_invariance():
-    from endosign.constants import split_pair_values
-    for rp in range(5):
-        for rpp in range(5):
-            r1p, r1pp, r2p, r2pp = split_pair_values(rp, rpp)
-            amb_plus, amb_minus = sector_label_sets(rp, rpp)
-            c1_plus, c1_minus = sector_label_sets(r1p, r1pp)
-            assert c1_plus == amb_plus and c1_minus == amb_minus
 
 
 def test_split_assignment_validation():

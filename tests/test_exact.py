@@ -43,15 +43,6 @@ def test_equality_semantics():
     assert ExactValue(1, sign=-1) == -1
 
 
-def test_as_sign_and_fraction():
-    assert ExactValue(1, sign=-1).as_sign() == -1
-    with pytest.raises(ValueError):
-        ExactValue(2).as_sign()
-    assert ExactValue(Fraction(3, 2), sign=-1).as_fraction() == Fraction(-3, 2)
-    with pytest.raises(ValueError):
-        ExactValue(1, q_half=1, q=5).as_fraction()
-
-
 rationals = st.fractions(min_value=Fraction(1, 50), max_value=50)
 signs = st.sampled_from([1, -1])
 halves = st.integers(min_value=-3, max_value=3)

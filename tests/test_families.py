@@ -6,9 +6,9 @@ from endosign.exact import ExactValue
 from endosign.families import (EVector, GammaVector, LPair, SplitShape,
                                UVector, _slot_choices, count_transversal_families,
                                enumerate_e, enumerate_gamma, enumerate_L,
-                               enumerate_transversal_families, eta_of_L1, eta_of_L2,
+                               enumerate_transversal_families, eta_of_L2,
                                family_selections, fiber_count_check,
-                               fiber_size_prediction, gamma_L_split, gamma_weight,
+                               fiber_size_prediction, gamma_L_split,
                                kappa_l2, kappa_u, kappa_zero, reassemble,
                                transversal_character_sum,
                                transversal_family_count_formula)
@@ -25,7 +25,6 @@ def test_shape_invariants():
     shape = SplitShape(5, 1)
     assert (shape.R, shape.r, shape.t1, shape.t2) == (5, 1, 3, 2)
     assert shape.jhat == (2, 4)
-    assert list(shape.low_slots) == [1, 2, 3, 4]
     assert list(shape.high_slots) == [5]
     with pytest.raises(ValueError):
         SplitShape(2, 1)
@@ -75,14 +74,6 @@ def test_enumerate_gamma_count_against_oracle():
             got = len(enumerate_gamma(shape, F5, eta, w1, w2))
             want = brute_gamma_count(shape, 5, eta_unit, sgn_cd(w1) * sgn_cd(w2))
             assert got == want
-
-
-def test_gamma_weight_values():
-    shape = SplitShape(2, 0)
-    assert gamma_weight(GammaVector((1, 4), ()), shape, F5) == ExactValue(-4)
-    assert gamma_weight(GammaVector((1, 2), ()), shape, F5) == ExactValue(-2)
-    # no even pair slots and no odd top slots: empty product
-    assert gamma_weight(GammaVector((), (1, -1)), SplitShape(2, 2), F5) == ExactValue(1)
 
 
 def test_kappa_u():
@@ -185,24 +176,24 @@ def test_eta_product_relation():
         eta = SquareClass(1, ue)
         for gamma in enumerate_gamma(shape, F5, eta, WP, WM):
             for pair in enumerate_L(shape):
-                e2 = eta_of_L2(gamma, pair, shape, WM, F5)
-                e1 = eta_of_L1(gamma, pair, shape, WM, eta, F5)
-                assert e1 * e2 == eta
-                # the complementary class satisfies its own sign condition
+                # the complementary class eta[L1, gamma] = eta * eta[L2, gamma]
+                # satisfies its own sign condition
+                e1 = eta * eta_of_L2(gamma, pair, shape, WM, F5)
                 comp1, _ = gamma_L_split(gamma, pair, shape)
                 assert e1.unit_sign * comp1.sign_product(F5) == sgn_cd(WP)
                 assert e1.val_parity == shape.t1 % 2
 
 
 def test_transversal_family_counts():
-    assert count_transversal_families(SplitShape(2, 0), F5) == 4
-    assert count_transversal_families(SplitShape(2, 0), F7) == 36
+    choices = {field: _slot_choices(field) for field in (F5, F7)}
+    assert count_transversal_families(SplitShape(2, 0), choices[F5]) == 4
+    assert count_transversal_families(SplitShape(2, 0), choices[F7]) == 36
     for t2 in (0, 1, 2):
         shape = SplitShape(2 * t2, 0)
         for field in (F5, F7):
-            assert count_transversal_families(shape, field) == \
+            assert count_transversal_families(shape, choices[field]) == \
                 transversal_family_count_formula(shape, field)
-    fams = enumerate_transversal_families(SplitShape(2, 0), F5)
+    fams = enumerate_transversal_families(SplitShape(2, 0), choices[F5])
     assert len(fams) == 4
     for fam_ in fams:
         (g1, g2), = fam_
@@ -226,7 +217,7 @@ def test_fiber_count_examples():
 
 def test_family_selection_sign_condition():
     shape = SplitShape(3, 1)
-    family = enumerate_transversal_families(shape, F5)[0]
+    family = enumerate_transversal_families(shape, _slot_choices(F5))[0]
     eta1 = SquareClass(shape.t1 % 2, 1)
     sels = family_selections(family, 1, shape, F5, eta1, WM)
     assert sels, "selections must exist"

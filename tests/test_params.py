@@ -1,9 +1,8 @@
 import pytest
 
-from endosign.params import (MINUS, PLUS, InvolutionSplit,
-                             TemperedParam, UnipQuadParam, assemble_triple,
+from endosign.params import (MINUS, PLUS, InvolutionSplit, UnipQuadParam, assemble_triple,
                              endoscopic_pairs, eval_character, involution_swap,
-                             levi_reduction, refine_splits, virtual_rep)
+                             refine_splits, virtual_rep)
 from endosign.partitions import Partition, SymplecticPartition
 
 
@@ -34,7 +33,7 @@ def test_assemble_triple_degenerate_factor():
     t1 = uq([2, 2], [])
     t2 = uq([], [])
     triple = assemble_triple(t1, t2, (2, 0))
-    assert triple.h_split().is_trivial()
+    assert triple.h_split().part_minus.total == 0
     assert triple.lam.to_json() == [2, 2]
 
 
@@ -67,7 +66,7 @@ def test_involution_swap():
     assert involution_swap(swapped) == triple
     # trivial h becomes trivial s after the swap
     t = assemble_triple(uq([2], []), uq([], []), (1, 0))
-    assert involution_swap(t).s_split().is_trivial()
+    assert involution_swap(t).s_split().part_minus.total == 0
 
 
 def test_eval_character_trivial_h():
@@ -137,20 +136,6 @@ def test_virtual_rep_count_follows_each_splitting():
         s = t.s_split()
         blocks = len(s.part_plus.jord_bp) + len(s.part_minus.jord_bp)
         assert len(virtual_rep(t)) == 2 ** blocks
-
-
-def test_levi_reduction():
-    core = uq([2], [])
-    t = TemperedParam(core)
-    red = levi_reduction(t)
-    assert red.gl_factors == [] and red.core is core and not red.degenerate
-
-    t = TemperedParam(core, [("b", Partition([2, 1]))])
-    red = levi_reduction(t)
-    assert red.gl_factors == [("b", 3)] and not red.degenerate
-
-    t = TemperedParam(uq([], []), [("b", Partition([1, 1]))])
-    assert levi_reduction(t).degenerate
 
 
 def test_eps_map_validation():

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from endosign.errors import ResourceLimitError
 from endosign.partitions import (Partition, SymplecticPartition, enumerate_partitions,
-                                 enumerate_symplectic, is_symplectic, scale, union)
+                                 enumerate_symplectic, is_symplectic, union)
 
 
 def parts(p):
@@ -73,12 +73,6 @@ def test_symplectic_constructor_validates():
         SymplecticPartition(Partition([3, 1]))
     with pytest.raises(ValueError):
         SymplecticPartition(Partition([2]), 4)
-
-
-def test_scale():
-    assert parts(scale(Partition([3, 1]), 2)) == [6, 2]
-    with pytest.raises(ValueError):
-        scale(Partition([1]), 0)
 
 
 part_lists = st.lists(st.integers(min_value=1, max_value=9), max_size=7)

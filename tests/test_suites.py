@@ -175,7 +175,7 @@ def test_counting_fails_on_a_slotwise_count_off_by_one(monkeypatch):
     assert all(f["slotwise"] == f["observed"] + 1 for f in fibers)
 
 
-def test_counting_builds_the_slot_choices_once_per_field_count_and_shape(monkeypatch):
+def test_counting_builds_the_slot_choices_once_per_field(monkeypatch):
     original = fam._slot_choices
     builds = []
 
@@ -186,9 +186,9 @@ def test_counting_builds_the_slot_choices_once_per_field_count_and_shape(monkeyp
     monkeypatch.setattr(fam, "_slot_choices", counted)
     report = suites.verify_counting(qs=(5,), t2max=1)
     assert report.passed
-    # one for the slotwise count, one per family count (t2 = 0, 1) and one
-    # per shape ((0, 0), (1, 1) at t2 = 0; (2, 0), (3, 1), (0, 2), (1, 3) at t2 = 1)
-    assert len(builds) <= 9
+    # one table serves the family counts, the families of every shape and
+    # the slotwise count
+    assert builds == [5]
 
 
 def test_aux_fails_on_a_negated_u_sign(monkeypatch):

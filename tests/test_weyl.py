@@ -2,12 +2,10 @@ from math import factorial
 
 import pytest
 
-from endosign.errors import ResourceLimitError
 from endosign.partitions import Partition, enumerate_partitions
 from endosign.weyl import (WeylClassA, WeylClassB, brute_class_sizes,
                            brute_class_sizes_a, class_size_a, class_size_b,
-                           conjugation_orbit_sizes, cuspidal_classes_b, order_b,
-                           sgn_cd, u_cuspidal_classes_a)
+                           conjugation_orbit_sizes, order_b, sgn_cd)
 
 
 def bclass(alpha, beta):
@@ -97,20 +95,6 @@ def test_sgn_cd_multiplicative_under_splits():
                         * sgn_cd(WeylClassB(Partition(), Partition(bins[1]))) \
                         * (-1) ** (inner_total % 2)
                     assert lhs == rhs
-
-
-def test_cuspidal_classes():
-    assert [c.to_json() for c in cuspidal_classes_b(0)] == [{"alpha": [], "beta": []}]
-    assert [c.beta.to_json() for c in cuspidal_classes_b(2)] == [[2], [1, 1]]
-    assert len(cuspidal_classes_b(3)) == 3
-    with pytest.raises(ResourceLimitError):
-        cuspidal_classes_b(21)
-
-
-def test_u_cuspidal_classes():
-    assert [c.pi.to_json() for c in u_cuspidal_classes_a(1)] == [[1]]
-    assert [c.pi.to_json() for c in u_cuspidal_classes_a(3)] == [[3], [1, 1, 1]]
-    assert [c.pi.to_json() for c in u_cuspidal_classes_a(4)] == [[3, 1], [1, 1, 1, 1]]
 
 
 def test_class_validation():
