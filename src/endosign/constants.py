@@ -49,18 +49,6 @@ class QuadrupleGamma:
         self.Np = Np
         self.Npp = Npp
 
-    @property
-    def n(self) -> int:
-        """r'^2 + r' + r''^2 + N' + N''."""
-        return self.rp ** 2 + self.rp + self.rpp ** 2 + self.Np + self.Npp
-
-    def __eq__(self, other):
-        return isinstance(other, QuadrupleGamma) and \
-            (self.rp, self.rpp, self.Np, self.Npp) == (other.rp, other.rpp, other.Np, other.Npp)
-
-    def __hash__(self):
-        return hash((self.rp, self.rpp, self.Np, self.Npp))
-
     def __repr__(self):
         return f"QuadrupleGamma({self.rp}, {self.rpp}, {self.Np}, {self.Npp})"
 
@@ -211,7 +199,7 @@ def even_case_transfer_constant(eta1: SquareClass, eta2: SquareClass, rp: int, r
     return out
 
 
-def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector, pair: fam.LPair,
+def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector,
                          w1: WeylClassB, w2: WeylClassB, eta: SquareClass,
                          eta2L: SquareClass, rp_field: ResidueParam) -> int:
     """The closed-form transfer-factor sign d for one assignment vector.
@@ -243,8 +231,7 @@ def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector, pair: fa
     return out
 
 
-def weil_ratio_sign(n1: int, eta1: SquareClass, n2: int, eta2: SquareClass,
-                    rp_field: ResidueParam) -> int:
+def weil_ratio_sign(eta1: SquareClass, eta2: SquareClass, rp_field: ResidueParam) -> int:
     """The Weil-constant ratio, a sign depending on the valuation parities."""
     m = sgn_minus_one(rp_field)
     v1, v2 = eta1.val_parity, eta2.val_parity
@@ -295,7 +282,7 @@ def collapse_and_product_constants(rp: int, rpp: int, w1: WeylClassB, w2: WeylCl
     two_exp = beta + 2 * t1 + 2 * t2 + (1 if alt_two_power else 0)
     product = collapse \
         * ExactValue(Fraction(2) ** two_exp, q=q) \
-        * ExactValue(weil_ratio_sign(0, eta1, 0, eta2, rp_field), q=q) \
+        * ExactValue(weil_ratio_sign(eta1, eta2, rp_field), q=q) \
         * pair_power_constant(rp, rpp, rp_field) \
         * ExactValue(alpha_constant(rp, rpp, w1, w2, eta, rp_field), q=q) \
         * ExactValue(alpha_constant(t1, t1, w1, W_PLUS, eta1, rp_field), q=q) \
@@ -392,23 +379,6 @@ def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
                                     "rhs": rhs},)
 
 
-class ChainSigns:
-    """The five signs of the stable-transfer comparison chain."""
-
-    __slots__ = ("base", "sharp", "endo", "reduction", "u_value")
-
-    def __init__(self, base, sharp, endo, reduction, u_value):
-        self.base = base
-        self.sharp = sharp
-        self.endo = endo
-        self.reduction = reduction
-        self.u_value = u_value
-
-    def to_json(self):
-        return {"base": self.base, "sharp": self.sharp, "endo": self.endo,
-                "reduction": self.reduction, "u": self.u_value}
-
-
 def branch_switch(rp: int, rpp: int) -> int:
     """b = 0 for r'' > 0 or (r'' = 0, r' even); b = 1 otherwise."""
     if rpp > 0 or (rpp == 0 and rp % 2 == 0):
@@ -417,13 +387,13 @@ def branch_switch(rp: int, rpp: int) -> int:
 
 
 def chain_sign_constants(rp: int, rpp: int, w1: WeylClassB, w2: WeylClassB,
-                         d2: int, n: int, d: int, rp_field: ResidueParam,
-                         sharp_sign: int = 1) -> ChainSigns:
-    """All five signs of the comparison chain at one parameter point.
+                         d2: int, n: int, d: int,
+                         rp_field: ResidueParam) -> tuple[int, int, int, int]:
+    """The signs (base, endo, reduction, u_value) of the comparison chain at one point.
 
     base: (-1)^(n + r'') m^((r'^2 - r')/2 + (r''^2 - |r''|)/2).
-    sharp: the four-branch table with the group-form sign.
-    endo: the same table with the group-form sign replaced by (-1)^(d r'').
+    endo: the four-branch table; the branches with r'' < 0 or (r'' = 0,
+    r' odd) carry (-1)^(d r'').
     reduction: the branch-switch-aware collapse constant; for the switched
     branch the roles of the two factors are permuted, so it reads the first
     class sign and the complementary block count d - d2.
@@ -434,14 +404,12 @@ def chain_sign_constants(rp: int, rpp: int, w1: WeylClassB, w2: WeylClassB,
     base = (-1) ** ((n + rpp) % 2) * (m if mp % 2 else 1)
 
     if 0 < rpp <= rp or (rpp == 0 and rp % 2 == 0):
-        sharp, endo = 1, 1
+        endo = 1
     elif rp < rpp:
-        sharp = endo = sgn_cd(w2)
+        endo = sgn_cd(w2)
     elif -rp <= rpp < 0 or (rpp == 0 and rp % 2 == 1):
-        sharp = sharp_sign
         endo = (-1) ** ((d * rpp) % 2)
     else:  # rpp < -rp
-        sharp = sharp_sign * sgn_cd(w1)
         endo = (-1) ** ((d * rpp) % 2) * sgn_cd(w1)
 
     b = branch_switch(rp, rpp)
@@ -453,7 +421,7 @@ def chain_sign_constants(rp: int, rpp: int, w1: WeylClassB, w2: WeylClassB,
         reduction *= m if ((r_plus - rho - 1) // 2) % 2 else 1
     else:
         reduction *= (m if (rp + rho + 1) % 2 else 1) * sgn_cd(w_branch)
-    return ChainSigns(base, sharp, endo, reduction, u_sign(rp, rpp, m))
+    return base, endo, reduction, u_sign(rp, rpp, m)
 
 
 def sign_chain_points(rmax: int):
@@ -469,18 +437,18 @@ def sign_chain_points(rmax: int):
                     w1 = sign_witness(s1)
                     w2 = sign_witness(s2)
                     d = d1 + d2
-                    signs = chain_sign_constants(rp, rpp, w1, w2, d2, npar, d, field)
-                    chain = signs.base * signs.endo * signs.reduction \
-                        * (-1) ** ((d2 * rpp) % 2)
-                    target = (-1) ** npar * signs.u_value
+                    base, endo, reduction, u_value = chain_sign_constants(
+                        rp, rpp, w1, w2, d2, npar, d, field)
+                    chain = base * endo * reduction * (-1) ** ((d2 * rpp) % 2)
+                    target = (-1) ** npar * u_value
                     if chain != target:
                         yield ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
                                 "d2": d2, "d": d, "n": npar, "lhs": chain, "rhs": target,
                                 "identity": "chain"},)
                         continue
                     u12 = u_sign(r1p, r1pp, m) * u_sign(r2p, r2pp, m)
-                    if signs.u_value != u12:
-                        yield ({"q": q, "rp": rp, "rpp": rpp, "lhs": signs.u_value,
+                    if u_value != u12:
+                        yield ({"q": q, "rp": rp, "rpp": rpp, "lhs": u_value,
                                 "rhs": u12, "identity": "u_product"},)
                         continue
                     # full nine-constant product; companion data has trivial
@@ -488,8 +456,9 @@ def sign_chain_points(rmax: int):
                     n1, n2 = split_sizes(rp, rpp, 0, 0)
                     total = chain
                     for (rpj, rppj, wj, nj) in ((r1p, r1pp, w1, n1), (r2p, r2pp, w2, n2)):
-                        cj = chain_sign_constants(rpj, rppj, wj, W_PLUS, 0, nj, 0, field)
-                        total *= cj.base * cj.endo * cj.reduction
+                        base_j, endo_j, reduction_j, _ = chain_sign_constants(
+                            rpj, rppj, wj, W_PLUS, 0, nj, 0, field)
+                        total *= base_j * endo_j * reduction_j
                     # chain used parity npar; realign to n = n1 + n2
                     total *= (-1) ** ((npar + n1 + n2) % 2)
                     yield () if total == 1 else (
@@ -553,7 +522,7 @@ def factorwise_transfer_check(shape: fam.SplitShape, gamma: fam.GammaVector,
     factorwise = factorwise_gamma_factor(shape, gamma, pair, w1, w2, eta, rp_field) \
         * factorwise_e_factor(e, pair) * factorwise_u_factor(u, eta)
     eta2L = fam.eta_of_L2(gamma, pair, shape, w2, rp_field)
-    closed = transfer_factor_sign(shape, gamma, pair, w1, w2, eta, eta2L, rp_field) \
+    closed = transfer_factor_sign(shape, gamma, w1, w2, eta, eta2L, rp_field) \
         * fam.kappa_l2(e, pair) * fam.kappa_u(u)
     return factorwise, closed
 

@@ -56,10 +56,6 @@ class DescentDatum:
         self.blocks = blocks
         self.n = n
 
-    @property
-    def d(self) -> int:
-        return sum(b.d for b in self.blocks)
-
     def __repr__(self):
         return (f"DescentDatum(n_plus={self.n_plus}, eta_plus={self.eta_plus.name()!r}, "
                 f"n_minus={self.n_minus}, eta_minus={self.eta_minus.name()!r}, "
@@ -102,10 +98,6 @@ class SplitAssignment:
         self.n2_minus = n2_minus
         self.eta2_minus = eta2_minus
         self.pairs = pairs
-
-    @property
-    def d2(self) -> int:
-        return sum(b for _, b in self.pairs)
 
     def __repr__(self):
         return (f"SplitAssignment(plus=({self.n1_plus},{self.n2_plus}), "

@@ -45,43 +45,21 @@ class ExactValue:
             raise ValueError(f"mismatched residue cardinalities {self.q} and {other.q}")
         return self.q if self.q is not None else other.q
 
-    def __mul__(self, other):
-        if isinstance(other, ExactValue):
-            return ExactValue(
-                self.rational * other.rational,
-                sign=self.sign * other.sign,
-                q_half=self.q_half + other.q_half,
-                q=self._merged_q(other),
-            )
-        return ExactValue(self.rational * Fraction(other), sign=self.sign,
-                          q_half=self.q_half, q=self.q)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "ExactValue":
-        inv = ExactValue(1 / self.rational, sign=self.sign, q_half=-self.q_half, q=self.q)
-        return inv
-
-    def __pow__(self, k: int) -> "ExactValue":
-        if not isinstance(k, int):
-            raise TypeError("exponent must be an integer")
-        if k < 0:
-            return self.inverse() ** (-k)
-        return ExactValue(self.rational ** k, sign=self.sign if k % 2 else 1,
-                          q_half=self.q_half * k, q=self.q)
+    def __mul__(self, other: "ExactValue") -> "ExactValue":
+        return ExactValue(
+            self.rational * other.rational,
+            sign=self.sign * other.sign,
+            q_half=self.q_half + other.q_half,
+            q=self._merged_q(other),
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactValue):
-            if self.q_half:
-                return False
-            return self.sign * self.rational == Fraction(other)
+            return NotImplemented
         if (self.sign, self.rational, self.q_half) != (other.sign, other.rational, other.q_half):
             return False
         # Residual sqrt(q) factors only match for the same q.
         return self.q_half == 0 or self.q == other.q
-
-    def __hash__(self):
-        return hash((self.sign, self.rational, self.q_half, self.q if self.q_half else None))
 
     def __repr__(self):
         body = f"{'-' if self.sign < 0 else ''}{self.rational}"

@@ -60,12 +60,6 @@ class SplitShape:
         """0 when r' >= r'', 1 otherwise."""
         return 0 if self.rp >= self.rpp else 1
 
-    def __eq__(self, other):
-        return isinstance(other, SplitShape) and (self.rp, self.rpp) == (other.rp, other.rpp)
-
-    def __hash__(self):
-        return hash((self.rp, self.rpp))
-
     def __repr__(self):
         return f"SplitShape(rp={self.rp}, rpp={self.rpp})"
 
@@ -159,12 +153,6 @@ class LPair:
             if {a, b} != {2 * j - 1, 2 * j}:
                 raise ValueError(f"pair {j} must split {{{2*j-1}, {2*j}}}, got ({a}, {b})")
 
-    def __eq__(self, other):
-        return isinstance(other, LPair) and self.l1 == other.l1
-
-    def __hash__(self):
-        return hash(self.l1)
-
     def __repr__(self):
         return f"LPair(l1={self.l1}, l2={self.l2})"
 
@@ -256,8 +244,7 @@ def enumerate_e(shape: SplitShape) -> list[EVector]:
     return [EVector(signs) for signs in itertools.product((1, -1), repeat=shape.R)]
 
 
-def gamma_L_split(gamma: GammaVector, pair: LPair,
-                  shape: SplitShape) -> tuple[GammaVector, GammaVector]:
+def gamma_L_split(gamma: GammaVector, pair: LPair) -> tuple[GammaVector, GammaVector]:
     """Split gamma along (L1, L2) into its components gamma1 and gamma2.
 
     gamma1 takes the residues at the L1 slots and all the top signs of
@@ -275,7 +262,7 @@ def eta_of_L2(gamma: GammaVector, pair: LPair, shape: SplitShape,
     Characterized by: valuation parity t2, and unit sign times the product
     of the L2-component signs equal to sgn_cd(w'').
     """
-    comp2 = gamma_L_split(gamma, pair, shape)[1]
+    comp2 = gamma_L_split(gamma, pair)[1]
     unit = sgn_cd(w2) * comp2.sign_product(rp_field)
     return SquareClass(shape.t2 % 2, unit)
 
@@ -314,26 +301,25 @@ def transversal_family_count_formula(shape: SplitShape, rp_field: ResidueParam) 
     return Fraction((q - 1) ** (2 * t2) * (q - 3) ** (2 * t2), 2 ** (4 * t2))
 
 
-def family_selections(family, index: int, shape: SplitShape, rp_field: ResidueParam,
-                      eta_j: SquareClass, w_j: WeylClassB) -> list[GammaVector]:
-    """Selections gamma_j from the family's side `index` (1 or 2).
+def family_selections(family, index: int, shape: SplitShape,
+                      rp_field: ResidueParam) -> dict[int, list[GammaVector]]:
+    """Selections gamma_j from the family's side `index` (1 or 2), keyed by sign product.
 
     Side 1 draws its residues from the G1 transversals on the pair slots
     and takes free signs on the top slots; side 2 draws from the G2
-    transversals.  A selection is kept when unit(eta_j) times its sign
-    product equals sgn_cd(w_j).
+    transversals.  The selections for (eta_j, w_j) are those whose sign
+    product times unit(eta_j) equals sgn_cd(w_j): the bucket at
+    sgn_cd(w_j) * unit(eta_j).
     """
     if index not in (1, 2):
         raise ValueError("index must be 1 or 2")
     per_slot = [g1 if index == 1 else g2 for g1, g2 in family]
     tops = list(itertools.product((1, -1), repeat=shape.r if index == 1 else 0))
-    target = sgn_cd(w_j)
-    out = []
+    out = {1: [], -1: []}
     for low in itertools.product(*per_slot):
         for high in tops:
             comp = GammaVector(low, high)
-            if eta_j.unit_sign * comp.sign_product(rp_field) == target:
-                out.append(comp)
+            out[comp.sign_product(rp_field)].append(comp)
     return out
 
 

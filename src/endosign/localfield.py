@@ -43,12 +43,6 @@ class ResidueParam:
         """Nonzero squares mod q, by direct enumeration."""
         return frozenset((x * x) % self.q for x in range(1, self.q))
 
-    def __eq__(self, other):
-        return isinstance(other, ResidueParam) and self.q == other.q
-
-    def __hash__(self):
-        return hash(self.q)
-
     def __repr__(self):
         return f"ResidueParam(q={self.q})"
 
@@ -90,9 +84,6 @@ class SquareClass:
         return (isinstance(other, SquareClass)
                 and self.val_parity == other.val_parity
                 and self.unit_sign == other.unit_sign)
-
-    def __hash__(self):
-        return hash((self.val_parity, self.unit_sign))
 
     def name(self) -> str:
         return _NAMES[(self.val_parity, self.unit_sign)]

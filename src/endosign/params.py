@@ -47,11 +47,6 @@ class UnipQuadParam:
             raise ValueError("total size must be even")
         self.n = total // 2
 
-    @property
-    def lam(self) -> SymplecticPartition:
-        """The full partition lambda+ union lambda-."""
-        return SymplecticPartition(union(self.lam_plus.base, self.lam_minus.base))
-
     def label(self):
         """Hashable label (lambda+, eps+, lambda-, eps-) for virtual-rep terms."""
         return (self.lam_plus.base.parts, tuple(sorted(self.eps_plus.items())),
@@ -70,18 +65,6 @@ class InvolutionSplit:
     def __init__(self, part_plus: SymplecticPartition, part_minus: SymplecticPartition):
         self.part_plus = part_plus
         self.part_minus = part_minus
-
-    @property
-    def ambient(self) -> Partition:
-        return union(self.part_plus.base, self.part_minus.base)
-
-    def __eq__(self, other):
-        return (isinstance(other, InvolutionSplit)
-                and self.part_plus == other.part_plus
-                and self.part_minus == other.part_minus)
-
-    def __hash__(self):
-        return hash((self.part_plus, self.part_minus))
 
     def __repr__(self):
         return (f"InvolutionSplit(plus={list(self.part_plus.base)}, "
@@ -170,35 +153,6 @@ def involution_swap(triple: AssembledTriple) -> AssembledTriple:
     return AssembledTriple({(h, s): p for (s, h), p in triple.cells.items()})
 
 
-def refine_splits(param: UnipQuadParam, h: InvolutionSplit) -> AssembledTriple:
-    """Build the four-cell refinement of (s from param, h), when it is forced.
-
-    For every part value, the copies in each s-eigenspace must receive a
-    well-defined number of copies of h's minus side.  Raises ValueError if
-    the distribution is ambiguous or inconsistent.
-    """
-    if h.ambient != union(param.lam_plus.base, param.lam_minus.base):
-        raise ValueError("h does not split the parameter's partition")
-    cells = {(PLUS, PLUS): [], (PLUS, MINUS): [], (MINUS, PLUS): [], (MINUS, MINUS): []}
-    minus_mult = h.part_minus.base.counter()
-    values = set(param.lam_plus.base.parts) | set(param.lam_minus.base.parts)
-    for k in values:
-        mp = param.lam_plus.base.mult(k)
-        mm = param.lam_minus.base.mult(k)
-        km = minus_mult.get(k, 0)
-        lo, hi = max(0, km - mm), min(mp, km)
-        if lo > hi:
-            raise ValueError(f"h-splitting of part {k} is inconsistent with s")
-        if lo < hi:
-            raise ValueError(f"ambiguous h-splitting of part {k} across the s-eigenspaces")
-        kp_minus = lo
-        cells[PLUS, MINUS] += [k] * kp_minus
-        cells[PLUS, PLUS] += [k] * (mp - kp_minus)
-        cells[MINUS, MINUS] += [k] * (km - kp_minus)
-        cells[MINUS, PLUS] += [k] * (mm - km + kp_minus)
-    return AssembledTriple({key: Partition(parts) for key, parts in cells.items()})
-
-
 def h_image(param: UnipQuadParam, triple: AssembledTriple) -> dict[tuple[int, int], int]:
     """Image of h in the component group: a sign per (side, even block).
 
@@ -221,15 +175,9 @@ def _check_compatible(param: UnipQuadParam, triple: AssembledTriple) -> None:
         raise ValueError("triple's s-splitting does not match the parameter")
 
 
-def eval_character(param: UnipQuadParam, h) -> int:
-    """epsilon(h) for the parameter's sign functions.
-
-    h may be an AssembledTriple (carrying the commuting refinement) or an
-    InvolutionSplit whose refinement against s is forced.
-    """
-    if isinstance(h, InvolutionSplit):
-        h = refine_splits(param, h)
-    return eval_character_on_image(param, h_image(param, h))
+def eval_character(param: UnipQuadParam, triple: AssembledTriple) -> int:
+    """epsilon(h) for the parameter's sign functions, h carried by the triple."""
+    return eval_character_on_image(param, h_image(param, triple))
 
 
 def eval_character_on_image(param: UnipQuadParam, image: Mapping[tuple[int, int], int]) -> int:
@@ -244,36 +192,6 @@ def eval_character_on_image(param: UnipQuadParam, image: Mapping[tuple[int, int]
     return value
 
 
-class VirtualRep:
-    """Formal integer combination of parameter labels."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    def __add__(self, other: "VirtualRep") -> "VirtualRep":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return VirtualRep(out)
-
-    def __neg__(self) -> "VirtualRep":
-        return VirtualRep({k: -v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, VirtualRep) and self.terms == other.terms
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __repr__(self):
-        return f"VirtualRep({len(self.terms)} terms)"
-
-    def to_json(self):
-        return {repr(k): v for k, v in sorted(self.terms.items(), key=lambda kv: repr(kv[0]))}
-
-
 def _sign_maps(blocks: tuple[int, ...]):
     if not blocks:
         yield {}
@@ -284,11 +202,11 @@ def _sign_maps(blocks: tuple[int, ...]):
             yield {head: s, **rest}
 
 
-def virtual_rep(triple: AssembledTriple) -> VirtualRep:
+def virtual_rep(triple: AssembledTriple) -> dict:
     """Sum over all characters epsilon of epsilon(h) times the labeled term.
 
-    One term per choice of signs on the even blocks of lambda+ and lambda-,
-    with coefficient epsilon(h) in {+-1}.
+    One term per choice of signs on the even blocks of lambda+ and lambda-:
+    a dict from the term's label to its coefficient epsilon(h) in {+-1}.
     """
     s = triple.s_split()
     lam_plus, lam_minus = s.part_plus, s.part_minus
@@ -297,4 +215,4 @@ def virtual_rep(triple: AssembledTriple) -> VirtualRep:
         for eps_m in _sign_maps(lam_minus.jord_bp):
             param = UnipQuadParam(lam_plus, lam_minus, eps_p, eps_m)
             terms[param.label()] = eval_character(param, triple)
-    return VirtualRep(terms)
+    return terms

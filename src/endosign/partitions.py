@@ -112,9 +112,6 @@ class SymplecticPartition:
         return (isinstance(other, SymplecticPartition)
                 and self.base == other.base and self.total == other.total)
 
-    def __hash__(self):
-        return hash((self.base, self.total))
-
     def __repr__(self):
         return f"SymplecticPartition({list(self.base.parts)})"
 

@@ -70,7 +70,7 @@ def _counting_shapes(t2: int, q: int):
     shapes = [(2 * t2, 0), (2 * t2 + 1, 1)]
     if q == 5 and t2 >= 1:
         shapes += [(0, 2 * t2), (1, 2 * t2 + 1)]
-    return [s for s in shapes if s != (0, 0) or t2 == 0]
+    return shapes
 
 
 def counting_points(qs, t2max: int):
@@ -109,14 +109,8 @@ def counting_points(qs, t2max: int):
                 # (eta_j, w_j) is the bucket at sgn_cd(w_j) * unit(eta_j)
                 tables = []
                 for family in families:
-                    per_side = []
-                    for idx in (1, 2):
-                        trivial = SquareClass((shape.t1 if idx == 1 else shape.t2) % 2, 1)
-                        per_side.append({
-                            s: fam.family_selections(family, idx, shape, field,
-                                                     trivial, sign_witness(s))
-                            for s in (1, -1)})
-                    tables.append(per_side)
+                    tables.append([fam.family_selections(family, idx, shape, field)
+                                   for idx in (1, 2)])
                 for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4):
                     w1, w2 = sign_witness(s1), sign_witness(s2)
                     eta = SquareClass(rpp % 2, ue)
@@ -301,8 +295,6 @@ def params_points(nmax: int):
             sp = par.SymplecticPartition(lam_plus)
             sm = par.SymplecticPartition(lam_minus)
             keys = [(par.PLUS, k) for k in sp.jord_bp] + [(par.MINUS, k) for k in sm.jord_bp]
-            if len(keys) > 4:
-                continue
             for eps_bits in itertools.product((1, -1), repeat=len(keys)):
                 eps_plus = {k: e for (side, k), e in zip(keys, eps_bits) if side == par.PLUS}
                 eps_minus = {k: e for (side, k), e in zip(keys, eps_bits) if side == par.MINUS}

@@ -21,13 +21,13 @@ F7 = ResidueParam(7)
 def test_split_sum_identity_sample():
     for rp in range(6):
         for rpp in range(-6, 7):
-            g = QuadrupleGamma(rp, rpp, 2, 3)
             n1, n2 = split_sizes(rp, rpp, 2, 3)
             r1p, r1pp, r2p, r2pp = split_pair_values(rp, rpp)
-            assert n1 + n2 == g.n
+            # the size of (r', r'', N', N'') is r'^2 + r' + r''^2 + N' + N''
+            assert n1 + n2 == rp ** 2 + rp + rpp ** 2 + 2 + 3
             # companion membership: n_j is the size of (r'_j, r''_j, N_j, 0)
-            assert n1 == QuadrupleGamma(r1p, r1pp, 2, 0).n
-            assert n2 == QuadrupleGamma(r2p, r2pp, 3, 0).n
+            assert n1 == r1p ** 2 + r1p + r1pp ** 2 + 2
+            assert n2 == r2p ** 2 + r2p + r2pp ** 2 + 3
 
 
 def test_r_plus_minus():
@@ -93,11 +93,11 @@ def test_weil_ratio_table():
     even_m = SquareClass(0, -1)
     odd_p = SquareClass(1, 1)
     odd_m = SquareClass(1, -1)
-    assert weil_ratio_sign(1, even_p, 1, even_m, F5) == 1
-    assert weil_ratio_sign(1, even_m, 1, odd_p, F5) == -1  # unit of the first class
-    assert weil_ratio_sign(1, odd_p, 1, even_m, F5) == -1  # unit of the second class
+    assert weil_ratio_sign(even_p, even_m, F5) == 1
+    assert weil_ratio_sign(even_m, odd_p, F5) == -1  # unit of the first class
+    assert weil_ratio_sign(odd_p, even_m, F5) == -1  # unit of the second class
     # both odd: sgn(-unit(eta)); at q = 7, m = -1
-    assert weil_ratio_sign(1, odd_m, 1, odd_p, F7) == (-1) * (-1) * 1
+    assert weil_ratio_sign(odd_m, odd_p, F7) == (-1) * (-1) * 1
 
 
 def test_transfer_factor_sign_degenerate():
@@ -107,8 +107,8 @@ def test_transfer_factor_sign_degenerate():
     eta = SquareClass(1, 1)
     eta2L = eta_of_L2(gamma, pair, shape, W_MINUS, F5)
     # everything collapses to sgn_cd(w'')^val(eta)
-    assert transfer_factor_sign(shape, gamma, pair, W_PLUS, W_MINUS, eta, eta2L, F5) == -1
-    assert transfer_factor_sign(shape, gamma, pair, W_PLUS, W_PLUS, eta,
+    assert transfer_factor_sign(shape, gamma, W_PLUS, W_MINUS, eta, eta2L, F5) == -1
+    assert transfer_factor_sign(shape, gamma, W_PLUS, W_PLUS, eta,
                                 eta_of_L2(gamma, pair, shape, W_PLUS, F5), F5) == 1
 
 
@@ -119,7 +119,7 @@ def test_transfer_factor_sign_pair_slot_factor():
     eta = SquareClass(0, 1)
     gamma = GammaVector((1, 4), ())
     eta2L = eta_of_L2(gamma, pair, shape, W_PLUS, F5)
-    got = transfer_factor_sign(shape, gamma, pair, W_PLUS, W_PLUS, eta, eta2L, F5)
+    got = transfer_factor_sign(shape, gamma, W_PLUS, W_PLUS, eta, eta2L, F5)
     # t2 odd: unit(eta), sgn_cd factors trivial here; j/2-1 = 0 kills the
     # product sign; remaining factors: legendre(1-4) * top-product (empty)
     assert got == -1
@@ -153,17 +153,11 @@ def test_branch_switch():
 
 
 def test_chain_sign_constants_worked():
-    signs = chain_sign_constants(1, 0, W_PLUS, W_PLUS, 0, 2, 0, F5)
-    assert signs.base == 1 and signs.u_value == 1
+    base, _, _, u_value = chain_sign_constants(1, 0, W_PLUS, W_PLUS, 0, 2, 0, F5)
+    assert base == 1 and u_value == 1
     # branch r'' < -r': the endoscopic sign carries (-1)^(d r'') sgn_cd(w')
-    signs = chain_sign_constants(1, -2, W_MINUS, W_PLUS, 0, 0, 1, F5)
-    assert signs.endo == (-1) ** ((1 * -2) % 2) * (-1)
-    # 0 < r'' <= r': trivial sharp sign
-    signs = chain_sign_constants(3, 2, W_MINUS, W_MINUS, 1, 1, 1, F7, sharp_sign=-1)
-    assert signs.sharp == 1
-    # -r' <= r'' < 0 uses the supplied group-form sign
-    signs = chain_sign_constants(3, -2, W_MINUS, W_MINUS, 1, 1, 1, F7, sharp_sign=-1)
-    assert signs.sharp == -1
+    _, endo, _, _ = chain_sign_constants(1, -2, W_MINUS, W_PLUS, 0, 0, 1, F5)
+    assert endo == (-1) ** ((1 * -2) % 2) * (-1)
 
 
 def test_chain_reduces_to_u():
@@ -174,11 +168,10 @@ def test_chain_reduces_to_u():
             for rpp in range(-3, 4):
                 for d2 in (0, 1):
                     for d1 in (0, 1):
-                        signs = chain_sign_constants(rp, rpp, W_MINUS, W_MINUS,
-                                                     d2, 1, d1 + d2, field)
-                        chain = signs.base * signs.endo * signs.reduction \
-                            * (-1) ** ((d2 * rpp) % 2)
-                        assert chain == -signs.u_value  # n = 1
+                        base, endo, reduction, u_value = chain_sign_constants(
+                            rp, rpp, W_MINUS, W_MINUS, d2, 1, d1 + d2, field)
+                        chain = base * endo * reduction * (-1) ** ((d2 * rpp) % 2)
+                        assert chain == -u_value  # n = 1
 
 
 def test_factorwise_check_degenerate():

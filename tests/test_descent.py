@@ -28,7 +28,7 @@ def test_descent_datum_validation_messages():
         DescentDatum(1, ONE, 1, ONE, ((0, 1),), 2)
     # a valid one: d = 1 needs opposite unit signs
     dd = DescentDatum(1, XI, 2, ONE, ((1, 1),), 4)
-    assert dd.d == 1
+    assert sum(b.d for b in dd.blocks) == 1
 
 
 def test_feasibility():

@@ -31,7 +31,8 @@ def test_multiplication_and_inverse():
     b = ExactValue(Fraction(2, 9), q_half=1, q=7)
     prod = a * b
     assert prod == ExactValue(Fraction(7, 3), sign=-1, q=7)
-    assert a * a.inverse() == ExactValue(1)
+    inverse = ExactValue(1 / a.rational, sign=a.sign, q_half=-a.q_half, q=7)
+    assert a * inverse == inverse * a == ExactValue(1)
     with pytest.raises(ValueError):
         a * ExactValue(1, q_half=1, q=5)
 
@@ -39,8 +40,10 @@ def test_multiplication_and_inverse():
 def test_equality_semantics():
     assert ExactValue(Fraction(5, 1), q=5) == ExactValue(1, q_half=2, q=5)
     assert ExactValue(1, q_half=1, q=5) != ExactValue(1, q_half=1, q=7)
-    assert ExactValue(3) == 3
-    assert ExactValue(1, sign=-1) == -1
+    assert ExactValue(3) == ExactValue(Fraction(6, 2))
+    assert ExactValue(1, sign=-1) == ExactValue(-1)
+    # only ExactValues compare equal to an ExactValue
+    assert ExactValue(3) != 3
 
 
 rationals = st.fractions(min_value=Fraction(1, 50), max_value=50)
@@ -55,18 +58,3 @@ def test_multiplication_associative(r1, s1, h1, r2, s2, h2, r3, s3, h3):
     c = ExactValue(r3, sign=s3, q_half=h3, q=5)
     assert (a * b) * c == a * (b * c)
 
-
-@given(rationals, signs, halves)
-def test_inverse_is_two_sided(r, s, h):
-    a = ExactValue(r, sign=s, q_half=h, q=5)
-    assert a * a.inverse() == ExactValue(1)
-    assert a.inverse() * a == ExactValue(1)
-
-
-@given(rationals, signs, halves, st.integers(min_value=0, max_value=4))
-def test_power_matches_repeated_product(r, s, h, k):
-    a = ExactValue(r, sign=s, q_half=h, q=5)
-    expected = ExactValue(1)
-    for _ in range(k):
-        expected = expected * a
-    assert a ** k == expected

@@ -133,7 +133,7 @@ def test_character_sum_identity_exhaustive():
 def test_gamma_split_degenerate():
     shape = SplitShape(2, 2)
     gamma = GammaVector((), (1, -1))
-    comp1, comp2 = gamma_L_split(gamma, LPair((), ()), shape)
+    comp1, comp2 = gamma_L_split(gamma, LPair((), ()))
     assert comp2 == GammaVector((), ())
     assert comp1 == GammaVector((), (1, -1))
 
@@ -142,7 +142,7 @@ def test_gamma_split_swaps_pair():
     shape = SplitShape(2, 0)
     gamma = GammaVector((3, 4), ())
     pair = enumerate_L(shape)[0]  # l1 = (2,), l2 = (1,)
-    comp1, comp2 = gamma_L_split(gamma, pair, shape)
+    comp1, comp2 = gamma_L_split(gamma, pair)
     assert comp1 == GammaVector((4,), ())
     assert comp2 == GammaVector((3,), ())
 
@@ -152,7 +152,7 @@ def test_split_reassemble_roundtrip():
         eta = SquareClass(shape.rpp % 2, 1)
         for gamma in enumerate_gamma(shape, F5, eta, WP, WP):
             for pair in enumerate_L(shape):
-                comp1, comp2 = gamma_L_split(gamma, pair, shape)
+                comp1, comp2 = gamma_L_split(gamma, pair)
                 assert reassemble(comp1, comp2, pair, shape) == gamma
 
 
@@ -179,7 +179,7 @@ def test_eta_product_relation():
                 # the complementary class eta[L1, gamma] = eta * eta[L2, gamma]
                 # satisfies its own sign condition
                 e1 = eta * eta_of_L2(gamma, pair, shape, WM, F5)
-                comp1, _ = gamma_L_split(gamma, pair, shape)
+                comp1, _ = gamma_L_split(gamma, pair)
                 assert e1.unit_sign * comp1.sign_product(F5) == sgn_cd(WP)
                 assert e1.val_parity == shape.t1 % 2
 
@@ -218,11 +218,11 @@ def test_fiber_count_examples():
 def test_family_selection_sign_condition():
     shape = SplitShape(3, 1)
     family = enumerate_transversal_families(shape, _slot_choices(F5))[0]
-    eta1 = SquareClass(shape.t1 % 2, 1)
-    sels = family_selections(family, 1, shape, F5, eta1, WM)
-    assert sels, "selections must exist"
-    for comp in sels:
-        assert eta1.unit_sign * comp.sign_product(F5) == sgn_cd(WM)
-    # halving: the two target signs partition all candidates
-    other = family_selections(family, 1, shape, F5, eta1, WP)
-    assert len(sels) + len(other) == 2 ** shape.t1
+    buckets = family_selections(family, 1, shape, F5)
+    assert sorted(buckets) == [-1, 1]
+    for sign, sels in buckets.items():
+        assert sels, "selections must exist"
+        for comp in sels:
+            assert comp.sign_product(F5) == sign
+    # halving: the two buckets partition all 2^t1 candidates
+    assert len(buckets[1]) + len(buckets[-1]) == 2 ** shape.t1

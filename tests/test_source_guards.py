@@ -1,9 +1,18 @@
-"""The package stays exact and stdlib-only: no floats, no third-party imports."""
+"""The package stays exact, stdlib-only and free of dead code.
+
+Static scans of src/endosign: no floats, no third-party imports, no unused
+import, no defined name that occurs only at its definition, and no
+parameter that its function body never reads.  The reachability guard runs
+every sweep at small bounds and both enumerations under sys.setprofile, and
+fails on any function of the package that none of them enters.
+"""
 
 import ast
 import re
 import sys
 from pathlib import Path
+
+from endosign import cli, suites
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "endosign").glob("*.py"))
@@ -70,6 +79,83 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used and name not in exported]
 
 
+def unread_parameters(source: str) -> list[str]:
+    """function:parameter for each parameter its body never loads; self, cls, _names exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [a for a in (*args.posonlyargs, *args.args, args.vararg,
+                                  *args.kwonlyargs, args.kwarg) if a]
+            loaded = {name.id for stmt in node.body for name in ast.walk(stmt)
+                      if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            found += [f"{node.name}:{a.arg}" for a in params
+                      if a.arg not in ("self", "cls") and not a.arg.startswith("_")
+                      and a.arg not in loaded]
+    return found
+
+
+def function_defs(path: Path) -> dict[int, str]:
+    """First line (as in co_firstlineno) -> qualified name, for every def in the file."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[first] = prefix + child.name
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+# Bounds at which the sweeps enter every function their defaults enter.
+SMALL_SWEEPS = (
+    (suites.verify_aux_identities, {"rmax": 1}),
+    (suites.verify_split, {"rmax": 1, "nmax": 1}),
+    (suites.verify_kappa_sums, {"max_rr": 2}),
+    (suites.verify_counting, {"qs": (5,), "t2max": 1}),
+    (suites.verify_product_identity, {"qs": (5,), "rmax": 2}),
+    (suites.verify_sign_chain, {"rmax": 2}),
+    (suites.verify_transfer_factorization, {"qs": (5,), "rrmax": 2}),
+    (suites.verify_weyl_classes, {"nmax": 3}),
+    (suites.verify_descent, {"beta_max": 2}),
+    (suites.verify_params, {"nmax": 1}),
+)
+SMALL_COMMANDS = (
+    ["verify", "constprod", "--q", "5", "--rmax", "0", "--format", "csv"],
+    ["enumerate", "params", "--n", "2"],
+    ["enumerate", "descent", "--n", "2"],
+)
+# Entered only when a report serializes a failing point.
+NOT_SWEPT = {"AssembledTriple.lam", "AssembledTriple.h_split"}
+
+
+def entered_code(capsys) -> set:
+    """The code objects that the small sweeps and commands enter."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for verify, bounds in SMALL_SWEEPS:
+            verify(**bounds)
+        for argv in SMALL_COMMANDS:
+            cli.main(argv)
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    return entered
+
+
 def test_the_scanners_catch_planted_violations():
     assert inexact_nodes("x = 1\ny = 0.5\nz = float(x)\nw = 2j\n") == [2, 3, 4]
     assert foreign_imports("import os\nimport numpy.linalg\nfrom sympy import S\n"
@@ -85,11 +171,31 @@ def test_the_scanners_catch_planted_violations():
                           "import itertools as it\nfrom . import exact as ex, weyl\n"
                           "from .x import Y\n__all__ = ['Y']\nos.getcwd(); ex.ONE\n") == \
         ["it", "weyl"]
+    assert unread_parameters("def f(a, b, _c, *args, d=1, **kw):\n    return a + kw['x']\n"
+                             "class K:\n    def m(self, cls, e):\n        def g(h): return e\n"
+                             "        return g\n") == \
+        ["f:b", "f:args", "f:d", "g:h"]
 
 
 def test_every_defined_name_is_used():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
     assert dead_names(sources) == []
+
+
+def test_every_parameter_is_read():
+    found = {path.name: unread_parameters(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert {name: params for name, params in found.items() if params} == {}
+
+
+def test_every_function_is_entered(capsys):
+    defs = {(str(path), line): f"{path.stem}.{name}" for path in SOURCES
+            for line, name in function_defs(path).items()}
+    entered = {(str(Path(code.co_filename).resolve()), code.co_firstlineno)
+               for code in entered_code(capsys)}
+    missed = sorted(name for key, name in defs.items() if key not in entered
+                    and name.rsplit(".", 1)[-1] not in ("__repr__", "to_json")
+                    and name.split(".", 1)[1] not in NOT_SWEPT)
+    assert missed == []
 
 
 def test_every_import_is_used():

@@ -7,6 +7,7 @@ import pytest
 from endosign import constants, suites
 from endosign import families as fam
 from endosign import params as par
+from endosign.exact import ExactValue
 from endosign.localfield import ResidueParam, SquareClass
 from endosign.partitions import Partition
 from endosign.weyl import WeylClassB
@@ -159,7 +160,7 @@ def test_counting_fails_on_a_reassembly_with_l1_and_l2_swapped(monkeypatch):
 
 def test_counting_fails_on_a_doubled_fiber_size_prediction(monkeypatch):
     original = fam.fiber_size_prediction
-    monkeypatch.setattr(fam, "fiber_size_prediction", lambda *args: original(*args) * 2)
+    monkeypatch.setattr(fam, "fiber_size_prediction", lambda *args: original(*args) * ExactValue(2))
     report = suites.verify_counting(qs=(5,), t2max=1)
     assert report.failures and not report.passed
     assert {f["identity"] for f in report.failures} == {"fiber", "worked_fibers"}
