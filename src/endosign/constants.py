@@ -32,10 +32,6 @@ def sign_witness(s: int) -> WeylClassB:
     return W_PLUS if s == 1 else W_MINUS
 
 
-def _floor_div2(x: int) -> int:
-    return x // 2  # Python floor division is the mathematical floor
-
-
 class QuadrupleGamma:
     """A quadruple (r', r'', N', N'') labeling a cuspidal support datum."""
 
@@ -58,12 +54,12 @@ class QuadrupleGamma:
 
 def split_pair_values(rp: int, rpp: int) -> tuple[int, int, int, int]:
     """(r'_1, r''_1, r'_2, r''_2) from the floor formulas."""
-    s = _floor_div2(rp + rpp)
+    s = (rp + rpp) // 2  # Python floor division is the mathematical floor
     r1p = max(s, -s - 1)
-    r1pp = abs(_floor_div2(rp + rpp + 1))
-    t = _floor_div2(rp - rpp)
+    r1pp = abs((rp + rpp + 1) // 2)
+    t = (rp - rpp) // 2
     r2p = max(t, -t - 1)
-    r2pp = abs(_floor_div2(rp - rpp + 1))
+    r2pp = abs((rp - rpp + 1) // 2)
     return r1p, r1pp, r2p, r2pp
 
 
@@ -370,7 +366,7 @@ def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
                             alt_two_power=alt_two_power)
                         lhs = ExactValue(Fraction(1, 2 ** (1 + beta)), q=q) * product * count
                         rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, w2, eta, field)
-                        if lhs == ExactValue.from_sign(rhs):
+                        if lhs == ExactValue(rhs):
                             yield ()
                         else:
                             yield ({"q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),

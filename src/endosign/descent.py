@@ -6,8 +6,9 @@ of an odd orthogonal group (eigenvalue +1, size 2 n_+ + 1), an even one
 the remaining eigenvalues, each carrying a block size d_i and an unramified
 degree f_i.  This module records those invariants, the feasibility window
 for a cuspidal-support quadruple, the integer splittings of the support
-sizes, the compatible splittings of the class partitions, and the unique
-splitting selected by an endoscopic size assignment.
+sizes, the compatible splittings of the class partitions (enumerated once
+per multiset) and the unique splitting selected by an endoscopic size
+assignment.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple
 
-from .constants import QuadrupleGamma, branch_switch, r_plus_minus
+from .constants import QuadrupleGamma, r_plus_minus
 from .localfield import TRIVIAL, SquareClass
 from .partitions import Partition
 
@@ -28,20 +29,15 @@ class UnitaryBlock(NamedTuple):
 class DescentDatum:
     """Invariants (n_+, eta_+, n_-, eta_-, blocks) of a descent centralizer."""
 
-    __slots__ = ("n_plus", "eta_plus", "n_minus", "eta_minus", "blocks", "n")
+    __slots__ = ("n_plus", "eta_plus", "n_minus", "eta_minus", "blocks")
 
     def __init__(self, n_plus: int, eta_plus: SquareClass, n_minus: int,
-                 eta_minus: SquareClass, blocks: Iterable[tuple[int, int]], n: int):
+                 eta_minus: SquareClass, blocks: Iterable[tuple[int, int]]):
         blocks = tuple(UnitaryBlock(*b) for b in blocks)
         if any(b.d < 1 or b.f < 1 for b in blocks):
             raise ValueError("unitary blocks need d >= 1 and f >= 1")
         if n_plus < 0 or n_minus < 0:
             raise ValueError("n_+ and n_- must be nonnegative")
-        block_size = sum(b.d * b.f for b in blocks)
-        if (2 * n_plus + 1) + 2 * n_minus + 2 * block_size != 2 * n + 1:
-            raise ValueError(
-                f"dimension identity violated: (2*{n_plus}+1) + 2*{n_minus} "
-                f"+ 2*{block_size} != 2*{n}+1")
         d = sum(b.d for b in blocks)
         if (eta_plus.val_parity + eta_minus.val_parity) % 2:
             raise ValueError("val(eta_+) + val(eta_-) must be even")
@@ -54,61 +50,23 @@ class DescentDatum:
         self.n_minus = n_minus
         self.eta_minus = eta_minus
         self.blocks = blocks
-        self.n = n
 
     def __repr__(self):
         return (f"DescentDatum(n_plus={self.n_plus}, eta_plus={self.eta_plus.name()!r}, "
                 f"n_minus={self.n_minus}, eta_minus={self.eta_minus.name()!r}, "
-                f"blocks={list(self.blocks)}, n={self.n})")
+                f"blocks={list(self.blocks)})")
 
     def to_json(self):
         return {"n_plus": self.n_plus, "eta_plus": self.eta_plus.name(),
                 "n_minus": self.n_minus, "eta_minus": self.eta_minus.name(),
-                "blocks": [[b.d, b.f] for b in self.blocks], "n": self.n}
-
-
-class SplitAssignment:
-    """An endoscopic split of a descent datum, sector by sector."""
-
-    __slots__ = ("n1_plus", "n2_plus", "n1_minus", "eta1_minus",
-                 "n2_minus", "eta2_minus", "pairs")
-
-    def __init__(self, dd: DescentDatum, n1_plus: int, n2_plus: int,
-                 n1_minus: int, eta1_minus: SquareClass,
-                 n2_minus: int, eta2_minus: SquareClass,
-                 pairs: Iterable[tuple[int, int]]):
-        pairs = tuple(tuple(p) for p in pairs)
-        if n1_plus + n2_plus != dd.n_plus:
-            raise ValueError("plus-sector sizes must sum to n_+")
-        if n1_minus + n2_minus != dd.n_minus:
-            raise ValueError("minus-sector sizes must sum to n_-")
-        if eta1_minus * eta2_minus != dd.eta_minus:
-            raise ValueError("minus-sector classes must multiply to eta_-")
-        if len(pairs) != len(dd.blocks) or \
-                any(a + b != blk.d for (a, b), blk in zip(pairs, dd.blocks)):
-            raise ValueError("block splits must sum to the block sizes")
-        if any(a < 0 or b < 0 for a, b in pairs):
-            raise ValueError("block splits must be nonnegative")
-        if min(n1_plus, n2_plus, n1_minus, n2_minus) < 0:
-            raise ValueError("sector sizes must be nonnegative")
-        self.n1_plus = n1_plus
-        self.n2_plus = n2_plus
-        self.n1_minus = n1_minus
-        self.eta1_minus = eta1_minus
-        self.n2_minus = n2_minus
-        self.eta2_minus = eta2_minus
-        self.pairs = pairs
-
-    def __repr__(self):
-        return (f"SplitAssignment(plus=({self.n1_plus},{self.n2_plus}), "
-                f"minus=({self.n1_minus},{self.n2_minus}), pairs={list(self.pairs)})")
+                "blocks": [[b.d, b.f] for b in self.blocks],
+                "n": self.n_plus + self.n_minus + sum(b.d * b.f for b in self.blocks)}
 
 
 class Feasibility(NamedTuple):
     holds: bool
     N_plus: int | None
     N_minus: int | None
-    b: int
 
 
 def descent_feasibility(dd: DescentDatum, g: QuadrupleGamma) -> Feasibility:
@@ -120,15 +78,14 @@ def descent_feasibility(dd: DescentDatum, g: QuadrupleGamma) -> Feasibility:
     """
     rp, rpp = g.rp, g.rpp
     r_plus, r_minus = r_plus_minus(rp, rpp)
-    b = branch_switch(rp, rpp)
     if dd.eta_minus.val_parity != rpp % 2:
-        return Feasibility(False, None, None, b)
+        return Feasibility(False, None, None)
     if 2 * dd.n_plus + 1 < r_plus ** 2 + rpp ** 2 or \
             2 * dd.n_minus < r_minus ** 2 + rpp ** 2:
-        return Feasibility(False, None, None, b)
+        return Feasibility(False, None, None)
     N_plus = dd.n_plus - (r_plus ** 2 + rpp ** 2 - 1) // 2
     N_minus = dd.n_minus - (r_minus ** 2 + rpp ** 2) // 2
-    return Feasibility(True, N_plus, N_minus, b)
+    return Feasibility(True, N_plus, N_minus)
 
 
 class SizeSplit(NamedTuple):
@@ -188,18 +145,17 @@ def class_splits(beta: Partition, degrees: tuple[int, ...]):
     """Every splitting beta = beta_+ u beta_- u union_i f_i * beta_i, of any sizes.
 
     degrees lists the f_i; each beta_i must be all-odd, entering beta with
-    parts scaled by f_i.  Splittings are yielded once per multiset.
+    parts scaled by f_i.  The m copies of a part go to bins in nondecreasing
+    order, so each multiset of bins is generated, and yielded, exactly once.
     """
     nbins = 2 + len(degrees)
-    seen = set()
-    for assign in itertools.product(range(nbins), repeat=beta.length()):
+    mults = beta.counter()
+    for choice in itertools.product(*(itertools.combinations_with_replacement(range(nbins), m)
+                                      for m in mults.values())):
         bins = [[] for _ in range(nbins)]
-        for part, where in zip(beta.parts, assign):
-            bins[where].append(part)
-        key = tuple(tuple(sorted(b)) for b in bins)
-        if key in seen:
-            continue
-        seen.add(key)
+        for part, wheres in zip(mults, choice):
+            for where in wheres:
+                bins[where].append(part)
         if all(p % f == 0 and (p // f) % 2 for f, raw in zip(degrees, bins[2:]) for p in raw):
             yield ClassSplit(Partition(bins[0]), Partition(bins[1]),
                              tuple(Partition(p // f for p in raw)
@@ -218,32 +174,36 @@ def assignment_sizes(g: QuadrupleGamma, split: SizeSplit) -> tuple[int, int, int
 
 
 def solve_split_family(dd: DescentDatum, g: QuadrupleGamma,
-                       assignment: SplitAssignment) -> SizeSplit | None:
+                       sizes: tuple[int, int, int, int], eta1_minus: SquareClass,
+                       pairs: tuple[tuple[int, int], ...]) -> SizeSplit | None:
     """The unique size split selected by an assignment, or None.
 
-    Inverts the sector-size relations; requires r'' >= 0 (for r'' < 0 swap
-    the assignment's two slots and negate r'').  Returns None when the
-    parity condition on val(eta_{1,-}) or any inequality fails.
+    The assignment is the sector sizes (as from assignment_sizes), eta_{1,-}
+    (with eta_{2,-} = eta_- eta_{1,-}) and the block splits.  Inverts the
+    sector-size relations; requires r'' >= 0 (for r'' < 0 swap the
+    assignment's two slots and negate r'').  Returns None when a parity
+    condition or inequality fails or the split breaks a size constraint.
     """
     if g.rpp < 0:
         raise ValueError("solver expects r'' >= 0; swap the assignment slots first")
     rp, rpp = g.rp, g.rpp
     r_plus, r_minus = r_plus_minus(rp, rpp)
-    if assignment.eta1_minus.val_parity != ((r_minus + rpp) // 2) % 2:
+    n1_plus, n2_plus, n1_minus, n2_minus = sizes
+    if eta1_minus.val_parity != ((r_minus + rpp) // 2) % 2:
         return None
-    if assignment.eta2_minus.val_parity != ((r_minus - rpp) // 2) % 2:
+    if (dd.eta_minus * eta1_minus).val_parity != ((r_minus - rpp) // 2) % 2:
         return None
-    if assignment.n1_plus < ((r_plus + rpp) ** 2 - 1) // 4 or \
-            assignment.n2_plus < ((r_plus - rpp) ** 2 - 1) // 4 or \
-            assignment.n1_minus < (r_minus + rpp) ** 2 // 4 or \
-            assignment.n2_minus < (r_minus - rpp) ** 2 // 4:
+    if n1_plus < ((r_plus + rpp) ** 2 - 1) // 4 or \
+            n2_plus < ((r_plus - rpp) ** 2 - 1) // 4 or \
+            n1_minus < (r_minus + rpp) ** 2 // 4 or \
+            n2_minus < (r_minus - rpp) ** 2 // 4:
         return None
     split = SizeSplit(
-        assignment.n1_plus - ((r_plus + rpp) ** 2 - 1) // 4,
-        assignment.n1_minus - (r_minus + rpp) ** 2 // 4,
-        assignment.n2_plus - ((r_plus - rpp) ** 2 - 1) // 4,
-        assignment.n2_minus - (r_minus - rpp) ** 2 // 4,
-        assignment.pairs)
+        n1_plus - ((r_plus + rpp) ** 2 - 1) // 4,
+        n1_minus - (r_minus + rpp) ** 2 // 4,
+        n2_plus - ((r_plus - rpp) ** 2 - 1) // 4,
+        n2_minus - (r_minus - rpp) ** 2 // 4,
+        pairs)
     feas = descent_feasibility(dd, g)
     if not feas.holds:
         return None

@@ -36,10 +36,6 @@ class ExactValue:
         self.q_half = residual
         self.q = q
 
-    @classmethod
-    def from_sign(cls, s: int) -> "ExactValue":
-        return cls(1, sign=s)
-
     def _merged_q(self, other: "ExactValue") -> int | None:
         if self.q is not None and other.q is not None and self.q != other.q:
             raise ValueError(f"mismatched residue cardinalities {self.q} and {other.q}")

@@ -221,8 +221,7 @@ def descent_points(beta_max: int):
                     eta_minus = SquareClass(rpp % 2, 1)
                     eta_plus = SquareClass(rpp % 2, (-1) ** (d % 2))
                     try:
-                        dd = dsc.DescentDatum(n_plus, eta_plus, n_minus, eta_minus,
-                                              blocks, n_plus + n_minus + bw)
+                        dd = dsc.DescentDatum(n_plus, eta_plus, n_minus, eta_minus, blocks)
                     except ValueError:
                         continue
                     feas = dsc.descent_feasibility(dd, g)
@@ -239,11 +238,7 @@ def descent_points(beta_max: int):
                              "identity": "sector_sum"},)
                         sizes = dsc.assignment_sizes(g, split)
                         eta1_minus = SquareClass(((r_minus + rpp) // 2) % 2, 1)
-                        eta2_minus = eta_minus * eta1_minus
-                        assignment = dsc.SplitAssignment(
-                            dd, sizes[0], sizes[1], sizes[2], eta1_minus,
-                            sizes[3], eta2_minus, split.pairs)
-                        got = dsc.solve_split_family(dd, g, assignment)
+                        got = dsc.solve_split_family(dd, g, sizes, eta1_minus, split.pairs)
                         matches = [s for s in splits
                                    if dsc.assignment_sizes(g, s) == sizes
                                    and s.pairs == split.pairs]
@@ -502,7 +497,7 @@ def enumerate_descent_report(n: int) -> dict:
                         try:
                             dd = dsc.DescentDatum(
                                 n_plus, SquareClass(val, u_plus),
-                                n_minus, SquareClass(val, u_minus), blocks, n)
+                                n_minus, SquareClass(val, u_minus), blocks)
                         except ValueError:
                             continue
                         rows.append(dd.to_json())

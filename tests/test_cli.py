@@ -143,6 +143,7 @@ def test_verify_all_aggregates(capsys):
     ["verify", "all", "--max-rr", "7"],
     ["enumerate", "params", "--n", "-1"],
     ["enumerate", "descent", "--n", "-1"],
+    ["verify", "counting", "--q", "5,x"],
 ])
 def test_invalid_value_exit_two(argv, monkeypatch, capsys):
     def no_sweep(*args, **params):

@@ -142,7 +142,7 @@ def test_product_identity_base_point():
         0, 0, W_PLUS, W_PLUS, one, one, one, 0, F5)
     lhs = ExactValue(Fraction(1, 2)) * product  # family count is 1
     rhs = even_case_transfer_constant(one, one, 0, 0, W_PLUS, one, F5)
-    assert lhs == ExactValue.from_sign(rhs) == ExactValue(1)
+    assert lhs == ExactValue(rhs) == ExactValue(1)
 
 
 def test_branch_switch():

@@ -2,13 +2,13 @@ import itertools
 
 import pytest
 
-from endosign.constants import QuadrupleGamma, split_sizes
-from endosign.descent import (DescentDatum, SplitAssignment, assignment_sizes,
+from endosign.constants import QuadrupleGamma, branch_switch, split_sizes
+from endosign.descent import (DescentDatum, assignment_sizes,
                               class_splits, descent_feasibility,
                               enumerate_size_splits, sector_size_sum, SizeSplit,
                               solve_split_family, check_v_sign_relation)
 from endosign.localfield import SquareClass
-from endosign.partitions import Partition
+from endosign.partitions import Partition, enumerate_partitions
 
 ONE = SquareClass(0, 1)
 XI = SquareClass(0, -1)
@@ -16,40 +16,38 @@ PI = SquareClass(1, 1)
 
 
 def test_descent_datum_validation_messages():
-    with pytest.raises(ValueError, match="dimension identity"):
-        DescentDatum(1, ONE, 1, ONE, (), 3)
     with pytest.raises(ValueError, match="must be even"):
-        DescentDatum(1, PI, 2, ONE, (), 3)
+        DescentDatum(1, PI, 2, ONE, ())
     with pytest.raises(ValueError, match="unit signs"):
-        DescentDatum(1, XI, 2, ONE, (), 3)
+        DescentDatum(1, XI, 2, ONE, ())
     with pytest.raises(ValueError, match="ellipticity"):
-        DescentDatum(2, ONE, 1, ONE, (), 3)
+        DescentDatum(2, ONE, 1, ONE, ())
     with pytest.raises(ValueError, match="blocks"):
-        DescentDatum(1, ONE, 1, ONE, ((0, 1),), 2)
+        DescentDatum(1, ONE, 1, ONE, ((0, 1),))
     # a valid one: d = 1 needs opposite unit signs
-    dd = DescentDatum(1, XI, 2, ONE, ((1, 1),), 4)
+    dd = DescentDatum(1, XI, 2, ONE, ((1, 1),))
     assert sum(b.d for b in dd.blocks) == 1
 
 
 def test_feasibility():
-    dd = DescentDatum(2, ONE, 2, ONE, (), 4)
+    dd = DescentDatum(2, ONE, 2, ONE, ())
     # parity violated: r'' odd but val(eta_-) even
     assert not descent_feasibility(dd, QuadrupleGamma(1, 1, 0, 0)).holds
     # worked infeasible point: r' = 1, r'' = 0 forces r'_- = 2, needs 2 n_- >= 4
-    dd_small = DescentDatum(1, ONE, 1, XI, ((1, 1),), 3)
+    dd_small = DescentDatum(1, ONE, 1, XI, ((1, 1),))
     feas = descent_feasibility(dd_small, QuadrupleGamma(1, 0, 0, 0))
     assert not feas.holds
     # feasible: residual sizes as displayed
     feas = descent_feasibility(dd, QuadrupleGamma(1, 0, 0, 0))
     assert feas.holds and feas.N_plus == 2 and feas.N_minus == 0
     # branch switch table
-    assert descent_feasibility(dd, QuadrupleGamma(2, 0, 0, 0)).b == 0
-    assert descent_feasibility(dd, QuadrupleGamma(1, 0, 0, 0)).b == 1
-    assert descent_feasibility(dd, QuadrupleGamma(1, -1, 0, 0)).b == 1
+    assert branch_switch(2, 0) == 0
+    assert branch_switch(1, 0) == 1
+    assert branch_switch(1, -1) == 1
 
 
 def test_enumerate_size_splits_no_blocks():
-    dd = DescentDatum(1, ONE, 2, ONE, (), 3)
+    dd = DescentDatum(1, ONE, 2, ONE, ())
     g = QuadrupleGamma(1, 0, 1, 0)
     feas = descent_feasibility(dd, g)
     assert feas.holds and (feas.N_plus, feas.N_minus) == (1, 0)
@@ -79,7 +77,7 @@ def brute_size_splits(dd, g, N_plus, N_minus):
 
 
 def test_enumerate_size_splits_matches_brute_force():
-    dd = DescentDatum(2, XI, 2, ONE, ((1, 1),), 5)  # d = 1: opposite unit signs
+    dd = DescentDatum(2, XI, 2, ONE, ((1, 1),))  # d = 1: opposite unit signs
     for Np in range(4):
         for Npp in range(4):
             g = QuadrupleGamma(1, 0, Np, Npp)
@@ -126,39 +124,63 @@ def test_class_split_recombination_and_signs():
         assert Partition(parts) == beta
 
 
+def assign_and_dedup_splits(beta, degrees):
+    """Reference: every assignment of the parts to bins, deduplicated by sorted bins."""
+    nbins = 2 + len(degrees)
+    seen = set()
+    for assign in itertools.product(range(nbins), repeat=beta.length()):
+        bins = [[] for _ in range(nbins)]
+        for part, where in zip(beta.parts, assign):
+            bins[where].append(part)
+        key = tuple(tuple(sorted(b)) for b in bins)
+        if key not in seen:
+            seen.add(key)
+            if all(p % f == 0 and (p // f) % 2 for f, raw in zip(degrees, bins[2:])
+                   for p in raw):
+                yield key
+
+
+def split_key(split, degrees):
+    """The split as its sorted bins, block parts scaled back by f_i."""
+    blocks = tuple(tuple(sorted(p * f for p in inner))
+                   for inner, f in zip(split.beta_blocks, degrees))
+    return (tuple(sorted(split.beta_plus)), tuple(sorted(split.beta_minus))) + blocks
+
+
+def test_class_splits_match_the_assign_and_dedup_enumeration():
+    for total in range(8):
+        for beta in enumerate_partitions(total):
+            for degrees in ((), (1,), (2,), (1, 2)):
+                got = [split_key(v, degrees) for v in class_splits(beta, degrees)]
+                want = list(assign_and_dedup_splits(beta, degrees))
+                assert len(set(got)) == len(got), (beta, degrees)
+                assert sorted(got) == sorted(want), (beta, degrees)
+
+
 def test_solver_roundtrip_and_rejection():
-    dd = DescentDatum(3, ONE, 2, ONE, (), 5)
+    dd = DescentDatum(3, ONE, 2, ONE, ())
     g = QuadrupleGamma(1, 0, 2, 1)
     feas = descent_feasibility(dd, g)
     assert feas.holds
     splits = enumerate_size_splits(dd, g, feas.N_plus, feas.N_minus)
     assert splits
+    eta1m = SquareClass((1 + 0) % 2, 1)  # (r'_- + r'')/2 = 1
     for split in splits:
         sizes = assignment_sizes(g, split)
-        eta1m = SquareClass((1 + 0) % 2, 1)  # (r'_- + r'')/2 = 1
-        assignment = SplitAssignment(dd, sizes[0], sizes[1], sizes[2], eta1m,
-                                     sizes[3], dd.eta_minus * eta1m, split.pairs)
-        assert solve_split_family(dd, g, assignment) == split
+        assert solve_split_family(dd, g, sizes, eta1m, split.pairs) == split
         # wrong parity class: rejected
-        bad = SplitAssignment(dd, sizes[0], sizes[1], sizes[2], ONE,
-                              sizes[3], dd.eta_minus * ONE, split.pairs)
-        assert solve_split_family(dd, g, bad) is None
+        assert solve_split_family(dd, g, sizes, ONE, split.pairs) is None
+        # sizes off by one in any sector: inconsistent, selects no split
+        for i in range(4):
+            off = tuple(n + (j == i) for j, n in enumerate(sizes))
+            assert solve_split_family(dd, g, off, eta1m, split.pairs) is None
     with pytest.raises(ValueError):
-        solve_split_family(dd, QuadrupleGamma(1, -1, 2, 1),
-                           SplitAssignment(dd, 3, 0, 2, ONE, 0, ONE, ()))
+        solve_split_family(dd, QuadrupleGamma(1, -1, 2, 1), (3, 0, 2, 0), ONE, ())
 
 
 def test_sector_sums_match_split_sizes():
-    dd = DescentDatum(3, ONE, 2, ONE, (), 5)
+    dd = DescentDatum(3, ONE, 2, ONE, ())
     g = QuadrupleGamma(1, 0, 2, 1)
     feas = descent_feasibility(dd, g)
     for split in enumerate_size_splits(dd, g, feas.N_plus, feas.N_minus):
         assert sector_size_sum(g, split, dd.blocks) == split_sizes(1, 0, 2, 1)
-
-
-def test_split_assignment_validation():
-    dd = DescentDatum(3, ONE, 2, ONE, (), 5)
-    with pytest.raises(ValueError):
-        SplitAssignment(dd, 2, 2, 1, ONE, 1, ONE, ())
-    with pytest.raises(ValueError):
-        SplitAssignment(dd, 2, 1, 1, ONE, 1, XI, ())

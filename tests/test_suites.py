@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from endosign import constants, suites
+from endosign import constants, descent, suites
 from endosign import families as fam
 from endosign import params as par
 from endosign.exact import ExactValue
@@ -34,6 +34,26 @@ def test_descent_fails_on_an_off_by_one_split_size(monkeypatch):
     report = suites.verify_descent(beta_max=0)
     assert {f["identity"] for f in report.failures} == {"sector_sum"}
     assert not report.passed
+
+
+def test_descent_fails_on_a_solver_that_selects_no_split(monkeypatch):
+    monkeypatch.setattr(descent, "solve_split_family", lambda *args: None)
+    report = suites.verify_descent(beta_max=8)
+    assert {f["identity"] for f in report.failures} == {"unique_split"}
+    assert len(report.failures) == 1165
+
+
+def test_descent_fails_on_class_splits_that_drop_a_part(monkeypatch):
+    original = descent.class_splits
+
+    def dropping(beta, degrees):
+        for split in original(beta, degrees):
+            yield split._replace(beta_plus=Partition(split.beta_plus.parts[1:]))
+
+    monkeypatch.setattr(descent, "class_splits", dropping)
+    report = suites.verify_descent(beta_max=8)
+    assert {f["identity"] for f in report.failures} == {"class_sign"}
+    assert len(report.failures) == 2945
 
 
 def test_constprod_fails_on_the_swapped_two_power_reading(monkeypatch):
