@@ -586,7 +586,8 @@ def transfer_points(qs, rrmax: int):
                     eta = SquareClass(rpp % 2, ue)
                     u_row = [factorwise_u_factor(u, eta) for u in uvecs]
                     u_cols = list(zip(uvecs, u_row, kappa_us))
-                    for gamma in fam.enumerate_gamma(shape, field, eta, w1, w2):
+                    target = sgn_cd(w1) * sgn_cd(w2) * eta.unit_sign
+                    for gamma in fam.enumerate_gamma(shape, field, target):
                         for pair, factor_row, kappa_row in zip(pairs, factor_rows, kappa_rows):
                             fw, cl = factorwise_transfer_check(
                                 shape, gamma, e0, u0, pair, w1, w2, eta, field)

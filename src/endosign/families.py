@@ -25,6 +25,7 @@ All weights and counts are exact.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from .exact import ExactValue
@@ -177,18 +178,16 @@ def enumerate_L(shape: SplitShape) -> list[LPair]:
     return out
 
 
-def enumerate_gamma(shape: SplitShape, rp_field: ResidueParam, eta: SquareClass,
-                    w1: WeylClassB, w2: WeylClassB) -> list[GammaVector]:
-    """All admissible assignment vectors for (shape, eta, w', w'').
+def enumerate_gamma(shape: SplitShape, rp_field: ResidueParam,
+                    target: int) -> list[GammaVector]:
+    """All admissible assignment vectors for shape whose entry signs multiply to target.
 
     Admissibility: on every even pair slot j the residues at j-1 and j
-    differ, and the unit sign of eta times the product of all entry signs
-    equals sgn_cd(w') * sgn_cd(w'').
+    differ, and the product of all entry signs equals target.  For
+    (eta, w', w'') the target is sgn_cd(w') * sgn_cd(w'') * unit(eta).
     """
-    if eta.val_parity != shape.rpp % 2:
-        raise ValueError(
-            f"val(eta) = {eta.val_parity} must match r'' = {shape.rpp} mod 2")
-    target = sgn_cd(w1) * sgn_cd(w2) * eta.unit_sign
+    if target not in (1, -1):
+        raise ValueError(f"target must be +-1, got {target}")
     nlow = shape.R - shape.r
     units = list(rp_field.units())
     out = []
@@ -341,21 +340,32 @@ def fiber_size_prediction(gamma: GammaVector, shape: SplitShape,
                           rp_field: ResidueParam) -> ExactValue:
     """Predicted fiber size: ((q-3)/4)^t2 * prod over even pair slots (q-2+sgn)."""
     q = rp_field.q
-    value = Fraction(q - 3, 4) ** shape.t2
+    product = 1
     for j in shape.jhat:
-        value *= q - 2 + legendre(gamma.low[j - 2] * gamma.low[j - 1], rp_field)
-    return ExactValue(value, q=q)
+        product *= q - 2 + legendre(gamma.low[j - 2] * gamma.low[j - 1], rp_field)
+    return ExactValue(Fraction((q - 3) ** shape.t2 * product, 4 ** shape.t2), q=q)
 
 
-def fiber_count_check(gamma: GammaVector, pair: LPair, choices: list) -> int:
+def slot_pair_counts(choices: list) -> Counter:
+    """(x, y) -> the number of transversal pairs (G1, G2) in choices with x in G1 and y in G2.
+
+    One pass over choices (the per-slot choices of _slot_choices); within a
+    pair the two residues of G1 and the two of G2 are distinct, so each
+    (x, y) is counted at most once per pair.  A residue pair that no choice
+    covers counts 0.
+    """
+    return Counter((x, y) for g1, g2 in choices for x in g1 for y in g2)
+
+
+def fiber_count_check(gamma: GammaVector, pair: LPair, counts: Counter) -> int:
     """The number of reassembly preimages of gamma along pair, counted slotwise.
 
     gamma must lie in the image.  The count multiplies, over pair slots, the
-    number of transversal pairs (G1, G2) in choices (the per-slot choices of
-    _slot_choices) with the slot's L1 residue in G1 and its L2 residue in G2.
+    number of transversal pairs (G1, G2) with the slot's L1 residue in G1
+    and its L2 residue in G2, read from counts (the slot_pair_counts of the
+    field's per-slot choices).
     """
     observed = 1
     for l1, l2 in zip(pair.l1, pair.l2):
-        x, y = gamma.low[l1 - 1], gamma.low[l2 - 1]
-        observed *= sum(1 for g1, g2 in choices if x in g1 and y in g2)
+        observed *= counts[gamma.low[l1 - 1], gamma.low[l2 - 1]]
     return observed

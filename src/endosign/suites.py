@@ -73,6 +73,21 @@ def _counting_shapes(t2: int, q: int):
     return shapes
 
 
+def _reassembly_tally(tables, tau1: int, tau2: int, pair, shape) -> dict:
+    """Reassembled vector -> number of preimages along pair, over every family.
+
+    A preimage is a selection from the family's side-1 bucket at tau1 and
+    one from its side-2 bucket at tau2.
+    """
+    tally: dict[fam.GammaVector, int] = {}
+    for side1, side2 in tables:
+        for c1 in side1[tau1]:
+            for c2 in side2[tau2]:
+                gv = fam.reassemble(c1, c2, pair, shape)
+                tally[gv] = tally.get(gv, 0) + 1
+    return tally
+
+
 def counting_points(qs, t2max: int):
     """Fiber sizes and family counts of the transversal reassembly map.
 
@@ -84,12 +99,19 @@ def counting_points(qs, t2max: int):
     count, the families and the slotwise count read one table of slot
     choices, built once per field.  Includes the worked small values
     (family count 4 at q = 5 with one pair slot; fibers of sizes 2 and 1).
+
+    A point is a sign choice (s1, s2, ue, ue2) and a pairing.  Its tally
+    reads only the pairing and tau_j = s_j * unit(eta_j), so each tally is
+    built once and serves the four sign choices with those signs; every
+    point still computes its own image and checks its own fibers.  The
+    points of a shape are yielded sign choice first, pairing second.
     """
     worked_family_count = None
     worked_fiber_sizes: set[int] = set()
     for q in qs:
         field = ResidueParam(q)
         choices = fam._slot_choices(field)
+        pair_counts = fam.slot_pair_counts(choices)
         fiber_cap = 1 if q == 13 else t2max
         for t2 in range(t2max + 1):
             shape0 = fam.SplitShape(2 * t2, 0)
@@ -111,47 +133,54 @@ def counting_points(qs, t2max: int):
                 for family in families:
                     tables.append([fam.family_selections(family, idx, shape, field)
                                    for idx in (1, 2)])
+                pairs = fam.enumerate_L(shape)
+                # the admissible vectors by their sign target sgn_cd(w1) sgn_cd(w2) unit(eta)
+                gammas = {target: fam.enumerate_gamma(shape, field, target)
+                          for target in (1, -1)}
+                signs = []
                 for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4):
-                    w1, w2 = sign_witness(s1), sign_witness(s2)
-                    eta = SquareClass(rpp % 2, ue)
-                    eta2 = SquareClass(t2 % 2, ue2)
-                    eta1 = eta * eta2
-                    gammas = fam.enumerate_gamma(shape, field, eta, w1, w2)
-                    for pair in fam.enumerate_L(shape):
-                        # the image in enumerate_gamma order: eta[L2, gamma] = eta2
-                        image = [g for g in gammas
-                                 if fam.eta_of_L2(g, pair, shape, w2, field) == eta2]
-                        expected = set(image)
-                        tally: dict[fam.GammaVector, int] = {}
-                        tau1 = s1 * eta1.unit_sign
-                        tau2 = s2 * eta2.unit_sign
-                        for fi in range(len(families)):
-                            for c1 in tables[fi][0][tau1]:
-                                for c2 in tables[fi][1][tau2]:
-                                    gv = fam.reassemble(c1, c2, pair, shape)
-                                    tally[gv] = tally.get(gv, 0) + 1
-                        if tally.keys() != expected:
-                            yield ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
-                                    "eta": eta.name(), "eta2": eta2.name(),
-                                    "identity": "image",
-                                    "extra": len(tally.keys() - expected),
-                                    "missing": len(expected - tally.keys())},)
-                            continue
-                        failures = ()
-                        for g in image:
-                            observed = tally[g]
-                            slotwise = fam.fiber_count_check(g, pair, choices)
-                            predicted = fam.fiber_size_prediction(g, shape, field)
-                            if slotwise != observed or ExactValue(observed) != predicted:
-                                failures += ({
-                                    "q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
-                                    "eta2": eta2.name(), "gamma": g.to_json(),
-                                    "identity": "fiber", "observed": observed,
-                                    "slotwise": slotwise,
-                                    "predicted": predicted.to_json()},)
-                            elif q == 5 and t2 == 1:
-                                worked_fiber_sizes.add(observed)
-                        yield failures
+                    eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(t2 % 2, ue2)
+                    taus = (s1 * (eta * eta2).unit_sign, s2 * eta2.unit_sign)
+                    signs.append((s1, s2, eta, eta2, taus))
+                outcomes = {}
+                for pi, pair in enumerate(pairs):
+                    for taus in itertools.product((1, -1), repeat=2):
+                        tally = _reassembly_tally(tables, *taus, pair, shape)
+                        for si, (s1, s2, eta, eta2, point_taus) in enumerate(signs):
+                            if point_taus != taus:
+                                continue
+                            # the image in enumerate_gamma order: eta[L2, gamma] = eta2
+                            w2 = sign_witness(s2)
+                            image = [g for g in gammas[s1 * s2 * eta.unit_sign]
+                                     if fam.eta_of_L2(g, pair, shape, w2, field) == eta2]
+                            expected = set(image)
+                            if tally.keys() != expected:
+                                outcomes[si, pi] = (
+                                    {"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
+                                     "eta": eta.name(), "eta2": eta2.name(),
+                                     "identity": "image",
+                                     "extra": len(tally.keys() - expected),
+                                     "missing": len(expected - tally.keys())},)
+                                continue
+                            failures = ()
+                            for g in image:
+                                observed = tally[g]
+                                slotwise = fam.fiber_count_check(g, pair, pair_counts)
+                                predicted = fam.fiber_size_prediction(g, shape, field)
+                                if slotwise != observed or ExactValue(observed) != predicted:
+                                    failures += ({
+                                        "q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
+                                        "eta2": eta2.name(), "gamma": g.to_json(),
+                                        "identity": "fiber", "observed": observed,
+                                        "slotwise": slotwise,
+                                        "predicted": predicted.to_json()},)
+                                elif q == 5 and t2 == 1:
+                                    worked_fiber_sizes.add(observed)
+                            outcomes[si, pi] = failures
+                        del tally  # at most one tally is alive at a time
+                for si in range(len(signs)):
+                    for pi in range(len(pairs)):
+                        yield outcomes[si, pi]
     if 5 in qs and t2max >= 1:
         yield () if worked_family_count == 4 else (
             {"identity": "worked_family_count", "lhs": worked_family_count, "rhs": 4},)

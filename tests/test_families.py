@@ -10,7 +10,7 @@ from endosign.families import (EVector, GammaVector, LPair, SplitShape,
                                family_selections, fiber_count_check,
                                fiber_size_prediction, gamma_L_split,
                                kappa_l2, kappa_u, kappa_zero, reassemble,
-                               transversal_character_sum,
+                               slot_pair_counts, transversal_character_sum,
                                transversal_family_count_formula)
 from endosign.localfield import ResidueParam, SquareClass, legendre
 from endosign.weyl import WeylClassB, sgn_cd
@@ -33,14 +33,15 @@ def test_shape_invariants():
 def test_enumerate_gamma_degenerate_shapes():
     shape = SplitShape(0, 0)
     # condition holds: unique empty vector
-    assert enumerate_gamma(shape, F5, SquareClass(0, 1), WP, WP) == [GammaVector((), ())]
+    assert enumerate_gamma(shape, F5, 1) == [GammaVector((), ())]
     # condition fails: empty set
-    assert enumerate_gamma(shape, F5, SquareClass(0, -1), WP, WP) == []
+    assert enumerate_gamma(shape, F5, -1) == []
 
 
-def test_enumerate_gamma_parity_precondition():
-    with pytest.raises(ValueError):
-        enumerate_gamma(SplitShape(3, 1), F5, SquareClass(0, 1), WP, WP)
+def test_enumerate_gamma_target_precondition():
+    for target in (0, 2, -2):
+        with pytest.raises(ValueError):
+            enumerate_gamma(SplitShape(3, 1), F5, target)
 
 
 def brute_gamma_count(shape, q, eta_unit, target):
@@ -70,8 +71,8 @@ def test_enumerate_gamma_count_against_oracle():
     shape = SplitShape(3, 1)  # R - r = 2, r > 0
     for eta_unit in (1, -1):
         for w1, w2 in itertools.product((WP, WM), repeat=2):
-            eta = SquareClass(1, eta_unit)
-            got = len(enumerate_gamma(shape, F5, eta, w1, w2))
+            target = sgn_cd(w1) * sgn_cd(w2) * eta_unit
+            got = len(enumerate_gamma(shape, F5, target))
             want = brute_gamma_count(shape, 5, eta_unit, sgn_cd(w1) * sgn_cd(w2))
             assert got == want
 
@@ -149,8 +150,7 @@ def test_gamma_split_swaps_pair():
 
 def test_split_reassemble_roundtrip():
     for shape in (SplitShape(2, 0), SplitShape(3, 1), SplitShape(4, 2), SplitShape(5, 1)):
-        eta = SquareClass(shape.rpp % 2, 1)
-        for gamma in enumerate_gamma(shape, F5, eta, WP, WP):
+        for gamma in enumerate_gamma(shape, F5, 1):
             for pair in enumerate_L(shape):
                 comp1, comp2 = gamma_L_split(gamma, pair)
                 assert reassemble(comp1, comp2, pair, shape) == gamma
@@ -174,7 +174,7 @@ def test_eta_product_relation():
     shape = SplitShape(3, 1)
     for ue in (1, -1):
         eta = SquareClass(1, ue)
-        for gamma in enumerate_gamma(shape, F5, eta, WP, WM):
+        for gamma in enumerate_gamma(shape, F5, sgn_cd(WP) * sgn_cd(WM) * ue):
             for pair in enumerate_L(shape):
                 # the complementary class eta[L1, gamma] = eta * eta[L2, gamma]
                 # satisfies its own sign condition
@@ -202,17 +202,24 @@ def test_transversal_family_counts():
 
 def test_fiber_count_examples():
     shape = SplitShape(2, 0)
-    choices = _slot_choices(F5)
-    eta = SquareClass(0, 1)
+    counts = slot_pair_counts(_slot_choices(F5))
     for pair in enumerate_L(shape):
-        for gamma in enumerate_gamma(shape, F5, eta, WP, WP):
-            observed = fiber_count_check(gamma, pair, choices)
+        for gamma in enumerate_gamma(shape, F5, 1):
+            observed = fiber_count_check(gamma, pair, counts)
             s = legendre(gamma.low[0] * gamma.low[1], F5)
             assert observed == (2 if s == 1 else 1)
             assert ExactValue(observed) == fiber_size_prediction(gamma, shape, F5)
     # trivial shape: single empty fiber
-    assert fiber_count_check(GammaVector((), ()), LPair((), ()), choices) == 1
+    assert fiber_count_check(GammaVector((), ()), LPair((), ()), counts) == 1
     assert fiber_size_prediction(GammaVector((), ()), SplitShape(0, 0), F5) == ExactValue(1)
+
+
+def test_slot_pair_counts_against_the_linear_scan():
+    for field in (F5, F7, ResidueParam(13)):
+        choices = _slot_choices(field)
+        counts = slot_pair_counts(choices)
+        for x, y in itertools.product(field.units(), repeat=2):
+            assert counts[x, y] == sum(1 for g1, g2 in choices if x in g1 and y in g2)
 
 
 def test_family_selection_sign_condition():

@@ -10,7 +10,7 @@ from endosign import params as par
 from endosign.exact import ExactValue
 from endosign.localfield import ResidueParam, SquareClass
 from endosign.partitions import Partition
-from endosign.weyl import WeylClassB
+from endosign.weyl import WeylClassB, sgn_cd
 
 
 def test_transfer_fails_on_a_flipped_transfer_factor_sign(monkeypatch):
@@ -127,7 +127,8 @@ def _per_point_transfer_failures(q, rrmax):
                     k_split = (tuple(range(1, t1 + 1)), tuple(range(t1 + 1, t + 1)))
                     for ue in (1, -1):
                         eta = SquareClass(rpp % 2, ue)
-                        for gamma in fam.enumerate_gamma(shape, field, eta, w1, w2):
+                        target = sgn_cd(w1) * sgn_cd(w2) * ue
+                        for gamma in fam.enumerate_gamma(shape, field, target):
                             for pair in fam.enumerate_L(shape):
                                 for e in fam.enumerate_e(shape):
                                     for bits in itertools.product((0, 1), repeat=t):
@@ -210,6 +211,119 @@ def test_counting_builds_the_slot_choices_once_per_field(monkeypatch):
     # one table serves the family counts, the families of every shape and
     # the slotwise count
     assert builds == [5]
+
+
+def test_counting_builds_each_tally_once(monkeypatch):
+    calls = {"reassemble": 0, "enumerate_gamma": 0}
+    for name in calls:
+        original = getattr(fam, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(fam, name, counted)
+    report = suites.verify_counting(qs=(5,), t2max=1)
+    assert report.passed
+    # one tally per (shape, pairing, tau1, tau2) and one vector list per
+    # (shape, sign target); one of each per point would be 652 and 96
+    assert calls == {"reassemble": 163, "enumerate_gamma": 12}
+
+
+def _per_point_counting_failures(q, t2max):
+    """The counting sweep's image and fiber failures, one tally per point.
+
+    Every sign choice (s1, s2, ue, ue2) and pairing builds its own tally
+    and its own image, in the order in which the sweep reports them.
+    """
+    field = ResidueParam(q)
+    choices = fam._slot_choices(field)
+    pair_counts = fam.slot_pair_counts(choices)
+    failures = []
+    for t2 in range(min(t2max, 1 if q == 13 else t2max) + 1):
+        for rp, rpp in suites._counting_shapes(t2, q):
+            shape = fam.SplitShape(rp, rpp)
+            tables = [[fam.family_selections(family, idx, shape, field) for idx in (1, 2)]
+                      for family in fam.enumerate_transversal_families(shape, choices)]
+            for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4):
+                w1, w2 = constants.sign_witness(s1), constants.sign_witness(s2)
+                eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(t2 % 2, ue2)
+                eta1 = eta * eta2
+                gammas = fam.enumerate_gamma(shape, field, sgn_cd(w1) * sgn_cd(w2) * ue)
+                for pair in fam.enumerate_L(shape):
+                    image = [g for g in gammas
+                             if fam.eta_of_L2(g, pair, shape, w2, field) == eta2]
+                    tally = {}
+                    for side1, side2 in tables:
+                        for c1 in side1[s1 * eta1.unit_sign]:
+                            for c2 in side2[s2 * eta2.unit_sign]:
+                                gv = fam.reassemble(c1, c2, pair, shape)
+                                tally[gv] = tally.get(gv, 0) + 1
+                    expected = set(image)
+                    if tally.keys() != expected:
+                        failures.append({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
+                                         "eta": eta.name(), "eta2": eta2.name(),
+                                         "identity": "image",
+                                         "extra": len(tally.keys() - expected),
+                                         "missing": len(expected - tally.keys())})
+                        continue
+                    for g in image:
+                        slotwise = fam.fiber_count_check(g, pair, pair_counts)
+                        predicted = fam.fiber_size_prediction(g, shape, field)
+                        if slotwise != tally[g] or ExactValue(tally[g]) != predicted:
+                            failures.append({"q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
+                                             "eta2": eta2.name(), "gamma": g.to_json(),
+                                             "identity": "fiber", "observed": tally[g],
+                                             "slotwise": slotwise,
+                                             "predicted": predicted.to_json()})
+    return failures
+
+
+def _flipped_eta_of_l2():
+    original = fam.eta_of_L2
+
+    def flipped(gamma, pair, shape, w2, rp_field):
+        eta2 = original(gamma, pair, shape, w2, rp_field)
+        if sgn_cd(w2) == -1 and gamma.low[:1] == (2,):
+            return SquareClass(eta2.val_parity, -eta2.unit_sign)
+        return eta2
+
+    return fam, "eta_of_L2", flipped
+
+
+def _doubled_fiber_size_prediction():
+    original = fam.fiber_size_prediction
+
+    def doubled(gamma, shape, rp_field):
+        predicted = original(gamma, shape, rp_field)
+        if gamma.low[:1] == (1,) and gamma.high[:1] != (-1,):
+            return predicted * ExactValue(2)
+        return predicted
+
+    return fam, "fiber_size_prediction", doubled
+
+
+# Faults on a subset of the points, each on one side of the identity: the
+# failing identity and the number of failures at q = 5 and q = 7, t2max 1.
+# Every tally is shared by sign choices with both signs of sgn_cd(w2), so
+# the eta_of_L2 fault passes at the first point that builds a tally and
+# fails at others that read it.
+COUNTING_FAULTS = {
+    "eta_of_L2": (_flipped_eta_of_l2, "image", {5: 48, 7: 24}),
+    "fiber_size_prediction": (_doubled_fiber_size_prediction, "fiber", {5: 72, 7: 60}),
+}
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("fault", sorted(COUNTING_FAULTS))
+def test_counting_sweep_fails_where_the_per_point_check_fails(fault, q, monkeypatch):
+    plant, identity, counts = COUNTING_FAULTS[fault]
+    monkeypatch.setattr(*plant())
+    report = suites.verify_counting(qs=(q,), t2max=1)
+    shaped = [f for f in report.failures if f["identity"] in ("image", "fiber")]
+    assert len(shaped) == counts[q]
+    assert {f["identity"] for f in shaped} == {identity}
+    assert shaped == _per_point_counting_failures(q, 1)
 
 
 def test_aux_fails_on_a_negated_u_sign(monkeypatch):
