@@ -323,17 +323,19 @@ def family_selections(family, index: int, shape: SplitShape,
 
 
 def reassemble(comp1: GammaVector, comp2: GammaVector, pair: LPair,
-               shape: SplitShape) -> GammaVector:
-    """The reassembly map: components gamma1, gamma2 and a pairing back to gamma."""
+               shape: SplitShape) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The reassembly map: components gamma1, gamma2 and a pairing back to gamma.
+
+    Returns gamma as its (low, high) tuple; GammaVector(*result) is gamma.
+    """
     if (len(comp1.low), len(comp1.high), len(comp2.low), len(comp2.high)) != \
             (shape.t2, shape.r, shape.t2, 0):
         raise ValueError("component lengths do not match the shape")
     low = [0] * (shape.R - shape.r)
-    for slot, v in zip(pair.l1, comp1.low):
-        low[slot - 1] = v
-    for slot, v in zip(pair.l2, comp2.low):
-        low[slot - 1] = v
-    return GammaVector(low, comp1.high)
+    for slot1, slot2, v1, v2 in zip(pair.l1, pair.l2, comp1.low, comp2.low):
+        low[slot1 - 1] = v1
+        low[slot2 - 1] = v2
+    return tuple(low), comp1.high
 
 
 def fiber_size_prediction(gamma: GammaVector, shape: SplitShape,

@@ -77,15 +77,18 @@ def _reassembly_tally(tables, tau1: int, tau2: int, pair, shape) -> dict:
     """Reassembled vector -> number of preimages along pair, over every family.
 
     A preimage is a selection from the family's side-1 bucket at tau1 and
-    one from its side-2 bucket at tau2.
+    one from its side-2 bucket at tau2.  The tally counts the plain
+    (low, high) tuples that reassemble returns and wraps each distinct one
+    in a GammaVector at the end, so the keys compare by value with the
+    image.
     """
-    tally: dict[fam.GammaVector, int] = {}
+    tally: dict[tuple, int] = {}
     for side1, side2 in tables:
         for c1 in side1[tau1]:
             for c2 in side2[tau2]:
-                gv = fam.reassemble(c1, c2, pair, shape)
-                tally[gv] = tally.get(gv, 0) + 1
-    return tally
+                key = fam.reassemble(c1, c2, pair, shape)
+                tally[key] = tally.get(key, 0) + 1
+    return {fam.GammaVector(*key): count for key, count in tally.items()}
 
 
 def counting_points(qs, t2max: int):
@@ -100,11 +103,16 @@ def counting_points(qs, t2max: int):
     choices, built once per field.  Includes the worked small values
     (family count 4 at q = 5 with one pair slot; fibers of sizes 2 and 1).
 
-    A point is a sign choice (s1, s2, ue, ue2) and a pairing.  Its tally
-    reads only the pairing and tau_j = s_j * unit(eta_j), so each tally is
-    built once and serves the four sign choices with those signs; every
-    point still computes its own image and checks its own fibers.  The
-    points of a shape are yielded sign choice first, pairing second.
+    A point is a sign choice (s1, s2, ue, ue2) and a pairing.  Each side
+    is evaluated once per distinct input of its leaf function: the tally
+    reads only the pairing and tau_j = s_j * unit(eta_j), so it is built
+    once per (pairing, tau1, tau2) and serves the four sign choices with
+    those signs; the image groups each sign target's admissible vectors by
+    eta_of_L2 once per (pairing, target, sgn_cd(w2)); the closed-form fiber
+    size is evaluated once per vector of the shape and the slotwise count
+    once per (vector, pairing).  Every point compares its own tally with
+    its own image and each tallied fiber with both.  The points of a shape
+    are yielded sign choice first, pairing second.
     """
     worked_family_count = None
     worked_fiber_sizes: set[int] = set()
@@ -134,26 +142,38 @@ def counting_points(qs, t2max: int):
                     tables.append([fam.family_selections(family, idx, shape, field)
                                    for idx in (1, 2)])
                 pairs = fam.enumerate_L(shape)
-                # the admissible vectors by their sign target sgn_cd(w1) sgn_cd(w2) unit(eta)
-                gammas = {target: fam.enumerate_gamma(shape, field, target)
+                # the admissible vectors by their sign target sgn_cd(w1) sgn_cd(w2) unit(eta),
+                # each with its closed-form fiber size
+                gammas = {target: [(g, fam.fiber_size_prediction(g, shape, field))
+                                   for g in fam.enumerate_gamma(shape, field, target)]
                           for target in (1, -1)}
                 signs = []
                 for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4):
                     eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(t2 % 2, ue2)
                     taus = (s1 * (eta * eta2).unit_sign, s2 * eta2.unit_sign)
-                    signs.append((s1, s2, eta, eta2, taus))
+                    image_key = (s1 * s2 * ue, s2, eta2.val_parity, eta2.unit_sign)
+                    signs.append((s1, s2, eta, eta2, taus, image_key))
                 outcomes = {}
                 for pi, pair in enumerate(pairs):
+                    # (target, sgn_cd(w2), eta[L2, gamma]) -> the image in
+                    # enumerate_gamma order, each vector with its slotwise
+                    # count along pair and its predicted fiber size
+                    images: dict[tuple, list] = {}
+                    for target, vectors in gammas.items():
+                        for g, predicted in vectors:
+                            entry = (g, fam.fiber_count_check(g, pair, pair_counts), predicted)
+                            for s2 in (1, -1):
+                                eta_l2 = fam.eta_of_L2(g, pair, shape, sign_witness(s2), field)
+                                images.setdefault(
+                                    (target, s2, eta_l2.val_parity, eta_l2.unit_sign),
+                                    []).append(entry)
                     for taus in itertools.product((1, -1), repeat=2):
                         tally = _reassembly_tally(tables, *taus, pair, shape)
-                        for si, (s1, s2, eta, eta2, point_taus) in enumerate(signs):
+                        for si, (s1, s2, eta, eta2, point_taus, image_key) in enumerate(signs):
                             if point_taus != taus:
                                 continue
-                            # the image in enumerate_gamma order: eta[L2, gamma] = eta2
-                            w2 = sign_witness(s2)
-                            image = [g for g in gammas[s1 * s2 * eta.unit_sign]
-                                     if fam.eta_of_L2(g, pair, shape, w2, field) == eta2]
-                            expected = set(image)
+                            image = images.get(image_key, ())
+                            expected = {g for g, _, _ in image}
                             if tally.keys() != expected:
                                 outcomes[si, pi] = (
                                     {"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
@@ -163,10 +183,8 @@ def counting_points(qs, t2max: int):
                                      "missing": len(expected - tally.keys())},)
                                 continue
                             failures = ()
-                            for g in image:
+                            for g, slotwise, predicted in image:
                                 observed = tally[g]
-                                slotwise = fam.fiber_count_check(g, pair, pair_counts)
-                                predicted = fam.fiber_size_prediction(g, shape, field)
                                 if slotwise != observed or ExactValue(observed) != predicted:
                                     failures += ({
                                         "q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),

@@ -153,7 +153,20 @@ def test_split_reassemble_roundtrip():
         for gamma in enumerate_gamma(shape, F5, 1):
             for pair in enumerate_L(shape):
                 comp1, comp2 = gamma_L_split(gamma, pair)
-                assert reassemble(comp1, comp2, pair, shape) == gamma
+                assert reassemble(comp1, comp2, pair, shape) == (gamma.low, gamma.high)
+
+
+def test_reassemble_rejects_components_that_do_not_match_the_shape():
+    shape = SplitShape(3, 1)  # t2 = 1, r = 1
+    pair = enumerate_L(shape)[0]
+    comp1, comp2 = GammaVector((1,), (1,)), GammaVector((2,), ())
+    assert reassemble(comp1, comp2, pair, shape) == ((1, 2), (1,))
+    for bad1, bad2 in ((GammaVector((1, 3), (1,)), comp2),   # gamma1 residues
+                       (GammaVector((1,), ()), comp2),        # gamma1 top signs
+                       (comp1, GammaVector((), ())),          # gamma2 residues
+                       (comp1, GammaVector((2,), (1,)))):     # gamma2 top signs
+        with pytest.raises(ValueError):
+            reassemble(bad1, bad2, pair, shape)
 
 
 def test_eta_of_L2():

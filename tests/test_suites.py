@@ -214,7 +214,8 @@ def test_counting_builds_the_slot_choices_once_per_field(monkeypatch):
 
 
 def test_counting_builds_each_tally_once(monkeypatch):
-    calls = {"reassemble": 0, "enumerate_gamma": 0}
+    calls = {"reassemble": 0, "enumerate_gamma": 0, "eta_of_L2": 0,
+             "fiber_count_check": 0, "fiber_size_prediction": 0}
     for name in calls:
         original = getattr(fam, name)
 
@@ -225,9 +226,12 @@ def test_counting_builds_each_tally_once(monkeypatch):
         monkeypatch.setattr(fam, name, counted)
     report = suites.verify_counting(qs=(5,), t2max=1)
     assert report.passed
-    # one tally per (shape, pairing, tau1, tau2) and one vector list per
-    # (shape, sign target); one of each per point would be 652 and 96
-    assert calls == {"reassemble": 163, "enumerate_gamma": 12}
+    # one tally per (shape, pairing, tau1, tau2), one vector list per
+    # (shape, sign target), one eta_of_L2 per (vector, pairing, sgn_cd(w2)),
+    # one slotwise count per (vector, pairing) and one prediction per
+    # (shape, vector); one of each per point would be 652, 96, 984, 492, 492
+    assert calls == {"reassemble": 163, "enumerate_gamma": 12, "eta_of_L2": 246,
+                     "fiber_count_check": 123, "fiber_size_prediction": 75}
 
 
 def _per_point_counting_failures(q, t2max):
@@ -257,7 +261,7 @@ def _per_point_counting_failures(q, t2max):
                     for side1, side2 in tables:
                         for c1 in side1[s1 * eta1.unit_sign]:
                             for c2 in side2[s2 * eta2.unit_sign]:
-                                gv = fam.reassemble(c1, c2, pair, shape)
+                                gv = fam.GammaVector(*fam.reassemble(c1, c2, pair, shape))
                                 tally[gv] = tally.get(gv, 0) + 1
                     expected = set(image)
                     if tally.keys() != expected:
@@ -303,14 +307,28 @@ def _doubled_fiber_size_prediction():
     return fam, "fiber_size_prediction", doubled
 
 
+def _pair_dependent_slotwise_count():
+    original = fam.fiber_count_check
+
+    def off_by_one(gamma, pair, counts):
+        observed = original(gamma, pair, counts)
+        if pair.l1[:1] == (2,) and gamma.low[:1] == (1,):
+            return observed + 1
+        return observed
+
+    return fam, "fiber_count_check", off_by_one
+
+
 # Faults on a subset of the points, each on one side of the identity: the
 # failing identity and the number of failures at q = 5 and q = 7, t2max 1.
 # Every tally is shared by sign choices with both signs of sgn_cd(w2), so
 # the eta_of_L2 fault passes at the first point that builds a tally and
-# fails at others that read it.
+# fails at others that read it.  The fiber_count_check fault depends on the
+# pairing, so a slotwise count shared across pairings would misplace it.
 COUNTING_FAULTS = {
     "eta_of_L2": (_flipped_eta_of_l2, "image", {5: 48, 7: 24}),
     "fiber_size_prediction": (_doubled_fiber_size_prediction, "fiber", {5: 72, 7: 60}),
+    "fiber_count_check": (_pair_dependent_slotwise_count, "fiber", {5: 72, 7: 60}),
 }
 
 
