@@ -28,7 +28,6 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from .exact import ExactValue
 from .localfield import ResidueParam, SquareClass, legendre
 from .weyl import WeylClassB, sgn_cd
 
@@ -277,15 +276,15 @@ def _slot_choices(rp_field: ResidueParam) -> list[tuple[tuple[int, int], tuple[i
     return out
 
 
-def enumerate_transversal_families(shape: SplitShape, choices: list) -> list:
-    """All families of disjoint transversal pairs over the pair slots.
+def enumerate_transversal_families(shape: SplitShape, choices: list):
+    """A lazy iterator over the families of disjoint transversal pairs over the pair slots.
 
     A family is the tuple of its t2 per-slot pairs (G1, G2), drawn from
     choices (the per-slot choices of _slot_choices): each of G1, G2 is
     (square element, non-square element) and the four residues are
     pairwise distinct.
     """
-    return list(itertools.product(choices, repeat=shape.t2))
+    return itertools.product(choices, repeat=shape.t2)
 
 
 def count_transversal_families(shape: SplitShape, choices: list) -> int:
@@ -339,13 +338,13 @@ def reassemble(comp1: GammaVector, comp2: GammaVector, pair: LPair,
 
 
 def fiber_size_prediction(gamma: GammaVector, shape: SplitShape,
-                          rp_field: ResidueParam) -> ExactValue:
-    """Predicted fiber size: ((q-3)/4)^t2 * prod over even pair slots (q-2+sgn)."""
+                          rp_field: ResidueParam) -> Fraction:
+    """Predicted fiber size, a Fraction: ((q-3)/4)^t2 * prod over even pair slots (q-2+sgn)."""
     q = rp_field.q
     product = 1
     for j in shape.jhat:
         product *= q - 2 + legendre(gamma.low[j - 2] * gamma.low[j - 1], rp_field)
-    return ExactValue(Fraction((q - 3) ** shape.t2 * product, 4 ** shape.t2), q=q)
+    return Fraction((q - 3) ** shape.t2 * product, 4 ** shape.t2)
 
 
 def slot_pair_counts(choices: list) -> Counter:

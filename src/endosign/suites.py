@@ -24,7 +24,6 @@ from .constants import (QuadrupleGamma, aux_points, product_identity_points,
                         sign_chain_points, sign_witness, split_points, split_sizes,
                         transfer_points)
 from .errors import ResourceLimitError
-from .exact import ExactValue
 from .localfield import ResidueParam, SquareClass, is_prime
 from .partitions import Partition, enumerate_partitions, enumerate_symplectic
 from .report import VerificationReport
@@ -73,24 +72,6 @@ def _counting_shapes(t2: int, q: int):
     return shapes
 
 
-def _reassembly_tally(tables, tau1: int, tau2: int, pair, shape) -> dict:
-    """Reassembled vector -> number of preimages along pair, over every family.
-
-    A preimage is a selection from the family's side-1 bucket at tau1 and
-    one from its side-2 bucket at tau2.  The tally counts the plain
-    (low, high) tuples that reassemble returns and wraps each distinct one
-    in a GammaVector at the end, so the keys compare by value with the
-    image.
-    """
-    tally: dict[tuple, int] = {}
-    for side1, side2 in tables:
-        for c1 in side1[tau1]:
-            for c2 in side2[tau2]:
-                key = fam.reassemble(c1, c2, pair, shape)
-                tally[key] = tally.get(key, 0) + 1
-    return {fam.GammaVector(*key): count for key, count in tally.items()}
-
-
 def counting_points(qs, t2max: int):
     """Fiber sizes and family counts of the transversal reassembly map.
 
@@ -103,16 +84,16 @@ def counting_points(qs, t2max: int):
     choices, built once per field.  Includes the worked small values
     (family count 4 at q = 5 with one pair slot; fibers of sizes 2 and 1).
 
-    A point is a sign choice (s1, s2, ue, ue2) and a pairing.  Each side
-    is evaluated once per distinct input of its leaf function: the tally
-    reads only the pairing and tau_j = s_j * unit(eta_j), so it is built
-    once per (pairing, tau1, tau2) and serves the four sign choices with
-    those signs; the image groups each sign target's admissible vectors by
-    eta_of_L2 once per (pairing, target, sgn_cd(w2)); the closed-form fiber
-    size is evaluated once per vector of the shape and the slotwise count
-    once per (vector, pairing).  Every point compares its own tally with
-    its own image and each tallied fiber with both.  The points of a shape
-    are yielded sign choice first, pairing second.
+    A point is a sign choice (s1, s2, ue, ue2) and a pairing.  A tally
+    reads only the pairing and tau_j = s_j * unit(eta_j); one pass over the
+    families fills the tally of every (pairing, tau1, tau2) and keeps no
+    family, so memory is bounded by the image, not by the family count.
+    The image groups each sign target's admissible vectors by eta_of_L2
+    once per (pairing, target, sgn_cd(w2)); the closed-form fiber size is
+    evaluated once per vector of the shape and the slotwise count once per
+    (vector, pairing).  Every point compares its own tally with its own
+    image and each tallied fiber with both.  The points of a shape are
+    checked and yielded sign choice first, pairing second.
     """
     worked_family_count = None
     worked_fiber_sizes: set[int] = set()
@@ -134,71 +115,69 @@ def counting_points(qs, t2max: int):
                 continue
             for rp, rpp in _counting_shapes(t2, q):
                 shape = fam.SplitShape(rp, rpp)
-                families = fam.enumerate_transversal_families(shape, choices)
-                # selections keyed by their sign product; a selection for
-                # (eta_j, w_j) is the bucket at sgn_cd(w_j) * unit(eta_j)
-                tables = []
-                for family in families:
-                    tables.append([fam.family_selections(family, idx, shape, field)
-                                   for idx in (1, 2)])
                 pairs = fam.enumerate_L(shape)
-                # the admissible vectors by their sign target sgn_cd(w1) sgn_cd(w2) unit(eta),
-                # each with its closed-form fiber size
+                # (pairing index, tau1, tau2) -> (low, high) -> preimages: a
+                # selection from a family's side-1 bucket at tau1 and one from
+                # its side-2 bucket at tau2
+                tallies = {key: {} for key in itertools.product(
+                    range(len(pairs)), (1, -1), (1, -1))}
+                for family in fam.enumerate_transversal_families(shape, choices):
+                    # selections keyed by their sign product; a selection for
+                    # (eta_j, w_j) is the bucket at sgn_cd(w_j) * unit(eta_j)
+                    side1, side2 = [fam.family_selections(family, idx, shape, field)
+                                    for idx in (1, 2)]
+                    for (pi, tau1, tau2), tally in tallies.items():
+                        for c1 in side1[tau1]:
+                            for c2 in side2[tau2]:
+                                key = fam.reassemble(c1, c2, pairs[pi], shape)
+                                tally[key] = tally.get(key, 0) + 1
+                # wrap each distinct key once, so it compares with the image
+                tallies = {key: {fam.GammaVector(*g): n for g, n in tally.items()}
+                           for key, tally in tallies.items()}
+                # the image by (pairing index, target sgn_cd(w1) sgn_cd(w2)
+                # unit(eta), sgn_cd(w2), eta[L2, gamma]), in enumerate_gamma
+                # order, each vector with its slotwise count along the pairing
+                # and its predicted fiber size
                 gammas = {target: [(g, fam.fiber_size_prediction(g, shape, field))
                                    for g in fam.enumerate_gamma(shape, field, target)]
                           for target in (1, -1)}
-                signs = []
-                for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4):
-                    eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(t2 % 2, ue2)
-                    taus = (s1 * (eta * eta2).unit_sign, s2 * eta2.unit_sign)
-                    image_key = (s1 * s2 * ue, s2, eta2.val_parity, eta2.unit_sign)
-                    signs.append((s1, s2, eta, eta2, taus, image_key))
-                outcomes = {}
+                images: dict[tuple, list] = {}
                 for pi, pair in enumerate(pairs):
-                    # (target, sgn_cd(w2), eta[L2, gamma]) -> the image in
-                    # enumerate_gamma order, each vector with its slotwise
-                    # count along pair and its predicted fiber size
-                    images: dict[tuple, list] = {}
                     for target, vectors in gammas.items():
                         for g, predicted in vectors:
                             entry = (g, fam.fiber_count_check(g, pair, pair_counts), predicted)
                             for s2 in (1, -1):
                                 eta_l2 = fam.eta_of_L2(g, pair, shape, sign_witness(s2), field)
                                 images.setdefault(
-                                    (target, s2, eta_l2.val_parity, eta_l2.unit_sign),
+                                    (pi, target, s2, eta_l2.val_parity, eta_l2.unit_sign),
                                     []).append(entry)
-                    for taus in itertools.product((1, -1), repeat=2):
-                        tally = _reassembly_tally(tables, *taus, pair, shape)
-                        for si, (s1, s2, eta, eta2, point_taus, image_key) in enumerate(signs):
-                            if point_taus != taus:
-                                continue
-                            image = images.get(image_key, ())
-                            expected = {g for g, _, _ in image}
-                            if tally.keys() != expected:
-                                outcomes[si, pi] = (
-                                    {"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
-                                     "eta": eta.name(), "eta2": eta2.name(),
-                                     "identity": "image",
-                                     "extra": len(tally.keys() - expected),
-                                     "missing": len(expected - tally.keys())},)
-                                continue
-                            failures = ()
-                            for g, slotwise, predicted in image:
-                                observed = tally[g]
-                                if slotwise != observed or ExactValue(observed) != predicted:
-                                    failures += ({
-                                        "q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
-                                        "eta2": eta2.name(), "gamma": g.to_json(),
-                                        "identity": "fiber", "observed": observed,
-                                        "slotwise": slotwise,
-                                        "predicted": predicted.to_json()},)
-                                elif q == 5 and t2 == 1:
-                                    worked_fiber_sizes.add(observed)
-                            outcomes[si, pi] = failures
-                        del tally  # at most one tally is alive at a time
-                for si in range(len(signs)):
+                for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4):
+                    eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(t2 % 2, ue2)
+                    tau1, tau2 = s1 * (eta * eta2).unit_sign, s2 * eta2.unit_sign
                     for pi in range(len(pairs)):
-                        yield outcomes[si, pi]
+                        tally = tallies[pi, tau1, tau2]
+                        image = images.get(
+                            (pi, s1 * s2 * ue, s2, eta2.val_parity, eta2.unit_sign), ())
+                        expected = {g for g, _, _ in image}
+                        if tally.keys() != expected:
+                            yield ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
+                                    "eta": eta.name(), "eta2": eta2.name(),
+                                    "identity": "image",
+                                    "extra": len(tally.keys() - expected),
+                                    "missing": len(expected - tally.keys())},)
+                            continue
+                        failures = ()
+                        for g, slotwise, predicted in image:
+                            observed = tally[g]
+                            if slotwise != observed or observed != predicted:
+                                failures += ({
+                                    "q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
+                                    "eta2": eta2.name(), "gamma": g.to_json(),
+                                    "identity": "fiber", "observed": observed,
+                                    "slotwise": slotwise, "predicted": str(predicted)},)
+                            elif q == 5 and t2 == 1:
+                                worked_fiber_sizes.add(observed)
+                        yield failures
     if 5 in qs and t2max >= 1:
         yield () if worked_family_count == 4 else (
             {"identity": "worked_family_count", "lhs": worked_family_count, "rhs": 4},)

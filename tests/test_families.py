@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from endosign.exact import ExactValue
 from endosign.families import (EVector, GammaVector, LPair, SplitShape,
                                UVector, _slot_choices, count_transversal_families,
                                enumerate_e, enumerate_gamma, enumerate_L,
@@ -206,7 +205,7 @@ def test_transversal_family_counts():
         for field in (F5, F7):
             assert count_transversal_families(shape, choices[field]) == \
                 transversal_family_count_formula(shape, field)
-    fams = enumerate_transversal_families(SplitShape(2, 0), choices[F5])
+    fams = list(enumerate_transversal_families(SplitShape(2, 0), choices[F5]))
     assert len(fams) == 4
     for fam_ in fams:
         (g1, g2), = fam_
@@ -221,10 +220,10 @@ def test_fiber_count_examples():
             observed = fiber_count_check(gamma, pair, counts)
             s = legendre(gamma.low[0] * gamma.low[1], F5)
             assert observed == (2 if s == 1 else 1)
-            assert ExactValue(observed) == fiber_size_prediction(gamma, shape, F5)
+            assert observed == fiber_size_prediction(gamma, shape, F5)
     # trivial shape: single empty fiber
     assert fiber_count_check(GammaVector((), ()), LPair((), ()), counts) == 1
-    assert fiber_size_prediction(GammaVector((), ()), SplitShape(0, 0), F5) == ExactValue(1)
+    assert fiber_size_prediction(GammaVector((), ()), SplitShape(0, 0), F5) == 1
 
 
 def test_slot_pair_counts_against_the_linear_scan():
@@ -237,7 +236,7 @@ def test_slot_pair_counts_against_the_linear_scan():
 
 def test_family_selection_sign_condition():
     shape = SplitShape(3, 1)
-    family = enumerate_transversal_families(shape, _slot_choices(F5))[0]
+    family = next(enumerate_transversal_families(shape, _slot_choices(F5)))
     buckets = family_selections(family, 1, shape, F5)
     assert sorted(buckets) == [-1, 1]
     for sign, sels in buckets.items():

@@ -7,7 +7,6 @@ import pytest
 from endosign import constants, descent, suites
 from endosign import families as fam
 from endosign import params as par
-from endosign.exact import ExactValue
 from endosign.localfield import ResidueParam, SquareClass
 from endosign.partitions import Partition
 from endosign.weyl import WeylClassB, sgn_cd
@@ -181,10 +180,12 @@ def test_counting_fails_on_a_reassembly_with_l1_and_l2_swapped(monkeypatch):
 
 def test_counting_fails_on_a_doubled_fiber_size_prediction(monkeypatch):
     original = fam.fiber_size_prediction
-    monkeypatch.setattr(fam, "fiber_size_prediction", lambda *args: original(*args) * ExactValue(2))
+    monkeypatch.setattr(fam, "fiber_size_prediction", lambda *args: original(*args) * 2)
     report = suites.verify_counting(qs=(5,), t2max=1)
     assert report.failures and not report.passed
     assert {f["identity"] for f in report.failures} == {"fiber", "worked_fibers"}
+    fibers = [f for f in report.failures if f["identity"] == "fiber"]
+    assert fibers and all(f["predicted"] == str(2 * f["observed"]) for f in fibers)
 
 
 def test_counting_fails_on_a_slotwise_count_off_by_one(monkeypatch):
@@ -214,7 +215,7 @@ def test_counting_builds_the_slot_choices_once_per_field(monkeypatch):
 
 
 def test_counting_builds_each_tally_once(monkeypatch):
-    calls = {"reassemble": 0, "enumerate_gamma": 0, "eta_of_L2": 0,
+    calls = {"family_selections": 0, "reassemble": 0, "enumerate_gamma": 0, "eta_of_L2": 0,
              "fiber_count_check": 0, "fiber_size_prediction": 0}
     for name in calls:
         original = getattr(fam, name)
@@ -226,12 +227,37 @@ def test_counting_builds_each_tally_once(monkeypatch):
         monkeypatch.setattr(fam, name, counted)
     report = suites.verify_counting(qs=(5,), t2max=1)
     assert report.passed
-    # one tally per (shape, pairing, tau1, tau2), one vector list per
-    # (shape, sign target), one eta_of_L2 per (vector, pairing, sgn_cd(w2)),
-    # one slotwise count per (vector, pairing) and one prediction per
-    # (shape, vector); one of each per point would be 652, 96, 984, 492, 492
-    assert calls == {"reassemble": 163, "enumerate_gamma": 12, "eta_of_L2": 246,
-                     "fiber_count_check": 123, "fiber_size_prediction": 75}
+    # two selection tables per (shape, family), one tally per (shape,
+    # pairing, tau1, tau2), one vector list per (shape, sign target), one
+    # eta_of_L2 per (vector, pairing, sgn_cd(w2)), one slotwise count per
+    # (vector, pairing) and one prediction per (shape, vector); one tally,
+    # vector list, eta_of_L2, slotwise count and prediction per point would
+    # be 652, 96, 984, 492 and 492 calls
+    assert calls == {"family_selections": 36, "reassemble": 163, "enumerate_gamma": 12,
+                     "eta_of_L2": 246, "fiber_count_check": 123,
+                     "fiber_size_prediction": 75}
+
+
+@pytest.mark.parametrize("q, t2max", [(5, 1), (7, 2)])
+def test_counting_keeps_no_family_past_its_iteration(q, t2max, monkeypatch):
+    original = fam.family_selections
+    alive = {"now": 0, "peak": 0}
+
+    class Table(dict):
+        def __del__(self):
+            alive["now"] -= 1
+
+    def counted(*args):
+        table = Table(original(*args))
+        alive["now"] += 1
+        alive["peak"] = max(alive["peak"], alive["now"])
+        return table
+
+    monkeypatch.setattr(fam, "family_selections", counted)
+    report = suites.verify_counting(qs=(q,), t2max=t2max)
+    assert report.passed
+    # one family's two tables, and the next family's two while they are built
+    assert 0 < alive["peak"] <= 4
 
 
 def _per_point_counting_failures(q, t2max):
@@ -274,12 +300,12 @@ def _per_point_counting_failures(q, t2max):
                     for g in image:
                         slotwise = fam.fiber_count_check(g, pair, pair_counts)
                         predicted = fam.fiber_size_prediction(g, shape, field)
-                        if slotwise != tally[g] or ExactValue(tally[g]) != predicted:
+                        if slotwise != tally[g] or tally[g] != predicted:
                             failures.append({"q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
                                              "eta2": eta2.name(), "gamma": g.to_json(),
                                              "identity": "fiber", "observed": tally[g],
                                              "slotwise": slotwise,
-                                             "predicted": predicted.to_json()})
+                                             "predicted": str(predicted)})
     return failures
 
 
@@ -301,7 +327,7 @@ def _doubled_fiber_size_prediction():
     def doubled(gamma, shape, rp_field):
         predicted = original(gamma, shape, rp_field)
         if gamma.low[:1] == (1,) and gamma.high[:1] != (-1,):
-            return predicted * ExactValue(2)
+            return predicted * 2
         return predicted
 
     return fam, "fiber_size_prediction", doubled
