@@ -7,15 +7,16 @@ Usage:
 The verify suites and their flags come from the registry suites.SUITES.
 Output is JSON by default (CSV with --format csv), written to stdout or to
 --out FILE.  Exit codes: 0 all checks passed, 1 failures found, 2 usage
-error (an unknown flag or an invalid flag value, reported before any sweep
-or enumeration runs), 3 a resource cap was hit (partial report flagged incomplete).
+error (an unknown flag, an invalid flag value or an --out FILE that cannot
+be opened for writing, reported before any sweep or enumeration runs), 3 a
+resource cap was hit (partial report flagged incomplete).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 
@@ -69,23 +70,16 @@ def _given(name: str, args) -> dict:
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
-def _emit(payload, fmt: str, out: str | None) -> None:
+def _emit(payload, fmt: str, out) -> None:
     if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        rows = payload if isinstance(payload, list) else [payload]
-        keys = sorted({k for row in rows for k in row})
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(keys)
-        for row in rows:
-            writer.writerow([_csv_cell(row.get(k)) for k in keys])
-        text = buf.getvalue()
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        return
+    rows = payload if isinstance(payload, list) else [payload]
+    keys = sorted({k for row in rows for k in row})
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(keys)
+    for row in rows:
+        writer.writerow([_csv_cell(row.get(k)) for k in keys])
 
 
 def _csv_cell(value):
@@ -105,34 +99,40 @@ def main(argv=None) -> int:
                 suites.parameters(name, given[name])
             except ValueError as exc:
                 parser.error(f"verify {name}: {exc}")
-        reports = []
-        exit_code = 0
-        for name in names:
-            try:
-                report = suites.run(name, **given[name])
-            except ResourceLimitError as exc:
-                report = VerificationReport(name, {"error": str(exc)}, incomplete=True)
-                exit_code = 3
-            reports.append(report.to_json_dict())
-            if report.failures and exit_code == 0:
-                exit_code = 1
-        payload = reports if args.suite == "all" else reports[0]
-        _emit(payload, args.format, args.out)
-        return exit_code
-
-    # enumerate
-    if args.n < 0:
+    elif args.n < 0:
         parser.error(f"enumerate {args.kind}: n must be nonnegative, got {args.n}")
-    builder = (suites.enumerate_params_report if args.kind == "params"
-               else suites.enumerate_descent_report)
+    # opened before any sweep, so that an unwritable --out is a usage error
     try:
-        payload = builder(args.n)
-    except ResourceLimitError as exc:
-        _emit({"kind": args.kind, "n": args.n, "error": str(exc),
-               "incomplete": True}, args.format, args.out)
-        return 3
-    _emit(payload, args.format, args.out)
-    return 0
+        out = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        parser.error(f"--out {args.out}: {exc.strerror}")
+    with out or contextlib.nullcontext(sys.stdout) as stream:
+        if args.command == "verify":
+            reports = []
+            exit_code = 0
+            for name in names:
+                try:
+                    report = suites.run(name, **given[name])
+                except ResourceLimitError as exc:
+                    report = VerificationReport(name, {"error": str(exc)}, incomplete=True)
+                    exit_code = 3
+                reports.append(report.to_json_dict())
+                if report.failures and exit_code == 0:
+                    exit_code = 1
+            _emit(reports if args.suite == "all" else reports[0], args.format, stream)
+            return exit_code
+
+        # enumerate
+        builder = (suites.enumerate_params_report if args.kind == "params"
+                   else suites.enumerate_descent_report)
+        try:
+            payload = builder(args.n)
+        except ResourceLimitError as exc:
+            _emit({"kind": args.kind, "n": args.n, "error": str(exc),
+                   "incomplete": True}, args.format, stream)
+            return 3
+        _emit(payload, args.format, stream)
+        return 0
 
 
 if __name__ == "__main__":

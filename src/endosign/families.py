@@ -25,6 +25,8 @@ All weights and counts are exact.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -300,41 +302,52 @@ def transversal_family_count_formula(shape: SplitShape, rp_field: ResidueParam) 
 
 
 def family_selections(family, index: int, shape: SplitShape,
-                      rp_field: ResidueParam) -> dict[int, list[GammaVector]]:
+                      rp_field: ResidueParam) -> dict[int, list[tuple[int, ...]]]:
     """Selections gamma_j from the family's side `index` (1 or 2), keyed by sign product.
 
     Side 1 draws its residues from the G1 transversals on the pair slots
     and takes free signs on the top slots; side 2 draws from the G2
-    transversals.  The selections for (eta_j, w_j) are those whose sign
-    product times unit(eta_j) equals sgn_cd(w_j): the bucket at
-    sgn_cd(w_j) * unit(eta_j).
+    transversals.  A selection is the flat tuple of its residues followed
+    by its top signs, and its sign product is the product of the Legendre
+    symbols of the residues and the top signs.  The selections for
+    (eta_j, w_j) are those whose sign product times unit(eta_j) equals
+    sgn_cd(w_j): the bucket at sgn_cd(w_j) * unit(eta_j).
     """
     if index not in (1, 2):
         raise ValueError("index must be 1 or 2")
-    per_slot = [g1 if index == 1 else g2 for g1, g2 in family]
-    tops = list(itertools.product((1, -1), repeat=shape.r if index == 1 else 0))
+    # (residues, Legendre sign product) of every choice of residues, slot by slot
+    lows = [((), 1)]
+    for g1, g2 in family:
+        lows = [(low + (v,), sign * legendre(v, rp_field))
+                for low, sign in lows for v in (g1 if index == 1 else g2)]
+    tops = [(high, math.prod(high))
+            for high in itertools.product((1, -1), repeat=shape.r if index == 1 else 0)]
     out = {1: [], -1: []}
-    for low in itertools.product(*per_slot):
-        for high in tops:
-            comp = GammaVector(low, high)
-            out[comp.sign_product(rp_field)].append(comp)
+    for low, low_sign in lows:
+        for high, high_sign in tops:
+            out[low_sign * high_sign].append(low + high)
     return out
 
 
-def reassemble(comp1: GammaVector, comp2: GammaVector, pair: LPair,
-               shape: SplitShape) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The reassembly map: components gamma1, gamma2 and a pairing back to gamma.
+def reassemble(pair: LPair, shape: SplitShape) -> operator.itemgetter:
+    """The reassembly map along pair, as a gather from components to gamma.
 
-    Returns gamma as its (low, high) tuple; GammaVector(*result) is gamma.
+    The returned itemgetter maps comp1 + comp2 to gamma's flat tuple
+    low + high, where comp1 is a side-1 selection (t2 residues, then r top
+    signs) and comp2 a side-2 selection (t2 residues), as family_selections
+    builds them: the L1 slots of gamma take comp1's residues, the L2 slots
+    comp2's, and the top slots comp1's signs.  GammaVector(flat[:R-r],
+    flat[R-r:]) is gamma.  The caller checks the component lengths.
     """
-    if (len(comp1.low), len(comp1.high), len(comp2.low), len(comp2.high)) != \
-            (shape.t2, shape.r, shape.t2, 0):
-        raise ValueError("component lengths do not match the shape")
-    low = [0] * (shape.R - shape.r)
-    for slot1, slot2, v1, v2 in zip(pair.l1, pair.l2, comp1.low, comp2.low):
-        low[slot1 - 1] = v1
-        low[slot2 - 1] = v2
-    return tuple(low), comp1.high
+    t2, r = shape.t2, shape.r
+    if t2 == 0:
+        # gamma is comp1; a slice, since a one-index itemgetter returns a bare entry
+        return operator.itemgetter(slice(None))
+    order = [0] * (2 * t2)
+    for i, (slot1, slot2) in enumerate(zip(pair.l1, pair.l2)):
+        order[slot1 - 1] = i
+        order[slot2 - 1] = t2 + r + i
+    return operator.itemgetter(*order, *range(t2, t2 + r))
 
 
 def fiber_size_prediction(gamma: GammaVector, shape: SplitShape,

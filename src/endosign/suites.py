@@ -14,7 +14,9 @@ the named constants live in the constants module.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
+from collections import Counter
 from math import factorial
 
 from . import descent as dsc
@@ -88,6 +90,9 @@ def counting_points(qs, t2max: int):
     reads only the pairing and tau_j = s_j * unit(eta_j); one pass over the
     families fills the tally of every (pairing, tau1, tau2) and keeps no
     family, so memory is bounded by the image, not by the family count.
+    The reassembly along a pairing is one itemgetter gather per shape; per
+    family and (tau1, tau2) every c1 + c2 is joined once and gathered
+    along each pairing, and the tallies count gamma's flat tuples.
     The image groups each sign target's admissible vectors by eta_of_L2
     once per (pairing, target, sgn_cd(w2)); the closed-form fiber size is
     evaluated once per vector of the shape and the slotwise count once per
@@ -116,24 +121,38 @@ def counting_points(qs, t2max: int):
             for rp, rpp in _counting_shapes(t2, q):
                 shape = fam.SplitShape(rp, rpp)
                 pairs = fam.enumerate_L(shape)
-                # (pairing index, tau1, tau2) -> (low, high) -> preimages: a
-                # selection from a family's side-1 bucket at tau1 and one from
-                # its side-2 bucket at tau2
-                tallies = {key: {} for key in itertools.product(
-                    range(len(pairs)), (1, -1), (1, -1))}
+                gathers = [fam.reassemble(pair, shape) for pair in pairs]
+                widths = ({shape.t2 + shape.r}, {shape.t2})
+                # (tau1, tau2) -> per pairing, gamma's flat tuple -> preimages:
+                # a selection from a family's side-1 bucket at tau1 and one
+                # from its side-2 bucket at tau2
+                tallies = {taus: [Counter() for _ in pairs]
+                           for taus in itertools.product((1, -1), (1, -1))}
                 for family in fam.enumerate_transversal_families(shape, choices):
                     # selections keyed by their sign product; a selection for
                     # (eta_j, w_j) is the bucket at sgn_cd(w_j) * unit(eta_j)
                     side1, side2 = [fam.family_selections(family, idx, shape, field)
                                     for idx in (1, 2)]
-                    for (pi, tau1, tau2), tally in tallies.items():
-                        for c1 in side1[tau1]:
-                            for c2 in side2[tau2]:
-                                key = fam.reassemble(c1, c2, pairs[pi], shape)
-                                tally[key] = tally.get(key, 0) + 1
-                # wrap each distinct key once, so it compares with the image
-                tallies = {key: {fam.GammaVector(*g): n for g, n in tally.items()}
-                           for key, tally in tallies.items()}
+                    # the gathers read t2 residues and r top signs from side 1
+                    # and t2 residues from side 2
+                    if ({*map(len, side1[1]), *map(len, side1[-1])},
+                            {*map(len, side2[1]), *map(len, side2[-1])}) != widths:
+                        raise ValueError("component lengths do not match the shape")
+                    for (tau1, tau2), row in tallies.items():
+                        # every c1 + c2, joined once for all pairings
+                        joined = list(itertools.starmap(
+                            operator.add, itertools.product(side1[tau1], side2[tau2])))
+                        for gather, tally in zip(gathers, row):
+                            tally.update(map(gather, joined))
+                # wrap each distinct key once, so it compares with the image;
+                # to bound peak memory, each flat tally is dropped as soon as
+                # it is wrapped and the vectors share the 2^r top-sign tuples
+                nlow = shape.R - shape.r
+                highs = {high: high for high in itertools.product((1, -1), repeat=shape.r)}
+                for row in tallies.values():
+                    for pi, tally in enumerate(row):
+                        row[pi] = {fam.GammaVector(g[:nlow], highs[g[nlow:]]): n
+                                   for g, n in tally.items()}
                 # the image by (pairing index, target sgn_cd(w1) sgn_cd(w2)
                 # unit(eta), sgn_cd(w2), eta[L2, gamma]), in enumerate_gamma
                 # order, each vector with its slotwise count along the pairing
@@ -155,7 +174,7 @@ def counting_points(qs, t2max: int):
                     eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(t2 % 2, ue2)
                     tau1, tau2 = s1 * (eta * eta2).unit_sign, s2 * eta2.unit_sign
                     for pi in range(len(pairs)):
-                        tally = tallies[pi, tau1, tau2]
+                        tally = tallies[tau1, tau2][pi]
                         image = images.get(
                             (pi, s1 * s2 * ue, s2, eta2.val_parity, eta2.unit_sign), ())
                         expected = {g for g, _, _ in image}

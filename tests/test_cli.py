@@ -157,6 +157,26 @@ def test_invalid_value_exit_two(argv, monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "aux", "--rmax", "0"],
+    ["enumerate", "params", "--n", "0"],
+])
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_out_exit_two(argv, target, tmp_path, monkeypatch, capsys):
+    def no_sweep(*args, **params):
+        raise AssertionError(f"{argv[:2]} ran despite an unwritable --out")
+
+    for entry in ("run", "enumerate_params_report", "enumerate_descent_report"):
+        monkeypatch.setattr(suites, entry, no_sweep)
+    out = tmp_path / target
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"--out {out}" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_value_error_inside_sweep_is_not_a_usage_error(monkeypatch):
     def broken(rp, rpp):
         raise ValueError("planted")

@@ -1,7 +1,9 @@
 import itertools
+import math
 
 import pytest
 
+from endosign import suites
 from endosign.families import (EVector, GammaVector, LPair, SplitShape,
                                UVector, _slot_choices, count_transversal_families,
                                enumerate_e, enumerate_gamma, enumerate_L,
@@ -147,25 +149,48 @@ def test_gamma_split_swaps_pair():
     assert comp2 == GammaVector((3,), ())
 
 
+def scatter(comp1, comp2, pair, shape):
+    """The reassembly map one call at a time: the reference for the gather of reassemble.
+
+    comp1 is a side-1 selection (t2 residues, then r top signs) and comp2 a
+    side-2 selection (t2 residues); returns gamma's flat tuple low + high.
+    """
+    t2 = shape.t2
+    if (len(comp1), len(comp2)) != (t2 + shape.r, t2):
+        raise ValueError("component lengths do not match the shape")
+    low = [0] * (shape.R - shape.r)
+    for slot1, slot2, v1, v2 in zip(pair.l1, pair.l2, comp1[:t2], comp2):
+        low[slot1 - 1] = v1
+        low[slot2 - 1] = v2
+    return tuple(low) + comp1[t2:]
+
+
 def test_split_reassemble_roundtrip():
-    for shape in (SplitShape(2, 0), SplitShape(3, 1), SplitShape(4, 2), SplitShape(5, 1)):
+    for shape in (SplitShape(0, 0), SplitShape(1, 1), SplitShape(2, 2), SplitShape(2, 0),
+                  SplitShape(3, 1), SplitShape(4, 2), SplitShape(5, 1)):
         for gamma in enumerate_gamma(shape, F5, 1):
             for pair in enumerate_L(shape):
                 comp1, comp2 = gamma_L_split(gamma, pair)
-                assert reassemble(comp1, comp2, pair, shape) == (gamma.low, gamma.high)
+                flat = comp1.low + comp1.high + comp2.low
+                assert reassemble(pair, shape)(flat) == gamma.low + gamma.high
+                assert scatter(comp1.low + comp1.high, comp2.low, pair, shape) == \
+                    gamma.low + gamma.high
 
 
-def test_reassemble_rejects_components_that_do_not_match_the_shape():
-    shape = SplitShape(3, 1)  # t2 = 1, r = 1
-    pair = enumerate_L(shape)[0]
-    comp1, comp2 = GammaVector((1,), (1,)), GammaVector((2,), ())
-    assert reassemble(comp1, comp2, pair, shape) == ((1, 2), (1,))
-    for bad1, bad2 in ((GammaVector((1, 3), (1,)), comp2),   # gamma1 residues
-                       (GammaVector((1,), ()), comp2),        # gamma1 top signs
-                       (comp1, GammaVector((), ())),          # gamma2 residues
-                       (comp1, GammaVector((2,), (1,)))):     # gamma2 top signs
-        with pytest.raises(ValueError):
-            reassemble(bad1, bad2, pair, shape)
+@pytest.mark.parametrize("field", [F5, F7])
+def test_reassemble_gather_against_the_scatter(field):
+    choices = _slot_choices(field)
+    for t2 in range(4):
+        for rp, rpp in suites._counting_shapes(t2, field.q):
+            shape = SplitShape(rp, rpp)
+            family = next(enumerate_transversal_families(shape, choices))
+            side1, side2 = [family_selections(family, idx, shape, field) for idx in (1, 2)]
+            for pair in enumerate_L(shape):
+                gather = reassemble(pair, shape)
+                for c1 in side1[1] + side1[-1]:
+                    for c2 in side2[1] + side2[-1]:
+                        # a tuple also at t2 = 0, where gamma has 0 or 1 entries
+                        assert gather(c1 + c2) == scatter(c1, c2, pair, shape)
 
 
 def test_eta_of_L2():
@@ -237,11 +262,26 @@ def test_slot_pair_counts_against_the_linear_scan():
 def test_family_selection_sign_condition():
     shape = SplitShape(3, 1)
     family = next(enumerate_transversal_families(shape, _slot_choices(F5)))
-    buckets = family_selections(family, 1, shape, F5)
-    assert sorted(buckets) == [-1, 1]
-    for sign, sels in buckets.items():
-        assert sels, "selections must exist"
-        for comp in sels:
-            assert comp.sign_product(F5) == sign
-    # halving: the two buckets partition all 2^t1 candidates
-    assert len(buckets[1]) + len(buckets[-1]) == 2 ** shape.t1
+    for index, width in ((1, shape.t2 + shape.r), (2, shape.t2)):
+        buckets = family_selections(family, index, shape, F5)
+        assert sorted(buckets) == [-1, 1]
+        for sign, sels in buckets.items():
+            assert sels, "selections must exist"
+            for sel in sels:
+                assert len(sel) == width
+                residues, tops = sel[:shape.t2], sel[shape.t2:]
+                assert all(s in (1, -1) for s in tops)
+                assert math.prod(legendre(v, F5) for v in residues) * math.prod(tops) == sign
+        # halving: the two buckets partition all 2^width candidates
+        assert len(buckets[1]) + len(buckets[-1]) == 2 ** width
+
+
+@pytest.mark.parametrize("field", [F5, F7])
+def test_sgn_slot_reads_the_top_signs(field):
+    for shape in (SplitShape(3, 1), SplitShape(5, 1)):
+        nlow = shape.R - shape.r
+        for gamma in enumerate_gamma(shape, field, 1) + enumerate_gamma(shape, field, -1):
+            for j in shape.high_slots:
+                assert gamma.sgn_slot(j, field) == gamma.high[j - nlow - 1]
+            assert math.prod(gamma.sgn_slot(j, field) for j in range(1, shape.R + 1)) == \
+                gamma.sign_product(field)

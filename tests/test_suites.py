@@ -11,6 +11,8 @@ from endosign.localfield import ResidueParam, SquareClass
 from endosign.partitions import Partition
 from endosign.weyl import WeylClassB, sgn_cd
 
+from test_families import scatter
+
 
 def test_transfer_fails_on_a_flipped_transfer_factor_sign(monkeypatch):
     original = constants.transfer_factor_sign
@@ -171,8 +173,8 @@ def test_weyl_fails_on_an_off_by_one_class_size(monkeypatch):
 
 def test_counting_fails_on_a_reassembly_with_l1_and_l2_swapped(monkeypatch):
     original = fam.reassemble
-    monkeypatch.setattr(fam, "reassemble", lambda comp1, comp2, pair, shape: original(
-        comp1, comp2, fam.LPair(pair.l2, pair.l1), shape))
+    monkeypatch.setattr(fam, "reassemble", lambda pair, shape: original(
+        fam.LPair(pair.l2, pair.l1), shape))
     report = suites.verify_counting(qs=(5,), t2max=1)
     assert report.failures and not report.passed
     assert {f["identity"] for f in report.failures} == {"image", "worked_fibers"}
@@ -196,6 +198,23 @@ def test_counting_fails_on_a_slotwise_count_off_by_one(monkeypatch):
     fibers = [f for f in report.failures if f["identity"] == "fiber"]
     assert len(fibers) == len(report.failures) - 1 == 492
     assert all(f["slotwise"] == f["observed"] + 1 for f in fibers)
+
+
+def test_counting_rejects_components_that_do_not_match_the_shape(monkeypatch):
+    original = fam.family_selections
+    for side, change in itertools.product((1, 2), (-1, 1)):
+        def misshapen(family, index, shape, rp_field, _side=side, _change=change):
+            buckets = original(family, index, shape, rp_field)
+            if index == _side and shape.t2 == 1:
+                # every selection of the side one entry short or long
+                return {sign: [sel[:-1] if _change < 0 else sel + (1,) for sel in sels]
+                        for sign, sels in buckets.items()}
+            return buckets
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fam, "family_selections", misshapen)
+            with pytest.raises(ValueError, match="component lengths do not match the shape"):
+                suites.verify_counting(qs=(5,), t2max=1)
 
 
 def test_counting_builds_the_slot_choices_once_per_field(monkeypatch):
@@ -227,13 +246,13 @@ def test_counting_builds_each_tally_once(monkeypatch):
         monkeypatch.setattr(fam, name, counted)
     report = suites.verify_counting(qs=(5,), t2max=1)
     assert report.passed
-    # two selection tables per (shape, family), one tally per (shape,
-    # pairing, tau1, tau2), one vector list per (shape, sign target), one
-    # eta_of_L2 per (vector, pairing, sgn_cd(w2)), one slotwise count per
-    # (vector, pairing) and one prediction per (shape, vector); one tally,
-    # vector list, eta_of_L2, slotwise count and prediction per point would
-    # be 652, 96, 984, 492 and 492 calls
-    assert calls == {"family_selections": 36, "reassemble": 163, "enumerate_gamma": 12,
+    # two selection tables per (shape, family), one gather per (shape,
+    # pairing), one vector list per (shape, sign target), one eta_of_L2 per
+    # (vector, pairing, sgn_cd(w2)), one slotwise count per (vector,
+    # pairing) and one prediction per (shape, vector); one reassembly per
+    # preimage would be 163 calls, and one vector list, eta_of_L2, slotwise
+    # count and prediction per point 96, 984, 492 and 492
+    assert calls == {"family_selections": 36, "reassemble": 8, "enumerate_gamma": 12,
                      "eta_of_L2": 246, "fiber_count_check": 123,
                      "fiber_size_prediction": 75}
 
@@ -263,8 +282,9 @@ def test_counting_keeps_no_family_past_its_iteration(q, t2max, monkeypatch):
 def _per_point_counting_failures(q, t2max):
     """The counting sweep's image and fiber failures, one tally per point.
 
-    Every sign choice (s1, s2, ue, ue2) and pairing builds its own tally
-    and its own image, in the order in which the sweep reports them.
+    Every sign choice (s1, s2, ue, ue2) and pairing builds its own tally,
+    one scatter per preimage, and its own image, in the order in which the
+    sweep reports them.
     """
     field = ResidueParam(q)
     choices = fam._slot_choices(field)
@@ -273,6 +293,7 @@ def _per_point_counting_failures(q, t2max):
     for t2 in range(min(t2max, 1 if q == 13 else t2max) + 1):
         for rp, rpp in suites._counting_shapes(t2, q):
             shape = fam.SplitShape(rp, rpp)
+            nlow = shape.R - shape.r
             tables = [[fam.family_selections(family, idx, shape, field) for idx in (1, 2)]
                       for family in fam.enumerate_transversal_families(shape, choices)]
             for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4):
@@ -287,7 +308,8 @@ def _per_point_counting_failures(q, t2max):
                     for side1, side2 in tables:
                         for c1 in side1[s1 * eta1.unit_sign]:
                             for c2 in side2[s2 * eta2.unit_sign]:
-                                gv = fam.GammaVector(*fam.reassemble(c1, c2, pair, shape))
+                                flat = scatter(c1, c2, pair, shape)
+                                gv = fam.GammaVector(flat[:nlow], flat[nlow:])
                                 tally[gv] = tally.get(gv, 0) + 1
                     expected = set(image)
                     if tally.keys() != expected:
