@@ -1,6 +1,6 @@
 """Named constants of the transfer computation and their identity verifiers.
 
-Everything here is an exact sign, rational, or sign * rational * q^(k/2).
+Everything here is an exact sign or rational.
 The headline identities verified exhaustively at desk scale:
 
   * the auxiliary split-parameter identities (parity, size, companion-sum,
@@ -170,8 +170,7 @@ def pair_power_constant(rp: int, rpp: int, rp_field: ResidueParam) -> ExactValue
         raise ValueError("r' and r'' must have equal parity")
     q = rp_field.q
     t2 = abs(rp - rpp) // 2
-    value = Fraction(2) ** (1 - rp - rpp) / ((q - 1) ** 2 * (q - 3)) ** t2
-    return ExactValue(value, q=q)
+    return ExactValue(Fraction(2) ** (1 - rp - rpp) / ((q - 1) ** 2 * (q - 3)) ** t2)
 
 
 def even_case_transfer_constant(eta1: SquareClass, eta2: SquareClass, rp: int, rpp: int,
@@ -273,17 +272,16 @@ def collapse_and_product_constants(rp: int, rpp: int, w1: WeylClassB, w2: WeylCl
         if eta2.val_parity:
             sign *= m
         sign *= eta2.unit_sign * sgn_cd(w2)
-    collapse = ExactValue(Fraction(4, q - 3) ** t2 * sign, q=q)
+    collapse = Fraction(4, q - 3) ** t2 * sign
 
     two_exp = beta + 2 * t1 + 2 * t2 + (1 if alt_two_power else 0)
-    product = collapse \
-        * ExactValue(Fraction(2) ** two_exp, q=q) \
-        * ExactValue(weil_ratio_sign(eta1, eta2, rp_field), q=q) \
-        * pair_power_constant(rp, rpp, rp_field) \
-        * ExactValue(alpha_constant(rp, rpp, w1, w2, eta, rp_field), q=q) \
-        * ExactValue(alpha_constant(t1, t1, w1, W_PLUS, eta1, rp_field), q=q) \
-        * ExactValue(alpha_constant(t2, t2, w2, W_PLUS, eta2, rp_field), q=q)
-    return collapse, product
+    product = collapse * Fraction(2) ** two_exp \
+        * weil_ratio_sign(eta1, eta2, rp_field) \
+        * pair_power_constant(rp, rpp, rp_field).value \
+        * alpha_constant(rp, rpp, w1, w2, eta, rp_field) \
+        * alpha_constant(t1, t1, w1, W_PLUS, eta1, rp_field) \
+        * alpha_constant(t2, t2, w2, W_PLUS, eta2, rp_field)
+    return ExactValue(collapse), ExactValue(product)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +340,7 @@ def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
     For every q, every (r', r'') of equal parity up to rmax, all class and
     sign choices, and every admissible beta:
         2^(-1-beta) * C_total * |families| = C_even,
-    checked exactly; the left side must carry no residual q^(1/2).
+    checked exactly in rationals.
     alt_two_power evaluates C_total under the alternate two-power reading.
     """
     for q in qs:
@@ -352,8 +350,7 @@ def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
                 if (rp - rpp) % 2:
                     continue
                 shape = fam.SplitShape(rp, rpp)
-                count = ExactValue(
-                    fam.transversal_family_count_formula(shape, field), q=q)
+                count = ExactValue(fam.transversal_family_count_formula(shape, field))
                 for ue, ue2, s1, s2 in itertools.product((1, -1), repeat=4):
                     eta = SquareClass(rpp % 2, ue)
                     eta2 = SquareClass(shape.t2 % 2, ue2)
@@ -364,7 +361,7 @@ def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
                         _, product = collapse_and_product_constants(
                             rp, rpp, w1, w2, eta, eta1, eta2, beta, field,
                             alt_two_power=alt_two_power)
-                        lhs = ExactValue(Fraction(1, 2 ** (1 + beta)), q=q) * product * count
+                        lhs = ExactValue(Fraction(1, 2 ** (1 + beta))) * product * count
                         rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, w2, eta, field)
                         if lhs == ExactValue(rhs):
                             yield ()

@@ -205,9 +205,14 @@ def solve_split_family(dd: DescentDatum, g: QuadrupleGamma,
         n2_minus - (r_minus - rpp) ** 2 // 4,
         pairs)
     feas = descent_feasibility(dd, g)
-    if not feas.holds:
-        return None
-    if split not in enumerate_size_splits(dd, g, feas.N_plus, feas.N_minus):
+    # The five size constraints, checked directly, not against the sweep's own scan.
+    weights = [sum(p[k] * b.f for p, b in zip(pairs, dd.blocks)) for k in (0, 1)]
+    if not feas.holds or len(pairs) != len(dd.blocks) or \
+            any(min(p) < 0 or sum(p) != b.d for p, b in zip(pairs, dd.blocks)) or \
+            split.Np_plus + split.Npp_plus != feas.N_plus or \
+            split.Np_minus + split.Npp_minus != feas.N_minus or \
+            split.Np_plus + split.Np_minus + weights[0] != g.Np or \
+            split.Npp_plus + split.Npp_minus + weights[1] != g.Npp:
         return None
     return split
 

@@ -14,47 +14,33 @@ def test_zero_is_rejected():
 
 def test_negative_rational_moves_to_sign():
     v = ExactValue(Fraction(-3, 4))
-    assert v.sign == -1 and v.rational == Fraction(3, 4)
-
-
-def test_q_power_folding():
-    v = ExactValue(2, q_half=3, q=5)
-    assert v.q_half == 1 and v.rational == 10
-    w = ExactValue(2, q_half=-3, q=5)
-    assert w.q_half == 1 and w.rational == Fraction(2, 25)
-    with pytest.raises(ValueError):
-        ExactValue(1, q_half=2)
+    assert v.to_json() == {"sign": -1, "numerator": 3, "denominator": 4, "q_half_power": 0}
+    assert ExactValue(Fraction(6, 4)).to_json() == \
+        {"sign": 1, "numerator": 3, "denominator": 2, "q_half_power": 0}
 
 
 def test_multiplication_and_inverse():
-    a = ExactValue(Fraction(3, 2), sign=-1, q_half=1, q=7)
-    b = ExactValue(Fraction(2, 9), q_half=1, q=7)
-    prod = a * b
-    assert prod == ExactValue(Fraction(7, 3), sign=-1, q=7)
-    inverse = ExactValue(1 / a.rational, sign=a.sign, q_half=-a.q_half, q=7)
+    a = ExactValue(Fraction(-3, 2))
+    b = ExactValue(Fraction(2, 9))
+    assert a * b == ExactValue(Fraction(-1, 3))
+    inverse = ExactValue(1 / a.value)
     assert a * inverse == inverse * a == ExactValue(1)
-    with pytest.raises(ValueError):
-        a * ExactValue(1, q_half=1, q=5)
+    assert a * ExactValue(1) == a
 
 
 def test_equality_semantics():
-    assert ExactValue(Fraction(5, 1), q=5) == ExactValue(1, q_half=2, q=5)
-    assert ExactValue(1, q_half=1, q=5) != ExactValue(1, q_half=1, q=7)
     assert ExactValue(3) == ExactValue(Fraction(6, 2))
-    assert ExactValue(1, sign=-1) == ExactValue(-1)
+    assert ExactValue(-1) != ExactValue(1)
+    assert ExactValue(Fraction(1, 2)) != ExactValue(2)
     # only ExactValues compare equal to an ExactValue
     assert ExactValue(3) != 3
+    assert ExactValue(3) != Fraction(3)
 
 
-rationals = st.fractions(min_value=Fraction(1, 50), max_value=50)
-signs = st.sampled_from([1, -1])
-halves = st.integers(min_value=-3, max_value=3)
+rationals = st.fractions(min_value=Fraction(-50), max_value=50).filter(bool)
 
 
-@given(rationals, signs, halves, rationals, signs, halves, rationals, signs, halves)
-def test_multiplication_associative(r1, s1, h1, r2, s2, h2, r3, s3, h3):
-    a = ExactValue(r1, sign=s1, q_half=h1, q=5)
-    b = ExactValue(r2, sign=s2, q_half=h2, q=5)
-    c = ExactValue(r3, sign=s3, q_half=h3, q=5)
-    assert (a * b) * c == a * (b * c)
-
+@given(rationals, rationals, rationals)
+def test_multiplication_associative(r1, r2, r3):
+    a, b, c = ExactValue(r1), ExactValue(r2), ExactValue(r3)
+    assert (a * b) * c == a * (b * c) == ExactValue(r1 * r2 * r3)

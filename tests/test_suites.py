@@ -7,6 +7,7 @@ import pytest
 from endosign import constants, descent, suites
 from endosign import families as fam
 from endosign import params as par
+from endosign.exact import ExactValue
 from endosign.localfield import ResidueParam, SquareClass
 from endosign.partitions import Partition
 from endosign.weyl import WeylClassB, sgn_cd
@@ -44,6 +45,27 @@ def test_descent_fails_on_a_solver_that_selects_no_split(monkeypatch):
     assert len(report.failures) == 1165
 
 
+def test_descent_fails_on_size_splits_with_a_shifted_plus_size(monkeypatch):
+    # Each split with N'_- >= 1 gains a copy with one unit moved to N'_+, which
+    # keeps both support sums but breaks N'_+ + N''_+ = N_+.
+    original = descent.enumerate_size_splits
+
+    def shifted(dd, g, N_plus, N_minus):
+        out = []
+        for split in original(dd, g, N_plus, N_minus):
+            out.append(split)
+            if split.Np_minus >= 1:
+                out.append(split._replace(Np_plus=split.Np_plus + 1,
+                                          Np_minus=split.Np_minus - 1))
+        return out
+
+    monkeypatch.setattr(descent, "enumerate_size_splits", shifted)
+    report = suites.verify_descent(beta_max=2)
+    assert report.points_checked == 3892
+    assert {f["identity"] for f in report.failures} == {"unique_split"}
+    assert len(report.failures) == 434
+
+
 def test_descent_fails_on_class_splits_that_drop_a_part(monkeypatch):
     original = descent.class_splits
 
@@ -67,6 +89,19 @@ def test_constprod_fails_on_the_swapped_two_power_reading(monkeypatch):
     report = suites.verify_product_identity(qs=(5,), rmax=1)
     assert len(report.failures) == report.points_checked > 0
     assert report.notes == ["failures re-evaluated under the alternate two-power reading: pass"]
+
+
+def test_constprod_fails_on_a_pair_power_constant_off_by_three(monkeypatch):
+    original = constants.pair_power_constant
+    monkeypatch.setattr(constants, "pair_power_constant",
+                        lambda *args: original(*args) * ExactValue(3))
+    report = suites.verify_product_identity(qs=(5,), rmax=2)
+    assert len(report.failures) == report.points_checked > 0
+    first = report.failures[0]
+    assert set(first["lhs"]) == {"sign", "numerator", "denominator", "q_half_power"}
+    assert (first["lhs"]["sign"], first["lhs"]["numerator"], first["lhs"]["denominator"]) == \
+        (first["rhs"], 3, 1)
+    assert report.notes == ["failures re-evaluated under the alternate two-power reading: fail"]
 
 
 def test_constprod_alternate_reading_can_fail_too(monkeypatch):
