@@ -285,8 +285,8 @@ def collapse_and_product_constants(rp: int, rpp: int, w1: WeylClassB, w2: WeylCl
 
 
 # ---------------------------------------------------------------------------
-# Sweep point generators (see endosign.suites): each yields the failure
-# records of one checked point, () when the point passes.
+# Sweep point generators (see endosign.suites): each yields (checked,
+# failures), the number of points just checked and their failure records.
 # ---------------------------------------------------------------------------
 
 def aux_points(rmax: int):
@@ -294,28 +294,32 @@ def aux_points(rmax: int):
     for rp in range(rmax + 1):
         for rpp in range(-rmax, rmax + 1):
             aux = split_pair_identities(rp, rpp)
-            yield () if aux.passed else ({"rp": rp, "rpp": rpp, "detail": aux.to_json()},)
+            yield 1, () if aux.passed else ({"rp": rp, "rpp": rpp, "detail": aux.to_json()},)
 
 
 def split_points(rmax: int, nmax: int):
-    """Size-sum identity and the r'' <-> -r'' swap symmetry of the splitting."""
+    """Size-sum identity and the r'' <-> -r'' swap symmetry of the splitting.
+
+    A point is one (r', r'', N', N''); the (nmax+1)^2 points of one (r', r'')
+    are yielded as one batch.
+    """
     for rp in range(rmax + 1):
         for rpp in range(-rmax, rmax + 1):
             vals = split_pair_values(rp, rpp)
             pairs_swap = split_pair_values(rp, -rpp) == (vals[2], vals[3], vals[0], vals[1])
             n = rp * rp + rp + rpp * rpp
+            failures = []
             for Np in range(nmax + 1):
                 for Npp in range(nmax + 1):
-                    failures = ()
                     n1, n2 = split_sizes(rp, rpp, Np, Npp)
                     total = n + Np + Npp
                     if n1 + n2 != total:
-                        failures += ({"rp": rp, "rpp": rpp, "Np": Np, "Npp": Npp,
-                                      "lhs": n1 + n2, "rhs": total, "identity": "sum"},)
+                        failures.append({"rp": rp, "rpp": rpp, "Np": Np, "Npp": Npp,
+                                         "lhs": n1 + n2, "rhs": total, "identity": "sum"})
                     if not pairs_swap or split_sizes(rp, -rpp, Npp, Np) != (n2, n1):
-                        failures += ({"rp": rp, "rpp": rpp, "Np": Np, "Npp": Npp,
-                                      "identity": "swap"},)
-                    yield failures
+                        failures.append({"rp": rp, "rpp": rpp, "Np": Np, "Npp": Npp,
+                                         "identity": "swap"})
+            yield (nmax + 1) ** 2, failures
 
 
 def _degenerate_cases(rp, rpp, scd1, scd2, eta1, eta2):
@@ -364,12 +368,12 @@ def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
                         lhs = ExactValue(Fraction(1, 2 ** (1 + beta))) * product * count
                         rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, w2, eta, field)
                         if lhs == ExactValue(rhs):
-                            yield ()
+                            yield 1, ()
                         else:
-                            yield ({"q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
-                                    "eta1": eta1.name(), "eta2": eta2.name(), "scd1": s1,
-                                    "scd2": s2, "beta": beta, "lhs": lhs.to_json(),
-                                    "rhs": rhs},)
+                            yield 1, ({"q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
+                                       "eta1": eta1.name(), "eta2": eta2.name(), "scd1": s1,
+                                       "scd2": s2, "beta": beta, "lhs": lhs.to_json(),
+                                       "rhs": rhs},)
 
 
 def branch_switch(rp: int, rpp: int) -> int:
@@ -435,14 +439,14 @@ def sign_chain_points(rmax: int):
                     chain = base * endo * reduction * (-1) ** ((d2 * rpp) % 2)
                     target = (-1) ** npar * u_value
                     if chain != target:
-                        yield ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
-                                "d2": d2, "d": d, "n": npar, "lhs": chain, "rhs": target,
-                                "identity": "chain"},)
+                        yield 1, ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
+                                   "d2": d2, "d": d, "n": npar, "lhs": chain, "rhs": target,
+                                   "identity": "chain"},)
                         continue
                     u12 = u_sign(r1p, r1pp, m) * u_sign(r2p, r2pp, m)
                     if u_value != u12:
-                        yield ({"q": q, "rp": rp, "rpp": rpp, "lhs": u_value,
-                                "rhs": u12, "identity": "u_product"},)
+                        yield 1, ({"q": q, "rp": rp, "rpp": rpp, "lhs": u_value,
+                                   "rhs": u12, "identity": "u_product"},)
                         continue
                     # full nine-constant product; companion data has trivial
                     # second factors, so their block counts do not contribute
@@ -454,7 +458,7 @@ def sign_chain_points(rmax: int):
                         total *= base_j * endo_j * reduction_j
                     # chain used parity npar; realign to n = n1 + n2
                     total *= (-1) ** ((npar + n1 + n2) % 2)
-                    yield () if total == 1 else (
+                    yield 1, () if total == 1 else (
                         {"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2, "d2": d2,
                          "d": d, "value": total, "identity": "collapse"},)
 
@@ -536,27 +540,33 @@ def transfer_points(qs, rrmax: int):
     block vectors for small two-block class data, and all pairings, in both
     branch-switch regimes.
 
-    A cell is one (q, shape, beta', beta'', eta, gamma, pairing); its points
-    are every sign vector e times every block vector u.  Within a cell each
-    route's value changes only through an e-part and a u-part, so each route
-    does its work at three levels:
+    A block is one (q, shape, beta', beta'', eta); a cell is one (gamma,
+    pairing) of a block, and its points are every sign vector e times every
+    block vector u.  Within a cell each route's value changes only through
+    an e-part and a u-part, so each route does its work at three levels:
 
+      * per block and pairing: the route's e x u grid, built once from its
+        own tables in the order e, then u.  The per-factor grid multiplies
+        the e-factors with the block signs of u, the closed grid kappa_l2
+        with kappa_u.  The admissible vectors depend on the block only
+        through the sign target, so they are enumerated once per (q, shape,
+        target);
       * per cell: one factorwise_transfer_check at the cell's first point
         (e0, u0).  Its closed side calls eta_of_L2 and transfer_factor_sign,
-        its per-factor side the (gamma, pairing) factor.  Each side times its
-        own e- and u-entries at (e0, u0), all +-1, is that route's per-cell
-        factor;
-      * per table: for each pairing (once per shape) a row of per-factor
-        e-factors and a separate row of kappa_l2 over all e; per
-        (beta', beta''), kappa_u over all u; per (beta', beta'', eta), the
-        per-factor block signs over all u;
-      * per point: one product per side, the route's per-cell factor times
-        its own e- and u-entries, compared in the order e, then u.
+        its per-factor side the (gamma, pairing) factor.  Each side times
+        its own +-1 grid entry at (e0, u0) is that route's cell value, an
+        int;
+      * per point: the route's cell value times its own grid entry.  Each
+        route's grid scaled by a cell value is built once per block and
+        pairing and kept under that exact value, so a cell compares every
+        point with one tuple comparison and yields the cell as one batch.
+        Only a cell that fails is walked point by point, in the order e,
+        then u, for its failure records.
 
     The routes stay independent: they share only the leaf primitives
-    legendre, sgn_cd and sgn_minus_one.  No table or per-cell value is used
-    by both sides and neither side is derived from the other, so a wrong
-    formula on either side fails exactly the points at which
+    legendre, sgn_cd and sgn_minus_one.  No grid, table or cell value is
+    used by both sides and neither side is derived from the other, so a
+    wrong formula on either side fails exactly the points at which
     factorwise_transfer_check would fail.
     """
     beta_options = [Partition(), Partition([1])]
@@ -569,6 +579,7 @@ def transfer_points(qs, rrmax: int):
             e0 = evecs[0]
             factor_rows = [[factorwise_e_factor(e, pair) for e in evecs] for pair in pairs]
             kappa_rows = [[fam.kappa_l2(e, pair) for e in evecs] for pair in pairs]
+            gammas = {target: fam.enumerate_gamma(shape, field, target) for target in (1, -1)}
             for beta1, beta2 in itertools.product(beta_options, repeat=2):
                 w1 = WeylClassB(Partition(), beta1)
                 w2 = WeylClassB(Partition(), beta2)
@@ -582,21 +593,32 @@ def transfer_points(qs, rrmax: int):
                 for ue in (1, -1):
                     eta = SquareClass(rpp % 2, ue)
                     u_row = [factorwise_u_factor(u, eta) for u in uvecs]
-                    u_cols = list(zip(uvecs, u_row, kappa_us))
+                    # per pairing: each route's grid, and its scaled copies
+                    # by cell value
+                    grids = [([fe * fu for fe in factor_row for fu in u_row], {},
+                              [ke * ku for ke in kappa_row for ku in kappa_us], {})
+                             for factor_row, kappa_row in zip(factor_rows, kappa_rows)]
                     target = sgn_cd(w1) * sgn_cd(w2) * eta.unit_sign
-                    for gamma in fam.enumerate_gamma(shape, field, target):
-                        for pair, factor_row, kappa_row in zip(pairs, factor_rows, kappa_rows):
+                    for gamma in gammas[target]:
+                        for pair, (fw_grid, fw_scaled, cl_grid, cl_scaled) in zip(pairs, grids):
                             fw, cl = factorwise_transfer_check(
                                 shape, gamma, e0, u0, pair, w1, w2, eta, field)
-                            # divide out (e0, u0), each route by its own +-1 entries
-                            fw *= factor_row[0] * u_row[0]
-                            cl *= kappa_row[0] * kappa_us[0]
-                            for e, fe, ke in zip(evecs, factor_row, kappa_row):
-                                fw_e, cl_e = fw * fe, cl * ke
-                                for u, fu, ku in u_cols:
-                                    lhs, rhs = fw_e * fu, cl_e * ku
-                                    yield () if lhs == rhs else (
-                                        {"q": q, "rp": rp, "rpp": rpp,
-                                         "gamma": gamma.to_json(), "e": list(e.signs),
-                                         "u": list(u.u), "pair": pair.to_json(),
-                                         "lhs": lhs, "rhs": rhs},)
+                            # divide out (e0, u0), each route by its own +-1 entry
+                            fw *= fw_grid[0]
+                            cl *= cl_grid[0]
+                            lhs = fw_scaled.get(fw)
+                            if lhs is None:
+                                lhs = fw_scaled[fw] = tuple(fw * x for x in fw_grid)
+                            rhs = cl_scaled.get(cl)
+                            if rhs is None:
+                                rhs = cl_scaled[cl] = tuple(cl * x for x in cl_grid)
+                            yield len(lhs), () if lhs == rhs else tuple(
+                                {"q": q, "rp": rp, "rpp": rpp, "gamma": gamma.to_json(),
+                                 "e": list(e.signs), "u": list(u.u), "pair": pair.to_json(),
+                                 "lhs": left, "rhs": right}
+                                for (e, u), left, right in zip(
+                                    itertools.product(evecs, uvecs), lhs, rhs)
+                                if left != right)
+            # to bound peak memory, drop this shape's vectors before the next
+            # shape builds its own
+            del gammas

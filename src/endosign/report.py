@@ -2,27 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
 
-
-@dataclass
 class VerificationReport:
-    """Outcome of one verification sweep."""
+    """Outcome of one verification sweep.
 
-    suite: str
-    parameters: dict[str, Any]
-    points_checked: int = 0
-    failures: list[dict[str, Any]] = field(default_factory=list)
-    elapsed_ms: int = 0
-    notes: list[str] = field(default_factory=list)
-    incomplete: bool = False
+    The sweep fills in points_checked, failures, elapsed_ms and notes; a
+    report flagged incomplete records a sweep that was refused or cut short.
+    """
+
+    def __init__(self, suite: str, parameters: dict, incomplete: bool = False):
+        self.suite = suite
+        self.parameters = parameters
+        self.points_checked = 0
+        self.failures: list[dict] = []
+        self.elapsed_ms = 0
+        self.notes: list[str] = []
+        self.incomplete = incomplete
 
     @property
     def passed(self) -> bool:
         return not self.failures and not self.incomplete
 
-    def to_json_dict(self) -> dict[str, Any]:
+    def to_json_dict(self) -> dict:
         out = {
             "suite": self.suite,
             "parameters": self.parameters,

@@ -2,13 +2,17 @@
 
 Each suite sweeps one family of identities exhaustively over a desk-scale
 window.  SUITES is its registry: a suite's name maps to its point generator
-and the specification of its parameters.  A generator yields, per checked
-point, the tuple of that point's failure records, () when it passes.  run()
-owns everything else: it checks the parameters against their bounds and
-caps before any point is checked, counts and times the points, collects the
-failures and builds the VerificationReport.  The CLI derives its verify
-subcommands and flags from SUITES.  The generators of the identities among
-the named constants live in the constants module.
+and the specification of its parameters.  A generator yields one pair
+(checked, failures) per batch of points it has just checked: checked is the
+number of those points and failures their failure records, empty when
+they all pass.  Most generators yield every point on its own, as
+(1, failures); split yields the (nmax+1)^2 points of one (r', r'') at once
+and transfer the points of one (gamma, pairing) cell.  run() owns
+everything else: it checks the parameters against their bounds and caps
+before any point is checked, adds up the checked counts, times the sweep,
+collects the failures and builds the VerificationReport.  The CLI derives
+its verify subcommands and flags from SUITES.  The generators of the
+identities among the named constants live in the constants module.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ def kappa_sum_points(max_rr: int):
                     expected = len(pairs) * fam.kappa_zero(e, shape)
                 else:
                     expected = 0
-                yield () if total == expected else (
+                yield 1, () if total == expected else (
                     {"rr": rr, "r": r, "e": list(e.signs), "lhs": total, "rhs": expected},)
 
 
@@ -111,7 +115,7 @@ def counting_points(qs, t2max: int):
             shape0 = fam.SplitShape(2 * t2, 0)
             counted = fam.count_transversal_families(shape0, choices)
             formula = fam.transversal_family_count_formula(shape0, field)
-            yield () if counted == formula else (
+            yield 1, () if counted == formula else (
                 {"q": q, "t2": t2, "identity": "family_count", "lhs": counted,
                  "rhs": str(formula)},)
             if q == 5 and t2 == 1:
@@ -179,11 +183,11 @@ def counting_points(qs, t2max: int):
                             (pi, s1 * s2 * ue, s2, eta2.val_parity, eta2.unit_sign), ())
                         expected = {g for g, _, _ in image}
                         if tally.keys() != expected:
-                            yield ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
-                                    "eta": eta.name(), "eta2": eta2.name(),
-                                    "identity": "image",
-                                    "extra": len(tally.keys() - expected),
-                                    "missing": len(expected - tally.keys())},)
+                            yield 1, ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
+                                       "eta": eta.name(), "eta2": eta2.name(),
+                                       "identity": "image",
+                                       "extra": len(tally.keys() - expected),
+                                       "missing": len(expected - tally.keys())},)
                             continue
                         failures = ()
                         for g, slotwise, predicted in image:
@@ -196,11 +200,11 @@ def counting_points(qs, t2max: int):
                                     "slotwise": slotwise, "predicted": str(predicted)},)
                             elif q == 5 and t2 == 1:
                                 worked_fiber_sizes.add(observed)
-                        yield failures
+                        yield 1, failures
     if 5 in qs and t2max >= 1:
-        yield () if worked_family_count == 4 else (
+        yield 1, () if worked_family_count == 4 else (
             {"identity": "worked_family_count", "lhs": worked_family_count, "rhs": 4},)
-        yield () if worked_fiber_sizes == {1, 2} else (
+        yield 1, () if worked_fiber_sizes == {1, 2} else (
             {"identity": "worked_fibers", "lhs": sorted(worked_fiber_sizes), "rhs": [1, 2]},)
 
 
@@ -217,20 +221,20 @@ def weyl_points(nmax: int):
         for c, size in sorted(brute.items(), key=lambda kv: repr(kv[0])):
             formula = class_size_b(c)
             total += size
-            yield () if formula == size else (
+            yield 1, () if formula == size else (
                 {"N": N, "cls": c.to_json(), "lhs": formula, "rhs": size},)
-        yield () if total == order_b(N) else (
+        yield 1, () if total == order_b(N) else (
             {"N": N, "identity": "total", "lhs": total, "rhs": order_b(N)},)
         if N <= 3:
-            yield () if conjugation_orbit_sizes(N) == brute else (
+            yield 1, () if conjugation_orbit_sizes(N) == brute else (
                 {"N": N, "identity": "orbit_oracle"},)
     for d in range(7):
         brute_a = brute_class_sizes_a(d)
         for c, size in sorted(brute_a.items(), key=lambda kv: repr(kv[0])):
-            yield () if class_size_a(c) == size else (
+            yield 1, () if class_size_a(c) == size else (
                 {"d": d, "cls": c.to_json(), "lhs": class_size_a(c), "rhs": size},)
         total_a = sum(class_size_a(WeylClassA(p, d)) for p in enumerate_partitions(d))
-        yield () if total_a == factorial(d) else (
+        yield 1, () if total_a == factorial(d) else (
             {"d": d, "identity": "total_a", "lhs": total_a, "rhs": factorial(d)},)
 
 
@@ -246,7 +250,7 @@ def descent_points(beta_max: int):
         for beta in enumerate_partitions(total):
             for fs in ((), (1,), (2,), (1, 2)):
                 for split in dsc.class_splits(beta, fs):
-                    yield () if dsc.check_v_sign_relation(beta, split) else (
+                    yield 1, () if dsc.check_v_sign_relation(beta, split) else (
                         {"beta": beta.to_json(), "fs": list(fs), "identity": "class_sign"},)
 
     blocks_options = [(), ((1, 1),), ((1, 2),), ((2, 1),), ((1, 1), (1, 1))]
@@ -271,23 +275,23 @@ def descent_points(beta_max: int):
                         continue
                     feas = dsc.descent_feasibility(dd, g)
                     if not feas.holds or (feas.N_plus, feas.N_minus) != (N_plus, N_minus):
-                        yield ({"g": g.to_json(), "identity": "feasibility"},)
+                        yield 1, ({"g": g.to_json(), "identity": "feasibility"},)
                         continue
-                    yield ()
+                    yield 1, ()
                     splits = dsc.enumerate_size_splits(dd, g, N_plus, N_minus)
                     expected_sizes = split_sizes(rp, rpp, Np, Npp)
-                    for split in splits:
+                    # each split's assignment, once; the full scan below reads them all
+                    assignments = [dsc.assignment_sizes(g, split) for split in splits]
+                    for split, sizes in zip(splits, assignments):
                         sums = dsc.sector_size_sum(g, split, dd.blocks)
-                        yield () if sums == expected_sizes else (
+                        yield 1, () if sums == expected_sizes else (
                             {"g": g.to_json(), "split": split.to_json(),
                              "identity": "sector_sum"},)
-                        sizes = dsc.assignment_sizes(g, split)
                         eta1_minus = SquareClass(((r_minus + rpp) // 2) % 2, 1)
                         got = dsc.solve_split_family(dd, g, sizes, eta1_minus, split.pairs)
-                        matches = [s for s in splits
-                                   if dsc.assignment_sizes(g, s) == sizes
-                                   and s.pairs == split.pairs]
-                        yield () if got == split and matches == [split] else (
+                        matches = [s for s, s_sizes in zip(splits, assignments)
+                                   if s_sizes == sizes and s.pairs == split.pairs]
+                        yield 1, () if got == split and matches == [split] else (
                             {"g": g.to_json(), "split": split.to_json(),
                              "identity": "unique_split"},)
 
@@ -325,7 +329,7 @@ def params_points(nmax: int):
                             or back2[0] != t2.lam_plus or back2[1] != t2.lam_minus):
                         failures += ({"n": n, "identity": "restriction",
                                       "triple": triple.to_json()},)
-                    yield failures
+                    yield 1, failures
 
     # bilinearity of the character pairing on images
     for blocks_plus in ((), (2,), (4, 2), (6, 4, 2)):
@@ -347,7 +351,7 @@ def params_points(nmax: int):
                         lhs = par.eval_character_on_image(param, prod)
                         rhs = par.eval_character_on_image(param, im1) * \
                             par.eval_character_on_image(param, im2)
-                        yield () if lhs == rhs else (
+                        yield 1, () if lhs == rhs else (
                             {"identity": "bilinearity",
                              "blocks": [list(blocks_plus), list(blocks_minus)]},)
 
@@ -423,13 +427,13 @@ def run(name: str, **given) -> VerificationReport:
         shown["q"] = list(shown.pop("qs"))
     report = VerificationReport(name, shown)
     checked = 0
-    for failures in points(**values):
-        checked += 1
+    for count, failures in points(**values):
+        checked += count
         if failures:
             report.failures.extend(failures)
     report.points_checked = checked
     if report.failures and name == "constprod":
-        held = not any(points(**values, alt_two_power=True))
+        held = not any(failures for _, failures in points(**values, alt_two_power=True))
         report.notes.append("failures re-evaluated under the alternate two-power "
                             f"reading: {'pass' if held else 'fail'}")
     report.elapsed_ms = int((time.monotonic() - start) * 1000)

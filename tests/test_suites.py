@@ -1,6 +1,7 @@
 """Each sweep must fail on a planted wrong formula (non-vacuity)."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -123,16 +124,21 @@ def test_transfer_fails_on_a_negated_factorwise_factor(factor, monkeypatch):
     assert not report.passed
 
 
-def _flip_where(module, name, when):
+def _flip_where(module, name, when, factor=-1):
     original = getattr(module, name)
-    return module, name, lambda *args: -original(*args) if when(*args) else original(*args)
+    return module, name, \
+        lambda *args: factor * original(*args) if when(*args) else original(*args)
 
 
 # Faults on a subset of the points, on either side of the identity.  The
-# faults on the e- and u-parts also hit each cell's first point.
+# faults on the e- and u-parts also hit each cell's first point.  The
+# doubled closed-form sign gives cells whose value is not +-1.
 PARTIAL_FAULTS = {
     "transfer_factor_sign": lambda: _flip_where(
         constants, "transfer_factor_sign", lambda shape, gamma, *rest: sum(gamma.low) % 3 == 1),
+    "transfer_factor_sign_doubled": lambda: _flip_where(
+        constants, "transfer_factor_sign", lambda shape, gamma, *rest: sum(gamma.low) % 3 == 2,
+        factor=2),
     "factorwise_gamma_factor": lambda: _flip_where(
         constants, "factorwise_gamma_factor",
         lambda shape, gamma, pair, *rest: pair.l2[:1] == (1,) and gamma.high[:1] == (-1,)),
@@ -187,6 +193,39 @@ def test_transfer_sweep_fails_where_the_per_point_check_fails(fault, monkeypatch
     report = suites.verify_transfer_factorization(qs=(5,), rrmax=2)
     assert 0 < len(report.failures) < report.points_checked
     assert report.failures == _per_point_transfer_failures(5, 2)
+
+
+def test_transfer_checks_each_cell_once(monkeypatch):
+    events, gammas = [], Counter()
+    original_check = constants.factorwise_transfer_check
+    original_gamma = fam.enumerate_gamma
+    points, specs = suites.SUITES["transfer"]
+
+    def check(*args):
+        events.append("check")
+        return original_check(*args)
+
+    def enumerate_gamma(shape, field, target):
+        gammas[shape.rp, shape.rpp] += 1
+        return original_gamma(shape, field, target)
+
+    def batches(**values):
+        for checked, failures in points(**values):
+            events.append(checked)
+            yield checked, failures
+
+    monkeypatch.setattr(constants, "factorwise_transfer_check", check)
+    monkeypatch.setattr(fam, "enumerate_gamma", enumerate_gamma)
+    monkeypatch.setitem(suites.SUITES, "transfer", (batches, specs))
+    report = suites.verify_transfer_factorization(qs=(5,), rrmax=2)
+    assert report.passed
+    # one vector list per (shape, sign target), shared by the four
+    # (beta', beta'', eta) blocks with that target
+    assert len(gammas) == 9 and set(gammas.values()) == {2}
+    # one check per (gamma, pairing) cell, then that cell's points as one batch
+    assert events[::2] == ["check"] * (len(events) // 2)
+    assert all(isinstance(n, int) and n > 0 for n in events[1::2])
+    assert sum(events[1::2]) == report.points_checked
 
 
 def test_kappasum_fails_on_a_negated_kappa_zero(monkeypatch):
