@@ -124,7 +124,7 @@ def test_transfer_fails_on_a_negated_factorwise_factor(factor, monkeypatch):
     assert not report.passed
 
 
-def _flip_where(module, name, when, factor=-1):
+def _scale_where(module, name, when, factor=-1):
     original = getattr(module, name)
     return module, name, \
         lambda *args: factor * original(*args) if when(*args) else original(*args)
@@ -134,21 +134,21 @@ def _flip_where(module, name, when, factor=-1):
 # faults on the e- and u-parts also hit each cell's first point.  The
 # doubled closed-form sign gives cells whose value is not +-1.
 PARTIAL_FAULTS = {
-    "transfer_factor_sign": lambda: _flip_where(
+    "transfer_factor_sign": lambda: _scale_where(
         constants, "transfer_factor_sign", lambda shape, gamma, *rest: sum(gamma.low) % 3 == 1),
-    "transfer_factor_sign_doubled": lambda: _flip_where(
+    "transfer_factor_sign_doubled": lambda: _scale_where(
         constants, "transfer_factor_sign", lambda shape, gamma, *rest: sum(gamma.low) % 3 == 2,
         factor=2),
-    "factorwise_gamma_factor": lambda: _flip_where(
+    "factorwise_gamma_factor": lambda: _scale_where(
         constants, "factorwise_gamma_factor",
         lambda shape, gamma, pair, *rest: pair.l2[:1] == (1,) and gamma.high[:1] == (-1,)),
-    "factorwise_e_factor": lambda: _flip_where(
+    "factorwise_e_factor": lambda: _scale_where(
         constants, "factorwise_e_factor", lambda e, pair: e.signs[-1:] == (1,)),
-    "factorwise_u_factor": lambda: _flip_where(
+    "factorwise_u_factor": lambda: _scale_where(
         constants, "factorwise_u_factor", lambda u, eta: sum(u.u) != 1),
-    "kappa_l2": lambda: _flip_where(
+    "kappa_l2": lambda: _scale_where(
         fam, "kappa_l2", lambda e, pair: e.signs[:1] == (1,) and len(pair.l2) == 1),
-    "kappa_u": lambda: _flip_where(fam, "kappa_u", lambda u: u.u[:1] == (0,)),
+    "kappa_u": lambda: _scale_where(fam, "kappa_u", lambda u: u.u[:1] == (0,)),
 }
 
 
