@@ -91,57 +91,42 @@ def u_sign(rp: int, rpp: int, m: int) -> int:
     return (-1) ** (rpp % 2) * (m if u_exponent(rp, rpp) % 2 else 1)
 
 
-class AuxIdentityReport:
-    """Pass/fail data for the four auxiliary split-parameter identities."""
+def split_pair_identities(rp: int, rpp: int) -> dict[str, dict]:
+    """The four auxiliary identities for one (r', r''), by name.
 
-    __slots__ = ("rp", "rpp", "checks")
-
-    def __init__(self, rp: int, rpp: int):
-        self.rp = rp
-        self.rpp = rpp
-        r1p, r1pp, r2p, r2pp = split_pair_values(rp, rpp)
-        checks: dict[str, dict] = {}
-
-        lhs1, rhs1 = (r1pp + r2pp) % 2, rpp % 2
-        checks["parity_sum"] = {"lhs": lhs1, "rhs": rhs1, "pass": lhs1 == rhs1}
-
-        lhs2a = r1p * r1p + r1p + r1pp * r1pp
-        rhs2a = ((rp + rpp) ** 2 + (rp + rpp + 1) ** 2 - 1) // 4
-        lhs2b = r2p * r2p + r2p + r2pp * r2pp
-        rhs2b = ((rp - rpp) ** 2 + (rp - rpp + 1) ** 2 - 1) // 4
-        checks["size_forms"] = {"lhs": [lhs2a, lhs2b], "rhs": [rhs2a, rhs2b],
-                                "pass": lhs2a == rhs2a and lhs2b == rhs2b}
-
-        rpl, rmi = r_plus_minus(rp, rpp)
-        r1pl, r1mi = r_plus_minus(r1p, r1pp)
-        r2pl, r2mi = r_plus_minus(r2p, r2pp)
-        lhs3 = [r1pl + r1pp, r1mi + r1pp, r2pl + r2pp, r2mi + r2pp]
-        rhs3 = [abs(rpl + rpp), abs(rmi + rpp), abs(rpl - rpp), abs(rmi - rpp)]
-        checks["companion_sums"] = {"lhs": lhs3, "rhs": rhs3, "pass": lhs3 == rhs3}
-
-        ok4 = True
-        sides = {}
-        for m in (1, -1):
-            lhs = u_sign(rp, rpp, m)
-            rhs = u_sign(r1p, r1pp, m) * u_sign(r2p, r2pp, m)
-            sides[f"m={m}"] = {"lhs": lhs, "rhs": rhs}
-            ok4 = ok4 and lhs == rhs
-        checks["u_multiplicative"] = {"sides": sides, "pass": ok4}
-        self.checks = checks
-
-    @property
-    def passed(self) -> bool:
-        return all(c["pass"] for c in self.checks.values())
-
-    def to_json(self):
-        return {"rp": self.rp, "rpp": self.rpp, "checks": self.checks}
-
-
-def split_pair_identities(rp: int, rpp: int) -> AuxIdentityReport:
-    """Evaluate the four auxiliary identities for one (r', r'')."""
+    Each check is a dict with its two sides and a "pass" flag.
+    """
     if rp < 0:
         raise ValueError("r' must be nonnegative")
-    return AuxIdentityReport(rp, rpp)
+    r1p, r1pp, r2p, r2pp = split_pair_values(rp, rpp)
+    checks: dict[str, dict] = {}
+
+    lhs1, rhs1 = (r1pp + r2pp) % 2, rpp % 2
+    checks["parity_sum"] = {"lhs": lhs1, "rhs": rhs1, "pass": lhs1 == rhs1}
+
+    lhs2a = r1p * r1p + r1p + r1pp * r1pp
+    rhs2a = ((rp + rpp) ** 2 + (rp + rpp + 1) ** 2 - 1) // 4
+    lhs2b = r2p * r2p + r2p + r2pp * r2pp
+    rhs2b = ((rp - rpp) ** 2 + (rp - rpp + 1) ** 2 - 1) // 4
+    checks["size_forms"] = {"lhs": [lhs2a, lhs2b], "rhs": [rhs2a, rhs2b],
+                            "pass": lhs2a == rhs2a and lhs2b == rhs2b}
+
+    rpl, rmi = r_plus_minus(rp, rpp)
+    r1pl, r1mi = r_plus_minus(r1p, r1pp)
+    r2pl, r2mi = r_plus_minus(r2p, r2pp)
+    lhs3 = [r1pl + r1pp, r1mi + r1pp, r2pl + r2pp, r2mi + r2pp]
+    rhs3 = [abs(rpl + rpp), abs(rmi + rpp), abs(rpl - rpp), abs(rmi - rpp)]
+    checks["companion_sums"] = {"lhs": lhs3, "rhs": rhs3, "pass": lhs3 == rhs3}
+
+    ok4 = True
+    sides = {}
+    for m in (1, -1):
+        lhs = u_sign(rp, rpp, m)
+        rhs = u_sign(r1p, r1pp, m) * u_sign(r2p, r2pp, m)
+        sides[f"m={m}"] = {"lhs": lhs, "rhs": rhs}
+        ok4 = ok4 and lhs == rhs
+    checks["u_multiplicative"] = {"sides": sides, "pass": ok4}
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +202,8 @@ def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector,
             out *= legendre(a * b, rp_field)
         out *= legendre(a - b, rp_field)
     if t2 % 2:
-        for j in shape.high_slots:
-            out *= gamma.sgn_slot(j, rp_field)
+        for s in gamma.high:
+            out *= s
     if shape.b_switch:
         if eta2L.val_parity:
             out *= m
@@ -293,8 +278,9 @@ def aux_points(rmax: int):
     """Auxiliary identities over r' in [0, rmax], r'' in [-rmax, rmax]."""
     for rp in range(rmax + 1):
         for rpp in range(-rmax, rmax + 1):
-            aux = split_pair_identities(rp, rpp)
-            yield 1, () if aux.passed else ({"rp": rp, "rpp": rpp, "detail": aux.to_json()},)
+            checks = split_pair_identities(rp, rpp)
+            yield 1, () if all(c["pass"] for c in checks.values()) else (
+                {"rp": rp, "rpp": rpp, "detail": {"rp": rp, "rpp": rpp, "checks": checks}},)
 
 
 def split_points(rmax: int, nmax: int):
@@ -482,17 +468,20 @@ def factorwise_gamma_factor(shape: fam.SplitShape, gamma: fam.GammaVector,
         term *= legendre(gamma.low[l - 2] - gamma.low[l - 1], rp_field)
         if B:
             term *= m * legendre(gamma.low[pair.l2[j - 1] - 1], rp_field)
-        for h in range(l + 1, shape.R + 1):
-            term *= gamma.sgn_slot(h, rp_field)
+        # the slots above l: residues up to R - r, then the top signs
+        for v in gamma.low[l:]:
+            term *= legendre(v, rp_field)
+        for s in gamma.high:
+            term *= s
         out *= term
     return out
 
 
-def factorwise_e_factor(e: fam.EVector, pair: fam.LPair) -> int:
+def factorwise_e_factor(e: tuple[int, ...], pair: fam.LPair) -> int:
     """The per-factor route's e-factor: the product of e over the L2 slots."""
     out = 1
     for l2 in pair.l2:
-        out *= e.signs[l2 - 1]
+        out *= e[l2 - 1]
     return out
 
 
@@ -506,7 +495,7 @@ def factorwise_u_factor(u: fam.UVector, eta: SquareClass) -> int:
 
 
 def factorwise_transfer_check(shape: fam.SplitShape, gamma: fam.GammaVector,
-                              e: fam.EVector, u: fam.UVector, pair: fam.LPair,
+                              e: tuple[int, ...], u: fam.UVector, pair: fam.LPair,
                               w1: WeylClassB, w2: WeylClassB, eta: SquareClass,
                               rp_field: ResidueParam) -> tuple[int, int]:
     """Two routes to the descent transfer factor at one point: per-factor and closed form.
@@ -614,7 +603,7 @@ def transfer_points(qs, rrmax: int):
                                 rhs = cl_scaled[cl] = tuple(cl * x for x in cl_grid)
                             yield len(lhs), () if lhs == rhs else tuple(
                                 {"q": q, "rp": rp, "rpp": rpp, "gamma": gamma.to_json(),
-                                 "e": list(e.signs), "u": list(u.u), "pair": pair.to_json(),
+                                 "e": list(e), "u": list(u.u), "pair": pair.to_json(),
                                  "lhs": left, "rhs": right}
                                 for (e, u), left, right in zip(
                                     itertools.product(evecs, uvecs), lhs, rhs)

@@ -63,29 +63,24 @@ class DescentDatum:
                 "n": self.n_plus + self.n_minus + sum(b.d * b.f for b in self.blocks)}
 
 
-class Feasibility(NamedTuple):
-    holds: bool
-    N_plus: int | None
-    N_minus: int | None
-
-
-def descent_feasibility(dd: DescentDatum, g: QuadrupleGamma) -> Feasibility:
+def descent_feasibility(dd: DescentDatum, g: QuadrupleGamma) -> tuple[int, int] | None:
     """Feasibility window for the quadruple g against a descent datum.
 
     Requires val(eta_-) = r'' mod 2 and the two sector sizes to dominate
-    the squares of the shifted parameters; returns the residual sizes
-    N_+ = n_+ - (r'_+^2 + r''^2 - 1)/2 and N_- = n_- - (r'_-^2 + r''^2)/2.
+    the squares of the shifted parameters.  Returns the residual sizes
+    (N_+, N_-), with N_+ = n_+ - (r'_+^2 + r''^2 - 1)/2 and
+    N_- = n_- - (r'_-^2 + r''^2)/2, or None when the window is empty.
     """
     rp, rpp = g.rp, g.rpp
     r_plus, r_minus = r_plus_minus(rp, rpp)
     if dd.eta_minus.val_parity != rpp % 2:
-        return Feasibility(False, None, None)
+        return None
     if 2 * dd.n_plus + 1 < r_plus ** 2 + rpp ** 2 or \
             2 * dd.n_minus < r_minus ** 2 + rpp ** 2:
-        return Feasibility(False, None, None)
+        return None
     N_plus = dd.n_plus - (r_plus ** 2 + rpp ** 2 - 1) // 2
     N_minus = dd.n_minus - (r_minus ** 2 + rpp ** 2) // 2
-    return Feasibility(True, N_plus, N_minus)
+    return N_plus, N_minus
 
 
 class SizeSplit(NamedTuple):
@@ -204,13 +199,12 @@ def solve_split_family(dd: DescentDatum, g: QuadrupleGamma,
         n2_plus - ((r_plus - rpp) ** 2 - 1) // 4,
         n2_minus - (r_minus - rpp) ** 2 // 4,
         pairs)
-    feas = descent_feasibility(dd, g)
     # The five size constraints, checked directly, not against the sweep's own scan.
     weights = [sum(p[k] * b.f for p, b in zip(pairs, dd.blocks)) for k in (0, 1)]
-    if not feas.holds or len(pairs) != len(dd.blocks) or \
+    if len(pairs) != len(dd.blocks) or \
             any(min(p) < 0 or sum(p) != b.d for p, b in zip(pairs, dd.blocks)) or \
-            split.Np_plus + split.Npp_plus != feas.N_plus or \
-            split.Np_minus + split.Npp_minus != feas.N_minus or \
+            (split.Np_plus + split.Npp_plus, split.Np_minus + split.Npp_minus) != \
+            descent_feasibility(dd, g) or \
             split.Np_plus + split.Np_minus + weights[0] != g.Np or \
             split.Npp_plus + split.Npp_minus + weights[1] != g.Npp:
         return None

@@ -8,7 +8,8 @@ in {+1, -1}).  This module enumerates:
   * admissible assignment vectors gamma (pairwise-distinct residues on the
     even-indexed pair slots, plus a global sign condition tying the product
     of entry signs to the unit part of eta and the two class signs),
-  * sign vectors e with their distinguished subgroup and kappa characters,
+  * sign vectors e (plain tuples of +-1, e_j at index j - 1) with their
+    distinguished subgroup and kappa characters,
   * binary vectors u with the kappa character selecting the second block,
   * transversal pairings (L1, L2) of the pair slots,
   * families of two-element square/non-square transversals with the
@@ -53,11 +54,6 @@ class SplitShape:
         self.jhat = tuple(j for j in range(2, self.R - self.r + 1, 2))
 
     @property
-    def high_slots(self) -> range:
-        """Square-class-valued slots R-r+1..R."""
-        return range(self.R - self.r + 1, self.R + 1)
-
-    @property
     def b_switch(self) -> int:
         """0 when r' >= r'', 1 otherwise."""
         return 0 if self.rp >= self.rpp else 1
@@ -76,12 +72,6 @@ class GammaVector:
         self.high = tuple(high)
         if any(s not in (1, -1) for s in self.high):
             raise ValueError("high entries must be +-1")
-
-    def sgn_slot(self, j: int, rp_field: ResidueParam) -> int:
-        """Square-class sign of the entry at slot j (1-based)."""
-        if j <= len(self.low):
-            return legendre(self.low[j - 1], rp_field)
-        return self.high[j - len(self.low) - 1]
 
     def sign_product(self, rp_field: ResidueParam) -> int:
         out = 1
@@ -102,27 +92,6 @@ class GammaVector:
 
     def to_json(self):
         return {"low": list(self.low), "high": list(self.high)}
-
-
-class EVector:
-    """A sign vector e = (e_1, ..., e_R)."""
-
-    __slots__ = ("signs",)
-
-    def __init__(self, signs: tuple[int, ...]):
-        if any(s not in (1, -1) for s in signs):
-            raise ValueError("entries must be +-1")
-        self.signs = tuple(signs)
-
-    def at(self, j: int) -> int:
-        return self.signs[j - 1]
-
-    def in_distinguished_subgroup(self, shape: SplitShape) -> bool:
-        """e_{j-1} = e_j for every even pair slot j strictly below R."""
-        return all(self.at(j - 1) == self.at(j) for j in shape.jhat if j < shape.R)
-
-    def __repr__(self):
-        return f"EVector({self.signs})"
 
 
 class UVector:
@@ -165,8 +134,6 @@ class LPair:
 def enumerate_L(shape: SplitShape) -> list[LPair]:
     """All transversal pairings; the last pair is pinned when r = 0 < R."""
     t2 = shape.t2
-    if t2 == 0:
-        return [LPair((), ())]
     choices = []
     for j in range(1, t2 + 1):
         if shape.r == 0 and j == t2:
@@ -212,25 +179,30 @@ def kappa_u(u: UVector) -> int:
     return -1 if sum(u.u[k - 1] for k in u.k_second) % 2 else 1
 
 
-def kappa_zero(e: EVector, shape: SplitShape) -> int:
+def in_distinguished_subgroup(e: tuple[int, ...], shape: SplitShape) -> bool:
+    """e_{j-1} = e_j for every even pair slot j strictly below R."""
+    return all(e[j - 2] == e[j - 1] for j in shape.jhat if j < shape.R)
+
+
+def kappa_zero(e: tuple[int, ...], shape: SplitShape) -> int:
     """Product of e_{j-1} over even pair slots; defined on the distinguished subgroup."""
-    if not e.in_distinguished_subgroup(shape):
+    if not in_distinguished_subgroup(e, shape):
         raise ValueError("kappa_zero is only defined on the distinguished subgroup")
     out = 1
     for j in shape.jhat:
-        out *= e.at(j - 1)
+        out *= e[j - 2]
     return out
 
 
-def kappa_l2(e: EVector, pair: LPair) -> int:
+def kappa_l2(e: tuple[int, ...], pair: LPair) -> int:
     """Product of e over the L2 slots."""
     out = 1
     for slot in pair.l2:
-        out *= e.at(slot)
+        out *= e[slot - 1]
     return out
 
 
-def transversal_character_sum(e: EVector, shape: SplitShape) -> int:
+def transversal_character_sum(e: tuple[int, ...], shape: SplitShape) -> int:
     """Sum of kappa_l2(e) over all transversal pairings.
 
     Vanishes off the distinguished subgroup and equals |pairings| times
@@ -239,9 +211,9 @@ def transversal_character_sum(e: EVector, shape: SplitShape) -> int:
     return sum(kappa_l2(e, pair) for pair in enumerate_L(shape))
 
 
-def enumerate_e(shape: SplitShape) -> list[EVector]:
-    """All sign vectors of length R."""
-    return [EVector(signs) for signs in itertools.product((1, -1), repeat=shape.R)]
+def enumerate_e(shape: SplitShape) -> list[tuple[int, ...]]:
+    """All sign vectors of length R, as tuples of +-1."""
+    return list(itertools.product((1, -1), repeat=shape.R))
 
 
 def gamma_L_split(gamma: GammaVector, pair: LPair) -> tuple[GammaVector, GammaVector]:

@@ -57,23 +57,6 @@ class UnipQuadParam:
                 f"lam_minus={list(self.lam_minus.base)}, n={self.n})")
 
 
-class InvolutionSplit:
-    """A splitting of an ambient partition into +1 and -1 eigenparts."""
-
-    __slots__ = ("part_plus", "part_minus")
-
-    def __init__(self, part_plus: SymplecticPartition, part_minus: SymplecticPartition):
-        self.part_plus = part_plus
-        self.part_minus = part_minus
-
-    def __repr__(self):
-        return (f"InvolutionSplit(plus={list(self.part_plus.base)}, "
-                f"minus={list(self.part_minus.base)})")
-
-    def to_json(self):
-        return {"plus": self.part_plus.to_json(), "minus": self.part_minus.to_json()}
-
-
 class AssembledTriple:
     """(lambda, s, h) with the commuting refinement into four cells.
 
@@ -97,15 +80,15 @@ class AssembledTriple:
             parts.extend(p.parts)
         return SymplecticPartition(Partition(parts))
 
-    def s_split(self) -> InvolutionSplit:
-        return InvolutionSplit(
-            SymplecticPartition(union(self.cells[PLUS, PLUS], self.cells[PLUS, MINUS])),
-            SymplecticPartition(union(self.cells[MINUS, PLUS], self.cells[MINUS, MINUS])))
+    def s_split(self) -> tuple[SymplecticPartition, SymplecticPartition]:
+        """The s-splitting (plus, minus): lambda's +1 and -1 eigenparts under s."""
+        return (SymplecticPartition(union(self.cells[PLUS, PLUS], self.cells[PLUS, MINUS])),
+                SymplecticPartition(union(self.cells[MINUS, PLUS], self.cells[MINUS, MINUS])))
 
-    def h_split(self) -> InvolutionSplit:
-        return InvolutionSplit(
-            SymplecticPartition(union(self.cells[PLUS, PLUS], self.cells[MINUS, PLUS])),
-            SymplecticPartition(union(self.cells[PLUS, MINUS], self.cells[MINUS, MINUS])))
+    def h_split(self) -> tuple[SymplecticPartition, SymplecticPartition]:
+        """The h-splitting (plus, minus): lambda's +1 and -1 eigenparts under h."""
+        return (SymplecticPartition(union(self.cells[PLUS, PLUS], self.cells[MINUS, PLUS])),
+                SymplecticPartition(union(self.cells[PLUS, MINUS], self.cells[MINUS, MINUS])))
 
     def restrict(self, h_sign: int) -> tuple[SymplecticPartition, SymplecticPartition]:
         """(lambda+, lambda-) of the factor supported on the given h-eigenspace."""
@@ -119,9 +102,11 @@ class AssembledTriple:
         return f"AssembledTriple(cells={{{', '.join(f'{k}: {list(v)}' for k, v in sorted(self.cells.items()))}}})"
 
     def to_json(self):
+        s_plus, s_minus = self.s_split()
+        h_plus, h_minus = self.h_split()
         return {"lambda": self.lam.to_json(),
-                "s": self.s_split().to_json(),
-                "h": self.h_split().to_json()}
+                "s": {"plus": s_plus.to_json(), "minus": s_minus.to_json()},
+                "h": {"plus": h_plus.to_json(), "minus": h_minus.to_json()}}
 
 
 def endoscopic_pairs(n: int) -> list[tuple[int, int]]:
@@ -170,8 +155,8 @@ def h_image(param: UnipQuadParam, triple: AssembledTriple) -> dict[tuple[int, in
 
 
 def _check_compatible(param: UnipQuadParam, triple: AssembledTriple) -> None:
-    s = triple.s_split()
-    if s.part_plus.base != param.lam_plus.base or s.part_minus.base != param.lam_minus.base:
+    s_plus, s_minus = triple.s_split()
+    if s_plus.base != param.lam_plus.base or s_minus.base != param.lam_minus.base:
         raise ValueError("triple's s-splitting does not match the parameter")
 
 
@@ -208,8 +193,7 @@ def virtual_rep(triple: AssembledTriple) -> dict:
     One term per choice of signs on the even blocks of lambda+ and lambda-:
     a dict from the term's label to its coefficient epsilon(h) in {+-1}.
     """
-    s = triple.s_split()
-    lam_plus, lam_minus = s.part_plus, s.part_minus
+    lam_plus, lam_minus = triple.s_split()
     terms = {}
     for eps_p in _sign_maps(lam_plus.jord_bp):
         for eps_m in _sign_maps(lam_minus.jord_bp):

@@ -95,9 +95,8 @@ class SymplecticPartition:
 
     __slots__ = ("base", "total")
 
-    def __init__(self, base: Partition, total: int | None = None):
-        if total is None:
-            total = base.size()
+    def __init__(self, base: Partition):
+        total = base.size()
         if not is_symplectic(base, total):
             raise ValueError(f"{base!r} is not a symplectic partition of {total}")
         self.base = base
@@ -109,8 +108,7 @@ class SymplecticPartition:
         return tuple(sorted({k for k in self.base.parts if k % 2 == 0}, reverse=True))
 
     def __eq__(self, other):
-        return (isinstance(other, SymplecticPartition)
-                and self.base == other.base and self.total == other.total)
+        return isinstance(other, SymplecticPartition) and self.base == other.base
 
     def __repr__(self):
         return f"SymplecticPartition({list(self.base.parts)})"
@@ -126,5 +124,5 @@ def enumerate_symplectic(two_n: int) -> list[SymplecticPartition]:
     if two_n > SYMPLECTIC_ENUM_CAP:
         raise ResourceLimitError(
             f"symplectic enumeration capped at {SYMPLECTIC_ENUM_CAP}, got {two_n}")
-    return [SymplecticPartition(p, two_n)
+    return [SymplecticPartition(p)
             for p in enumerate_partitions(two_n) if is_symplectic(p, two_n)]

@@ -23,19 +23,14 @@ class WeylClassB:
 
     __slots__ = ("alpha", "beta", "N")
 
-    def __init__(self, alpha: Partition, beta: Partition, N: int | None = None):
+    def __init__(self, alpha: Partition, beta: Partition):
         if not isinstance(alpha, Partition):
             alpha = Partition(alpha)
         if not isinstance(beta, Partition):
             beta = Partition(beta)
-        total = alpha.size() + beta.size()
-        if N is None:
-            N = total
-        elif N != total:
-            raise ValueError(f"|alpha| + |beta| = {total} != N = {N}")
         self.alpha = alpha
         self.beta = beta
-        self.N = N
+        self.N = alpha.size() + beta.size()
 
     def __eq__(self, other):
         return (isinstance(other, WeylClassB)
@@ -56,15 +51,11 @@ class WeylClassA:
 
     __slots__ = ("pi", "d")
 
-    def __init__(self, pi: Partition, d: int | None = None):
+    def __init__(self, pi: Partition):
         if not isinstance(pi, Partition):
             pi = Partition(pi)
-        if d is None:
-            d = pi.size()
-        elif d != pi.size():
-            raise ValueError(f"|pi| = {pi.size()} != d = {d}")
         self.pi = pi
-        self.d = d
+        self.d = pi.size()
 
     def __eq__(self, other):
         return isinstance(other, WeylClassA) and self.pi == other.pi
@@ -179,7 +170,7 @@ def brute_class_sizes(N: int) -> dict[WeylClassB, int]:
     sizes: dict[WeylClassB, int] = {}
     for w in signed_permutations(N):
         alpha, beta = signed_cycle_type(w)
-        c = WeylClassB(alpha, beta, N)
+        c = WeylClassB(alpha, beta)
         sizes[c] = sizes.get(c, 0) + 1
     return sizes
 
@@ -195,7 +186,7 @@ def conjugation_orbit_sizes(N: int) -> dict[WeylClassB, int]:
         w = next(iter(remaining))
         orbit = {signed_mul(signed_mul(h, w), signed_inv(h)) for h in group}
         remaining -= orbit
-        sizes[WeylClassB(*signed_cycle_type(w), N)] = len(orbit)
+        sizes[WeylClassB(*signed_cycle_type(w))] = len(orbit)
     return sizes
 
 
@@ -216,6 +207,6 @@ def brute_class_sizes_a(d: int) -> dict[WeylClassA, int]:
                 length += 1
                 i = perm[i]
             cyc.append(length)
-        c = WeylClassA(Partition(cyc), d)
+        c = WeylClassA(Partition(cyc))
         sizes[c] = sizes.get(c, 0) + 1
     return sizes

@@ -1,18 +1,24 @@
+import itertools
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import endosign
 from endosign.constants import (W_MINUS, W_PLUS, QuadrupleGamma, branch_switch,
                                 chain_sign_constants, collapse_and_product_constants,
-                                even_case_transfer_constant, factorwise_transfer_check,
-                                pair_power_constant, r_plus_minus,
+                                even_case_transfer_constant, factorwise_e_factor,
+                                factorwise_gamma_factor, factorwise_transfer_check,
+                                factorwise_u_factor, pair_power_constant, r_plus_minus,
                                 split_pair_identities, split_pair_values, split_sizes,
                                 transfer_factor_sign, u_exponent,
                                 u_sign, alpha_constant, weil_ratio_sign)
 from endosign.exact import ExactValue
-from endosign.families import (EVector, GammaVector, LPair, SplitShape, UVector,
-                               enumerate_L, eta_of_L2)
+from endosign.families import (GammaVector, LPair, SplitShape, UVector, enumerate_e,
+                               enumerate_gamma, enumerate_L, eta_of_L2, kappa_l2, kappa_u)
 from endosign.localfield import ResidueParam, SquareClass
+from endosign.weyl import sgn_cd
 
 F5 = ResidueParam(5)
 F7 = ResidueParam(7)
@@ -37,17 +43,18 @@ def test_r_plus_minus():
 
 
 def test_aux_identities_worked_points():
-    rep = split_pair_identities(1, 2)
-    assert rep.passed
-    assert rep.checks["companion_sums"]["lhs"][0] == 3  # = |r'_+ + r''| with r'_+ = 1
-    assert rep.checks["companion_sums"]["lhs"][3] == 0  # = |r'_- - r''| with r'_- = 2
+    checks = split_pair_identities(1, 2)
+    assert set(checks) == {"parity_sum", "size_forms", "companion_sums", "u_multiplicative"}
+    assert all(c["pass"] for c in checks.values())
+    assert checks["companion_sums"]["lhs"][0] == 3  # = |r'_+ + r''| with r'_+ = 1
+    assert checks["companion_sums"]["lhs"][3] == 0  # = |r'_- - r''| with r'_- = 2
 
     assert u_exponent(1, 0) == 0
     assert u_sign(1, 0, -1) == 1
     r1 = split_pair_values(1, 0)
     assert u_sign(r1[0], r1[1], -1) * u_sign(r1[2], r1[3], -1) == 1
 
-    assert split_pair_identities(0, 0).passed
+    assert all(c["pass"] for c in split_pair_identities(0, 0).values())
 
 
 def test_alpha_constant():
@@ -178,7 +185,7 @@ def test_factorwise_check_degenerate():
     shape = SplitShape(1, 1)
     gamma = GammaVector((), (1,))
     pair = LPair((), ())
-    e = EVector((1,))
+    e = (1,)
     u = UVector((1,), ((), (1,)))
     eta = SquareClass(1, 1)
     fw, cl = factorwise_transfer_check(shape, gamma, e, u, pair, W_PLUS, W_MINUS,
@@ -194,3 +201,61 @@ def test_factorwise_check_degenerate():
 def test_quadruple_validation():
     with pytest.raises(ValueError):
         QuadrupleGamma(1, 0, -1, 0)
+
+
+def entered_functions(call) -> set[str]:
+    """Qualified names of the package functions that call() enters."""
+    package = Path(endosign.__file__).resolve().parent
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return {code.co_qualname for code in entered
+            if Path(code.co_filename).resolve().parent == package}
+
+
+def test_transfer_routes_share_only_leaves():
+    # The two routes to the descent transfer factor may share leaf
+    # primitives and nothing more; a shared helper above the leaves would
+    # let one fault move both sides alike and pass the comparison.
+    points = []
+    for rp, rpp in ((3, 1), (1, 3), (4, 0), (5, 1), (2, 2)):
+        shape = SplitShape(rp, rpp)
+        e = enumerate_e(shape)[-1]
+        for w1, w2 in itertools.product((W_PLUS, W_MINUS), repeat=2):
+            t1, t = w1.beta.length(), w1.beta.length() + w2.beta.length()
+            u = UVector((1,) * t, (tuple(range(1, t1 + 1)), tuple(range(t1 + 1, t + 1))))
+            for ue in (1, -1):
+                eta = SquareClass(rpp % 2, ue)
+                for gamma in enumerate_gamma(shape, F5, sgn_cd(w1) * sgn_cd(w2) * ue):
+                    for pair in enumerate_L(shape):
+                        points.append((shape, gamma, e, u, pair, w1, w2, eta))
+
+    def per_factor():
+        for shape, gamma, e, u, pair, w1, w2, eta in points:
+            factorwise_gamma_factor(shape, gamma, pair, w1, w2, eta, F5)
+            factorwise_e_factor(e, pair)
+            factorwise_u_factor(u, eta)
+
+    def closed():
+        for shape, gamma, e, u, pair, w1, w2, eta in points:
+            eta2L = eta_of_L2(gamma, pair, shape, w2, F5)
+            transfer_factor_sign(shape, gamma, w1, w2, eta, eta2L, F5)
+            kappa_l2(e, pair)
+            kappa_u(u)
+
+    per_factor_entered = entered_functions(per_factor)
+    closed_entered = entered_functions(closed)
+    assert "factorwise_gamma_factor" in per_factor_entered
+    assert "transfer_factor_sign" in closed_entered
+    shared = per_factor_entered & closed_entered
+    assert {"legendre", "sgn_cd"} <= shared
+    assert shared <= {"legendre", "sgn_cd", "sgn_minus_one", "Partition.length",
+                      "SplitShape.b_switch"}

@@ -32,14 +32,12 @@ def test_descent_datum_validation_messages():
 def test_feasibility():
     dd = DescentDatum(2, ONE, 2, ONE, ())
     # parity violated: r'' odd but val(eta_-) even
-    assert not descent_feasibility(dd, QuadrupleGamma(1, 1, 0, 0)).holds
+    assert descent_feasibility(dd, QuadrupleGamma(1, 1, 0, 0)) is None
     # worked infeasible point: r' = 1, r'' = 0 forces r'_- = 2, needs 2 n_- >= 4
     dd_small = DescentDatum(1, ONE, 1, XI, ((1, 1),))
-    feas = descent_feasibility(dd_small, QuadrupleGamma(1, 0, 0, 0))
-    assert not feas.holds
+    assert descent_feasibility(dd_small, QuadrupleGamma(1, 0, 0, 0)) is None
     # feasible: residual sizes as displayed
-    feas = descent_feasibility(dd, QuadrupleGamma(1, 0, 0, 0))
-    assert feas.holds and feas.N_plus == 2 and feas.N_minus == 0
+    assert descent_feasibility(dd, QuadrupleGamma(1, 0, 0, 0)) == (2, 0)
     # branch switch table
     assert branch_switch(2, 0) == 0
     assert branch_switch(1, 0) == 1
@@ -49,13 +47,13 @@ def test_feasibility():
 def test_enumerate_size_splits_no_blocks():
     dd = DescentDatum(1, ONE, 2, ONE, ())
     g = QuadrupleGamma(1, 0, 1, 0)
-    feas = descent_feasibility(dd, g)
-    assert feas.holds and (feas.N_plus, feas.N_minus) == (1, 0)
-    splits = enumerate_size_splits(dd, g, feas.N_plus, feas.N_minus)
+    N_plus, N_minus = descent_feasibility(dd, g)
+    assert (N_plus, N_minus) == (1, 0)
+    splits = enumerate_size_splits(dd, g, N_plus, N_minus)
     assert splits == [SizeSplit(1, 0, 0, 0, ())]
     # infeasible support sums: empty
     g_bad = QuadrupleGamma(1, 0, 1, 1)
-    splits = enumerate_size_splits(dd, g_bad, feas.N_plus, feas.N_minus)
+    splits = enumerate_size_splits(dd, g_bad, N_plus, N_minus)
     assert splits == []
 
 
@@ -82,10 +80,10 @@ def test_enumerate_size_splits_matches_brute_force():
         for Npp in range(4):
             g = QuadrupleGamma(1, 0, Np, Npp)
             feas = descent_feasibility(dd, g)
-            if not feas.holds:
+            if feas is None:
                 continue
-            got = enumerate_size_splits(dd, g, feas.N_plus, feas.N_minus)
-            want = brute_size_splits(dd, g, feas.N_plus, feas.N_minus)
+            got = enumerate_size_splits(dd, g, *feas)
+            want = brute_size_splits(dd, g, *feas)
             assert sorted(got) == sorted(want)
 
 
@@ -161,8 +159,8 @@ def test_solver_roundtrip_and_rejection():
     dd = DescentDatum(3, ONE, 2, ONE, ())
     g = QuadrupleGamma(1, 0, 2, 1)
     feas = descent_feasibility(dd, g)
-    assert feas.holds
-    splits = enumerate_size_splits(dd, g, feas.N_plus, feas.N_minus)
+    assert feas is not None
+    splits = enumerate_size_splits(dd, g, *feas)
     assert splits
     eta1m = SquareClass((1 + 0) % 2, 1)  # (r'_- + r'')/2 = 1
     for split in splits:
@@ -181,6 +179,5 @@ def test_solver_roundtrip_and_rejection():
 def test_sector_sums_match_split_sizes():
     dd = DescentDatum(3, ONE, 2, ONE, ())
     g = QuadrupleGamma(1, 0, 2, 1)
-    feas = descent_feasibility(dd, g)
-    for split in enumerate_size_splits(dd, g, feas.N_plus, feas.N_minus):
+    for split in enumerate_size_splits(dd, g, *descent_feasibility(dd, g)):
         assert sector_size_sum(g, split, dd.blocks) == split_sizes(1, 0, 2, 1)

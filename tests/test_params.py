@@ -24,15 +24,15 @@ def test_assemble_triple_h_split():
     t2 = uq([1, 1], [])
     triple = assemble_triple(t1, t2, (1, 1))
     assert triple.lam.to_json() == [2, 1, 1]
-    h = triple.h_split()
-    assert h.part_plus.to_json() == [2] and h.part_minus.to_json() == [1, 1]
+    h_plus, h_minus = triple.h_split()
+    assert h_plus.to_json() == [2] and h_minus.to_json() == [1, 1]
 
 
 def test_assemble_triple_degenerate_factor():
     t1 = uq([2, 2], [])
     t2 = uq([], [])
     triple = assemble_triple(t1, t2, (2, 0))
-    assert triple.h_split().part_minus.total == 0
+    assert triple.h_split()[1].total == 0
     assert triple.lam.to_json() == [2, 2]
 
 
@@ -40,8 +40,8 @@ def test_assemble_triple_s_split():
     t1 = uq([2], [])
     t2 = uq([], [2])
     triple = assemble_triple(t1, t2, (1, 1))
-    s = triple.s_split()
-    assert s.part_plus.to_json() == [2] and s.part_minus.to_json() == [2]
+    s_plus, s_minus = triple.s_split()
+    assert s_plus.to_json() == [2] and s_minus.to_json() == [2]
 
 
 def test_assemble_size_mismatch():
@@ -60,12 +60,14 @@ def test_restriction_recovers_factors():
 def test_involution_swap():
     triple = assemble_triple(uq([2], [1, 1]), uq([], [2]), (2, 1))
     swapped = involution_swap(triple)
-    assert swapped.s_split().to_json() == triple.h_split().to_json()
-    assert swapped.h_split().to_json() == triple.s_split().to_json()
+    assert swapped.s_split() == triple.h_split()
+    assert swapped.h_split() == triple.s_split()
+    assert swapped.to_json()["s"] == triple.to_json()["h"] == {"plus": [2, 1, 1], "minus": [2]}
+    assert swapped.to_json()["h"] == triple.to_json()["s"]
     assert involution_swap(swapped) == triple
     # trivial h becomes trivial s after the swap
     t = assemble_triple(uq([2], []), uq([], []), (1, 0))
-    assert involution_swap(t).s_split().part_minus.total == 0
+    assert involution_swap(t).s_split()[1].total == 0
 
 
 def test_eval_character_trivial_h():
@@ -111,8 +113,8 @@ def test_virtual_rep_count_follows_each_splitting():
     swapped = involution_swap(triple)
     assert len(virtual_rep(swapped)) == 4  # s-split is now ([2] | [2])
     for t in (triple, swapped):
-        s = t.s_split()
-        blocks = len(s.part_plus.jord_bp) + len(s.part_minus.jord_bp)
+        s_plus, s_minus = t.s_split()
+        blocks = len(s_plus.jord_bp) + len(s_minus.jord_bp)
         assert len(virtual_rep(t)) == 2 ** blocks
 
 

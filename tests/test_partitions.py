@@ -71,8 +71,6 @@ def test_jord_bp_lists_distinct_even_parts():
 def test_symplectic_constructor_validates():
     with pytest.raises(ValueError):
         SymplecticPartition(Partition([3, 1]))
-    with pytest.raises(ValueError):
-        SymplecticPartition(Partition([2]), 4)
 
 
 part_lists = st.lists(st.integers(min_value=1, max_value=9), max_size=7)

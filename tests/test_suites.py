@@ -130,9 +130,19 @@ def _scale_where(module, name, when, factor=-1):
         lambda *args: factor * original(*args) if when(*args) else original(*args)
 
 
+def _negated_top_signs():
+    original = constants.factorwise_gamma_factor
+
+    def faulty(shape, gamma, *rest):
+        return original(shape, fam.GammaVector(gamma.low, tuple(-s for s in gamma.high)), *rest)
+
+    return constants, "factorwise_gamma_factor", faulty
+
+
 # Faults on a subset of the points, on either side of the identity.  The
 # faults on the e- and u-parts also hit each cell's first point.  The
-# doubled closed-form sign gives cells whose value is not +-1.
+# doubled closed-form sign gives cells whose value is not +-1.  The negated
+# top signs reach the per-factor route alone.
 PARTIAL_FAULTS = {
     "transfer_factor_sign": lambda: _scale_where(
         constants, "transfer_factor_sign", lambda shape, gamma, *rest: sum(gamma.low) % 3 == 1),
@@ -142,12 +152,13 @@ PARTIAL_FAULTS = {
     "factorwise_gamma_factor": lambda: _scale_where(
         constants, "factorwise_gamma_factor",
         lambda shape, gamma, pair, *rest: pair.l2[:1] == (1,) and gamma.high[:1] == (-1,)),
+    "factorwise_gamma_factor_top_signs": _negated_top_signs,
     "factorwise_e_factor": lambda: _scale_where(
-        constants, "factorwise_e_factor", lambda e, pair: e.signs[-1:] == (1,)),
+        constants, "factorwise_e_factor", lambda e, pair: e[-1:] == (1,)),
     "factorwise_u_factor": lambda: _scale_where(
         constants, "factorwise_u_factor", lambda u, eta: sum(u.u) != 1),
     "kappa_l2": lambda: _scale_where(
-        fam, "kappa_l2", lambda e, pair: e.signs[:1] == (1,) and len(pair.l2) == 1),
+        fam, "kappa_l2", lambda e, pair: e[:1] == (1,) and len(pair.l2) == 1),
     "kappa_u": lambda: _scale_where(fam, "kappa_u", lambda u: u.u[:1] == (0,)),
 }
 
@@ -181,7 +192,7 @@ def _per_point_transfer_failures(q, rrmax):
                                             failures.append(
                                                 {"q": q, "rp": rp, "rpp": rpp,
                                                  "gamma": gamma.to_json(),
-                                                 "e": list(e.signs), "u": list(bits),
+                                                 "e": list(e), "u": list(bits),
                                                  "pair": pair.to_json(),
                                                  "lhs": fw, "rhs": cl})
     return failures

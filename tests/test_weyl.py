@@ -1,7 +1,5 @@
 from math import factorial
 
-import pytest
-
 from endosign.partitions import Partition, enumerate_partitions
 from endosign.weyl import (WeylClassA, WeylClassB, brute_class_sizes,
                            brute_class_sizes_a, class_size_a, class_size_b,
@@ -45,7 +43,7 @@ def test_class_size_formula_total_beyond_oracle():
     for k in range(N + 1):
         for a in enumerate_partitions(k):
             for b in enumerate_partitions(N - k):
-                total += class_size_b(WeylClassB(a, b, N))
+                total += class_size_b(WeylClassB(a, b))
     assert total == order_b(N)
 
 
@@ -97,8 +95,8 @@ def test_sgn_cd_multiplicative_under_splits():
                     assert lhs == rhs
 
 
-def test_class_validation():
-    with pytest.raises(ValueError):
-        WeylClassB(Partition([1]), Partition([1]), 3)
-    with pytest.raises(ValueError):
-        WeylClassA(Partition([2]), 3)
+def test_class_sizes_are_derived():
+    assert WeylClassB(Partition([2, 1]), Partition([1])).N == 4
+    assert WeylClassB((), ()).N == 0
+    assert WeylClassA(Partition([2, 1])).d == 3
+    assert WeylClassA(()).d == 0
