@@ -7,9 +7,11 @@ Usage:
 The verify suites and their flags come from the registry suites.SUITES.
 Output is JSON by default (CSV with --format csv), written to stdout or to
 --out FILE.  Exit codes: 0 all checks passed, 1 failures found, 2 usage
-error (an unknown flag, an invalid flag value or an --out FILE that cannot
-be opened for writing, reported before any sweep or enumeration runs), 3 a
-resource cap was hit (partial report flagged incomplete).
+error (an unknown flag, a flag the verified suite does not read, an invalid
+flag value or an --out FILE that cannot be opened for writing, reported
+before any sweep or enumeration runs; verify all passes each flag to the
+suites that read it), 3 a resource cap was hit (partial report flagged
+incomplete).
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         for spec in specs:
             readers.setdefault(spec[0], []).append(name)
     for key, names in readers.items():
-        flag, kind, metavar = (("--q", _parse_q_list, "Q1,Q2,...") if key == "qs"
-                               else ("--" + key.replace("_", "-"), int, "N"))
-        ver.add_argument(flag, dest=key, type=kind, metavar=metavar, default=None,
+        kind, metavar = (_parse_q_list, "Q1,Q2,...") if key == "qs" else (int, "N")
+        ver.add_argument(_flag(key), dest=key, type=kind, metavar=metavar, default=None,
                          help=f"read by {', '.join(names)}")
     _output_flags(ver)
 
@@ -64,9 +65,14 @@ def _parse_q_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad q list {text!r}") from None
 
 
-def _given(name: str, args) -> dict:
-    """The suite's parameters that were set on the command line."""
-    keys = (spec[0] for spec in suites.SUITES[name][1])
+def _flag(key: str) -> str:
+    """The verify flag that sets the suite parameter key."""
+    return "--q" if key == "qs" else "--" + key.replace("_", "-")
+
+
+def _given(args) -> dict:
+    """The suite parameters that were set on the command line."""
+    keys = {spec[0] for _, specs in suites.SUITES.values() for spec in specs}
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
@@ -93,8 +99,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify":
         names = sorted(suites.SUITES) if args.suite == "all" else [args.suite]
-        given = {name: _given(name, args) for name in names}
+        flags = _given(args)
+        given = {}
         for name in names:
+            reads = {spec[0] for spec in suites.SUITES[name][1]}
+            given[name] = {key: flags[key] for key in flags.keys() & reads}
+            unread = sorted(map(_flag, flags.keys() - reads))
+            if unread and args.suite != "all":
+                parser.error(f"verify {name}: {', '.join(unread)} not read by this suite")
             try:
                 suites.parameters(name, given[name])
             except ValueError as exc:

@@ -22,15 +22,6 @@ from .localfield import TRIVIAL, ResidueParam, SquareClass, legendre, sgn_minus_
 from .partitions import Partition
 from .weyl import WeylClassB, sgn_cd
 
-# Sign witnesses used by sweeps: cuspidal classes with sgn_cd = +1 / -1.
-W_PLUS = WeylClassB((), ())
-W_MINUS = WeylClassB((), (1,))
-
-
-def sign_witness(s: int) -> WeylClassB:
-    """The witness class with sgn_cd equal to s."""
-    return W_PLUS if s == 1 else W_MINUS
-
 
 class QuadrupleGamma:
     """A quadruple (r', r'', N', N'') labeling a cuspidal support datum."""
@@ -133,19 +124,19 @@ def split_pair_identities(rp: int, rpp: int) -> dict[str, dict]:
 # Named constants of the even orthogonal transfer computation.
 # ---------------------------------------------------------------------------
 
-def alpha_constant(rp: int, rpp: int, w1: WeylClassB, w2: WeylClassB,
+def alpha_constant(rp: int, rpp: int, scd1: int, scd2: int,
                    eta: SquareClass, rp_field: ResidueParam) -> int:
     """The orientation sign alpha(r', r'', w', w'').
 
-    sgn((-1)^((r'+r'')/2) * unit(eta)), times sgn_cd(w') sgn_cd(w'') when
-    the valuation of eta is odd.
+    sgn((-1)^((r'+r'')/2) * unit(eta)), times scd1 * scd2 when the
+    valuation of eta is odd, with scd1 = sgn_cd(w') and scd2 = sgn_cd(w'').
     """
     if rp % 2 != rpp % 2 or rp % 2 != eta.val_parity:
         raise ValueError("r', r'' and val(eta) must share one parity")
     m = sgn_minus_one(rp_field)
     out = (m if ((rp + rpp) // 2) % 2 else 1) * eta.unit_sign
     if eta.val_parity:
-        out *= sgn_cd(w1) * sgn_cd(w2)
+        out *= scd1 * scd2
     return out
 
 
@@ -159,9 +150,11 @@ def pair_power_constant(rp: int, rpp: int, rp_field: ResidueParam) -> ExactValue
 
 
 def even_case_transfer_constant(eta1: SquareClass, eta2: SquareClass, rp: int, rpp: int,
-                                w2: WeylClassB, eta: SquareClass,
-                                rp_field: ResidueParam) -> int:
-    """The even orthogonal transfer constant for the class pair (eta1, eta2)."""
+                                scd2: int, eta: SquareClass, rp_field: ResidueParam) -> int:
+    """The even orthogonal transfer constant for the class pair (eta1, eta2).
+
+    It reads the second class only through scd2 = sgn_cd(w'').
+    """
     if (rp - rpp) % 2:
         raise ValueError("r' and r'' must have equal parity")
     t1 = (rp + rpp) // 2
@@ -173,29 +166,30 @@ def even_case_transfer_constant(eta1: SquareClass, eta2: SquareClass, rp: int, r
     m = sgn_minus_one(rp_field)
     if rpp <= rp:
         return eta2.unit_sign if eta.val_parity else 1
-    out = (m if eta2.val_parity else 1) * sgn_cd(w2)
+    out = (m if eta2.val_parity else 1) * scd2
     if (1 + eta.val_parity) % 2:
         out *= eta2.unit_sign
     return out
 
 
 def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector,
-                         w1: WeylClassB, w2: WeylClassB, eta: SquareClass,
+                         scd1: int, scd2: int, eta: SquareClass,
                          eta2L: SquareClass, rp_field: ResidueParam) -> int:
     """The closed-form transfer-factor sign d for one assignment vector.
 
     Four groups of factors: the (R-r)/2 powers of unit(eta) and the class
-    signs; the even-pair-slot product of sgn(g_{j-1} g_j)^(j/2-1) and
-    sgn(g_{j-1} - g_j); the top-slot product of sgn(g_j)^((R-r)/2); and the
-    tail governed by the branch switch B with the class eta[L2, gamma].
+    signs scd1 = sgn_cd(w') and scd2 = sgn_cd(w''); the even-pair-slot
+    product of sgn(g_{j-1} g_j)^(j/2-1) and sgn(g_{j-1} - g_j); the
+    top-slot product of sgn(g_j)^((R-r)/2); and the tail governed by the
+    branch switch B with the class eta[L2, gamma].
     """
     m = sgn_minus_one(rp_field)
     t2 = shape.t2
     out = 1
     if t2 % 2:
-        out *= eta.unit_sign * sgn_cd(w1)
+        out *= eta.unit_sign * scd1
     if (t2 + eta.val_parity) % 2:
-        out *= sgn_cd(w2)
+        out *= scd2
     for j in shape.jhat:
         a, b = gamma.low[j - 2], gamma.low[j - 1]
         if (j // 2 - 1) % 2:
@@ -207,7 +201,7 @@ def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector,
     if shape.b_switch:
         if eta2L.val_parity:
             out *= m
-        out *= eta2L.unit_sign * sgn_cd(w2)
+        out *= eta2L.unit_sign * scd2
     return out
 
 
@@ -224,12 +218,13 @@ def weil_ratio_sign(eta1: SquareClass, eta2: SquareClass, rp_field: ResidueParam
     return m * eta1.unit_sign * eta2.unit_sign  # sgn(-unit(eta)), eta = eta1 * eta2
 
 
-def collapse_and_product_constants(rp: int, rpp: int, w1: WeylClassB, w2: WeylClassB,
+def collapse_and_product_constants(rp: int, rpp: int, scd1: int, scd2: int,
                                    eta: SquareClass, eta1: SquareClass, eta2: SquareClass,
                                    beta: int, rp_field: ResidueParam,
                                    alt_two_power: bool = False) -> tuple[ExactValue, ExactValue]:
     """The fiber-collapse constant and the total product constant.
 
+    The classes enter through scd1 = sgn_cd(w') and scd2 = sgn_cd(w'').
     The collapse constant absorbs the weight ratio sigma * sigma_fiber^-1 *
     sigma_1^-1 * sigma_2^-1 * d into a gamma-independent value; the product
     constant multiplies it by 2^(beta + 2 t1 + 2 t2), the Weil ratio, the
@@ -250,22 +245,22 @@ def collapse_and_product_constants(rp: int, rpp: int, w1: WeylClassB, w2: WeylCl
     if (r * t2) % 2:
         sign *= m
     if t2 % 2:
-        sign *= eta.unit_sign * sgn_cd(w1)
+        sign *= eta.unit_sign * scd1
     if (t2 + eta.val_parity) % 2:
-        sign *= sgn_cd(w2)
+        sign *= scd2
     if shape.b_switch:
         if eta2.val_parity:
             sign *= m
-        sign *= eta2.unit_sign * sgn_cd(w2)
+        sign *= eta2.unit_sign * scd2
     collapse = Fraction(4, q - 3) ** t2 * sign
 
     two_exp = beta + 2 * t1 + 2 * t2 + (1 if alt_two_power else 0)
     product = collapse * Fraction(2) ** two_exp \
         * weil_ratio_sign(eta1, eta2, rp_field) \
         * pair_power_constant(rp, rpp, rp_field).value \
-        * alpha_constant(rp, rpp, w1, w2, eta, rp_field) \
-        * alpha_constant(t1, t1, w1, W_PLUS, eta1, rp_field) \
-        * alpha_constant(t2, t2, w2, W_PLUS, eta2, rp_field)
+        * alpha_constant(rp, rpp, scd1, scd2, eta, rp_field) \
+        * alpha_constant(t1, t1, scd1, 1, eta1, rp_field) \
+        * alpha_constant(t2, t2, scd2, 1, eta2, rp_field)
     return ExactValue(collapse), ExactValue(product)
 
 
@@ -345,14 +340,12 @@ def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
                     eta = SquareClass(rpp % 2, ue)
                     eta2 = SquareClass(shape.t2 % 2, ue2)
                     eta1 = eta * eta2
-                    w1 = sign_witness(s1)
-                    w2 = sign_witness(s2)
                     for beta in _degenerate_cases(rp, rpp, s1, s2, eta1, eta2):
                         _, product = collapse_and_product_constants(
-                            rp, rpp, w1, w2, eta, eta1, eta2, beta, field,
+                            rp, rpp, s1, s2, eta, eta1, eta2, beta, field,
                             alt_two_power=alt_two_power)
                         lhs = ExactValue(Fraction(1, 2 ** (1 + beta))) * product * count
-                        rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, w2, eta, field)
+                        rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta, field)
                         if lhs == ExactValue(rhs):
                             yield 1, ()
                         else:
@@ -369,11 +362,12 @@ def branch_switch(rp: int, rpp: int) -> int:
     return 1
 
 
-def chain_sign_constants(rp: int, rpp: int, w1: WeylClassB, w2: WeylClassB,
+def chain_sign_constants(rp: int, rpp: int, scd1: int, scd2: int,
                          d2: int, n: int, d: int,
                          rp_field: ResidueParam) -> tuple[int, int, int, int]:
     """The signs (base, endo, reduction, u_value) of the comparison chain at one point.
 
+    The classes enter through scd1 = sgn_cd(w') and scd2 = sgn_cd(w'').
     base: (-1)^(n + r'') m^((r'^2 - r')/2 + (r''^2 - |r''|)/2).
     endo: the four-branch table; the branches with r'' < 0 or (r'' = 0,
     r' odd) carry (-1)^(d r'').
@@ -389,21 +383,21 @@ def chain_sign_constants(rp: int, rpp: int, w1: WeylClassB, w2: WeylClassB,
     if 0 < rpp <= rp or (rpp == 0 and rp % 2 == 0):
         endo = 1
     elif rp < rpp:
-        endo = sgn_cd(w2)
+        endo = scd2
     elif -rp <= rpp < 0 or (rpp == 0 and rp % 2 == 1):
         endo = (-1) ** ((d * rpp) % 2)
     else:  # rpp < -rp
-        endo = (-1) ** ((d * rpp) % 2) * sgn_cd(w1)
+        endo = (-1) ** ((d * rpp) % 2) * scd1
 
     b = branch_switch(rp, rpp)
     rho = abs(rpp)
-    delta, w_branch = (d2, w2) if b == 0 else (d - d2, w1)
+    delta, scd_branch = (d2, scd2) if b == 0 else (d - d2, scd1)
     r_plus, _ = r_plus_minus(rp, rpp)
     reduction = (-1) ** ((delta * rho) % 2)
     if rho <= rp:
         reduction *= m if ((r_plus - rho - 1) // 2) % 2 else 1
     else:
-        reduction *= (m if (rp + rho + 1) % 2 else 1) * sgn_cd(w_branch)
+        reduction *= (m if (rp + rho + 1) % 2 else 1) * scd_branch
     return base, endo, reduction, u_sign(rp, rpp, m)
 
 
@@ -417,11 +411,9 @@ def sign_chain_points(rmax: int):
                 r1p, r1pp, r2p, r2pp = split_pair_values(rp, rpp)
                 for s1, s2, d2, d1, npar in itertools.product(
                         (1, -1), (1, -1), (0, 1), (0, 1), (0, 1)):
-                    w1 = sign_witness(s1)
-                    w2 = sign_witness(s2)
                     d = d1 + d2
                     base, endo, reduction, u_value = chain_sign_constants(
-                        rp, rpp, w1, w2, d2, npar, d, field)
+                        rp, rpp, s1, s2, d2, npar, d, field)
                     chain = base * endo * reduction * (-1) ** ((d2 * rpp) % 2)
                     target = (-1) ** npar * u_value
                     if chain != target:
@@ -438,9 +430,9 @@ def sign_chain_points(rmax: int):
                     # second factors, so their block counts do not contribute
                     n1, n2 = split_sizes(rp, rpp, 0, 0)
                     total = chain
-                    for (rpj, rppj, wj, nj) in ((r1p, r1pp, w1, n1), (r2p, r2pp, w2, n2)):
+                    for (rpj, rppj, sj, nj) in ((r1p, r1pp, s1, n1), (r2p, r2pp, s2, n2)):
                         base_j, endo_j, reduction_j, _ = chain_sign_constants(
-                            rpj, rppj, wj, W_PLUS, 0, nj, 0, field)
+                            rpj, rppj, sj, 1, 0, nj, 0, field)
                         total *= base_j * endo_j * reduction_j
                     # chain used parity npar; realign to n = n1 + n2
                     total *= (-1) ** ((npar + n1 + n2) % 2)
@@ -450,16 +442,16 @@ def sign_chain_points(rmax: int):
 
 
 def factorwise_gamma_factor(shape: fam.SplitShape, gamma: fam.GammaVector,
-                            pair: fam.LPair, w1: WeylClassB, w2: WeylClassB,
+                            pair: fam.LPair, scd1: int, scd2: int,
                             eta: SquareClass, rp_field: ResidueParam) -> int:
     """The per-factor route's (gamma, pairing) factor.
 
-    The product over the pair slots l = 2j of unit(eta) * sgn_cd(w') sgn_cd(w'')
+    The product over the pair slots l = 2j of unit(eta) * scd1 * scd2
     * sgn(g_{l-1} - g_l), times m * sgn(g_{l2}) when B = 1, times the signs of
-    the slots above l.
+    the slots above l, with scd1 = sgn_cd(w') and scd2 = sgn_cd(w'').
     """
     m = sgn_minus_one(rp_field)
-    scd = sgn_cd(w1) * sgn_cd(w2)
+    scd = scd1 * scd2
     B = shape.b_switch
     out = 1
     for j in range(1, shape.t2 + 1):
@@ -496,19 +488,20 @@ def factorwise_u_factor(u: fam.UVector, eta: SquareClass) -> int:
 
 def factorwise_transfer_check(shape: fam.SplitShape, gamma: fam.GammaVector,
                               e: tuple[int, ...], u: fam.UVector, pair: fam.LPair,
-                              w1: WeylClassB, w2: WeylClassB, eta: SquareClass,
+                              scd1: int, scd2: int, eta: SquareClass,
                               rp_field: ResidueParam) -> tuple[int, int]:
     """Two routes to the descent transfer factor at one point: per-factor and closed form.
 
     The per-factor route multiplies its (gamma, pairing) factor, its
     e-factor and the unramified block signs of u.  The closed route is
     d * kappa_l2(e) * kappa_u(u), with d = transfer_factor_sign at the class
-    eta[L2, gamma].  The two must agree.
+    eta[L2, gamma].  The two must agree.  Both read the classes only
+    through scd1 = sgn_cd(w') and scd2 = sgn_cd(w'').
     """
-    factorwise = factorwise_gamma_factor(shape, gamma, pair, w1, w2, eta, rp_field) \
+    factorwise = factorwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, rp_field) \
         * factorwise_e_factor(e, pair) * factorwise_u_factor(u, eta)
-    eta2L = fam.eta_of_L2(gamma, pair, shape, w2, rp_field)
-    closed = transfer_factor_sign(shape, gamma, w1, w2, eta, eta2L, rp_field) \
+    eta2L = fam.eta_of_L2(gamma, pair, shape, scd2, rp_field)
+    closed = transfer_factor_sign(shape, gamma, scd1, scd2, eta, eta2L, rp_field) \
         * fam.kappa_l2(e, pair) * fam.kappa_u(u)
     return factorwise, closed
 
@@ -531,8 +524,11 @@ def transfer_points(qs, rrmax: int):
 
     A block is one (q, shape, beta', beta'', eta); a cell is one (gamma,
     pairing) of a block, and its points are every sign vector e times every
-    block vector u.  Within a cell each route's value changes only through
-    an e-part and a u-part, so each route does its work at three levels:
+    block vector u.  The class signs scd1 = sgn_cd(w') and scd2 = sgn_cd(w'')
+    are evaluated once per (beta', beta''), and both routes get the same two
+    ints, as they get eta.  Within a cell each route's value changes only
+    through an e-part and a u-part, so each route does its work at three
+    levels:
 
       * per block and pairing: the route's e x u grid, built once from its
         own tables in the order e, then u.  The per-factor grid multiplies
@@ -552,8 +548,8 @@ def transfer_points(qs, rrmax: int):
         Only a cell that fails is walked point by point, in the order e,
         then u, for its failure records.
 
-    The routes stay independent: they share only the leaf primitives
-    legendre, sgn_cd and sgn_minus_one.  No grid, table or cell value is
+    The routes stay independent: each computes all of its own factors, and
+    they share only the leaf primitives legendre and sgn_minus_one.  No grid, table or cell value is
     used by both sides and neither side is derived from the other, so a
     wrong formula on either side fails exactly the points at which
     factorwise_transfer_check would fail.
@@ -570,8 +566,8 @@ def transfer_points(qs, rrmax: int):
             kappa_rows = [[fam.kappa_l2(e, pair) for e in evecs] for pair in pairs]
             gammas = {target: fam.enumerate_gamma(shape, field, target) for target in (1, -1)}
             for beta1, beta2 in itertools.product(beta_options, repeat=2):
-                w1 = WeylClassB(Partition(), beta1)
-                w2 = WeylClassB(Partition(), beta2)
+                scd1 = sgn_cd(WeylClassB(Partition(), beta1))
+                scd2 = sgn_cd(WeylClassB(Partition(), beta2))
                 t = beta1.length() + beta2.length()
                 k_split = (tuple(range(1, beta1.length() + 1)),
                            tuple(range(beta1.length() + 1, t + 1)))
@@ -587,11 +583,11 @@ def transfer_points(qs, rrmax: int):
                     grids = [([fe * fu for fe in factor_row for fu in u_row], {},
                               [ke * ku for ke in kappa_row for ku in kappa_us], {})
                              for factor_row, kappa_row in zip(factor_rows, kappa_rows)]
-                    target = sgn_cd(w1) * sgn_cd(w2) * eta.unit_sign
+                    target = scd1 * scd2 * eta.unit_sign
                     for gamma in gammas[target]:
                         for pair, (fw_grid, fw_scaled, cl_grid, cl_scaled) in zip(pairs, grids):
                             fw, cl = factorwise_transfer_check(
-                                shape, gamma, e0, u0, pair, w1, w2, eta, field)
+                                shape, gamma, e0, u0, pair, scd1, scd2, eta, field)
                             # divide out (e0, u0), each route by its own +-1 entry
                             fw *= fw_grid[0]
                             cl *= cl_grid[0]

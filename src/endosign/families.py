@@ -32,7 +32,6 @@ from collections import Counter
 from fractions import Fraction
 
 from .localfield import ResidueParam, SquareClass, legendre
-from .weyl import WeylClassB, sgn_cd
 
 
 class SplitShape:
@@ -228,14 +227,14 @@ def gamma_L_split(gamma: GammaVector, pair: LPair) -> tuple[GammaVector, GammaVe
 
 
 def eta_of_L2(gamma: GammaVector, pair: LPair, shape: SplitShape,
-              w2: WeylClassB, rp_field: ResidueParam) -> SquareClass:
+              scd2: int, rp_field: ResidueParam) -> SquareClass:
     """The square class eta[L2, gamma].
 
     Characterized by: valuation parity t2, and unit sign times the product
-    of the L2-component signs equal to sgn_cd(w'').
+    of the L2-component signs equal to scd2 = sgn_cd(w'').
     """
     comp2 = gamma_L_split(gamma, pair)[1]
-    unit = sgn_cd(w2) * comp2.sign_product(rp_field)
+    unit = scd2 * comp2.sign_product(rp_field)
     return SquareClass(shape.t2 % 2, unit)
 
 

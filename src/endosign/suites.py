@@ -27,8 +27,7 @@ from . import descent as dsc
 from . import families as fam
 from . import params as par
 from .constants import (QuadrupleGamma, aux_points, product_identity_points,
-                        sign_chain_points, sign_witness, split_points, split_sizes,
-                        transfer_points)
+                        sign_chain_points, split_points, split_sizes, transfer_points)
 from .errors import ResourceLimitError
 from .localfield import ResidueParam, SquareClass, is_prime
 from .partitions import Partition, enumerate_partitions, enumerate_symplectic
@@ -170,7 +169,7 @@ def counting_points(qs, t2max: int):
                         for g, predicted in vectors:
                             entry = (g, fam.fiber_count_check(g, pair, pair_counts), predicted)
                             for s2 in (1, -1):
-                                eta_l2 = fam.eta_of_L2(g, pair, shape, sign_witness(s2), field)
+                                eta_l2 = fam.eta_of_L2(g, pair, shape, s2, field)
                                 images.setdefault(
                                     (pi, target, s2, eta_l2.val_parity, eta_l2.unit_sign),
                                     []).append(entry)

@@ -196,17 +196,7 @@ def brute_class_sizes_a(d: int) -> dict[WeylClassA, int]:
         raise ResourceLimitError("symmetric-group enumeration capped at d = 7")
     sizes: dict[WeylClassA, int] = {}
     for perm in itertools.permutations(range(d)):
-        seen = [False] * d
-        cyc = []
-        for start in range(d):
-            if seen[start]:
-                continue
-            length, i = 0, start
-            while not seen[i]:
-                seen[i] = True
-                length += 1
-                i = perm[i]
-            cyc.append(length)
-        c = WeylClassA(Partition(cyc))
+        # with every sign +1, all cycles are positive
+        c = WeylClassA(signed_cycle_type((perm, (1,) * d))[0])
         sizes[c] = sizes.get(c, 0) + 1
     return sizes

@@ -144,6 +144,8 @@ def test_verify_all_aggregates(capsys):
     ["enumerate", "params", "--n", "-1"],
     ["enumerate", "descent", "--n", "-1"],
     ["verify", "counting", "--q", "5,x"],
+    ["verify", "aux", "--q", "5"],
+    ["verify", "transfer", "--nmax", "2"],
 ])
 def test_invalid_value_exit_two(argv, monkeypatch, capsys):
     def no_sweep(*args, **params):
@@ -155,6 +157,14 @@ def test_invalid_value_exit_two(argv, monkeypatch, capsys):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_flag_the_suite_does_not_read_is_named(monkeypatch, capsys):
+    monkeypatch.setattr(suites, "run", lambda *args, **params: pytest.fail("sweep ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "aux", "--q", "5", "--nmax", "99", "--rmax", "1"])
+    assert exc.value.code == 2
+    assert "verify aux: --nmax, --q not read by this suite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import endosign
-from endosign.constants import (W_MINUS, W_PLUS, QuadrupleGamma, branch_switch,
+from endosign.constants import (QuadrupleGamma, branch_switch,
                                 chain_sign_constants, collapse_and_product_constants,
                                 even_case_transfer_constant, factorwise_e_factor,
                                 factorwise_gamma_factor, factorwise_transfer_check,
@@ -18,7 +18,6 @@ from endosign.exact import ExactValue
 from endosign.families import (GammaVector, LPair, SplitShape, UVector, enumerate_e,
                                enumerate_gamma, enumerate_L, eta_of_L2, kappa_l2, kappa_u)
 from endosign.localfield import ResidueParam, SquareClass
-from endosign.weyl import sgn_cd
 
 F5 = ResidueParam(5)
 F7 = ResidueParam(7)
@@ -59,12 +58,12 @@ def test_aux_identities_worked_points():
 
 def test_alpha_constant():
     eta = SquareClass(0, 1)
-    assert alpha_constant(0, 0, W_PLUS, W_PLUS, eta, F5) == 1
-    assert alpha_constant(2, 0, W_PLUS, W_PLUS, eta, F7) == -1  # m^(1) * unit
+    assert alpha_constant(0, 0, 1, 1, eta, F5) == 1
+    assert alpha_constant(2, 0, 1, 1, eta, F7) == -1  # m^(1) * unit
     eta_odd = SquareClass(1, 1)
-    assert alpha_constant(1, 1, W_MINUS, W_PLUS, eta_odd, F5) == -1
+    assert alpha_constant(1, 1, -1, 1, eta_odd, F5) == -1
     with pytest.raises(ValueError):
-        alpha_constant(1, 1, W_PLUS, W_PLUS, SquareClass(0, 1), F5)
+        alpha_constant(1, 1, 1, 1, SquareClass(0, 1), F5)
 
 
 def test_pair_power_constant():
@@ -80,19 +79,19 @@ def test_even_case_transfer_constant():
     one = SquareClass(0, 1)
     pi = SquareClass(1, 1)
     # (r', r'') = (2, 0): t1 = t2 = 1, classes of odd valuation; val(eta) even
-    assert even_case_transfer_constant(pi, pi, 2, 0, W_PLUS, eta, F5) == 1
+    assert even_case_transfer_constant(pi, pi, 2, 0, 1, eta, F5) == 1
     # odd valuation of eta with eta2 unit sign -1
     eta_o = SquareClass(1, 1)
     eta2 = SquareClass(0, -1)
     eta1 = eta_o * eta2
-    assert even_case_transfer_constant(eta1, eta2, 1, 1, W_PLUS, eta_o, F5) == -1
+    assert even_case_transfer_constant(eta1, eta2, 1, 1, 1, eta_o, F5) == -1
     # r' < r'' branch at q = 7 (m = -1): m^val(eta2) * sgn_cd(w'') * unit^(1+val)
     eta2b = SquareClass(1, -1)
     eta1b = eta_o * eta2b
-    got = even_case_transfer_constant(eta1b, eta2b, 1, 3, W_MINUS, eta_o, F7)
+    got = even_case_transfer_constant(eta1b, eta2b, 1, 3, -1, eta_o, F7)
     assert got == (-1) * (-1) * 1  # m * sgn_cd, exponent 1 + 1 even
     with pytest.raises(ValueError):
-        even_case_transfer_constant(one, one, 1, 1, W_PLUS, eta_o, F5)
+        even_case_transfer_constant(one, one, 1, 1, 1, eta_o, F5)
 
 
 def test_weil_ratio_table():
@@ -112,11 +111,11 @@ def test_transfer_factor_sign_degenerate():
     gamma = GammaVector((), (1,))
     pair = LPair((), ())
     eta = SquareClass(1, 1)
-    eta2L = eta_of_L2(gamma, pair, shape, W_MINUS, F5)
+    eta2L = eta_of_L2(gamma, pair, shape, -1, F5)
     # everything collapses to sgn_cd(w'')^val(eta)
-    assert transfer_factor_sign(shape, gamma, W_PLUS, W_MINUS, eta, eta2L, F5) == -1
-    assert transfer_factor_sign(shape, gamma, W_PLUS, W_PLUS, eta,
-                                eta_of_L2(gamma, pair, shape, W_PLUS, F5), F5) == 1
+    assert transfer_factor_sign(shape, gamma, 1, -1, eta, eta2L, F5) == -1
+    assert transfer_factor_sign(shape, gamma, 1, 1, eta,
+                                eta_of_L2(gamma, pair, shape, 1, F5), F5) == 1
 
 
 def test_transfer_factor_sign_pair_slot_factor():
@@ -125,8 +124,8 @@ def test_transfer_factor_sign_pair_slot_factor():
     pair = enumerate_L(shape)[0]
     eta = SquareClass(0, 1)
     gamma = GammaVector((1, 4), ())
-    eta2L = eta_of_L2(gamma, pair, shape, W_PLUS, F5)
-    got = transfer_factor_sign(shape, gamma, W_PLUS, W_PLUS, eta, eta2L, F5)
+    eta2L = eta_of_L2(gamma, pair, shape, 1, F5)
+    got = transfer_factor_sign(shape, gamma, 1, 1, eta, eta2L, F5)
     # t2 odd: unit(eta), sgn_cd factors trivial here; j/2-1 = 0 kills the
     # product sign; remaining factors: legendre(1-4) * top-product (empty)
     assert got == -1
@@ -135,20 +134,20 @@ def test_transfer_factor_sign_pair_slot_factor():
 def test_collapse_constant_values():
     one = SquareClass(0, 1)
     collapse, product = collapse_and_product_constants(
-        0, 0, W_PLUS, W_PLUS, one, one, one, 0, F5)
+        0, 0, 1, 1, one, one, one, 0, F5)
     assert collapse == ExactValue(1)
     odd = SquareClass(1, 1)
     collapse, _ = collapse_and_product_constants(
-        2, 0, W_PLUS, W_PLUS, one, odd, odd, 1, F5)
+        2, 0, 1, 1, one, odd, odd, 1, F5)
     assert collapse == ExactValue(2)  # ((q-3)/4)^(-1) at q = 5
 
 
 def test_product_identity_base_point():
     one = SquareClass(0, 1)
     _, product = collapse_and_product_constants(
-        0, 0, W_PLUS, W_PLUS, one, one, one, 0, F5)
+        0, 0, 1, 1, one, one, one, 0, F5)
     lhs = ExactValue(Fraction(1, 2)) * product  # family count is 1
-    rhs = even_case_transfer_constant(one, one, 0, 0, W_PLUS, one, F5)
+    rhs = even_case_transfer_constant(one, one, 0, 0, 1, one, F5)
     assert lhs == ExactValue(rhs) == ExactValue(1)
 
 
@@ -160,10 +159,10 @@ def test_branch_switch():
 
 
 def test_chain_sign_constants_worked():
-    base, _, _, u_value = chain_sign_constants(1, 0, W_PLUS, W_PLUS, 0, 2, 0, F5)
+    base, _, _, u_value = chain_sign_constants(1, 0, 1, 1, 0, 2, 0, F5)
     assert base == 1 and u_value == 1
     # branch r'' < -r': the endoscopic sign carries (-1)^(d r'') sgn_cd(w')
-    _, endo, _, _ = chain_sign_constants(1, -2, W_MINUS, W_PLUS, 0, 0, 1, F5)
+    _, endo, _, _ = chain_sign_constants(1, -2, -1, 1, 0, 0, 1, F5)
     assert endo == (-1) ** ((1 * -2) % 2) * (-1)
 
 
@@ -176,7 +175,7 @@ def test_chain_reduces_to_u():
                 for d2 in (0, 1):
                     for d1 in (0, 1):
                         base, endo, reduction, u_value = chain_sign_constants(
-                            rp, rpp, W_MINUS, W_MINUS, d2, 1, d1 + d2, field)
+                            rp, rpp, -1, -1, d2, 1, d1 + d2, field)
                         chain = base * endo * reduction * (-1) ** ((d2 * rpp) % 2)
                         assert chain == -u_value  # n = 1
 
@@ -188,12 +187,12 @@ def test_factorwise_check_degenerate():
     e = (1,)
     u = UVector((1,), ((), (1,)))
     eta = SquareClass(1, 1)
-    fw, cl = factorwise_transfer_check(shape, gamma, e, u, pair, W_PLUS, W_MINUS,
+    fw, cl = factorwise_transfer_check(shape, gamma, e, u, pair, 1, -1,
                                        eta, F5)
     # only the unramified block factor survives: (-1)^(val + u_1) = +1
     assert fw == cl == 1
     u0 = UVector((0,), ((), (1,)))
-    fw, cl = factorwise_transfer_check(shape, gamma, e, u0, pair, W_PLUS, W_MINUS,
+    fw, cl = factorwise_transfer_check(shape, gamma, e, u0, pair, 1, -1,
                                        eta, F5)
     assert fw == cl == -1
 
@@ -229,25 +228,27 @@ def test_transfer_routes_share_only_leaves():
     for rp, rpp in ((3, 1), (1, 3), (4, 0), (5, 1), (2, 2)):
         shape = SplitShape(rp, rpp)
         e = enumerate_e(shape)[-1]
-        for w1, w2 in itertools.product((W_PLUS, W_MINUS), repeat=2):
-            t1, t = w1.beta.length(), w1.beta.length() + w2.beta.length()
+        for scd1, scd2 in itertools.product((1, -1), repeat=2):
+            # one block per class of sign -1, as in the transfer sweep
+            t1 = (1 - scd1) // 2
+            t = t1 + (1 - scd2) // 2
             u = UVector((1,) * t, (tuple(range(1, t1 + 1)), tuple(range(t1 + 1, t + 1))))
             for ue in (1, -1):
                 eta = SquareClass(rpp % 2, ue)
-                for gamma in enumerate_gamma(shape, F5, sgn_cd(w1) * sgn_cd(w2) * ue):
+                for gamma in enumerate_gamma(shape, F5, scd1 * scd2 * ue):
                     for pair in enumerate_L(shape):
-                        points.append((shape, gamma, e, u, pair, w1, w2, eta))
+                        points.append((shape, gamma, e, u, pair, scd1, scd2, eta))
 
     def per_factor():
-        for shape, gamma, e, u, pair, w1, w2, eta in points:
-            factorwise_gamma_factor(shape, gamma, pair, w1, w2, eta, F5)
+        for shape, gamma, e, u, pair, scd1, scd2, eta in points:
+            factorwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, F5)
             factorwise_e_factor(e, pair)
             factorwise_u_factor(u, eta)
 
     def closed():
-        for shape, gamma, e, u, pair, w1, w2, eta in points:
-            eta2L = eta_of_L2(gamma, pair, shape, w2, F5)
-            transfer_factor_sign(shape, gamma, w1, w2, eta, eta2L, F5)
+        for shape, gamma, e, u, pair, scd1, scd2, eta in points:
+            eta2L = eta_of_L2(gamma, pair, shape, scd2, F5)
+            transfer_factor_sign(shape, gamma, scd1, scd2, eta, eta2L, F5)
             kappa_l2(e, pair)
             kappa_u(u)
 
@@ -256,6 +257,5 @@ def test_transfer_routes_share_only_leaves():
     assert "factorwise_gamma_factor" in per_factor_entered
     assert "transfer_factor_sign" in closed_entered
     shared = per_factor_entered & closed_entered
-    assert {"legendre", "sgn_cd"} <= shared
-    assert shared <= {"legendre", "sgn_cd", "sgn_minus_one", "Partition.length",
-                      "SplitShape.b_switch"}
+    assert "legendre" in shared
+    assert shared <= {"legendre", "sgn_minus_one", "SplitShape.b_switch"}

@@ -15,12 +15,9 @@ from endosign.families import (GammaVector, LPair, SplitShape,
                                slot_pair_counts, transversal_character_sum,
                                transversal_family_count_formula)
 from endosign.localfield import ResidueParam, SquareClass, legendre
-from endosign.weyl import WeylClassB, sgn_cd
 
 F5 = ResidueParam(5)
 F7 = ResidueParam(7)
-WP = WeylClassB((), ())
-WM = WeylClassB((), (1,))
 
 
 def test_shape_invariants():
@@ -71,10 +68,10 @@ def brute_gamma_count(shape, q, eta_unit, target):
 def test_enumerate_gamma_count_against_oracle():
     shape = SplitShape(3, 1)  # R - r = 2, r > 0
     for eta_unit in (1, -1):
-        for w1, w2 in itertools.product((WP, WM), repeat=2):
-            target = sgn_cd(w1) * sgn_cd(w2) * eta_unit
+        for scd1, scd2 in itertools.product((1, -1), repeat=2):
+            target = scd1 * scd2 * eta_unit
             got = len(enumerate_gamma(shape, F5, target))
-            want = brute_gamma_count(shape, 5, eta_unit, sgn_cd(w1) * sgn_cd(w2))
+            want = brute_gamma_count(shape, 5, eta_unit, scd1 * scd2)
             assert got == want
 
 
@@ -197,27 +194,28 @@ def test_eta_of_L2():
     shape = SplitShape(1, 1)
     gamma = GammaVector((), (1,))
     trivial_pair = LPair((), ())
-    assert eta_of_L2(gamma, trivial_pair, shape, WP, F5) == SquareClass(0, 1)
-    assert eta_of_L2(gamma, trivial_pair, shape, WM, F5) == SquareClass(0, -1)
+    assert eta_of_L2(gamma, trivial_pair, shape, 1, F5) == SquareClass(0, 1)
+    assert eta_of_L2(gamma, trivial_pair, shape, -1, F5) == SquareClass(0, -1)
 
     shape = SplitShape(2, 0)
     pair = enumerate_L(shape)[0]
     gamma = GammaVector((2, 1), ())  # L2 component is the slot-1 entry, value 2
-    got = eta_of_L2(gamma, pair, shape, WP, F5)
+    got = eta_of_L2(gamma, pair, shape, 1, F5)
     assert got == SquareClass(1, -1)  # legendre(2, 5) = -1 forces unit sign -1
 
 
 def test_eta_product_relation():
     shape = SplitShape(3, 1)
+    scd1, scd2 = 1, -1
     for ue in (1, -1):
         eta = SquareClass(1, ue)
-        for gamma in enumerate_gamma(shape, F5, sgn_cd(WP) * sgn_cd(WM) * ue):
+        for gamma in enumerate_gamma(shape, F5, scd1 * scd2 * ue):
             for pair in enumerate_L(shape):
                 # the complementary class eta[L1, gamma] = eta * eta[L2, gamma]
                 # satisfies its own sign condition
-                e1 = eta * eta_of_L2(gamma, pair, shape, WM, F5)
+                e1 = eta * eta_of_L2(gamma, pair, shape, scd2, F5)
                 comp1, _ = gamma_L_split(gamma, pair)
-                assert e1.unit_sign * comp1.sign_product(F5) == sgn_cd(WP)
+                assert e1.unit_sign * comp1.sign_product(F5) == scd1
                 assert e1.val_parity == shape.t1 % 2
 
 

@@ -4,12 +4,17 @@ Static scans of src/endosign: no floats, no third-party imports, no unused
 import, no defined name that occurs only at its definition, and no
 parameter that its function body never reads.  The reachability guard runs
 every sweep at small bounds and both enumerations under sys.setprofile, and
-fails on any function of the package that none of them enters.
+fails on any function of the package that none of them enters.  The
+benchmark guard resolves every per-layer name of BENCHMARK.json in the
+package.
 """
 
 import ast
+import importlib
+import json
 import re
 import sys
+import types
 from pathlib import Path
 
 from endosign import cli, suites
@@ -112,6 +117,49 @@ def function_defs(path: Path) -> dict[int, str]:
 
     visit(ast.parse(path.read_text(encoding="utf-8")), "")
     return out
+
+
+def package_object(head: str):
+    """The module, function or method that a dotted head names, or None.
+
+    A method is looked up in its class's own dictionary, where init and
+    hash stand for __init__ and __hash__.
+    """
+    module, *path = head.split(".")
+    if module not in {source.stem for source in SOURCES}:
+        return None
+    obj = importlib.import_module(f"endosign.{module}")
+    for part in path:
+        space = vars(obj)
+        obj = space.get(part) or (space.get(f"__{part}__") if isinstance(obj, type) else None)
+        if obj is None:
+            return None
+    return obj
+
+
+def unresolved_layer_names(names: list[str]) -> list[str]:
+    """The benchmark's per-layer names that name nothing in the package.
+
+    The naming rules of perfbench/run.py: suites.<suite>.wall_s is a key of
+    SUITES, <module>.self_s a module, and any other <head>.<metric> the
+    function or method that head names.  trace.overhead_ratio names the
+    tracer, not the package.
+    """
+    missing = []
+    for name in names:
+        head, _, metric = name.rpartition(".")
+        if name == "trace.overhead_ratio":
+            continue
+        if metric == "wall_s":
+            layer, _, suite = head.partition(".")
+            found = layer == "suites" and suite in suites.SUITES
+        elif metric == "self_s" and "." not in head:
+            found = isinstance(package_object(head), types.ModuleType)
+        else:
+            found = isinstance(package_object(head), types.FunctionType)
+        if not found:
+            missing.append(name)
+    return missing
 
 
 # Bounds at which the sweeps enter every function their defaults enter.
@@ -217,3 +265,22 @@ def test_package_imports_only_the_standard_library():
 def test_no_runtime_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def test_benchmark_layer_names_resolve():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [metric["name"] for metric in spec["per_layer"]]
+    assert len(names) > 40
+    assert unresolved_layer_names(names) == []
+
+
+def test_the_layer_name_guard_catches_planted_deletions(monkeypatch):
+    from endosign import families
+    names = ["families.gamma_L_split.calls", "families.GammaVector.init.calls",
+             "suites.transfer.wall_s", "localfield.self_s"]
+    assert unresolved_layer_names(names) == []
+    monkeypatch.delattr(families, "gamma_L_split")
+    monkeypatch.delitem(suites.SUITES, "transfer")
+    assert unresolved_layer_names(names + ["nolayer.self_s", "weyl.WeylClassB.spare.calls"]) \
+        == ["families.gamma_L_split.calls", "suites.transfer.wall_s", "nolayer.self_s",
+            "weyl.WeylClassB.spare.calls"]

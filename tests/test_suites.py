@@ -175,19 +175,20 @@ def _per_point_transfer_failures(q, rrmax):
             for rp, rpp in ((rr + r, r), (r, rr + r)) if rr else ((r, r),):
                 shape = fam.SplitShape(rp, rpp)
                 for beta1, beta2 in itertools.product((Partition(), Partition([1])), repeat=2):
-                    w1, w2 = WeylClassB(Partition(), beta1), WeylClassB(Partition(), beta2)
+                    scd1 = sgn_cd(WeylClassB(Partition(), beta1))
+                    scd2 = sgn_cd(WeylClassB(Partition(), beta2))
                     t1, t = beta1.length(), beta1.length() + beta2.length()
                     k_split = (tuple(range(1, t1 + 1)), tuple(range(t1 + 1, t + 1)))
                     for ue in (1, -1):
                         eta = SquareClass(rpp % 2, ue)
-                        target = sgn_cd(w1) * sgn_cd(w2) * ue
+                        target = scd1 * scd2 * ue
                         for gamma in fam.enumerate_gamma(shape, field, target):
                             for pair in fam.enumerate_L(shape):
                                 for e in fam.enumerate_e(shape):
                                     for bits in itertools.product((0, 1), repeat=t):
                                         u = fam.UVector(bits, k_split)
                                         fw, cl = constants.factorwise_transfer_check(
-                                            shape, gamma, e, u, pair, w1, w2, eta, field)
+                                            shape, gamma, e, u, pair, scd1, scd2, eta, field)
                                         if fw != cl:
                                             failures.append(
                                                 {"q": q, "rp": rp, "rpp": rpp,
@@ -382,13 +383,12 @@ def _per_point_counting_failures(q, t2max):
             tables = [[fam.family_selections(family, idx, shape, field) for idx in (1, 2)]
                       for family in fam.enumerate_transversal_families(shape, choices)]
             for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4):
-                w1, w2 = constants.sign_witness(s1), constants.sign_witness(s2)
                 eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(t2 % 2, ue2)
                 eta1 = eta * eta2
-                gammas = fam.enumerate_gamma(shape, field, sgn_cd(w1) * sgn_cd(w2) * ue)
+                gammas = fam.enumerate_gamma(shape, field, s1 * s2 * ue)
                 for pair in fam.enumerate_L(shape):
                     image = [g for g in gammas
-                             if fam.eta_of_L2(g, pair, shape, w2, field) == eta2]
+                             if fam.eta_of_L2(g, pair, shape, s2, field) == eta2]
                     tally = {}
                     for side1, side2 in tables:
                         for c1 in side1[s1 * eta1.unit_sign]:
@@ -419,9 +419,9 @@ def _per_point_counting_failures(q, t2max):
 def _flipped_eta_of_l2():
     original = fam.eta_of_L2
 
-    def flipped(gamma, pair, shape, w2, rp_field):
-        eta2 = original(gamma, pair, shape, w2, rp_field)
-        if sgn_cd(w2) == -1 and gamma.low[:1] == (2,):
+    def flipped(gamma, pair, shape, scd2, rp_field):
+        eta2 = original(gamma, pair, shape, scd2, rp_field)
+        if scd2 == -1 and gamma.low[:1] == (2,):
             return SquareClass(eta2.val_parity, -eta2.unit_sign)
         return eta2
 

@@ -1,9 +1,10 @@
-from math import factorial
+from math import factorial, prod
 
 from endosign.partitions import Partition, enumerate_partitions
 from endosign.weyl import (WeylClassA, WeylClassB, brute_class_sizes,
                            brute_class_sizes_a, class_size_a, class_size_b,
-                           conjugation_orbit_sizes, order_b, sgn_cd)
+                           conjugation_orbit_sizes, order_b, sgn_cd,
+                           signed_cycle_type, signed_permutations)
 
 
 def bclass(alpha, beta):
@@ -65,6 +66,14 @@ def test_sgn_cd():
     assert sgn_cd(bclass([2], [])) == 1
     assert sgn_cd(bclass([], [2, 1])) == 1
     assert sgn_cd(bclass([1], [3])) == -1
+
+
+def test_sgn_cd_is_the_product_of_the_signs():
+    # oracle: on a signed permutation, sgn_cd is the product of its signs
+    # (each negative cycle carries an odd number of sign changes)
+    for N in range(6):
+        for w in signed_permutations(N):
+            assert sgn_cd(WeylClassB(*signed_cycle_type(w))) == prod(w[1])
 
 
 def test_sgn_cd_multiplicative_under_splits():
