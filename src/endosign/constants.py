@@ -172,16 +172,17 @@ def even_case_transfer_constant(eta1: SquareClass, eta2: SquareClass, rp: int, r
     return out
 
 
-def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector,
+def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector, pair: fam.LPair,
                          scd1: int, scd2: int, eta: SquareClass,
-                         eta2L: SquareClass, rp_field: ResidueParam) -> int:
-    """The closed-form transfer-factor sign d for one assignment vector.
+                         rp_field: ResidueParam) -> int:
+    """The closed-form transfer-factor sign d for one assignment vector and pairing.
 
     Four groups of factors: the (R-r)/2 powers of unit(eta) and the class
     signs scd1 = sgn_cd(w') and scd2 = sgn_cd(w''); the even-pair-slot
     product of sgn(g_{j-1} g_j)^(j/2-1) and sgn(g_{j-1} - g_j); the
     top-slot product of sgn(g_j)^((R-r)/2); and the tail governed by the
-    branch switch B with the class eta[L2, gamma].
+    branch switch B with the class eta[L2, gamma].  Only that tail reads
+    the pairing, so eta_of_L2 is evaluated only when B = 1.
     """
     m = sgn_minus_one(rp_field)
     t2 = shape.t2
@@ -199,6 +200,7 @@ def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector,
         for s in gamma.high:
             out *= s
     if shape.b_switch:
+        eta2L = fam.eta_of_L2(gamma, pair, shape, scd2, rp_field)
         if eta2L.val_parity:
             out *= m
         out *= eta2L.unit_sign * scd2
@@ -487,23 +489,20 @@ def factorwise_u_factor(u: fam.UVector, eta: SquareClass) -> int:
 
 
 def factorwise_transfer_check(shape: fam.SplitShape, gamma: fam.GammaVector,
-                              e: tuple[int, ...], u: fam.UVector, pair: fam.LPair,
-                              scd1: int, scd2: int, eta: SquareClass,
+                              pair: fam.LPair, scd1: int, scd2: int, eta: SquareClass,
                               rp_field: ResidueParam) -> tuple[int, int]:
-    """Two routes to the descent transfer factor at one point: per-factor and closed form.
+    """The two routes' (gamma, pairing) factors of the descent transfer factor.
 
-    The per-factor route multiplies its (gamma, pairing) factor, its
-    e-factor and the unramified block signs of u.  The closed route is
-    d * kappa_l2(e) * kappa_u(u), with d = transfer_factor_sign at the class
-    eta[L2, gamma].  The two must agree.  Both read the classes only
-    through scd1 = sgn_cd(w') and scd2 = sgn_cd(w'').
+    The per-factor route's factor is factorwise_gamma_factor; the closed
+    route's is d = transfer_factor_sign, which reads the class eta[L2, gamma]
+    when B = 1.  Neither depends on the sign vector e or the block vector u:
+    at a point (e, u) the per-factor route multiplies its factor by
+    factorwise_e_factor(e) * factorwise_u_factor(u), the closed route by
+    kappa_l2(e) * kappa_u(u), and the two products must agree.  Both read
+    the classes only through scd1 = sgn_cd(w') and scd2 = sgn_cd(w'').
     """
-    factorwise = factorwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, rp_field) \
-        * factorwise_e_factor(e, pair) * factorwise_u_factor(u, eta)
-    eta2L = fam.eta_of_L2(gamma, pair, shape, scd2, rp_field)
-    closed = transfer_factor_sign(shape, gamma, scd1, scd2, eta, eta2L, rp_field) \
-        * fam.kappa_l2(e, pair) * fam.kappa_u(u)
-    return factorwise, closed
+    return (factorwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, rp_field),
+            transfer_factor_sign(shape, gamma, pair, scd1, scd2, eta, rp_field))
 
 
 def _transfer_shapes(rrmax: int, q: int):
@@ -526,9 +525,9 @@ def transfer_points(qs, rrmax: int):
     pairing) of a block, and its points are every sign vector e times every
     block vector u.  The class signs scd1 = sgn_cd(w') and scd2 = sgn_cd(w'')
     are evaluated once per (beta', beta''), and both routes get the same two
-    ints, as they get eta.  Within a cell each route's value changes only
-    through an e-part and a u-part, so each route does its work at three
-    levels:
+    ints, as they get eta.  At a point each route's value is its (gamma,
+    pairing) factor times an e-part and a u-part, so each route does its
+    work at two levels:
 
       * per block and pairing: the route's e x u grid, built once from its
         own tables in the order e, then u.  The per-factor grid multiplies
@@ -536,23 +535,22 @@ def transfer_points(qs, rrmax: int):
         with kappa_u.  The admissible vectors depend on the block only
         through the sign target, so they are enumerated once per (q, shape,
         target);
-      * per cell: one factorwise_transfer_check at the cell's first point
-        (e0, u0).  Its closed side calls eta_of_L2 and transfer_factor_sign,
-        its per-factor side the (gamma, pairing) factor.  Each side times
-        its own +-1 grid entry at (e0, u0) is that route's cell value, an
-        int;
-      * per point: the route's cell value times its own grid entry.  Each
-        route's grid scaled by a cell value is built once per block and
-        pairing and kept under that exact value, so a cell compares every
-        point with one tuple comparison and yields the cell as one batch.
-        Only a cell that fails is walked point by point, in the order e,
-        then u, for its failure records.
+      * per cell: one factorwise_transfer_check, which returns each route's
+        (gamma, pairing) factor, an int: the per-factor route's
+        factorwise_gamma_factor and the closed route's transfer_factor_sign,
+        which calls eta_of_L2 only when B = 1.  A point's value is the
+        route's cell value times its own grid entry.  Each route's grid
+        scaled by a cell value is built once per block and pairing and kept
+        under that exact value, so a cell compares every point with one
+        tuple comparison and yields the cell as one batch.  Only a cell that
+        fails is walked point by point, in the order e, then u, for its
+        failure records.
 
     The routes stay independent: each computes all of its own factors, and
-    they share only the leaf primitives legendre and sgn_minus_one.  No grid, table or cell value is
-    used by both sides and neither side is derived from the other, so a
-    wrong formula on either side fails exactly the points at which
-    factorwise_transfer_check would fail.
+    they share only the leaf primitives legendre and sgn_minus_one.  No grid,
+    table or cell value is used by both sides and neither side is derived
+    from the other, so a wrong formula on either side fails exactly the
+    points at which the two routes' products differ.
     """
     beta_options = [Partition(), Partition([1])]
     for q in qs:
@@ -561,7 +559,6 @@ def transfer_points(qs, rrmax: int):
             shape = fam.SplitShape(rp, rpp)
             pairs = fam.enumerate_L(shape)
             evecs = fam.enumerate_e(shape)
-            e0 = evecs[0]
             factor_rows = [[factorwise_e_factor(e, pair) for e in evecs] for pair in pairs]
             kappa_rows = [[fam.kappa_l2(e, pair) for e in evecs] for pair in pairs]
             gammas = {target: fam.enumerate_gamma(shape, field, target) for target in (1, -1)}
@@ -573,7 +570,6 @@ def transfer_points(qs, rrmax: int):
                            tuple(range(beta1.length() + 1, t + 1)))
                 uvecs = [fam.UVector(u, k_split)
                          for u in itertools.product((0, 1), repeat=t)]
-                u0 = uvecs[0]
                 kappa_us = [fam.kappa_u(u) for u in uvecs]
                 for ue in (1, -1):
                     eta = SquareClass(rpp % 2, ue)
@@ -587,10 +583,7 @@ def transfer_points(qs, rrmax: int):
                     for gamma in gammas[target]:
                         for pair, (fw_grid, fw_scaled, cl_grid, cl_scaled) in zip(pairs, grids):
                             fw, cl = factorwise_transfer_check(
-                                shape, gamma, e0, u0, pair, scd1, scd2, eta, field)
-                            # divide out (e0, u0), each route by its own +-1 entry
-                            fw *= fw_grid[0]
-                            cl *= cl_grid[0]
+                                shape, gamma, pair, scd1, scd2, eta, field)
                             lhs = fw_scaled.get(fw)
                             if lhs is None:
                                 lhs = fw_scaled[fw] = tuple(fw * x for x in fw_grid)

@@ -37,7 +37,7 @@ from .localfield import ResidueParam, SquareClass, legendre
 class SplitShape:
     """The slot bookkeeping attached to a pair (r', r'') of equal parity."""
 
-    __slots__ = ("rp", "rpp", "R", "r", "t1", "t2", "jhat")
+    __slots__ = ("rp", "rpp", "R", "r", "t1", "t2", "jhat", "b_switch")
 
     def __init__(self, rp: int, rpp: int):
         if rp < 0 or rpp < 0:
@@ -51,11 +51,8 @@ class SplitShape:
         self.t1 = (self.R + self.r) // 2
         self.t2 = (self.R - self.r) // 2
         self.jhat = tuple(j for j in range(2, self.R - self.r + 1, 2))
-
-    @property
-    def b_switch(self) -> int:
-        """0 when r' >= r'', 1 otherwise."""
-        return 0 if self.rp >= self.rpp else 1
+        # the branch switch B: 0 when r' >= r'', 1 otherwise
+        self.b_switch = 0 if rp >= rpp else 1
 
     def __repr__(self):
         return f"SplitShape(rp={self.rp}, rpp={self.rpp})"
@@ -69,7 +66,7 @@ class GammaVector:
     def __init__(self, low: tuple[int, ...], high: tuple[int, ...]):
         self.low = tuple(low)
         self.high = tuple(high)
-        if any(s not in (1, -1) for s in self.high):
+        if not {*self.high} <= {1, -1}:
             raise ValueError("high entries must be +-1")
 
     def sign_product(self, rp_field: ResidueParam) -> int:
@@ -112,9 +109,13 @@ class UVector:
 
 
 class LPair:
-    """A transversal pairing: one slot of each even pair goes to L1, the other to L2."""
+    """A transversal pairing: one slot of each even pair goes to L1, the other to L2.
 
-    __slots__ = ("l1", "l2")
+    l1 and l2 hold the 1-based slots; l1_index and l2_index hold their
+    0-based positions in gamma.low.
+    """
+
+    __slots__ = ("l1", "l2", "l1_index", "l2_index")
 
     def __init__(self, l1: tuple[int, ...], l2: tuple[int, ...]):
         self.l1 = tuple(l1)
@@ -122,6 +123,8 @@ class LPair:
         for j, (a, b) in enumerate(zip(self.l1, self.l2), start=1):
             if {a, b} != {2 * j - 1, 2 * j}:
                 raise ValueError(f"pair {j} must split {{{2*j-1}, {2*j}}}, got ({a}, {b})")
+        self.l1_index = tuple(slot - 1 for slot in self.l1)
+        self.l2_index = tuple(slot - 1 for slot in self.l2)
 
     def __repr__(self):
         return f"LPair(l1={self.l1}, l2={self.l2})"
@@ -221,9 +224,9 @@ def gamma_L_split(gamma: GammaVector, pair: LPair) -> tuple[GammaVector, GammaVe
     gamma1 takes the residues at the L1 slots and all the top signs of
     gamma (length t1); gamma2 takes the residues at the L2 slots (length t2).
     """
-    low = gamma.low
-    return (GammaVector(tuple(low[slot - 1] for slot in pair.l1), gamma.high),
-            GammaVector(tuple(low[slot - 1] for slot in pair.l2), ()))
+    at = gamma.low.__getitem__
+    return (GammaVector(tuple(map(at, pair.l1_index)), gamma.high),
+            GammaVector(tuple(map(at, pair.l2_index)), ()))
 
 
 def eta_of_L2(gamma: GammaVector, pair: LPair, shape: SplitShape,

@@ -16,7 +16,7 @@ from endosign.constants import (QuadrupleGamma, branch_switch,
                                 u_sign, alpha_constant, weil_ratio_sign)
 from endosign.exact import ExactValue
 from endosign.families import (GammaVector, LPair, SplitShape, UVector, enumerate_e,
-                               enumerate_gamma, enumerate_L, eta_of_L2, kappa_l2, kappa_u)
+                               enumerate_gamma, enumerate_L, kappa_l2, kappa_u)
 from endosign.localfield import ResidueParam, SquareClass
 
 F5 = ResidueParam(5)
@@ -111,11 +111,9 @@ def test_transfer_factor_sign_degenerate():
     gamma = GammaVector((), (1,))
     pair = LPair((), ())
     eta = SquareClass(1, 1)
-    eta2L = eta_of_L2(gamma, pair, shape, -1, F5)
     # everything collapses to sgn_cd(w'')^val(eta)
-    assert transfer_factor_sign(shape, gamma, 1, -1, eta, eta2L, F5) == -1
-    assert transfer_factor_sign(shape, gamma, 1, 1, eta,
-                                eta_of_L2(gamma, pair, shape, 1, F5), F5) == 1
+    assert transfer_factor_sign(shape, gamma, pair, 1, -1, eta, F5) == -1
+    assert transfer_factor_sign(shape, gamma, pair, 1, 1, eta, F5) == 1
 
 
 def test_transfer_factor_sign_pair_slot_factor():
@@ -124,8 +122,7 @@ def test_transfer_factor_sign_pair_slot_factor():
     pair = enumerate_L(shape)[0]
     eta = SquareClass(0, 1)
     gamma = GammaVector((1, 4), ())
-    eta2L = eta_of_L2(gamma, pair, shape, 1, F5)
-    got = transfer_factor_sign(shape, gamma, 1, 1, eta, eta2L, F5)
+    got = transfer_factor_sign(shape, gamma, pair, 1, 1, eta, F5)
     # t2 odd: unit(eta), sgn_cd factors trivial here; j/2-1 = 0 kills the
     # product sign; remaining factors: legendre(1-4) * top-product (empty)
     assert got == -1
@@ -185,16 +182,15 @@ def test_factorwise_check_degenerate():
     gamma = GammaVector((), (1,))
     pair = LPair((), ())
     e = (1,)
-    u = UVector((1,), ((), (1,)))
     eta = SquareClass(1, 1)
-    fw, cl = factorwise_transfer_check(shape, gamma, e, u, pair, 1, -1,
-                                       eta, F5)
-    # only the unramified block factor survives: (-1)^(val + u_1) = +1
-    assert fw == cl == 1
-    u0 = UVector((0,), ((), (1,)))
-    fw, cl = factorwise_transfer_check(shape, gamma, e, u0, pair, 1, -1,
-                                       eta, F5)
-    assert fw == cl == -1
+    fw, cl = factorwise_transfer_check(shape, gamma, pair, 1, -1, eta, F5)
+    # the cell values differ; the u-parts (-1)^(val + u_1) and kappa_u make
+    # up for it at every point
+    assert (fw, cl) == (1, -1)
+    for bits, expected in (((1,), 1), ((0,), -1)):
+        u = UVector(bits, ((), (1,)))
+        assert fw * factorwise_e_factor(e, pair) * factorwise_u_factor(u, eta) == expected
+        assert cl * kappa_l2(e, pair) * kappa_u(u) == expected
 
 
 def test_quadruple_validation():
@@ -247,15 +243,14 @@ def test_transfer_routes_share_only_leaves():
 
     def closed():
         for shape, gamma, e, u, pair, scd1, scd2, eta in points:
-            eta2L = eta_of_L2(gamma, pair, shape, scd2, F5)
-            transfer_factor_sign(shape, gamma, scd1, scd2, eta, eta2L, F5)
+            transfer_factor_sign(shape, gamma, pair, scd1, scd2, eta, F5)
             kappa_l2(e, pair)
             kappa_u(u)
 
     per_factor_entered = entered_functions(per_factor)
     closed_entered = entered_functions(closed)
     assert "factorwise_gamma_factor" in per_factor_entered
-    assert "transfer_factor_sign" in closed_entered
+    assert {"transfer_factor_sign", "eta_of_L2"} <= closed_entered
     shared = per_factor_entered & closed_entered
     assert "legendre" in shared
-    assert shared <= {"legendre", "sgn_minus_one", "SplitShape.b_switch"}
+    assert shared <= {"legendre", "sgn_minus_one"}

@@ -26,6 +26,20 @@ def test_shape_invariants():
     assert shape.jhat == (2, 4)
     with pytest.raises(ValueError):
         SplitShape(2, 1)
+    assert [SplitShape(rp, rpp).b_switch for rp, rpp in ((5, 1), (2, 2), (1, 5), (0, 2))] \
+        == [0, 0, 1, 1]
+
+
+def test_gamma_vector_top_signs_are_checked():
+    for high in ((0,), (2,), (1, -1, 3)):
+        with pytest.raises(ValueError, match="high entries must be"):
+            GammaVector((1,), high)
+    assert GammaVector((1,), (1, -1, -1)).high == (1, -1, -1)
+
+
+def test_pairing_indices_are_zero_based():
+    pair = LPair((2, 3), (1, 4))
+    assert (pair.l1_index, pair.l2_index) == ((1, 2), (0, 3))
 
 
 def test_enumerate_gamma_degenerate_shapes():

@@ -140,9 +140,10 @@ def _negated_top_signs():
 
 
 # Faults on a subset of the points, on either side of the identity.  The
-# faults on the e- and u-parts also hit each cell's first point.  The
-# doubled closed-form sign gives cells whose value is not +-1.  The negated
-# top signs reach the per-factor route alone.
+# faults on the e- and u-parts reach a cell through its route's grid only.
+# The doubled closed-form sign gives cells whose value is not +-1.  The
+# negated top signs reach the per-factor route alone, and the flipped
+# eta[L2, gamma] the closed route on B = 1 shapes alone.
 PARTIAL_FAULTS = {
     "transfer_factor_sign": lambda: _scale_where(
         constants, "transfer_factor_sign", lambda shape, gamma, *rest: sum(gamma.low) % 3 == 1),
@@ -160,13 +161,17 @@ PARTIAL_FAULTS = {
     "kappa_l2": lambda: _scale_where(
         fam, "kappa_l2", lambda e, pair: e[:1] == (1,) and len(pair.l2) == 1),
     "kappa_u": lambda: _scale_where(fam, "kappa_u", lambda u: u.u[:1] == (0,)),
+    "eta_of_L2": lambda: _flipped_eta_of_l2(),
 }
 
 
 def _per_point_transfer_failures(q, rrmax):
-    """The transfer sweep's failures from factorwise_transfer_check at every point.
+    """The transfer sweep's failures, with both routes evaluated in full at every point.
 
-    Only for rrmax <= 2, where every R - r takes all of r = 0, 1, 2.
+    No grid and no cell value: each point multiplies the per-factor route's
+    gamma, e- and u-factors, and the closed route's transfer_factor_sign
+    (with its eta_of_L2), kappa_l2 and kappa_u.  Only for rrmax <= 2, where
+    every R - r takes all of r = 0, 1, 2.
     """
     field = ResidueParam(q)
     failures = []
@@ -187,8 +192,13 @@ def _per_point_transfer_failures(q, rrmax):
                                 for e in fam.enumerate_e(shape):
                                     for bits in itertools.product((0, 1), repeat=t):
                                         u = fam.UVector(bits, k_split)
-                                        fw, cl = constants.factorwise_transfer_check(
-                                            shape, gamma, e, u, pair, scd1, scd2, eta, field)
+                                        fw = constants.factorwise_gamma_factor(
+                                            shape, gamma, pair, scd1, scd2, eta, field) \
+                                            * constants.factorwise_e_factor(e, pair) \
+                                            * constants.factorwise_u_factor(u, eta)
+                                        cl = constants.transfer_factor_sign(
+                                            shape, gamma, pair, scd1, scd2, eta, field) \
+                                            * fam.kappa_l2(e, pair) * fam.kappa_u(u)
                                         if fw != cl:
                                             failures.append(
                                                 {"q": q, "rp": rp, "rpp": rpp,
@@ -207,15 +217,22 @@ def test_transfer_sweep_fails_where_the_per_point_check_fails(fault, monkeypatch
     assert report.failures == _per_point_transfer_failures(5, 2)
 
 
+def test_transfer_eta_of_l2_fault_fails_on_b_one_shapes_only(monkeypatch):
+    monkeypatch.setattr(*PARTIAL_FAULTS["eta_of_L2"]())
+    report = suites.verify_transfer_factorization(qs=(5,), rrmax=2)
+    # the closed route reads eta[L2, gamma] only when B = 1, that is r' < r''
+    assert {(f["rp"], f["rpp"]) for f in report.failures} == {(0, 2), (1, 3), (2, 4)}
+
+
 def test_transfer_checks_each_cell_once(monkeypatch):
-    events, gammas = [], Counter()
+    events, gammas, calls = [], Counter(), Counter()
     original_check = constants.factorwise_transfer_check
     original_gamma = fam.enumerate_gamma
     points, specs = suites.SUITES["transfer"]
 
-    def check(*args):
-        events.append("check")
-        return original_check(*args)
+    def check(shape, *rest):
+        events.append(("check", shape.b_switch))
+        return original_check(shape, *rest)
 
     def enumerate_gamma(shape, field, target):
         gammas[shape.rp, shape.rpp] += 1
@@ -226,18 +243,40 @@ def test_transfer_checks_each_cell_once(monkeypatch):
             events.append(checked)
             yield checked, failures
 
+    def counted(module, name, key):
+        original = getattr(module, name)
+
+        def call(*args):
+            calls[key(*args)] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, call)
+
     monkeypatch.setattr(constants, "factorwise_transfer_check", check)
     monkeypatch.setattr(fam, "enumerate_gamma", enumerate_gamma)
     monkeypatch.setitem(suites.SUITES, "transfer", (batches, specs))
+    counted(fam, "eta_of_L2", lambda gamma, pair, shape, *rest: ("eta_of_L2", shape.b_switch))
+    counted(constants, "factorwise_e_factor", lambda *args: "factorwise_e_factor")
+    counted(fam, "kappa_l2", lambda *args: "kappa_l2")
     report = suites.verify_transfer_factorization(qs=(5,), rrmax=2)
     assert report.passed
     # one vector list per (shape, sign target), shared by the four
     # (beta', beta'', eta) blocks with that target
     assert len(gammas) == 9 and set(gammas.values()) == {2}
     # one check per (gamma, pairing) cell, then that cell's points as one batch
-    assert events[::2] == ["check"] * (len(events) // 2)
+    checks = events[::2]
+    assert set(checks) == {("check", 0), ("check", 1)} and len(checks) == len(events) // 2
     assert all(isinstance(n, int) and n > 0 for n in events[1::2])
     assert sum(events[1::2]) == report.points_checked
+    # eta[L2, gamma] once per cell where B = 1, and never where B = 0
+    assert calls["eta_of_L2", 1] == checks.count(("check", 1)) > 0
+    assert calls["eta_of_L2", 0] == 0
+    # the e-parts once per (shape, pairing, sign vector) while the grids are
+    # built, never per cell
+    grid_entries = sum(len(fam.enumerate_L(shape)) * len(fam.enumerate_e(shape))
+                       for shape in itertools.starmap(fam.SplitShape,
+                                                      constants._transfer_shapes(2, 5)))
+    assert calls["factorwise_e_factor"] == calls["kappa_l2"] == grid_entries < len(checks)
 
 
 def test_kappasum_fails_on_a_negated_kappa_zero(monkeypatch):
