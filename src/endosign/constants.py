@@ -125,15 +125,15 @@ def split_pair_identities(rp: int, rpp: int) -> dict[str, dict]:
 # ---------------------------------------------------------------------------
 
 def alpha_constant(rp: int, rpp: int, scd1: int, scd2: int,
-                   eta: SquareClass, rp_field: ResidueParam) -> int:
+                   eta: SquareClass, m: int) -> int:
     """The orientation sign alpha(r', r'', w', w'').
 
     sgn((-1)^((r'+r'')/2) * unit(eta)), times scd1 * scd2 when the
     valuation of eta is odd, with scd1 = sgn_cd(w') and scd2 = sgn_cd(w'').
+    It reads the field only through m = sgn(-1).
     """
     if rp % 2 != rpp % 2 or rp % 2 != eta.val_parity:
         raise ValueError("r', r'' and val(eta) must share one parity")
-    m = sgn_minus_one(rp_field)
     out = (m if ((rp + rpp) // 2) % 2 else 1) * eta.unit_sign
     if eta.val_parity:
         out *= scd1 * scd2
@@ -150,10 +150,11 @@ def pair_power_constant(rp: int, rpp: int, rp_field: ResidueParam) -> ExactValue
 
 
 def even_case_transfer_constant(eta1: SquareClass, eta2: SquareClass, rp: int, rpp: int,
-                                scd2: int, eta: SquareClass, rp_field: ResidueParam) -> int:
+                                scd2: int, eta: SquareClass, m: int) -> int:
     """The even orthogonal transfer constant for the class pair (eta1, eta2).
 
-    It reads the second class only through scd2 = sgn_cd(w'').
+    It reads the second class only through scd2 = sgn_cd(w'') and the
+    field only through m = sgn(-1).
     """
     if (rp - rpp) % 2:
         raise ValueError("r' and r'' must have equal parity")
@@ -163,7 +164,6 @@ def even_case_transfer_constant(eta1: SquareClass, eta2: SquareClass, rp: int, r
         raise ValueError("val(eta1), val(eta2) must match t1, t2 mod 2")
     if eta1 * eta2 != eta:
         raise ValueError("eta1 * eta2 must equal eta")
-    m = sgn_minus_one(rp_field)
     if rpp <= rp:
         return eta2.unit_sign if eta.val_parity else 1
     out = (m if eta2.val_parity else 1) * scd2
@@ -173,7 +173,7 @@ def even_case_transfer_constant(eta1: SquareClass, eta2: SquareClass, rp: int, r
 
 
 def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector, pair: fam.LPair,
-                         scd1: int, scd2: int, eta: SquareClass,
+                         scd1: int, scd2: int, eta: SquareClass, m: int,
                          rp_field: ResidueParam) -> int:
     """The closed-form transfer-factor sign d for one assignment vector and pairing.
 
@@ -182,9 +182,9 @@ def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector, pair: fa
     product of sgn(g_{j-1} g_j)^(j/2-1) and sgn(g_{j-1} - g_j); the
     top-slot product of sgn(g_j)^((R-r)/2); and the tail governed by the
     branch switch B with the class eta[L2, gamma].  Only that tail reads
-    the pairing, so eta_of_L2 is evaluated only when B = 1.
+    the pairing, so eta_of_L2 is evaluated only when B = 1, and only
+    that tail reads m = sgn(-1).
     """
-    m = sgn_minus_one(rp_field)
     t2 = shape.t2
     out = 1
     if t2 % 2:
@@ -207,9 +207,8 @@ def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector, pair: fa
     return out
 
 
-def weil_ratio_sign(eta1: SquareClass, eta2: SquareClass, rp_field: ResidueParam) -> int:
-    """The Weil-constant ratio, a sign depending on the valuation parities."""
-    m = sgn_minus_one(rp_field)
+def weil_ratio_sign(eta1: SquareClass, eta2: SquareClass, m: int) -> int:
+    """The Weil-constant ratio, a sign depending on the valuation parities and m = sgn(-1)."""
     v1, v2 = eta1.val_parity, eta2.val_parity
     if v1 == 0 and v2 == 0:
         return 1
@@ -226,7 +225,8 @@ def collapse_and_product_constants(rp: int, rpp: int, scd1: int, scd2: int,
                                    alt_two_power: bool = False) -> tuple[ExactValue, ExactValue]:
     """The fiber-collapse constant and the total product constant.
 
-    The classes enter through scd1 = sgn_cd(w') and scd2 = sgn_cd(w'').
+    The classes enter through scd1 = sgn_cd(w') and scd2 = sgn_cd(w''),
+    the field through q and m = sgn(-1), taken once per call.
     The collapse constant absorbs the weight ratio sigma * sigma_fiber^-1 *
     sigma_1^-1 * sigma_2^-1 * d into a gamma-independent value; the product
     constant multiplies it by 2^(beta + 2 t1 + 2 t2), the Weil ratio, the
@@ -258,11 +258,11 @@ def collapse_and_product_constants(rp: int, rpp: int, scd1: int, scd2: int,
 
     two_exp = beta + 2 * t1 + 2 * t2 + (1 if alt_two_power else 0)
     product = collapse * Fraction(2) ** two_exp \
-        * weil_ratio_sign(eta1, eta2, rp_field) \
+        * weil_ratio_sign(eta1, eta2, m) \
         * pair_power_constant(rp, rpp, rp_field).value \
-        * alpha_constant(rp, rpp, scd1, scd2, eta, rp_field) \
-        * alpha_constant(t1, t1, scd1, 1, eta1, rp_field) \
-        * alpha_constant(t2, t2, scd2, 1, eta2, rp_field)
+        * alpha_constant(rp, rpp, scd1, scd2, eta, m) \
+        * alpha_constant(t1, t1, scd1, 1, eta1, m) \
+        * alpha_constant(t2, t2, scd2, 1, eta2, m)
     return ExactValue(collapse), ExactValue(product)
 
 
@@ -332,6 +332,7 @@ def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
     """
     for q in qs:
         field = ResidueParam(q)
+        m = sgn_minus_one(field)
         for rp in range(rmax + 1):
             for rpp in range(rmax + 1):
                 if (rp - rpp) % 2:
@@ -347,7 +348,7 @@ def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
                             rp, rpp, s1, s2, eta, eta1, eta2, beta, field,
                             alt_two_power=alt_two_power)
                         lhs = ExactValue(Fraction(1, 2 ** (1 + beta))) * product * count
-                        rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta, field)
+                        rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta, m)
                         if lhs == ExactValue(rhs):
                             yield 1, ()
                         else:
@@ -365,11 +366,11 @@ def branch_switch(rp: int, rpp: int) -> int:
 
 
 def chain_sign_constants(rp: int, rpp: int, scd1: int, scd2: int,
-                         d2: int, n: int, d: int,
-                         rp_field: ResidueParam) -> tuple[int, int, int, int]:
+                         d2: int, n: int, d: int, m: int) -> tuple[int, int, int, int]:
     """The signs (base, endo, reduction, u_value) of the comparison chain at one point.
 
-    The classes enter through scd1 = sgn_cd(w') and scd2 = sgn_cd(w'').
+    The classes enter through scd1 = sgn_cd(w') and scd2 = sgn_cd(w''),
+    the field through m = sgn(-1).
     base: (-1)^(n + r'') m^((r'^2 - r')/2 + (r''^2 - |r''|)/2).
     endo: the four-branch table; the branches with r'' < 0 or (r'' = 0,
     r' odd) carry (-1)^(d r'').
@@ -378,7 +379,6 @@ def chain_sign_constants(rp: int, rpp: int, scd1: int, scd2: int,
     class sign and the complementary block count d - d2.
     u_value: (-1)^(r'') m^u.
     """
-    m = sgn_minus_one(rp_field)
     mp = (rp * rp - rp) // 2 + (rpp * rpp - abs(rpp)) // 2
     base = (-1) ** ((n + rpp) % 2) * (m if mp % 2 else 1)
 
@@ -406,8 +406,7 @@ def chain_sign_constants(rp: int, rpp: int, scd1: int, scd2: int,
 def sign_chain_points(rmax: int):
     """The sign-chain collapse: chain = (-1)^n U, U = U1 U2, full product = 1."""
     for q in (5, 7):  # the chain depends on q only through m = sgn(-1): +1 at 5, -1 at 7
-        field = ResidueParam(q)
-        m = sgn_minus_one(field)
+        m = sgn_minus_one(ResidueParam(q))
         for rp in range(rmax + 1):
             for rpp in range(-rmax, rmax + 1):
                 r1p, r1pp, r2p, r2pp = split_pair_values(rp, rpp)
@@ -415,7 +414,7 @@ def sign_chain_points(rmax: int):
                         (1, -1), (1, -1), (0, 1), (0, 1), (0, 1)):
                     d = d1 + d2
                     base, endo, reduction, u_value = chain_sign_constants(
-                        rp, rpp, s1, s2, d2, npar, d, field)
+                        rp, rpp, s1, s2, d2, npar, d, m)
                     chain = base * endo * reduction * (-1) ** ((d2 * rpp) % 2)
                     target = (-1) ** npar * u_value
                     if chain != target:
@@ -434,7 +433,7 @@ def sign_chain_points(rmax: int):
                     total = chain
                     for (rpj, rppj, sj, nj) in ((r1p, r1pp, s1, n1), (r2p, r2pp, s2, n2)):
                         base_j, endo_j, reduction_j, _ = chain_sign_constants(
-                            rpj, rppj, sj, 1, 0, nj, 0, field)
+                            rpj, rppj, sj, 1, 0, nj, 0, m)
                         total *= base_j * endo_j * reduction_j
                     # chain used parity npar; realign to n = n1 + n2
                     total *= (-1) ** ((npar + n1 + n2) % 2)
@@ -445,14 +444,14 @@ def sign_chain_points(rmax: int):
 
 def factorwise_gamma_factor(shape: fam.SplitShape, gamma: fam.GammaVector,
                             pair: fam.LPair, scd1: int, scd2: int,
-                            eta: SquareClass, rp_field: ResidueParam) -> int:
+                            eta: SquareClass, m: int, rp_field: ResidueParam) -> int:
     """The per-factor route's (gamma, pairing) factor.
 
     The product over the pair slots l = 2j of unit(eta) * scd1 * scd2
     * sgn(g_{l-1} - g_l), times m * sgn(g_{l2}) when B = 1, times the signs of
-    the slots above l, with scd1 = sgn_cd(w') and scd2 = sgn_cd(w'').
+    the slots above l, with scd1 = sgn_cd(w'), scd2 = sgn_cd(w'') and
+    m = sgn(-1).
     """
-    m = sgn_minus_one(rp_field)
     scd = scd1 * scd2
     B = shape.b_switch
     out = 1
@@ -479,18 +478,19 @@ def factorwise_e_factor(e: tuple[int, ...], pair: fam.LPair) -> int:
     return out
 
 
-def factorwise_u_factor(u: fam.UVector, eta: SquareClass) -> int:
-    """The per-factor route's unramified block signs (-1)^(val(eta) + u_k) over K''."""
+def factorwise_u_factor(u: tuple[int, ...], k_second: tuple[int, ...],
+                        eta: SquareClass) -> int:
+    """The per-factor route's block signs (-1)^(val(eta) + u_k) over K'' (1-based k_second)."""
     out = 1
-    for k in u.k_second:
-        if (eta.val_parity + u.u[k - 1]) % 2:
+    for k in k_second:
+        if (eta.val_parity + u[k - 1]) % 2:
             out = -out
     return out
 
 
 def factorwise_transfer_check(shape: fam.SplitShape, gamma: fam.GammaVector,
                               pair: fam.LPair, scd1: int, scd2: int, eta: SquareClass,
-                              rp_field: ResidueParam) -> tuple[int, int]:
+                              m: int, rp_field: ResidueParam) -> tuple[int, int]:
     """The two routes' (gamma, pairing) factors of the descent transfer factor.
 
     The per-factor route's factor is factorwise_gamma_factor; the closed
@@ -499,10 +499,12 @@ def factorwise_transfer_check(shape: fam.SplitShape, gamma: fam.GammaVector,
     at a point (e, u) the per-factor route multiplies its factor by
     factorwise_e_factor(e) * factorwise_u_factor(u), the closed route by
     kappa_l2(e) * kappa_u(u), and the two products must agree.  Both read
-    the classes only through scd1 = sgn_cd(w') and scd2 = sgn_cd(w'').
+    the classes only through scd1 = sgn_cd(w') and scd2 = sgn_cd(w''), and
+    the field through m = sgn(-1) and legendre, the only function both
+    routes enter.
     """
-    return (factorwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, rp_field),
-            transfer_factor_sign(shape, gamma, pair, scd1, scd2, eta, rp_field))
+    return (factorwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, m, rp_field),
+            transfer_factor_sign(shape, gamma, pair, scd1, scd2, eta, m, rp_field))
 
 
 def _transfer_shapes(rrmax: int, q: int):
@@ -523,11 +525,12 @@ def transfer_points(qs, rrmax: int):
 
     A block is one (q, shape, beta', beta'', eta); a cell is one (gamma,
     pairing) of a block, and its points are every sign vector e times every
-    block vector u.  The class signs scd1 = sgn_cd(w') and scd2 = sgn_cd(w'')
-    are evaluated once per (beta', beta''), and both routes get the same two
-    ints, as they get eta.  At a point each route's value is its (gamma,
-    pairing) factor times an e-part and a u-part, so each route does its
-    work at two levels:
+    block vector u, a tuple of 0 and 1 whose second block K'' has the
+    1-based indices k_second.  m = sgn(-1) is evaluated once per q, and the
+    class signs scd1 = sgn_cd(w') and scd2 = sgn_cd(w'') once per
+    (beta', beta''); both routes get the same ints, as they get eta.  At a
+    point each route's value is its (gamma, pairing) factor times an e-part
+    and a u-part, so each route does its work at two levels:
 
       * per block and pairing: the route's e x u grid, built once from its
         own tables in the order e, then u.  The per-factor grid multiplies
@@ -547,14 +550,15 @@ def transfer_points(qs, rrmax: int):
         failure records.
 
     The routes stay independent: each computes all of its own factors, and
-    they share only the leaf primitives legendre and sgn_minus_one.  No grid,
-    table or cell value is used by both sides and neither side is derived
-    from the other, so a wrong formula on either side fails exactly the
-    points at which the two routes' products differ.
+    they share only the leaf primitive legendre.  No grid, table or cell
+    value is used by both sides and neither side is derived from the other,
+    so a wrong formula on either side fails exactly the points at which the
+    two routes' products differ.
     """
     beta_options = [Partition(), Partition([1])]
     for q in qs:
         field = ResidueParam(q)
+        m = sgn_minus_one(field)
         for rp, rpp in _transfer_shapes(rrmax, q):
             shape = fam.SplitShape(rp, rpp)
             pairs = fam.enumerate_L(shape)
@@ -566,14 +570,12 @@ def transfer_points(qs, rrmax: int):
                 scd1 = sgn_cd(WeylClassB(Partition(), beta1))
                 scd2 = sgn_cd(WeylClassB(Partition(), beta2))
                 t = beta1.length() + beta2.length()
-                k_split = (tuple(range(1, beta1.length() + 1)),
-                           tuple(range(beta1.length() + 1, t + 1)))
-                uvecs = [fam.UVector(u, k_split)
-                         for u in itertools.product((0, 1), repeat=t)]
-                kappa_us = [fam.kappa_u(u) for u in uvecs]
+                k_second = tuple(range(beta1.length() + 1, t + 1))
+                uvecs = list(itertools.product((0, 1), repeat=t))
+                kappa_us = [fam.kappa_u(u, k_second) for u in uvecs]
                 for ue in (1, -1):
                     eta = SquareClass(rpp % 2, ue)
-                    u_row = [factorwise_u_factor(u, eta) for u in uvecs]
+                    u_row = [factorwise_u_factor(u, k_second, eta) for u in uvecs]
                     # per pairing: each route's grid, and its scaled copies
                     # by cell value
                     grids = [([fe * fu for fe in factor_row for fu in u_row], {},
@@ -583,7 +585,7 @@ def transfer_points(qs, rrmax: int):
                     for gamma in gammas[target]:
                         for pair, (fw_grid, fw_scaled, cl_grid, cl_scaled) in zip(pairs, grids):
                             fw, cl = factorwise_transfer_check(
-                                shape, gamma, pair, scd1, scd2, eta, field)
+                                shape, gamma, pair, scd1, scd2, eta, m, field)
                             lhs = fw_scaled.get(fw)
                             if lhs is None:
                                 lhs = fw_scaled[fw] = tuple(fw * x for x in fw_grid)
@@ -592,7 +594,7 @@ def transfer_points(qs, rrmax: int):
                                 rhs = cl_scaled[cl] = tuple(cl * x for x in cl_grid)
                             yield len(lhs), () if lhs == rhs else tuple(
                                 {"q": q, "rp": rp, "rpp": rpp, "gamma": gamma.to_json(),
-                                 "e": list(e), "u": list(u.u), "pair": pair.to_json(),
+                                 "e": list(e), "u": list(u), "pair": pair.to_json(),
                                  "lhs": left, "rhs": right}
                                 for (e, u), left, right in zip(
                                     itertools.product(evecs, uvecs), lhs, rhs)

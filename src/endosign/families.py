@@ -10,7 +10,7 @@ in {+1, -1}).  This module enumerates:
     of entry signs to the unit part of eta and the two class signs),
   * sign vectors e (plain tuples of +-1, e_j at index j - 1) with their
     distinguished subgroup and kappa characters,
-  * binary vectors u with the kappa character selecting the second block,
+  * block vectors u (tuples of 0 and 1) with the kappa character of K'',
   * transversal pairings (L1, L2) of the pair slots,
   * families of two-element square/non-square transversals with the
     reassembly map used in the product-formula fiber count.
@@ -90,24 +90,6 @@ class GammaVector:
         return {"low": list(self.low), "high": list(self.high)}
 
 
-class UVector:
-    """A vector in (Z/2)^t with a two-block split (K', K'') of the index set."""
-
-    __slots__ = ("u", "k_second")
-
-    def __init__(self, u: tuple[int, ...], k_split: tuple[tuple[int, ...], tuple[int, ...]]):
-        if any(x not in (0, 1) for x in u):
-            raise ValueError("entries must be 0 or 1")
-        k1, k2 = tuple(k_split[0]), tuple(k_split[1])
-        if sorted(k1 + k2) != list(range(1, len(u) + 1)):
-            raise ValueError("K' and K'' must partition {1..t}")
-        self.u = tuple(u)
-        self.k_second = k2
-
-    def __repr__(self):
-        return f"UVector(u={self.u}, K''={self.k_second})"
-
-
 class LPair:
     """A transversal pairing: one slot of each even pair goes to L1, the other to L2.
 
@@ -176,9 +158,9 @@ def enumerate_gamma(shape: SplitShape, rp_field: ResidueParam,
     return out
 
 
-def kappa_u(u: UVector) -> int:
-    """(-1)^(sum of u over the second block K'')."""
-    return -1 if sum(u.u[k - 1] for k in u.k_second) % 2 else 1
+def kappa_u(u: tuple[int, ...], k_second: tuple[int, ...]) -> int:
+    """(-1)^(sum of u over the second block K''), whose 1-based indices are k_second."""
+    return -1 if sum(u[k - 1] for k in k_second) % 2 else 1
 
 
 def in_distinguished_subgroup(e: tuple[int, ...], shape: SplitShape) -> bool:

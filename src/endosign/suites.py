@@ -36,10 +36,7 @@ from .weyl import (WeylClassA, brute_class_sizes, brute_class_sizes_a, class_siz
                    class_size_b, conjugation_orbit_sizes, order_b)
 
 __all__ = [
-    "SUITES", "parameters", "run",
-    "verify_aux_identities", "verify_split", "verify_kappa_sums", "verify_counting",
-    "verify_product_identity", "verify_sign_chain", "verify_transfer_factorization",
-    "verify_weyl_classes", "verify_descent", "verify_params",
+    "SUITES", "parameters", "run", "verify_descent", "verify_params",
     "enumerate_params_report", "enumerate_descent_report",
 ]
 
@@ -438,39 +435,7 @@ def run(name: str, **given) -> VerificationReport:
     return report
 
 
-# The entry points by suite; keyword arguments as in SUITES.
-
-def verify_aux_identities(**params) -> VerificationReport:
-    return run("aux", **params)
-
-
-def verify_split(**params) -> VerificationReport:
-    return run("split", **params)
-
-
-def verify_kappa_sums(**params) -> VerificationReport:
-    return run("kappasum", **params)
-
-
-def verify_counting(**params) -> VerificationReport:
-    return run("counting", **params)
-
-
-def verify_product_identity(**params) -> VerificationReport:
-    return run("constprod", **params)
-
-
-def verify_sign_chain(**params) -> VerificationReport:
-    return run("signchain", **params)
-
-
-def verify_transfer_factorization(**params) -> VerificationReport:
-    return run("transfer", **params)
-
-
-def verify_weyl_classes(**params) -> VerificationReport:
-    return run("weyl", **params)
-
+# perfbench/workloads.py names these two through func=; every other caller uses run().
 
 def verify_descent(**params) -> VerificationReport:
     return run("descent", **params)

@@ -10,9 +10,9 @@ import time
 from endosign import suites
 
 
-def _run(tag, budget_s, func, *args, **kwargs):
+def _run(tag, budget_s, name, **params):
     start = time.monotonic()
-    report = func(*args, **kwargs)
+    report = suites.run(name, **params)
     elapsed = time.monotonic() - start
     status = "PASS" if report.passed else "FAIL"
     print(f"ACCEPTANCE {tag}: {status} - {report.points_checked} points, "
@@ -26,61 +26,59 @@ def _run(tag, budget_s, func, *args, **kwargs):
 def test_acceptance_01_aux_identities():
     # all four auxiliary identities, r' in [0, 30], r'' in [-30, 30], both
     # values of the character at -1, exact equality
-    report = _run("1 (aux identities)", 5, suites.verify_aux_identities, rmax=30)
+    report = _run("1 (aux identities)", 5, "aux", rmax=30)
     assert report.points_checked == 31 * 61
 
 
 def test_acceptance_02_splitting():
     # size-sum identity and swap symmetry, N', N'' up to 10, exact
-    report = _run("2 (splitting)", 5, suites.verify_split, rmax=30, nmax=10)
+    report = _run("2 (splitting)", 5, "split", rmax=30, nmax=10)
     assert report.points_checked == 31 * 61 * 121
 
 
 def test_acceptance_03_kappa_sums():
     # transversal character sums, R - r up to 6, both r = 0 and r > 0, all e
-    _run("3 (kappa sums)", 10, suites.verify_kappa_sums, max_rr=6)
+    _run("3 (kappa sums)", 10, "kappasum", max_rr=6)
 
 
 def test_acceptance_04_counting():
     # fiber sizes equal the closed form on the image, family count formula,
     # q in {5, 7, 13} with pair-slot depth 2 (13 capped to depth 1 for the
     # fiber part), including the worked values 4 and {2, 1}
-    _run("4 (counting)", 120, suites.verify_counting, qs=(5, 7, 13), t2max=2)
+    _run("4 (counting)", 120, "counting", qs=(5, 7, 13), t2max=2)
 
 
 def test_acceptance_05_product_identity():
     # the product-formula constant identity over all sign and class data,
     # q in {5, 7, 13}, shapes up to 6, both degeneracy values, exact
-    report = _run("5 (product identity)", 60, suites.verify_product_identity,
-                  qs=(5, 7, 13), rmax=6)
+    report = _run("5 (product identity)", 60, "constprod", qs=(5, 7, 13), rmax=6)
     assert not report.notes  # no failures, so no alternate-reading rerun
 
 
 def test_acceptance_06_sign_chain():
     # chain = (-1)^n U, U = U1 U2, and the nine-constant product collapses
     # to 1, for r' <= 8, |r''| <= 8, all sign parameters
-    _run("6 (sign chain)", 5, suites.verify_sign_chain, rmax=8)
+    _run("6 (sign chain)", 5, "signchain", rmax=8)
 
 
 def test_acceptance_07_transfer_factorization():
     # per-factor route equals the closed form, q in {5, 7}, R - r <= 4,
     # all assignment vectors, sign vectors, block vectors and pairings
-    _run("7 (transfer factorization)", 120,
-         suites.verify_transfer_factorization, qs=(5, 7), rrmax=4)
+    _run("7 (transfer factorization)", 120, "transfer", qs=(5, 7), rrmax=4)
 
 
 def test_acceptance_08_weyl_oracle():
     # class sizes against brute-force signed-permutation enumeration at
     # N <= 4 with total 2^N N!, plus the symmetric-group analogue
-    _run("8 (weyl oracle)", 30, suites.verify_weyl_classes, nmax=4)
+    _run("8 (weyl oracle)", 30, "weyl", nmax=4)
 
 
 def test_acceptance_09_descent():
     # sign-character relation on all class splittings with |beta| <= 8,
     # unique-split recovery against a full scan, sector sums
-    _run("9 (descent)", 30, suites.verify_descent, beta_max=8)
+    _run("9 (descent)", 30, "descent", beta_max=8)
 
 
 def test_acceptance_10_parameter_algebra():
     # virtual-combination term counts, double swap, character bilinearity
-    _run("10 (parameter algebra)", 5, suites.verify_params, nmax=3)
+    _run("10 (parameter algebra)", 5, "params", nmax=3)

@@ -15,12 +15,14 @@ from endosign.constants import (QuadrupleGamma, branch_switch,
                                 transfer_factor_sign, u_exponent,
                                 u_sign, alpha_constant, weil_ratio_sign)
 from endosign.exact import ExactValue
-from endosign.families import (GammaVector, LPair, SplitShape, UVector, enumerate_e,
+from endosign.families import (GammaVector, LPair, SplitShape, enumerate_e,
                                enumerate_gamma, enumerate_L, kappa_l2, kappa_u)
 from endosign.localfield import ResidueParam, SquareClass
 
 F5 = ResidueParam(5)
 F7 = ResidueParam(7)
+# m = sgn(-1) of each field
+M5, M7 = 1, -1
 
 
 def test_split_sum_identity_sample():
@@ -58,12 +60,12 @@ def test_aux_identities_worked_points():
 
 def test_alpha_constant():
     eta = SquareClass(0, 1)
-    assert alpha_constant(0, 0, 1, 1, eta, F5) == 1
-    assert alpha_constant(2, 0, 1, 1, eta, F7) == -1  # m^(1) * unit
+    assert alpha_constant(0, 0, 1, 1, eta, M5) == 1
+    assert alpha_constant(2, 0, 1, 1, eta, M7) == -1  # m^(1) * unit
     eta_odd = SquareClass(1, 1)
-    assert alpha_constant(1, 1, -1, 1, eta_odd, F5) == -1
+    assert alpha_constant(1, 1, -1, 1, eta_odd, M5) == -1
     with pytest.raises(ValueError):
-        alpha_constant(1, 1, 1, 1, SquareClass(0, 1), F5)
+        alpha_constant(1, 1, 1, 1, SquareClass(0, 1), M5)
 
 
 def test_pair_power_constant():
@@ -79,19 +81,19 @@ def test_even_case_transfer_constant():
     one = SquareClass(0, 1)
     pi = SquareClass(1, 1)
     # (r', r'') = (2, 0): t1 = t2 = 1, classes of odd valuation; val(eta) even
-    assert even_case_transfer_constant(pi, pi, 2, 0, 1, eta, F5) == 1
+    assert even_case_transfer_constant(pi, pi, 2, 0, 1, eta, M5) == 1
     # odd valuation of eta with eta2 unit sign -1
     eta_o = SquareClass(1, 1)
     eta2 = SquareClass(0, -1)
     eta1 = eta_o * eta2
-    assert even_case_transfer_constant(eta1, eta2, 1, 1, 1, eta_o, F5) == -1
+    assert even_case_transfer_constant(eta1, eta2, 1, 1, 1, eta_o, M5) == -1
     # r' < r'' branch at q = 7 (m = -1): m^val(eta2) * sgn_cd(w'') * unit^(1+val)
     eta2b = SquareClass(1, -1)
     eta1b = eta_o * eta2b
-    got = even_case_transfer_constant(eta1b, eta2b, 1, 3, -1, eta_o, F7)
+    got = even_case_transfer_constant(eta1b, eta2b, 1, 3, -1, eta_o, M7)
     assert got == (-1) * (-1) * 1  # m * sgn_cd, exponent 1 + 1 even
     with pytest.raises(ValueError):
-        even_case_transfer_constant(one, one, 1, 1, 1, eta_o, F5)
+        even_case_transfer_constant(one, one, 1, 1, 1, eta_o, M5)
 
 
 def test_weil_ratio_table():
@@ -99,11 +101,11 @@ def test_weil_ratio_table():
     even_m = SquareClass(0, -1)
     odd_p = SquareClass(1, 1)
     odd_m = SquareClass(1, -1)
-    assert weil_ratio_sign(even_p, even_m, F5) == 1
-    assert weil_ratio_sign(even_m, odd_p, F5) == -1  # unit of the first class
-    assert weil_ratio_sign(odd_p, even_m, F5) == -1  # unit of the second class
+    assert weil_ratio_sign(even_p, even_m, M5) == 1
+    assert weil_ratio_sign(even_m, odd_p, M5) == -1  # unit of the first class
+    assert weil_ratio_sign(odd_p, even_m, M5) == -1  # unit of the second class
     # both odd: sgn(-unit(eta)); at q = 7, m = -1
-    assert weil_ratio_sign(odd_m, odd_p, F7) == (-1) * (-1) * 1
+    assert weil_ratio_sign(odd_m, odd_p, M7) == (-1) * (-1) * 1
 
 
 def test_transfer_factor_sign_degenerate():
@@ -112,8 +114,8 @@ def test_transfer_factor_sign_degenerate():
     pair = LPair((), ())
     eta = SquareClass(1, 1)
     # everything collapses to sgn_cd(w'')^val(eta)
-    assert transfer_factor_sign(shape, gamma, pair, 1, -1, eta, F5) == -1
-    assert transfer_factor_sign(shape, gamma, pair, 1, 1, eta, F5) == 1
+    assert transfer_factor_sign(shape, gamma, pair, 1, -1, eta, M5, F5) == -1
+    assert transfer_factor_sign(shape, gamma, pair, 1, 1, eta, M5, F5) == 1
 
 
 def test_transfer_factor_sign_pair_slot_factor():
@@ -122,7 +124,7 @@ def test_transfer_factor_sign_pair_slot_factor():
     pair = enumerate_L(shape)[0]
     eta = SquareClass(0, 1)
     gamma = GammaVector((1, 4), ())
-    got = transfer_factor_sign(shape, gamma, pair, 1, 1, eta, F5)
+    got = transfer_factor_sign(shape, gamma, pair, 1, 1, eta, M5, F5)
     # t2 odd: unit(eta), sgn_cd factors trivial here; j/2-1 = 0 kills the
     # product sign; remaining factors: legendre(1-4) * top-product (empty)
     assert got == -1
@@ -144,7 +146,7 @@ def test_product_identity_base_point():
     _, product = collapse_and_product_constants(
         0, 0, 1, 1, one, one, one, 0, F5)
     lhs = ExactValue(Fraction(1, 2)) * product  # family count is 1
-    rhs = even_case_transfer_constant(one, one, 0, 0, 1, one, F5)
+    rhs = even_case_transfer_constant(one, one, 0, 0, 1, one, M5)
     assert lhs == ExactValue(rhs) == ExactValue(1)
 
 
@@ -156,23 +158,22 @@ def test_branch_switch():
 
 
 def test_chain_sign_constants_worked():
-    base, _, _, u_value = chain_sign_constants(1, 0, 1, 1, 0, 2, 0, F5)
+    base, _, _, u_value = chain_sign_constants(1, 0, 1, 1, 0, 2, 0, M5)
     assert base == 1 and u_value == 1
     # branch r'' < -r': the endoscopic sign carries (-1)^(d r'') sgn_cd(w')
-    _, endo, _, _ = chain_sign_constants(1, -2, -1, 1, 0, 0, 1, F5)
+    _, endo, _, _ = chain_sign_constants(1, -2, -1, 1, 0, 0, 1, M5)
     assert endo == (-1) ** ((1 * -2) % 2) * (-1)
 
 
 def test_chain_reduces_to_u():
     # the worked branch: for r'' <= r' the chain telescopes to (-1)^n U
-    for q in (5, 7):
-        field = ResidueParam(q)
+    for m in (M5, M7):
         for rp in range(4):
             for rpp in range(-3, 4):
                 for d2 in (0, 1):
                     for d1 in (0, 1):
                         base, endo, reduction, u_value = chain_sign_constants(
-                            rp, rpp, -1, -1, d2, 1, d1 + d2, field)
+                            rp, rpp, -1, -1, d2, 1, d1 + d2, m)
                         chain = base * endo * reduction * (-1) ** ((d2 * rpp) % 2)
                         assert chain == -u_value  # n = 1
 
@@ -183,14 +184,13 @@ def test_factorwise_check_degenerate():
     pair = LPair((), ())
     e = (1,)
     eta = SquareClass(1, 1)
-    fw, cl = factorwise_transfer_check(shape, gamma, pair, 1, -1, eta, F5)
+    fw, cl = factorwise_transfer_check(shape, gamma, pair, 1, -1, eta, M5, F5)
     # the cell values differ; the u-parts (-1)^(val + u_1) and kappa_u make
     # up for it at every point
     assert (fw, cl) == (1, -1)
-    for bits, expected in (((1,), 1), ((0,), -1)):
-        u = UVector(bits, ((), (1,)))
-        assert fw * factorwise_e_factor(e, pair) * factorwise_u_factor(u, eta) == expected
-        assert cl * kappa_l2(e, pair) * kappa_u(u) == expected
+    for u, expected in (((1,), 1), ((0,), -1)):
+        assert fw * factorwise_e_factor(e, pair) * factorwise_u_factor(u, (1,), eta) == expected
+        assert cl * kappa_l2(e, pair) * kappa_u(u, (1,)) == expected
 
 
 def test_quadruple_validation():
@@ -228,24 +228,24 @@ def test_transfer_routes_share_only_leaves():
             # one block per class of sign -1, as in the transfer sweep
             t1 = (1 - scd1) // 2
             t = t1 + (1 - scd2) // 2
-            u = UVector((1,) * t, (tuple(range(1, t1 + 1)), tuple(range(t1 + 1, t + 1))))
+            u, k_second = (1,) * t, tuple(range(t1 + 1, t + 1))
             for ue in (1, -1):
                 eta = SquareClass(rpp % 2, ue)
                 for gamma in enumerate_gamma(shape, F5, scd1 * scd2 * ue):
                     for pair in enumerate_L(shape):
-                        points.append((shape, gamma, e, u, pair, scd1, scd2, eta))
+                        points.append((shape, gamma, e, u, k_second, pair, scd1, scd2, eta))
 
     def per_factor():
-        for shape, gamma, e, u, pair, scd1, scd2, eta in points:
-            factorwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, F5)
+        for shape, gamma, e, u, k_second, pair, scd1, scd2, eta in points:
+            factorwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, M5, F5)
             factorwise_e_factor(e, pair)
-            factorwise_u_factor(u, eta)
+            factorwise_u_factor(u, k_second, eta)
 
     def closed():
-        for shape, gamma, e, u, pair, scd1, scd2, eta in points:
-            transfer_factor_sign(shape, gamma, pair, scd1, scd2, eta, F5)
+        for shape, gamma, e, u, k_second, pair, scd1, scd2, eta in points:
+            transfer_factor_sign(shape, gamma, pair, scd1, scd2, eta, M5, F5)
             kappa_l2(e, pair)
-            kappa_u(u)
+            kappa_u(u, k_second)
 
     per_factor_entered = entered_functions(per_factor)
     closed_entered = entered_functions(closed)
@@ -253,4 +253,4 @@ def test_transfer_routes_share_only_leaves():
     assert {"transfer_factor_sign", "eta_of_L2"} <= closed_entered
     shared = per_factor_entered & closed_entered
     assert "legendre" in shared
-    assert shared <= {"legendre", "sgn_minus_one"}
+    assert shared <= {"legendre"}

@@ -4,9 +4,9 @@ import math
 import pytest
 
 from endosign import suites
-from endosign.families import (GammaVector, LPair, SplitShape,
-                               UVector, _slot_choices, count_transversal_families,
-                               enumerate_e, enumerate_gamma, enumerate_L,
+from endosign.families import (GammaVector, LPair, SplitShape, _slot_choices,
+                               count_transversal_families, enumerate_e,
+                               enumerate_gamma, enumerate_L,
                                enumerate_transversal_families, eta_of_L2,
                                family_selections, fiber_count_check,
                                fiber_size_prediction, gamma_L_split,
@@ -90,11 +90,9 @@ def test_enumerate_gamma_count_against_oracle():
 
 
 def test_kappa_u():
-    assert kappa_u(UVector((0, 0), ((1,), (2,)))) == 1
-    assert kappa_u(UVector((0, 1), ((1,), (2,)))) == -1
-    assert kappa_u(UVector((1, 1), ((1, 2), ()))) == 1  # empty second block
-    with pytest.raises(ValueError):
-        UVector((0, 1), ((1,), (3,)))
+    assert kappa_u((0, 0), (2,)) == 1
+    assert kappa_u((0, 1), (2,)) == -1
+    assert kappa_u((1, 1), ()) == 1  # empty second block
 
 
 def test_kappa_zero():

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from endosign.localfield import TRIVIAL, ResidueParam, SquareClass, legendre, sgn_minus_one
+from endosign.localfield import (TRIVIAL, ResidueParam, SquareClass, is_prime, legendre,
+                                 sgn_minus_one)
+from endosign.suites import Q_CAP
 
 XI = SquareClass(0, -1)
 PI_CLASS = SquareClass(1, 1)
@@ -54,6 +56,14 @@ def test_sgn_minus_one():
     assert sgn_minus_one(ResidueParam(5)) == 1
     assert sgn_minus_one(ResidueParam(7)) == -1
     assert sgn_minus_one(ResidueParam(13)) == 1
+
+
+def test_sgn_minus_one_against_the_squares():
+    # The named constants take m = sgn(-1) as an int, so this oracle is what
+    # pins the leaf: -1 = q - 1 is a square mod q exactly when m = +1.
+    for q in filter(is_prime, range(5, Q_CAP + 1)):
+        field = ResidueParam(q)
+        assert sgn_minus_one(field) == (1 if q - 1 in field.squares() else -1)
 
 
 def test_square_class_group_law():

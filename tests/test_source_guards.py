@@ -162,18 +162,19 @@ def unresolved_layer_names(names: list[str]) -> list[str]:
     return missing
 
 
-# Bounds at which the sweeps enter every function their defaults enter.
+# Bounds at which the sweeps enter every function their defaults enter, by
+# suite name; every suite of the registry is listed.
 SMALL_SWEEPS = (
-    (suites.verify_aux_identities, {"rmax": 1}),
-    (suites.verify_split, {"rmax": 1, "nmax": 1}),
-    (suites.verify_kappa_sums, {"max_rr": 2}),
-    (suites.verify_counting, {"qs": (5,), "t2max": 1}),
-    (suites.verify_product_identity, {"qs": (5,), "rmax": 2}),
-    (suites.verify_sign_chain, {"rmax": 2}),
-    (suites.verify_transfer_factorization, {"qs": (5,), "rrmax": 2}),
-    (suites.verify_weyl_classes, {"nmax": 3}),
-    (suites.verify_descent, {"beta_max": 2}),
-    (suites.verify_params, {"nmax": 1}),
+    ("aux", {"rmax": 1}),
+    ("split", {"rmax": 1, "nmax": 1}),
+    ("kappasum", {"max_rr": 2}),
+    ("counting", {"qs": (5,), "t2max": 1}),
+    ("constprod", {"qs": (5,), "rmax": 2}),
+    ("signchain", {"rmax": 2}),
+    ("transfer", {"qs": (5,), "rrmax": 2}),
+    ("weyl", {"nmax": 3}),
+    ("descent", {"beta_max": 2}),
+    ("params", {"nmax": 1}),
 )
 SMALL_COMMANDS = (
     ["verify", "constprod", "--q", "5", "--rmax", "0", "--format", "csv"],
@@ -194,8 +195,11 @@ def entered_code(capsys) -> set:
 
     sys.setprofile(profile)
     try:
-        for verify, bounds in SMALL_SWEEPS:
-            verify(**bounds)
+        for name, bounds in SMALL_SWEEPS:
+            suites.run(name, **bounds)
+        # the two wrappers that perfbench/workloads.py names through func=
+        suites.verify_descent(beta_max=0)
+        suites.verify_params(nmax=0)
         for argv in SMALL_COMMANDS:
             cli.main(argv)
     finally:
@@ -236,6 +240,7 @@ def test_every_parameter_is_read():
 
 
 def test_every_function_is_entered(capsys):
+    assert {name for name, _ in SMALL_SWEEPS} == set(suites.SUITES)
     defs = {(str(path), line): f"{path.stem}.{name}" for path in SOURCES
             for line, name in function_defs(path).items()}
     entered = {(str(Path(code.co_filename).resolve()), code.co_firstlineno)

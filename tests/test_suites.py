@@ -9,7 +9,7 @@ from endosign import constants, descent, suites
 from endosign import families as fam
 from endosign import params as par
 from endosign.exact import ExactValue
-from endosign.localfield import ResidueParam, SquareClass
+from endosign.localfield import ResidueParam, SquareClass, sgn_minus_one
 from endosign.partitions import Partition
 from endosign.weyl import WeylClassB, sgn_cd
 
@@ -20,7 +20,7 @@ def test_transfer_fails_on_a_flipped_transfer_factor_sign(monkeypatch):
     original = constants.transfer_factor_sign
     monkeypatch.setattr(constants, "transfer_factor_sign",
                         lambda *args: -original(*args))
-    report = suites.verify_transfer_factorization(qs=(5,), rrmax=0)
+    report = suites.run("transfer", qs=(5,), rrmax=0)
     assert report.points_checked > 0
     assert len(report.failures) == report.points_checked
     assert not report.passed
@@ -34,14 +34,14 @@ def test_descent_fails_on_an_off_by_one_split_size(monkeypatch):
         return n1 + 1, n2
 
     monkeypatch.setattr(suites, "split_sizes", off_by_one)
-    report = suites.verify_descent(beta_max=0)
+    report = suites.run("descent", beta_max=0)
     assert {f["identity"] for f in report.failures} == {"sector_sum"}
     assert not report.passed
 
 
 def test_descent_fails_on_a_solver_that_selects_no_split(monkeypatch):
     monkeypatch.setattr(descent, "solve_split_family", lambda *args: None)
-    report = suites.verify_descent(beta_max=8)
+    report = suites.run("descent", beta_max=8)
     assert {f["identity"] for f in report.failures} == {"unique_split"}
     assert len(report.failures) == 1165
 
@@ -61,7 +61,7 @@ def test_descent_fails_on_size_splits_with_a_shifted_plus_size(monkeypatch):
         return out
 
     monkeypatch.setattr(descent, "enumerate_size_splits", shifted)
-    report = suites.verify_descent(beta_max=2)
+    report = suites.run("descent", beta_max=2)
     assert report.points_checked == 3892
     assert {f["identity"] for f in report.failures} == {"unique_split"}
     assert len(report.failures) == 434
@@ -75,7 +75,7 @@ def test_descent_fails_on_class_splits_that_drop_a_part(monkeypatch):
             yield split._replace(beta_plus=Partition(split.beta_plus.parts[1:]))
 
     monkeypatch.setattr(descent, "class_splits", dropping)
-    report = suites.verify_descent(beta_max=8)
+    report = suites.run("descent", beta_max=8)
     assert {f["identity"] for f in report.failures} == {"class_sign"}
     assert len(report.failures) == 2945
 
@@ -87,7 +87,7 @@ def test_constprod_fails_on_the_swapped_two_power_reading(monkeypatch):
         return original(*args, alt_two_power=not alt_two_power)
 
     monkeypatch.setattr(constants, "collapse_and_product_constants", swapped)
-    report = suites.verify_product_identity(qs=(5,), rmax=1)
+    report = suites.run("constprod", qs=(5,), rmax=1)
     assert len(report.failures) == report.points_checked > 0
     assert report.notes == ["failures re-evaluated under the alternate two-power reading: pass"]
 
@@ -96,7 +96,7 @@ def test_constprod_fails_on_a_pair_power_constant_off_by_three(monkeypatch):
     original = constants.pair_power_constant
     monkeypatch.setattr(constants, "pair_power_constant",
                         lambda *args: original(*args) * ExactValue(3))
-    report = suites.verify_product_identity(qs=(5,), rmax=2)
+    report = suites.run("constprod", qs=(5,), rmax=2)
     assert len(report.failures) == report.points_checked > 0
     first = report.failures[0]
     assert set(first["lhs"]) == {"sign", "numerator", "denominator", "q_half_power"}
@@ -109,7 +109,7 @@ def test_constprod_alternate_reading_can_fail_too(monkeypatch):
     original = constants.even_case_transfer_constant
     monkeypatch.setattr(constants, "even_case_transfer_constant",
                         lambda *args: -original(*args))
-    report = suites.verify_product_identity(qs=(5,), rmax=1)
+    report = suites.run("constprod", qs=(5,), rmax=1)
     assert len(report.failures) == report.points_checked > 0
     assert report.notes == ["failures re-evaluated under the alternate two-power reading: fail"]
 
@@ -119,7 +119,7 @@ def test_constprod_alternate_reading_can_fail_too(monkeypatch):
 def test_transfer_fails_on_a_negated_factorwise_factor(factor, monkeypatch):
     original = getattr(constants, factor)
     monkeypatch.setattr(constants, factor, lambda *args: -original(*args))
-    report = suites.verify_transfer_factorization(qs=(5,), rrmax=2)
+    report = suites.run("transfer", qs=(5,), rrmax=2)
     assert len(report.failures) == report.points_checked > 0
     assert not report.passed
 
@@ -139,11 +139,22 @@ def _negated_top_signs():
     return constants, "factorwise_gamma_factor", faulty
 
 
+def _negated_m(name):
+    original = getattr(constants, name)
+
+    def faulty(shape, gamma, pair, scd1, scd2, eta, m, rp_field):
+        return original(shape, gamma, pair, scd1, scd2, eta, -m, rp_field)
+
+    return constants, name, faulty
+
+
 # Faults on a subset of the points, on either side of the identity.  The
 # faults on the e- and u-parts reach a cell through its route's grid only.
 # The doubled closed-form sign gives cells whose value is not +-1.  The
 # negated top signs reach the per-factor route alone, and the flipped
-# eta[L2, gamma] the closed route on B = 1 shapes alone.
+# eta[L2, gamma] the closed route on B = 1 shapes alone.  A route given -m
+# for m = sgn(-1) changes sign where it reads m an odd number of times:
+# on the B = 1 shapes with odd t2.
 PARTIAL_FAULTS = {
     "transfer_factor_sign": lambda: _scale_where(
         constants, "transfer_factor_sign", lambda shape, gamma, *rest: sum(gamma.low) % 3 == 1),
@@ -154,14 +165,16 @@ PARTIAL_FAULTS = {
         constants, "factorwise_gamma_factor",
         lambda shape, gamma, pair, *rest: pair.l2[:1] == (1,) and gamma.high[:1] == (-1,)),
     "factorwise_gamma_factor_top_signs": _negated_top_signs,
+    "factorwise_gamma_factor_negated_m": lambda: _negated_m("factorwise_gamma_factor"),
     "factorwise_e_factor": lambda: _scale_where(
         constants, "factorwise_e_factor", lambda e, pair: e[-1:] == (1,)),
     "factorwise_u_factor": lambda: _scale_where(
-        constants, "factorwise_u_factor", lambda u, eta: sum(u.u) != 1),
+        constants, "factorwise_u_factor", lambda u, k_second, eta: sum(u) != 1),
     "kappa_l2": lambda: _scale_where(
         fam, "kappa_l2", lambda e, pair: e[:1] == (1,) and len(pair.l2) == 1),
-    "kappa_u": lambda: _scale_where(fam, "kappa_u", lambda u: u.u[:1] == (0,)),
+    "kappa_u": lambda: _scale_where(fam, "kappa_u", lambda u, k_second: u[:1] == (0,)),
     "eta_of_L2": lambda: _flipped_eta_of_l2(),
+    "transfer_factor_sign_negated_m": lambda: _negated_m("transfer_factor_sign"),
 }
 
 
@@ -174,6 +187,7 @@ def _per_point_transfer_failures(q, rrmax):
     every R - r takes all of r = 0, 1, 2.
     """
     field = ResidueParam(q)
+    m = sgn_minus_one(field)
     failures = []
     for rr in range(0, rrmax + 1, 2):
         for r in (0, 1, 2):
@@ -183,27 +197,26 @@ def _per_point_transfer_failures(q, rrmax):
                     scd1 = sgn_cd(WeylClassB(Partition(), beta1))
                     scd2 = sgn_cd(WeylClassB(Partition(), beta2))
                     t1, t = beta1.length(), beta1.length() + beta2.length()
-                    k_split = (tuple(range(1, t1 + 1)), tuple(range(t1 + 1, t + 1)))
+                    k_second = tuple(range(t1 + 1, t + 1))
                     for ue in (1, -1):
                         eta = SquareClass(rpp % 2, ue)
                         target = scd1 * scd2 * ue
                         for gamma in fam.enumerate_gamma(shape, field, target):
                             for pair in fam.enumerate_L(shape):
                                 for e in fam.enumerate_e(shape):
-                                    for bits in itertools.product((0, 1), repeat=t):
-                                        u = fam.UVector(bits, k_split)
+                                    for u in itertools.product((0, 1), repeat=t):
                                         fw = constants.factorwise_gamma_factor(
-                                            shape, gamma, pair, scd1, scd2, eta, field) \
+                                            shape, gamma, pair, scd1, scd2, eta, m, field) \
                                             * constants.factorwise_e_factor(e, pair) \
-                                            * constants.factorwise_u_factor(u, eta)
+                                            * constants.factorwise_u_factor(u, k_second, eta)
                                         cl = constants.transfer_factor_sign(
-                                            shape, gamma, pair, scd1, scd2, eta, field) \
-                                            * fam.kappa_l2(e, pair) * fam.kappa_u(u)
+                                            shape, gamma, pair, scd1, scd2, eta, m, field) \
+                                            * fam.kappa_l2(e, pair) * fam.kappa_u(u, k_second)
                                         if fw != cl:
                                             failures.append(
                                                 {"q": q, "rp": rp, "rpp": rpp,
                                                  "gamma": gamma.to_json(),
-                                                 "e": list(e), "u": list(bits),
+                                                 "e": list(e), "u": list(u),
                                                  "pair": pair.to_json(),
                                                  "lhs": fw, "rhs": cl})
     return failures
@@ -212,15 +225,24 @@ def _per_point_transfer_failures(q, rrmax):
 @pytest.mark.parametrize("fault", sorted(PARTIAL_FAULTS))
 def test_transfer_sweep_fails_where_the_per_point_check_fails(fault, monkeypatch):
     monkeypatch.setattr(*PARTIAL_FAULTS[fault]())
-    report = suites.verify_transfer_factorization(qs=(5,), rrmax=2)
+    report = suites.run("transfer", qs=(5,), rrmax=2)
     assert 0 < len(report.failures) < report.points_checked
     assert report.failures == _per_point_transfer_failures(5, 2)
 
 
 def test_transfer_eta_of_l2_fault_fails_on_b_one_shapes_only(monkeypatch):
     monkeypatch.setattr(*PARTIAL_FAULTS["eta_of_L2"]())
-    report = suites.verify_transfer_factorization(qs=(5,), rrmax=2)
+    report = suites.run("transfer", qs=(5,), rrmax=2)
     # the closed route reads eta[L2, gamma] only when B = 1, that is r' < r''
+    assert {(f["rp"], f["rpp"]) for f in report.failures} == {(0, 2), (1, 3), (2, 4)}
+
+
+@pytest.mark.parametrize("fault", ["factorwise_gamma_factor_negated_m",
+                                   "transfer_factor_sign_negated_m"])
+def test_transfer_negated_m_fails_on_b_one_shapes_with_odd_t2(fault, monkeypatch):
+    monkeypatch.setattr(*PARTIAL_FAULTS[fault]())
+    report = suites.run("transfer", qs=(5,), rrmax=4)
+    # the r' < r'' shapes with t2 = 1 fail; (0, 4) and (1, 5), with t2 = 2, pass
     assert {(f["rp"], f["rpp"]) for f in report.failures} == {(0, 2), (1, 3), (2, 4)}
 
 
@@ -258,7 +280,8 @@ def test_transfer_checks_each_cell_once(monkeypatch):
     counted(fam, "eta_of_L2", lambda gamma, pair, shape, *rest: ("eta_of_L2", shape.b_switch))
     counted(constants, "factorwise_e_factor", lambda *args: "factorwise_e_factor")
     counted(fam, "kappa_l2", lambda *args: "kappa_l2")
-    report = suites.verify_transfer_factorization(qs=(5,), rrmax=2)
+    counted(constants, "sgn_minus_one", lambda *args: "sgn_minus_one")
+    report = suites.run("transfer", qs=(5,), rrmax=2)
     assert report.passed
     # one vector list per (shape, sign target), shared by the four
     # (beta', beta'', eta) blocks with that target
@@ -277,12 +300,13 @@ def test_transfer_checks_each_cell_once(monkeypatch):
                        for shape in itertools.starmap(fam.SplitShape,
                                                       constants._transfer_shapes(2, 5)))
     assert calls["factorwise_e_factor"] == calls["kappa_l2"] == grid_entries < len(checks)
-
+    # m = sgn(-1) once per q, here one, and never per cell
+    assert calls["sgn_minus_one"] == 1
 
 def test_kappasum_fails_on_a_negated_kappa_zero(monkeypatch):
     original = fam.kappa_zero
     monkeypatch.setattr(fam, "kappa_zero", lambda *args: -original(*args))
-    report = suites.verify_kappa_sums(max_rr=2)
+    report = suites.run("kappasum", max_rr=2)
     assert report.failures and not report.passed
     assert all(f["lhs"] == -f["rhs"] != 0 for f in report.failures)
 
@@ -290,7 +314,7 @@ def test_kappasum_fails_on_a_negated_kappa_zero(monkeypatch):
 def test_weyl_fails_on_an_off_by_one_class_size(monkeypatch):
     original = suites.class_size_b
     monkeypatch.setattr(suites, "class_size_b", lambda c: original(c) + 1)
-    report = suites.verify_weyl_classes(nmax=2)
+    report = suites.run("weyl", nmax=2)
     # every class of W_0, W_1 and W_2 (1 + 2 + 5 of them), and nothing else
     assert len(report.failures) == 8
     assert all(f["lhs"] == f["rhs"] + 1 for f in report.failures)
@@ -300,7 +324,7 @@ def test_counting_fails_on_a_reassembly_with_l1_and_l2_swapped(monkeypatch):
     original = fam.reassemble
     monkeypatch.setattr(fam, "reassemble", lambda pair, shape: original(
         fam.LPair(pair.l2, pair.l1), shape))
-    report = suites.verify_counting(qs=(5,), t2max=1)
+    report = suites.run("counting", qs=(5,), t2max=1)
     assert report.failures and not report.passed
     assert {f["identity"] for f in report.failures} == {"image", "worked_fibers"}
 
@@ -308,7 +332,7 @@ def test_counting_fails_on_a_reassembly_with_l1_and_l2_swapped(monkeypatch):
 def test_counting_fails_on_a_doubled_fiber_size_prediction(monkeypatch):
     original = fam.fiber_size_prediction
     monkeypatch.setattr(fam, "fiber_size_prediction", lambda *args: original(*args) * 2)
-    report = suites.verify_counting(qs=(5,), t2max=1)
+    report = suites.run("counting", qs=(5,), t2max=1)
     assert report.failures and not report.passed
     assert {f["identity"] for f in report.failures} == {"fiber", "worked_fibers"}
     fibers = [f for f in report.failures if f["identity"] == "fiber"]
@@ -318,7 +342,7 @@ def test_counting_fails_on_a_doubled_fiber_size_prediction(monkeypatch):
 def test_counting_fails_on_a_slotwise_count_off_by_one(monkeypatch):
     original = fam.fiber_count_check
     monkeypatch.setattr(fam, "fiber_count_check", lambda *args: original(*args) + 1)
-    report = suites.verify_counting(qs=(5,), t2max=1)
+    report = suites.run("counting", qs=(5,), t2max=1)
     assert {f["identity"] for f in report.failures} == {"fiber", "worked_fibers"}
     fibers = [f for f in report.failures if f["identity"] == "fiber"]
     assert len(fibers) == len(report.failures) - 1 == 492
@@ -339,7 +363,7 @@ def test_counting_rejects_components_that_do_not_match_the_shape(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(fam, "family_selections", misshapen)
             with pytest.raises(ValueError, match="component lengths do not match the shape"):
-                suites.verify_counting(qs=(5,), t2max=1)
+                suites.run("counting", qs=(5,), t2max=1)
 
 
 def test_counting_builds_the_slot_choices_once_per_field(monkeypatch):
@@ -351,7 +375,7 @@ def test_counting_builds_the_slot_choices_once_per_field(monkeypatch):
         return original(field)
 
     monkeypatch.setattr(fam, "_slot_choices", counted)
-    report = suites.verify_counting(qs=(5,), t2max=1)
+    report = suites.run("counting", qs=(5,), t2max=1)
     assert report.passed
     # one table serves the family counts, the families of every shape and
     # the slotwise count
@@ -369,7 +393,7 @@ def test_counting_builds_each_tally_once(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(fam, name, counted)
-    report = suites.verify_counting(qs=(5,), t2max=1)
+    report = suites.run("counting", qs=(5,), t2max=1)
     assert report.passed
     # two selection tables per (shape, family), one gather per (shape,
     # pairing), one vector list per (shape, sign target), one eta_of_L2 per
@@ -398,7 +422,7 @@ def test_counting_keeps_no_family_past_its_iteration(q, t2max, monkeypatch):
         return table
 
     monkeypatch.setattr(fam, "family_selections", counted)
-    report = suites.verify_counting(qs=(q,), t2max=t2max)
+    report = suites.run("counting", qs=(q,), t2max=t2max)
     assert report.passed
     # one family's two tables, and the next family's two while they are built
     assert 0 < alive["peak"] <= 4
@@ -509,7 +533,7 @@ COUNTING_FAULTS = {
 def test_counting_sweep_fails_where_the_per_point_check_fails(fault, q, monkeypatch):
     plant, identity, counts = COUNTING_FAULTS[fault]
     monkeypatch.setattr(*plant())
-    report = suites.verify_counting(qs=(q,), t2max=1)
+    report = suites.run("counting", qs=(q,), t2max=1)
     shaped = [f for f in report.failures if f["identity"] in ("image", "fiber")]
     assert len(shaped) == counts[q]
     assert {f["identity"] for f in shaped} == {identity}
@@ -519,7 +543,7 @@ def test_counting_sweep_fails_where_the_per_point_check_fails(fault, q, monkeypa
 def test_aux_fails_on_a_negated_u_sign(monkeypatch):
     original = constants.u_sign
     monkeypatch.setattr(constants, "u_sign", lambda *args: -original(*args))
-    report = suites.verify_aux_identities(rmax=2)
+    report = suites.run("aux", rmax=2)
     assert len(report.failures) == report.points_checked > 0
     for f in report.failures:
         failed = {name for name, check in f["detail"]["checks"].items() if not check["pass"]}
@@ -534,7 +558,7 @@ def test_split_fails_on_an_off_by_one_split_size(monkeypatch):
         return n1 + 1, n2
 
     monkeypatch.setattr(constants, "split_sizes", off_by_one)
-    report = suites.verify_split(rmax=2, nmax=1)
+    report = suites.run("split", rmax=2, nmax=1)
     sums = [f for f in report.failures if f["identity"] == "sum"]
     assert len(sums) == report.points_checked > 0
     assert all(f["lhs"] == f["rhs"] + 1 for f in sums)
@@ -543,14 +567,14 @@ def test_split_fails_on_an_off_by_one_split_size(monkeypatch):
 def test_signchain_fails_on_a_negated_u_sign(monkeypatch):
     original = constants.u_sign
     monkeypatch.setattr(constants, "u_sign", lambda *args: -original(*args))
-    report = suites.verify_sign_chain(rmax=2)
+    report = suites.run("signchain", rmax=2)
     assert len(report.failures) == report.points_checked > 0
     assert {f["identity"] for f in report.failures} == {"chain"}
 
 
 def test_params_fails_on_a_constant_character(monkeypatch):
     monkeypatch.setattr(par, "eval_character_on_image", lambda param, image: -1)
-    report = suites.verify_params(nmax=0)
+    report = suites.run("params", nmax=0)
     # every point but the single n = 0 triple is a bilinearity check
     assert len(report.failures) == report.points_checked - 1 > 0
     assert {f["identity"] for f in report.failures} == {"bilinearity"}
