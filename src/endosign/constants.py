@@ -20,7 +20,7 @@ from . import families as fam
 from .exact import ExactValue
 from .localfield import TRIVIAL, ResidueParam, SquareClass, legendre, sgn_minus_one
 from .partitions import Partition
-from .weyl import WeylClassB, sgn_cd
+from .weyl import sgn_cd
 
 
 class QuadrupleGamma:
@@ -567,8 +567,8 @@ def transfer_points(qs, rrmax: int):
             kappa_rows = [[fam.kappa_l2(e, pair) for e in evecs] for pair in pairs]
             gammas = {target: fam.enumerate_gamma(shape, field, target) for target in (1, -1)}
             for beta1, beta2 in itertools.product(beta_options, repeat=2):
-                scd1 = sgn_cd(WeylClassB(Partition(), beta1))
-                scd2 = sgn_cd(WeylClassB(Partition(), beta2))
+                scd1 = sgn_cd((Partition(), beta1))
+                scd2 = sgn_cd((Partition(), beta2))
                 t = beta1.length() + beta2.length()
                 k_second = tuple(range(beta1.length() + 1, t + 1))
                 uvecs = list(itertools.product((0, 1), repeat=t))

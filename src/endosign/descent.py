@@ -131,10 +131,6 @@ class ClassSplit(NamedTuple):
     beta_minus: Partition
     beta_blocks: tuple[Partition, ...]
 
-    def to_json(self):
-        return {"plus": self.beta_plus.to_json(), "minus": self.beta_minus.to_json(),
-                "blocks": [b.to_json() for b in self.beta_blocks]}
-
 
 def class_splits(beta: Partition, degrees: tuple[int, ...]):
     """Every splitting beta = beta_+ u beta_- u union_i f_i * beta_i, of any sizes.

@@ -91,8 +91,5 @@ class SquareClass:
     def __repr__(self):
         return f"SquareClass({self.name()!r})"
 
-    def to_json(self) -> str:
-        return self.name()
-
 
 TRIVIAL = SquareClass(0, 1)

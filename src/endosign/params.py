@@ -53,8 +53,8 @@ class UnipQuadParam:
                 self.lam_minus.base.parts, tuple(sorted(self.eps_minus.items())))
 
     def __repr__(self):
-        return (f"UnipQuadParam(lam_plus={list(self.lam_plus.base)}, "
-                f"lam_minus={list(self.lam_minus.base)}, n={self.n})")
+        return (f"UnipQuadParam(lam_plus={list(self.lam_plus.base.parts)}, "
+                f"lam_minus={list(self.lam_minus.base.parts)}, n={self.n})")
 
 
 class AssembledTriple:
@@ -99,7 +99,8 @@ class AssembledTriple:
         return isinstance(other, AssembledTriple) and self.cells == other.cells
 
     def __repr__(self):
-        return f"AssembledTriple(cells={{{', '.join(f'{k}: {list(v)}' for k, v in sorted(self.cells.items()))}}})"
+        cells = ", ".join(f"{k}: {list(v.parts)}" for k, v in sorted(self.cells.items()))
+        return f"AssembledTriple(cells={{{cells}}})"
 
     def to_json(self):
         s_plus, s_minus = self.s_split()

@@ -42,12 +42,6 @@ class Partition:
     def counter(self) -> Counter:
         return Counter(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
 

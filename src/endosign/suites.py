@@ -32,8 +32,8 @@ from .errors import ResourceLimitError
 from .localfield import ResidueParam, SquareClass, is_prime
 from .partitions import Partition, enumerate_partitions, enumerate_symplectic
 from .report import VerificationReport
-from .weyl import (WeylClassA, brute_class_sizes, brute_class_sizes_a, class_size_a,
-                   class_size_b, conjugation_orbit_sizes, order_b)
+from .weyl import (brute_class_sizes, brute_class_sizes_a, class_size_a, class_size_b,
+                   conjugation_orbit_sizes, order_b)
 
 __all__ = [
     "SUITES", "parameters", "run", "verify_descent", "verify_params",
@@ -214,11 +214,12 @@ def weyl_points(nmax: int):
     for N in range(nmax + 1):
         brute = brute_class_sizes(N)
         total = 0
-        for c, size in sorted(brute.items(), key=lambda kv: repr(kv[0])):
-            formula = class_size_b(c)
+        for (alpha, beta), size in sorted(brute.items(), key=lambda kv: repr(kv[0])):
+            formula = class_size_b((alpha, beta))
             total += size
             yield 1, () if formula == size else (
-                {"N": N, "cls": c.to_json(), "lhs": formula, "rhs": size},)
+                {"N": N, "cls": {"alpha": alpha.to_json(), "beta": beta.to_json()},
+                 "lhs": formula, "rhs": size},)
         yield 1, () if total == order_b(N) else (
             {"N": N, "identity": "total", "lhs": total, "rhs": order_b(N)},)
         if N <= 3:
@@ -226,10 +227,10 @@ def weyl_points(nmax: int):
                 {"N": N, "identity": "orbit_oracle"},)
     for d in range(7):
         brute_a = brute_class_sizes_a(d)
-        for c, size in sorted(brute_a.items(), key=lambda kv: repr(kv[0])):
-            yield 1, () if class_size_a(c) == size else (
-                {"d": d, "cls": c.to_json(), "lhs": class_size_a(c), "rhs": size},)
-        total_a = sum(class_size_a(WeylClassA(p)) for p in enumerate_partitions(d))
+        for pi, size in sorted(brute_a.items(), key=lambda kv: repr(kv[0])):
+            yield 1, () if class_size_a(pi) == size else (
+                {"d": d, "cls": {"pi": pi.to_json()}, "lhs": class_size_a(pi), "rhs": size},)
+        total_a = sum(class_size_a(p) for p in enumerate_partitions(d))
         yield 1, () if total_a == factorial(d) else (
             {"d": d, "identity": "total_a", "lhs": total_a, "rhs": factorial(d)},)
 

@@ -1,73 +1,23 @@
 """Conjugacy-class combinatorics of the hyperoctahedral group W_N and of S_d.
 
-Classes of W_N (signed permutations of N letters) are labeled by pairs of
-partitions (alpha, beta) with |alpha| + |beta| = N: alpha lists the lengths
-of positive cycles, beta those of negative cycles.  Classes of S_d are
-labeled by partitions of d.  Class sizes come from the standard centralizer
-orders; a brute-force signed-permutation oracle validates them at small N.
+A class of W_N (signed permutations of N letters) is the partition pair
+(alpha, beta) with |alpha| + |beta| = N that signed_cycle_type returns:
+alpha lists the lengths of positive cycles, beta those of negative cycles.
+A class of S_d is its partition of d.  Class sizes come from the standard
+centralizer orders; a brute-force signed-permutation oracle validates them
+at small N.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import factorial
 
 from .errors import ResourceLimitError
 from .partitions import Partition
 
 BRUTE_FORCE_CAP = 6
-
-
-class WeylClassB:
-    """Conjugacy class of W_N labeled by a pair of partitions (alpha, beta)."""
-
-    __slots__ = ("alpha", "beta", "N")
-
-    def __init__(self, alpha: Partition, beta: Partition):
-        if not isinstance(alpha, Partition):
-            alpha = Partition(alpha)
-        if not isinstance(beta, Partition):
-            beta = Partition(beta)
-        self.alpha = alpha
-        self.beta = beta
-        self.N = alpha.size() + beta.size()
-
-    def __eq__(self, other):
-        return (isinstance(other, WeylClassB)
-                and self.alpha == other.alpha and self.beta == other.beta)
-
-    def __hash__(self):
-        return hash((self.alpha, self.beta))
-
-    def __repr__(self):
-        return f"WeylClassB(alpha={list(self.alpha)}, beta={list(self.beta)})"
-
-    def to_json(self):
-        return {"alpha": self.alpha.to_json(), "beta": self.beta.to_json()}
-
-
-class WeylClassA:
-    """Conjugacy class of S_d labeled by a partition of d."""
-
-    __slots__ = ("pi", "d")
-
-    def __init__(self, pi: Partition):
-        if not isinstance(pi, Partition):
-            pi = Partition(pi)
-        self.pi = pi
-        self.d = pi.size()
-
-    def __eq__(self, other):
-        return isinstance(other, WeylClassA) and self.pi == other.pi
-
-    def __hash__(self):
-        return hash(self.pi)
-
-    def __repr__(self):
-        return f"WeylClassA(pi={list(self.pi)})"
-
-    def to_json(self):
-        return {"pi": self.pi.to_json()}
 
 
 def order_b(N: int) -> int:
@@ -82,31 +32,34 @@ def _centralizer_factor(p: Partition, cycle_weight: int) -> int:
     return z
 
 
-def class_size_b(c: WeylClassB) -> int:
-    """Size of the W_N class (alpha, beta).
+def class_size_b(c: tuple[Partition, Partition]) -> int:
+    """Size of the W_N class (alpha, beta), N = |alpha| + |beta|.
 
     The centralizer order is prod_k (2k)^{m_k(alpha)} m_k(alpha)! times the
     same product over beta; validated against the signed-permutation oracle.
     """
-    z = _centralizer_factor(c.alpha, 2) * _centralizer_factor(c.beta, 2)
-    size, rem = divmod(order_b(c.N), z)
+    alpha, beta = c
+    N = alpha.size() + beta.size()
+    z = _centralizer_factor(alpha, 2) * _centralizer_factor(beta, 2)
+    size, rem = divmod(order_b(N), z)
     if rem:
-        raise ArithmeticError(f"centralizer order {z} does not divide |W_{c.N}|")
+        raise ArithmeticError(f"centralizer order {z} does not divide |W_{N}|")
     return size
 
 
-def class_size_a(c: WeylClassA) -> int:
-    """Size of the S_d class pi: d! / prod_k k^{m_k} m_k!."""
-    z = _centralizer_factor(c.pi, 1)
-    size, rem = divmod(factorial(c.d), z)
+def class_size_a(pi: Partition) -> int:
+    """Size of the S_d class pi, d = |pi|: d! / prod_k k^{m_k} m_k!."""
+    d = pi.size()
+    z = _centralizer_factor(pi, 1)
+    size, rem = divmod(factorial(d), z)
     if rem:
-        raise ArithmeticError(f"centralizer order {z} does not divide {c.d}!")
+        raise ArithmeticError(f"centralizer order {z} does not divide {d}!")
     return size
 
 
-def sgn_cd(c: WeylClassB) -> int:
+def sgn_cd(c: tuple[Partition, Partition]) -> int:
     """Sign character (-1)^(number of parts of beta) of the class (alpha, beta)."""
-    return -1 if c.beta.length() % 2 else 1
+    return -1 if c[1].length() % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -165,38 +118,30 @@ def signed_cycle_type(w: SignedPerm) -> tuple[Partition, Partition]:
     return Partition(pos), Partition(neg)
 
 
-def brute_class_sizes(N: int) -> dict[WeylClassB, int]:
+def brute_class_sizes(N: int) -> Counter:
     """Class sizes of W_N by full enumeration and cycle-type extraction."""
-    sizes: dict[WeylClassB, int] = {}
-    for w in signed_permutations(N):
-        alpha, beta = signed_cycle_type(w)
-        c = WeylClassB(alpha, beta)
-        sizes[c] = sizes.get(c, 0) + 1
-    return sizes
+    return Counter(map(signed_cycle_type, signed_permutations(N)))
 
 
-def conjugation_orbit_sizes(N: int) -> dict[WeylClassB, int]:
+def conjugation_orbit_sizes(N: int) -> dict[tuple[Partition, Partition], int]:
     """Class sizes of W_N by explicit conjugation orbits (independent of cycle types)."""
     if N > 3:
         raise ResourceLimitError("conjugation-orbit oracle capped at N = 3")
     group = list(signed_permutations(N))
     remaining = set(group)
-    sizes: dict[WeylClassB, int] = {}
+    sizes = {}
     while remaining:
         w = next(iter(remaining))
         orbit = {signed_mul(signed_mul(h, w), signed_inv(h)) for h in group}
         remaining -= orbit
-        sizes[WeylClassB(*signed_cycle_type(w))] = len(orbit)
+        sizes[signed_cycle_type(w)] = len(orbit)
     return sizes
 
 
-def brute_class_sizes_a(d: int) -> dict[WeylClassA, int]:
+def brute_class_sizes_a(d: int) -> Counter:
     """Class sizes of S_d by full enumeration."""
     if d > 7:
         raise ResourceLimitError("symmetric-group enumeration capped at d = 7")
-    sizes: dict[WeylClassA, int] = {}
-    for perm in itertools.permutations(range(d)):
-        # with every sign +1, all cycles are positive
-        c = WeylClassA(signed_cycle_type((perm, (1,) * d))[0])
-        sizes[c] = sizes.get(c, 0) + 1
-    return sizes
+    # with every sign +1, all cycles are positive
+    return Counter(signed_cycle_type((perm, (1,) * d))[0]
+                   for perm in itertools.permutations(range(d)))

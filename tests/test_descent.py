@@ -117,8 +117,8 @@ def test_class_split_recombination_and_signs():
     assert any(class_split_sizes(v) == (2, 1, (2, 1)) for v in splits)
     for v in splits:
         assert check_v_sign_relation(beta, v)
-        parts = list(v.beta_plus) + list(v.beta_minus)
-        parts += [p * f for inner, f in zip(v.beta_blocks, degrees) for p in inner]
+        parts = list(v.beta_plus.parts + v.beta_minus.parts)
+        parts += [p * f for inner, f in zip(v.beta_blocks, degrees) for p in inner.parts]
         assert Partition(parts) == beta
 
 
@@ -140,9 +140,9 @@ def assign_and_dedup_splits(beta, degrees):
 
 def split_key(split, degrees):
     """The split as its sorted bins, block parts scaled back by f_i."""
-    blocks = tuple(tuple(sorted(p * f for p in inner))
+    blocks = tuple(tuple(sorted(p * f for p in inner.parts))
                    for inner, f in zip(split.beta_blocks, degrees))
-    return (tuple(sorted(split.beta_plus)), tuple(sorted(split.beta_minus))) + blocks
+    return (tuple(sorted(split.beta_plus.parts)), tuple(sorted(split.beta_minus.parts))) + blocks
 
 
 def test_class_splits_match_the_assign_and_dedup_enumeration():

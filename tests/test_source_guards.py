@@ -182,7 +182,9 @@ SMALL_COMMANDS = (
     ["enumerate", "descent", "--n", "2"],
 )
 # Entered only when a report serializes a failing point.
-NOT_SWEPT = {"AssembledTriple.lam", "AssembledTriple.h_split"}
+NOT_SWEPT = {"QuadrupleGamma.to_json", "SizeSplit.to_json", "ExactValue.to_json",
+             "GammaVector.to_json", "LPair.to_json", "AssembledTriple.to_json",
+             "AssembledTriple.lam", "AssembledTriple.h_split"}
 
 
 def entered_code(capsys) -> set:
@@ -246,7 +248,7 @@ def test_every_function_is_entered(capsys):
     entered = {(str(Path(code.co_filename).resolve()), code.co_firstlineno)
                for code in entered_code(capsys)}
     missed = sorted(name for key, name in defs.items() if key not in entered
-                    and name.rsplit(".", 1)[-1] not in ("__repr__", "to_json")
+                    and name.rsplit(".", 1)[-1] != "__repr__"
                     and name.split(".", 1)[1] not in NOT_SWEPT)
     assert missed == []
 
@@ -286,6 +288,6 @@ def test_the_layer_name_guard_catches_planted_deletions(monkeypatch):
     assert unresolved_layer_names(names) == []
     monkeypatch.delattr(families, "gamma_L_split")
     monkeypatch.delitem(suites.SUITES, "transfer")
-    assert unresolved_layer_names(names + ["nolayer.self_s", "weyl.WeylClassB.spare.calls"]) \
+    assert unresolved_layer_names(names + ["nolayer.self_s", "partitions.Partition.spare.calls"]) \
         == ["families.gamma_L_split.calls", "suites.transfer.wall_s", "nolayer.self_s",
-            "weyl.WeylClassB.spare.calls"]
+            "partitions.Partition.spare.calls"]

@@ -11,7 +11,7 @@ from endosign import params as par
 from endosign.exact import ExactValue
 from endosign.localfield import ResidueParam, SquareClass, sgn_minus_one
 from endosign.partitions import Partition
-from endosign.weyl import WeylClassB, sgn_cd
+from endosign.weyl import sgn_cd
 
 from test_families import scatter
 
@@ -194,8 +194,8 @@ def _per_point_transfer_failures(q, rrmax):
             for rp, rpp in ((rr + r, r), (r, rr + r)) if rr else ((r, r),):
                 shape = fam.SplitShape(rp, rpp)
                 for beta1, beta2 in itertools.product((Partition(), Partition([1])), repeat=2):
-                    scd1 = sgn_cd(WeylClassB(Partition(), beta1))
-                    scd2 = sgn_cd(WeylClassB(Partition(), beta2))
+                    scd1 = sgn_cd((Partition(), beta1))
+                    scd2 = sgn_cd((Partition(), beta2))
                     t1, t = beta1.length(), beta1.length() + beta2.length()
                     k_second = tuple(range(t1 + 1, t + 1))
                     for ue in (1, -1):
@@ -318,6 +318,23 @@ def test_weyl_fails_on_an_off_by_one_class_size(monkeypatch):
     # every class of W_0, W_1 and W_2 (1 + 2 + 5 of them), and nothing else
     assert len(report.failures) == 8
     assert all(f["lhs"] == f["rhs"] + 1 for f in report.failures)
+
+
+def test_weyl_fails_on_an_off_by_one_symmetric_class_size(monkeypatch):
+    original = suites.class_size_a
+    monkeypatch.setattr(suites, "class_size_a", lambda pi: original(pi) + 1)
+    report = suites.run("weyl", nmax=0)
+    # every class of S_0, ..., S_6 (1 + 1 + 2 + 3 + 5 + 7 + 11 of them) and
+    # the seven totals, each off by its number of classes, and nothing else
+    class_counts = [1, 1, 2, 3, 5, 7, 11]
+    assert len(report.failures) == 37
+    classes = [f for f in report.failures if "cls" in f]
+    assert [f["d"] for f in classes] == [d for d in range(7) for _ in range(class_counts[d])]
+    assert all(f["lhs"] == f["rhs"] + 1 and list(f["cls"]) == ["pi"]
+               and sum(f["cls"]["pi"]) == f["d"] for f in classes)
+    totals = [f for f in report.failures if "cls" not in f]
+    assert [(f["identity"], f["lhs"] - f["rhs"]) for f in totals] == \
+        [("total_a", count) for count in class_counts]
 
 
 def test_counting_fails_on_a_reassembly_with_l1_and_l2_swapped(monkeypatch):
