@@ -366,8 +366,8 @@ def branch_switch(rp: int, rpp: int) -> int:
 
 
 def chain_sign_constants(rp: int, rpp: int, scd1: int, scd2: int,
-                         d2: int, n: int, d: int, m: int) -> tuple[int, int, int, int]:
-    """The signs (base, endo, reduction, u_value) of the comparison chain at one point.
+                         d2: int, n: int, d: int, m: int) -> tuple[int, int, int]:
+    """The signs (base, endo, reduction) of the comparison chain at one point.
 
     The classes enter through scd1 = sgn_cd(w') and scd2 = sgn_cd(w''),
     the field through m = sgn(-1).
@@ -377,7 +377,6 @@ def chain_sign_constants(rp: int, rpp: int, scd1: int, scd2: int,
     reduction: the branch-switch-aware collapse constant; for the switched
     branch the roles of the two factors are permuted, so it reads the first
     class sign and the complementary block count d - d2.
-    u_value: (-1)^(r'') m^u.
     """
     mp = (rp * rp - rp) // 2 + (rpp * rpp - abs(rpp)) // 2
     base = (-1) ** ((n + rpp) % 2) * (m if mp % 2 else 1)
@@ -400,39 +399,37 @@ def chain_sign_constants(rp: int, rpp: int, scd1: int, scd2: int,
         reduction *= m if ((r_plus - rho - 1) // 2) % 2 else 1
     else:
         reduction *= (m if (rp + rho + 1) % 2 else 1) * scd_branch
-    return base, endo, reduction, u_sign(rp, rpp, m)
+    return base, endo, reduction
 
 
 def sign_chain_points(rmax: int):
-    """The sign-chain collapse: chain = (-1)^n U, U = U1 U2, full product = 1."""
+    """The sign chain against (-1)^n U, then the full product's collapse to 1.
+
+    U = U1 U2 over the split pair is aux's u_multiplicative, swept there.
+    """
     for q in (5, 7):  # the chain depends on q only through m = sgn(-1): +1 at 5, -1 at 7
         m = sgn_minus_one(ResidueParam(q))
         for rp in range(rmax + 1):
             for rpp in range(-rmax, rmax + 1):
                 r1p, r1pp, r2p, r2pp = split_pair_values(rp, rpp)
+                u = u_sign(rp, rpp, m)
                 for s1, s2, d2, d1, npar in itertools.product(
                         (1, -1), (1, -1), (0, 1), (0, 1), (0, 1)):
                     d = d1 + d2
-                    base, endo, reduction, u_value = chain_sign_constants(
-                        rp, rpp, s1, s2, d2, npar, d, m)
+                    base, endo, reduction = chain_sign_constants(rp, rpp, s1, s2, d2, npar, d, m)
                     chain = base * endo * reduction * (-1) ** ((d2 * rpp) % 2)
-                    target = (-1) ** npar * u_value
+                    target = (-1) ** npar * u
                     if chain != target:
                         yield 1, ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
                                    "d2": d2, "d": d, "n": npar, "lhs": chain, "rhs": target,
                                    "identity": "chain"},)
-                        continue
-                    u12 = u_sign(r1p, r1pp, m) * u_sign(r2p, r2pp, m)
-                    if u_value != u12:
-                        yield 1, ({"q": q, "rp": rp, "rpp": rpp, "lhs": u_value,
-                                   "rhs": u12, "identity": "u_product"},)
                         continue
                     # full nine-constant product; companion data has trivial
                     # second factors, so their block counts do not contribute
                     n1, n2 = split_sizes(rp, rpp, 0, 0)
                     total = chain
                     for (rpj, rppj, sj, nj) in ((r1p, r1pp, s1, n1), (r2p, r2pp, s2, n2)):
-                        base_j, endo_j, reduction_j, _ = chain_sign_constants(
+                        base_j, endo_j, reduction_j = chain_sign_constants(
                             rpj, rppj, sj, 1, 0, nj, 0, m)
                         total *= base_j * endo_j * reduction_j
                     # chain used parity npar; realign to n = n1 + n2

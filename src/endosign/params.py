@@ -3,9 +3,10 @@
 A unipotent-quadratic parameter is a pair of symplectic partitions
 (lambda+, lambda-) together with sign functions on their even blocks.  Two
 such parameters for sizes n1, n2 assemble into a triple (lambda, s, h):
-lambda is the union, h splits it by factor of origin, s by eigenvalue sign.
-The component group is the elementary abelian 2-group on the even blocks of
-lambda+ and lambda-, and characters epsilon evaluate on the image of h.
+lambda is the union, h splits it by factor of origin, s by eigenvalue sign,
+and restricting to either eigenspace of h gives back that factor.  The
+component group is the elementary abelian 2-group on the even blocks of
+lambda+ and lambda-; a character epsilon is evaluated at any of its elements.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ class UnipQuadParam:
         if total % 2:
             raise ValueError("total size must be even")
         self.n = total // 2
-
-    def label(self):
-        """Hashable label (lambda+, eps+, lambda-, eps-) for virtual-rep terms."""
-        return (self.lam_plus.base.parts, tuple(sorted(self.eps_plus.items())),
-                self.lam_minus.base.parts, tuple(sorted(self.eps_minus.items())))
 
     def __repr__(self):
         return (f"UnipQuadParam(lam_plus={list(self.lam_plus.base.parts)}, "
@@ -95,9 +91,6 @@ class AssembledTriple:
         return (SymplecticPartition(self.cells[PLUS, h_sign]),
                 SymplecticPartition(self.cells[MINUS, h_sign]))
 
-    def __eq__(self, other):
-        return isinstance(other, AssembledTriple) and self.cells == other.cells
-
     def __repr__(self):
         cells = ", ".join(f"{k}: {list(v.parts)}" for k, v in sorted(self.cells.items()))
         return f"AssembledTriple(cells={{{cells}}})"
@@ -134,38 +127,6 @@ def assemble_triple(t1: UnipQuadParam, t2: UnipQuadParam,
     })
 
 
-def involution_swap(triple: AssembledTriple) -> AssembledTriple:
-    """Exchange the roles of s and h; applying twice is the identity."""
-    return AssembledTriple({(h, s): p for (s, h), p in triple.cells.items()})
-
-
-def h_image(param: UnipQuadParam, triple: AssembledTriple) -> dict[tuple[int, int], int]:
-    """Image of h in the component group: a sign per (side, even block).
-
-    The coordinate at block k on the s = +1 (resp. -1) side is -1 exactly
-    when an odd number of copies of k in that eigenspace lie on h's minus
-    side.  Keys are (side, k) with side +1 or -1.
-    """
-    _check_compatible(param, triple)
-    image = {}
-    for side, cell in ((PLUS, triple.cells[PLUS, MINUS]), (MINUS, triple.cells[MINUS, MINUS])):
-        sp = param.lam_plus if side == PLUS else param.lam_minus
-        for k in sp.jord_bp:
-            image[side, k] = -1 if cell.mult(k) % 2 else 1
-    return image
-
-
-def _check_compatible(param: UnipQuadParam, triple: AssembledTriple) -> None:
-    s_plus, s_minus = triple.s_split()
-    if s_plus.base != param.lam_plus.base or s_minus.base != param.lam_minus.base:
-        raise ValueError("triple's s-splitting does not match the parameter")
-
-
-def eval_character(param: UnipQuadParam, triple: AssembledTriple) -> int:
-    """epsilon(h) for the parameter's sign functions, h carried by the triple."""
-    return eval_character_on_image(param, h_image(param, triple))
-
-
 def eval_character_on_image(param: UnipQuadParam, image: Mapping[tuple[int, int], int]) -> int:
     """epsilon evaluated at an arbitrary component-group element."""
     value = 1
@@ -176,28 +137,3 @@ def eval_character_on_image(param: UnipQuadParam, image: Mapping[tuple[int, int]
         if image[MINUS, k] < 0:
             value *= param.eps_minus[k]
     return value
-
-
-def _sign_maps(blocks: tuple[int, ...]):
-    if not blocks:
-        yield {}
-        return
-    head, tail = blocks[0], blocks[1:]
-    for rest in _sign_maps(tail):
-        for s in (1, -1):
-            yield {head: s, **rest}
-
-
-def virtual_rep(triple: AssembledTriple) -> dict:
-    """Sum over all characters epsilon of epsilon(h) times the labeled term.
-
-    One term per choice of signs on the even blocks of lambda+ and lambda-:
-    a dict from the term's label to its coefficient epsilon(h) in {+-1}.
-    """
-    lam_plus, lam_minus = triple.s_split()
-    terms = {}
-    for eps_p in _sign_maps(lam_plus.jord_bp):
-        for eps_m in _sign_maps(lam_minus.jord_bp):
-            param = UnipQuadParam(lam_plus, lam_minus, eps_p, eps_m)
-            terms[param.label()] = eval_character(param, triple)
-    return terms

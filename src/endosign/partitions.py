@@ -35,10 +35,6 @@ class Partition:
         """Number of parts."""
         return len(self.parts)
 
-    def mult(self, k: int) -> int:
-        """Multiplicity of the part k."""
-        return self.parts.count(k)
-
     def counter(self) -> Counter:
         return Counter(self.parts)
 

@@ -124,7 +124,10 @@ def brute_class_sizes(N: int) -> Counter:
 
 
 def conjugation_orbit_sizes(N: int) -> dict[tuple[Partition, Partition], int]:
-    """Class sizes of W_N by explicit conjugation orbits (independent of cycle types)."""
+    """Class sizes of W_N by explicit conjugation orbits, keyed by signed_cycle_type.
+
+    The orbits are found without cycle types; each is labeled by one element's type.
+    """
     if N > 3:
         raise ResourceLimitError("conjugation-orbit oracle capped at N = 3")
     group = list(signed_permutations(N))

@@ -56,7 +56,7 @@ def test_acceptance_05_product_identity():
 
 
 def test_acceptance_06_sign_chain():
-    # chain = (-1)^n U, U = U1 U2, and the nine-constant product collapses
+    # chain = (-1)^n U, and the nine-constant product collapses
     # to 1, for r' <= 8, |r''| <= 8, all sign parameters
     _run("6 (sign chain)", 5, "signchain", rmax=8)
 
@@ -80,5 +80,5 @@ def test_acceptance_09_descent():
 
 
 def test_acceptance_10_parameter_algebra():
-    # virtual-combination term counts, double swap, character bilinearity
+    # restriction of assembled triples to their factors, character bilinearity
     _run("10 (parameter algebra)", 5, "params", nmax=3)

@@ -158,10 +158,10 @@ def test_branch_switch():
 
 
 def test_chain_sign_constants_worked():
-    base, _, _, u_value = chain_sign_constants(1, 0, 1, 1, 0, 2, 0, M5)
-    assert base == 1 and u_value == 1
+    base, _, _ = chain_sign_constants(1, 0, 1, 1, 0, 2, 0, M5)
+    assert base == 1 and u_sign(1, 0, M5) == 1
     # branch r'' < -r': the endoscopic sign carries (-1)^(d r'') sgn_cd(w')
-    _, endo, _, _ = chain_sign_constants(1, -2, -1, 1, 0, 0, 1, M5)
+    _, endo, _ = chain_sign_constants(1, -2, -1, 1, 0, 0, 1, M5)
     assert endo == (-1) ** ((1 * -2) % 2) * (-1)
 
 
@@ -172,10 +172,10 @@ def test_chain_reduces_to_u():
             for rpp in range(-3, 4):
                 for d2 in (0, 1):
                     for d1 in (0, 1):
-                        base, endo, reduction, u_value = chain_sign_constants(
+                        base, endo, reduction = chain_sign_constants(
                             rp, rpp, -1, -1, d2, 1, d1 + d2, m)
                         chain = base * endo * reduction * (-1) ** ((d2 * rpp) % 2)
-                        assert chain == -u_value  # n = 1
+                        assert chain == -u_sign(rp, rpp, m)  # n = 1
 
 
 def test_factorwise_check_degenerate():

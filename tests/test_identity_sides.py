@@ -1,0 +1,679 @@
+"""The two sides of every swept identity are computed apart.
+
+REGISTRY maps each identity that a sweep checks to its sides and to the
+package functions that two of its sides may share, each with a one-line
+reason.  An identity is each "identity": "<name>" literal of a failure record
+in src/endosign, plus one fixed name for each record family that carries
+none (FIXED).  A side is a callable that recomputes, at small bounds, what
+the sweep computes for that side of the identity, from inputs built once
+outside every side, as the sweep builds them outside its checks.
+
+The guard profiles each side with entered_functions and fails when two
+sides enter a package function that the allow-list does not name, or when
+the allow-list names a function that no two sides share.  It also checks
+that all sides of an identity return the same value, so a side that drifts
+from what the sweep computes fails too.  Sharing a helper above the leaves
+would let one fault move both sides alike and pass the comparison.
+"""
+
+import itertools
+import re
+from collections import Counter
+from fractions import Fraction
+from math import factorial
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+from endosign import constants, suites
+from endosign import descent as dsc
+from endosign import families as fam
+from endosign import params as par
+from endosign import weyl
+from endosign.exact import ExactValue
+from endosign.localfield import ResidueParam, SquareClass, sgn_minus_one
+from endosign.partitions import Partition, SymplecticPartition, enumerate_partitions
+
+from test_constants import entered_functions
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "endosign").glob("*.py"))
+
+# Record families whose failure records carry no "identity" key: aux's four
+# checks (keyed by name in the record's detail), kappasum, constprod and
+# transfer, and weyl's per-class records of W_N and of S_d.
+FIXED = {"parity_sum", "size_forms", "companion_sums", "u_multiplicative", "kappasum",
+         "constprod", "transfer", "class_size", "class_size_a"}
+
+
+class Identity(NamedTuple):
+    sides: dict  # side name -> callable returning that side's values
+    shared: dict  # package function two sides may enter -> why
+    apart: frozenset = frozenset()  # sides that may share only LEAVES with the others
+
+
+# The leaf primitives that the two sides of any identity may share.
+LEAVES = {"legendre", "sgn_cd", "sgn_minus_one"}
+
+
+F5, F7 = ResidueParam(5), ResidueParam(7)
+M = {5: sgn_minus_one(F5), 7: sgn_minus_one(F7)}
+
+LEGENDRE = {"legendre": "leaf primitive: the Legendre table lookup"}
+R_PLUS_MINUS = "r'_+ and r'_- are defined once; the identity is stated in them"
+
+# --- aux and split: r' <= 3, |r''| <= 3 ------------------------------------
+
+PAIRS = [(rp, rpp) for rp in range(4) for rpp in range(-3, 4)]
+
+
+def _halves():
+    return [constants.split_pair_values(rp, rpp) for rp, rpp in PAIRS]
+
+
+def _companion_sums_of_halves():
+    out = []
+    for r1p, r1pp, r2p, r2pp in _halves():
+        r1pl, r1mi = constants.r_plus_minus(r1p, r1pp)
+        r2pl, r2mi = constants.r_plus_minus(r2p, r2pp)
+        out.append([r1pl + r1pp, r1mi + r1pp, r2pl + r2pp, r2mi + r2pp])
+    return out
+
+
+def _companion_sums_of_pair():
+    out = []
+    for rp, rpp in PAIRS:
+        rpl, rmi = constants.r_plus_minus(rp, rpp)
+        out.append([abs(rpl + rpp), abs(rmi + rpp), abs(rpl - rpp), abs(rmi - rpp)])
+    return out
+
+
+def _u_of_halves():
+    return [constants.u_sign(r1p, r1pp, m) * constants.u_sign(r2p, r2pp, m)
+            for r1p, r1pp, r2p, r2pp in _halves() for m in (1, -1)]
+
+
+SPLIT_POINTS = [(rp, rpp, Np, Npp) for rp, rpp in PAIRS for Np in (0, 1) for Npp in (0, 1)]
+
+
+def _swapped_splitting():
+    out = []
+    for rp, rpp, Np, Npp in SPLIT_POINTS:
+        r1p, r1pp, r2p, r2pp = constants.split_pair_values(rp, rpp)
+        n1, n2 = constants.split_sizes(rp, rpp, Np, Npp)
+        out.append(((r2p, r2pp, r1p, r1pp), (n2, n1)))
+    return out
+
+
+# --- kappasum: R - r <= 4 ---------------------------------------------------
+
+KAPPA_POINTS = [(shape, e) for shape in itertools.starmap(
+    fam.SplitShape, ((rr + r, r) for rr in (0, 2, 4) for r in (0, 1, 2)))
+    for e in fam.enumerate_e(shape)]
+
+
+def _kappa_law():
+    return [len(fam.enumerate_L(shape)) * fam.kappa_zero(e, shape)
+            if fam.in_distinguished_subgroup(e, shape) else 0 for shape, e in KAPPA_POINTS]
+
+
+# --- counting: q = 5, t2 <= 1 -----------------------------------------------
+
+COUNTING_SHAPES = [fam.SplitShape(rp, rpp) for t2 in (0, 1)
+                   for rp, rpp in suites._counting_shapes(t2, 5)]
+# the sweep enumerates each shape's pairings once, for the tally and the image
+COUNTING_PAIRS = {shape: fam.enumerate_L(shape) for shape in COUNTING_SHAPES}
+
+
+def _counting_points():
+    """(shape, pairing index, pairing, tau1, tau2, target, s2, eta2) as the sweep visits them."""
+    points = []
+    for shape in COUNTING_SHAPES:
+        for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4):
+            eta, eta2 = SquareClass(shape.rpp % 2, ue), SquareClass(shape.t2 % 2, ue2)
+            tau1, tau2 = s1 * (eta * eta2).unit_sign, s2 * eta2.unit_sign
+            for pi, pair in enumerate(COUNTING_PAIRS[shape]):
+                points.append((shape, pi, pair, tau1, tau2, s1 * s2 * ue, s2,
+                               (eta2.val_parity, eta2.unit_sign)))
+    return points
+
+
+COUNTING_POINTS = _counting_points()
+
+
+def _tallies(shape, field):
+    """The counting sweep's tally of one shape: (tau1, tau2) -> per pairing, vector -> count."""
+    pairs = COUNTING_PAIRS[shape]
+    gathers = [fam.reassemble(pair, shape) for pair in pairs]
+    tallies = {taus: [Counter() for _ in pairs] for taus in itertools.product((1, -1), repeat=2)}
+    for family in fam.enumerate_transversal_families(shape, fam._slot_choices(field)):
+        side1, side2 = [fam.family_selections(family, idx, shape, field) for idx in (1, 2)]
+        for (tau1, tau2), row in tallies.items():
+            for gather, tally in zip(gathers, row):
+                tally.update(gather(c1 + c2) for c1 in side1[tau1] for c2 in side2[tau2])
+    nlow = shape.R - shape.r
+    return {taus: [{fam.GammaVector(g[:nlow], g[nlow:]): n for g, n in tally.items()}
+                   for tally in row] for taus, row in tallies.items()}
+
+
+def _tallied_vectors():
+    tallies = {shape: _tallies(shape, F5) for shape in COUNTING_SHAPES}
+    return [sorted((g.low, g.high) for g in tallies[shape][tau1, tau2][pi])
+            for shape, pi, _, tau1, tau2, *_ in COUNTING_POINTS]
+
+
+def _image_vectors():
+    gammas = {(shape, target): fam.enumerate_gamma(shape, F5, target)
+              for shape in COUNTING_SHAPES for target in (1, -1)}
+    out = []
+    for shape, _, pair, _, _, target, s2, eta2 in COUNTING_POINTS:
+        image = []
+        for g in gammas[shape, target]:
+            eta_l2 = fam.eta_of_L2(g, pair, shape, s2, F5)
+            if (eta_l2.val_parity, eta_l2.unit_sign) == eta2:
+                image.append((g.low, g.high))
+        out.append(sorted(image))
+    return out
+
+
+def _fiber_points():
+    """(shape, pairing index, pairing, tau1, tau2, gamma) for each vector of each image."""
+    points = []
+    for shape, pi, pair, tau1, tau2, target, s2, eta2 in COUNTING_POINTS:
+        for g in fam.enumerate_gamma(shape, F5, target):
+            eta_l2 = fam.eta_of_L2(g, pair, shape, s2, F5)
+            if (eta_l2.val_parity, eta_l2.unit_sign) == eta2:
+                points.append((shape, pi, pair, tau1, tau2, g))
+    return points
+
+
+FIBER_POINTS = _fiber_points()
+
+
+def _tallied_fibers():
+    tallies = {shape: _tallies(shape, F5) for shape in COUNTING_SHAPES}
+    return [tallies[shape][tau1, tau2][pi][g] for shape, pi, _, tau1, tau2, g in FIBER_POINTS]
+
+
+def _slotwise_fibers():
+    counts = fam.slot_pair_counts(fam._slot_choices(F5))
+    return [fam.fiber_count_check(g, pair, counts) for _, _, pair, _, _, g in FIBER_POINTS]
+
+
+def _predicted_fibers():
+    return [fam.fiber_size_prediction(g, shape, F5) for shape, *_, g in FIBER_POINTS]
+
+
+def _worked_fiber_sizes():
+    return {n for shape in COUNTING_SHAPES if shape.t2 == 1
+            for row in _tallies(shape, F5).values() for tally in row for n in tally.values()}
+
+
+FAMILY_SHAPES = [(field, fam.SplitShape(2 * t2, 0)) for field in (F5, F7) for t2 in range(3)]
+
+# --- constprod: q = 5, 7, r', r'' <= 2 ---------------------------------------
+
+
+def _constprod_points():
+    points = []
+    for field in (F5, F7):
+        for rp, rpp in itertools.product(range(3), repeat=2):
+            if (rp - rpp) % 2:
+                continue
+            shape = fam.SplitShape(rp, rpp)
+            for ue, ue2, s1, s2 in itertools.product((1, -1), repeat=4):
+                eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(shape.t2 % 2, ue2)
+                eta1 = eta * eta2
+                for beta in constants._degenerate_cases(rp, rpp, s1, s2, eta1, eta2):
+                    points.append((field, shape, rp, rpp, s1, s2, eta, eta1, eta2, beta))
+    return points
+
+
+CONSTPROD_POINTS = _constprod_points()
+
+
+def _constprod_products():
+    out = []
+    for field, shape, rp, rpp, s1, s2, eta, eta1, eta2, beta in CONSTPROD_POINTS:
+        count = ExactValue(fam.transversal_family_count_formula(shape, field))
+        _, product = constants.collapse_and_product_constants(
+            rp, rpp, s1, s2, eta, eta1, eta2, beta, field)
+        out.append((ExactValue(Fraction(1, 2 ** (1 + beta))) * product * count).value)
+    return out
+
+
+# --- signchain: r' <= 3, |r''| <= 3 ------------------------------------------
+
+CHAIN_POINTS = [(M[q], rp, rpp, *signs) for q in (5, 7) for rp, rpp in PAIRS
+                for signs in itertools.product((1, -1), (1, -1), (0, 1), (0, 1), (0, 1))]
+
+
+def _chain(m, rp, rpp, s1, s2, d2, d1, npar):
+    base, endo, reduction = constants.chain_sign_constants(rp, rpp, s1, s2, d2, npar, d1 + d2, m)
+    return base * endo * reduction * (-1) ** ((d2 * rpp) % 2)
+
+
+def _collapsed_products():
+    out = []
+    for m, rp, rpp, s1, s2, d2, d1, npar in CHAIN_POINTS:
+        r1p, r1pp, r2p, r2pp = constants.split_pair_values(rp, rpp)
+        n1, n2 = constants.split_sizes(rp, rpp, 0, 0)
+        total = _chain(m, rp, rpp, s1, s2, d2, d1, npar)
+        for rpj, rppj, sj, nj in ((r1p, r1pp, s1, n1), (r2p, r2pp, s2, n2)):
+            base_j, endo_j, reduction_j = constants.chain_sign_constants(
+                rpj, rppj, sj, 1, 0, nj, 0, m)
+            total *= base_j * endo_j * reduction_j
+        out.append(total * (-1) ** ((npar + n1 + n2) % 2))
+    return out
+
+
+# --- transfer: q = 5, R - r <= 2 ----------------------------------------------
+
+
+def _transfer_points():
+    points = []
+    for rp, rpp in constants._transfer_shapes(2, 5):
+        shape = fam.SplitShape(rp, rpp)
+        for scd1, scd2 in itertools.product((1, -1), repeat=2):
+            # one block per class of sign -1, as in the transfer sweep
+            t1 = (1 - scd1) // 2
+            t = t1 + (1 - scd2) // 2
+            k_second = tuple(range(t1 + 1, t + 1))
+            for ue in (1, -1):
+                eta = SquareClass(rpp % 2, ue)
+                for gamma in fam.enumerate_gamma(shape, F5, scd1 * scd2 * ue):
+                    for pair in fam.enumerate_L(shape):
+                        for e in fam.enumerate_e(shape)[::3]:
+                            for u in itertools.product((0, 1), repeat=t):
+                                points.append((shape, gamma, pair, e, u, k_second,
+                                               scd1, scd2, eta))
+    return points
+
+
+TRANSFER_POINTS = _transfer_points()
+
+
+def _per_factor_route():
+    return [constants.factorwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, M[5], F5)
+            * constants.factorwise_e_factor(e, pair)
+            * constants.factorwise_u_factor(u, k_second, eta)
+            for shape, gamma, pair, e, u, k_second, scd1, scd2, eta in TRANSFER_POINTS]
+
+
+def _closed_route():
+    return [constants.transfer_factor_sign(shape, gamma, pair, scd1, scd2, eta, M[5], F5)
+            * fam.kappa_l2(e, pair) * fam.kappa_u(u, k_second)
+            for shape, gamma, pair, e, u, k_second, scd1, scd2, eta in TRANSFER_POINTS]
+
+
+# --- weyl: N <= 3, d <= 5 ------------------------------------------------------
+
+WEYL_N = range(4)
+WEYL_D = range(6)
+CLASSES_B = [(N, c) for N in WEYL_N for c in sorted(weyl.brute_class_sizes(N), key=repr)]
+CLASSES_A = [(d, pi) for d in WEYL_D for pi in sorted(weyl.brute_class_sizes_a(d), key=repr)]
+
+
+def _brute_sizes_b():
+    brute = {N: weyl.brute_class_sizes(N) for N in WEYL_N}
+    return [brute[N][c] for N, c in CLASSES_B]
+
+
+def _brute_sizes_a():
+    brute = {d: weyl.brute_class_sizes_a(d) for d in WEYL_D}
+    return [brute[d][pi] for d, pi in CLASSES_A]
+
+
+SIGNED_CYCLE_TYPE = ("conjugation_orbit_sizes labels each orbit by signed_cycle_type, the "
+                     "brute count's class key, so that the two can be compared class by class")
+
+# --- descent: |beta| <= 4, and the sweep's own quadruple and datum window ------
+
+CLASS_SIGN_POINTS = [(beta, split) for total in range(5) for beta in enumerate_partitions(total)
+                     for fs in ((), (1,), (2,), (1, 2)) for split in dsc.class_splits(beta, fs)]
+
+
+def _descent_data():
+    """(g, datum, N_+, N_-) for each datum the descent sweep builds, as it builds them."""
+    data = []
+    blocks_options = [(), ((1, 1),), ((1, 2),), ((2, 1),), ((1, 1), (1, 1))]
+    for rp, rpp in itertools.product(range(3), repeat=2):
+        r_plus, r_minus = dsc.r_plus_minus(rp, rpp)
+        for blocks in blocks_options:
+            bw = sum(d * f for d, f in blocks)
+            d = sum(b[0] for b in blocks)
+            for Np, Npp in itertools.product(range(3), repeat=2):
+                g = constants.QuadrupleGamma(rp, rpp, Np, Npp)
+                for N_plus in range(Np + Npp - bw + 1):
+                    N_minus = Np + Npp - bw - N_plus
+                    try:
+                        dd = dsc.DescentDatum(
+                            N_plus + (r_plus ** 2 + rpp ** 2 - 1) // 2,
+                            SquareClass(rpp % 2, (-1) ** (d % 2)),
+                            N_minus + (r_minus ** 2 + rpp ** 2) // 2,
+                            SquareClass(rpp % 2, 1), blocks)
+                    except ValueError:
+                        continue
+                    data.append((g, dd, N_plus, N_minus))
+    return data
+
+
+DESCENT_DATA = _descent_data()
+# (g, datum, N_+, N_-, split, its assignment, eta_{1,-}) for each size split
+SIZE_SPLITS = [
+    (g, dd, N_plus, N_minus, split, dsc.assignment_sizes(g, split),
+     SquareClass(((dsc.r_plus_minus(g.rp, g.rpp)[1] + g.rpp) // 2) % 2, 1))
+    for g, dd, N_plus, N_minus in DESCENT_DATA
+    for split in dsc.enumerate_size_splits(dd, g, N_plus, N_minus)]
+
+
+def _scanned_splits():
+    out = []
+    scans = {}
+    for g, dd, N_plus, N_minus, split, sizes, _ in SIZE_SPLITS:
+        if id(dd) not in scans:
+            splits = dsc.enumerate_size_splits(dd, g, N_plus, N_minus)
+            scans[id(dd)] = list(zip(splits, [dsc.assignment_sizes(g, s) for s in splits]))
+        out.append([s for s, s_sizes in scans[id(dd)]
+                    if s_sizes == sizes and s.pairs == split.pairs])
+    return out
+
+
+# --- params: n <= 2, and images with up to two even blocks per side --------------
+
+RESTRICTION_POINTS = [(t1, t2, (n1, n2)) for n in range(3) for n1, n2 in par.endoscopic_pairs(n)
+                      for t1 in suites._unip_quad_params(n1)
+                      for t2 in suites._unip_quad_params(n2)]
+
+
+def _bilinearity_points():
+    points = []
+    for blocks_plus, blocks_minus in itertools.product(((), (2,), (4, 2)), ((), (2,))):
+        sp = SymplecticPartition(Partition(blocks_plus))
+        sm = SymplecticPartition(Partition(blocks_minus))
+        keys = [(par.PLUS, k) for k in sp.jord_bp] + [(par.MINUS, k) for k in sm.jord_bp]
+        images = [dict(zip(keys, bits)) for bits in itertools.product((1, -1), repeat=len(keys))]
+        for eps_bits in itertools.product((1, -1), repeat=len(keys)):
+            signs = dict(zip(keys, eps_bits))
+            param = par.UnipQuadParam(
+                sp, sm, {k: e for (side, k), e in signs.items() if side == par.PLUS},
+                {k: e for (side, k), e in signs.items() if side == par.MINUS})
+            for im1, im2 in itertools.product(images, repeat=2):
+                points.append((param, im1, im2, {k: im1[k] * im2[k] for k in keys}))
+    return points
+
+
+BILINEARITY_POINTS = _bilinearity_points()
+
+
+REGISTRY = {
+    # aux
+    "parity_sum": Identity({
+        "halves": lambda: [(r1pp + r2pp) % 2 for _, r1pp, _, r2pp in _halves()],
+        "pair": lambda: [rpp % 2 for _, rpp in PAIRS],
+    }, {}),
+    "size_forms": Identity({
+        "halves": lambda: [(r1p * r1p + r1p + r1pp * r1pp, r2p * r2p + r2p + r2pp * r2pp)
+                           for r1p, r1pp, r2p, r2pp in _halves()],
+        "closed": lambda: [(((rp + rpp) ** 2 + (rp + rpp + 1) ** 2 - 1) // 4,
+                            ((rp - rpp) ** 2 + (rp - rpp + 1) ** 2 - 1) // 4)
+                           for rp, rpp in PAIRS],
+    }, {}),
+    "companion_sums": Identity({
+        "halves": _companion_sums_of_halves,
+        "pair": _companion_sums_of_pair,
+    }, {"r_plus_minus": R_PLUS_MINUS}),
+    "u_multiplicative": Identity({
+        "whole": lambda: [constants.u_sign(rp, rpp, m) for rp, rpp in PAIRS for m in (1, -1)],
+        "halves": _u_of_halves,
+    }, {"u_sign": "the identity is U's multiplicativity: U(r', r'') = U(r'_1, r''_1) "
+                  "U(r'_2, r''_2), the one function on both sides",
+        "u_exponent": "U's exponent u, read by u_sign on both sides",
+        "r_plus_minus": "r'_+ enters U's exponent u; " + R_PLUS_MINUS}),
+    # split
+    "sum": Identity({
+        "sizes": lambda: [sum(constants.split_sizes(*point)) for point in SPLIT_POINTS],
+        "total": lambda: [rp * rp + rp + rpp * rpp + Np + Npp
+                          for rp, rpp, Np, Npp in SPLIT_POINTS],
+    }, {}),
+    "swap": Identity({
+        "pair": _swapped_splitting,
+        "mirror": lambda: [(constants.split_pair_values(rp, -rpp),
+                            constants.split_sizes(rp, -rpp, Npp, Np))
+                           for rp, rpp, Np, Npp in SPLIT_POINTS],
+    }, {"split_pair_values": "a symmetry of the splitting: both sides evaluate it, "
+                             "at r'' and at -r''",
+        "split_sizes": "a symmetry of the splitting: both sides evaluate it, at r'' and at -r''"}),
+    # kappasum
+    "kappasum": Identity({
+        "sum": lambda: [fam.transversal_character_sum(e, shape) for shape, e in KAPPA_POINTS],
+        "law": _kappa_law,
+    }, {"enumerate_L": "the identity sums over the pairings; the law counts the same set",
+        "LPair.__init__": "value type of the pairings enumerate_L builds"}),
+    # counting
+    "family_count": Identity({
+        "enumerated": lambda: [fam.count_transversal_families(shape, fam._slot_choices(field))
+                               for field, shape in FAMILY_SHAPES],
+        "closed": lambda: [fam.transversal_family_count_formula(shape, field)
+                           for field, shape in FAMILY_SHAPES],
+    }, {}),
+    "image": Identity({
+        "tally": _tallied_vectors,
+        "image": _image_vectors,
+    }, {**LEGENDRE,
+        "GammaVector.__init__": "value type: each side states its vectors as GammaVectors",
+        "ResidueParam.units": "field data: the unit residues 1, ..., q - 1"}),
+    "fiber": Identity({
+        "tally": _tallied_fibers,
+        "slotwise": _slotwise_fibers,
+        "predicted": _predicted_fibers,
+    }, {**LEGENDRE,
+        "_slot_choices": "by design the tally's families and the slotwise count read one "
+                         "table of slot choices; the prediction reads none",
+        "ResidueParam.squares": "field data, read by _slot_choices",
+        "ResidueParam.units": "field data, read by _slot_choices"},
+        frozenset({"predicted"})),
+    "worked_family_count": Identity({
+        "enumerated": lambda: fam.count_transversal_families(
+            fam.SplitShape(2, 0), fam._slot_choices(F5)),
+        "worked": lambda: 4,
+    }, {}),
+    "worked_fibers": Identity({
+        "tally": _worked_fiber_sizes,
+        "worked": lambda: {1, 2},
+    }, {}),
+    # constprod
+    "constprod": Identity({
+        "product": _constprod_products,
+        "even": lambda: [constants.even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta,
+                                                               M[field.q])
+                         for field, _, rp, rpp, _, s2, eta, eta1, eta2, _ in CONSTPROD_POINTS],
+    }, {"SquareClass.__mul__": "square-class group law: each side checks eta1 eta2 = eta "
+                               "on its own",
+        "SquareClass.__init__": "value type, built by SquareClass.__mul__",
+        "SquareClass.__eq__": "square-class equality, in each side's own check of eta1 eta2 "
+                              "= eta"}),
+    # signchain
+    "chain": Identity({
+        "chain": lambda: [_chain(*point) for point in CHAIN_POINTS],
+        "u": lambda: [(-1) ** npar * constants.u_sign(rp, rpp, m)
+                      for m, rp, rpp, *_, npar in CHAIN_POINTS],
+    }, {"r_plus_minus": "r'_+ enters the reduction sign and U's exponent; " + R_PLUS_MINUS}),
+    "collapse": Identity({
+        "product": _collapsed_products,
+        "one": lambda: [1] * len(CHAIN_POINTS),
+    }, {}),
+    # transfer
+    "transfer": Identity({
+        "per_factor": _per_factor_route,
+        "closed": _closed_route,
+    }, LEGENDRE),
+    # weyl
+    "class_size": Identity({
+        "formula": lambda: [weyl.class_size_b(c) for _, c in CLASSES_B],
+        "brute": _brute_sizes_b,
+    }, {}),
+    "total": Identity({
+        "classes": lambda: [sum(weyl.brute_class_sizes(N).values()) for N in WEYL_N],
+        "order": lambda: [weyl.order_b(N) for N in WEYL_N],
+    }, {}),
+    "orbit_oracle": Identity({
+        "orbits": lambda: [weyl.conjugation_orbit_sizes(N) for N in WEYL_N],
+        "brute": lambda: [dict(weyl.brute_class_sizes(N)) for N in WEYL_N],
+    }, {"signed_cycle_type": SIGNED_CYCLE_TYPE,
+        "signed_permutations": "the elements of W_N, which both oracles enumerate",
+        "Partition.__init__": "value type of the class keys",
+        "Partition.__hash__": "the class keys are hashed into each side's dict"}),
+    "class_size_a": Identity({
+        "formula": lambda: [weyl.class_size_a(pi) for _, pi in CLASSES_A],
+        "brute": _brute_sizes_a,
+    }, {}),
+    "total_a": Identity({
+        "classes": lambda: [sum(weyl.class_size_a(pi) for pi in enumerate_partitions(d))
+                            for d in WEYL_D],
+        "factorial": lambda: [factorial(d) for d in WEYL_D],
+    }, {}),
+    # descent
+    "class_sign": Identity({
+        "whole": lambda: [(-1) ** (beta.length() % 2) for beta, _ in CLASS_SIGN_POINTS],
+        "split": lambda: [(-1) ** ((split.beta_plus.length() + split.beta_minus.length()
+                                    + sum(b.size() for b in split.beta_blocks)) % 2)
+                          for _, split in CLASS_SIGN_POINTS],
+    }, {"Partition.length": "the identity compares parities of part counts"}),
+    "feasibility": Identity({
+        "window": lambda: [dsc.descent_feasibility(dd, g) for g, dd, _, _ in DESCENT_DATA],
+        "residuals": lambda: [(N_plus, N_minus) for _, _, N_plus, N_minus in DESCENT_DATA],
+    }, {}),
+    "sector_sum": Identity({
+        "sectors": lambda: [dsc.sector_size_sum(g, split, dd.blocks)
+                            for g, dd, _, _, split, _, _ in SIZE_SPLITS],
+        "quadruple": lambda: [constants.split_sizes(g.rp, g.rpp, g.Np, g.Npp)
+                              for g, *_ in SIZE_SPLITS],
+    }, {}),
+    "unique_split": Identity({
+        "solver": lambda: [[dsc.solve_split_family(dd, g, sizes, eta1_minus, split.pairs)]
+                           for g, dd, _, _, split, sizes, eta1_minus in SIZE_SPLITS],
+        "scan": _scanned_splits,
+    }, {"r_plus_minus": "the sector sizes are stated in r'_+ and r'_-: the solver inverts "
+                        "what assignment_sizes computes"}),
+    # params
+    "restriction": Identity({
+        "restricted": lambda: [(triple.restrict(par.PLUS), triple.restrict(par.MINUS))
+                               for triple in itertools.starmap(par.assemble_triple,
+                                                               RESTRICTION_POINTS)],
+        "factors": lambda: [((t1.lam_plus, t1.lam_minus), (t2.lam_plus, t2.lam_minus))
+                            for t1, t2, _ in RESTRICTION_POINTS],
+    }, {}),
+    "bilinearity": Identity({
+        "product": lambda: [par.eval_character_on_image(param, prod)
+                            for param, _, _, prod in BILINEARITY_POINTS],
+        "factors": lambda: [par.eval_character_on_image(param, im1)
+                            * par.eval_character_on_image(param, im2)
+                            for param, im1, im2, _ in BILINEARITY_POINTS],
+    }, {"eval_character_on_image": "the identity is this function's multiplicativity: "
+                                   "epsilon(xy) = epsilon(x) epsilon(y)",
+        "SymplecticPartition.jord_bp": "the even blocks epsilon is defined on"}),
+}
+
+
+def identity_names(source: str) -> set[str]:
+    """The names of the "identity" literals of failure records in one source."""
+    return set(re.findall(r'"identity": "(\w+)"', source))
+
+
+def unregistered(sources: list[str]) -> list[str]:
+    """The identities of the sources and FIXED that have no registry entry."""
+    names = FIXED.union(*map(identity_names, sources))
+    return sorted(names - set(REGISTRY))
+
+
+def run_sides(identity: Identity) -> dict:
+    """Side name -> (its value, the package functions it enters).
+
+    A comprehension or generator nested in a function counts as that function.
+    """
+    out = {}
+    for name, side in identity.sides.items():
+        value = []
+        entered = entered_functions(lambda: value.append(side()))
+        out[name] = value[0], {qualname.split(".<locals>.")[0] for qualname in entered}
+    return out
+
+
+def pairwise_sharing(runs: dict) -> dict:
+    """(side, side) -> the package functions both enter."""
+    return {(a, b): runs[a][1] & runs[b][1] for a, b in itertools.combinations(sorted(runs), 2)}
+
+
+def unexplained_sharing(identity: Identity, runs: dict) -> dict:
+    """(side, side) -> the shared package functions that the allow-list does not name.
+
+    A side in identity.apart may share only LEAVES, allowed or not.
+    """
+    out = {}
+    for (a, b), names in pairwise_sharing(runs).items():
+        allowed = set(identity.shared)
+        if {a, b} & identity.apart:
+            allowed &= LEAVES
+        if names - allowed:
+            out[a, b] = names - allowed
+    return out
+
+
+def test_every_identity_is_registered():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert unregistered(sources) == []
+    assert set(REGISTRY) == FIXED.union(*map(identity_names, sources))
+
+
+def test_an_unregistered_identity_is_caught():
+    planted = 'yield 1, ({"identity": "planted", "lhs": 1},)\n'
+    assert unregistered([planted]) == ["planted"]
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_sides_share_only_what_the_allow_list_names(name):
+    identity = REGISTRY[name]
+    runs = run_sides(identity)
+    values = [value for value, _ in runs.values()]
+    # the sides are the identity's: they agree, and one of them does package work
+    assert len(runs) >= 2 and all(value == values[0] for value in values)
+    assert any(entered for _, entered in runs.values())
+    assert unexplained_sharing(identity, runs) == {}
+    # no stale entry: each allowed function is shared by some two sides
+    assert set(identity.shared) <= set().union(*pairwise_sharing(runs).values())
+    assert all(reason.strip() for reason in identity.shared.values())
+    assert identity.apart <= set(identity.sides)
+
+
+def test_the_guard_catches_a_planted_shared_helper(monkeypatch):
+    # The closed route fused with the per-factor route's gamma factor still
+    # returns the same values, since that factor is +-1, and so still passes
+    # the sweep; the guard names the shared helper.
+    original = constants.transfer_factor_sign
+
+    def fused(*args):
+        return original(*args) * constants.factorwise_gamma_factor(*args) ** 2
+
+    monkeypatch.setattr(constants, "transfer_factor_sign", fused)
+    assert suites.run("transfer", qs=(5,), rrmax=0).passed
+    transfer = REGISTRY["transfer"]
+    assert unexplained_sharing(transfer, run_sides(transfer)) == \
+        {("closed", "per_factor"): {"factorwise_gamma_factor"}}
+
+
+def test_the_guard_catches_a_prediction_that_reads_the_slot_table(monkeypatch):
+    # The tally and the slotwise count may share the table of slot choices;
+    # the closed-form prediction may not.
+    original = fam.fiber_size_prediction
+
+    def reading(gamma, shape, rp_field):
+        fam._slot_choices(rp_field)
+        return original(gamma, shape, rp_field)
+
+    monkeypatch.setattr(fam, "fiber_size_prediction", reading)
+    fiber = REGISTRY["fiber"]
+    table = {"_slot_choices", "ResidueParam.squares", "ResidueParam.units"}
+    assert unexplained_sharing(fiber, run_sides(fiber)) == \
+        {("predicted", "slotwise"): table, ("predicted", "tally"): table}

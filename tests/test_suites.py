@@ -589,6 +589,30 @@ def test_signchain_fails_on_a_negated_u_sign(monkeypatch):
     assert {f["identity"] for f in report.failures} == {"chain"}
 
 
+def test_a_shifted_split_pair_fails_signchain_and_aux(monkeypatch):
+    # r''_1 + 2 breaks U = U1 U2, which aux alone sweeps, at r' <= 2, |r''| <= 2
+    original = constants.split_pair_values
+
+    def shifted(rp, rpp):
+        r1p, r1pp, r2p, r2pp = original(rp, rpp)
+        return r1p, r1pp + 2, r2p, r2pp
+
+    monkeypatch.setattr(constants, "split_pair_values", shifted)
+    chain = suites.run("signchain", rmax=2)
+    assert len(chain.failures) == 192
+    assert {f["identity"] for f in chain.failures} == {"collapse"}
+    aux = suites.run("aux", rmax=2)
+    failed = Counter(name for f in aux.failures
+                     for name, check in f["detail"]["checks"].items() if not check["pass"])
+    # the size forms and companion sums read r''_1 as well
+    assert failed == {"size_forms": 15, "companion_sums": 15, "u_multiplicative": 6}
+    broken = {(rp, rpp) for rp in range(3) for rpp in range(-2, 3) for m in (1, -1)
+              if constants.u_sign(rp, rpp, m) != constants.u_sign(*shifted(rp, rpp)[:2], m)
+              * constants.u_sign(*shifted(rp, rpp)[2:], m)}
+    assert {(f["rp"], f["rpp"]) for f in aux.failures
+            if not f["detail"]["checks"]["u_multiplicative"]["pass"]} == broken
+
+
 def test_params_fails_on_a_constant_character(monkeypatch):
     monkeypatch.setattr(par, "eval_character_on_image", lambda param, image: -1)
     report = suites.run("params", nmax=0)
