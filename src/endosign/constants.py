@@ -172,18 +172,20 @@ def even_case_transfer_constant(eta1: SquareClass, eta2: SquareClass, rp: int, r
     return out
 
 
-def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector, pair: fam.LPair,
-                         scd1: int, scd2: int, eta: SquareClass, m: int,
-                         rp_field: ResidueParam) -> int:
-    """The closed-form transfer-factor sign d for one assignment vector and pairing.
+def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector,
+                         pairs: list[fam.LPair], scd1: int, scd2: int, eta: SquareClass,
+                         m: int, rp_field: ResidueParam) -> list[int]:
+    """The closed-form transfer-factor sign d of one assignment vector, one entry per pairing.
 
     Four groups of factors: the (R-r)/2 powers of unit(eta) and the class
     signs scd1 = sgn_cd(w') and scd2 = sgn_cd(w''); the even-pair-slot
     product of sgn(g_{j-1} g_j)^(j/2-1) and sgn(g_{j-1} - g_j); the
     top-slot product of sgn(g_j)^((R-r)/2); and the tail governed by the
-    branch switch B with the class eta[L2, gamma].  Only that tail reads
-    the pairing, so eta_of_L2 is evaluated only when B = 1, and only
-    that tail reads m = sgn(-1).
+    branch switch B with the class eta[L2, gamma].  The first three read
+    gamma alone and are computed once.  Only the tail reads the pairing and
+    m = sgn(-1): when B = 1 each entry multiplies in its own pairing's
+    tail, with one eta_of_L2 per pairing; when B = 0 the row is the
+    gamma-only value repeated.
     """
     t2 = shape.t2
     out = 1
@@ -199,12 +201,14 @@ def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector, pair: fa
     if t2 % 2:
         for s in gamma.high:
             out *= s
-    if shape.b_switch:
+    if not shape.b_switch:
+        return [out] * len(pairs)
+    row = []
+    for pair in pairs:
         eta2L = fam.eta_of_L2(gamma, pair, shape, scd2, rp_field)
-        if eta2L.val_parity:
-            out *= m
-        out *= eta2L.unit_sign * scd2
-    return out
+        tail = (m if eta2L.val_parity else 1) * eta2L.unit_sign * scd2
+        row.append(out * tail)
+    return row
 
 
 def weil_ratio_sign(eta1: SquareClass, eta2: SquareClass, m: int) -> int:
@@ -440,31 +444,38 @@ def sign_chain_points(rmax: int):
 
 
 def factorwise_gamma_factor(shape: fam.SplitShape, gamma: fam.GammaVector,
-                            pair: fam.LPair, scd1: int, scd2: int,
-                            eta: SquareClass, m: int, rp_field: ResidueParam) -> int:
-    """The per-factor route's (gamma, pairing) factor.
+                            pairs: list[fam.LPair], scd1: int, scd2: int,
+                            eta: SquareClass, m: int, rp_field: ResidueParam) -> list[int]:
+    """The per-factor route's factor of one assignment vector, one entry per pairing.
 
     The product over the pair slots l = 2j of unit(eta) * scd1 * scd2
     * sgn(g_{l-1} - g_l), times m * sgn(g_{l2}) when B = 1, times the signs of
     the slots above l, with scd1 = sgn_cd(w'), scd2 = sgn_cd(w'') and
-    m = sgn(-1).
+    m = sgn(-1).  The part without the L2 slots reads gamma alone and is
+    computed once: the signs of the slots above l are a suffix product
+    over the residues' Legendre signs, read once each, and the top signs.
+    When B = 1 each entry multiplies in m * sgn(g_{l2}) over its own
+    pairing's L2 slots; when B = 0 the row is the gamma-only value repeated.
     """
+    signs = [legendre(v, rp_field) for v in gamma.low]
+    above = 1  # the signs of the slots above l
+    for s in gamma.high:
+        above *= s
     scd = scd1 * scd2
-    B = shape.b_switch
     out = 1
-    for j in range(1, shape.t2 + 1):
-        l = 2 * j
-        term = eta.unit_sign * scd
-        term *= legendre(gamma.low[l - 2] - gamma.low[l - 1], rp_field)
-        if B:
-            term *= m * legendre(gamma.low[pair.l2[j - 1] - 1], rp_field)
-        # the slots above l: residues up to R - r, then the top signs
-        for v in gamma.low[l:]:
-            term *= legendre(v, rp_field)
-        for s in gamma.high:
-            term *= s
-        out *= term
-    return out
+    for l in range(2 * shape.t2, 0, -2):
+        out *= eta.unit_sign * scd * above
+        out *= legendre(gamma.low[l - 2] - gamma.low[l - 1], rp_field)
+        above *= signs[l - 2] * signs[l - 1]
+    if not shape.b_switch:
+        return [out] * len(pairs)
+    row = []
+    for pair in pairs:
+        tail = 1
+        for l2 in pair.l2:
+            tail *= m * signs[l2 - 1]
+        row.append(out * tail)
+    return row
 
 
 def factorwise_e_factor(e: tuple[int, ...], pair: fam.LPair) -> int:
@@ -486,22 +497,23 @@ def factorwise_u_factor(u: tuple[int, ...], k_second: tuple[int, ...],
 
 
 def factorwise_transfer_check(shape: fam.SplitShape, gamma: fam.GammaVector,
-                              pair: fam.LPair, scd1: int, scd2: int, eta: SquareClass,
-                              m: int, rp_field: ResidueParam) -> tuple[int, int]:
-    """The two routes' (gamma, pairing) factors of the descent transfer factor.
+                              pairs: list[fam.LPair], scd1: int, scd2: int, eta: SquareClass,
+                              m: int, rp_field: ResidueParam) -> tuple[list[int], list[int]]:
+    """The two routes' rows of one assignment vector: each one's factor for every pairing.
 
-    The per-factor route's factor is factorwise_gamma_factor; the closed
-    route's is d = transfer_factor_sign, which reads the class eta[L2, gamma]
-    when B = 1.  Neither depends on the sign vector e or the block vector u:
-    at a point (e, u) the per-factor route multiplies its factor by
+    The per-factor route's row is factorwise_gamma_factor; the closed
+    route's is d = transfer_factor_sign, which reads the class
+    eta[L2, gamma] of each pairing when B = 1.  Neither depends on the sign
+    vector e or the block vector u: at a point (e, u) with a pairing the
+    per-factor route multiplies that pairing's entry by
     factorwise_e_factor(e) * factorwise_u_factor(u), the closed route by
     kappa_l2(e) * kappa_u(u), and the two products must agree.  Both read
     the classes only through scd1 = sgn_cd(w') and scd2 = sgn_cd(w''), and
     the field through m = sgn(-1) and legendre, the only function both
     routes enter.
     """
-    return (factorwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, m, rp_field),
-            transfer_factor_sign(shape, gamma, pair, scd1, scd2, eta, m, rp_field))
+    return (factorwise_gamma_factor(shape, gamma, pairs, scd1, scd2, eta, m, rp_field),
+            transfer_factor_sign(shape, gamma, pairs, scd1, scd2, eta, m, rp_field))
 
 
 def _transfer_shapes(rrmax: int, q: int):
@@ -520,14 +532,15 @@ def transfer_points(qs, rrmax: int):
     block vectors for small two-block class data, and all pairings, in both
     branch-switch regimes.
 
-    A block is one (q, shape, beta', beta'', eta); a cell is one (gamma,
-    pairing) of a block, and its points are every sign vector e times every
-    block vector u, a tuple of 0 and 1 whose second block K'' has the
-    1-based indices k_second.  m = sgn(-1) is evaluated once per q, and the
-    class signs scd1 = sgn_cd(w') and scd2 = sgn_cd(w'') once per
-    (beta', beta''); both routes get the same ints, as they get eta.  At a
-    point each route's value is its (gamma, pairing) factor times an e-part
-    and a u-part, so each route does its work at two levels:
+    A block is one (q, shape, beta', beta'', eta); a row is one assignment
+    vector gamma of a block, and its points are every pairing times every
+    sign vector e times every block vector u, a tuple of 0 and 1 whose
+    second block K'' has the 1-based indices k_second.  m = sgn(-1) is
+    evaluated once per q, and the class signs scd1 = sgn_cd(w') and
+    scd2 = sgn_cd(w'') once per (beta', beta''); both routes get the same
+    ints, as they get eta.  At a point each route's value is its
+    (gamma, pairing) factor times an e-part and a u-part, so each route
+    does its work at two levels:
 
       * per block and pairing: the route's e x u grid, built once from its
         own tables in the order e, then u.  The per-factor grid multiplies
@@ -535,20 +548,24 @@ def transfer_points(qs, rrmax: int):
         with kappa_u.  The admissible vectors depend on the block only
         through the sign target, so they are enumerated once per (q, shape,
         target);
-      * per cell: one factorwise_transfer_check, which returns each route's
-        (gamma, pairing) factor, an int: the per-factor route's
-        factorwise_gamma_factor and the closed route's transfer_factor_sign,
-        which calls eta_of_L2 only when B = 1.  A point's value is the
-        route's cell value times its own grid entry.  Each route's grid
-        scaled by a cell value is built once per block and pairing and kept
-        under that exact value, so a cell compares every point with one
-        tuple comparison and yields the cell as one batch.  Only a cell that
-        fails is walked point by point, in the order e, then u, for its
-        failure records.
+      * per row: one factorwise_transfer_check, which returns each route's
+        row of (gamma, pairing) factors, one int per pairing: the per-factor
+        route's factorwise_gamma_factor and the closed route's
+        transfer_factor_sign, which calls eta_of_L2 once per pairing only
+        when B = 1.  A point's value is its pairing's row entry times the
+        route's own grid entry.
+
+    A row passes when, for every pairing, the per-factor entry times its
+    grid equals the closed entry times its grid, so within a block its
+    verdict depends only on the two rows.  Each block keeps the verdicts
+    it has computed under the pair of rows, as exact ints in pairing
+    order, and drops them with the block.  A row is yielded as one batch;
+    only a row that fails is walked pairing by pairing, then e, then u, for
+    its failure records.
 
     The routes stay independent: each computes all of its own factors, and
-    they share only the leaf primitive legendre.  No grid, table or cell
-    value is used by both sides and neither side is derived from the other,
+    they share only the leaf primitive legendre.  No row, grid or verdict
+    is computed by both sides and neither side is derived from the other,
     so a wrong formula on either side fails exactly the points at which the
     two routes' products differ.
     """
@@ -570,32 +587,34 @@ def transfer_points(qs, rrmax: int):
                 k_second = tuple(range(beta1.length() + 1, t + 1))
                 uvecs = list(itertools.product((0, 1), repeat=t))
                 kappa_us = [fam.kappa_u(u, k_second) for u in uvecs]
+                row_points = len(pairs) * len(evecs) * len(uvecs)
                 for ue in (1, -1):
                     eta = SquareClass(rpp % 2, ue)
                     u_row = [factorwise_u_factor(u, k_second, eta) for u in uvecs]
-                    # per pairing: each route's grid, and its scaled copies
-                    # by cell value
-                    grids = [([fe * fu for fe in factor_row for fu in u_row], {},
-                              [ke * ku for ke in kappa_row for ku in kappa_us], {})
+                    # per pairing: each route's grid
+                    grids = [([fe * fu for fe in factor_row for fu in u_row],
+                              [ke * ku for ke in kappa_row for ku in kappa_us])
                              for factor_row, kappa_row in zip(factor_rows, kappa_rows)]
+                    verdicts = {}  # (per-factor row, closed row) -> passes
                     target = scd1 * scd2 * eta.unit_sign
                     for gamma in gammas[target]:
-                        for pair, (fw_grid, fw_scaled, cl_grid, cl_scaled) in zip(pairs, grids):
-                            fw, cl = factorwise_transfer_check(
-                                shape, gamma, pair, scd1, scd2, eta, m, field)
-                            lhs = fw_scaled.get(fw)
-                            if lhs is None:
-                                lhs = fw_scaled[fw] = tuple(fw * x for x in fw_grid)
-                            rhs = cl_scaled.get(cl)
-                            if rhs is None:
-                                rhs = cl_scaled[cl] = tuple(cl * x for x in cl_grid)
-                            yield len(lhs), () if lhs == rhs else tuple(
-                                {"q": q, "rp": rp, "rpp": rpp, "gamma": gamma.to_json(),
-                                 "e": list(e), "u": list(u), "pair": pair.to_json(),
-                                 "lhs": left, "rhs": right}
-                                for (e, u), left, right in zip(
-                                    itertools.product(evecs, uvecs), lhs, rhs)
-                                if left != right)
+                        fw_row, cl_row = factorwise_transfer_check(
+                            shape, gamma, pairs, scd1, scd2, eta, m, field)
+                        key = (tuple(fw_row), tuple(cl_row))
+                        passed = verdicts.get(key)
+                        if passed is None:
+                            passed = verdicts[key] = all(
+                                [fw * x for x in fw_grid] == [cl * y for y in cl_grid]
+                                for fw, cl, (fw_grid, cl_grid) in zip(fw_row, cl_row, grids))
+                        yield row_points, () if passed else tuple(
+                            {"q": q, "rp": rp, "rpp": rpp, "gamma": gamma.to_json(),
+                             "e": list(e), "u": list(u), "pair": pair.to_json(),
+                             "lhs": fw * x, "rhs": cl * y}
+                            for pair, fw, cl, (fw_grid, cl_grid)
+                            in zip(pairs, fw_row, cl_row, grids)
+                            for (e, u), x, y in zip(itertools.product(evecs, uvecs),
+                                                    fw_grid, cl_grid)
+                            if fw * x != cl * y)
             # to bound peak memory, drop this shape's vectors before the next
             # shape builds its own
             del gammas

@@ -7,12 +7,13 @@ and the specification of its parameters.  A generator yields one pair
 number of those points and failures their failure records, empty when
 they all pass.  Most generators yield every point on its own, as
 (1, failures); split yields the (nmax+1)^2 points of one (r', r'') at once
-and transfer the points of one (gamma, pairing) cell.  run() owns
-everything else: it checks the parameters against their bounds and caps
-before any point is checked, adds up the checked counts, times the sweep,
-collects the failures and builds the VerificationReport.  The CLI derives
-its verify subcommands and flags from SUITES.  The generators of the
-identities among the named constants live in the constants module.
+and transfer the points of one row, every pairing of one gamma in one
+block.  run() owns everything else: it checks the parameters against their
+bounds and caps before any point is checked, adds up the checked counts,
+times the sweep, collects the failures and builds the VerificationReport.
+The CLI derives its verify subcommands and flags from SUITES.  The
+generators of the identities among the named constants live in the
+constants module.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from endosign.constants import (QuadrupleGamma, branch_switch,
 from endosign.exact import ExactValue
 from endosign.families import (GammaVector, LPair, SplitShape, enumerate_e,
                                enumerate_gamma, enumerate_L, kappa_l2, kappa_u)
-from endosign.localfield import ResidueParam, SquareClass
+from endosign.localfield import ResidueParam, SquareClass, legendre
 
 F5 = ResidueParam(5)
 F7 = ResidueParam(7)
@@ -114,8 +114,8 @@ def test_transfer_factor_sign_degenerate():
     pair = LPair((), ())
     eta = SquareClass(1, 1)
     # everything collapses to sgn_cd(w'')^val(eta)
-    assert transfer_factor_sign(shape, gamma, pair, 1, -1, eta, M5, F5) == -1
-    assert transfer_factor_sign(shape, gamma, pair, 1, 1, eta, M5, F5) == 1
+    assert transfer_factor_sign(shape, gamma, [pair], 1, -1, eta, M5, F5) == [-1]
+    assert transfer_factor_sign(shape, gamma, [pair], 1, 1, eta, M5, F5) == [1]
 
 
 def test_transfer_factor_sign_pair_slot_factor():
@@ -124,10 +124,51 @@ def test_transfer_factor_sign_pair_slot_factor():
     pair = enumerate_L(shape)[0]
     eta = SquareClass(0, 1)
     gamma = GammaVector((1, 4), ())
-    got = transfer_factor_sign(shape, gamma, pair, 1, 1, eta, M5, F5)
+    got = transfer_factor_sign(shape, gamma, [pair], 1, 1, eta, M5, F5)
     # t2 odd: unit(eta), sgn_cd factors trivial here; j/2-1 = 0 kills the
     # product sign; remaining factors: legendre(1-4) * top-product (empty)
-    assert got == -1
+    assert got == [-1]
+
+
+def _slotwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, m, rp_field):
+    # the per-factor route's (gamma, pairing) factor slot by slot, with the
+    # signs of the slots above l read afresh at every l
+    out = 1
+    for j in range(1, shape.t2 + 1):
+        l = 2 * j
+        term = eta.unit_sign * scd1 * scd2
+        term *= legendre(gamma.low[l - 2] - gamma.low[l - 1], rp_field)
+        if shape.b_switch:
+            term *= m * legendre(gamma.low[pair.l2[j - 1] - 1], rp_field)
+        for v in gamma.low[l:]:
+            term *= legendre(v, rp_field)
+        for s in gamma.high:
+            term *= s
+        out *= term
+    return out
+
+
+@pytest.mark.parametrize("rp, rpp", [(4, 0), (5, 1), (0, 4), (1, 5), (2, 2), (3, 7)])
+def test_rows_have_one_entry_per_pairing(rp, rpp):
+    # Each route's row is its (gamma, pairing) factor for every pairing in
+    # the order given; on B = 0 shapes the row is one value repeated.
+    shape = SplitShape(rp, rpp)
+    pairs = enumerate_L(shape)
+    for field, m in ((F5, M5), (F7, M7)):
+        for scd1, scd2, ue in itertools.product((1, -1), repeat=3):
+            eta = SquareClass(rpp % 2, ue)
+            for gamma in enumerate_gamma(shape, field, scd1 * scd2 * ue)[::7]:
+                args = (scd1, scd2, eta, m, field)
+                fw = factorwise_gamma_factor(shape, gamma, pairs, *args)
+                cl = transfer_factor_sign(shape, gamma, pairs, *args)
+                assert fw == [_slotwise_gamma_factor(shape, gamma, pair, *args)
+                              for pair in pairs]
+                assert cl == [transfer_factor_sign(shape, gamma, [pair], *args)[0]
+                              for pair in pairs]
+                assert factorwise_gamma_factor(shape, gamma, pairs[::-1], *args) == fw[::-1]
+                assert transfer_factor_sign(shape, gamma, pairs[::-1], *args) == cl[::-1]
+                if not shape.b_switch:
+                    assert len(set(fw)) == len(set(cl)) == 1
 
 
 def test_collapse_constant_values():
@@ -184,8 +225,8 @@ def test_factorwise_check_degenerate():
     pair = LPair((), ())
     e = (1,)
     eta = SquareClass(1, 1)
-    fw, cl = factorwise_transfer_check(shape, gamma, pair, 1, -1, eta, M5, F5)
-    # the cell values differ; the u-parts (-1)^(val + u_1) and kappa_u make
+    (fw,), (cl,) = factorwise_transfer_check(shape, gamma, [pair], 1, -1, eta, M5, F5)
+    # the row entries differ; the u-parts (-1)^(val + u_1) and kappa_u make
     # up for it at every point
     assert (fw, cl) == (1, -1)
     for u, expected in (((1,), 1), ((0,), -1)):
@@ -220,9 +261,10 @@ def test_transfer_routes_share_only_leaves():
     # The two routes to the descent transfer factor may share leaf
     # primitives and nothing more; a shared helper above the leaves would
     # let one fault move both sides alike and pass the comparison.
-    points = []
+    rows = []
     for rp, rpp in ((3, 1), (1, 3), (4, 0), (5, 1), (2, 2)):
         shape = SplitShape(rp, rpp)
+        pairs = enumerate_L(shape)
         e = enumerate_e(shape)[-1]
         for scd1, scd2 in itertools.product((1, -1), repeat=2):
             # one block per class of sign -1, as in the transfer sweep
@@ -232,19 +274,20 @@ def test_transfer_routes_share_only_leaves():
             for ue in (1, -1):
                 eta = SquareClass(rpp % 2, ue)
                 for gamma in enumerate_gamma(shape, F5, scd1 * scd2 * ue):
-                    for pair in enumerate_L(shape):
-                        points.append((shape, gamma, e, u, k_second, pair, scd1, scd2, eta))
+                    rows.append((shape, gamma, e, u, k_second, pairs, scd1, scd2, eta))
 
     def per_factor():
-        for shape, gamma, e, u, k_second, pair, scd1, scd2, eta in points:
-            factorwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, M5, F5)
-            factorwise_e_factor(e, pair)
+        for shape, gamma, e, u, k_second, pairs, scd1, scd2, eta in rows:
+            factorwise_gamma_factor(shape, gamma, pairs, scd1, scd2, eta, M5, F5)
+            for pair in pairs:
+                factorwise_e_factor(e, pair)
             factorwise_u_factor(u, k_second, eta)
 
     def closed():
-        for shape, gamma, e, u, k_second, pair, scd1, scd2, eta in points:
-            transfer_factor_sign(shape, gamma, pair, scd1, scd2, eta, M5, F5)
-            kappa_l2(e, pair)
+        for shape, gamma, e, u, k_second, pairs, scd1, scd2, eta in rows:
+            transfer_factor_sign(shape, gamma, pairs, scd1, scd2, eta, M5, F5)
+            for pair in pairs:
+                kappa_l2(e, pair)
             kappa_u(u, k_second)
 
     per_factor_entered = entered_functions(per_factor)

@@ -271,40 +271,44 @@ def _collapsed_products():
 # --- transfer: q = 5, R - r <= 2 ----------------------------------------------
 
 
-def _transfer_points():
-    points = []
+def _transfer_rows():
+    rows = []
     for rp, rpp in constants._transfer_shapes(2, 5):
         shape = fam.SplitShape(rp, rpp)
+        pairs = fam.enumerate_L(shape)
+        evecs = fam.enumerate_e(shape)[::3]
         for scd1, scd2 in itertools.product((1, -1), repeat=2):
             # one block per class of sign -1, as in the transfer sweep
             t1 = (1 - scd1) // 2
             t = t1 + (1 - scd2) // 2
             k_second = tuple(range(t1 + 1, t + 1))
+            uvecs = list(itertools.product((0, 1), repeat=t))
             for ue in (1, -1):
                 eta = SquareClass(rpp % 2, ue)
                 for gamma in fam.enumerate_gamma(shape, F5, scd1 * scd2 * ue):
-                    for pair in fam.enumerate_L(shape):
-                        for e in fam.enumerate_e(shape)[::3]:
-                            for u in itertools.product((0, 1), repeat=t):
-                                points.append((shape, gamma, pair, e, u, k_second,
-                                               scd1, scd2, eta))
-    return points
+                    rows.append((shape, gamma, pairs, evecs, uvecs, k_second,
+                                 scd1, scd2, eta))
+    return rows
 
 
-TRANSFER_POINTS = _transfer_points()
+TRANSFER_ROWS = _transfer_rows()
 
 
 def _per_factor_route():
-    return [constants.factorwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, M[5], F5)
-            * constants.factorwise_e_factor(e, pair)
+    return [value * constants.factorwise_e_factor(e, pair)
             * constants.factorwise_u_factor(u, k_second, eta)
-            for shape, gamma, pair, e, u, k_second, scd1, scd2, eta in TRANSFER_POINTS]
+            for shape, gamma, pairs, evecs, uvecs, k_second, scd1, scd2, eta in TRANSFER_ROWS
+            for pair, value in zip(pairs, constants.factorwise_gamma_factor(
+                shape, gamma, pairs, scd1, scd2, eta, M[5], F5))
+            for e in evecs for u in uvecs]
 
 
 def _closed_route():
-    return [constants.transfer_factor_sign(shape, gamma, pair, scd1, scd2, eta, M[5], F5)
-            * fam.kappa_l2(e, pair) * fam.kappa_u(u, k_second)
-            for shape, gamma, pair, e, u, k_second, scd1, scd2, eta in TRANSFER_POINTS]
+    return [value * fam.kappa_l2(e, pair) * fam.kappa_u(u, k_second)
+            for shape, gamma, pairs, evecs, uvecs, k_second, scd1, scd2, eta in TRANSFER_ROWS
+            for pair, value in zip(pairs, constants.transfer_factor_sign(
+                shape, gamma, pairs, scd1, scd2, eta, M[5], F5))
+            for e in evecs for u in uvecs]
 
 
 # --- weyl: N <= 3, d <= 5 ------------------------------------------------------
@@ -654,7 +658,8 @@ def test_the_guard_catches_a_planted_shared_helper(monkeypatch):
     original = constants.transfer_factor_sign
 
     def fused(*args):
-        return original(*args) * constants.factorwise_gamma_factor(*args) ** 2
+        return [closed * factor ** 2 for closed, factor
+                in zip(original(*args), constants.factorwise_gamma_factor(*args))]
 
     monkeypatch.setattr(constants, "transfer_factor_sign", fused)
     assert suites.run("transfer", qs=(5,), rrmax=0).passed

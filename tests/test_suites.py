@@ -16,10 +16,15 @@ from endosign.weyl import sgn_cd
 from test_families import scatter
 
 
+def _negated(value):
+    # a route's row is a list with one entry per pairing; its e- and u-parts are ints
+    return [-x for x in value] if isinstance(value, list) else -value
+
+
 def test_transfer_fails_on_a_flipped_transfer_factor_sign(monkeypatch):
     original = constants.transfer_factor_sign
     monkeypatch.setattr(constants, "transfer_factor_sign",
-                        lambda *args: -original(*args))
+                        lambda *args: _negated(original(*args)))
     report = suites.run("transfer", qs=(5,), rrmax=0)
     assert report.points_checked > 0
     assert len(report.failures) == report.points_checked
@@ -118,7 +123,7 @@ def test_constprod_alternate_reading_can_fail_too(monkeypatch):
                                     "factorwise_u_factor"])
 def test_transfer_fails_on_a_negated_factorwise_factor(factor, monkeypatch):
     original = getattr(constants, factor)
-    monkeypatch.setattr(constants, factor, lambda *args: -original(*args))
+    monkeypatch.setattr(constants, factor, lambda *args: _negated(original(*args)))
     report = suites.run("transfer", qs=(5,), rrmax=2)
     assert len(report.failures) == report.points_checked > 0
     assert not report.passed
@@ -128,6 +133,17 @@ def _scale_where(module, name, when, factor=-1):
     original = getattr(module, name)
     return module, name, \
         lambda *args: factor * original(*args) if when(*args) else original(*args)
+
+
+def _scale_row_where(name, when, factor=-1):
+    # scales the entries of a route's row whose own pairing satisfies when
+    original = getattr(constants, name)
+
+    def faulty(shape, gamma, pairs, *rest):
+        return [factor * x if when(shape, gamma, pair, *rest) else x
+                for pair, x in zip(pairs, original(shape, gamma, pairs, *rest))]
+
+    return constants, name, faulty
 
 
 def _negated_top_signs():
@@ -142,28 +158,34 @@ def _negated_top_signs():
 def _negated_m(name):
     original = getattr(constants, name)
 
-    def faulty(shape, gamma, pair, scd1, scd2, eta, m, rp_field):
-        return original(shape, gamma, pair, scd1, scd2, eta, -m, rp_field)
+    def faulty(shape, gamma, pairs, scd1, scd2, eta, m, rp_field):
+        return original(shape, gamma, pairs, scd1, scd2, eta, -m, rp_field)
 
     return constants, name, faulty
 
 
-# Faults on a subset of the points, on either side of the identity.  The
-# faults on the e- and u-parts reach a cell through its route's grid only.
-# The doubled closed-form sign gives cells whose value is not +-1.  The
-# negated top signs reach the per-factor route alone, and the flipped
-# eta[L2, gamma] the closed route on B = 1 shapes alone.  A route given -m
-# for m = sgn(-1) changes sign where it reads m an odd number of times:
-# on the B = 1 shapes with odd t2.
+# Faults on a subset of the points, on either side of the identity.  A
+# fault on a route's row scales the entries whose own (gamma, pairing)
+# satisfies its predicate.  The faults on the e- and u-parts reach a row
+# through its route's grid only.  The doubled closed-form sign gives rows
+# whose entries are not +-1.  The pairing-position fault flips per-factor
+# entries by where their pairing sits in the row.  The negated top signs
+# reach the per-factor route alone, and the flipped eta[L2, gamma] the
+# closed route on B = 1 shapes alone.  A route given -m for m = sgn(-1)
+# changes sign where it reads m an odd number of times: on the B = 1
+# shapes with odd t2.
 PARTIAL_FAULTS = {
-    "transfer_factor_sign": lambda: _scale_where(
-        constants, "transfer_factor_sign", lambda shape, gamma, *rest: sum(gamma.low) % 3 == 1),
-    "transfer_factor_sign_doubled": lambda: _scale_where(
-        constants, "transfer_factor_sign", lambda shape, gamma, *rest: sum(gamma.low) % 3 == 2,
+    "transfer_factor_sign": lambda: _scale_row_where(
+        "transfer_factor_sign", lambda shape, gamma, *rest: sum(gamma.low) % 3 == 1),
+    "transfer_factor_sign_doubled": lambda: _scale_row_where(
+        "transfer_factor_sign", lambda shape, gamma, *rest: sum(gamma.low) % 3 == 2,
         factor=2),
-    "factorwise_gamma_factor": lambda: _scale_where(
-        constants, "factorwise_gamma_factor",
+    "factorwise_gamma_factor": lambda: _scale_row_where(
+        "factorwise_gamma_factor",
         lambda shape, gamma, pair, *rest: pair.l2[:1] == (1,) and gamma.high[:1] == (-1,)),
+    "factorwise_gamma_factor_pair_position": lambda: _scale_row_where(
+        "factorwise_gamma_factor",
+        lambda shape, gamma, pair, *rest: pair.l2[:1] == (1,) and sum(gamma.low) % 2 == 0),
     "factorwise_gamma_factor_top_signs": _negated_top_signs,
     "factorwise_gamma_factor_negated_m": lambda: _negated_m("factorwise_gamma_factor"),
     "factorwise_e_factor": lambda: _scale_where(
@@ -181,10 +203,11 @@ PARTIAL_FAULTS = {
 def _per_point_transfer_failures(q, rrmax):
     """The transfer sweep's failures, with both routes evaluated in full at every point.
 
-    No grid and no cell value: each point multiplies the per-factor route's
-    gamma, e- and u-factors, and the closed route's transfer_factor_sign
-    (with its eta_of_L2), kappa_l2 and kappa_u.  Only for rrmax <= 2, where
-    every R - r takes all of r = 0, 1, 2.
+    No grid, no memo and no row of more than one pairing: each point
+    multiplies the per-factor route's gamma, e- and u-factors, and the
+    closed route's transfer_factor_sign (with its eta_of_L2), kappa_l2 and
+    kappa_u, each route's gamma factor taken from a one-pairing row.  Only
+    for rrmax <= 2, where every R - r takes all of r = 0, 1, 2.
     """
     field = ResidueParam(q)
     m = sgn_minus_one(field)
@@ -206,11 +229,13 @@ def _per_point_transfer_failures(q, rrmax):
                                 for e in fam.enumerate_e(shape):
                                     for u in itertools.product((0, 1), repeat=t):
                                         fw = constants.factorwise_gamma_factor(
-                                            shape, gamma, pair, scd1, scd2, eta, m, field) \
+                                            shape, gamma, [pair], scd1, scd2, eta, m,
+                                            field)[0] \
                                             * constants.factorwise_e_factor(e, pair) \
                                             * constants.factorwise_u_factor(u, k_second, eta)
                                         cl = constants.transfer_factor_sign(
-                                            shape, gamma, pair, scd1, scd2, eta, m, field) \
+                                            shape, gamma, [pair], scd1, scd2, eta, m,
+                                            field)[0] \
                                             * fam.kappa_l2(e, pair) * fam.kappa_u(u, k_second)
                                         if fw != cl:
                                             failures.append(
@@ -246,15 +271,15 @@ def test_transfer_negated_m_fails_on_b_one_shapes_with_odd_t2(fault, monkeypatch
     assert {(f["rp"], f["rpp"]) for f in report.failures} == {(0, 2), (1, 3), (2, 4)}
 
 
-def test_transfer_checks_each_cell_once(monkeypatch):
+def test_transfer_checks_each_row_once(monkeypatch):
     events, gammas, calls = [], Counter(), Counter()
     original_check = constants.factorwise_transfer_check
     original_gamma = fam.enumerate_gamma
     points, specs = suites.SUITES["transfer"]
 
-    def check(shape, *rest):
-        events.append(("check", shape.b_switch))
-        return original_check(shape, *rest)
+    def check(shape, gamma, pairs, *rest):
+        events.append(("check", shape.b_switch, len(pairs)))
+        return original_check(shape, gamma, pairs, *rest)
 
     def enumerate_gamma(shape, field, target):
         gammas[shape.rp, shape.rpp] += 1
@@ -283,25 +308,33 @@ def test_transfer_checks_each_cell_once(monkeypatch):
     counted(constants, "sgn_minus_one", lambda *args: "sgn_minus_one")
     report = suites.run("transfer", qs=(5,), rrmax=2)
     assert report.passed
+    shapes = [fam.SplitShape(*shape) for shape in constants._transfer_shapes(2, 5)]
     # one vector list per (shape, sign target), shared by the four
     # (beta', beta'', eta) blocks with that target
-    assert len(gammas) == 9 and set(gammas.values()) == {2}
-    # one check per (gamma, pairing) cell, then that cell's points as one batch
-    checks = events[::2]
-    assert set(checks) == {("check", 0), ("check", 1)} and len(checks) == len(events) // 2
-    assert all(isinstance(n, int) and n > 0 for n in events[1::2])
-    assert sum(events[1::2]) == report.points_checked
-    # eta[L2, gamma] once per cell where B = 1, and never where B = 0
-    assert calls["eta_of_L2", 1] == checks.count(("check", 1)) > 0
+    assert len(gammas) == len(shapes) == 9 and set(gammas.values()) == {2}
+    # one check per (gamma, block) row, over all the shape's pairings, then
+    # that row's points as one batch
+    checks, yields = events[::2], events[1::2]
+    assert len(checks) == len(yields) == len(events) // 2
+    assert set(checks) == {("check", shape.b_switch, len(fam.enumerate_L(shape)))
+                           for shape in shapes}
+    # every (shape, beta', beta'', eta) block makes a row of each vector of its target
+    field = ResidueParam(5)
+    assert len(checks) == sum(4 * len(original_gamma(shape, field, target))
+                              for shape in shapes for target in (1, -1))
+    assert all(isinstance(n, int) and n > 0 for n in yields)
+    assert sum(yields) == report.points_checked
+    # eta[L2, gamma] once per (gamma, pairing) where B = 1, and never where B = 0
+    assert calls["eta_of_L2", 1] == sum(n for _, b, n in checks if b == 1) > 0
     assert calls["eta_of_L2", 0] == 0
     # the e-parts once per (shape, pairing, sign vector) while the grids are
-    # built, never per cell
+    # built, never per row
     grid_entries = sum(len(fam.enumerate_L(shape)) * len(fam.enumerate_e(shape))
-                       for shape in itertools.starmap(fam.SplitShape,
-                                                      constants._transfer_shapes(2, 5)))
+                       for shape in shapes)
     assert calls["factorwise_e_factor"] == calls["kappa_l2"] == grid_entries < len(checks)
-    # m = sgn(-1) once per q, here one, and never per cell
+    # m = sgn(-1) once per q, here one, and never per row
     assert calls["sgn_minus_one"] == 1
+
 
 def test_kappasum_fails_on_a_negated_kappa_zero(monkeypatch):
     original = fam.kappa_zero
