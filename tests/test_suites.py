@@ -155,6 +155,22 @@ def _negated_top_signs():
     return constants, "factorwise_gamma_factor", faulty
 
 
+def _mirrored_pairings():
+    # for gamma of even residue sum, the per-factor route reads each
+    # pairing's factor off the pairing at the mirrored position of
+    # enumerate_L: the row keeps its values, but they move to other pairings
+    original = constants.factorwise_gamma_factor
+
+    def faulty(shape, gamma, pairs, *rest):
+        if sum(gamma.low) % 2:
+            return original(shape, gamma, pairs, *rest)
+        every = fam.enumerate_L(shape)
+        mirror = {pair.l2: every[-1 - i] for i, pair in enumerate(every)}
+        return original(shape, gamma, [mirror[pair.l2] for pair in pairs], *rest)
+
+    return constants, "factorwise_gamma_factor", faulty
+
+
 def _negated_m(name):
     original = getattr(constants, name)
 
@@ -169,11 +185,12 @@ def _negated_m(name):
 # satisfies its predicate.  The faults on the e- and u-parts reach a row
 # through its route's grid only.  The doubled closed-form sign gives rows
 # whose entries are not +-1.  The pairing-position fault flips per-factor
-# entries by where their pairing sits in the row.  The negated top signs
-# reach the per-factor route alone, and the flipped eta[L2, gamma] the
-# closed route on B = 1 shapes alone.  A route given -m for m = sgn(-1)
-# changes sign where it reads m an odd number of times: on the B = 1
-# shapes with odd t2.
+# entries by where their pairing sits in the row, and the mirrored
+# pairings move a row's values to other pairings without changing them.
+# The negated top signs reach the per-factor route alone, and the flipped
+# eta[L2, gamma] the closed route on B = 1 shapes alone.  A route given -m
+# for m = sgn(-1) changes sign where it reads m an odd number of times: on
+# the B = 1 shapes with odd t2.
 PARTIAL_FAULTS = {
     "transfer_factor_sign": lambda: _scale_row_where(
         "transfer_factor_sign", lambda shape, gamma, *rest: sum(gamma.low) % 3 == 1),
@@ -186,6 +203,7 @@ PARTIAL_FAULTS = {
     "factorwise_gamma_factor_pair_position": lambda: _scale_row_where(
         "factorwise_gamma_factor",
         lambda shape, gamma, pair, *rest: pair.l2[:1] == (1,) and sum(gamma.low) % 2 == 0),
+    "factorwise_gamma_factor_mirrored_pairings": _mirrored_pairings,
     "factorwise_gamma_factor_top_signs": _negated_top_signs,
     "factorwise_gamma_factor_negated_m": lambda: _negated_m("factorwise_gamma_factor"),
     "factorwise_e_factor": lambda: _scale_where(
