@@ -140,13 +140,13 @@ def alpha_constant(rp: int, rpp: int, scd1: int, scd2: int,
     return out
 
 
-def pair_power_constant(rp: int, rpp: int, rp_field: ResidueParam) -> ExactValue:
+def pair_power_constant(rp: int, rpp: int, rp_field: ResidueParam) -> Fraction:
     """C(r', r'') = 2^(1 - r' - r'') * ((q-1)^2 (q-3))^((r - R)/2)."""
     if (rp - rpp) % 2:
         raise ValueError("r' and r'' must have equal parity")
     q = rp_field.q
     t2 = abs(rp - rpp) // 2
-    return ExactValue(Fraction(2) ** (1 - rp - rpp) / ((q - 1) ** 2 * (q - 3)) ** t2)
+    return Fraction(2) ** (1 - rp - rpp) / ((q - 1) ** 2 * (q - 3)) ** t2
 
 
 def even_case_transfer_constant(eta1: SquareClass, eta2: SquareClass, rp: int, rpp: int,
@@ -226,7 +226,7 @@ def weil_ratio_sign(eta1: SquareClass, eta2: SquareClass, m: int) -> int:
 def collapse_and_product_constants(rp: int, rpp: int, scd1: int, scd2: int,
                                    eta: SquareClass, eta1: SquareClass, eta2: SquareClass,
                                    beta: int, rp_field: ResidueParam,
-                                   alt_two_power: bool = False) -> tuple[ExactValue, ExactValue]:
+                                   alt_two_power: bool = False) -> tuple[Fraction, Fraction]:
     """The fiber-collapse constant and the total product constant.
 
     The classes enter through scd1 = sgn_cd(w') and scd2 = sgn_cd(w''),
@@ -263,11 +263,11 @@ def collapse_and_product_constants(rp: int, rpp: int, scd1: int, scd2: int,
     two_exp = beta + 2 * t1 + 2 * t2 + (1 if alt_two_power else 0)
     product = collapse * Fraction(2) ** two_exp \
         * weil_ratio_sign(eta1, eta2, m) \
-        * pair_power_constant(rp, rpp, rp_field).value \
+        * pair_power_constant(rp, rpp, rp_field) \
         * alpha_constant(rp, rpp, scd1, scd2, eta, m) \
         * alpha_constant(t1, t1, scd1, 1, eta1, m) \
         * alpha_constant(t2, t2, scd2, 1, eta2, m)
-    return ExactValue(collapse), ExactValue(product)
+    return collapse, product
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,7 @@ def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
                 if (rp - rpp) % 2:
                     continue
                 shape = fam.SplitShape(rp, rpp)
-                count = ExactValue(fam.transversal_family_count_formula(shape, field))
+                count = fam.transversal_family_count_formula(shape, field)
                 for ue, ue2, s1, s2 in itertools.product((1, -1), repeat=4):
                     eta = SquareClass(rpp % 2, ue)
                     eta2 = SquareClass(shape.t2 % 2, ue2)
@@ -351,9 +351,9 @@ def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
                         _, product = collapse_and_product_constants(
                             rp, rpp, s1, s2, eta, eta1, eta2, beta, field,
                             alt_two_power=alt_two_power)
-                        lhs = ExactValue(Fraction(1, 2 ** (1 + beta))) * product * count
+                        lhs = ExactValue(product * count / 2 ** (1 + beta))
                         rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta, m)
-                        if lhs == ExactValue(rhs):
+                        if lhs.value == rhs:
                             yield 1, ()
                         else:
                             yield 1, ({"q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
@@ -406,8 +406,29 @@ def chain_sign_constants(rp: int, rpp: int, scd1: int, scd2: int,
     return base, endo, reduction
 
 
+def sign_chain(rp: int, rpp: int, scd1: int, scd2: int, d2: int, n: int, d: int, m: int) -> int:
+    """The comparison chain base * endo * reduction * (-1)^(d2 r'') at one point."""
+    base, endo, reduction = chain_sign_constants(rp, rpp, scd1, scd2, d2, n, d, m)
+    return base * endo * reduction * (-1) ** ((d2 * rpp) % 2)
+
+
+def collapse_product(chain: int, rp: int, rpp: int, scd1: int, scd2: int, n: int, m: int) -> int:
+    """The full nine-constant product at one point, which collapses to 1.
+
+    chain is sign_chain at block-count parity n, realigned to n = n1 + n2;
+    the split pair's data have trivial second factors, so add no block counts.
+    """
+    r1p, r1pp, r2p, r2pp = split_pair_values(rp, rpp)
+    n1, n2 = split_sizes(rp, rpp, 0, 0)
+    total = chain * (-1) ** ((n + n1 + n2) % 2)
+    for (rpj, rppj, sj, nj) in ((r1p, r1pp, scd1, n1), (r2p, r2pp, scd2, n2)):
+        base_j, endo_j, reduction_j = chain_sign_constants(rpj, rppj, sj, 1, 0, nj, 0, m)
+        total *= base_j * endo_j * reduction_j
+    return total
+
+
 def sign_chain_points(rmax: int):
-    """The sign chain against (-1)^n U, then the full product's collapse to 1.
+    """sign_chain against (-1)^n U, then collapse_product, the full product, against 1.
 
     U = U1 U2 over the split pair is aux's u_multiplicative, swept there.
     """
@@ -415,29 +436,18 @@ def sign_chain_points(rmax: int):
         m = sgn_minus_one(ResidueParam(q))
         for rp in range(rmax + 1):
             for rpp in range(-rmax, rmax + 1):
-                r1p, r1pp, r2p, r2pp = split_pair_values(rp, rpp)
                 u = u_sign(rp, rpp, m)
                 for s1, s2, d2, d1, npar in itertools.product(
                         (1, -1), (1, -1), (0, 1), (0, 1), (0, 1)):
                     d = d1 + d2
-                    base, endo, reduction = chain_sign_constants(rp, rpp, s1, s2, d2, npar, d, m)
-                    chain = base * endo * reduction * (-1) ** ((d2 * rpp) % 2)
+                    chain = sign_chain(rp, rpp, s1, s2, d2, npar, d, m)
                     target = (-1) ** npar * u
                     if chain != target:
                         yield 1, ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
                                    "d2": d2, "d": d, "n": npar, "lhs": chain, "rhs": target,
                                    "identity": "chain"},)
                         continue
-                    # full nine-constant product; companion data has trivial
-                    # second factors, so their block counts do not contribute
-                    n1, n2 = split_sizes(rp, rpp, 0, 0)
-                    total = chain
-                    for (rpj, rppj, sj, nj) in ((r1p, r1pp, s1, n1), (r2p, r2pp, s2, n2)):
-                        base_j, endo_j, reduction_j = chain_sign_constants(
-                            rpj, rppj, sj, 1, 0, nj, 0, m)
-                        total *= base_j * endo_j * reduction_j
-                    # chain used parity npar; realign to n = n1 + n2
-                    total *= (-1) ** ((npar + n1 + n2) % 2)
+                    total = collapse_product(chain, rp, rpp, s1, s2, npar, m)
                     yield 1, () if total == 1 else (
                         {"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2, "d2": d2,
                          "d": d, "value": total, "identity": "collapse"},)

@@ -207,6 +207,12 @@ def solve_split_family(dd: DescentDatum, g: QuadrupleGamma,
     return split
 
 
+def split_scan(splits: list[SizeSplit], sizes: list[tuple]) -> list[list[SizeSplit]]:
+    """Per split, the splits whose assignment_sizes (sizes, in order) and block splits match."""
+    return [[s for s, s_sizes in zip(splits, sizes) if s_sizes == own and s.pairs == split.pairs]
+            for split, own in zip(splits, sizes)]
+
+
 def sector_size_sum(g: QuadrupleGamma, split: SizeSplit,
                     blocks: tuple[UnitaryBlock, ...]) -> tuple[int, int]:
     """(n1, n2) obtained by summing the sector sizes of a split.

@@ -1,4 +1,4 @@
-"""Exact nonzero rationals: the named constants of the product-formula identity.
+"""Exact nonzero rationals: the left-hand side of the product-formula identity.
 
 A failure record serializes one as a sign and a positive reduced fraction.
 """
@@ -16,14 +16,6 @@ class ExactValue:
         if value == 0:
             raise ValueError("ExactValue cannot represent zero")
         self.value = value
-
-    def __mul__(self, other: "ExactValue") -> "ExactValue":
-        return ExactValue(self.value * other.value)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactValue):
-            return NotImplemented
-        return self.value == other.value
 
     def __repr__(self):
         return f"ExactValue({self.value})"

@@ -306,6 +306,54 @@ def reassemble(pair: LPair, shape: SplitShape) -> operator.itemgetter:
     return operator.itemgetter(*order, *range(t2, t2 + r))
 
 
+def reassembly_tallies(shape: SplitShape, pairs: list[LPair], choices: list,
+                       rp_field: ResidueParam) -> dict[tuple[int, int], list[dict]]:
+    """(tau1, tau2) -> per pairing, GammaVector -> its number of reassembly preimages.
+
+    A preimage joins a selection from a family's side-1 bucket at tau1 and
+    one from its side-2 bucket at tau2.  One pass over the families keeps
+    no family; each flat tally is wrapped once, sharing the top-sign tuples.
+    """
+    gathers = [reassemble(pair, shape) for pair in pairs]
+    widths = ({shape.t2 + shape.r}, {shape.t2})
+    tallies = {taus: [Counter() for _ in pairs] for taus in itertools.product((1, -1), (1, -1))}
+    for family in enumerate_transversal_families(shape, choices):
+        side1, side2 = [family_selections(family, idx, shape, rp_field) for idx in (1, 2)]
+        if ({*map(len, side1[1]), *map(len, side1[-1])},
+                {*map(len, side2[1]), *map(len, side2[-1])}) != widths:
+            raise ValueError("component lengths do not match the shape")
+        for (tau1, tau2), row in tallies.items():
+            joined = list(itertools.starmap(
+                operator.add, itertools.product(side1[tau1], side2[tau2])))
+            for gather, tally in zip(gathers, row):
+                tally.update(map(gather, joined))
+    nlow = shape.R - shape.r
+    highs = {high: high for high in itertools.product((1, -1), repeat=shape.r)}
+    for row in tallies.values():
+        for pi, tally in enumerate(row):
+            row[pi] = {GammaVector(g[:nlow], highs[g[nlow:]]): n for g, n in tally.items()}
+    return tallies
+
+
+def image_groups(shape: SplitShape, pairs: list[LPair], gammas: dict[int, list[GammaVector]],
+                 rp_field: ResidueParam) -> dict[tuple, list[int]]:
+    """(pairing index, target, sgn_cd(w2), eta[L2, gamma]'s parity and unit) -> positions.
+
+    gammas maps each sign target sgn_cd(w1) sgn_cd(w2) unit(eta) to its
+    admissible vectors; a key lists the positions in gammas[target] of its
+    image's vectors, in order.
+    """
+    images: dict[tuple, list[int]] = {}
+    for pi, pair in enumerate(pairs):
+        for target, vectors in gammas.items():
+            for j, g in enumerate(vectors):
+                for scd2 in (1, -1):
+                    eta_l2 = eta_of_L2(g, pair, shape, scd2, rp_field)
+                    images.setdefault((pi, target, scd2, eta_l2.val_parity, eta_l2.unit_sign),
+                                      []).append(j)
+    return images
+
+
 def fiber_size_prediction(gamma: GammaVector, shape: SplitShape,
                           rp_field: ResidueParam) -> Fraction:
     """Predicted fiber size, a Fraction: ((q-3)/4)^t2 * prod over even pair slots (q-2+sgn)."""

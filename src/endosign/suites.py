@@ -19,9 +19,7 @@ constants module.
 from __future__ import annotations
 
 import itertools
-import operator
 import time
-from collections import Counter
 from math import factorial
 
 from . import descent as dsc
@@ -87,19 +85,11 @@ def counting_points(qs, t2max: int):
     choices, built once per field.  Includes the worked small values
     (family count 4 at q = 5 with one pair slot; fibers of sizes 2 and 1).
 
-    A point is a sign choice (s1, s2, ue, ue2) and a pairing.  A tally
-    reads only the pairing and tau_j = s_j * unit(eta_j); one pass over the
-    families fills the tally of every (pairing, tau1, tau2) and keeps no
-    family, so memory is bounded by the image, not by the family count.
-    The reassembly along a pairing is one itemgetter gather per shape; per
-    family and (tau1, tau2) every c1 + c2 is joined once and gathered
-    along each pairing, and the tallies count gamma's flat tuples.
-    The image groups each sign target's admissible vectors by eta_of_L2
-    once per (pairing, target, sgn_cd(w2)); the closed-form fiber size is
-    evaluated once per vector of the shape and the slotwise count once per
-    (vector, pairing).  Every point compares its own tally with its own
-    image and each tallied fiber with both.  The points of a shape are
-    checked and yielded sign choice first, pairing second.
+    A point is a sign choice (s1, s2, ue, ue2) and a pairing.  Per shape,
+    families.reassembly_tallies builds the tally side of every point and
+    families.image_groups its image, the prediction runs once per vector
+    and the slotwise count once per (vector, pairing).  The points of a
+    shape are checked and yielded sign choice first, pairing second.
     """
     worked_family_count = None
     worked_fiber_sizes: set[int] = set()
@@ -122,63 +112,23 @@ def counting_points(qs, t2max: int):
             for rp, rpp in _counting_shapes(t2, q):
                 shape = fam.SplitShape(rp, rpp)
                 pairs = fam.enumerate_L(shape)
-                gathers = [fam.reassemble(pair, shape) for pair in pairs]
-                widths = ({shape.t2 + shape.r}, {shape.t2})
-                # (tau1, tau2) -> per pairing, gamma's flat tuple -> preimages:
-                # a selection from a family's side-1 bucket at tau1 and one
-                # from its side-2 bucket at tau2
-                tallies = {taus: [Counter() for _ in pairs]
-                           for taus in itertools.product((1, -1), (1, -1))}
-                for family in fam.enumerate_transversal_families(shape, choices):
-                    # selections keyed by their sign product; a selection for
-                    # (eta_j, w_j) is the bucket at sgn_cd(w_j) * unit(eta_j)
-                    side1, side2 = [fam.family_selections(family, idx, shape, field)
-                                    for idx in (1, 2)]
-                    # the gathers read t2 residues and r top signs from side 1
-                    # and t2 residues from side 2
-                    if ({*map(len, side1[1]), *map(len, side1[-1])},
-                            {*map(len, side2[1]), *map(len, side2[-1])}) != widths:
-                        raise ValueError("component lengths do not match the shape")
-                    for (tau1, tau2), row in tallies.items():
-                        # every c1 + c2, joined once for all pairings
-                        joined = list(itertools.starmap(
-                            operator.add, itertools.product(side1[tau1], side2[tau2])))
-                        for gather, tally in zip(gathers, row):
-                            tally.update(map(gather, joined))
-                # wrap each distinct key once, so it compares with the image;
-                # to bound peak memory, each flat tally is dropped as soon as
-                # it is wrapped and the vectors share the 2^r top-sign tuples
-                nlow = shape.R - shape.r
-                highs = {high: high for high in itertools.product((1, -1), repeat=shape.r)}
-                for row in tallies.values():
-                    for pi, tally in enumerate(row):
-                        row[pi] = {fam.GammaVector(g[:nlow], highs[g[nlow:]]): n
-                                   for g, n in tally.items()}
-                # the image by (pairing index, target sgn_cd(w1) sgn_cd(w2)
-                # unit(eta), sgn_cd(w2), eta[L2, gamma]), in enumerate_gamma
-                # order, each vector with its slotwise count along the pairing
-                # and its predicted fiber size
-                gammas = {target: [(g, fam.fiber_size_prediction(g, shape, field))
-                                   for g in fam.enumerate_gamma(shape, field, target)]
-                          for target in (1, -1)}
-                images: dict[tuple, list] = {}
-                for pi, pair in enumerate(pairs):
-                    for target, vectors in gammas.items():
-                        for g, predicted in vectors:
-                            entry = (g, fam.fiber_count_check(g, pair, pair_counts), predicted)
-                            for s2 in (1, -1):
-                                eta_l2 = fam.eta_of_L2(g, pair, shape, s2, field)
-                                images.setdefault(
-                                    (pi, target, s2, eta_l2.val_parity, eta_l2.unit_sign),
-                                    []).append(entry)
+                tallies = fam.reassembly_tallies(shape, pairs, choices, field)
+                gammas = {target: fam.enumerate_gamma(shape, field, target) for target in (1, -1)}
+                images = fam.image_groups(shape, pairs, gammas, field)
+                slotwise = {(pi, target): [fam.fiber_count_check(g, pair, pair_counts)
+                                           for g in vectors]
+                            for pi, pair in enumerate(pairs) for target, vectors in gammas.items()}
+                predicted = {target: [fam.fiber_size_prediction(g, shape, field) for g in vectors]
+                             for target, vectors in gammas.items()}
                 for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4):
                     eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(t2 % 2, ue2)
                     tau1, tau2 = s1 * (eta * eta2).unit_sign, s2 * eta2.unit_sign
+                    target = s1 * s2 * ue
+                    vectors, predictions = gammas[target], predicted[target]
                     for pi in range(len(pairs)):
                         tally = tallies[tau1, tau2][pi]
-                        image = images.get(
-                            (pi, s1 * s2 * ue, s2, eta2.val_parity, eta2.unit_sign), ())
-                        expected = {g for g, _, _ in image}
+                        image = images.get((pi, target, s2, eta2.val_parity, eta2.unit_sign), ())
+                        expected = {vectors[j] for j in image}
                         if tally.keys() != expected:
                             yield 1, ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
                                        "eta": eta.name(), "eta2": eta2.name(),
@@ -187,14 +137,16 @@ def counting_points(qs, t2max: int):
                                        "missing": len(expected - tally.keys())},)
                             continue
                         failures = ()
-                        for g, slotwise, predicted in image:
+                        counts = slotwise[pi, target]
+                        for j in image:
+                            g = vectors[j]
                             observed = tally[g]
-                            if slotwise != observed or observed != predicted:
+                            if counts[j] != observed or observed != predictions[j]:
                                 failures += ({
                                     "q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
                                     "eta2": eta2.name(), "gamma": g.to_json(),
                                     "identity": "fiber", "observed": observed,
-                                    "slotwise": slotwise, "predicted": str(predicted)},)
+                                    "slotwise": counts[j], "predicted": str(predictions[j])},)
                             elif q == 5 and t2 == 1:
                                 worked_fiber_sizes.add(observed)
                         yield 1, failures
@@ -236,13 +188,36 @@ def weyl_points(nmax: int):
             {"d": d, "identity": "total_a", "lhs": total_a, "rhs": factorial(d)},)
 
 
+def descent_window():
+    """(g, datum, N_+, N_-) for r', r'', N', N'' <= 2 and unitary blocks of weight bw <= 2."""
+    for rp, rpp in itertools.product(range(3), repeat=2):
+        r_plus, r_minus = dsc.r_plus_minus(rp, rpp)
+        for bw in range(3):
+            for blocks in _block_multisets(bw):
+                d = sum(b[0] for b in blocks)
+                for Np, Npp in itertools.product(range(3), repeat=2):
+                    g = QuadrupleGamma(rp, rpp, Np, Npp)
+                    for N_plus in range(Np + Npp - bw + 1):
+                        N_minus = Np + Npp - bw - N_plus
+                        try:
+                            dd = dsc.DescentDatum(
+                                N_plus + (r_plus ** 2 + rpp ** 2 - 1) // 2,
+                                SquareClass(rpp % 2, (-1) ** (d % 2)),
+                                N_minus + (r_minus ** 2 + rpp ** 2) // 2,
+                                SquareClass(rpp % 2, 1), blocks)
+                        except ValueError:
+                            continue
+                        yield g, dd, N_plus, N_minus
+
+
 def descent_points(beta_max: int):
     """Descent splitting checks.
 
     (a) the sign-character relation on every class splitting with inner
-    all-odd blocks, exhaustively for |beta| <= beta_max; (b) the unique
-    size split selected by an assignment against a full scan; (c) sector
-    sums of the size relations reproduce the quadruple splitting sizes.
+    all-odd blocks, exhaustively for |beta| <= beta_max; for each datum of
+    descent_window, (b) its feasibility window, (c) solve_split_family's
+    split against split_scan's full scan, and (d) the sector sums of a split
+    against the quadruple splitting sizes.
     """
     for total in range(beta_max + 1):
         for beta in enumerate_partitions(total):
@@ -251,46 +226,23 @@ def descent_points(beta_max: int):
                     yield 1, () if dsc.check_v_sign_relation(beta, split) else (
                         {"beta": beta.to_json(), "fs": list(fs), "identity": "class_sign"},)
 
-    blocks_options = [(), ((1, 1),), ((1, 2),), ((2, 1),), ((1, 1), (1, 1))]
-    for rp, rpp in itertools.product(range(3), repeat=2):
-        r_plus, r_minus = dsc.r_plus_minus(rp, rpp)
-        for blocks in blocks_options:
-            bw = sum(d * f for d, f in blocks)
-            d = sum(b[0] for b in blocks)
-            for Np, Npp in itertools.product(range(3), repeat=2):
-                if bw > Np + Npp:
-                    continue
-                g = QuadrupleGamma(rp, rpp, Np, Npp)
-                for N_plus in range(Np + Npp - bw + 1):
-                    N_minus = Np + Npp - bw - N_plus
-                    n_plus = N_plus + (r_plus ** 2 + rpp ** 2 - 1) // 2
-                    n_minus = N_minus + (r_minus ** 2 + rpp ** 2) // 2
-                    eta_minus = SquareClass(rpp % 2, 1)
-                    eta_plus = SquareClass(rpp % 2, (-1) ** (d % 2))
-                    try:
-                        dd = dsc.DescentDatum(n_plus, eta_plus, n_minus, eta_minus, blocks)
-                    except ValueError:
-                        continue
-                    if dsc.descent_feasibility(dd, g) != (N_plus, N_minus):
-                        yield 1, ({"g": g.to_json(), "identity": "feasibility"},)
-                        continue
-                    yield 1, ()
-                    splits = dsc.enumerate_size_splits(dd, g, N_plus, N_minus)
-                    expected_sizes = split_sizes(rp, rpp, Np, Npp)
-                    # each split's assignment, once; the full scan below reads them all
-                    assignments = [dsc.assignment_sizes(g, split) for split in splits]
-                    for split, sizes in zip(splits, assignments):
-                        sums = dsc.sector_size_sum(g, split, dd.blocks)
-                        yield 1, () if sums == expected_sizes else (
-                            {"g": g.to_json(), "split": split.to_json(),
-                             "identity": "sector_sum"},)
-                        eta1_minus = SquareClass(((r_minus + rpp) // 2) % 2, 1)
-                        got = dsc.solve_split_family(dd, g, sizes, eta1_minus, split.pairs)
-                        matches = [s for s, s_sizes in zip(splits, assignments)
-                                   if s_sizes == sizes and s.pairs == split.pairs]
-                        yield 1, () if got == split and matches == [split] else (
-                            {"g": g.to_json(), "split": split.to_json(),
-                             "identity": "unique_split"},)
+    for g, dd, N_plus, N_minus in descent_window():
+        if dsc.descent_feasibility(dd, g) != (N_plus, N_minus):
+            yield 1, ({"g": g.to_json(), "identity": "feasibility"},)
+            continue
+        yield 1, ()
+        splits = dsc.enumerate_size_splits(dd, g, N_plus, N_minus)
+        expected_sizes = split_sizes(g.rp, g.rpp, g.Np, g.Npp)
+        eta1_minus = SquareClass(((dsc.r_plus_minus(g.rp, g.rpp)[1] + g.rpp) // 2) % 2, 1)
+        # each split's assignment, once; the solver and the full scan both read them
+        assignments = [dsc.assignment_sizes(g, split) for split in splits]
+        for split, sizes, matches in zip(splits, assignments, dsc.split_scan(splits, assignments)):
+            sums = dsc.sector_size_sum(g, split, dd.blocks)
+            yield 1, () if sums == expected_sizes else (
+                {"g": g.to_json(), "split": split.to_json(), "identity": "sector_sum"},)
+            got = dsc.solve_split_family(dd, g, sizes, eta1_minus, split.pairs)
+            yield 1, () if got == split and matches == [split] else (
+                {"g": g.to_json(), "split": split.to_json(), "identity": "unique_split"},)
 
 
 def _unip_quad_params(n: int):

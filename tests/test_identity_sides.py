@@ -4,22 +4,22 @@ REGISTRY maps each identity that a sweep checks to its sides and to the
 package functions that two of its sides may share, each with a one-line
 reason.  An identity is each "identity": "<name>" literal of a failure record
 in src/endosign, plus one fixed name for each record family that carries
-none (FIXED).  A side is a callable that recomputes, at small bounds, what
-the sweep computes for that side of the identity, from inputs built once
-outside every side, as the sweep builds them outside its checks.
+none (FIXED).  A side is a callable that computes, at small bounds, that
+side of the identity from inputs built once outside every side, as the
+sweep builds them outside its checks.  The sides of counting, signchain and
+descent call the functions that those sweeps run; the other sides copy the
+sweep's code, and a copy that drifts from the sweep goes unnoticed.
 
 The guard profiles each side with entered_functions and fails when two
 sides enter a package function that the allow-list does not name, or when
 the allow-list names a function that no two sides share.  It also checks
-that all sides of an identity return the same value, so a side that drifts
-from what the sweep computes fails too.  Sharing a helper above the leaves
-would let one fault move both sides alike and pass the comparison.
+that all sides of an identity return the same value.  Sharing a helper
+above the leaves would let one fault move both sides alike and pass the
+comparison.
 """
 
 import itertools
 import re
-from collections import Counter
-from fractions import Fraction
 from math import factorial
 from pathlib import Path
 from typing import NamedTuple
@@ -31,11 +31,11 @@ from endosign import descent as dsc
 from endosign import families as fam
 from endosign import params as par
 from endosign import weyl
-from endosign.exact import ExactValue
 from endosign.localfield import ResidueParam, SquareClass, sgn_minus_one
 from endosign.partitions import Partition, SymplecticPartition, enumerate_partitions
 
 from test_constants import entered_functions
+from test_source_guards import SMALL_SWEEPS
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "endosign").glob("*.py"))
@@ -122,92 +122,59 @@ def _kappa_law():
 
 COUNTING_SHAPES = [fam.SplitShape(rp, rpp) for t2 in (0, 1)
                    for rp, rpp in suites._counting_shapes(t2, 5)]
-# the sweep enumerates each shape's pairings once, for the tally and the image
+# the sweep enumerates each shape's pairings and vectors once, for the tally and the image
 COUNTING_PAIRS = {shape: fam.enumerate_L(shape) for shape in COUNTING_SHAPES}
+GAMMAS = {shape: {target: fam.enumerate_gamma(shape, F5, target) for target in (1, -1)}
+          for shape in COUNTING_SHAPES}
+# (shape, pairing index, tau1, tau2, image key) as the sweep visits them, with
+# tau1 = s1 unit(eta eta2), tau2 = s2 unit(eta2) and eta2 = (t2 mod 2, ue2)
+COUNTING_POINTS = [(shape, pi, s1 * ue * ue2, s2 * ue2, (pi, s1 * s2 * ue, s2, shape.t2 % 2, ue2))
+                   for shape in COUNTING_SHAPES
+                   for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4)
+                   for pi in range(len(COUNTING_PAIRS[shape]))]
 
 
-def _counting_points():
-    """(shape, pairing index, pairing, tau1, tau2, target, s2, eta2) as the sweep visits them."""
-    points = []
-    for shape in COUNTING_SHAPES:
-        for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4):
-            eta, eta2 = SquareClass(shape.rpp % 2, ue), SquareClass(shape.t2 % 2, ue2)
-            tau1, tau2 = s1 * (eta * eta2).unit_sign, s2 * eta2.unit_sign
-            for pi, pair in enumerate(COUNTING_PAIRS[shape]):
-                points.append((shape, pi, pair, tau1, tau2, s1 * s2 * ue, s2,
-                               (eta2.val_parity, eta2.unit_sign)))
-    return points
+def _tallies():
+    """The sweep's tallies of every shape, from a slot table built inside the side."""
+    choices = fam._slot_choices(F5)
+    return {shape: fam.reassembly_tallies(shape, COUNTING_PAIRS[shape], choices, F5)
+            for shape in COUNTING_SHAPES}
 
 
-COUNTING_POINTS = _counting_points()
-
-
-def _tallies(shape, field):
-    """The counting sweep's tally of one shape: (tau1, tau2) -> per pairing, vector -> count."""
-    pairs = COUNTING_PAIRS[shape]
-    gathers = [fam.reassemble(pair, shape) for pair in pairs]
-    tallies = {taus: [Counter() for _ in pairs] for taus in itertools.product((1, -1), repeat=2)}
-    for family in fam.enumerate_transversal_families(shape, fam._slot_choices(field)):
-        side1, side2 = [fam.family_selections(family, idx, shape, field) for idx in (1, 2)]
-        for (tau1, tau2), row in tallies.items():
-            for gather, tally in zip(gathers, row):
-                tally.update(gather(c1 + c2) for c1 in side1[tau1] for c2 in side2[tau2])
-    nlow = shape.R - shape.r
-    return {taus: [{fam.GammaVector(g[:nlow], g[nlow:]): n for g, n in tally.items()}
-                   for tally in row] for taus, row in tallies.items()}
+def _images():
+    """Shape -> image key -> the vectors of that image, from the sweep's grouping."""
+    return {shape: {key: [GAMMAS[shape][key[1]][j] for j in group] for key, group in
+                    fam.image_groups(shape, COUNTING_PAIRS[shape], GAMMAS[shape], F5).items()}
+            for shape in COUNTING_SHAPES}
 
 
 def _tallied_vectors():
-    tallies = {shape: _tallies(shape, F5) for shape in COUNTING_SHAPES}
+    tallies = _tallies()
     return [sorted((g.low, g.high) for g in tallies[shape][tau1, tau2][pi])
-            for shape, pi, _, tau1, tau2, *_ in COUNTING_POINTS]
+            for shape, pi, tau1, tau2, _ in COUNTING_POINTS]
 
 
 def _image_vectors():
-    gammas = {(shape, target): fam.enumerate_gamma(shape, F5, target)
-              for shape in COUNTING_SHAPES for target in (1, -1)}
-    out = []
-    for shape, _, pair, _, _, target, s2, eta2 in COUNTING_POINTS:
-        image = []
-        for g in gammas[shape, target]:
-            eta_l2 = fam.eta_of_L2(g, pair, shape, s2, F5)
-            if (eta_l2.val_parity, eta_l2.unit_sign) == eta2:
-                image.append((g.low, g.high))
-        out.append(sorted(image))
-    return out
+    images = _images()
+    return [sorted((g.low, g.high) for g in images[shape].get(key, ()))
+            for shape, *_, key in COUNTING_POINTS]
 
 
-def _fiber_points():
-    """(shape, pairing index, pairing, tau1, tau2, gamma) for each vector of each image."""
-    points = []
-    for shape, pi, pair, tau1, tau2, target, s2, eta2 in COUNTING_POINTS:
-        for g in fam.enumerate_gamma(shape, F5, target):
-            eta_l2 = fam.eta_of_L2(g, pair, shape, s2, F5)
-            if (eta_l2.val_parity, eta_l2.unit_sign) == eta2:
-                points.append((shape, pi, pair, tau1, tau2, g))
-    return points
-
-
-FIBER_POINTS = _fiber_points()
+IMAGES = _images()
+# (shape, pairing index, tau1, tau2, gamma) for each vector of each image
+FIBER_POINTS = [(shape, pi, tau1, tau2, g) for shape, pi, tau1, tau2, key in COUNTING_POINTS
+                for g in IMAGES[shape].get(key, ())]
 
 
 def _tallied_fibers():
-    tallies = {shape: _tallies(shape, F5) for shape in COUNTING_SHAPES}
-    return [tallies[shape][tau1, tau2][pi][g] for shape, pi, _, tau1, tau2, g in FIBER_POINTS]
+    tallies = _tallies()
+    return [tallies[shape][tau1, tau2][pi][g] for shape, pi, tau1, tau2, g in FIBER_POINTS]
 
 
 def _slotwise_fibers():
     counts = fam.slot_pair_counts(fam._slot_choices(F5))
-    return [fam.fiber_count_check(g, pair, counts) for _, _, pair, _, _, g in FIBER_POINTS]
-
-
-def _predicted_fibers():
-    return [fam.fiber_size_prediction(g, shape, F5) for shape, *_, g in FIBER_POINTS]
-
-
-def _worked_fiber_sizes():
-    return {n for shape in COUNTING_SHAPES if shape.t2 == 1
-            for row in _tallies(shape, F5).values() for tally in row for n in tally.values()}
+    return [fam.fiber_count_check(g, COUNTING_PAIRS[shape][pi], counts)
+            for shape, pi, _, _, g in FIBER_POINTS]
 
 
 FAMILY_SHAPES = [(field, fam.SplitShape(2 * t2, 0)) for field in (F5, F7) for t2 in range(3)]
@@ -236,36 +203,19 @@ CONSTPROD_POINTS = _constprod_points()
 def _constprod_products():
     out = []
     for field, shape, rp, rpp, s1, s2, eta, eta1, eta2, beta in CONSTPROD_POINTS:
-        count = ExactValue(fam.transversal_family_count_formula(shape, field))
+        count = fam.transversal_family_count_formula(shape, field)
         _, product = constants.collapse_and_product_constants(
             rp, rpp, s1, s2, eta, eta1, eta2, beta, field)
-        out.append((ExactValue(Fraction(1, 2 ** (1 + beta))) * product * count).value)
+        out.append(product * count / 2 ** (1 + beta))
     return out
 
 
 # --- signchain: r' <= 3, |r''| <= 3 ------------------------------------------
 
-CHAIN_POINTS = [(M[q], rp, rpp, *signs) for q in (5, 7) for rp, rpp in PAIRS
-                for signs in itertools.product((1, -1), (1, -1), (0, 1), (0, 1), (0, 1))]
-
-
-def _chain(m, rp, rpp, s1, s2, d2, d1, npar):
-    base, endo, reduction = constants.chain_sign_constants(rp, rpp, s1, s2, d2, npar, d1 + d2, m)
-    return base * endo * reduction * (-1) ** ((d2 * rpp) % 2)
-
-
-def _collapsed_products():
-    out = []
-    for m, rp, rpp, s1, s2, d2, d1, npar in CHAIN_POINTS:
-        r1p, r1pp, r2p, r2pp = constants.split_pair_values(rp, rpp)
-        n1, n2 = constants.split_sizes(rp, rpp, 0, 0)
-        total = _chain(m, rp, rpp, s1, s2, d2, d1, npar)
-        for rpj, rppj, sj, nj in ((r1p, r1pp, s1, n1), (r2p, r2pp, s2, n2)):
-            base_j, endo_j, reduction_j = constants.chain_sign_constants(
-                rpj, rppj, sj, 1, 0, nj, 0, m)
-            total *= base_j * endo_j * reduction_j
-        out.append(total * (-1) ** ((npar + n1 + n2) % 2))
-    return out
+# (r', r'', scd1, scd2, d2, n, d, m) of each point, as the sweep passes them to sign_chain
+CHAIN_POINTS = [(rp, rpp, s1, s2, d2, npar, d1 + d2, M[q]) for q in (5, 7) for rp, rpp in PAIRS
+                for s1, s2, d2, d1, npar in itertools.product(
+                    (1, -1), (1, -1), (0, 1), (0, 1), (0, 1))]
 
 
 # --- transfer: q = 5, R - r <= 2 ----------------------------------------------
@@ -336,52 +286,14 @@ SIGNED_CYCLE_TYPE = ("conjugation_orbit_sizes labels each orbit by signed_cycle_
 
 CLASS_SIGN_POINTS = [(beta, split) for total in range(5) for beta in enumerate_partitions(total)
                      for fs in ((), (1,), (2,), (1, 2)) for split in dsc.class_splits(beta, fs)]
-
-
-def _descent_data():
-    """(g, datum, N_+, N_-) for each datum the descent sweep builds, as it builds them."""
-    data = []
-    blocks_options = [(), ((1, 1),), ((1, 2),), ((2, 1),), ((1, 1), (1, 1))]
-    for rp, rpp in itertools.product(range(3), repeat=2):
-        r_plus, r_minus = dsc.r_plus_minus(rp, rpp)
-        for blocks in blocks_options:
-            bw = sum(d * f for d, f in blocks)
-            d = sum(b[0] for b in blocks)
-            for Np, Npp in itertools.product(range(3), repeat=2):
-                g = constants.QuadrupleGamma(rp, rpp, Np, Npp)
-                for N_plus in range(Np + Npp - bw + 1):
-                    N_minus = Np + Npp - bw - N_plus
-                    try:
-                        dd = dsc.DescentDatum(
-                            N_plus + (r_plus ** 2 + rpp ** 2 - 1) // 2,
-                            SquareClass(rpp % 2, (-1) ** (d % 2)),
-                            N_minus + (r_minus ** 2 + rpp ** 2) // 2,
-                            SquareClass(rpp % 2, 1), blocks)
-                    except ValueError:
-                        continue
-                    data.append((g, dd, N_plus, N_minus))
-    return data
-
-
-DESCENT_DATA = _descent_data()
-# (g, datum, N_+, N_-, split, its assignment, eta_{1,-}) for each size split
-SIZE_SPLITS = [
-    (g, dd, N_plus, N_minus, split, dsc.assignment_sizes(g, split),
-     SquareClass(((dsc.r_plus_minus(g.rp, g.rpp)[1] + g.rpp) // 2) % 2, 1))
-    for g, dd, N_plus, N_minus in DESCENT_DATA
-    for split in dsc.enumerate_size_splits(dd, g, N_plus, N_minus)]
-
-
-def _scanned_splits():
-    out = []
-    scans = {}
-    for g, dd, N_plus, N_minus, split, sizes, _ in SIZE_SPLITS:
-        if id(dd) not in scans:
-            splits = dsc.enumerate_size_splits(dd, g, N_plus, N_minus)
-            scans[id(dd)] = list(zip(splits, [dsc.assignment_sizes(g, s) for s in splits]))
-        out.append([s for s, s_sizes in scans[id(dd)]
-                    if s_sizes == sizes and s.pairs == split.pairs])
-    return out
+DESCENT_DATA = list(suites.descent_window())
+# (g, datum, its size splits) for each datum, and (g, datum, split, its
+# assignment, eta_{1,-}) for each size split, as the sweep builds them
+DESCENT_SPLITS = [(g, dd, dsc.enumerate_size_splits(dd, g, N_plus, N_minus))
+                  for g, dd, N_plus, N_minus in DESCENT_DATA]
+SIZE_SPLITS = [(g, dd, split, dsc.assignment_sizes(g, split),
+                SquareClass(((dsc.r_plus_minus(g.rp, g.rpp)[1] + g.rpp) // 2) % 2, 1))
+               for g, dd, splits in DESCENT_SPLITS for split in splits]
 
 
 # --- params: n <= 2, and images with up to two even blocks per side --------------
@@ -466,12 +378,12 @@ REGISTRY = {
         "tally": _tallied_vectors,
         "image": _image_vectors,
     }, {**LEGENDRE,
-        "GammaVector.__init__": "value type: each side states its vectors as GammaVectors",
-        "ResidueParam.units": "field data: the unit residues 1, ..., q - 1"}),
+        "GammaVector.__init__": "value type: each side states its vectors as GammaVectors"}),
     "fiber": Identity({
         "tally": _tallied_fibers,
         "slotwise": _slotwise_fibers,
-        "predicted": _predicted_fibers,
+        "predicted": lambda: [fam.fiber_size_prediction(g, shape, F5)
+                              for shape, *_, g in FIBER_POINTS],
     }, {**LEGENDRE,
         "_slot_choices": "by design the tally's families and the slotwise count read one "
                          "table of slot choices; the prediction reads none",
@@ -484,7 +396,8 @@ REGISTRY = {
         "worked": lambda: 4,
     }, {}),
     "worked_fibers": Identity({
-        "tally": _worked_fiber_sizes,
+        "tally": lambda: {n for shape, rows in _tallies().items() if shape.t2 == 1
+                          for row in rows.values() for tally in row for n in tally.values()},
         "worked": lambda: {1, 2},
     }, {}),
     # constprod
@@ -500,12 +413,14 @@ REGISTRY = {
                               "= eta"}),
     # signchain
     "chain": Identity({
-        "chain": lambda: [_chain(*point) for point in CHAIN_POINTS],
-        "u": lambda: [(-1) ** npar * constants.u_sign(rp, rpp, m)
-                      for m, rp, rpp, *_, npar in CHAIN_POINTS],
+        "chain": lambda: [constants.sign_chain(*point) for point in CHAIN_POINTS],
+        "u": lambda: [(-1) ** n * constants.u_sign(rp, rpp, m)
+                      for rp, rpp, _, _, _, n, _, m in CHAIN_POINTS],
     }, {"r_plus_minus": "r'_+ enters the reduction sign and U's exponent; " + R_PLUS_MINUS}),
     "collapse": Identity({
-        "product": _collapsed_products,
+        "product": lambda: [constants.collapse_product(
+            constants.sign_chain(rp, rpp, s1, s2, d2, n, d, m), rp, rpp, s1, s2, n, m)
+            for rp, rpp, s1, s2, d2, n, d, m in CHAIN_POINTS],
         "one": lambda: [1] * len(CHAIN_POINTS),
     }, {}),
     # transfer
@@ -551,14 +466,16 @@ REGISTRY = {
     }, {}),
     "sector_sum": Identity({
         "sectors": lambda: [dsc.sector_size_sum(g, split, dd.blocks)
-                            for g, dd, _, _, split, _, _ in SIZE_SPLITS],
+                            for g, dd, split, _, _ in SIZE_SPLITS],
         "quadruple": lambda: [constants.split_sizes(g.rp, g.rpp, g.Np, g.Npp)
                               for g, *_ in SIZE_SPLITS],
     }, {}),
     "unique_split": Identity({
         "solver": lambda: [[dsc.solve_split_family(dd, g, sizes, eta1_minus, split.pairs)]
-                           for g, dd, _, _, split, sizes, eta1_minus in SIZE_SPLITS],
-        "scan": _scanned_splits,
+                           for g, dd, split, sizes, eta1_minus in SIZE_SPLITS],
+        # the scan side computes the assignments that the sweep also hands the solver
+        "scan": lambda: [matches for g, _, splits in DESCENT_SPLITS for matches in dsc.split_scan(
+            splits, [dsc.assignment_sizes(g, split) for split in splits])],
     }, {"r_plus_minus": "the sector sizes are stated in r'_+ and r'_-: the solver inverts "
                         "what assignment_sizes computes"}),
     # params
@@ -682,3 +599,35 @@ def test_the_guard_catches_a_prediction_that_reads_the_slot_table(monkeypatch):
     table = {"_slot_choices", "ResidueParam.squares", "ResidueParam.units"}
     assert unexplained_sharing(fiber, run_sides(fiber)) == \
         {("predicted", "slotwise"): table, ("predicted", "tally"): table}
+
+
+
+# identity -> (module, the sweep's side function, the fused side's call into
+# the other side, the suite, what the guard names)
+FUSIONS = {
+    # a chain that also evaluates U(r', r''); u_sign enters u_exponent, so both are named
+    "chain": (constants, "sign_chain", lambda rp, rpp, *rest: constants.u_sign(rp, rpp, rest[-1]),
+              "signchain", {("chain", "u"): {"u_sign", "u_exponent"}}),
+    "image": (fam, "image_groups", lambda shape, *_: fam.enumerate_transversal_families(shape, []),
+              "counting", {("image", "tally"): {"enumerate_transversal_families"}}),
+    "unique_split": (dsc, "split_scan", lambda *_: dsc.descent_feasibility(
+        DESCENT_DATA[0][1], DESCENT_DATA[0][0]), "descent",
+        {("scan", "solver"): {"descent_feasibility"}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSIONS))
+def test_the_guard_catches_a_fusion_planted_in_the_sweeps_side(name, monkeypatch):
+    # The fused side drops what its call returns, so the sweep still passes; the
+    # guard, profiling the sweep's own side function, names what the sides share.
+    module, function, call, suite, named = FUSIONS[name]
+    original = getattr(module, function)
+
+    def fused(*args):
+        call(*args)
+        return original(*args)
+
+    monkeypatch.setattr(module, function, fused)
+    assert suites.run(suite, **dict(SMALL_SWEEPS)[suite]).passed
+    identity = REGISTRY[name]
+    assert unexplained_sharing(identity, run_sides(identity)) == named

@@ -8,7 +8,6 @@ import pytest
 from endosign import constants, descent, suites
 from endosign import families as fam
 from endosign import params as par
-from endosign.exact import ExactValue
 from endosign.localfield import ResidueParam, SquareClass, sgn_minus_one
 from endosign.partitions import Partition
 from endosign.weyl import sgn_cd
@@ -100,7 +99,7 @@ def test_constprod_fails_on_the_swapped_two_power_reading(monkeypatch):
 def test_constprod_fails_on_a_pair_power_constant_off_by_three(monkeypatch):
     original = constants.pair_power_constant
     monkeypatch.setattr(constants, "pair_power_constant",
-                        lambda *args: original(*args) * ExactValue(3))
+                        lambda *args: original(*args) * 3)
     report = suites.run("constprod", qs=(5,), rmax=2)
     assert len(report.failures) == report.points_checked > 0
     first = report.failures[0]
