@@ -82,41 +82,69 @@ def u_sign(rp: int, rpp: int, m: int) -> int:
     return (-1) ** (rpp % 2) * (m if u_exponent(rp, rpp) % 2 else 1)
 
 
+def parity_of_halves(halves: tuple[int, int, int, int]) -> int:
+    """(r''_1 + r''_2) mod 2 of the split pair (r'_1, r''_1, r'_2, r''_2)."""
+    _, r1pp, _, r2pp = halves
+    return (r1pp + r2pp) % 2
+
+
+def parity_of_pair(rpp: int) -> int:
+    """r'' mod 2, which the split pair's parity sum equals."""
+    return rpp % 2
+
+
+def size_forms_of_halves(halves: tuple[int, int, int, int]) -> list[int]:
+    """[r'_j^2 + r'_j + r''_j^2 for j = 1, 2] of the split pair."""
+    r1p, r1pp, r2p, r2pp = halves
+    return [r1p * r1p + r1p + r1pp * r1pp, r2p * r2p + r2p + r2pp * r2pp]
+
+
+def size_forms_of_pair(rp: int, rpp: int) -> list[int]:
+    """The closed forms of the split sizes at N' = N'' = 0, which the size forms equal."""
+    return list(split_sizes(rp, rpp, 0, 0))
+
+
+def companion_sums_of_halves(halves: tuple[int, int, int, int]) -> list[int]:
+    """[r'_{j,+} + r''_j, r'_{j,-} + r''_j for j = 1, 2] of the split pair."""
+    r1p, r1pp, r2p, r2pp = halves
+    r1pl, r1mi = r_plus_minus(r1p, r1pp)
+    r2pl, r2mi = r_plus_minus(r2p, r2pp)
+    return [r1pl + r1pp, r1mi + r1pp, r2pl + r2pp, r2mi + r2pp]
+
+
+def companion_sums_of_pair(rp: int, rpp: int) -> list[int]:
+    """[|r'_+ + r''|, |r'_- + r''|, |r'_+ - r''|, |r'_- - r''|], which the companion sums equal."""
+    rpl, rmi = r_plus_minus(rp, rpp)
+    return [abs(rpl + rpp), abs(rmi + rpp), abs(rpl - rpp), abs(rmi - rpp)]
+
+
+def u_of_halves(halves: tuple[int, int, int, int], m: int) -> int:
+    """U(r'_1, r''_1) U(r'_2, r''_2) of the split pair, which U(r', r'') equals."""
+    r1p, r1pp, r2p, r2pp = halves
+    return u_sign(r1p, r1pp, m) * u_sign(r2p, r2pp, m)
+
+
 def split_pair_identities(rp: int, rpp: int) -> dict[str, dict]:
     """The four auxiliary identities for one (r', r''), by name.
 
-    Each check is a dict with its two sides and a "pass" flag.
+    Each check is a dict with its two sides and a "pass" flag: the split
+    pair's side is lhs, the (r', r'') side rhs, apart from U's
+    multiplicativity, whose lhs is U(r', r'') at each m.
     """
     if rp < 0:
         raise ValueError("r' must be nonnegative")
-    r1p, r1pp, r2p, r2pp = split_pair_values(rp, rpp)
-    checks: dict[str, dict] = {}
-
-    lhs1, rhs1 = (r1pp + r2pp) % 2, rpp % 2
-    checks["parity_sum"] = {"lhs": lhs1, "rhs": rhs1, "pass": lhs1 == rhs1}
-
-    lhs2a = r1p * r1p + r1p + r1pp * r1pp
-    rhs2a = ((rp + rpp) ** 2 + (rp + rpp + 1) ** 2 - 1) // 4
-    lhs2b = r2p * r2p + r2p + r2pp * r2pp
-    rhs2b = ((rp - rpp) ** 2 + (rp - rpp + 1) ** 2 - 1) // 4
-    checks["size_forms"] = {"lhs": [lhs2a, lhs2b], "rhs": [rhs2a, rhs2b],
-                            "pass": lhs2a == rhs2a and lhs2b == rhs2b}
-
-    rpl, rmi = r_plus_minus(rp, rpp)
-    r1pl, r1mi = r_plus_minus(r1p, r1pp)
-    r2pl, r2mi = r_plus_minus(r2p, r2pp)
-    lhs3 = [r1pl + r1pp, r1mi + r1pp, r2pl + r2pp, r2mi + r2pp]
-    rhs3 = [abs(rpl + rpp), abs(rmi + rpp), abs(rpl - rpp), abs(rmi - rpp)]
-    checks["companion_sums"] = {"lhs": lhs3, "rhs": rhs3, "pass": lhs3 == rhs3}
-
-    ok4 = True
-    sides = {}
-    for m in (1, -1):
-        lhs = u_sign(rp, rpp, m)
-        rhs = u_sign(r1p, r1pp, m) * u_sign(r2p, r2pp, m)
-        sides[f"m={m}"] = {"lhs": lhs, "rhs": rhs}
-        ok4 = ok4 and lhs == rhs
-    checks["u_multiplicative"] = {"sides": sides, "pass": ok4}
+    halves = split_pair_values(rp, rpp)
+    checks = {}
+    for name, lhs, rhs in (
+            ("parity_sum", parity_of_halves(halves), parity_of_pair(rpp)),
+            ("size_forms", size_forms_of_halves(halves), size_forms_of_pair(rp, rpp)),
+            ("companion_sums", companion_sums_of_halves(halves),
+             companion_sums_of_pair(rp, rpp))):
+        checks[name] = {"lhs": lhs, "rhs": rhs, "pass": lhs == rhs}
+    sides = {f"m={m}": {"lhs": u_sign(rp, rpp, m), "rhs": u_of_halves(halves, m)}
+             for m in (1, -1)}
+    checks["u_multiplicative"] = {"sides": sides,
+                                  "pass": all(s["lhs"] == s["rhs"] for s in sides.values())}
     return checks
 
 
@@ -270,6 +298,21 @@ def collapse_and_product_constants(rp: int, rpp: int, scd1: int, scd2: int,
     return collapse, product
 
 
+def product_formula_lhs(rp: int, rpp: int, scd1: int, scd2: int, eta: SquareClass,
+                        eta1: SquareClass, eta2: SquareClass, beta: int,
+                        rp_field: ResidueParam, alt_two_power: bool) -> Fraction:
+    """2^(-1-beta) * C_total * |families|, the product-formula identity's left-hand side.
+
+    C_total is collapse_and_product_constants' product constant, under the
+    alternate two-power reading when alt_two_power is set, and |families|
+    the closed-form count of transversal families.
+    """
+    _, product = collapse_and_product_constants(rp, rpp, scd1, scd2, eta, eta1, eta2, beta,
+                                                rp_field, alt_two_power=alt_two_power)
+    count = fam.transversal_family_count_formula(fam.SplitShape(rp, rpp), rp_field)
+    return product * count / 2 ** (1 + beta)
+
+
 # ---------------------------------------------------------------------------
 # Sweep point generators (see endosign.suites): each yields (checked,
 # failures), the number of points just checked and their failure records.
@@ -342,16 +385,14 @@ def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
                 if (rp - rpp) % 2:
                     continue
                 shape = fam.SplitShape(rp, rpp)
-                count = fam.transversal_family_count_formula(shape, field)
                 for ue, ue2, s1, s2 in itertools.product((1, -1), repeat=4):
                     eta = SquareClass(rpp % 2, ue)
                     eta2 = SquareClass(shape.t2 % 2, ue2)
                     eta1 = eta * eta2
                     for beta in _degenerate_cases(rp, rpp, s1, s2, eta1, eta2):
-                        _, product = collapse_and_product_constants(
+                        lhs = ExactValue(product_formula_lhs(
                             rp, rpp, s1, s2, eta, eta1, eta2, beta, field,
-                            alt_two_power=alt_two_power)
-                        lhs = ExactValue(product * count / 2 ** (1 + beta))
+                            alt_two_power=alt_two_power))
                         rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta, m)
                         if lhs.value == rhs:
                             yield 1, ()
@@ -506,6 +547,23 @@ def factorwise_u_factor(u: tuple[int, ...], k_second: tuple[int, ...],
     return out
 
 
+def factorwise_grids(pairs: list[fam.LPair], evecs: list[tuple[int, ...]],
+                     uvecs: list[tuple[int, ...]], k_second: tuple[int, ...],
+                     eta: SquareClass) -> list[list[int]]:
+    """Each pairing's factorwise_e_factor(e) * factorwise_u_factor(u), e first, then u."""
+    u_row = [factorwise_u_factor(u, k_second, eta) for u in uvecs]
+    return [[fe * fu for fe in [factorwise_e_factor(e, pair) for e in evecs] for fu in u_row]
+            for pair in pairs]
+
+
+def closed_grids(pairs: list[fam.LPair], evecs: list[tuple[int, ...]],
+                 uvecs: list[tuple[int, ...]], k_second: tuple[int, ...]) -> list[list[int]]:
+    """Each pairing's kappa_l2(e) * kappa_u(u), e first, then u."""
+    u_row = [fam.kappa_u(u, k_second) for u in uvecs]
+    return [[ke * ku for ke in [fam.kappa_l2(e, pair) for e in evecs] for ku in u_row]
+            for pair in pairs]
+
+
 def factorwise_transfer_check(shape: fam.SplitShape, gamma: fam.GammaVector,
                               pairs: list[fam.LPair], scd1: int, scd2: int, eta: SquareClass,
                               m: int, rp_field: ResidueParam) -> tuple[list[int], list[int]]:
@@ -514,13 +572,12 @@ def factorwise_transfer_check(shape: fam.SplitShape, gamma: fam.GammaVector,
     The per-factor route's row is factorwise_gamma_factor; the closed
     route's is d = transfer_factor_sign, which reads the class
     eta[L2, gamma] of each pairing when B = 1.  Neither depends on the sign
-    vector e or the block vector u: at a point (e, u) with a pairing the
-    per-factor route multiplies that pairing's entry by
-    factorwise_e_factor(e) * factorwise_u_factor(u), the closed route by
-    kappa_l2(e) * kappa_u(u), and the two products must agree.  Both read
-    the classes only through scd1 = sgn_cd(w') and scd2 = sgn_cd(w''), and
-    the field through m = sgn(-1) and legendre, the only function both
-    routes enter.
+    vector e or the block vector u: at a point (e, u) with a pairing each
+    route multiplies that pairing's entry by the point's entry of its own
+    grid (factorwise_grids, closed_grids), and the two products must agree.
+    Both read the classes only through scd1 = sgn_cd(w') and
+    scd2 = sgn_cd(w''), and the field through m = sgn(-1) and legendre, the
+    only function both routes enter.
     """
     return (factorwise_gamma_factor(shape, gamma, pairs, scd1, scd2, eta, m, rp_field),
             transfer_factor_sign(shape, gamma, pairs, scd1, scd2, eta, m, rp_field))
@@ -553,9 +610,8 @@ def transfer_points(qs, rrmax: int):
     does its work at two levels:
 
       * per block and pairing: the route's e x u grid, built once from its
-        own tables in the order e, then u.  The per-factor grid multiplies
-        the e-factors with the block signs of u, the closed grid kappa_l2
-        with kappa_u.  The admissible vectors depend on the block only
+        own tables in the order e, then u: factorwise_grids and
+        closed_grids.  The admissible vectors depend on the block only
         through the sign target, so they are enumerated once per (q, shape,
         target);
       * per row: one factorwise_transfer_check, which returns each route's
@@ -587,8 +643,6 @@ def transfer_points(qs, rrmax: int):
             shape = fam.SplitShape(rp, rpp)
             pairs = fam.enumerate_L(shape)
             evecs = fam.enumerate_e(shape)
-            factor_rows = [[factorwise_e_factor(e, pair) for e in evecs] for pair in pairs]
-            kappa_rows = [[fam.kappa_l2(e, pair) for e in evecs] for pair in pairs]
             gammas = {target: fam.enumerate_gamma(shape, field, target) for target in (1, -1)}
             for beta1, beta2 in itertools.product(beta_options, repeat=2):
                 scd1 = sgn_cd((Partition(), beta1))
@@ -596,15 +650,12 @@ def transfer_points(qs, rrmax: int):
                 t = beta1.length() + beta2.length()
                 k_second = tuple(range(beta1.length() + 1, t + 1))
                 uvecs = list(itertools.product((0, 1), repeat=t))
-                kappa_us = [fam.kappa_u(u, k_second) for u in uvecs]
                 row_points = len(pairs) * len(evecs) * len(uvecs)
                 for ue in (1, -1):
                     eta = SquareClass(rpp % 2, ue)
-                    u_row = [factorwise_u_factor(u, k_second, eta) for u in uvecs]
                     # per pairing: each route's grid
-                    grids = [([fe * fu for fe in factor_row for fu in u_row],
-                              [ke * ku for ke in kappa_row for ku in kappa_us])
-                             for factor_row, kappa_row in zip(factor_rows, kappa_rows)]
+                    grids = list(zip(factorwise_grids(pairs, evecs, uvecs, k_second, eta),
+                                     closed_grids(pairs, evecs, uvecs, k_second)))
                     verdicts = {}  # (per-factor row, closed row) -> passes
                     target = scd1 * scd2 * eta.unit_sign
                     for gamma in gammas[target]:

@@ -195,6 +195,18 @@ def transversal_character_sum(e: tuple[int, ...], shape: SplitShape) -> int:
     return sum(kappa_l2(e, pair) for pair in enumerate_L(shape))
 
 
+def kappa_sum_law(e: tuple[int, ...], shape: SplitShape) -> int:
+    """The distinguished-subgroup law of transversal_character_sum, from closed forms.
+
+    0 off the distinguished subgroup; on it |pairings| * kappa_zero(e), with
+    |pairings| = 2^t2, or 2^(t2-1) when r = 0 < R and the last pair is pinned.
+    """
+    if not in_distinguished_subgroup(e, shape):
+        return 0
+    pinned = shape.r == 0 < shape.R
+    return 2 ** (shape.t2 - pinned) * kappa_zero(e, shape)
+
+
 def enumerate_e(shape: SplitShape) -> list[tuple[int, ...]]:
     """All sign vectors of length R, as tuples of +-1."""
     return list(itertools.product((1, -1), repeat=shape.R))

@@ -50,18 +50,15 @@ def kappa_sum_points(max_rr: int):
 
     For every shape with R - r up to max_rr (both the r = 0 and r > 0
     regimes) and every sign vector e: the sum over pairings of kappa_l2(e)
-    is 0 off the distinguished subgroup and |pairings| * kappa_zero(e) on it.
+    is 0 off the distinguished subgroup and |pairings| * kappa_zero(e) on it,
+    with |pairings| from its closed form (families.kappa_sum_law).
     """
     for rr in range(0, max_rr + 1, 2):
         for r in (0, 1, 2):
             shape = fam.SplitShape(rr + r, r)
-            pairs = fam.enumerate_L(shape)
             for e in fam.enumerate_e(shape):
                 total = fam.transversal_character_sum(e, shape)
-                if fam.in_distinguished_subgroup(e, shape):
-                    expected = len(pairs) * fam.kappa_zero(e, shape)
-                else:
-                    expected = 0
+                expected = fam.kappa_sum_law(e, shape)
                 yield 1, () if total == expected else (
                     {"rr": rr, "r": r, "e": list(e), "lhs": total, "rhs": expected},)
 

@@ -14,8 +14,8 @@ from endosign.constants import (QuadrupleGamma, branch_switch,
                                 split_pair_identities, split_pair_values, split_sizes,
                                 transfer_factor_sign, u_exponent,
                                 u_sign, alpha_constant, weil_ratio_sign)
-from endosign.families import (GammaVector, LPair, SplitShape, enumerate_e,
-                               enumerate_gamma, enumerate_L, kappa_l2, kappa_u)
+from endosign.families import (GammaVector, LPair, SplitShape, enumerate_gamma, enumerate_L,
+                               kappa_l2, kappa_u)
 from endosign.localfield import ResidueParam, SquareClass, legendre
 
 F5 = ResidueParam(5)
@@ -255,45 +255,3 @@ def entered_functions(call) -> set[str]:
         sys.setprofile(None)
     return {code.co_qualname for code in entered
             if Path(code.co_filename).resolve().parent == package}
-
-
-def test_transfer_routes_share_only_leaves():
-    # The two routes to the descent transfer factor may share leaf
-    # primitives and nothing more; a shared helper above the leaves would
-    # let one fault move both sides alike and pass the comparison.
-    rows = []
-    for rp, rpp in ((3, 1), (1, 3), (4, 0), (5, 1), (2, 2)):
-        shape = SplitShape(rp, rpp)
-        pairs = enumerate_L(shape)
-        e = enumerate_e(shape)[-1]
-        for scd1, scd2 in itertools.product((1, -1), repeat=2):
-            # one block per class of sign -1, as in the transfer sweep
-            t1 = (1 - scd1) // 2
-            t = t1 + (1 - scd2) // 2
-            u, k_second = (1,) * t, tuple(range(t1 + 1, t + 1))
-            for ue in (1, -1):
-                eta = SquareClass(rpp % 2, ue)
-                for gamma in enumerate_gamma(shape, F5, scd1 * scd2 * ue):
-                    rows.append((shape, gamma, e, u, k_second, pairs, scd1, scd2, eta))
-
-    def per_factor():
-        for shape, gamma, e, u, k_second, pairs, scd1, scd2, eta in rows:
-            factorwise_gamma_factor(shape, gamma, pairs, scd1, scd2, eta, M5, F5)
-            for pair in pairs:
-                factorwise_e_factor(e, pair)
-            factorwise_u_factor(u, k_second, eta)
-
-    def closed():
-        for shape, gamma, e, u, k_second, pairs, scd1, scd2, eta in rows:
-            transfer_factor_sign(shape, gamma, pairs, scd1, scd2, eta, M5, F5)
-            for pair in pairs:
-                kappa_l2(e, pair)
-            kappa_u(u, k_second)
-
-    per_factor_entered = entered_functions(per_factor)
-    closed_entered = entered_functions(closed)
-    assert "factorwise_gamma_factor" in per_factor_entered
-    assert {"transfer_factor_sign", "eta_of_L2"} <= closed_entered
-    shared = per_factor_entered & closed_entered
-    assert "legendre" in shared
-    assert shared <= {"legendre"}

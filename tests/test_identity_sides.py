@@ -6,9 +6,9 @@ reason.  An identity is each "identity": "<name>" literal of a failure record
 in src/endosign, plus one fixed name for each record family that carries
 none (FIXED).  A side is a callable that computes, at small bounds, that
 side of the identity from inputs built once outside every side, as the
-sweep builds them outside its checks.  The sides of counting, signchain and
-descent call the functions that those sweeps run; the other sides copy the
-sweep's code, and a copy that drifts from the sweep goes unnoticed.
+sweep builds them outside its checks.  The sides of split, params and
+descent's class_sign copy the sweep's code, and a copy that drifts from the
+sweep goes unnoticed; every other side calls the functions its sweep runs.
 
 The guard profiles each side with entered_functions and fails when two
 sides enter a package function that the allow-list does not name, or when
@@ -68,30 +68,9 @@ R_PLUS_MINUS = "r'_+ and r'_- are defined once; the identity is stated in them"
 PAIRS = [(rp, rpp) for rp in range(4) for rpp in range(-3, 4)]
 
 
-def _halves():
-    return [constants.split_pair_values(rp, rpp) for rp, rpp in PAIRS]
-
-
-def _companion_sums_of_halves():
-    out = []
-    for r1p, r1pp, r2p, r2pp in _halves():
-        r1pl, r1mi = constants.r_plus_minus(r1p, r1pp)
-        r2pl, r2mi = constants.r_plus_minus(r2p, r2pp)
-        out.append([r1pl + r1pp, r1mi + r1pp, r2pl + r2pp, r2mi + r2pp])
-    return out
-
-
-def _companion_sums_of_pair():
-    out = []
-    for rp, rpp in PAIRS:
-        rpl, rmi = constants.r_plus_minus(rp, rpp)
-        out.append([abs(rpl + rpp), abs(rmi + rpp), abs(rpl - rpp), abs(rmi - rpp)])
-    return out
-
-
-def _u_of_halves():
-    return [constants.u_sign(r1p, r1pp, m) * constants.u_sign(r2p, r2pp, m)
-            for r1p, r1pp, r2p, r2pp in _halves() for m in (1, -1)]
+def _halves(side):
+    """side at the split pair of each (r', r''); split_pair_values runs inside the side."""
+    return [side(constants.split_pair_values(rp, rpp)) for rp, rpp in PAIRS]
 
 
 SPLIT_POINTS = [(rp, rpp, Np, Npp) for rp, rpp in PAIRS for Np in (0, 1) for Npp in (0, 1)]
@@ -111,11 +90,6 @@ def _swapped_splitting():
 KAPPA_POINTS = [(shape, e) for shape in itertools.starmap(
     fam.SplitShape, ((rr + r, r) for rr in (0, 2, 4) for r in (0, 1, 2)))
     for e in fam.enumerate_e(shape)]
-
-
-def _kappa_law():
-    return [len(fam.enumerate_L(shape)) * fam.kappa_zero(e, shape)
-            if fam.in_distinguished_subgroup(e, shape) else 0 for shape, e in KAPPA_POINTS]
 
 
 # --- counting: q = 5, t2 <= 1 -----------------------------------------------
@@ -188,26 +162,15 @@ def _constprod_points():
         for rp, rpp in itertools.product(range(3), repeat=2):
             if (rp - rpp) % 2:
                 continue
-            shape = fam.SplitShape(rp, rpp)
             for ue, ue2, s1, s2 in itertools.product((1, -1), repeat=4):
-                eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(shape.t2 % 2, ue2)
+                eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(abs(rp - rpp) // 2 % 2, ue2)
                 eta1 = eta * eta2
                 for beta in constants._degenerate_cases(rp, rpp, s1, s2, eta1, eta2):
-                    points.append((field, shape, rp, rpp, s1, s2, eta, eta1, eta2, beta))
+                    points.append((field, rp, rpp, s1, s2, eta, eta1, eta2, beta))
     return points
 
 
 CONSTPROD_POINTS = _constprod_points()
-
-
-def _constprod_products():
-    out = []
-    for field, shape, rp, rpp, s1, s2, eta, eta1, eta2, beta in CONSTPROD_POINTS:
-        count = fam.transversal_family_count_formula(shape, field)
-        _, product = constants.collapse_and_product_constants(
-            rp, rpp, s1, s2, eta, eta1, eta2, beta, field)
-        out.append(product * count / 2 ** (1 + beta))
-    return out
 
 
 # --- signchain: r' <= 3, |r''| <= 3 ------------------------------------------
@@ -221,8 +184,8 @@ CHAIN_POINTS = [(rp, rpp, s1, s2, d2, npar, d1 + d2, M[q]) for q in (5, 7) for r
 # --- transfer: q = 5, R - r <= 2 ----------------------------------------------
 
 
-def _transfer_rows():
-    rows = []
+def _transfer_blocks():
+    blocks = []
     for rp, rpp in constants._transfer_shapes(2, 5):
         shape = fam.SplitShape(rp, rpp)
         pairs = fam.enumerate_L(shape)
@@ -235,30 +198,22 @@ def _transfer_rows():
             uvecs = list(itertools.product((0, 1), repeat=t))
             for ue in (1, -1):
                 eta = SquareClass(rpp % 2, ue)
-                for gamma in fam.enumerate_gamma(shape, F5, scd1 * scd2 * ue):
-                    rows.append((shape, gamma, pairs, evecs, uvecs, k_second,
-                                 scd1, scd2, eta))
-    return rows
+                blocks.append((shape, pairs, evecs, uvecs, k_second, scd1, scd2, eta,
+                               fam.enumerate_gamma(shape, F5, scd1 * scd2 * ue)))
+    return blocks
 
 
-TRANSFER_ROWS = _transfer_rows()
+TRANSFER_BLOCKS = _transfer_blocks()
 
 
-def _per_factor_route():
-    return [value * constants.factorwise_e_factor(e, pair)
-            * constants.factorwise_u_factor(u, k_second, eta)
-            for shape, gamma, pairs, evecs, uvecs, k_second, scd1, scd2, eta in TRANSFER_ROWS
-            for pair, value in zip(pairs, constants.factorwise_gamma_factor(
-                shape, gamma, pairs, scd1, scd2, eta, M[5], F5))
-            for e in evecs for u in uvecs]
-
-
-def _closed_route():
-    return [value * fam.kappa_l2(e, pair) * fam.kappa_u(u, k_second)
-            for shape, gamma, pairs, evecs, uvecs, k_second, scd1, scd2, eta in TRANSFER_ROWS
-            for pair, value in zip(pairs, constants.transfer_factor_sign(
-                shape, gamma, pairs, scd1, scd2, eta, M[5], F5))
-            for e in evecs for u in uvecs]
+def _route(row, grids):
+    """A route's value at each point: its (gamma, pairing) row entry times its grid entry."""
+    out = []
+    for shape, pairs, evecs, uvecs, k_second, scd1, scd2, eta, gammas in TRANSFER_BLOCKS:
+        block_grids = grids(pairs, evecs, uvecs, k_second, eta)
+        out += [value * x for gamma in gammas for value, grid in zip(
+            row(shape, gamma, pairs, scd1, scd2, eta, M[5], F5), block_grids) for x in grid]
+    return out
 
 
 # --- weyl: N <= 3, d <= 5 ------------------------------------------------------
@@ -326,23 +281,21 @@ BILINEARITY_POINTS = _bilinearity_points()
 REGISTRY = {
     # aux
     "parity_sum": Identity({
-        "halves": lambda: [(r1pp + r2pp) % 2 for _, r1pp, _, r2pp in _halves()],
-        "pair": lambda: [rpp % 2 for _, rpp in PAIRS],
+        "halves": lambda: _halves(constants.parity_of_halves),
+        "pair": lambda: [constants.parity_of_pair(rpp) for _, rpp in PAIRS],
     }, {}),
     "size_forms": Identity({
-        "halves": lambda: [(r1p * r1p + r1p + r1pp * r1pp, r2p * r2p + r2p + r2pp * r2pp)
-                           for r1p, r1pp, r2p, r2pp in _halves()],
-        "closed": lambda: [(((rp + rpp) ** 2 + (rp + rpp + 1) ** 2 - 1) // 4,
-                            ((rp - rpp) ** 2 + (rp - rpp + 1) ** 2 - 1) // 4)
-                           for rp, rpp in PAIRS],
+        "halves": lambda: _halves(constants.size_forms_of_halves),
+        "closed": lambda: [constants.size_forms_of_pair(rp, rpp) for rp, rpp in PAIRS],
     }, {}),
     "companion_sums": Identity({
-        "halves": _companion_sums_of_halves,
-        "pair": _companion_sums_of_pair,
+        "halves": lambda: _halves(constants.companion_sums_of_halves),
+        "pair": lambda: [constants.companion_sums_of_pair(rp, rpp) for rp, rpp in PAIRS],
     }, {"r_plus_minus": R_PLUS_MINUS}),
     "u_multiplicative": Identity({
-        "whole": lambda: [constants.u_sign(rp, rpp, m) for rp, rpp in PAIRS for m in (1, -1)],
-        "halves": _u_of_halves,
+        "whole": lambda: [[constants.u_sign(rp, rpp, m) for m in (1, -1)] for rp, rpp in PAIRS],
+        "halves": lambda: _halves(lambda halves: [constants.u_of_halves(halves, m)
+                                                  for m in (1, -1)]),
     }, {"u_sign": "the identity is U's multiplicativity: U(r', r'') = U(r'_1, r''_1) "
                   "U(r'_2, r''_2), the one function on both sides",
         "u_exponent": "U's exponent u, read by u_sign on both sides",
@@ -364,9 +317,8 @@ REGISTRY = {
     # kappasum
     "kappasum": Identity({
         "sum": lambda: [fam.transversal_character_sum(e, shape) for shape, e in KAPPA_POINTS],
-        "law": _kappa_law,
-    }, {"enumerate_L": "the identity sums over the pairings; the law counts the same set",
-        "LPair.__init__": "value type of the pairings enumerate_L builds"}),
+        "law": lambda: [fam.kappa_sum_law(e, shape) for shape, e in KAPPA_POINTS],
+    }, {}),
     # counting
     "family_count": Identity({
         "enumerated": lambda: [fam.count_transversal_families(shape, fam._slot_choices(field))
@@ -402,10 +354,11 @@ REGISTRY = {
     }, {}),
     # constprod
     "constprod": Identity({
-        "product": _constprod_products,
+        "product": lambda: [constants.product_formula_lhs(*point, field, alt_two_power=False)
+                            for field, *point in CONSTPROD_POINTS],
         "even": lambda: [constants.even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta,
                                                                M[field.q])
-                         for field, _, rp, rpp, _, s2, eta, eta1, eta2, _ in CONSTPROD_POINTS],
+                         for field, rp, rpp, _, s2, eta, eta1, eta2, _ in CONSTPROD_POINTS],
     }, {"SquareClass.__mul__": "square-class group law: each side checks eta1 eta2 = eta "
                                "on its own",
         "SquareClass.__init__": "value type, built by SquareClass.__mul__",
@@ -425,8 +378,11 @@ REGISTRY = {
     }, {}),
     # transfer
     "transfer": Identity({
-        "per_factor": _per_factor_route,
-        "closed": _closed_route,
+        "per_factor": lambda: _route(constants.factorwise_gamma_factor,
+                                     constants.factorwise_grids),
+        "closed": lambda: _route(constants.transfer_factor_sign,
+                                 # the closed grids do not read eta
+                                 lambda *args: constants.closed_grids(*args[:-1])),
     }, LEGENDRE),
     # weyl
     "class_size": Identity({
@@ -568,23 +524,6 @@ def test_sides_share_only_what_the_allow_list_names(name):
     assert identity.apart <= set(identity.sides)
 
 
-def test_the_guard_catches_a_planted_shared_helper(monkeypatch):
-    # The closed route fused with the per-factor route's gamma factor still
-    # returns the same values, since that factor is +-1, and so still passes
-    # the sweep; the guard names the shared helper.
-    original = constants.transfer_factor_sign
-
-    def fused(*args):
-        return [closed * factor ** 2 for closed, factor
-                in zip(original(*args), constants.factorwise_gamma_factor(*args))]
-
-    monkeypatch.setattr(constants, "transfer_factor_sign", fused)
-    assert suites.run("transfer", qs=(5,), rrmax=0).passed
-    transfer = REGISTRY["transfer"]
-    assert unexplained_sharing(transfer, run_sides(transfer)) == \
-        {("closed", "per_factor"): {"factorwise_gamma_factor"}}
-
-
 def test_the_guard_catches_a_prediction_that_reads_the_slot_table(monkeypatch):
     # The tally and the slotwise count may share the table of slot choices;
     # the closed-form prediction may not.
@@ -602,17 +541,51 @@ def test_the_guard_catches_a_prediction_that_reads_the_slot_table(monkeypatch):
 
 
 
-# identity -> (module, the sweep's side function, the fused side's call into
-# the other side, the suite, what the guard names)
+ROUTES, HALVES_PAIR = ("closed", "per_factor"), ("halves", "pair")
+# fusion -> (identity, module, the sweep's side function, the fused side's call
+# into the other side, the suite, what the guard names).  The first three
+# fusions are named by their identities, the others by the function they fuse.
 FUSIONS = {
     # a chain that also evaluates U(r', r''); u_sign enters u_exponent, so both are named
-    "chain": (constants, "sign_chain", lambda rp, rpp, *rest: constants.u_sign(rp, rpp, rest[-1]),
-              "signchain", {("chain", "u"): {"u_sign", "u_exponent"}}),
-    "image": (fam, "image_groups", lambda shape, *_: fam.enumerate_transversal_families(shape, []),
-              "counting", {("image", "tally"): {"enumerate_transversal_families"}}),
-    "unique_split": (dsc, "split_scan", lambda *_: dsc.descent_feasibility(
+    "chain": ("chain", constants, "sign_chain", lambda rp, rpp, *rest: constants.u_sign(
+        rp, rpp, rest[-1]), "signchain", {("chain", "u"): {"u_sign", "u_exponent"}}),
+    "image": ("image", fam, "image_groups", lambda shape, *_: fam.enumerate_transversal_families(
+        shape, []), "counting", {("image", "tally"): {"enumerate_transversal_families"}}),
+    "unique_split": ("unique_split", dsc, "split_scan", lambda *_: dsc.descent_feasibility(
         DESCENT_DATA[0][1], DESCENT_DATA[0][0]), "descent",
         {("scan", "solver"): {"descent_feasibility"}}),
+    # the closed route's row also evaluates the per-factor route's row
+    "transfer_factor_sign": ("transfer", constants, "transfer_factor_sign",
+        constants.factorwise_gamma_factor, "transfer", {ROUTES: {"factorwise_gamma_factor"}}),
+    "factorwise_grids": ("transfer", constants, "factorwise_grids", lambda pairs, evecs, *_:
+        fam.kappa_l2(evecs[0], pairs[0]), "transfer", {ROUTES: {"kappa_l2"}}),
+    "closed_grids": ("transfer", constants, "closed_grids", lambda pairs, evecs, *_:
+        constants.factorwise_e_factor(evecs[0], pairs[0]), "transfer",
+        {ROUTES: {"factorwise_e_factor"}}),
+    "parity_of_halves": ("parity_sum", constants, "parity_of_halves", lambda halves:
+        constants.parity_of_pair(halves[1]), "aux", {HALVES_PAIR: {"parity_of_pair"}}),
+    "parity_of_pair": ("parity_sum", constants, "parity_of_pair", lambda rpp:
+        constants.split_pair_values(0, rpp), "aux", {HALVES_PAIR: {"split_pair_values"}}),
+    "size_forms_of_halves": ("size_forms", constants, "size_forms_of_halves", lambda halves:
+        constants.split_sizes(*halves), "aux", {("closed", "halves"): {"split_sizes"}}),
+    "size_forms_of_pair": ("size_forms", constants, "size_forms_of_pair",
+        constants.split_pair_values, "aux", {("closed", "halves"): {"split_pair_values"}}),
+    "companion_sums_of_halves": ("companion_sums", constants, "companion_sums_of_halves",
+        lambda halves: constants.companion_sums_of_pair(*halves[:2]), "aux",
+        {HALVES_PAIR: {"companion_sums_of_pair"}}),
+    "companion_sums_of_pair": ("companion_sums", constants, "companion_sums_of_pair",
+        constants.split_pair_values, "aux", {HALVES_PAIR: {"split_pair_values"}}),
+    # u_of_halves multiplies u_sign values, and the whole side enters only what
+    # the allow-list names, so the fusion sits in the whole side's u_sign
+    "u_sign": ("u_multiplicative", constants, "u_sign", lambda rp, rpp, _:
+        constants.split_pair_values(rp, rpp), "aux", {("halves", "whole"): {"split_pair_values"}}),
+    "kappa_sum_law": ("kappasum", fam, "kappa_sum_law", fam.transversal_character_sum, "kappasum",
+        {("law", "sum"): {"transversal_character_sum", "enumerate_L", "LPair.__init__",
+                          "kappa_l2"}}),
+    "product_formula_lhs": ("constprod", constants, "product_formula_lhs",
+        lambda rp, rpp, _, s2, eta, eta1, eta2, *rest: constants.even_case_transfer_constant(
+            eta1, eta2, rp, rpp, s2, eta, 1), "constprod",
+        {("even", "product"): {"even_case_transfer_constant"}}),
 }
 
 
@@ -620,14 +593,14 @@ FUSIONS = {
 def test_the_guard_catches_a_fusion_planted_in_the_sweeps_side(name, monkeypatch):
     # The fused side drops what its call returns, so the sweep still passes; the
     # guard, profiling the sweep's own side function, names what the sides share.
-    module, function, call, suite, named = FUSIONS[name]
+    fused_identity, module, function, call, suite, named = FUSIONS[name]
     original = getattr(module, function)
 
-    def fused(*args):
+    def fused(*args, **kwargs):
         call(*args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, function, fused)
     assert suites.run(suite, **dict(SMALL_SWEEPS)[suite]).passed
-    identity = REGISTRY[name]
+    identity = REGISTRY[fused_identity]
     assert unexplained_sharing(identity, run_sides(identity)) == named

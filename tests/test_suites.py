@@ -320,8 +320,8 @@ def test_transfer_checks_each_row_once(monkeypatch):
     monkeypatch.setattr(fam, "enumerate_gamma", enumerate_gamma)
     monkeypatch.setitem(suites.SUITES, "transfer", (batches, specs))
     counted(fam, "eta_of_L2", lambda gamma, pair, shape, *rest: ("eta_of_L2", shape.b_switch))
-    counted(constants, "factorwise_e_factor", lambda *args: "factorwise_e_factor")
-    counted(fam, "kappa_l2", lambda *args: "kappa_l2")
+    counted(constants, "factorwise_grids", lambda *args: "factorwise_grids")
+    counted(constants, "closed_grids", lambda *args: "closed_grids")
     counted(constants, "sgn_minus_one", lambda *args: "sgn_minus_one")
     report = suites.run("transfer", qs=(5,), rrmax=2)
     assert report.passed
@@ -344,11 +344,8 @@ def test_transfer_checks_each_row_once(monkeypatch):
     # eta[L2, gamma] once per (gamma, pairing) where B = 1, and never where B = 0
     assert calls["eta_of_L2", 1] == sum(n for _, b, n in checks if b == 1) > 0
     assert calls["eta_of_L2", 0] == 0
-    # the e-parts once per (shape, pairing, sign vector) while the grids are
-    # built, never per row
-    grid_entries = sum(len(fam.enumerate_L(shape)) * len(fam.enumerate_e(shape))
-                       for shape in shapes)
-    assert calls["factorwise_e_factor"] == calls["kappa_l2"] == grid_entries < len(checks)
+    # each route's grids once per (shape, beta', beta'', eta) block, never per row
+    assert calls["factorwise_grids"] == calls["closed_grids"] == 8 * len(shapes) < len(checks)
     # m = sgn(-1) once per q, here one, and never per row
     assert calls["sgn_minus_one"] == 1
 
@@ -359,6 +356,16 @@ def test_kappasum_fails_on_a_negated_kappa_zero(monkeypatch):
     report = suites.run("kappasum", max_rr=2)
     assert report.failures and not report.passed
     assert all(f["lhs"] == -f["rhs"] != 0 for f in report.failures)
+
+
+def test_kappasum_fails_on_pairings_listed_twice(monkeypatch):
+    # the law counts the pairings by their closed form, not by the list the sum runs over
+    original = fam.enumerate_L
+    monkeypatch.setattr(fam, "enumerate_L", lambda shape: original(shape) * 2)
+    report = suites.run("kappasum")
+    # every point of the distinguished subgroup fails, with the sum doubled
+    assert report.points_checked == 595 and len(report.failures) == 119
+    assert all(f["lhs"] == 2 * f["rhs"] != 0 for f in report.failures)
 
 
 def test_weyl_fails_on_an_off_by_one_class_size(monkeypatch):
