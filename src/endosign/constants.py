@@ -134,13 +134,10 @@ def split_pair_identities(rp: int, rpp: int) -> dict[str, dict]:
     if rp < 0:
         raise ValueError("r' must be nonnegative")
     halves = split_pair_values(rp, rpp)
-    checks = {}
-    for name, lhs, rhs in (
-            ("parity_sum", parity_of_halves(halves), parity_of_pair(rpp)),
-            ("size_forms", size_forms_of_halves(halves), size_forms_of_pair(rp, rpp)),
-            ("companion_sums", companion_sums_of_halves(halves),
-             companion_sums_of_pair(rp, rpp))):
-        checks[name] = {"lhs": lhs, "rhs": rhs, "pass": lhs == rhs}
+    checks = {name: {"lhs": lhs, "rhs": rhs, "pass": lhs == rhs} for name, lhs, rhs in (
+        ("parity_sum", parity_of_halves(halves), parity_of_pair(rpp)),
+        ("size_forms", size_forms_of_halves(halves), size_forms_of_pair(rp, rpp)),
+        ("companion_sums", companion_sums_of_halves(halves), companion_sums_of_pair(rp, rpp)))}
     sides = {f"m={m}": {"lhs": u_sign(rp, rpp, m), "rhs": u_of_halves(halves, m)}
              for m in (1, -1)}
     checks["u_multiplicative"] = {"sides": sides,
@@ -303,9 +300,8 @@ def product_formula_lhs(rp: int, rpp: int, scd1: int, scd2: int, eta: SquareClas
                         rp_field: ResidueParam, alt_two_power: bool) -> Fraction:
     """2^(-1-beta) * C_total * |families|, the product-formula identity's left-hand side.
 
-    C_total is collapse_and_product_constants' product constant, under the
-    alternate two-power reading when alt_two_power is set, and |families|
-    the closed-form count of transversal families.
+    C_total is collapse_and_product_constants' product constant, read with
+    alt_two_power, and |families| the closed-form transversal family count.
     """
     _, product = collapse_and_product_constants(rp, rpp, scd1, scd2, eta, eta1, eta2, beta,
                                                 rp_field, alt_two_power=alt_two_power)
@@ -609,11 +605,11 @@ def transfer_points(qs, rrmax: int):
     (gamma, pairing) factor times an e-part and a u-part, so each route
     does its work at two levels:
 
-      * per block and pairing: the route's e x u grid, built once from its
-        own tables in the order e, then u: factorwise_grids and
-        closed_grids.  The admissible vectors depend on the block only
-        through the sign target, so they are enumerated once per (q, shape,
-        target);
+      * per block and pairing: the route's e x u grid from its own tables,
+        e first: factorwise_grids, and closed_grids, which does not read
+        eta, once per (q, shape, beta', beta'').  The admissible vectors
+        depend on the block only through the sign target, so they are
+        enumerated once per (q, shape, target);
       * per row: one factorwise_transfer_check, which returns each route's
         row of (gamma, pairing) factors, one int per pairing: the per-factor
         route's factorwise_gamma_factor and the closed route's
@@ -651,11 +647,12 @@ def transfer_points(qs, rrmax: int):
                 k_second = tuple(range(beta1.length() + 1, t + 1))
                 uvecs = list(itertools.product((0, 1), repeat=t))
                 row_points = len(pairs) * len(evecs) * len(uvecs)
+                cl_grids = closed_grids(pairs, evecs, uvecs, k_second)
                 for ue in (1, -1):
                     eta = SquareClass(rpp % 2, ue)
                     # per pairing: each route's grid
                     grids = list(zip(factorwise_grids(pairs, evecs, uvecs, k_second, eta),
-                                     closed_grids(pairs, evecs, uvecs, k_second)))
+                                     cl_grids))
                     verdicts = {}  # (per-factor row, closed row) -> passes
                     target = scd1 * scd2 * eta.unit_sign
                     for gamma in gammas[target]:

@@ -162,8 +162,9 @@ def _constprod_points():
         for rp, rpp in itertools.product(range(3), repeat=2):
             if (rp - rpp) % 2:
                 continue
+            shape = fam.SplitShape(rp, rpp)
             for ue, ue2, s1, s2 in itertools.product((1, -1), repeat=4):
-                eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(abs(rp - rpp) // 2 % 2, ue2)
+                eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(shape.t2 % 2, ue2)
                 eta1 = eta * eta2
                 for beta in constants._degenerate_cases(rp, rpp, s1, s2, eta1, eta2):
                     points.append((field, rp, rpp, s1, s2, eta, eta1, eta2, beta))
@@ -181,12 +182,14 @@ CHAIN_POINTS = [(rp, rpp, s1, s2, d2, npar, d1 + d2, M[q]) for q in (5, 7) for r
                     (1, -1), (1, -1), (0, 1), (0, 1), (0, 1))]
 
 
-# --- transfer: q = 5, R - r <= 2 ----------------------------------------------
+# --- transfer: q = 5, R - r <= 4 ----------------------------------------------
 
 
 def _transfer_blocks():
+    """One block per (shape, beta', beta''), as the sweep builds them, with each eta's vectors."""
     blocks = []
-    for rp, rpp in constants._transfer_shapes(2, 5):
+    # R - r = 4 gives t2 = 2, with the last slot pinned to L1 at (4, 0) and free at (5, 1)
+    for rp, rpp in constants._transfer_shapes(4, 5):
         shape = fam.SplitShape(rp, rpp)
         pairs = fam.enumerate_L(shape)
         evecs = fam.enumerate_e(shape)[::3]
@@ -196,10 +199,9 @@ def _transfer_blocks():
             t = t1 + (1 - scd2) // 2
             k_second = tuple(range(t1 + 1, t + 1))
             uvecs = list(itertools.product((0, 1), repeat=t))
-            for ue in (1, -1):
-                eta = SquareClass(rpp % 2, ue)
-                blocks.append((shape, pairs, evecs, uvecs, k_second, scd1, scd2, eta,
-                               fam.enumerate_gamma(shape, F5, scd1 * scd2 * ue)))
+            etas = [(eta, fam.enumerate_gamma(shape, F5, scd1 * scd2 * eta.unit_sign))
+                    for eta in (SquareClass(rpp % 2, ue) for ue in (1, -1))]
+            blocks.append((shape, pairs, evecs, uvecs, k_second, scd1, scd2, etas))
     return blocks
 
 
@@ -207,12 +209,13 @@ TRANSFER_BLOCKS = _transfer_blocks()
 
 
 def _route(row, grids):
-    """A route's value at each point: its (gamma, pairing) row entry times its grid entry."""
+    """A route's value at each point: its row entry times its entry of grids(*block, etas=)."""
     out = []
-    for shape, pairs, evecs, uvecs, k_second, scd1, scd2, eta, gammas in TRANSFER_BLOCKS:
-        block_grids = grids(pairs, evecs, uvecs, k_second, eta)
-        out += [value * x for gamma in gammas for value, grid in zip(
-            row(shape, gamma, pairs, scd1, scd2, eta, M[5], F5), block_grids) for x in grid]
+    for shape, pairs, evecs, uvecs, k_second, scd1, scd2, etas in TRANSFER_BLOCKS:
+        for (eta, gammas), eta_grids in zip(etas, grids(pairs, evecs, uvecs, k_second,
+                                                        etas=[eta for eta, _ in etas])):
+            out += [value * x for gamma in gammas for value, grid in zip(
+                row(shape, gamma, pairs, scd1, scd2, eta, M[5], F5), eta_grids) for x in grid]
     return out
 
 
@@ -378,11 +381,11 @@ REGISTRY = {
     }, {}),
     # transfer
     "transfer": Identity({
-        "per_factor": lambda: _route(constants.factorwise_gamma_factor,
-                                     constants.factorwise_grids),
-        "closed": lambda: _route(constants.transfer_factor_sign,
-                                 # the closed grids do not read eta
-                                 lambda *args: constants.closed_grids(*args[:-1])),
+        "per_factor": lambda: _route(constants.factorwise_gamma_factor, lambda *block, etas: [
+            constants.factorwise_grids(*block, eta) for eta in etas]),
+        # the closed grids do not read eta: one call per block, as in the sweep
+        "closed": lambda: _route(constants.transfer_factor_sign, lambda *block, etas: [
+            constants.closed_grids(*block)] * len(etas)),
     }, LEGENDRE),
     # weyl
     "class_size": Identity({
@@ -604,3 +607,9 @@ def test_the_guard_catches_a_fusion_planted_in_the_sweeps_side(name, monkeypatch
     assert suites.run(suite, **dict(SMALL_SWEEPS)[suite]).passed
     identity = REGISTRY[fused_identity]
     assert unexplained_sharing(identity, run_sides(identity)) == named
+
+
+def test_the_closed_transfer_route_reads_eta_of_l2():
+    # on the shapes with B = 1 the closed row reads eta[L2, gamma]; the per-factor row never does
+    runs = run_sides(REGISTRY["transfer"])
+    assert "eta_of_L2" in runs["closed"][1] - runs["per_factor"][1]

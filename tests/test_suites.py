@@ -320,9 +320,8 @@ def test_transfer_checks_each_row_once(monkeypatch):
     monkeypatch.setattr(fam, "enumerate_gamma", enumerate_gamma)
     monkeypatch.setitem(suites.SUITES, "transfer", (batches, specs))
     counted(fam, "eta_of_L2", lambda gamma, pair, shape, *rest: ("eta_of_L2", shape.b_switch))
-    counted(constants, "factorwise_grids", lambda *args: "factorwise_grids")
-    counted(constants, "closed_grids", lambda *args: "closed_grids")
-    counted(constants, "sgn_minus_one", lambda *args: "sgn_minus_one")
+    for name in ("factorwise_grids", "closed_grids", "sgn_minus_one"):
+        counted(constants, name, lambda *args, name=name: name)
     report = suites.run("transfer", qs=(5,), rrmax=2)
     assert report.passed
     shapes = [fam.SplitShape(*shape) for shape in constants._transfer_shapes(2, 5)]
@@ -344,8 +343,8 @@ def test_transfer_checks_each_row_once(monkeypatch):
     # eta[L2, gamma] once per (gamma, pairing) where B = 1, and never where B = 0
     assert calls["eta_of_L2", 1] == sum(n for _, b, n in checks if b == 1) > 0
     assert calls["eta_of_L2", 0] == 0
-    # each route's grids once per (shape, beta', beta'', eta) block, never per row
-    assert calls["factorwise_grids"] == calls["closed_grids"] == 8 * len(shapes) < len(checks)
+    # per-factor grids per (shape, beta', beta'', eta) block, closed ones per (shape, beta', beta'')
+    assert calls["factorwise_grids"] == 2 * calls["closed_grids"] == 8 * len(shapes) < len(checks)
     # m = sgn(-1) once per q, here one, and never per row
     assert calls["sgn_minus_one"] == 1
 
