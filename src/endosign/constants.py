@@ -56,9 +56,8 @@ def split_pair_values(rp: int, rpp: int) -> tuple[int, int, int, int]:
 
 def split_sizes(rp: int, rpp: int, Np: int, Npp: int) -> tuple[int, int]:
     """(n1, n2) of the splitting, via the quadratic closed forms."""
-    n1 = ((rp + rpp) ** 2 + (rp + rpp + 1) ** 2 - 1) // 4 + Np
-    n2 = ((rp - rpp) ** 2 + (rp - rpp + 1) ** 2 - 1) // 4 + Npp
-    return n1, n2
+    s, d = rp + rpp, rp - rpp
+    return (s * s + (s + 1) * (s + 1) - 1) // 4 + Np, (d * d + (d + 1) * (d + 1) - 1) // 4 + Npp
 
 
 def r_plus_minus(rp: int, rpp: int) -> tuple[int, int]:
@@ -143,6 +142,27 @@ def split_pair_identities(rp: int, rpp: int) -> dict[str, dict]:
     checks["u_multiplicative"] = {"sides": sides,
                                   "pass": all(s["lhs"] == s["rhs"] for s in sides.values())}
     return checks
+
+
+def size_totals(rp: int, rpp: int, ns: list[tuple[int, int]]) -> list[int]:
+    """r'^2 + r' + r''^2 + N' + N'' at each (N', N'') of ns, which n1 + n2 of split_sizes equals."""
+    n = rp * rp + rp + rpp * rpp
+    return [n + Np + Npp for Np, Npp in ns]
+
+
+def swapped_split(halves: tuple[int, int, int, int], sizes: list[tuple[int, int]]) -> tuple:
+    """The split pair with its halves exchanged, and each (n1, n2) of sizes as (n2, n1)."""
+    r1p, r1pp, r2p, r2pp = halves
+    return (r2p, r2pp, r1p, r1pp), [(n2, n1) for n1, n2 in sizes]
+
+
+def mirrored_split(rp: int, rpp: int, ns: list[tuple[int, int]]) -> tuple:
+    """The split pair at (r', -r''), and split_sizes(r', -r'', N'', N') at each (N', N'') of ns.
+
+    By the r'' <-> -r'' symmetry it equals swapped_split of the data at (r', r'').
+    """
+    mirror = -rpp
+    return split_pair_values(rp, mirror), [split_sizes(rp, mirror, Npp, Np) for Np, Npp in ns]
 
 
 # ---------------------------------------------------------------------------
@@ -310,42 +330,57 @@ def product_formula_lhs(rp: int, rpp: int, scd1: int, scd2: int, eta: SquareClas
 
 
 # ---------------------------------------------------------------------------
-# Sweep point generators (see endosign.suites): each yields (checked,
-# failures), the number of points just checked and their failure records.
+# Sweep point generators (see endosign.suites).  A window generates a sweep's
+# point inputs; the tests' side registry calls it at small bounds.  The check
+# iterates its window, evaluates each identity's sides on those inputs, and
+# yields (checked, failures): the number of points just checked and their
+# failure records, each naming its identity.
 # ---------------------------------------------------------------------------
+
+def pair_window(rmax: int):
+    """(r', r'') for r' in [0, rmax] and r'' in [-rmax, rmax]."""
+    for rp in range(rmax + 1):
+        for rpp in range(-rmax, rmax + 1):
+            yield rp, rpp
+
 
 def aux_points(rmax: int):
     """Auxiliary identities over r' in [0, rmax], r'' in [-rmax, rmax]."""
-    for rp in range(rmax + 1):
-        for rpp in range(-rmax, rmax + 1):
-            checks = split_pair_identities(rp, rpp)
-            yield 1, () if all(c["pass"] for c in checks.values()) else (
-                {"rp": rp, "rpp": rpp, "detail": {"rp": rp, "rpp": rpp, "checks": checks}},)
+    for rp, rpp in pair_window(rmax):
+        checks = split_pair_identities(rp, rpp)
+        yield 1, () if all(c["pass"] for c in checks.values()) else (
+            {"rp": rp, "rpp": rpp, "detail": {"rp": rp, "rpp": rpp, "checks": checks}},)
+
+
+def split_window(rmax: int, nmax: int):
+    """(r', r'', the (N', N'') of its points) for each (r', r'') of pair_window; N', N'' <= nmax."""
+    ns = list(itertools.product(range(nmax + 1), repeat=2))
+    for rp, rpp in pair_window(rmax):
+        yield rp, rpp, ns
 
 
 def split_points(rmax: int, nmax: int):
     """Size-sum identity and the r'' <-> -r'' swap symmetry of the splitting.
 
     A point is one (r', r'', N', N''); the (nmax+1)^2 points of one (r', r'')
-    are yielded as one batch.
+    are yielded as one batch.  Each point's split_sizes, computed once, meet
+    size_totals in their sum and mirrored_split through swapped_split.
     """
-    for rp in range(rmax + 1):
-        for rpp in range(-rmax, rmax + 1):
-            vals = split_pair_values(rp, rpp)
-            pairs_swap = split_pair_values(rp, -rpp) == (vals[2], vals[3], vals[0], vals[1])
-            n = rp * rp + rp + rpp * rpp
-            failures = []
-            for Np in range(nmax + 1):
-                for Npp in range(nmax + 1):
-                    n1, n2 = split_sizes(rp, rpp, Np, Npp)
-                    total = n + Np + Npp
-                    if n1 + n2 != total:
-                        failures.append({"rp": rp, "rpp": rpp, "Np": Np, "Npp": Npp,
-                                         "lhs": n1 + n2, "rhs": total, "identity": "sum"})
-                    if not pairs_swap or split_sizes(rp, -rpp, Npp, Np) != (n2, n1):
-                        failures.append({"rp": rp, "rpp": rpp, "Np": Np, "Npp": Npp,
-                                         "identity": "swap"})
-            yield (nmax + 1) ** 2, failures
+    for rp, rpp, ns in split_window(rmax, nmax):
+        sizes = [split_sizes(rp, rpp, Np, Npp) for Np, Npp in ns]
+        sums, totals = [n1 + n2 for n1, n2 in sizes], size_totals(rp, rpp, ns)
+        pair, mirror = swapped_split(split_pair_values(rp, rpp), sizes), mirrored_split(rp, rpp, ns)
+        if sums == totals and pair == mirror:
+            yield len(ns), ()
+            continue
+        failures = []
+        for (Np, Npp), lhs, rhs, swapped, mirrored in zip(ns, sums, totals, pair[1], mirror[1]):
+            point = {"rp": rp, "rpp": rpp, "Np": Np, "Npp": Npp}
+            if lhs != rhs:
+                failures.append({**point, "lhs": lhs, "rhs": rhs, "identity": "sum"})
+            if pair[0] != mirror[0] or swapped != mirrored:
+                failures.append({**point, "identity": "swap"})
+        yield len(ns), failures
 
 
 def _degenerate_cases(rp, rpp, scd1, scd2, eta1, eta2):
@@ -364,15 +399,9 @@ def _degenerate_cases(rp, rpp, scd1, scd2, eta1, eta2):
     return cases
 
 
-def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
-    """The product-formula constant identity over the full sign sweep.
-
-    For every q, every (r', r'') of equal parity up to rmax, all class and
-    sign choices, and every admissible beta:
-        2^(-1-beta) * C_total * |families| = C_even,
-    checked exactly in rationals.
-    alt_two_power evaluates C_total under the alternate two-power reading.
-    """
+def constprod_window(qs, rmax: int):
+    """(field, m = sgn(-1), r', r'', scd1, scd2, eta, eta1, eta2, beta) of each point: every q,
+    (r', r'') of equal parity up to rmax, class and sign choice, and admissible beta."""
     for q in qs:
         field = ResidueParam(q)
         m = sgn_minus_one(field)
@@ -380,23 +409,29 @@ def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
             for rpp in range(rmax + 1):
                 if (rp - rpp) % 2:
                     continue
-                shape = fam.SplitShape(rp, rpp)
+                t2 = fam.SplitShape(rp, rpp).t2
                 for ue, ue2, s1, s2 in itertools.product((1, -1), repeat=4):
                     eta = SquareClass(rpp % 2, ue)
-                    eta2 = SquareClass(shape.t2 % 2, ue2)
+                    eta2 = SquareClass(t2 % 2, ue2)
                     eta1 = eta * eta2
                     for beta in _degenerate_cases(rp, rpp, s1, s2, eta1, eta2):
-                        lhs = ExactValue(product_formula_lhs(
-                            rp, rpp, s1, s2, eta, eta1, eta2, beta, field,
-                            alt_two_power=alt_two_power))
-                        rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta, m)
-                        if lhs.value == rhs:
-                            yield 1, ()
-                        else:
-                            yield 1, ({"q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
-                                       "eta1": eta1.name(), "eta2": eta2.name(), "scd1": s1,
-                                       "scd2": s2, "beta": beta, "lhs": lhs.to_json(),
-                                       "rhs": rhs},)
+                        yield field, m, rp, rpp, s1, s2, eta, eta1, eta2, beta
+
+
+def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
+    """The product-formula constant identity at every point of constprod_window:
+        2^(-1-beta) * C_total * |families| = C_even,
+    checked exactly in rationals.
+    alt_two_power evaluates C_total under the alternate two-power reading.
+    """
+    for field, m, rp, rpp, s1, s2, eta, eta1, eta2, beta in constprod_window(qs, rmax):
+        lhs = ExactValue(product_formula_lhs(rp, rpp, s1, s2, eta, eta1, eta2, beta, field,
+                                             alt_two_power=alt_two_power))
+        rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta, m)
+        yield 1, () if lhs.value == rhs else (
+            {"q": field.q, "rp": rp, "rpp": rpp, "eta": eta.name(), "eta1": eta1.name(),
+             "eta2": eta2.name(), "scd1": s1, "scd2": s2, "beta": beta,
+             "identity": "constprod", "lhs": lhs.to_json(), "rhs": rhs},)
 
 
 def branch_switch(rp: int, rpp: int) -> int:
@@ -464,30 +499,37 @@ def collapse_product(chain: int, rp: int, rpp: int, scd1: int, scd2: int, n: int
     return total
 
 
+def chain_window(rmax: int):
+    """(q, m, r', r'', the (scd1, scd2, d2, d, n) of its points) for each (r', r'') of pair_window.
+
+    The chain reads q only through m = sgn(-1), +1 at q = 5, -1 at 7; d = d1 + d2, d1, d2, n <= 1.
+    """
+    signs = [(s1, s2, d2, d1 + d2, npar) for s1, s2, d2, d1, npar in itertools.product(
+        (1, -1), (1, -1), (0, 1), (0, 1), (0, 1))]
+    for q in (5, 7):
+        m = sgn_minus_one(ResidueParam(q))
+        for rp, rpp in pair_window(rmax):
+            yield q, m, rp, rpp, signs
+
+
 def sign_chain_points(rmax: int):
     """sign_chain against (-1)^n U, then collapse_product, the full product, against 1.
 
     U = U1 U2 over the split pair is aux's u_multiplicative, swept there.
     """
-    for q in (5, 7):  # the chain depends on q only through m = sgn(-1): +1 at 5, -1 at 7
-        m = sgn_minus_one(ResidueParam(q))
-        for rp in range(rmax + 1):
-            for rpp in range(-rmax, rmax + 1):
-                u = u_sign(rp, rpp, m)
-                for s1, s2, d2, d1, npar in itertools.product(
-                        (1, -1), (1, -1), (0, 1), (0, 1), (0, 1)):
-                    d = d1 + d2
-                    chain = sign_chain(rp, rpp, s1, s2, d2, npar, d, m)
-                    target = (-1) ** npar * u
-                    if chain != target:
-                        yield 1, ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
-                                   "d2": d2, "d": d, "n": npar, "lhs": chain, "rhs": target,
-                                   "identity": "chain"},)
-                        continue
-                    total = collapse_product(chain, rp, rpp, s1, s2, npar, m)
-                    yield 1, () if total == 1 else (
-                        {"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2, "d2": d2,
-                         "d": d, "value": total, "identity": "collapse"},)
+    for q, m, rp, rpp, signs in chain_window(rmax):
+        u = u_sign(rp, rpp, m)
+        for s1, s2, d2, d, npar in signs:
+            chain = sign_chain(rp, rpp, s1, s2, d2, npar, d, m)
+            target = (-1) ** npar * u
+            if chain != target:
+                yield 1, ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2, "d2": d2,
+                           "d": d, "n": npar, "lhs": chain, "rhs": target, "identity": "chain"},)
+                continue
+            total = collapse_product(chain, rp, rpp, s1, s2, npar, m)
+            yield 1, () if total == 1 else (
+                {"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2, "d2": d2,
+                 "d": d, "value": total, "identity": "collapse"},)
 
 
 def factorwise_gamma_factor(shape: fam.SplitShape, gamma: fam.GammaVector,
@@ -588,48 +630,16 @@ def _transfer_shapes(rrmax: int, q: int):
                 yield r, rr + r
 
 
-def transfer_points(qs, rrmax: int):
-    """Per-factor versus closed-form evaluation of the descent transfer factor.
+def transfer_window(qs, rrmax: int):
+    """(field, m, shape, pairs, evecs, scd1, scd2, k_second, uvecs, etas) per block.
 
-    Exhaustive over admissible assignment vectors, all sign vectors, all
-    block vectors for small two-block class data, and all pairings, in both
-    branch-switch regimes.
-
-    A block is one (q, shape, beta', beta'', eta); a row is one assignment
-    vector gamma of a block, and its points are every pairing times every
-    sign vector e times every block vector u, a tuple of 0 and 1 whose
-    second block K'' has the 1-based indices k_second.  m = sgn(-1) is
-    evaluated once per q, and the class signs scd1 = sgn_cd(w') and
-    scd2 = sgn_cd(w'') once per (beta', beta''); both routes get the same
-    ints, as they get eta.  At a point each route's value is its
-    (gamma, pairing) factor times an e-part and a u-part, so each route
-    does its work at two levels:
-
-      * per block and pairing: the route's e x u grid from its own tables,
-        e first: factorwise_grids, and closed_grids, which does not read
-        eta, once per (q, shape, beta', beta'').  The admissible vectors
-        depend on the block only through the sign target, so they are
-        enumerated once per (q, shape, target);
-      * per row: one factorwise_transfer_check, which returns each route's
-        row of (gamma, pairing) factors, one int per pairing: the per-factor
-        route's factorwise_gamma_factor and the closed route's
-        transfer_factor_sign, which calls eta_of_L2 once per pairing only
-        when B = 1.  A point's value is its pairing's row entry times the
-        route's own grid entry.
-
-    A row passes when, for every pairing, the per-factor entry times its
-    grid equals the closed entry times its grid, so within a block its
-    verdict depends only on the two rows.  Each block keeps the verdicts
-    it has computed under the pair of rows, as exact ints in pairing
-    order, and drops them with the block.  A row is yielded as one batch;
-    only a row that fails is walked pairing by pairing, then e, then u, for
-    its failure records.
-
-    The routes stay independent: each computes all of its own factors, and
-    they share only the leaf primitive legendre.  No row, grid or verdict
-    is computed by both sides and neither side is derived from the other,
-    so a wrong formula on either side fails exactly the points at which the
-    two routes' products differ.
+    A block is one (q, shape, beta', beta''), in both branch-switch regimes
+    and for small two-block class data.  evecs and uvecs list the sign
+    vectors e and the block vectors u, whose second block K'' has the 1-based
+    indices k_second.  etas lists (eta, its admissible vectors) for the two
+    classes eta of the shape's valuation parity; the vectors depend on the
+    block only through the sign target scd1 scd2 unit(eta), so they are
+    enumerated once per (q, shape, target).
     """
     beta_options = [Partition(), Partition([1])]
     for q in qs:
@@ -646,33 +656,68 @@ def transfer_points(qs, rrmax: int):
                 t = beta1.length() + beta2.length()
                 k_second = tuple(range(beta1.length() + 1, t + 1))
                 uvecs = list(itertools.product((0, 1), repeat=t))
-                row_points = len(pairs) * len(evecs) * len(uvecs)
-                cl_grids = closed_grids(pairs, evecs, uvecs, k_second)
-                for ue in (1, -1):
-                    eta = SquareClass(rpp % 2, ue)
-                    # per pairing: each route's grid
-                    grids = list(zip(factorwise_grids(pairs, evecs, uvecs, k_second, eta),
-                                     cl_grids))
-                    verdicts = {}  # (per-factor row, closed row) -> passes
-                    target = scd1 * scd2 * eta.unit_sign
-                    for gamma in gammas[target]:
-                        fw_row, cl_row = factorwise_transfer_check(
-                            shape, gamma, pairs, scd1, scd2, eta, m, field)
-                        key = (tuple(fw_row), tuple(cl_row))
-                        passed = verdicts.get(key)
-                        if passed is None:
-                            passed = verdicts[key] = all(
-                                [fw * x for x in fw_grid] == [cl * y for y in cl_grid]
-                                for fw, cl, (fw_grid, cl_grid) in zip(fw_row, cl_row, grids))
-                        yield row_points, () if passed else tuple(
-                            {"q": q, "rp": rp, "rpp": rpp, "gamma": gamma.to_json(),
-                             "e": list(e), "u": list(u), "pair": pair.to_json(),
-                             "lhs": fw * x, "rhs": cl * y}
-                            for pair, fw, cl, (fw_grid, cl_grid)
-                            in zip(pairs, fw_row, cl_row, grids)
-                            for (e, u), x, y in zip(itertools.product(evecs, uvecs),
-                                                    fw_grid, cl_grid)
-                            if fw * x != cl * y)
+                etas = [(eta, gammas[scd1 * scd2 * eta.unit_sign])
+                        for eta in (SquareClass(rpp % 2, ue) for ue in (1, -1))]
+                yield field, m, shape, pairs, evecs, scd1, scd2, k_second, uvecs, etas
             # to bound peak memory, drop this shape's vectors before the next
             # shape builds its own
-            del gammas
+            del gammas, etas
+
+
+def transfer_points(qs, rrmax: int):
+    """Per-factor versus closed-form evaluation of the descent transfer factor.
+
+    Each block of transfer_window is checked under each of its classes eta.
+    A row is one assignment vector gamma of a block, and its points are
+    every pairing times every sign vector e times every block vector u.  At
+    a point each route's value is its (gamma, pairing) factor times an
+    e-part and a u-part, so each route does its work at two levels:
+
+      * per block and pairing: the route's e x u grid from its own tables,
+        e first: factorwise_grids per eta, and closed_grids, which does not
+        read eta, once per (q, shape, beta', beta'');
+      * per row: one factorwise_transfer_check, which returns each route's
+        row of (gamma, pairing) factors, one int per pairing: the per-factor
+        route's factorwise_gamma_factor and the closed route's
+        transfer_factor_sign, which calls eta_of_L2 once per pairing only
+        when B = 1.
+
+    A row passes when, for every pairing, the per-factor entry times its
+    grid equals the closed entry times its grid, so within a block its
+    verdict depends only on the two rows.  Each block keeps the verdicts it
+    has computed under the pair of rows and drops them with the block.  A
+    row is yielded as one batch; only a row that fails is walked pairing by
+    pairing, then e, then u, for its failure records.
+
+    The routes stay independent: each computes all of its own factors from
+    the same ints m, scd1, scd2 and eta, and they share only the leaf
+    primitive legendre.  No row, grid or verdict is computed by both sides,
+    so a wrong formula on either side fails exactly the points at which the
+    two routes' products differ.
+    """
+    for field, m, shape, pairs, evecs, scd1, scd2, k_second, uvecs, etas in \
+            transfer_window(qs, rrmax):
+        row_points = len(pairs) * len(evecs) * len(uvecs)
+        cl_grids = closed_grids(pairs, evecs, uvecs, k_second)
+        for eta, vectors in etas:
+            # per pairing: each route's grid
+            grids = list(zip(factorwise_grids(pairs, evecs, uvecs, k_second, eta), cl_grids))
+            verdicts = {}  # (per-factor row, closed row) -> passes
+            for gamma in vectors:
+                fw_row, cl_row = factorwise_transfer_check(
+                    shape, gamma, pairs, scd1, scd2, eta, m, field)
+                key = (tuple(fw_row), tuple(cl_row))
+                passed = verdicts.get(key)
+                if passed is None:
+                    passed = verdicts[key] = all(
+                        [fw * x for x in fw_grid] == [cl * y for y in cl_grid]
+                        for fw, cl, (fw_grid, cl_grid) in zip(fw_row, cl_row, grids))
+                yield row_points, () if passed else tuple(
+                    {"q": field.q, "rp": shape.rp, "rpp": shape.rpp, "gamma": gamma.to_json(),
+                     "e": list(e), "u": list(u), "pair": pair.to_json(),
+                     "identity": "transfer", "lhs": fw * x, "rhs": cl * y}
+                    for pair, fw, cl, (fw_grid, cl_grid) in zip(pairs, fw_row, cl_row, grids)
+                    for (e, u), x, y in zip(itertools.product(evecs, uvecs), fw_grid, cl_grid)
+                    if fw * x != cl * y)
+        # hold no vectors past the block, so that the window's drop frees them
+        del etas, vectors

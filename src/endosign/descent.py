@@ -226,9 +226,12 @@ def sector_size_sum(g: QuadrupleGamma, split: SizeSplit,
     return n1, n2
 
 
-def check_v_sign_relation(beta: Partition, split: ClassSplit) -> bool:
-    """(-1)^len(beta) = (-1)^len(beta_+) (-1)^len(beta_-) (-1)^(sum |beta_i|)."""
-    lhs = (-1) ** (beta.length() % 2)
-    rhs = (-1) ** ((split.beta_plus.length() + split.beta_minus.length()
-                    + sum(b.size() for b in split.beta_blocks)) % 2)
-    return lhs == rhs
+def whole_class_sign(beta: Partition) -> int:
+    """(-1)^len(beta), which split_class_sign equals on each of beta's class splits."""
+    return (-1) ** (beta.length() % 2)
+
+
+def split_class_sign(split: ClassSplit) -> int:
+    """(-1)^len(beta_+) (-1)^len(beta_-) (-1)^(sum |beta_i|) of a class split."""
+    return (-1) ** ((split.beta_plus.length() + split.beta_minus.length()
+                     + sum(b.size() for b in split.beta_blocks)) % 2)

@@ -186,13 +186,13 @@ def kappa_l2(e: tuple[int, ...], pair: LPair) -> int:
     return out
 
 
-def transversal_character_sum(e: tuple[int, ...], shape: SplitShape) -> int:
-    """Sum of kappa_l2(e) over all transversal pairings.
+def transversal_character_sum(e: tuple[int, ...], pairs: list[LPair]) -> int:
+    """Sum of kappa_l2(e) over pairs, a shape's transversal pairings (enumerate_L).
 
     Vanishes off the distinguished subgroup and equals |pairings| times
     kappa_zero(e) on it.
     """
-    return sum(kappa_l2(e, pair) for pair in enumerate_L(shape))
+    return sum(kappa_l2(e, pair) for pair in pairs)
 
 
 def kappa_sum_law(e: tuple[int, ...], shape: SplitShape) -> int:

@@ -1,19 +1,21 @@
 """Batch verification sweeps and enumeration reports.
 
 Each suite sweeps one family of identities exhaustively over a desk-scale
-window.  SUITES is its registry: a suite's name maps to its point generator
-and the specification of its parameters.  A generator yields one pair
-(checked, failures) per batch of points it has just checked: checked is the
-number of those points and failures their failure records, empty when
-they all pass.  Most generators yield every point on its own, as
-(1, failures); split yields the (nmax+1)^2 points of one (r', r'') at once
-and transfer the points of one row, every pairing of one gamma in one
-block.  run() owns everything else: it checks the parameters against their
-bounds and caps before any point is checked, adds up the checked counts,
-times the sweep, collects the failures and builds the VerificationReport.
-The CLI derives its verify subcommands and flags from SUITES.  The
-generators of the identities among the named constants live in the
-constants module.
+domain, in two generators.  Its window generates the point inputs, at the
+level the check works at: a point, or the points of one (r', r''), shape or
+block; the tests' side registry calls it at small bounds.  Its check, the
+point generator, iterates the window, evaluates each identity's sides on
+those inputs and yields one pair (checked, failures) per batch of points:
+checked is their number and failures their failure records, each naming
+its identity (aux's in its detail), empty when they all pass.  Most checks
+yield every point on its own, as (1, failures); split yields the points of
+one (r', r'') at once and transfer those of one row.  SUITES maps a suite's
+name to its check and the specification of its parameters.  run() owns
+everything else: it checks the parameters against their bounds and caps
+before any point is checked, adds up the checked counts, times the sweep,
+collects the failures and builds the VerificationReport.  The CLI derives
+its verify subcommands and flags from SUITES.  The windows and checks of
+the identities among the named constants live in the constants module.
 """
 
 from __future__ import annotations
@@ -45,22 +47,29 @@ ENUM_N_CAP = 8
 Q_CAP = 101
 
 
-def kappa_sum_points(max_rr: int):
-    """Transversal character sums against the distinguished-subgroup law.
-
-    For every shape with R - r up to max_rr (both the r = 0 and r > 0
-    regimes) and every sign vector e: the sum over pairings of kappa_l2(e)
-    is 0 off the distinguished subgroup and |pairings| * kappa_zero(e) on it,
-    with |pairings| from its closed form (families.kappa_sum_law).
-    """
+def kappa_window(max_rr: int):
+    """(R - r, r, shape, its pairings, its sign vectors) for R - r <= max_rr and r <= 2."""
     for rr in range(0, max_rr + 1, 2):
         for r in (0, 1, 2):
             shape = fam.SplitShape(rr + r, r)
-            for e in fam.enumerate_e(shape):
-                total = fam.transversal_character_sum(e, shape)
-                expected = fam.kappa_sum_law(e, shape)
-                yield 1, () if total == expected else (
-                    {"rr": rr, "r": r, "e": list(e), "lhs": total, "rhs": expected},)
+            yield rr, r, shape, fam.enumerate_L(shape), fam.enumerate_e(shape)
+
+
+def kappa_sum_points(max_rr: int):
+    """Transversal character sums against the distinguished-subgroup law.
+
+    For every shape of kappa_window and every sign vector e: the sum over
+    pairings of kappa_l2(e) is 0 off the distinguished subgroup and
+    |pairings| * kappa_zero(e) on it, with |pairings| from its closed form
+    (families.kappa_sum_law).
+    """
+    for rr, r, shape, pairs, evecs in kappa_window(max_rr):
+        for e in evecs:
+            total = fam.transversal_character_sum(e, pairs)
+            expected = fam.kappa_sum_law(e, shape)
+            yield 1, () if total == expected else (
+                {"rr": rr, "r": r, "e": list(e), "identity": "kappasum",
+                 "lhs": total, "rhs": expected},)
 
 
 def _counting_shapes(t2: int, q: int):
@@ -70,23 +79,51 @@ def _counting_shapes(t2: int, q: int):
     return shapes
 
 
+def _fiber_shapes(t2: int, field: ResidueParam):
+    """(shape, pairs, gammas, points) of each shape whose fibers counting checks at t2.
+
+    gammas maps each sign target to its admissible vectors.  points lists,
+    sign choice (s1, s2, ue, ue2) first and pairing second, each point's (s1,
+    s2, eta, eta2, pairing index, (tau1, tau2), sign target, image key).
+    """
+    for rp, rpp in _counting_shapes(t2, field.q):
+        shape = fam.SplitShape(rp, rpp)
+        pairs = fam.enumerate_L(shape)
+        gammas = {target: fam.enumerate_gamma(shape, field, target) for target in (1, -1)}
+        points = []
+        for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4):
+            eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(t2 % 2, ue2)
+            taus = (s1 * (eta * eta2).unit_sign, s2 * eta2.unit_sign)
+            target = s1 * s2 * ue
+            points += [(s1, s2, eta, eta2, pi, taus, target,
+                        (pi, target, s2, eta2.val_parity, eta2.unit_sign))
+                       for pi in range(len(pairs))]
+        yield shape, pairs, gammas, points
+
+
+def counting_window(field: ResidueParam, t2max: int):
+    """(t2, its family-count shape (2 t2, 0), its lazy _fiber_shapes: none past t2 = 1 at q 13)."""
+    for t2 in range(t2max + 1):
+        capped = field.q == 13 and t2 > 1
+        yield t2, fam.SplitShape(2 * t2, 0), () if capped else _fiber_shapes(t2, field)
+
+
 def counting_points(qs, t2max: int):
     """Fiber sizes and family counts of the transversal reassembly map.
 
-    Checks, per field and shape: (a) the family count against its closed
-    form, slot choices enumerated exhaustively; (b) the reassembly tally
-    over all families and admissible selections lands exactly on the
-    predicted image, and over each vector of the image the tallied fiber
-    has the predicted size and agrees with the slotwise count.  The family
-    count, the families and the slotwise count read one table of slot
-    choices, built once per field.  Includes the worked small values
-    (family count 4 at q = 5 with one pair slot; fibers of sizes 2 and 1).
+    Checks, per field and t2 of counting_window: (a) the family count against
+    its closed form, slot choices enumerated exhaustively; (b) per fiber
+    shape, the reassembly tally over all families and admissible selections
+    lands exactly on the predicted image, and over each vector of the image
+    the tallied fiber has the predicted size and agrees with the slotwise
+    count.  The family count, the families and the slotwise count read one
+    table of slot choices, built once per field.  Includes the worked small
+    values (family count 4 at q = 5 with one pair slot; fibers of sizes 2, 1).
 
     A point is a sign choice (s1, s2, ue, ue2) and a pairing.  Per shape,
     families.reassembly_tallies builds the tally side of every point and
     families.image_groups its image, the prediction runs once per vector
-    and the slotwise count once per (vector, pairing).  The points of a
-    shape are checked and yielded sign choice first, pairing second.
+    and the slotwise count once per (vector, pairing).
     """
     worked_family_count = None
     worked_fiber_sizes: set[int] = set()
@@ -94,9 +131,7 @@ def counting_points(qs, t2max: int):
         field = ResidueParam(q)
         choices = fam._slot_choices(field)
         pair_counts = fam.slot_pair_counts(choices)
-        fiber_cap = 1 if q == 13 else t2max
-        for t2 in range(t2max + 1):
-            shape0 = fam.SplitShape(2 * t2, 0)
+        for t2, shape0, fiber_shapes in counting_window(field, t2max):
             counted = fam.count_transversal_families(shape0, choices)
             formula = fam.transversal_family_count_formula(shape0, field)
             yield 1, () if counted == formula else (
@@ -104,49 +139,41 @@ def counting_points(qs, t2max: int):
                  "rhs": str(formula)},)
             if q == 5 and t2 == 1:
                 worked_family_count = counted
-            if t2 > fiber_cap:
-                continue
-            for rp, rpp in _counting_shapes(t2, q):
-                shape = fam.SplitShape(rp, rpp)
-                pairs = fam.enumerate_L(shape)
+            for shape, pairs, gammas, points in fiber_shapes:
                 tallies = fam.reassembly_tallies(shape, pairs, choices, field)
-                gammas = {target: fam.enumerate_gamma(shape, field, target) for target in (1, -1)}
                 images = fam.image_groups(shape, pairs, gammas, field)
                 slotwise = {(pi, target): [fam.fiber_count_check(g, pair, pair_counts)
                                            for g in vectors]
                             for pi, pair in enumerate(pairs) for target, vectors in gammas.items()}
                 predicted = {target: [fam.fiber_size_prediction(g, shape, field) for g in vectors]
                              for target, vectors in gammas.items()}
-                for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4):
-                    eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(t2 % 2, ue2)
-                    tau1, tau2 = s1 * (eta * eta2).unit_sign, s2 * eta2.unit_sign
-                    target = s1 * s2 * ue
+                rp, rpp = shape.rp, shape.rpp
+                for s1, s2, eta, eta2, pi, taus, target, key in points:
                     vectors, predictions = gammas[target], predicted[target]
-                    for pi in range(len(pairs)):
-                        tally = tallies[tau1, tau2][pi]
-                        image = images.get((pi, target, s2, eta2.val_parity, eta2.unit_sign), ())
-                        expected = {vectors[j] for j in image}
-                        if tally.keys() != expected:
-                            yield 1, ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
-                                       "eta": eta.name(), "eta2": eta2.name(),
-                                       "identity": "image",
-                                       "extra": len(tally.keys() - expected),
-                                       "missing": len(expected - tally.keys())},)
-                            continue
-                        failures = ()
-                        counts = slotwise[pi, target]
-                        for j in image:
-                            g = vectors[j]
-                            observed = tally[g]
-                            if counts[j] != observed or observed != predictions[j]:
-                                failures += ({
-                                    "q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
-                                    "eta2": eta2.name(), "gamma": g.to_json(),
-                                    "identity": "fiber", "observed": observed,
-                                    "slotwise": counts[j], "predicted": str(predictions[j])},)
-                            elif q == 5 and t2 == 1:
-                                worked_fiber_sizes.add(observed)
-                        yield 1, failures
+                    tally = tallies[taus][pi]
+                    image = images.get(key, ())
+                    expected = {vectors[j] for j in image}
+                    if tally.keys() != expected:
+                        yield 1, ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
+                                   "eta": eta.name(), "eta2": eta2.name(),
+                                   "identity": "image",
+                                   "extra": len(tally.keys() - expected),
+                                   "missing": len(expected - tally.keys())},)
+                        continue
+                    failures = ()
+                    counts = slotwise[pi, target]
+                    for j in image:
+                        g = vectors[j]
+                        observed = tally[g]
+                        if counts[j] != observed or observed != predictions[j]:
+                            failures += ({
+                                "q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
+                                "eta2": eta2.name(), "gamma": g.to_json(),
+                                "identity": "fiber", "observed": observed,
+                                "slotwise": counts[j], "predicted": str(predictions[j])},)
+                        elif q == 5 and t2 == 1:
+                            worked_fiber_sizes.add(observed)
+                    yield 1, failures
     if 5 in qs and t2max >= 1:
         yield 1, () if worked_family_count == 4 else (
             {"identity": "worked_family_count", "lhs": worked_family_count, "rhs": 4},)
@@ -169,7 +196,7 @@ def weyl_points(nmax: int):
             total += size
             yield 1, () if formula == size else (
                 {"N": N, "cls": {"alpha": alpha.to_json(), "beta": beta.to_json()},
-                 "lhs": formula, "rhs": size},)
+                 "identity": "class_size", "lhs": formula, "rhs": size},)
         yield 1, () if total == order_b(N) else (
             {"N": N, "identity": "total", "lhs": total, "rhs": order_b(N)},)
         if N <= 3:
@@ -179,7 +206,8 @@ def weyl_points(nmax: int):
         brute_a = brute_class_sizes_a(d)
         for pi, size in sorted(brute_a.items(), key=lambda kv: repr(kv[0])):
             yield 1, () if class_size_a(pi) == size else (
-                {"d": d, "cls": {"pi": pi.to_json()}, "lhs": class_size_a(pi), "rhs": size},)
+                {"d": d, "cls": {"pi": pi.to_json()}, "identity": "class_size_a",
+                 "lhs": class_size_a(pi), "rhs": size},)
         total_a = sum(class_size_a(p) for p in enumerate_partitions(d))
         yield 1, () if total_a == factorial(d) else (
             {"d": d, "identity": "total_a", "lhs": total_a, "rhs": factorial(d)},)
@@ -207,32 +235,42 @@ def descent_window():
                         yield g, dd, N_plus, N_minus
 
 
-def descent_points(beta_max: int):
-    """Descent splitting checks.
+def split_inputs(g: QuadrupleGamma, dd: dsc.DescentDatum, N_plus: int, N_minus: int):
+    """A feasible datum's size splits, their assignment sizes and eta_{1,-}: its splits' inputs."""
+    splits = dsc.enumerate_size_splits(dd, g, N_plus, N_minus)
+    eta1_minus = SquareClass(((dsc.r_plus_minus(g.rp, g.rpp)[1] + g.rpp) // 2) % 2, 1)
+    return splits, [dsc.assignment_sizes(g, split) for split in splits], eta1_minus
 
-    (a) the sign-character relation on every class splitting with inner
-    all-odd blocks, exhaustively for |beta| <= beta_max; for each datum of
-    descent_window, (b) its feasibility window, (c) solve_split_family's
-    split against split_scan's full scan, and (d) the sector sums of a split
-    against the quadruple splitting sizes.
-    """
+
+def class_sign_window(beta_max: int):
+    """(beta, degrees, split) of each class split with inner all-odd blocks, |beta| <= beta_max."""
     for total in range(beta_max + 1):
         for beta in enumerate_partitions(total):
             for fs in ((), (1,), (2,), (1, 2)):
                 for split in dsc.class_splits(beta, fs):
-                    yield 1, () if dsc.check_v_sign_relation(beta, split) else (
-                        {"beta": beta.to_json(), "fs": list(fs), "identity": "class_sign"},)
+                    yield beta, fs, split
+
+
+def descent_points(beta_max: int):
+    """Descent splitting checks.
+
+    (a) the sign-character relation on every point of class_sign_window;
+    for each datum of descent_window, (b) its feasibility window, and for
+    each size split of split_inputs, (c) solve_split_family's split against
+    split_scan's full scan and (d) the sector sums of the split against the
+    quadruple splitting sizes.
+    """
+    for beta, fs, split in class_sign_window(beta_max):
+        yield 1, () if dsc.whole_class_sign(beta) == dsc.split_class_sign(split) else (
+            {"beta": beta.to_json(), "fs": list(fs), "identity": "class_sign"},)
 
     for g, dd, N_plus, N_minus in descent_window():
         if dsc.descent_feasibility(dd, g) != (N_plus, N_minus):
             yield 1, ({"g": g.to_json(), "identity": "feasibility"},)
             continue
         yield 1, ()
-        splits = dsc.enumerate_size_splits(dd, g, N_plus, N_minus)
+        splits, assignments, eta1_minus = split_inputs(g, dd, N_plus, N_minus)
         expected_sizes = split_sizes(g.rp, g.rpp, g.Np, g.Npp)
-        eta1_minus = SquareClass(((dsc.r_plus_minus(g.rp, g.rpp)[1] + g.rpp) // 2) % 2, 1)
-        # each split's assignment, once; the solver and the full scan both read them
-        assignments = [dsc.assignment_sizes(g, split) for split in splits]
         for split, sizes, matches in zip(splits, assignments, dsc.split_scan(splits, assignments)):
             sums = dsc.sector_size_sum(g, split, dd.blocks)
             yield 1, () if sums == expected_sizes else (
@@ -249,46 +287,54 @@ def _unip_quad_params(n: int):
                 yield par.UnipQuadParam(lp, lm)
 
 
-def params_points(nmax: int):
-    """Parameter-algebra checks.
-
-    Restriction of every assembled triple of size up to nmax to each
-    eigenspace of h gives back that factor; and character bilinearity on
-    component-group images with up to three even blocks per side.
-    """
+def restriction_window(nmax: int):
+    """(n, t1, t2, (n1, n2)) for each parameter pair of each endoscopic pair of size n <= nmax."""
     for n in range(nmax + 1):
         for n1, n2 in par.endoscopic_pairs(n):
             for t1 in _unip_quad_params(n1):
                 for t2 in _unip_quad_params(n2):
-                    triple = par.assemble_triple(t1, t2, (n1, n2))
-                    back1, back2 = triple.restrict(par.PLUS), triple.restrict(par.MINUS)
-                    yield 1, () if (back1 == (t1.lam_plus, t1.lam_minus)
-                                    and back2 == (t2.lam_plus, t2.lam_minus)) else (
-                        {"n": n, "identity": "restriction", "triple": triple.to_json()},)
+                    yield n, t1, t2, (n1, n2)
 
-    # bilinearity of the character pairing on images
+
+def bilinearity_window():
+    """((plus blocks, minus blocks), param, im1, im2, im1 im2) for images with up to three
+    even blocks on the plus side and one on the minus side; every character, every image pair."""
     for blocks_plus in ((), (2,), (4, 2), (6, 4, 2)):
         for blocks_minus in ((), (2,)):
-            lam_plus = Partition([b for b in blocks_plus])
-            lam_minus = Partition([b for b in blocks_minus])
-            sp = par.SymplecticPartition(lam_plus)
-            sm = par.SymplecticPartition(lam_minus)
+            sp = par.SymplecticPartition(Partition(blocks_plus))
+            sm = par.SymplecticPartition(Partition(blocks_minus))
             keys = [(par.PLUS, k) for k in sp.jord_bp] + [(par.MINUS, k) for k in sm.jord_bp]
-            for eps_bits in itertools.product((1, -1), repeat=len(keys)):
+            signs = list(itertools.product((1, -1), repeat=len(keys)))
+            images = [dict(zip(keys, bits)) for bits in signs]
+            for eps_bits in signs:
                 eps_plus = {k: e for (side, k), e in zip(keys, eps_bits) if side == par.PLUS}
                 eps_minus = {k: e for (side, k), e in zip(keys, eps_bits) if side == par.MINUS}
                 param = par.UnipQuadParam(sp, sm, eps_plus, eps_minus)
-                images = [dict(zip(keys, bits))
-                          for bits in itertools.product((1, -1), repeat=len(keys))]
                 for im1 in images:
                     for im2 in images:
-                        prod = {k: im1[k] * im2[k] for k in keys}
-                        lhs = par.eval_character_on_image(param, prod)
-                        rhs = par.eval_character_on_image(param, im1) * \
-                            par.eval_character_on_image(param, im2)
-                        yield 1, () if lhs == rhs else (
-                            {"identity": "bilinearity",
-                             "blocks": [list(blocks_plus), list(blocks_minus)]},)
+                        yield ((blocks_plus, blocks_minus), param, im1, im2,
+                               {k: im1[k] * im2[k] for k in keys})
+
+
+def params_points(nmax: int):
+    """Parameter-algebra checks.
+
+    Restriction of every assembled triple of restriction_window to each
+    eigenspace of h gives back that factor; and character bilinearity on
+    every point of bilinearity_window.
+    """
+    for n, t1, t2, ns in restriction_window(nmax):
+        triple = par.assemble_triple(t1, t2, ns)
+        back1, back2 = triple.restrict(par.PLUS), triple.restrict(par.MINUS)
+        yield 1, () if (back1 == (t1.lam_plus, t1.lam_minus)
+                        and back2 == (t2.lam_plus, t2.lam_minus)) else (
+            {"n": n, "identity": "restriction", "triple": triple.to_json()},)
+
+    for blocks, param, im1, im2, prod in bilinearity_window():
+        lhs = par.eval_character_on_image(param, prod)
+        rhs = par.eval_character_on_image(param, im1) * par.eval_character_on_image(param, im2)
+        yield 1, () if lhs == rhs else (
+            {"identity": "bilinearity", "blocks": [list(b) for b in blocks]},)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from endosign.constants import QuadrupleGamma, branch_switch, split_sizes
 from endosign.descent import (DescentDatum, assignment_sizes,
                               class_splits, descent_feasibility,
                               enumerate_size_splits, sector_size_sum, SizeSplit,
-                              solve_split_family, check_v_sign_relation)
+                              solve_split_family, split_class_sign, whole_class_sign)
 from endosign.localfield import SquareClass
 from endosign.partitions import Partition, enumerate_partitions
 
@@ -98,7 +98,7 @@ def test_class_splits():
     assert len(combos) == 1
     v1 = combos[0]
     assert v1.beta_plus.to_json() == [1] and v1.beta_minus.to_json() == []
-    assert check_v_sign_relation(Partition([1]), v1)
+    assert whole_class_sign(Partition([1])) == split_class_sign(v1) == -1
 
     # scaled block: a part must be divisible by f with odd quotient
     combos = [v for v in class_splits(Partition([2]), (2,))
@@ -116,7 +116,7 @@ def test_class_split_recombination_and_signs():
     # sizes 2 + 1 + blocks 2*1 + 1*2
     assert any(class_split_sizes(v) == (2, 1, (2, 1)) for v in splits)
     for v in splits:
-        assert check_v_sign_relation(beta, v)
+        assert split_class_sign(v) == whole_class_sign(beta)
         parts = list(v.beta_plus.parts + v.beta_minus.parts)
         parts += [p * f for inner, f in zip(v.beta_blocks, degrees) for p in inner.parts]
         assert Partition(parts) == beta

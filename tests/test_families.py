@@ -122,11 +122,11 @@ def test_enumerate_L_counts():
 def test_character_sum_identity_examples():
     shape = SplitShape(3, 1)
     pairs = enumerate_L(shape)
-    sum_on = transversal_character_sum((1, 1, -1), shape)
+    sum_on = transversal_character_sum((1, 1, -1), pairs)
     assert sum_on == len(pairs) * kappa_zero((1, 1, -1), shape) == 2
-    assert transversal_character_sum((1, -1, 1), shape) == 0
+    assert transversal_character_sum((1, -1, 1), pairs) == 0
     # R - r = 0: always the trivial value
-    assert transversal_character_sum((1, -1), SplitShape(2, 2)) == 1
+    assert transversal_character_sum((1, -1), enumerate_L(SplitShape(2, 2))) == 1
 
 
 def test_character_sum_identity_exhaustive():
@@ -134,7 +134,7 @@ def test_character_sum_identity_exhaustive():
         shape = SplitShape(rp, rpp)
         pairs = enumerate_L(shape)
         for e in enumerate_e(shape):
-            total = transversal_character_sum(e, shape)
+            total = transversal_character_sum(e, pairs)
             if in_distinguished_subgroup(e, shape):
                 assert total == len(pairs) * kappa_zero(e, shape)
             else:

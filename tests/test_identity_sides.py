@@ -3,12 +3,13 @@
 REGISTRY maps each identity that a sweep checks to its sides and to the
 package functions that two of its sides may share, each with a one-line
 reason.  An identity is each "identity": "<name>" literal of a failure record
-in src/endosign, plus one fixed name for each record family that carries
-none (FIXED).  A side is a callable that computes, at small bounds, that
-side of the identity from inputs built once outside every side, as the
-sweep builds them outside its checks.  The sides of split, params and
-descent's class_sign copy the sweep's code, and a copy that drifts from the
-sweep goes unnoticed; every other side calls the functions its sweep runs.
+in src/endosign, plus aux's four checks, which its records name by
+constants.split_pair_identities.  A side is a callable that computes, at
+small bounds, that side of the identity from inputs built once outside every
+side.  The inputs are the sweep's own: each comes from the window that the
+sweep iterates, called here at small bounds.  The sides of params copy the
+sweep's code, and a copy that drifts from the sweep goes unnoticed; every
+other side calls the functions its sweep runs.
 
 The guard profiles each side with entered_functions and fails when two
 sides enter a package function that the allow-list does not name, or when
@@ -31,8 +32,8 @@ from endosign import descent as dsc
 from endosign import families as fam
 from endosign import params as par
 from endosign import weyl
-from endosign.localfield import ResidueParam, SquareClass, sgn_minus_one
-from endosign.partitions import Partition, SymplecticPartition, enumerate_partitions
+from endosign.localfield import ResidueParam
+from endosign.partitions import enumerate_partitions
 
 from test_constants import entered_functions
 from test_source_guards import SMALL_SWEEPS
@@ -40,11 +41,8 @@ from test_source_guards import SMALL_SWEEPS
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "endosign").glob("*.py"))
 
-# Record families whose failure records carry no "identity" key: aux's four
-# checks (keyed by name in the record's detail), kappasum, constprod and
-# transfer, and weyl's per-class records of W_N and of S_d.
-FIXED = {"parity_sum", "size_forms", "companion_sums", "u_multiplicative", "kappasum",
-         "constprod", "transfer", "class_size", "class_size_a"}
+# aux's records name their checks in the record's detail, not by an "identity" key
+AUX_CHECKS = set(constants.split_pair_identities(0, 0))
 
 
 class Identity(NamedTuple):
@@ -58,14 +56,14 @@ LEAVES = {"legendre", "sgn_cd", "sgn_minus_one"}
 
 
 F5, F7 = ResidueParam(5), ResidueParam(7)
-M = {5: sgn_minus_one(F5), 7: sgn_minus_one(F7)}
 
 LEGENDRE = {"legendre": "leaf primitive: the Legendre table lookup"}
 R_PLUS_MINUS = "r'_+ and r'_- are defined once; the identity is stated in them"
 
-# --- aux and split: r' <= 3, |r''| <= 3 ------------------------------------
+# --- aux and split: r' <= 3, |r''| <= 3, N', N'' <= 1 -------------------------
 
-PAIRS = [(rp, rpp) for rp in range(4) for rpp in range(-3, 4)]
+PAIRS = list(constants.pair_window(3))
+SPLIT = list(constants.split_window(3, 1))
 
 
 def _halves(side):
@@ -73,212 +71,93 @@ def _halves(side):
     return [side(constants.split_pair_values(rp, rpp)) for rp, rpp in PAIRS]
 
 
-SPLIT_POINTS = [(rp, rpp, Np, Npp) for rp, rpp in PAIRS for Np in (0, 1) for Npp in (0, 1)]
-
-
-def _swapped_splitting():
-    out = []
-    for rp, rpp, Np, Npp in SPLIT_POINTS:
-        r1p, r1pp, r2p, r2pp = constants.split_pair_values(rp, rpp)
-        n1, n2 = constants.split_sizes(rp, rpp, Np, Npp)
-        out.append(((r2p, r2pp, r1p, r1pp), (n2, n1)))
-    return out
+def _sizes(rp, rpp, ns):
+    return [constants.split_sizes(rp, rpp, Np, Npp) for Np, Npp in ns]
 
 
 # --- kappasum: R - r <= 4 ---------------------------------------------------
 
-KAPPA_POINTS = [(shape, e) for shape in itertools.starmap(
-    fam.SplitShape, ((rr + r, r) for rr in (0, 2, 4) for r in (0, 1, 2)))
-    for e in fam.enumerate_e(shape)]
+KAPPA = list(suites.kappa_window(4))
 
+# --- counting: family counts at q = 5, 7, t2 <= 2; fibers at q = 5, t2 <= 1 ----
 
-# --- counting: q = 5, t2 <= 1 -----------------------------------------------
-
-COUNTING_SHAPES = [fam.SplitShape(rp, rpp) for t2 in (0, 1)
-                   for rp, rpp in suites._counting_shapes(t2, 5)]
-# the sweep enumerates each shape's pairings and vectors once, for the tally and the image
-COUNTING_PAIRS = {shape: fam.enumerate_L(shape) for shape in COUNTING_SHAPES}
-GAMMAS = {shape: {target: fam.enumerate_gamma(shape, F5, target) for target in (1, -1)}
-          for shape in COUNTING_SHAPES}
-# (shape, pairing index, tau1, tau2, image key) as the sweep visits them, with
-# tau1 = s1 unit(eta eta2), tau2 = s2 unit(eta2) and eta2 = (t2 mod 2, ue2)
-COUNTING_POINTS = [(shape, pi, s1 * ue * ue2, s2 * ue2, (pi, s1 * s2 * ue, s2, shape.t2 % 2, ue2))
-                   for shape in COUNTING_SHAPES
-                   for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4)
-                   for pi in range(len(COUNTING_PAIRS[shape]))]
+FAMILY_SHAPES = [(f, shape) for f in (F5, F7) for _, shape, _ in suites.counting_window(f, 2)]
+# (shape, pairs, gammas, points) of each fiber shape
+COUNTING = [block for _, _, shapes in suites.counting_window(F5, 1) for block in shapes]
 
 
 def _tallies():
     """The sweep's tallies of every shape, from a slot table built inside the side."""
     choices = fam._slot_choices(F5)
-    return {shape: fam.reassembly_tallies(shape, COUNTING_PAIRS[shape], choices, F5)
-            for shape in COUNTING_SHAPES}
+    return [fam.reassembly_tallies(shape, pairs, choices, F5) for shape, pairs, _, _ in COUNTING]
 
 
 def _images():
-    """Shape -> image key -> the vectors of that image, from the sweep's grouping."""
-    return {shape: {key: [GAMMAS[shape][key[1]][j] for j in group] for key, group in
-                    fam.image_groups(shape, COUNTING_PAIRS[shape], GAMMAS[shape], F5).items()}
-            for shape in COUNTING_SHAPES}
+    """Per shape, image key -> the vectors of that image, from the sweep's grouping."""
+    return [{key: [gammas[key[1]][j] for j in group]
+             for key, group in fam.image_groups(shape, pairs, gammas, F5).items()}
+            for shape, pairs, gammas, _ in COUNTING]
 
 
-def _tallied_vectors():
-    tallies = _tallies()
-    return [sorted((g.low, g.high) for g in tallies[shape][tau1, tau2][pi])
-            for shape, pi, tau1, tau2, _ in COUNTING_POINTS]
+# (shape index, shape, pairing, pairing index, tally key, gamma) for each vector of each image
+FIBER_POINTS = [(i, shape, pairs[pi], pi, taus, g)
+                for i, ((shape, pairs, _, points), images) in enumerate(zip(COUNTING, _images()))
+                for _, _, _, _, pi, taus, _, key in points for g in images.get(key, ())]
 
 
-def _image_vectors():
-    images = _images()
-    return [sorted((g.low, g.high) for g in images[shape].get(key, ()))
-            for shape, *_, key in COUNTING_POINTS]
+# --- constprod: q = 5, 7, r', r'' <= 2 -----------------------------------------
 
+CONSTPROD_POINTS = list(constants.constprod_window((5, 7), 2))
 
-IMAGES = _images()
-# (shape, pairing index, tau1, tau2, gamma) for each vector of each image
-FIBER_POINTS = [(shape, pi, tau1, tau2, g) for shape, pi, tau1, tau2, key in COUNTING_POINTS
-                for g in IMAGES[shape].get(key, ())]
-
-
-def _tallied_fibers():
-    tallies = _tallies()
-    return [tallies[shape][tau1, tau2][pi][g] for shape, pi, tau1, tau2, g in FIBER_POINTS]
-
-
-def _slotwise_fibers():
-    counts = fam.slot_pair_counts(fam._slot_choices(F5))
-    return [fam.fiber_count_check(g, COUNTING_PAIRS[shape][pi], counts)
-            for shape, pi, _, _, g in FIBER_POINTS]
-
-
-FAMILY_SHAPES = [(field, fam.SplitShape(2 * t2, 0)) for field in (F5, F7) for t2 in range(3)]
-
-# --- constprod: q = 5, 7, r', r'' <= 2 ---------------------------------------
-
-
-def _constprod_points():
-    points = []
-    for field in (F5, F7):
-        for rp, rpp in itertools.product(range(3), repeat=2):
-            if (rp - rpp) % 2:
-                continue
-            shape = fam.SplitShape(rp, rpp)
-            for ue, ue2, s1, s2 in itertools.product((1, -1), repeat=4):
-                eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(shape.t2 % 2, ue2)
-                eta1 = eta * eta2
-                for beta in constants._degenerate_cases(rp, rpp, s1, s2, eta1, eta2):
-                    points.append((field, rp, rpp, s1, s2, eta, eta1, eta2, beta))
-    return points
-
-
-CONSTPROD_POINTS = _constprod_points()
-
-
-# --- signchain: r' <= 3, |r''| <= 3 ------------------------------------------
+# --- signchain: r' <= 3, |r''| <= 3 --------------------------------------------
 
 # (r', r'', scd1, scd2, d2, n, d, m) of each point, as the sweep passes them to sign_chain
-CHAIN_POINTS = [(rp, rpp, s1, s2, d2, npar, d1 + d2, M[q]) for q in (5, 7) for rp, rpp in PAIRS
-                for s1, s2, d2, d1, npar in itertools.product(
-                    (1, -1), (1, -1), (0, 1), (0, 1), (0, 1))]
+CHAIN_POINTS = [(rp, rpp, s1, s2, d2, n, d, m) for _, m, rp, rpp, signs in constants.chain_window(3)
+                for s1, s2, d2, d, n in signs]
 
+# --- transfer: q = 5, R - r <= 4, every third sign vector ----------------------
 
-# --- transfer: q = 5, R - r <= 4 ----------------------------------------------
-
-
-def _transfer_blocks():
-    """One block per (shape, beta', beta''), as the sweep builds them, with each eta's vectors."""
-    blocks = []
-    # R - r = 4 gives t2 = 2, with the last slot pinned to L1 at (4, 0) and free at (5, 1)
-    for rp, rpp in constants._transfer_shapes(4, 5):
-        shape = fam.SplitShape(rp, rpp)
-        pairs = fam.enumerate_L(shape)
-        evecs = fam.enumerate_e(shape)[::3]
-        for scd1, scd2 in itertools.product((1, -1), repeat=2):
-            # one block per class of sign -1, as in the transfer sweep
-            t1 = (1 - scd1) // 2
-            t = t1 + (1 - scd2) // 2
-            k_second = tuple(range(t1 + 1, t + 1))
-            uvecs = list(itertools.product((0, 1), repeat=t))
-            etas = [(eta, fam.enumerate_gamma(shape, F5, scd1 * scd2 * eta.unit_sign))
-                    for eta in (SquareClass(rpp % 2, ue) for ue in (1, -1))]
-            blocks.append((shape, pairs, evecs, uvecs, k_second, scd1, scd2, etas))
-    return blocks
-
-
-TRANSFER_BLOCKS = _transfer_blocks()
+# R - r = 4 gives t2 = 2, with the last slot pinned to L1 at (4, 0) and free at (5, 1)
+TRANSFER_BLOCKS = [(field, m, shape, pairs, evecs[::3], *rest)
+                   for field, m, shape, pairs, evecs, *rest in constants.transfer_window((5,), 4)]
 
 
 def _route(row, grids):
     """A route's value at each point: its row entry times its entry of grids(*block, etas=)."""
     out = []
-    for shape, pairs, evecs, uvecs, k_second, scd1, scd2, etas in TRANSFER_BLOCKS:
+    for field, m, shape, pairs, evecs, scd1, scd2, k_second, uvecs, etas in TRANSFER_BLOCKS:
         for (eta, gammas), eta_grids in zip(etas, grids(pairs, evecs, uvecs, k_second,
                                                         etas=[eta for eta, _ in etas])):
             out += [value * x for gamma in gammas for value, grid in zip(
-                row(shape, gamma, pairs, scd1, scd2, eta, M[5], F5), eta_grids) for x in grid]
+                row(shape, gamma, pairs, scd1, scd2, eta, m, field), eta_grids) for x in grid]
     return out
 
 
 # --- weyl: N <= 3, d <= 5 ------------------------------------------------------
+# the classes are the brute-force count's own keys, as in the sweep
 
 WEYL_N = range(4)
 WEYL_D = range(6)
 CLASSES_B = [(N, c) for N in WEYL_N for c in sorted(weyl.brute_class_sizes(N), key=repr)]
 CLASSES_A = [(d, pi) for d in WEYL_D for pi in sorted(weyl.brute_class_sizes_a(d), key=repr)]
 
-
-def _brute_sizes_b():
-    brute = {N: weyl.brute_class_sizes(N) for N in WEYL_N}
-    return [brute[N][c] for N, c in CLASSES_B]
-
-
-def _brute_sizes_a():
-    brute = {d: weyl.brute_class_sizes_a(d) for d in WEYL_D}
-    return [brute[d][pi] for d, pi in CLASSES_A]
-
-
 SIGNED_CYCLE_TYPE = ("conjugation_orbit_sizes labels each orbit by signed_cycle_type, the "
                      "brute count's class key, so that the two can be compared class by class")
 
 # --- descent: |beta| <= 4, and the sweep's own quadruple and datum window ------
 
-CLASS_SIGN_POINTS = [(beta, split) for total in range(5) for beta in enumerate_partitions(total)
-                     for fs in ((), (1,), (2,), (1, 2)) for split in dsc.class_splits(beta, fs)]
+CLASS_SIGN_POINTS = list(suites.class_sign_window(4))
 DESCENT_DATA = list(suites.descent_window())
-# (g, datum, its size splits) for each datum, and (g, datum, split, its
-# assignment, eta_{1,-}) for each size split, as the sweep builds them
-DESCENT_SPLITS = [(g, dd, dsc.enumerate_size_splits(dd, g, N_plus, N_minus))
-                  for g, dd, N_plus, N_minus in DESCENT_DATA]
-SIZE_SPLITS = [(g, dd, split, dsc.assignment_sizes(g, split),
-                SquareClass(((dsc.r_plus_minus(g.rp, g.rpp)[1] + g.rpp) // 2) % 2, 1))
-               for g, dd, splits in DESCENT_SPLITS for split in splits]
+# (g, datum, its size splits, their assignment sizes, eta_{1,-}) for each datum
+SPLIT_INPUTS = [(g, dd, *suites.split_inputs(g, dd, N_plus, N_minus))
+                for g, dd, N_plus, N_minus in DESCENT_DATA]
+SIZE_SPLITS = [(g, dd, split, sizes, eta1_minus) for g, dd, splits, assignments, eta1_minus
+               in SPLIT_INPUTS for split, sizes in zip(splits, assignments)]
 
+# --- params: n <= 2, and images with up to two even blocks on the plus side -------
 
-# --- params: n <= 2, and images with up to two even blocks per side --------------
-
-RESTRICTION_POINTS = [(t1, t2, (n1, n2)) for n in range(3) for n1, n2 in par.endoscopic_pairs(n)
-                      for t1 in suites._unip_quad_params(n1)
-                      for t2 in suites._unip_quad_params(n2)]
-
-
-def _bilinearity_points():
-    points = []
-    for blocks_plus, blocks_minus in itertools.product(((), (2,), (4, 2)), ((), (2,))):
-        sp = SymplecticPartition(Partition(blocks_plus))
-        sm = SymplecticPartition(Partition(blocks_minus))
-        keys = [(par.PLUS, k) for k in sp.jord_bp] + [(par.MINUS, k) for k in sm.jord_bp]
-        images = [dict(zip(keys, bits)) for bits in itertools.product((1, -1), repeat=len(keys))]
-        for eps_bits in itertools.product((1, -1), repeat=len(keys)):
-            signs = dict(zip(keys, eps_bits))
-            param = par.UnipQuadParam(
-                sp, sm, {k: e for (side, k), e in signs.items() if side == par.PLUS},
-                {k: e for (side, k), e in signs.items() if side == par.MINUS})
-            for im1, im2 in itertools.product(images, repeat=2):
-                points.append((param, im1, im2, {k: im1[k] * im2[k] for k in keys}))
-    return points
-
-
-BILINEARITY_POINTS = _bilinearity_points()
+RESTRICTION_POINTS = list(suites.restriction_window(2))
+BILINEARITY_POINTS = [point for point in suites.bilinearity_window() if len(point[0][0]) <= 2]
 
 
 REGISTRY = {
@@ -305,22 +184,21 @@ REGISTRY = {
         "r_plus_minus": "r'_+ enters U's exponent u; " + R_PLUS_MINUS}),
     # split
     "sum": Identity({
-        "sizes": lambda: [sum(constants.split_sizes(*point)) for point in SPLIT_POINTS],
-        "total": lambda: [rp * rp + rp + rpp * rpp + Np + Npp
-                          for rp, rpp, Np, Npp in SPLIT_POINTS],
+        "sizes": lambda: [[n1 + n2 for n1, n2 in _sizes(*point)] for point in SPLIT],
+        "total": lambda: [constants.size_totals(*point) for point in SPLIT],
     }, {}),
     "swap": Identity({
-        "pair": _swapped_splitting,
-        "mirror": lambda: [(constants.split_pair_values(rp, -rpp),
-                            constants.split_sizes(rp, -rpp, Npp, Np))
-                           for rp, rpp, Np, Npp in SPLIT_POINTS],
-    }, {"split_pair_values": "a symmetry of the splitting: both sides evaluate it, "
-                             "at r'' and at -r''",
-        "split_sizes": "a symmetry of the splitting: both sides evaluate it, at r'' and at -r''"}),
+        "pair": lambda: [constants.swapped_split(constants.split_pair_values(rp, rpp),
+                                                 _sizes(rp, rpp, ns)) for rp, rpp, ns in SPLIT],
+        "mirror": lambda: [constants.mirrored_split(*point) for point in SPLIT],
+    }, dict.fromkeys(("split_pair_values", "split_sizes"),
+                     "a symmetry of the splitting: both sides evaluate it, at r'' and at -r''")),
     # kappasum
     "kappasum": Identity({
-        "sum": lambda: [fam.transversal_character_sum(e, shape) for shape, e in KAPPA_POINTS],
-        "law": lambda: [fam.kappa_sum_law(e, shape) for shape, e in KAPPA_POINTS],
+        "sum": lambda: [fam.transversal_character_sum(e, pairs)
+                        for _, _, _, pairs, evecs in KAPPA for e in evecs],
+        "law": lambda: [fam.kappa_sum_law(e, shape)
+                        for _, _, shape, _, evecs in KAPPA for e in evecs],
     }, {}),
     # counting
     "family_count": Identity({
@@ -330,15 +208,22 @@ REGISTRY = {
                            for field, shape in FAMILY_SHAPES],
     }, {}),
     "image": Identity({
-        "tally": _tallied_vectors,
-        "image": _image_vectors,
+        "tally": lambda: [sorted((g.low, g.high) for g in tallies[taus][pi])
+                          for tallies, (*_, points) in zip(_tallies(), COUNTING)
+                          for _, _, _, _, pi, taus, _, _ in points],
+        "image": lambda: [sorted((g.low, g.high) for g in images.get(key, ()))
+                          for images, (*_, points) in zip(_images(), COUNTING)
+                          for *_, key in points],
     }, {**LEGENDRE,
         "GammaVector.__init__": "value type: each side states its vectors as GammaVectors"}),
     "fiber": Identity({
-        "tally": _tallied_fibers,
-        "slotwise": _slotwise_fibers,
+        "tally": lambda: [tallies[i][taus][pi][g] for tallies in [_tallies()]
+                          for i, _, _, pi, taus, g in FIBER_POINTS],
+        "slotwise": lambda: [fam.fiber_count_check(g, pair, counts)
+                             for counts in [fam.slot_pair_counts(fam._slot_choices(F5))]
+                             for _, _, pair, _, _, g in FIBER_POINTS],
         "predicted": lambda: [fam.fiber_size_prediction(g, shape, F5)
-                              for shape, *_, g in FIBER_POINTS],
+                              for _, shape, *_, g in FIBER_POINTS],
     }, {**LEGENDRE,
         "_slot_choices": "by design the tally's families and the slotwise count read one "
                          "table of slot choices; the prediction reads none",
@@ -351,17 +236,16 @@ REGISTRY = {
         "worked": lambda: 4,
     }, {}),
     "worked_fibers": Identity({
-        "tally": lambda: {n for shape, rows in _tallies().items() if shape.t2 == 1
+        "tally": lambda: {n for (shape, *_), rows in zip(COUNTING, _tallies()) if shape.t2 == 1
                           for row in rows.values() for tally in row for n in tally.values()},
         "worked": lambda: {1, 2},
     }, {}),
     # constprod
     "constprod": Identity({
         "product": lambda: [constants.product_formula_lhs(*point, field, alt_two_power=False)
-                            for field, *point in CONSTPROD_POINTS],
-        "even": lambda: [constants.even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta,
-                                                               M[field.q])
-                         for field, rp, rpp, _, s2, eta, eta1, eta2, _ in CONSTPROD_POINTS],
+                            for field, _, *point in CONSTPROD_POINTS],
+        "even": lambda: [constants.even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta, m)
+                         for _, m, rp, rpp, _, s2, eta, eta1, eta2, _ in CONSTPROD_POINTS],
     }, {"SquareClass.__mul__": "square-class group law: each side checks eta1 eta2 = eta "
                                "on its own",
         "SquareClass.__init__": "value type, built by SquareClass.__mul__",
@@ -390,7 +274,8 @@ REGISTRY = {
     # weyl
     "class_size": Identity({
         "formula": lambda: [weyl.class_size_b(c) for _, c in CLASSES_B],
-        "brute": _brute_sizes_b,
+        # one brute count per class: cheap at N <= 3
+        "brute": lambda: [weyl.brute_class_sizes(N)[c] for N, c in CLASSES_B],
     }, {}),
     "total": Identity({
         "classes": lambda: [sum(weyl.brute_class_sizes(N).values()) for N in WEYL_N],
@@ -405,7 +290,7 @@ REGISTRY = {
         "Partition.__hash__": "the class keys are hashed into each side's dict"}),
     "class_size_a": Identity({
         "formula": lambda: [weyl.class_size_a(pi) for _, pi in CLASSES_A],
-        "brute": _brute_sizes_a,
+        "brute": lambda: [weyl.brute_class_sizes_a(d)[pi] for d, pi in CLASSES_A],
     }, {}),
     "total_a": Identity({
         "classes": lambda: [sum(weyl.class_size_a(pi) for pi in enumerate_partitions(d))
@@ -414,10 +299,8 @@ REGISTRY = {
     }, {}),
     # descent
     "class_sign": Identity({
-        "whole": lambda: [(-1) ** (beta.length() % 2) for beta, _ in CLASS_SIGN_POINTS],
-        "split": lambda: [(-1) ** ((split.beta_plus.length() + split.beta_minus.length()
-                                    + sum(b.size() for b in split.beta_blocks)) % 2)
-                          for _, split in CLASS_SIGN_POINTS],
+        "whole": lambda: [dsc.whole_class_sign(beta) for beta, _, _ in CLASS_SIGN_POINTS],
+        "split": lambda: [dsc.split_class_sign(split) for _, _, split in CLASS_SIGN_POINTS],
     }, {"Partition.length": "the identity compares parities of part counts"}),
     "feasibility": Identity({
         "window": lambda: [dsc.descent_feasibility(dd, g) for g, dd, _, _ in DESCENT_DATA],
@@ -433,24 +316,25 @@ REGISTRY = {
         "solver": lambda: [[dsc.solve_split_family(dd, g, sizes, eta1_minus, split.pairs)]
                            for g, dd, split, sizes, eta1_minus in SIZE_SPLITS],
         # the scan side computes the assignments that the sweep also hands the solver
-        "scan": lambda: [matches for g, _, splits in DESCENT_SPLITS for matches in dsc.split_scan(
-            splits, [dsc.assignment_sizes(g, split) for split in splits])],
+        "scan": lambda: [matches for g, _, splits, _, _ in SPLIT_INPUTS for matches in
+                         dsc.split_scan(splits, [dsc.assignment_sizes(g, split)
+                                                 for split in splits])],
     }, {"r_plus_minus": "the sector sizes are stated in r'_+ and r'_-: the solver inverts "
                         "what assignment_sizes computes"}),
     # params
     "restriction": Identity({
         "restricted": lambda: [(triple.restrict(par.PLUS), triple.restrict(par.MINUS))
-                               for triple in itertools.starmap(par.assemble_triple,
-                                                               RESTRICTION_POINTS)],
+                               for triple in (par.assemble_triple(t1, t2, ns)
+                                              for _, t1, t2, ns in RESTRICTION_POINTS)],
         "factors": lambda: [((t1.lam_plus, t1.lam_minus), (t2.lam_plus, t2.lam_minus))
-                            for t1, t2, _ in RESTRICTION_POINTS],
+                            for _, t1, t2, _ in RESTRICTION_POINTS],
     }, {}),
     "bilinearity": Identity({
         "product": lambda: [par.eval_character_on_image(param, prod)
-                            for param, _, _, prod in BILINEARITY_POINTS],
+                            for _, param, _, _, prod in BILINEARITY_POINTS],
         "factors": lambda: [par.eval_character_on_image(param, im1)
                             * par.eval_character_on_image(param, im2)
-                            for param, im1, im2, _ in BILINEARITY_POINTS],
+                            for _, param, im1, im2, _ in BILINEARITY_POINTS],
     }, {"eval_character_on_image": "the identity is this function's multiplicativity: "
                                    "epsilon(xy) = epsilon(x) epsilon(y)",
         "SymplecticPartition.jord_bp": "the even blocks epsilon is defined on"}),
@@ -463,8 +347,8 @@ def identity_names(source: str) -> set[str]:
 
 
 def unregistered(sources: list[str]) -> list[str]:
-    """The identities of the sources and FIXED that have no registry entry."""
-    names = FIXED.union(*map(identity_names, sources))
+    """The identities of the sources and aux's checks that have no registry entry."""
+    names = AUX_CHECKS.union(*map(identity_names, sources))
     return sorted(names - set(REGISTRY))
 
 
@@ -504,7 +388,7 @@ def unexplained_sharing(identity: Identity, runs: dict) -> dict:
 def test_every_identity_is_registered():
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
     assert unregistered(sources) == []
-    assert set(REGISTRY) == FIXED.union(*map(identity_names, sources))
+    assert set(REGISTRY) == AUX_CHECKS.union(*map(identity_names, sources))
 
 
 def test_an_unregistered_identity_is_caught():
@@ -541,7 +425,6 @@ def test_the_guard_catches_a_prediction_that_reads_the_slot_table(monkeypatch):
     table = {"_slot_choices", "ResidueParam.squares", "ResidueParam.units"}
     assert unexplained_sharing(fiber, run_sides(fiber)) == \
         {("predicted", "slotwise"): table, ("predicted", "tally"): table}
-
 
 
 ROUTES, HALVES_PAIR = ("closed", "per_factor"), ("halves", "pair")
@@ -582,13 +465,24 @@ FUSIONS = {
     # the allow-list names, so the fusion sits in the whole side's u_sign
     "u_sign": ("u_multiplicative", constants, "u_sign", lambda rp, rpp, _:
         constants.split_pair_values(rp, rpp), "aux", {("halves", "whole"): {"split_pair_values"}}),
-    "kappa_sum_law": ("kappasum", fam, "kappa_sum_law", fam.transversal_character_sum, "kappasum",
-        {("law", "sum"): {"transversal_character_sum", "enumerate_L", "LPair.__init__",
-                          "kappa_l2"}}),
+    # the pairings of shape (0, 0), one with no L2 slot, fit every sign vector
+    "kappa_sum_law": ("kappasum", fam, "kappa_sum_law", lambda e, _: fam.transversal_character_sum(
+        e, KAPPA[0][3]), "kappasum", {("law", "sum"): {"transversal_character_sum", "kappa_l2"}}),
     "product_formula_lhs": ("constprod", constants, "product_formula_lhs",
         lambda rp, rpp, _, s2, eta, eta1, eta2, *rest: constants.even_case_transfer_constant(
             eta1, eta2, rp, rpp, s2, eta, 1), "constprod",
         {("even", "product"): {"even_case_transfer_constant"}}),
+    "size_totals": ("sum", constants, "size_totals", lambda rp, rpp, _: constants.split_sizes(
+        rp, rpp, 0, 0), "split", {("sizes", "total"): {"split_sizes"}}),
+    "swapped_split": ("swap", constants, "swapped_split", lambda *_: constants.mirrored_split(
+        0, 0, []), "split", {("mirror", "pair"): {"mirrored_split"}}),
+    "mirrored_split": ("swap", constants, "mirrored_split", lambda *_: constants.swapped_split(
+        (0, 0, 0, 0), []), "split", {("mirror", "pair"): {"swapped_split"}}),
+    # the first point's split has no inner block, so the fused call reads only part counts
+    "whole_class_sign": ("class_sign", dsc, "whole_class_sign", lambda _: dsc.split_class_sign(
+        CLASS_SIGN_POINTS[0][2]), "descent", {("split", "whole"): {"split_class_sign"}}),
+    "split_class_sign": ("class_sign", dsc, "split_class_sign", lambda split: dsc.whole_class_sign(
+        split.beta_plus), "descent", {("split", "whole"): {"whole_class_sign"}}),
 }
 
 

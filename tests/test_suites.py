@@ -27,6 +27,7 @@ def test_transfer_fails_on_a_flipped_transfer_factor_sign(monkeypatch):
     report = suites.run("transfer", qs=(5,), rrmax=0)
     assert report.points_checked > 0
     assert len(report.failures) == report.points_checked
+    assert {f["identity"] for f in report.failures} == {"transfer"}
     assert not report.passed
 
 
@@ -93,6 +94,7 @@ def test_constprod_fails_on_the_swapped_two_power_reading(monkeypatch):
     monkeypatch.setattr(constants, "collapse_and_product_constants", swapped)
     report = suites.run("constprod", qs=(5,), rmax=1)
     assert len(report.failures) == report.points_checked > 0
+    assert {f["identity"] for f in report.failures} == {"constprod"}
     assert report.notes == ["failures re-evaluated under the alternate two-power reading: pass"]
 
 
@@ -102,6 +104,7 @@ def test_constprod_fails_on_a_pair_power_constant_off_by_three(monkeypatch):
                         lambda *args: original(*args) * 3)
     report = suites.run("constprod", qs=(5,), rmax=2)
     assert len(report.failures) == report.points_checked > 0
+    assert {f["identity"] for f in report.failures} == {"constprod"}
     first = report.failures[0]
     assert set(first["lhs"]) == {"sign", "numerator", "denominator", "q_half_power"}
     assert (first["lhs"]["sign"], first["lhs"]["numerator"], first["lhs"]["denominator"]) == \
@@ -115,6 +118,7 @@ def test_constprod_alternate_reading_can_fail_too(monkeypatch):
                         lambda *args: -original(*args))
     report = suites.run("constprod", qs=(5,), rmax=1)
     assert len(report.failures) == report.points_checked > 0
+    assert {f["identity"] for f in report.failures} == {"constprod"}
     assert report.notes == ["failures re-evaluated under the alternate two-power reading: fail"]
 
 
@@ -125,6 +129,7 @@ def test_transfer_fails_on_a_negated_factorwise_factor(factor, monkeypatch):
     monkeypatch.setattr(constants, factor, lambda *args: _negated(original(*args)))
     report = suites.run("transfer", qs=(5,), rrmax=2)
     assert len(report.failures) == report.points_checked > 0
+    assert {f["identity"] for f in report.failures} == {"transfer"}
     assert not report.passed
 
 
@@ -260,6 +265,7 @@ def _per_point_transfer_failures(q, rrmax):
                                                  "gamma": gamma.to_json(),
                                                  "e": list(e), "u": list(u),
                                                  "pair": pair.to_json(),
+                                                 "identity": "transfer",
                                                  "lhs": fw, "rhs": cl})
     return failures
 
@@ -354,6 +360,7 @@ def test_kappasum_fails_on_a_negated_kappa_zero(monkeypatch):
     monkeypatch.setattr(fam, "kappa_zero", lambda *args: -original(*args))
     report = suites.run("kappasum", max_rr=2)
     assert report.failures and not report.passed
+    assert {f["identity"] for f in report.failures} == {"kappasum"}
     assert all(f["lhs"] == -f["rhs"] != 0 for f in report.failures)
 
 
@@ -364,6 +371,7 @@ def test_kappasum_fails_on_pairings_listed_twice(monkeypatch):
     report = suites.run("kappasum")
     # every point of the distinguished subgroup fails, with the sum doubled
     assert report.points_checked == 595 and len(report.failures) == 119
+    assert {f["identity"] for f in report.failures} == {"kappasum"}
     assert all(f["lhs"] == 2 * f["rhs"] != 0 for f in report.failures)
 
 
@@ -373,6 +381,7 @@ def test_weyl_fails_on_an_off_by_one_class_size(monkeypatch):
     report = suites.run("weyl", nmax=2)
     # every class of W_0, W_1 and W_2 (1 + 2 + 5 of them), and nothing else
     assert len(report.failures) == 8
+    assert {f["identity"] for f in report.failures} == {"class_size"}
     assert all(f["lhs"] == f["rhs"] + 1 for f in report.failures)
 
 
@@ -384,6 +393,7 @@ def test_weyl_fails_on_an_off_by_one_symmetric_class_size(monkeypatch):
     # the seven totals, each off by its number of classes, and nothing else
     class_counts = [1, 1, 2, 3, 5, 7, 11]
     assert len(report.failures) == 37
+    assert {f["identity"] for f in report.failures} == {"class_size_a", "total_a"}
     classes = [f for f in report.failures if "cls" in f]
     assert [f["d"] for f in classes] == [d for d in range(7) for _ in range(class_counts[d])]
     assert all(f["lhs"] == f["rhs"] + 1 and list(f["cls"]) == ["pi"]
