@@ -10,7 +10,7 @@ checkable identity among them.
 from .errors import ResourceLimitError
 from .exact import ExactValue
 from .localfield import ResidueParam, SquareClass, legendre, sgn_minus_one
-from .partitions import Partition, SymplecticPartition, enumerate_symplectic, is_symplectic, union
+from .partitions import Partition, SymplecticPartition, enumerate_symplectic, is_symplectic
 from .weyl import class_size_a, class_size_b, sgn_cd
 
 __version__ = "0.1.0"
@@ -19,5 +19,5 @@ __all__ = [
     "ExactValue", "Partition", "SymplecticPartition", "ResidueParam", "SquareClass",
     "ResourceLimitError",
     "class_size_a", "class_size_b", "enumerate_symplectic", "is_symplectic",
-    "legendre", "sgn_cd", "sgn_minus_one", "union",
+    "legendre", "sgn_cd", "sgn_minus_one",
 ]

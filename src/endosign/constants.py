@@ -123,27 +123,6 @@ def u_of_halves(halves: tuple[int, int, int, int], m: int) -> int:
     return u_sign(r1p, r1pp, m) * u_sign(r2p, r2pp, m)
 
 
-def split_pair_identities(rp: int, rpp: int) -> dict[str, dict]:
-    """The four auxiliary identities for one (r', r''), by name.
-
-    Each check is a dict with its two sides and a "pass" flag: the split
-    pair's side is lhs, the (r', r'') side rhs, apart from U's
-    multiplicativity, whose lhs is U(r', r'') at each m.
-    """
-    if rp < 0:
-        raise ValueError("r' must be nonnegative")
-    halves = split_pair_values(rp, rpp)
-    checks = {name: {"lhs": lhs, "rhs": rhs, "pass": lhs == rhs} for name, lhs, rhs in (
-        ("parity_sum", parity_of_halves(halves), parity_of_pair(rpp)),
-        ("size_forms", size_forms_of_halves(halves), size_forms_of_pair(rp, rpp)),
-        ("companion_sums", companion_sums_of_halves(halves), companion_sums_of_pair(rp, rpp)))}
-    sides = {f"m={m}": {"lhs": u_sign(rp, rpp, m), "rhs": u_of_halves(halves, m)}
-             for m in (1, -1)}
-    checks["u_multiplicative"] = {"sides": sides,
-                                  "pass": all(s["lhs"] == s["rhs"] for s in sides.values())}
-    return checks
-
-
 def size_totals(rp: int, rpp: int, ns: list[tuple[int, int]]) -> list[int]:
     """r'^2 + r' + r''^2 + N' + N'' at each (N', N'') of ns, which n1 + n2 of split_sizes equals."""
     n = rp * rp + rp + rpp * rpp
@@ -345,11 +324,25 @@ def pair_window(rmax: int):
 
 
 def aux_points(rmax: int):
-    """Auxiliary identities over r' in [0, rmax], r'' in [-rmax, rmax]."""
+    """Auxiliary identities over r' in [0, rmax], r'' in [-rmax, rmax].
+
+    Each identity compares the split pair's side (lhs) with the (r', r'')
+    side (rhs), apart from U's multiplicativity, whose lhs is U(r', r'')
+    and rhs U1 U2, each at m = 1 and m = -1.
+    """
     for rp, rpp in pair_window(rmax):
-        checks = split_pair_identities(rp, rpp)
-        yield 1, () if all(c["pass"] for c in checks.values()) else (
-            {"rp": rp, "rpp": rpp, "detail": {"rp": rp, "rpp": rpp, "checks": checks}},)
+        halves = split_pair_values(rp, rpp)
+        records = (
+            {"rp": rp, "rpp": rpp, "identity": "parity_sum",
+             "lhs": parity_of_halves(halves), "rhs": parity_of_pair(rpp)},
+            {"rp": rp, "rpp": rpp, "identity": "size_forms",
+             "lhs": size_forms_of_halves(halves), "rhs": size_forms_of_pair(rp, rpp)},
+            {"rp": rp, "rpp": rpp, "identity": "companion_sums",
+             "lhs": companion_sums_of_halves(halves), "rhs": companion_sums_of_pair(rp, rpp)},
+            {"rp": rp, "rpp": rpp, "identity": "u_multiplicative",
+             "lhs": [u_sign(rp, rpp, m) for m in (1, -1)],
+             "rhs": [u_of_halves(halves, m) for m in (1, -1)]})
+        yield 1, tuple(record for record in records if record["lhs"] != record["rhs"])
 
 
 def split_window(rmax: int, nmax: int):
@@ -431,7 +424,7 @@ def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
         yield 1, () if lhs.value == rhs else (
             {"q": field.q, "rp": rp, "rpp": rpp, "eta": eta.name(), "eta1": eta1.name(),
              "eta2": eta2.name(), "scd1": s1, "scd2": s2, "beta": beta,
-             "identity": "constprod", "lhs": lhs.to_json(), "rhs": rhs},)
+             "identity": "constprod", "lhs": str(lhs.value), "rhs": rhs},)
 
 
 def branch_switch(rp: int, rpp: int) -> int:
@@ -529,7 +522,7 @@ def sign_chain_points(rmax: int):
             total = collapse_product(chain, rp, rpp, s1, s2, npar, m)
             yield 1, () if total == 1 else (
                 {"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2, "d2": d2,
-                 "d": d, "value": total, "identity": "collapse"},)
+                 "d": d, "n": npar, "value": total, "identity": "collapse"},)
 
 
 def factorwise_gamma_factor(shape: fam.SplitShape, gamma: fam.GammaVector,
@@ -713,7 +706,8 @@ def transfer_points(qs, rrmax: int):
                         [fw * x for x in fw_grid] == [cl * y for y in cl_grid]
                         for fw, cl, (fw_grid, cl_grid) in zip(fw_row, cl_row, grids))
                 yield row_points, () if passed else tuple(
-                    {"q": field.q, "rp": shape.rp, "rpp": shape.rpp, "gamma": gamma.to_json(),
+                    {"q": field.q, "rp": shape.rp, "rpp": shape.rpp, "scd1": scd1,
+                     "scd2": scd2, "eta": eta.name(), "gamma": gamma.to_json(),
                      "e": list(e), "u": list(u), "pair": pair.to_json(),
                      "identity": "transfer", "lhs": fw * x, "rhs": cl * y}
                     for pair, fw, cl, (fw_grid, cl_grid) in zip(pairs, fw_row, cl_row, grids)

@@ -1,6 +1,6 @@
 """Exact nonzero rationals: the left-hand side of the product-formula identity.
 
-A failure record serializes one as a sign and a positive reduced fraction.
+A failure record writes one as its Fraction's string, such as "-3/4".
 """
 
 from fractions import Fraction
@@ -19,8 +19,3 @@ class ExactValue:
 
     def __repr__(self):
         return f"ExactValue({self.value})"
-
-    def to_json(self):
-        # q_half_power is always 0; it keeps the failure-record schema unchanged.
-        return {"sign": 1 if self.value > 0 else -1, "numerator": abs(self.value.numerator),
-                "denominator": self.value.denominator, "q_half_power": 0}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .partitions import Partition, SymplecticPartition, union
+from .partitions import Partition, SymplecticPartition
 
 PLUS, MINUS = 1, -1
 
@@ -69,23 +69,6 @@ class AssembledTriple:
             raise ValueError("cells must cover the four (s, h) sign pairs")
         self.cells = cells
 
-    @property
-    def lam(self) -> SymplecticPartition:
-        parts = []
-        for p in self.cells.values():
-            parts.extend(p.parts)
-        return SymplecticPartition(Partition(parts))
-
-    def s_split(self) -> tuple[SymplecticPartition, SymplecticPartition]:
-        """The s-splitting (plus, minus): lambda's +1 and -1 eigenparts under s."""
-        return (SymplecticPartition(union(self.cells[PLUS, PLUS], self.cells[PLUS, MINUS])),
-                SymplecticPartition(union(self.cells[MINUS, PLUS], self.cells[MINUS, MINUS])))
-
-    def h_split(self) -> tuple[SymplecticPartition, SymplecticPartition]:
-        """The h-splitting (plus, minus): lambda's +1 and -1 eigenparts under h."""
-        return (SymplecticPartition(union(self.cells[PLUS, PLUS], self.cells[MINUS, PLUS])),
-                SymplecticPartition(union(self.cells[PLUS, MINUS], self.cells[MINUS, MINUS])))
-
     def restrict(self, h_sign: int) -> tuple[SymplecticPartition, SymplecticPartition]:
         """(lambda+, lambda-) of the factor supported on the given h-eigenspace."""
         return (SymplecticPartition(self.cells[PLUS, h_sign]),
@@ -94,13 +77,6 @@ class AssembledTriple:
     def __repr__(self):
         cells = ", ".join(f"{k}: {list(v.parts)}" for k, v in sorted(self.cells.items()))
         return f"AssembledTriple(cells={{{cells}}})"
-
-    def to_json(self):
-        s_plus, s_minus = self.s_split()
-        h_plus, h_minus = self.h_split()
-        return {"lambda": self.lam.to_json(),
-                "s": {"plus": s_plus.to_json(), "minus": s_minus.to_json()},
-                "h": {"plus": h_plus.to_json(), "minus": h_minus.to_json()}}
 
 
 def endoscopic_pairs(n: int) -> list[tuple[int, int]]:

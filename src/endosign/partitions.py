@@ -51,11 +51,6 @@ class Partition:
         return list(self.parts)
 
 
-def union(p1: Partition, p2: Partition) -> Partition:
-    """Multiset union of two partitions."""
-    return Partition(p1.parts + p2.parts)
-
-
 def is_symplectic(p: Partition, two_n: int) -> bool:
     """True iff p is a partition of two_n whose odd parts all have even multiplicity."""
     if two_n < 0 or two_n % 2:

@@ -7,9 +7,9 @@ block; the tests' side registry calls it at small bounds.  Its check, the
 point generator, iterates the window, evaluates each identity's sides on
 those inputs and yields one pair (checked, failures) per batch of points:
 checked is their number and failures their failure records, each naming
-its identity (aux's in its detail), empty when they all pass.  Most checks
-yield every point on its own, as (1, failures); split yields the points of
-one (r', r'') at once and transfer those of one row.  SUITES maps a suite's
+its identity and its point, empty when they all pass.  Most checks yield
+every point on its own, as (1, failures); split yields the points of one
+(r', r'') at once and transfer those of one row.  SUITES maps a suite's
 name to its check and the specification of its parameters.  run() owns
 everything else: it checks the parameters against their bounds and caps
 before any point is checked, adds up the checked counts, times the sweep,
@@ -156,7 +156,7 @@ def counting_points(qs, t2max: int):
                     if tally.keys() != expected:
                         yield 1, ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
                                    "eta": eta.name(), "eta2": eta2.name(),
-                                   "identity": "image",
+                                   "pair": pairs[pi].to_json(), "identity": "image",
                                    "extra": len(tally.keys() - expected),
                                    "missing": len(expected - tally.keys())},)
                         continue
@@ -167,8 +167,9 @@ def counting_points(qs, t2max: int):
                         observed = tally[g]
                         if counts[j] != observed or observed != predictions[j]:
                             failures += ({
-                                "q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
-                                "eta2": eta2.name(), "gamma": g.to_json(),
+                                "q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
+                                "eta": eta.name(), "eta2": eta2.name(),
+                                "pair": pairs[pi].to_json(), "gamma": g.to_json(),
                                 "identity": "fiber", "observed": observed,
                                 "slotwise": counts[j], "predicted": str(predictions[j])},)
                         elif q == 5 and t2 == 1:
@@ -262,11 +263,13 @@ def descent_points(beta_max: int):
     """
     for beta, fs, split in class_sign_window(beta_max):
         yield 1, () if dsc.whole_class_sign(beta) == dsc.split_class_sign(split) else (
-            {"beta": beta.to_json(), "fs": list(fs), "identity": "class_sign"},)
+            {"beta": beta.to_json(), "fs": list(fs), "beta_plus": split.beta_plus.to_json(),
+             "beta_minus": split.beta_minus.to_json(),
+             "beta_blocks": [b.to_json() for b in split.beta_blocks], "identity": "class_sign"},)
 
     for g, dd, N_plus, N_minus in descent_window():
         if dsc.descent_feasibility(dd, g) != (N_plus, N_minus):
-            yield 1, ({"g": g.to_json(), "identity": "feasibility"},)
+            yield 1, ({"g": g.to_json(), "datum": dd.to_json(), "identity": "feasibility"},)
             continue
         yield 1, ()
         splits, assignments, eta1_minus = split_inputs(g, dd, N_plus, N_minus)
@@ -328,13 +331,19 @@ def params_points(nmax: int):
         back1, back2 = triple.restrict(par.PLUS), triple.restrict(par.MINUS)
         yield 1, () if (back1 == (t1.lam_plus, t1.lam_minus)
                         and back2 == (t2.lam_plus, t2.lam_minus)) else (
-            {"n": n, "identity": "restriction", "triple": triple.to_json()},)
+            {"n": n, "pair": list(ns),
+             "lam_plus1": t1.lam_plus.to_json(), "lam_minus1": t1.lam_minus.to_json(),
+             "lam_plus2": t2.lam_plus.to_json(), "lam_minus2": t2.lam_minus.to_json(),
+             "identity": "restriction"},)
 
     for blocks, param, im1, im2, prod in bilinearity_window():
         lhs = par.eval_character_on_image(param, prod)
         rhs = par.eval_character_on_image(param, im1) * par.eval_character_on_image(param, im2)
         yield 1, () if lhs == rhs else (
-            {"identity": "bilinearity", "blocks": [list(b) for b in blocks]},)
+            {"identity": "bilinearity", "blocks": [list(b) for b in blocks],
+             "eps_plus": sorted(param.eps_plus.items()),
+             "eps_minus": sorted(param.eps_minus.items()),
+             "im1": sorted(im1.items()), "im2": sorted(im2.items())},)
 
 
 # ---------------------------------------------------------------------------

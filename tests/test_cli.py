@@ -191,7 +191,7 @@ def test_value_error_inside_sweep_is_not_a_usage_error(monkeypatch):
     def broken(rp, rpp):
         raise ValueError("planted")
 
-    monkeypatch.setattr(constants, "split_pair_identities", broken)
+    monkeypatch.setattr(constants, "split_pair_values", broken)
     with pytest.raises(ValueError, match="planted"):
         main(["verify", "aux", "--rmax", "1"])
 

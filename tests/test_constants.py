@@ -8,11 +8,13 @@ import pytest
 import endosign
 from endosign.constants import (QuadrupleGamma, branch_switch,
                                 chain_sign_constants, collapse_and_product_constants,
+                                companion_sums_of_halves, companion_sums_of_pair,
                                 even_case_transfer_constant, factorwise_e_factor,
                                 factorwise_gamma_factor, factorwise_transfer_check,
-                                factorwise_u_factor, pair_power_constant, r_plus_minus,
-                                split_pair_identities, split_pair_values, split_sizes,
-                                transfer_factor_sign, u_exponent,
+                                factorwise_u_factor, pair_power_constant, parity_of_halves,
+                                parity_of_pair, r_plus_minus, size_forms_of_halves,
+                                size_forms_of_pair, split_pair_values, split_sizes,
+                                transfer_factor_sign, u_exponent, u_of_halves,
                                 u_sign, alpha_constant, weil_ratio_sign)
 from endosign.families import (GammaVector, LPair, SplitShape, enumerate_gamma, enumerate_L,
                                kappa_l2, kappa_u)
@@ -42,19 +44,28 @@ def test_r_plus_minus():
     assert r_plus_minus(0, 0) == (1, 0)
 
 
+def aux_sides(rp, rpp):
+    """The (split pair side, (r', r'') side) of each of the four auxiliary identities."""
+    halves = split_pair_values(rp, rpp)
+    return [(parity_of_halves(halves), parity_of_pair(rpp)),
+            (size_forms_of_halves(halves), size_forms_of_pair(rp, rpp)),
+            (companion_sums_of_halves(halves), companion_sums_of_pair(rp, rpp)),
+            ([u_of_halves(halves, m) for m in (1, -1)], [u_sign(rp, rpp, m) for m in (1, -1)])]
+
+
 def test_aux_identities_worked_points():
-    checks = split_pair_identities(1, 2)
-    assert set(checks) == {"parity_sum", "size_forms", "companion_sums", "u_multiplicative"}
-    assert all(c["pass"] for c in checks.values())
-    assert checks["companion_sums"]["lhs"][0] == 3  # = |r'_+ + r''| with r'_+ = 1
-    assert checks["companion_sums"]["lhs"][3] == 0  # = |r'_- - r''| with r'_- = 2
+    sides = aux_sides(1, 2)
+    assert all(lhs == rhs for lhs, rhs in sides)
+    companion_sums = sides[2][0]
+    assert companion_sums[0] == 3  # = |r'_+ + r''| with r'_+ = 1
+    assert companion_sums[3] == 0  # = |r'_- - r''| with r'_- = 2
 
     assert u_exponent(1, 0) == 0
     assert u_sign(1, 0, -1) == 1
     r1 = split_pair_values(1, 0)
     assert u_sign(r1[0], r1[1], -1) * u_sign(r1[2], r1[3], -1) == 1
 
-    assert all(c["pass"] for c in split_pair_identities(0, 0).values())
+    assert all(lhs == rhs for lhs, rhs in aux_sides(0, 0))
 
 
 def test_alpha_constant():

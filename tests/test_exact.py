@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from endosign.exact import ExactValue
@@ -10,8 +8,5 @@ def test_zero_is_rejected():
         ExactValue(0)
 
 
-def test_negative_rational_moves_to_sign():
-    v = ExactValue(Fraction(-3, 4))
-    assert v.to_json() == {"sign": -1, "numerator": 3, "denominator": 4, "q_half_power": 0}
-    assert ExactValue(Fraction(6, 4)).to_json() == \
-        {"sign": 1, "numerator": 3, "denominator": 2, "q_half_power": 0}
+def test_a_record_writes_the_reduced_fraction():
+    assert [str(ExactValue(v).value) for v in ("-6/8", "6/4", 5)] == ["-3/4", "3/2", "5"]

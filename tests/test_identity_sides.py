@@ -3,10 +3,8 @@
 REGISTRY maps each identity that a sweep checks to its sides and to the
 package functions that two of its sides may share, each with a one-line
 reason.  An identity is each "identity": "<name>" literal of a failure record
-in src/endosign, plus aux's four checks, which its records name by
-constants.split_pair_identities.  A side is a callable that computes, at
-small bounds, that side of the identity from inputs built once outside every
-side.  The inputs are the sweep's own: each comes from the window that the
+in src/endosign.  A side is a callable that computes, at small bounds, that
+side of the identity from inputs built once outside every side.  The inputs are the sweep's own: each comes from the window that the
 sweep iterates, called here at small bounds.  The sides of params copy the
 sweep's code, and a copy that drifts from the sweep goes unnoticed; every
 other side calls the functions its sweep runs.
@@ -40,10 +38,6 @@ from test_source_guards import SMALL_SWEEPS
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "endosign").glob("*.py"))
-
-# aux's records name their checks in the record's detail, not by an "identity" key
-AUX_CHECKS = set(constants.split_pair_identities(0, 0))
-
 
 class Identity(NamedTuple):
     sides: dict  # side name -> callable returning that side's values
@@ -347,9 +341,8 @@ def identity_names(source: str) -> set[str]:
 
 
 def unregistered(sources: list[str]) -> list[str]:
-    """The identities of the sources and aux's checks that have no registry entry."""
-    names = AUX_CHECKS.union(*map(identity_names, sources))
-    return sorted(names - set(REGISTRY))
+    """The identities of the sources that have no registry entry."""
+    return sorted(set().union(*map(identity_names, sources)) - set(REGISTRY))
 
 
 def run_sides(identity: Identity) -> dict:
@@ -388,7 +381,7 @@ def unexplained_sharing(identity: Identity, runs: dict) -> dict:
 def test_every_identity_is_registered():
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
     assert unregistered(sources) == []
-    assert set(REGISTRY) == AUX_CHECKS.union(*map(identity_names, sources))
+    assert set(REGISTRY) == set().union(*map(identity_names, sources))
 
 
 def test_an_unregistered_identity_is_caught():

@@ -22,25 +22,27 @@ def test_assemble_triple_h_split():
     t1 = uq([2], [])
     t2 = uq([1, 1], [])
     triple = assemble_triple(t1, t2, (1, 1))
-    assert triple.lam.to_json() == [2, 1, 1]
-    h_plus, h_minus = triple.h_split()
-    assert h_plus.to_json() == [2] and h_minus.to_json() == [1, 1]
+    # h is +1 on the first factor's cells and -1 on the second's
+    assert triple.cells[PLUS, PLUS] == Partition([2])
+    assert triple.cells[PLUS, MINUS] == Partition([1, 1])
+    assert triple.cells[MINUS, PLUS] == triple.cells[MINUS, MINUS] == Partition()
 
 
 def test_assemble_triple_degenerate_factor():
     t1 = uq([2, 2], [])
     t2 = uq([], [])
     triple = assemble_triple(t1, t2, (2, 0))
-    assert triple.h_split()[1].total == 0
-    assert triple.lam.to_json() == [2, 2]
+    assert triple.cells[PLUS, PLUS] == Partition([2, 2])
+    assert all(part.total == 0 for part in triple.restrict(MINUS))
 
 
 def test_assemble_triple_s_split():
     t1 = uq([2], [])
     t2 = uq([], [2])
     triple = assemble_triple(t1, t2, (1, 1))
-    s_plus, s_minus = triple.s_split()
-    assert s_plus.to_json() == [2] and s_minus.to_json() == [2]
+    # s is +1 on the plus-partitions' cells and -1 on the minus-partitions'
+    assert triple.cells[PLUS, PLUS] == triple.cells[MINUS, MINUS] == Partition([2])
+    assert triple.cells[PLUS, MINUS] == triple.cells[MINUS, PLUS] == Partition()
 
 
 def test_assemble_size_mismatch():

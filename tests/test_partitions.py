@@ -1,20 +1,8 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from endosign.errors import ResourceLimitError
 from endosign.partitions import (Partition, SymplecticPartition, enumerate_partitions,
-                                 enumerate_symplectic, is_symplectic, union)
-
-
-def parts(p):
-    return list(p.parts)
-
-
-def test_union_merges_multisets():
-    assert parts(union(Partition([3, 1]), Partition([2, 2]))) == [3, 2, 2, 1]
-    assert parts(union(Partition(), Partition([5]))) == [5]
-    assert parts(union(Partition([2, 2]), Partition([2, 1, 1]))) == [2, 2, 2, 1, 1]
+                                 enumerate_symplectic, is_symplectic)
 
 
 def test_partition_rejects_nonpositive():
@@ -71,19 +59,3 @@ def test_jord_bp_lists_distinct_even_parts():
 def test_symplectic_constructor_validates():
     with pytest.raises(ValueError):
         SymplecticPartition(Partition([3, 1]))
-
-
-part_lists = st.lists(st.integers(min_value=1, max_value=9), max_size=7)
-
-
-@given(part_lists, part_lists)
-def test_union_is_additive(a, b):
-    p1, p2 = Partition(a), Partition(b)
-    u = union(p1, p2)
-    assert u.size() == p1.size() + p2.size()
-    assert u.length() == p1.length() + p2.length()
-
-
-@given(part_lists, part_lists)
-def test_union_commutes(a, b):
-    assert union(Partition(a), Partition(b)) == union(Partition(b), Partition(a))

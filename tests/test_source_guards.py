@@ -196,10 +196,8 @@ SMALL_COMMANDS = (
     ["enumerate", "descent", "--n", "2"],
 )
 # Entered only when a report serializes a failing point.
-NOT_SWEPT = {"QuadrupleGamma.to_json", "SizeSplit.to_json", "ExactValue.to_json",
-             "GammaVector.to_json", "LPair.to_json", "AssembledTriple.to_json",
-             "AssembledTriple.lam", "AssembledTriple.h_split", "AssembledTriple.s_split",
-             "union"}
+NOT_SWEPT = {"QuadrupleGamma.to_json", "SizeSplit.to_json", "GammaVector.to_json",
+             "LPair.to_json"}
 
 
 def entered_code(capsys) -> set:

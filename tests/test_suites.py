@@ -1,6 +1,7 @@
 """Each sweep must fail on a planted wrong formula (non-vacuity)."""
 
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -13,6 +14,13 @@ from endosign.partitions import Partition
 from endosign.weyl import sgn_cd
 
 from test_families import scatter
+
+
+def assert_records_name_their_points(report):
+    """Every failure record names its identity, and no two records of the report are equal."""
+    assert all("identity" in f for f in report.failures)
+    records = Counter(json.dumps(f, sort_keys=True) for f in report.failures)
+    assert [record for record, count in records.items() if count > 1] == []
 
 
 def _negated(value):
@@ -28,6 +36,7 @@ def test_transfer_fails_on_a_flipped_transfer_factor_sign(monkeypatch):
     assert report.points_checked > 0
     assert len(report.failures) == report.points_checked
     assert {f["identity"] for f in report.failures} == {"transfer"}
+    assert_records_name_their_points(report)
     assert not report.passed
 
 
@@ -41,6 +50,7 @@ def test_descent_fails_on_an_off_by_one_split_size(monkeypatch):
     monkeypatch.setattr(suites, "split_sizes", off_by_one)
     report = suites.run("descent", beta_max=0)
     assert {f["identity"] for f in report.failures} == {"sector_sum"}
+    assert_records_name_their_points(report)
     assert not report.passed
 
 
@@ -48,6 +58,7 @@ def test_descent_fails_on_a_solver_that_selects_no_split(monkeypatch):
     monkeypatch.setattr(descent, "solve_split_family", lambda *args: None)
     report = suites.run("descent", beta_max=8)
     assert {f["identity"] for f in report.failures} == {"unique_split"}
+    assert_records_name_their_points(report)
     assert len(report.failures) == 1165
 
 
@@ -69,6 +80,7 @@ def test_descent_fails_on_size_splits_with_a_shifted_plus_size(monkeypatch):
     report = suites.run("descent", beta_max=2)
     assert report.points_checked == 3892
     assert {f["identity"] for f in report.failures} == {"unique_split"}
+    assert_records_name_their_points(report)
     assert len(report.failures) == 434
 
 
@@ -82,6 +94,7 @@ def test_descent_fails_on_class_splits_that_drop_a_part(monkeypatch):
     monkeypatch.setattr(descent, "class_splits", dropping)
     report = suites.run("descent", beta_max=8)
     assert {f["identity"] for f in report.failures} == {"class_sign"}
+    assert_records_name_their_points(report)
     assert len(report.failures) == 2945
 
 
@@ -95,6 +108,7 @@ def test_constprod_fails_on_the_swapped_two_power_reading(monkeypatch):
     report = suites.run("constprod", qs=(5,), rmax=1)
     assert len(report.failures) == report.points_checked > 0
     assert {f["identity"] for f in report.failures} == {"constprod"}
+    assert_records_name_their_points(report)
     assert report.notes == ["failures re-evaluated under the alternate two-power reading: pass"]
 
 
@@ -105,10 +119,8 @@ def test_constprod_fails_on_a_pair_power_constant_off_by_three(monkeypatch):
     report = suites.run("constprod", qs=(5,), rmax=2)
     assert len(report.failures) == report.points_checked > 0
     assert {f["identity"] for f in report.failures} == {"constprod"}
-    first = report.failures[0]
-    assert set(first["lhs"]) == {"sign", "numerator", "denominator", "q_half_power"}
-    assert (first["lhs"]["sign"], first["lhs"]["numerator"], first["lhs"]["denominator"]) == \
-        (first["rhs"], 3, 1)
+    assert_records_name_their_points(report)
+    assert all(f["lhs"] == str(3 * f["rhs"]) for f in report.failures)
     assert report.notes == ["failures re-evaluated under the alternate two-power reading: fail"]
 
 
@@ -119,6 +131,7 @@ def test_constprod_alternate_reading_can_fail_too(monkeypatch):
     report = suites.run("constprod", qs=(5,), rmax=1)
     assert len(report.failures) == report.points_checked > 0
     assert {f["identity"] for f in report.failures} == {"constprod"}
+    assert_records_name_their_points(report)
     assert report.notes == ["failures re-evaluated under the alternate two-power reading: fail"]
 
 
@@ -130,6 +143,7 @@ def test_transfer_fails_on_a_negated_factorwise_factor(factor, monkeypatch):
     report = suites.run("transfer", qs=(5,), rrmax=2)
     assert len(report.failures) == report.points_checked > 0
     assert {f["identity"] for f in report.failures} == {"transfer"}
+    assert_records_name_their_points(report)
     assert not report.passed
 
 
@@ -262,6 +276,8 @@ def _per_point_transfer_failures(q, rrmax):
                                         if fw != cl:
                                             failures.append(
                                                 {"q": q, "rp": rp, "rpp": rpp,
+                                                 "scd1": scd1, "scd2": scd2,
+                                                 "eta": eta.name(),
                                                  "gamma": gamma.to_json(),
                                                  "e": list(e), "u": list(u),
                                                  "pair": pair.to_json(),
@@ -275,12 +291,24 @@ def test_transfer_sweep_fails_where_the_per_point_check_fails(fault, monkeypatch
     monkeypatch.setattr(*PARTIAL_FAULTS[fault]())
     report = suites.run("transfer", qs=(5,), rrmax=2)
     assert 0 < len(report.failures) < report.points_checked
+    assert_records_name_their_points(report)
     assert report.failures == _per_point_transfer_failures(5, 2)
+
+
+@pytest.mark.parametrize("fault", ["factorwise_u_factor", "transfer_factor_sign"])
+def test_transfer_records_of_one_gamma_differ_by_their_block(fault, monkeypatch):
+    monkeypatch.setattr(*PARTIAL_FAULTS[fault]())
+    report = suites.run("transfer", qs=(5,), rrmax=2)
+    assert_records_name_their_points(report)
+    # a gamma of one sign target lies in four (beta', beta'', eta) blocks
+    blockless = {json.dumps({**f, "scd1": 0, "scd2": 0, "eta": 0}) for f in report.failures}
+    assert len(blockless) < len(report.failures)
 
 
 def test_transfer_eta_of_l2_fault_fails_on_b_one_shapes_only(monkeypatch):
     monkeypatch.setattr(*PARTIAL_FAULTS["eta_of_L2"]())
     report = suites.run("transfer", qs=(5,), rrmax=2)
+    assert_records_name_their_points(report)
     # the closed route reads eta[L2, gamma] only when B = 1, that is r' < r''
     assert {(f["rp"], f["rpp"]) for f in report.failures} == {(0, 2), (1, 3), (2, 4)}
 
@@ -290,6 +318,7 @@ def test_transfer_eta_of_l2_fault_fails_on_b_one_shapes_only(monkeypatch):
 def test_transfer_negated_m_fails_on_b_one_shapes_with_odd_t2(fault, monkeypatch):
     monkeypatch.setattr(*PARTIAL_FAULTS[fault]())
     report = suites.run("transfer", qs=(5,), rrmax=4)
+    assert_records_name_their_points(report)
     # the r' < r'' shapes with t2 = 1 fail; (0, 4) and (1, 5), with t2 = 2, pass
     assert {(f["rp"], f["rpp"]) for f in report.failures} == {(0, 2), (1, 3), (2, 4)}
 
@@ -361,6 +390,7 @@ def test_kappasum_fails_on_a_negated_kappa_zero(monkeypatch):
     report = suites.run("kappasum", max_rr=2)
     assert report.failures and not report.passed
     assert {f["identity"] for f in report.failures} == {"kappasum"}
+    assert_records_name_their_points(report)
     assert all(f["lhs"] == -f["rhs"] != 0 for f in report.failures)
 
 
@@ -372,6 +402,7 @@ def test_kappasum_fails_on_pairings_listed_twice(monkeypatch):
     # every point of the distinguished subgroup fails, with the sum doubled
     assert report.points_checked == 595 and len(report.failures) == 119
     assert {f["identity"] for f in report.failures} == {"kappasum"}
+    assert_records_name_their_points(report)
     assert all(f["lhs"] == 2 * f["rhs"] != 0 for f in report.failures)
 
 
@@ -382,6 +413,7 @@ def test_weyl_fails_on_an_off_by_one_class_size(monkeypatch):
     # every class of W_0, W_1 and W_2 (1 + 2 + 5 of them), and nothing else
     assert len(report.failures) == 8
     assert {f["identity"] for f in report.failures} == {"class_size"}
+    assert_records_name_their_points(report)
     assert all(f["lhs"] == f["rhs"] + 1 for f in report.failures)
 
 
@@ -394,6 +426,7 @@ def test_weyl_fails_on_an_off_by_one_symmetric_class_size(monkeypatch):
     class_counts = [1, 1, 2, 3, 5, 7, 11]
     assert len(report.failures) == 37
     assert {f["identity"] for f in report.failures} == {"class_size_a", "total_a"}
+    assert_records_name_their_points(report)
     classes = [f for f in report.failures if "cls" in f]
     assert [f["d"] for f in classes] == [d for d in range(7) for _ in range(class_counts[d])]
     assert all(f["lhs"] == f["rhs"] + 1 and list(f["cls"]) == ["pi"]
@@ -410,6 +443,7 @@ def test_counting_fails_on_a_reassembly_with_l1_and_l2_swapped(monkeypatch):
     report = suites.run("counting", qs=(5,), t2max=1)
     assert report.failures and not report.passed
     assert {f["identity"] for f in report.failures} == {"image", "worked_fibers"}
+    assert_records_name_their_points(report)
 
 
 def test_counting_fails_on_a_doubled_fiber_size_prediction(monkeypatch):
@@ -418,6 +452,7 @@ def test_counting_fails_on_a_doubled_fiber_size_prediction(monkeypatch):
     report = suites.run("counting", qs=(5,), t2max=1)
     assert report.failures and not report.passed
     assert {f["identity"] for f in report.failures} == {"fiber", "worked_fibers"}
+    assert_records_name_their_points(report)
     fibers = [f for f in report.failures if f["identity"] == "fiber"]
     assert fibers and all(f["predicted"] == str(2 * f["observed"]) for f in fibers)
 
@@ -427,6 +462,7 @@ def test_counting_fails_on_a_slotwise_count_off_by_one(monkeypatch):
     monkeypatch.setattr(fam, "fiber_count_check", lambda *args: original(*args) + 1)
     report = suites.run("counting", qs=(5,), t2max=1)
     assert {f["identity"] for f in report.failures} == {"fiber", "worked_fibers"}
+    assert_records_name_their_points(report)
     fibers = [f for f in report.failures if f["identity"] == "fiber"]
     assert len(fibers) == len(report.failures) - 1 == 492
     assert all(f["slotwise"] == f["observed"] + 1 for f in fibers)
@@ -522,9 +558,9 @@ def _per_point_counting_failures(q, t2max):
     choices = fam._slot_choices(field)
     pair_counts = fam.slot_pair_counts(choices)
     failures = []
-    for t2 in range(min(t2max, 1 if q == 13 else t2max) + 1):
-        for rp, rpp in suites._counting_shapes(t2, q):
-            shape = fam.SplitShape(rp, rpp)
+    for t2, _, fiber_shapes in suites.counting_window(field, t2max):
+        for shape, *_ in fiber_shapes:
+            rp, rpp = shape.rp, shape.rpp
             nlow = shape.R - shape.r
             tables = [[fam.family_selections(family, idx, shape, field) for idx in (1, 2)]
                       for family in fam.enumerate_transversal_families(shape, choices)]
@@ -546,7 +582,7 @@ def _per_point_counting_failures(q, t2max):
                     if tally.keys() != expected:
                         failures.append({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
                                          "eta": eta.name(), "eta2": eta2.name(),
-                                         "identity": "image",
+                                         "pair": pair.to_json(), "identity": "image",
                                          "extra": len(tally.keys() - expected),
                                          "missing": len(expected - tally.keys())})
                         continue
@@ -554,8 +590,10 @@ def _per_point_counting_failures(q, t2max):
                         slotwise = fam.fiber_count_check(g, pair, pair_counts)
                         predicted = fam.fiber_size_prediction(g, shape, field)
                         if slotwise != tally[g] or tally[g] != predicted:
-                            failures.append({"q": q, "rp": rp, "rpp": rpp, "eta": eta.name(),
-                                             "eta2": eta2.name(), "gamma": g.to_json(),
+                            failures.append({"q": q, "rp": rp, "rpp": rpp, "scd1": s1,
+                                             "scd2": s2, "eta": eta.name(),
+                                             "eta2": eta2.name(), "pair": pair.to_json(),
+                                             "gamma": g.to_json(),
                                              "identity": "fiber", "observed": tally[g],
                                              "slotwise": slotwise,
                                              "predicted": str(predicted)})
@@ -618,6 +656,7 @@ def test_counting_sweep_fails_where_the_per_point_check_fails(fault, q, monkeypa
     monkeypatch.setattr(*plant())
     report = suites.run("counting", qs=(q,), t2max=1)
     shaped = [f for f in report.failures if f["identity"] in ("image", "fiber")]
+    assert_records_name_their_points(report)
     assert len(shaped) == counts[q]
     assert {f["identity"] for f in shaped} == {identity}
     assert shaped == _per_point_counting_failures(q, 1)
@@ -628,9 +667,8 @@ def test_aux_fails_on_a_negated_u_sign(monkeypatch):
     monkeypatch.setattr(constants, "u_sign", lambda *args: -original(*args))
     report = suites.run("aux", rmax=2)
     assert len(report.failures) == report.points_checked > 0
-    for f in report.failures:
-        failed = {name for name, check in f["detail"]["checks"].items() if not check["pass"]}
-        assert failed == {"u_multiplicative"}
+    assert {f["identity"] for f in report.failures} == {"u_multiplicative"}
+    assert_records_name_their_points(report)
 
 
 def test_split_fails_on_an_off_by_one_split_size(monkeypatch):
@@ -642,6 +680,7 @@ def test_split_fails_on_an_off_by_one_split_size(monkeypatch):
 
     monkeypatch.setattr(constants, "split_sizes", off_by_one)
     report = suites.run("split", rmax=2, nmax=1)
+    assert_records_name_their_points(report)
     sums = [f for f in report.failures if f["identity"] == "sum"]
     assert len(sums) == report.points_checked > 0
     assert all(f["lhs"] == f["rhs"] + 1 for f in sums)
@@ -653,6 +692,7 @@ def test_signchain_fails_on_a_negated_u_sign(monkeypatch):
     report = suites.run("signchain", rmax=2)
     assert len(report.failures) == report.points_checked > 0
     assert {f["identity"] for f in report.failures} == {"chain"}
+    assert_records_name_their_points(report)
 
 
 def test_a_shifted_split_pair_fails_signchain_and_aux(monkeypatch):
@@ -667,16 +707,17 @@ def test_a_shifted_split_pair_fails_signchain_and_aux(monkeypatch):
     chain = suites.run("signchain", rmax=2)
     assert len(chain.failures) == 192
     assert {f["identity"] for f in chain.failures} == {"collapse"}
+    assert_records_name_their_points(chain)
     aux = suites.run("aux", rmax=2)
-    failed = Counter(name for f in aux.failures
-                     for name, check in f["detail"]["checks"].items() if not check["pass"])
+    assert_records_name_their_points(aux)
     # the size forms and companion sums read r''_1 as well
-    assert failed == {"size_forms": 15, "companion_sums": 15, "u_multiplicative": 6}
+    assert Counter(f["identity"] for f in aux.failures) == \
+        {"size_forms": 15, "companion_sums": 15, "u_multiplicative": 6}
     broken = {(rp, rpp) for rp in range(3) for rpp in range(-2, 3) for m in (1, -1)
               if constants.u_sign(rp, rpp, m) != constants.u_sign(*shifted(rp, rpp)[:2], m)
               * constants.u_sign(*shifted(rp, rpp)[2:], m)}
     assert {(f["rp"], f["rpp"]) for f in aux.failures
-            if not f["detail"]["checks"]["u_multiplicative"]["pass"]} == broken
+            if f["identity"] == "u_multiplicative"} == broken
 
 
 def test_params_fails_on_a_constant_character(monkeypatch):
@@ -685,3 +726,17 @@ def test_params_fails_on_a_constant_character(monkeypatch):
     # every point but the single n = 0 triple is a bilinearity check
     assert len(report.failures) == report.points_checked - 1 > 0
     assert {f["identity"] for f in report.failures} == {"bilinearity"}
+    assert_records_name_their_points(report)
+
+
+def test_params_fails_on_a_restriction_to_the_other_eigenspace(monkeypatch):
+    original = par.AssembledTriple.restrict
+    monkeypatch.setattr(par.AssembledTriple, "restrict",
+                        lambda triple, h_sign: original(triple, -h_sign))
+    report = suites.run("params")
+    assert {f["identity"] for f in report.failures} == {"restriction"}
+    assert_records_name_their_points(report)
+    # a point passes exactly when its two factors have the same partitions
+    assert len(report.failures) == 204
+    assert all((f["lam_plus1"], f["lam_minus1"]) != (f["lam_plus2"], f["lam_minus2"])
+               for f in report.failures)
