@@ -10,8 +10,8 @@ Output is JSON by default (CSV with --format csv), written to stdout or to
 error (an unknown flag, a flag the verified suite does not read, an invalid
 flag value or an --out FILE that cannot be opened for writing, reported
 before any sweep or enumeration runs; verify all passes each flag to the
-suites that read it), 3 a resource cap was hit (partial report flagged
-incomplete).
+suites that read it), 3 a resource cap was hit (the suites module refused
+the request with a report or payload flagged incomplete).
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import json
 import sys
 
 from . import suites
-from .errors import ResourceLimitError
-from .report import VerificationReport
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,31 +118,18 @@ def main(argv=None) -> int:
         parser.error(f"--out {args.out}: {exc.strerror}")
     with out or contextlib.nullcontext(sys.stdout) as stream:
         if args.command == "verify":
-            reports = []
-            exit_code = 0
-            for name in names:
-                try:
-                    report = suites.run(name, **given[name])
-                except ResourceLimitError as exc:
-                    report = VerificationReport(name, {"error": str(exc)}, incomplete=True)
-                    exit_code = 3
-                reports.append(report.to_json_dict())
-                if report.failures and exit_code == 0:
-                    exit_code = 1
+            reports = [suites.run(name, **given[name]).to_json_dict() for name in names]
             _emit(reports if args.suite == "all" else reports[0], args.format, stream)
-            return exit_code
+            if any(report.get("incomplete") for report in reports):
+                return 3
+            return 1 if any(report["failures"] for report in reports) else 0
 
         # enumerate
         builder = (suites.enumerate_params_report if args.kind == "params"
                    else suites.enumerate_descent_report)
-        try:
-            payload = builder(args.n)
-        except ResourceLimitError as exc:
-            _emit({"kind": args.kind, "n": args.n, "error": str(exc),
-                   "incomplete": True}, args.format, stream)
-            return 3
+        payload = builder(args.n)
         _emit(payload, args.format, stream)
-        return 0
+        return 3 if payload.get("incomplete") else 0
 
 
 if __name__ == "__main__":

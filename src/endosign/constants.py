@@ -28,7 +28,7 @@ class QuadrupleGamma:
 
     __slots__ = ("rp", "rpp", "Np", "Npp")
 
-    def __init__(self, rp: int, rpp: int, Np: int = 0, Npp: int = 0):
+    def __init__(self, rp: int, rpp: int, Np: int, Npp: int):
         if Np < 0 or Npp < 0:
             raise ValueError("N' and N'' must be nonnegative")
         self.rp = rp
@@ -249,8 +249,7 @@ def weil_ratio_sign(eta1: SquareClass, eta2: SquareClass, m: int) -> int:
 
 def collapse_and_product_constants(rp: int, rpp: int, scd1: int, scd2: int,
                                    eta: SquareClass, eta1: SquareClass, eta2: SquareClass,
-                                   beta: int, rp_field: ResidueParam,
-                                   alt_two_power: bool = False) -> tuple[Fraction, Fraction]:
+                                   beta: int, rp_field: ResidueParam) -> tuple[Fraction, Fraction]:
     """The fiber-collapse constant and the total product constant.
 
     The classes enter through scd1 = sgn_cd(w') and scd2 = sgn_cd(w''),
@@ -258,9 +257,7 @@ def collapse_and_product_constants(rp: int, rpp: int, scd1: int, scd2: int,
     The collapse constant absorbs the weight ratio sigma * sigma_fiber^-1 *
     sigma_1^-1 * sigma_2^-1 * d into a gamma-independent value; the product
     constant multiplies it by 2^(beta + 2 t1 + 2 t2), the Weil ratio, the
-    pair power constant and the three orientation signs.  alt_two_power
-    selects the alternate reading 2^(1 + beta + 2 t1 + 2 t2) for the
-    failure-invariance report.
+    pair power constant and the three orientation signs.
     """
     shape = fam.SplitShape(rp, rpp)
     q = rp_field.q
@@ -284,8 +281,7 @@ def collapse_and_product_constants(rp: int, rpp: int, scd1: int, scd2: int,
         sign *= eta2.unit_sign * scd2
     collapse = Fraction(4, q - 3) ** t2 * sign
 
-    two_exp = beta + 2 * t1 + 2 * t2 + (1 if alt_two_power else 0)
-    product = collapse * Fraction(2) ** two_exp \
+    product = collapse * Fraction(2) ** (beta + 2 * t1 + 2 * t2) \
         * weil_ratio_sign(eta1, eta2, m) \
         * pair_power_constant(rp, rpp, rp_field) \
         * alpha_constant(rp, rpp, scd1, scd2, eta, m) \
@@ -296,14 +292,14 @@ def collapse_and_product_constants(rp: int, rpp: int, scd1: int, scd2: int,
 
 def product_formula_lhs(rp: int, rpp: int, scd1: int, scd2: int, eta: SquareClass,
                         eta1: SquareClass, eta2: SquareClass, beta: int,
-                        rp_field: ResidueParam, alt_two_power: bool) -> Fraction:
+                        rp_field: ResidueParam) -> Fraction:
     """2^(-1-beta) * C_total * |families|, the product-formula identity's left-hand side.
 
-    C_total is collapse_and_product_constants' product constant, read with
-    alt_two_power, and |families| the closed-form transversal family count.
+    C_total is collapse_and_product_constants' product constant and
+    |families| the closed-form transversal family count.
     """
     _, product = collapse_and_product_constants(rp, rpp, scd1, scd2, eta, eta1, eta2, beta,
-                                                rp_field, alt_two_power=alt_two_power)
+                                                rp_field)
     count = fam.transversal_family_count_formula(fam.SplitShape(rp, rpp), rp_field)
     return product * count / 2 ** (1 + beta)
 
@@ -415,11 +411,12 @@ def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
     """The product-formula constant identity at every point of constprod_window:
         2^(-1-beta) * C_total * |families| = C_even,
     checked exactly in rationals.
-    alt_two_power evaluates C_total under the alternate two-power reading.
+    alt_two_power reads C_total with 2^(1 + beta + 2 t1 + 2 t2), which doubles
+    the left-hand side.
     """
     for field, m, rp, rpp, s1, s2, eta, eta1, eta2, beta in constprod_window(qs, rmax):
-        lhs = ExactValue(product_formula_lhs(rp, rpp, s1, s2, eta, eta1, eta2, beta, field,
-                                             alt_two_power=alt_two_power))
+        value = product_formula_lhs(rp, rpp, s1, s2, eta, eta1, eta2, beta, field)
+        lhs = ExactValue(2 * value if alt_two_power else value)
         rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta, m)
         yield 1, () if lhs.value == rhs else (
             {"q": field.q, "rp": rp, "rpp": rpp, "eta": eta.name(), "eta1": eta1.name(),

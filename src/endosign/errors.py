@@ -2,4 +2,4 @@
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration or sweep exceeded its desk-scale cap."""
+    """A library enumeration exceeded its desk-scale cap."""

@@ -13,9 +13,12 @@ every point on its own, as (1, failures); split yields the points of one
 name to its check and the specification of its parameters.  run() owns
 everything else: it checks the parameters against their bounds and caps
 before any point is checked, adds up the checked counts, times the sweep,
-collects the failures and builds the VerificationReport.  The CLI derives
-its verify subcommands and flags from SUITES.  The windows and checks of
-the identities among the named constants live in the constants module.
+collects the failures and builds the VerificationReport.  A value above its
+cap is refused there too, before any point, with an incomplete report, and
+an enumeration above ENUM_N_CAP returns an incomplete payload.  The CLI
+derives its verify subcommands and flags from SUITES.  The windows and
+checks of the identities among the named constants live in the constants
+module.
 """
 
 from __future__ import annotations
@@ -29,10 +32,8 @@ from . import families as fam
 from . import params as par
 from .constants import (QuadrupleGamma, aux_points, product_identity_points,
                         sign_chain_points, split_points, split_sizes, transfer_points)
-from .errors import ResourceLimitError
 from .localfield import ResidueParam, SquareClass, is_prime
 from .partitions import Partition, enumerate_partitions, enumerate_symplectic
-from .report import VerificationReport
 from .weyl import (brute_class_sizes, brute_class_sizes_a, class_size_a, class_size_b,
                    conjugation_orbit_sizes, order_b)
 
@@ -398,19 +399,58 @@ def parameters(name: str, given: dict) -> dict:
     return values
 
 
+class VerificationReport:
+    """Outcome of one verification sweep, as run() builds it.
+
+    The sweep fills in points_checked, failures, elapsed_ms and notes; a
+    report flagged incomplete records a sweep that was refused.
+    """
+
+    def __init__(self, suite: str, parameters: dict, incomplete: bool = False):
+        self.suite = suite
+        self.parameters = parameters
+        self.points_checked = 0
+        self.failures: list[dict] = []
+        self.elapsed_ms = 0
+        self.notes: list[str] = []
+        self.incomplete = incomplete
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures and not self.incomplete
+
+    def to_json_dict(self) -> dict:
+        out = {
+            "suite": self.suite,
+            "parameters": self.parameters,
+            "points_checked": self.points_checked,
+            "failures": self.failures,
+            "pass": self.passed,
+            "elapsed_ms": self.elapsed_ms,
+        }
+        if self.notes:
+            out["notes"] = self.notes
+        if self.incomplete:
+            out["incomplete"] = True
+        return out
+
+
 def run(name: str, **given) -> VerificationReport:
     """Sweep one suite and report every failing point.
 
     The parameters are checked before any point: ValueError for an invalid
-    value, ResourceLimitError for one above its cap.  When constprod fails,
-    the same sweep is re-evaluated under the alternate two-power reading
-    and the outcome is recorded as a note.
+    value; a value above its cap is refused with an incomplete report that
+    names the cap in parameters["error"] and checks no point.  When
+    constprod fails, the same sweep is re-evaluated under the alternate
+    two-power reading and the outcome is recorded as a note.
     """
     points, specs = SUITES[name]
     values = parameters(name, given)
     for key, _, _, cap, *_ in specs:
         if (max(values[key]) if key == "qs" else values[key]) > cap:
-            raise ResourceLimitError(f"{'q' if key == 'qs' else key} capped at {cap}")
+            return VerificationReport(
+                name, {"error": f"{'q' if key == 'qs' else key} capped at {cap}"},
+                incomplete=True)
     start = time.monotonic()
     shown = dict(values)
     if "qs" in shown:
@@ -445,11 +485,15 @@ def verify_params(**params) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def enumerate_params_report(n: int) -> dict:
-    """Endoscopic pairs, symplectic partitions and parameters for one size."""
+    """Endoscopic pairs, symplectic partitions and parameters for one size.
+
+    Above ENUM_N_CAP the payload is refused: incomplete, naming the cap.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > ENUM_N_CAP:
-        raise ResourceLimitError(f"parameter enumeration capped at n = {ENUM_N_CAP}")
+        return {"kind": "params", "n": n, "incomplete": True,
+                "error": f"parameter enumeration capped at n = {ENUM_N_CAP}"}
     partitions = [{"partition": sp.to_json(),
                    "even_blocks": list(sp.jord_bp),
                    "component_group_order": 2 ** len(sp.jord_bp)}
@@ -487,11 +531,15 @@ def _block_multisets(k: int, floor=(1, 1)):
 
 
 def enumerate_descent_report(n: int) -> dict:
-    """All feasible descent-datum invariant tuples for one size."""
+    """All feasible descent-datum invariant tuples for one size.
+
+    Above ENUM_N_CAP the payload is refused: incomplete, naming the cap.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > ENUM_N_CAP:
-        raise ResourceLimitError(f"descent enumeration capped at n = {ENUM_N_CAP}")
+        return {"kind": "descent", "n": n, "incomplete": True,
+                "error": f"descent enumeration capped at n = {ENUM_N_CAP}"}
     rows = []
     for n_plus in range(n + 1):
         for n_minus in range(n - n_plus + 1):

@@ -132,6 +132,20 @@ def test_verify_all_aggregates(capsys):
     assert all(r["pass"] for r in reports)
 
 
+def test_verify_all_reports_each_refusal_and_exits_three(capsys):
+    code, out = run_cli(capsys, "verify", "all", "--rmax", "1000", "--q", "5", "--t2max", "0",
+                        "--rrmax", "0", "--nmax", "0", "--max-rr", "0", "--beta-max", "0")
+    assert code == 3
+    reports = {r["suite"]: r for r in json.loads(out)}
+    refused = {name: r["parameters"]["error"] for name, r in reports.items()
+               if r.get("incomplete")}
+    assert refused == {"aux": "rmax capped at 60", "split": "rmax capped at 60",
+                       "constprod": "rmax capped at 10", "signchain": "rmax capped at 20"}
+    assert all(reports[name]["points_checked"] == 0 for name in refused)
+    passed = {name for name, r in reports.items() if r["pass"]}
+    assert passed == set(suites.SUITES) - refused.keys() and len(passed) == 6
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "counting", "--q", "4"],
     ["verify", "transfer", "--q", "9", "--rrmax", "0"],

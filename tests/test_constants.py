@@ -250,9 +250,8 @@ def test_quadruple_validation():
         QuadrupleGamma(1, 0, -1, 0)
 
 
-def entered_functions(call) -> set[str]:
-    """Qualified names of the package functions that call() enters."""
-    package = Path(endosign.__file__).resolve().parent
+def code_entered_by(call) -> set:
+    """The code objects that call() enters, recorded by a sys.setprofile hook."""
     entered = set()
 
     def profile(frame, event, arg):
@@ -264,5 +263,11 @@ def entered_functions(call) -> set[str]:
         call()
     finally:
         sys.setprofile(None)
-    return {code.co_qualname for code in entered
+    return entered
+
+
+def entered_functions(call) -> set[str]:
+    """Qualified names of the package functions that call() enters."""
+    package = Path(endosign.__file__).resolve().parent
+    return {code.co_qualname for code in code_entered_by(call)
             if Path(code.co_filename).resolve().parent == package}

@@ -236,7 +236,7 @@ REGISTRY = {
     }, {}),
     # constprod
     "constprod": Identity({
-        "product": lambda: [constants.product_formula_lhs(*point, field, alt_two_power=False)
+        "product": lambda: [constants.product_formula_lhs(*point, field)
                             for field, _, *point in CONSTPROD_POINTS],
         "even": lambda: [constants.even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta, m)
                          for _, m, rp, rpp, _, s2, eta, eta1, eta2, _ in CONSTPROD_POINTS],

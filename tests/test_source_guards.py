@@ -19,6 +19,8 @@ from pathlib import Path
 
 from endosign import cli, suites
 
+from test_constants import code_entered_by
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "endosign").glob("*.py"))
 
@@ -202,14 +204,7 @@ NOT_SWEPT = {"QuadrupleGamma.to_json", "SizeSplit.to_json", "GammaVector.to_json
 
 def entered_code(capsys) -> set:
     """The code objects that the small sweeps and commands enter."""
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
-
-    sys.setprofile(profile)
-    try:
+    def sweep():
         for name, bounds in SMALL_SWEEPS:
             suites.run(name, **bounds)
         # the two wrappers that perfbench/workloads.py names through func=
@@ -217,8 +212,8 @@ def entered_code(capsys) -> set:
         suites.verify_params(nmax=0)
         for argv in SMALL_COMMANDS:
             cli.main(argv)
-    finally:
-        sys.setprofile(None)
+
+    entered = code_entered_by(sweep)
     capsys.readouterr()
     return entered
 

@@ -1,4 +1,4 @@
-"""Each sweep must fail on a planted wrong formula (non-vacuity)."""
+"""Each sweep must fail on a planted wrong formula (non-vacuity), and refuse a value above its cap."""
 
 import itertools
 import json
@@ -101,10 +101,11 @@ def test_descent_fails_on_class_splits_that_drop_a_part(monkeypatch):
 def test_constprod_fails_on_the_swapped_two_power_reading(monkeypatch):
     original = constants.collapse_and_product_constants
 
-    def swapped(*args, alt_two_power=False):
-        return original(*args, alt_two_power=not alt_two_power)
+    def halved(*args):
+        collapse, product = original(*args)
+        return collapse, product / 2
 
-    monkeypatch.setattr(constants, "collapse_and_product_constants", swapped)
+    monkeypatch.setattr(constants, "collapse_and_product_constants", halved)
     report = suites.run("constprod", qs=(5,), rmax=1)
     assert len(report.failures) == report.points_checked > 0
     assert {f["identity"] for f in report.failures} == {"constprod"}
@@ -740,3 +741,28 @@ def test_params_fails_on_a_restriction_to_the_other_eigenspace(monkeypatch):
     assert len(report.failures) == 204
     assert all((f["lam_plus1"], f["lam_minus1"]) != (f["lam_plus2"], f["lam_minus2"])
                for f in report.failures)
+
+
+@pytest.mark.parametrize("name, given, error", [
+    ("counting", {"qs": (5, 1000000007)}, "q capped at 101"),
+    ("aux", {"rmax": 1000}, "rmax capped at 60"),
+])
+def test_a_value_above_its_cap_is_refused_with_an_incomplete_report(name, given, error,
+                                                                    monkeypatch):
+    def no_field(self, q):
+        raise AssertionError(f"ResidueParam({q}) was built for a refused sweep")
+
+    monkeypatch.setattr(ResidueParam, "__init__", no_field)
+    report = suites.run(name, **given)
+    assert report.incomplete and not report.passed
+    assert report.points_checked == 0 and report.failures == []
+    assert report.parameters == {"error": error}
+
+
+@pytest.mark.parametrize("kind, builder", [("params", suites.enumerate_params_report),
+                                           ("descent", suites.enumerate_descent_report)])
+def test_an_enumeration_above_its_cap_returns_an_incomplete_payload(kind, builder):
+    noun = "parameter" if kind == "params" else kind
+    assert builder(suites.ENUM_N_CAP + 1) == {
+        "kind": kind, "n": suites.ENUM_N_CAP + 1, "incomplete": True,
+        "error": f"{noun} enumeration capped at n = {suites.ENUM_N_CAP}"}
