@@ -18,7 +18,10 @@ in {+1, -1}).  This module enumerates:
 A pairing splits gamma into two components gamma1 and gamma2, which are
 again GammaVectors: residues on their pair slots, and (for gamma1) signs on
 their top slots.  A transversal family is the plain tuple of its per-slot
-(G1, G2) pairs.
+(G1, G2) pairs.  The reassembly side works on flat tuples: a selection is
+its residues followed by its top signs, and the reassembly tallies are
+keyed by gamma's flat tuple low + high, so no sweep hashes or compares a
+GammaVector.
 
 All weights and counts are exact.
 """
@@ -76,9 +79,6 @@ class GammaVector:
         for s in self.high:
             out *= s
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, GammaVector) and (self.low, self.high) == (other.low, other.high)
 
     def __hash__(self):
         return hash((self.low, self.high))
@@ -320,30 +320,35 @@ def reassemble(pair: LPair, shape: SplitShape) -> operator.itemgetter:
 
 def reassembly_tallies(shape: SplitShape, pairs: list[LPair], choices: list,
                        rp_field: ResidueParam) -> dict[tuple[int, int], list[dict]]:
-    """(tau1, tau2) -> per pairing, GammaVector -> its number of reassembly preimages.
+    """(tau1, tau2) -> per pairing, gamma's flat tuple low + high -> its number of preimages.
 
     A preimage joins a selection from a family's side-1 bucket at tau1 and
-    one from its side-2 bucket at tau2.  One pass over the families keeps
-    no family; each flat tally is wrapped once, sharing the top-sign tuples.
+    one from its side-2 bucket at tau2.  One pass over the families, which
+    keeps no family, counts each joined pair comp1 + comp2 per (tau1, tau2);
+    each pairing's gather then maps every distinct joined pair once and adds
+    its count.  That is the per-preimage tally summed in another order, so
+    it holds for any gather, also one that sends two joined pairs to one
+    gamma.
     """
     gathers = [reassemble(pair, shape) for pair in pairs]
     widths = ({shape.t2 + shape.r}, {shape.t2})
-    tallies = {taus: [Counter() for _ in pairs] for taus in itertools.product((1, -1), (1, -1))}
+    joined = {taus: Counter() for taus in itertools.product((1, -1), (1, -1))}
     for family in enumerate_transversal_families(shape, choices):
         side1, side2 = [family_selections(family, idx, shape, rp_field) for idx in (1, 2)]
         if ({*map(len, side1[1]), *map(len, side1[-1])},
                 {*map(len, side2[1]), *map(len, side2[-1])}) != widths:
             raise ValueError("component lengths do not match the shape")
-        for (tau1, tau2), row in tallies.items():
-            joined = list(itertools.starmap(
+        for (tau1, tau2), counts in joined.items():
+            counts.update(itertools.starmap(
                 operator.add, itertools.product(side1[tau1], side2[tau2])))
-            for gather, tally in zip(gathers, row):
-                tally.update(map(gather, joined))
-    nlow = shape.R - shape.r
-    highs = {high: high for high in itertools.product((1, -1), repeat=shape.r)}
-    for row in tallies.values():
-        for pi, tally in enumerate(row):
-            row[pi] = {GammaVector(g[:nlow], highs[g[nlow:]]): n for g, n in tally.items()}
+    tallies = {}
+    for taus, counts in joined.items():
+        tallies[taus] = row = []
+        for gather in gathers:
+            tally: dict[tuple, int] = {}
+            for flat, n in zip(map(gather, counts), counts.values()):
+                tally[flat] = tally.get(flat, 0) + n
+            row.append(tally)
     return tallies
 
 

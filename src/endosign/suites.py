@@ -122,9 +122,10 @@ def counting_points(qs, t2max: int):
     values (family count 4 at q = 5 with one pair slot; fibers of sizes 2, 1).
 
     A point is a sign choice (s1, s2, ue, ue2) and a pairing.  Per shape,
-    families.reassembly_tallies builds the tally side of every point and
-    families.image_groups its image, the prediction runs once per vector
-    and the slotwise count once per (vector, pairing).
+    families.reassembly_tallies builds the tally side of every point, keyed
+    by flat tuples, and families.image_groups its image; each vector's flat
+    tuple low + high is built once, the prediction runs once per vector and
+    the slotwise count once per (vector, pairing).
     """
     worked_family_count = None
     worked_fiber_sizes: set[int] = set()
@@ -148,12 +149,14 @@ def counting_points(qs, t2max: int):
                             for pi, pair in enumerate(pairs) for target, vectors in gammas.items()}
                 predicted = {target: [fam.fiber_size_prediction(g, shape, field) for g in vectors]
                              for target, vectors in gammas.items()}
+                flats = {target: [g.low + g.high for g in vectors]
+                         for target, vectors in gammas.items()}
                 rp, rpp = shape.rp, shape.rpp
                 for s1, s2, eta, eta2, pi, taus, target, key in points:
-                    vectors, predictions = gammas[target], predicted[target]
+                    vectors, predictions, flat = gammas[target], predicted[target], flats[target]
                     tally = tallies[taus][pi]
                     image = images.get(key, ())
-                    expected = {vectors[j] for j in image}
+                    expected = {flat[j] for j in image}
                     if tally.keys() != expected:
                         yield 1, ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
                                    "eta": eta.name(), "eta2": eta2.name(),
@@ -164,13 +167,12 @@ def counting_points(qs, t2max: int):
                     failures = ()
                     counts = slotwise[pi, target]
                     for j in image:
-                        g = vectors[j]
-                        observed = tally[g]
+                        observed = tally[flat[j]]
                         if counts[j] != observed or observed != predictions[j]:
                             failures += ({
                                 "q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
                                 "eta": eta.name(), "eta2": eta2.name(),
-                                "pair": pairs[pi].to_json(), "gamma": g.to_json(),
+                                "pair": pairs[pi].to_json(), "gamma": vectors[j].to_json(),
                                 "identity": "fiber", "observed": observed,
                                 "slotwise": counts[j], "predicted": str(predictions[j])},)
                         elif q == 5 and t2 == 1:

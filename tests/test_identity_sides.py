@@ -202,16 +202,15 @@ REGISTRY = {
                            for field, shape in FAMILY_SHAPES],
     }, {}),
     "image": Identity({
-        "tally": lambda: [sorted((g.low, g.high) for g in tallies[taus][pi])
+        "tally": lambda: [sorted(tallies[taus][pi])
                           for tallies, (*_, points) in zip(_tallies(), COUNTING)
                           for _, _, _, _, pi, taus, _, _ in points],
-        "image": lambda: [sorted((g.low, g.high) for g in images.get(key, ()))
+        "image": lambda: [sorted(g.low + g.high for g in images.get(key, ()))
                           for images, (*_, points) in zip(_images(), COUNTING)
                           for *_, key in points],
-    }, {**LEGENDRE,
-        "GammaVector.__init__": "value type: each side states its vectors as GammaVectors"}),
+    }, LEGENDRE),
     "fiber": Identity({
-        "tally": lambda: [tallies[i][taus][pi][g] for tallies in [_tallies()]
+        "tally": lambda: [tallies[i][taus][pi][g.low + g.high] for tallies in [_tallies()]
                           for i, _, _, pi, taus, g in FIBER_POINTS],
         "slotwise": lambda: [fam.fiber_count_check(g, pair, counts)
                              for counts in [fam.slot_pair_counts(fam._slot_choices(F5))]

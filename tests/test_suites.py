@@ -447,6 +447,69 @@ def test_counting_fails_on_a_reassembly_with_l1_and_l2_swapped(monkeypatch):
     assert_records_name_their_points(report)
 
 
+def _repeated_first_entry():
+    # gamma's first entry also lands in its second place, so the gather is not
+    # injective: joined pairs that differ only there reassemble to one tuple
+    original = fam.reassemble
+
+    def repeating(pair, shape):
+        gather = original(pair, shape)
+
+        def repeated(joined):
+            flat = gather(joined)
+            return flat[:1] + flat[:1] + flat[2:] if len(flat) >= 2 else flat
+
+        return repeated
+
+    return fam, "reassemble", repeating
+
+
+def _per_preimage_tallies(shape, pairs, choices, field):
+    """reassembly_tallies with each (family, c1, c2, pairing) reassembled on its own."""
+    tallies = {taus: [Counter() for _ in pairs] for taus in itertools.product((1, -1), (1, -1))}
+    for family in fam.enumerate_transversal_families(shape, choices):
+        side1, side2 = [fam.family_selections(family, idx, shape, field) for idx in (1, 2)]
+        for (tau1, tau2), row in tallies.items():
+            for c1, c2, (pair, tally) in itertools.product(side1[tau1], side2[tau2],
+                                                           zip(pairs, row)):
+                tally[fam.reassemble(pair, shape)(c1 + c2)] += 1
+    return {taus: [dict(tally) for tally in row] for taus, row in tallies.items()}
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_the_tally_is_the_per_preimage_tally(q, monkeypatch):
+    field = ResidueParam(q)
+    choices = fam._slot_choices(field)
+    blocks = [block for _, _, shapes in suites.counting_window(field, 1) for block in shapes]
+    assert len(blocks) == {5: 6, 7: 4}[q]
+
+    def both():
+        return [(fam.reassembly_tallies(shape, pairs, choices, field),
+                 _per_preimage_tallies(shape, pairs, choices, field))
+                for shape, pairs, _, _ in blocks]
+
+    real = both()
+    monkeypatch.setattr(*_repeated_first_entry())
+    planted = both()
+    for tallies, reference in real + planted:
+        assert tallies == reference
+    # the planted gather merges preimages: fewer keys, the same total count
+    keys, totals = [[sum(f(tally) for tallies, _ in run for row in tallies.values()
+                         for tally in row) for run in (real, planted)]
+                    for f in (len, lambda tally: sum(tally.values()))]
+    assert keys[1] < keys[0] and totals[1] == totals[0]
+
+
+@pytest.mark.parametrize("q, count, identities",
+                         [(5, 97, {"image", "worked_fibers"}), (7, 48, {"image"})])
+def test_counting_fails_on_a_gather_that_repeats_an_entry(q, count, identities, monkeypatch):
+    monkeypatch.setattr(*_repeated_first_entry())
+    report = suites.run("counting", qs=(q,), t2max=1)
+    assert len(report.failures) == count
+    assert {f["identity"] for f in report.failures} == identities
+    assert_records_name_their_points(report)
+
+
 def test_counting_fails_on_a_doubled_fiber_size_prediction(monkeypatch):
     original = fam.fiber_size_prediction
     monkeypatch.setattr(fam, "fiber_size_prediction", lambda *args: original(*args) * 2)
@@ -504,8 +567,8 @@ def test_counting_builds_the_slot_choices_once_per_field(monkeypatch):
 
 def test_counting_builds_each_tally_once(monkeypatch):
     calls = {"family_selections": 0, "reassemble": 0, "enumerate_gamma": 0, "eta_of_L2": 0,
-             "fiber_count_check": 0, "fiber_size_prediction": 0}
-    for name in calls:
+             "fiber_count_check": 0, "fiber_size_prediction": 0, "gather": 0}
+    for name in calls.keys() - {"gather"}:
         original = getattr(fam, name)
 
         def counted(*args, _original=original, _name=name):
@@ -513,6 +576,18 @@ def test_counting_builds_each_tally_once(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(fam, name, counted)
+    counted_reassemble = fam.reassemble
+
+    def reassemble(pair, shape):
+        gather = counted_reassemble(pair, shape)
+
+        def applied(joined):
+            calls["gather"] += 1
+            return gather(joined)
+
+        return applied
+
+    monkeypatch.setattr(fam, "reassemble", reassemble)
     report = suites.run("counting", qs=(5,), t2max=1)
     assert report.passed
     # two selection tables per (shape, family), one gather per (shape,
@@ -520,10 +595,12 @@ def test_counting_builds_each_tally_once(monkeypatch):
     # (vector, pairing, sgn_cd(w2)), one slotwise count per (vector,
     # pairing) and one prediction per (shape, vector); one reassembly per
     # preimage would be 163 calls, and one vector list, eta_of_L2, slotwise
-    # count and prediction per point 96, 984, 492 and 492
+    # count and prediction per point 96, 984, 492 and 492.  Each gather maps
+    # each distinct joined pair of (tau1, tau2) once: 123 applications, where
+    # one per preimage, and per pairing, is 163
     assert calls == {"family_selections": 36, "reassemble": 8, "enumerate_gamma": 12,
                      "eta_of_L2": 246, "fiber_count_check": 123,
-                     "fiber_size_prediction": 75}
+                     "fiber_size_prediction": 75, "gather": 123}
 
 
 @pytest.mark.parametrize("q, t2max", [(5, 1), (7, 2)])
@@ -552,8 +629,8 @@ def _per_point_counting_failures(q, t2max):
     """The counting sweep's image and fiber failures, one tally per point.
 
     Every sign choice (s1, s2, ue, ue2) and pairing builds its own tally,
-    one scatter per preimage, and its own image, in the order in which the
-    sweep reports them.
+    one scatter per preimage keyed by gamma's flat tuple, and its own image,
+    in the order in which the sweep reports them.
     """
     field = ResidueParam(q)
     choices = fam._slot_choices(field)
@@ -562,7 +639,6 @@ def _per_point_counting_failures(q, t2max):
     for t2, _, fiber_shapes in suites.counting_window(field, t2max):
         for shape, *_ in fiber_shapes:
             rp, rpp = shape.rp, shape.rpp
-            nlow = shape.R - shape.r
             tables = [[fam.family_selections(family, idx, shape, field) for idx in (1, 2)]
                       for family in fam.enumerate_transversal_families(shape, choices)]
             for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4):
@@ -577,9 +653,8 @@ def _per_point_counting_failures(q, t2max):
                         for c1 in side1[s1 * eta1.unit_sign]:
                             for c2 in side2[s2 * eta2.unit_sign]:
                                 flat = scatter(c1, c2, pair, shape)
-                                gv = fam.GammaVector(flat[:nlow], flat[nlow:])
-                                tally[gv] = tally.get(gv, 0) + 1
-                    expected = set(image)
+                                tally[flat] = tally.get(flat, 0) + 1
+                    expected = {g.low + g.high for g in image}
                     if tally.keys() != expected:
                         failures.append({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
                                          "eta": eta.name(), "eta2": eta2.name(),
@@ -590,12 +665,13 @@ def _per_point_counting_failures(q, t2max):
                     for g in image:
                         slotwise = fam.fiber_count_check(g, pair, pair_counts)
                         predicted = fam.fiber_size_prediction(g, shape, field)
-                        if slotwise != tally[g] or tally[g] != predicted:
+                        observed = tally[g.low + g.high]
+                        if slotwise != observed or observed != predicted:
                             failures.append({"q": q, "rp": rp, "rpp": rpp, "scd1": s1,
                                              "scd2": s2, "eta": eta.name(),
                                              "eta2": eta2.name(), "pair": pair.to_json(),
                                              "gamma": g.to_json(),
-                                             "identity": "fiber", "observed": tally[g],
+                                             "identity": "fiber", "observed": observed,
                                              "slotwise": slotwise,
                                              "predicted": str(predicted)})
     return failures
