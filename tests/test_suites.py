@@ -494,10 +494,13 @@ def test_the_tally_is_the_per_preimage_tally(q, monkeypatch):
     for tallies, reference in real + planted:
         assert tallies == reference
     # the planted gather merges preimages: fewer keys, the same total count
-    keys, totals = [[sum(f(tally) for tallies, _ in run for row in tallies.values()
-                         for tally in row) for run in (real, planted)]
-                    for f in (len, lambda tally: sum(tally.values()))]
-    assert keys[1] < keys[0] and totals[1] == totals[0]
+    def total(run, measure):
+        return sum(measure(tally) for tallies, _ in run for row in tallies.values()
+                   for tally in row)
+
+    assert total(planted, len) < total(real, len)
+    assert total(planted, lambda tally: sum(tally.values())) == \
+        total(real, lambda tally: sum(tally.values()))
 
 
 @pytest.mark.parametrize("q, count, identities",
@@ -597,7 +600,7 @@ def test_counting_builds_each_tally_once(monkeypatch):
     # preimage would be 163 calls, and one vector list, eta_of_L2, slotwise
     # count and prediction per point 96, 984, 492 and 492.  Each gather maps
     # each distinct joined pair of (tau1, tau2) once: 123 applications, where
-    # one per preimage, and per pairing, is 163
+    # one per (preimage, pairing) would be 163
     assert calls == {"family_selections": 36, "reassemble": 8, "enumerate_gamma": 12,
                      "eta_of_L2": 246, "fiber_count_check": 123,
                      "fiber_size_prediction": 75, "gather": 123}
