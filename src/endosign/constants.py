@@ -197,32 +197,27 @@ def even_case_transfer_constant(eta1: SquareClass, eta2: SquareClass, rp: int, r
 
 
 def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector,
-                         pairs: list[fam.LPair], scd1: int, scd2: int, eta: SquareClass,
-                         m: int, rp_field: ResidueParam) -> list[int]:
+                         pairs: list[fam.LPair], scd2: int, m: int,
+                         rp_field: ResidueParam) -> list[int]:
     """The closed-form transfer-factor sign d of one assignment vector, one entry per pairing.
 
-    Four groups of factors: the (R-r)/2 powers of unit(eta) and the class
-    signs scd1 = sgn_cd(w') and scd2 = sgn_cd(w''); the even-pair-slot
-    product of sgn(g_{j-1} g_j)^(j/2-1) and sgn(g_{j-1} - g_j); the
-    top-slot product of sgn(g_j)^((R-r)/2); and the tail governed by the
-    branch switch B with the class eta[L2, gamma].  The first three read
-    gamma alone and are computed once.  Only the tail reads the pairing and
-    m = sgn(-1): when B = 1 each entry multiplies in its own pairing's
-    tail, with one eta_of_L2 per pairing; when B = 0 the row is the
-    gamma-only value repeated.
+    d is closed_block_sign times this row, which holds every factor that
+    reads gamma: the even-pair-slot product of sgn(g_{j-1} g_j)^(j/2-1) and
+    sgn(g_{j-1} - g_j); the top-slot product of sgn(g_j)^((R-r)/2); and the
+    tail governed by the branch switch B with the class eta[L2, gamma],
+    which reads scd2 = sgn_cd(w'').  The first two read gamma alone and are
+    computed once.  Only the tail reads the pairing and m = sgn(-1): when
+    B = 1 each entry multiplies in its own pairing's tail, with one
+    eta_of_L2 per pairing; when B = 0 the row is the gamma-only value
+    repeated.  The row does not read sgn_cd(w') or eta.
     """
-    t2 = shape.t2
     out = 1
-    if t2 % 2:
-        out *= eta.unit_sign * scd1
-    if (t2 + eta.val_parity) % 2:
-        out *= scd2
     for j in shape.jhat:
         a, b = gamma.low[j - 2], gamma.low[j - 1]
         if (j // 2 - 1) % 2:
             out *= legendre(a * b, rp_field)
         out *= legendre(a - b, rp_field)
-    if t2 % 2:
+    if shape.t2 % 2:
         for s in gamma.high:
             out *= s
     if not shape.b_switch:
@@ -233,6 +228,20 @@ def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector,
         tail = (m if eta2L.val_parity else 1) * eta2L.unit_sign * scd2
         row.append(out * tail)
     return row
+
+
+def closed_block_sign(shape: fam.SplitShape, scd1: int, scd2: int, eta: SquareClass) -> int:
+    """The closed route's factors of d that read no gamma: its sign on a whole block.
+
+    unit(eta) * scd1 when (R-r)/2 is odd, times scd2 when (R-r)/2 + val(eta)
+    is odd, with scd1 = sgn_cd(w') and scd2 = sgn_cd(w'').
+    """
+    out = 1
+    if shape.t2 % 2:
+        out *= eta.unit_sign * scd1
+    if (shape.t2 + eta.val_parity) % 2:
+        out *= scd2
+    return out
 
 
 def weil_ratio_sign(eta1: SquareClass, eta2: SquareClass, m: int) -> int:
@@ -523,28 +532,26 @@ def sign_chain_points(rmax: int):
 
 
 def factorwise_gamma_factor(shape: fam.SplitShape, gamma: fam.GammaVector,
-                            pairs: list[fam.LPair], scd1: int, scd2: int,
-                            eta: SquareClass, m: int, rp_field: ResidueParam) -> list[int]:
+                            pairs: list[fam.LPair], m: int,
+                            rp_field: ResidueParam) -> list[int]:
     """The per-factor route's factor of one assignment vector, one entry per pairing.
 
-    The product over the pair slots l = 2j of unit(eta) * scd1 * scd2
-    * sgn(g_{l-1} - g_l), times m * sgn(g_{l2}) when B = 1, times the signs of
-    the slots above l, with scd1 = sgn_cd(w'), scd2 = sgn_cd(w'') and
-    m = sgn(-1).  The part without the L2 slots reads gamma alone and is
-    computed once: the signs of the slots above l are a suffix product
-    over the residues' Legendre signs, read once each, and the top signs.
-    When B = 1 each entry multiplies in m * sgn(g_{l2}) over its own
+    The product over the pair slots l = 2j of sgn(g_{l-1} - g_l), times
+    m * sgn(g_{l2}) when B = 1, times the signs of the slots above l, with
+    m = sgn(-1).  factorwise_block_sign holds each slot's remaining factor,
+    which reads no gamma.  The part without the L2 slots reads gamma alone
+    and is computed once: the signs of the slots above l are a suffix
+    product over the residues' Legendre signs, read once each, and the top
+    signs.  When B = 1 each entry multiplies in m * sgn(g_{l2}) over its own
     pairing's L2 slots; when B = 0 the row is the gamma-only value repeated.
     """
     signs = [legendre(v, rp_field) for v in gamma.low]
     above = 1  # the signs of the slots above l
     for s in gamma.high:
         above *= s
-    scd = scd1 * scd2
     out = 1
     for l in range(2 * shape.t2, 0, -2):
-        out *= eta.unit_sign * scd * above
-        out *= legendre(gamma.low[l - 2] - gamma.low[l - 1], rp_field)
+        out *= above * legendre(gamma.low[l - 2] - gamma.low[l - 1], rp_field)
         above *= signs[l - 2] * signs[l - 1]
     if not shape.b_switch:
         return [out] * len(pairs)
@@ -555,6 +562,16 @@ def factorwise_gamma_factor(shape: fam.SplitShape, gamma: fam.GammaVector,
             tail *= m * signs[l2 - 1]
         row.append(out * tail)
     return row
+
+
+def factorwise_block_sign(shape: fam.SplitShape, scd1: int, scd2: int,
+                          eta: SquareClass) -> int:
+    """The per-factor route's factor unit(eta) * scd1 * scd2 of each pair slot, over all of them.
+
+    With scd1 = sgn_cd(w') and scd2 = sgn_cd(w''): it reads no gamma, so it
+    is one sign on a whole block.
+    """
+    return (eta.unit_sign * scd1 * scd2) ** shape.t2
 
 
 def factorwise_e_factor(e: tuple[int, ...], pair: fam.LPair) -> int:
@@ -593,22 +610,25 @@ def closed_grids(pairs: list[fam.LPair], evecs: list[tuple[int, ...]],
 
 
 def factorwise_transfer_check(shape: fam.SplitShape, gamma: fam.GammaVector,
-                              pairs: list[fam.LPair], scd1: int, scd2: int, eta: SquareClass,
-                              m: int, rp_field: ResidueParam) -> tuple[list[int], list[int]]:
+                              pairs: list[fam.LPair], scd2: int, m: int,
+                              rp_field: ResidueParam) -> tuple[list[int], list[int]]:
     """The two routes' rows of one assignment vector: each one's factor for every pairing.
 
     The per-factor route's row is factorwise_gamma_factor; the closed
-    route's is d = transfer_factor_sign, which reads the class
-    eta[L2, gamma] of each pairing when B = 1.  Neither depends on the sign
-    vector e or the block vector u: at a point (e, u) with a pairing each
-    route multiplies that pairing's entry by the point's entry of its own
-    grid (factorwise_grids, closed_grids), and the two products must agree.
-    Both read the classes only through scd1 = sgn_cd(w') and
-    scd2 = sgn_cd(w''), and the field through m = sgn(-1) and legendre, the
-    only function both routes enter.
+    route's is transfer_factor_sign, which reads the class eta[L2, gamma]
+    of each pairing when B = 1.  A row holds every factor of its route that
+    reads gamma, so the rows depend on a block only through
+    scd2 = sgn_cd(w''), and the sweep asks for them once per (vector,
+    scd2).  Each route's factors that read no gamma make up its block sign
+    (factorwise_block_sign, closed_block_sign).  Neither row depends on the
+    sign vector e or the block vector u: at a point (e, u) with a pairing
+    each route multiplies its block sign, that pairing's entry and the
+    point's entry of its own grid (factorwise_grids, closed_grids), and the
+    two products must agree.  The rows read the field through m = sgn(-1)
+    and legendre, the only function both routes enter.
     """
-    return (factorwise_gamma_factor(shape, gamma, pairs, scd1, scd2, eta, m, rp_field),
-            transfer_factor_sign(shape, gamma, pairs, scd1, scd2, eta, m, rp_field))
+    return (factorwise_gamma_factor(shape, gamma, pairs, m, rp_field),
+            transfer_factor_sign(shape, gamma, pairs, scd2, m, rp_field))
 
 
 def _transfer_shapes(rrmax: int, q: int):
@@ -621,15 +641,17 @@ def _transfer_shapes(rrmax: int, q: int):
 
 
 def transfer_window(qs, rrmax: int):
-    """(field, m, shape, pairs, evecs, scd1, scd2, k_second, uvecs, etas) per block.
+    """(field, m, shape, pairs, evecs, gammas, blocks) per (q, shape).
 
-    A block is one (q, shape, beta', beta''), in both branch-switch regimes
-    and for small two-block class data.  evecs and uvecs list the sign
-    vectors e and the block vectors u, whose second block K'' has the 1-based
-    indices k_second.  etas lists (eta, its admissible vectors) for the two
-    classes eta of the shape's valuation parity; the vectors depend on the
-    block only through the sign target scd1 scd2 unit(eta), so they are
-    enumerated once per (q, shape, target).
+    A block is one (q, shape, beta', beta'', eta), in both branch-switch
+    regimes and for small two-block class data.  evecs lists the sign
+    vectors e, and gammas maps each sign target to its admissible vectors.
+    A vector's block enters only through the target scd1 scd2 unit(eta), so
+    each list is enumerated once per (q, shape, target).  blocks lists
+    (scd1, scd2, k_second, uvecs, etas) per (beta', beta''), with
+    scd1 = sgn_cd(w'), scd2 = sgn_cd(w''), the block vectors u, whose second
+    block K'' has the 1-based indices k_second, and etas, the two classes
+    eta of the shape's valuation parity, each with its sign target.
     """
     beta_options = [Partition(), Partition([1])]
     for q in qs:
@@ -637,78 +659,110 @@ def transfer_window(qs, rrmax: int):
         m = sgn_minus_one(field)
         for rp, rpp in _transfer_shapes(rrmax, q):
             shape = fam.SplitShape(rp, rpp)
-            pairs = fam.enumerate_L(shape)
-            evecs = fam.enumerate_e(shape)
-            gammas = {target: fam.enumerate_gamma(shape, field, target) for target in (1, -1)}
+            blocks = []
             for beta1, beta2 in itertools.product(beta_options, repeat=2):
                 scd1 = sgn_cd((Partition(), beta1))
                 scd2 = sgn_cd((Partition(), beta2))
                 t = beta1.length() + beta2.length()
                 k_second = tuple(range(beta1.length() + 1, t + 1))
                 uvecs = list(itertools.product((0, 1), repeat=t))
-                etas = [(eta, gammas[scd1 * scd2 * eta.unit_sign])
+                etas = [(eta, scd1 * scd2 * eta.unit_sign)
                         for eta in (SquareClass(rpp % 2, ue) for ue in (1, -1))]
-                yield field, m, shape, pairs, evecs, scd1, scd2, k_second, uvecs, etas
+                blocks.append((scd1, scd2, k_second, uvecs, etas))
+            gammas = {target: fam.enumerate_gamma(shape, field, target) for target in (1, -1)}
+            yield field, m, shape, fam.enumerate_L(shape), fam.enumerate_e(shape), gammas, blocks
             # to bound peak memory, drop this shape's vectors before the next
             # shape builds its own
-            del gammas, etas
+            del gammas
+
+
+def transfer_tables(shape: fam.SplitShape, pairs: list[fam.LPair], vectors: list,
+                    scd2: int, m: int, rp_field: ResidueParam, rows: dict) -> tuple[list, list]:
+    """Each route's table of one vector list under scd2: its rows, aligned with the vectors.
+
+    One factorwise_transfer_check per vector.  rows interns the row tuples
+    of one shape: a row takes only a few distinct values, so the tables
+    hold references to a few tuples.
+    """
+    fw_table, cl_table = [], []
+    for gamma in vectors:
+        fw_row, cl_row = map(tuple, factorwise_transfer_check(
+            shape, gamma, pairs, scd2, m, rp_field))
+        fw_table.append(rows.setdefault(fw_row, fw_row))
+        cl_table.append(rows.setdefault(cl_row, cl_row))
+    return fw_table, cl_table
 
 
 def transfer_points(qs, rrmax: int):
     """Per-factor versus closed-form evaluation of the descent transfer factor.
 
-    Each block of transfer_window is checked under each of its classes eta.
-    A row is one assignment vector gamma of a block, and its points are
-    every pairing times every sign vector e times every block vector u.  At
-    a point each route's value is its (gamma, pairing) factor times an
-    e-part and a u-part, so each route does its work at two levels:
+    Each (beta', beta'', eta) block of each shape of transfer_window is
+    checked.  A row is one assignment vector gamma of a block, and its
+    points are every pairing times every sign vector e times every block
+    vector u.  At a point each route's value is its block sign times its
+    (gamma, pairing) factor times an e-part and a u-part, so each route
+    does its work at three levels:
 
-      * per block and pairing: the route's e x u grid from its own tables,
-        e first: factorwise_grids per eta, and closed_grids, which does not
-        read eta, once per (q, shape, beta', beta'');
-      * per row: one factorwise_transfer_check, which returns each route's
-        row of (gamma, pairing) factors, one int per pairing: the per-factor
+      * per shape, sign target and scd2 = sgn_cd(w''): each route's table
+        of rows (transfer_tables), filled when a block first needs it.  A
+        row is the route's (gamma, pairing) factors, one int per pairing,
+        from one factorwise_transfer_check per vector: the per-factor
         route's factorwise_gamma_factor and the closed route's
         transfer_factor_sign, which calls eta_of_L2 once per pairing only
-        when B = 1.
+        when B = 1.  The two blocks with the same target and scd2 share the
+        tables, which are dropped with the shape's vectors;
+      * per block: each route's block sign (factorwise_block_sign,
+        closed_block_sign), and per pairing its e x u grid from its own
+        tables, e first: factorwise_grids per eta, and closed_grids, which
+        does not read eta, once per (q, shape, beta', beta'');
+      * per row: the verdict.
 
-    A row passes when, for every pairing, the per-factor entry times its
-    grid equals the closed entry times its grid, so within a block its
-    verdict depends only on the two rows.  Each block keeps the verdicts it
-    has computed under the pair of rows and drops them with the block.  A
-    row is yielded as one batch; only a row that fails is walked pairing by
-    pairing, then e, then u, for its failure records.
+    A row passes when, for every pairing, the per-factor block sign times
+    its entry times its grid equals the closed block sign times its entry
+    times its grid, so within a block its verdict depends only on the two
+    rows.  Each block keeps the verdicts it has computed under the pair of
+    rows and drops them with the block.  A row is yielded as one batch;
+    only a row that fails is walked pairing by pairing, then e, then u, for
+    its failure records.
 
     The routes stay independent: each computes all of its own factors from
     the same ints m, scd1, scd2 and eta, and they share only the leaf
-    primitive legendre.  No row, grid or verdict is computed by both sides,
-    so a wrong formula on either side fails exactly the points at which the
-    two routes' products differ.
+    primitive legendre.  No row, block sign, grid or verdict is computed by
+    both sides, so a wrong formula on either side fails exactly the points
+    at which the two routes' products differ.
     """
-    for field, m, shape, pairs, evecs, scd1, scd2, k_second, uvecs, etas in \
-            transfer_window(qs, rrmax):
-        row_points = len(pairs) * len(evecs) * len(uvecs)
-        cl_grids = closed_grids(pairs, evecs, uvecs, k_second)
-        for eta, vectors in etas:
-            # per pairing: each route's grid
-            grids = list(zip(factorwise_grids(pairs, evecs, uvecs, k_second, eta), cl_grids))
-            verdicts = {}  # (per-factor row, closed row) -> passes
-            for gamma in vectors:
-                fw_row, cl_row = factorwise_transfer_check(
-                    shape, gamma, pairs, scd1, scd2, eta, m, field)
-                key = (tuple(fw_row), tuple(cl_row))
-                passed = verdicts.get(key)
-                if passed is None:
-                    passed = verdicts[key] = all(
-                        [fw * x for x in fw_grid] == [cl * y for y in cl_grid]
-                        for fw, cl, (fw_grid, cl_grid) in zip(fw_row, cl_row, grids))
-                yield row_points, () if passed else tuple(
-                    {"q": field.q, "rp": shape.rp, "rpp": shape.rpp, "scd1": scd1,
-                     "scd2": scd2, "eta": eta.name(), "gamma": gamma.to_json(),
-                     "e": list(e), "u": list(u), "pair": pair.to_json(),
-                     "identity": "transfer", "lhs": fw * x, "rhs": cl * y}
-                    for pair, fw, cl, (fw_grid, cl_grid) in zip(pairs, fw_row, cl_row, grids)
-                    for (e, u), x, y in zip(itertools.product(evecs, uvecs), fw_grid, cl_grid)
-                    if fw * x != cl * y)
-        # hold no vectors past the block, so that the window's drop frees them
-        del etas, vectors
+    for field, m, shape, pairs, evecs, gammas, blocks in transfer_window(qs, rrmax):
+        tables = {}  # (sign target, scd2) -> (per-factor table, closed table)
+        rows = {}  # the shape's interned rows
+        for scd1, scd2, k_second, uvecs, etas in blocks:
+            row_points = len(pairs) * len(evecs) * len(uvecs)
+            cl_grids = closed_grids(pairs, evecs, uvecs, k_second)
+            for eta, target in etas:
+                vectors = gammas[target]
+                if (target, scd2) not in tables:
+                    tables[target, scd2] = transfer_tables(
+                        shape, pairs, vectors, scd2, m, field, rows)
+                fw_table, cl_table = tables[target, scd2]
+                fw_sign = factorwise_block_sign(shape, scd1, scd2, eta)
+                cl_sign = closed_block_sign(shape, scd1, scd2, eta)
+                # per pairing: each route's grid
+                grids = list(zip(factorwise_grids(pairs, evecs, uvecs, k_second, eta), cl_grids))
+                verdicts = {}  # (per-factor row, closed row) -> passes
+                for gamma, fw_row, cl_row in zip(vectors, fw_table, cl_table):
+                    passed = verdicts.get((fw_row, cl_row))
+                    if passed is None:
+                        passed = verdicts[fw_row, cl_row] = all(
+                            [fw_sign * fw * x for x in fw_grid]
+                            == [cl_sign * cl * y for y in cl_grid]
+                            for fw, cl, (fw_grid, cl_grid) in zip(fw_row, cl_row, grids))
+                    yield row_points, () if passed else tuple(
+                        {"q": field.q, "rp": shape.rp, "rpp": shape.rpp, "scd1": scd1,
+                         "scd2": scd2, "eta": eta.name(), "gamma": gamma.to_json(),
+                         "e": list(e), "u": list(u), "pair": pair.to_json(),
+                         "identity": "transfer", "lhs": fw_sign * fw * x,
+                         "rhs": cl_sign * cl * y}
+                        for pair, fw, cl, (fw_grid, cl_grid) in zip(pairs, fw_row, cl_row, grids)
+                        for (e, u), x, y in zip(itertools.product(evecs, uvecs), fw_grid, cl_grid)
+                        if fw_sign * fw * x != cl_sign * cl * y)
+        # hold no vectors or tables past the shape, so that the window's drop frees them
+        del gammas, tables, rows, vectors, fw_table, cl_table

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import time
@@ -210,31 +211,59 @@ def test_value_error_inside_sweep_is_not_a_usage_error(monkeypatch):
         main(["verify", "aux", "--rmax", "1"])
 
 
-def assert_matches_reference(out, name):
+def without_timing(out):
+    """A CLI report without its elapsed_ms line: the bytes that a golden stores."""
     timing = [line for line in out.splitlines(keepends=True)
               if line.startswith('  "elapsed_ms": ')]
     assert len(timing) == 1
+    return out.replace(timing[0], "")
+
+
+def report_digest(out):
+    """SHA-256 of a CLI report's JSON bytes with its elapsed_ms line dropped.
+
+    The one digest by which reports are compared across runs and checkouts,
+    for example at bounds too heavy for a golden.  A golden, which has no
+    elapsed_ms line, hashes to the digest of the report that it records.
+    """
+    return hashlib.sha256(without_timing(out).encode("utf-8")).hexdigest()
+
+
+def assert_matches_reference(out, name):
     reference = REFERENCE_DIR / f"{name}.json"
-    assert out.replace(timing[0], "") == reference.read_text(encoding="utf-8")
+    assert without_timing(out) == reference.read_text(encoding="utf-8")
+    assert report_digest(out) == hashlib.sha256(reference.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("suite", ["aux", "split", "kappasum", "constprod", "signchain",
-                                   "weyl", "descent", "params"])
+DEFAULT_GOLDENS = ["aux", "split", "kappasum", "constprod", "signchain", "weyl", "descent",
+                   "params"]
+TRANSFER_GOLDEN_QS = ["5", "7"]
+COUNTING_GOLDEN_QS = ["5", "7", "13"]
+
+
+@pytest.mark.parametrize("suite", DEFAULT_GOLDENS)
 def test_default_reports_match_references(suite, capsys):
     code, out = run_cli(capsys, "verify", suite)
     assert code == 0
     assert_matches_reference(out, suite)
 
 
-@pytest.mark.parametrize("q", ["5", "7"])
+@pytest.mark.parametrize("q", TRANSFER_GOLDEN_QS)
 def test_transfer_reports_match_references(q, capsys):
     code, out = run_cli(capsys, "verify", "transfer", "--q", q, "--rrmax", "4")
     assert code == 0
     assert_matches_reference(out, f"transfer-q{q}")
 
 
-@pytest.mark.parametrize("q", ["5", "7", "13"])
+@pytest.mark.parametrize("q", COUNTING_GOLDEN_QS)
 def test_counting_reports_match_references(q, capsys):
     code, out = run_cli(capsys, "verify", "counting", "--q", q, "--t2max", "2")
     assert code == 0
     assert_matches_reference(out, f"counting-q{q}")
+
+
+def test_the_reference_tests_cover_every_golden():
+    # the three tests above compare every golden, each also by report_digest
+    compared = DEFAULT_GOLDENS + [f"transfer-q{q}" for q in TRANSFER_GOLDEN_QS] \
+        + [f"counting-q{q}" for q in COUNTING_GOLDEN_QS]
+    assert sorted(compared) == sorted(path.stem for path in REFERENCE_DIR.glob("*.json"))

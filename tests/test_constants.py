@@ -7,9 +7,11 @@ import pytest
 
 import endosign
 from endosign.constants import (QuadrupleGamma, branch_switch,
-                                chain_sign_constants, collapse_and_product_constants,
+                                chain_sign_constants, closed_block_sign,
+                                collapse_and_product_constants,
                                 companion_sums_of_halves, companion_sums_of_pair,
-                                even_case_transfer_constant, factorwise_e_factor,
+                                even_case_transfer_constant, factorwise_block_sign,
+                                factorwise_e_factor,
                                 factorwise_gamma_factor, factorwise_transfer_check,
                                 factorwise_u_factor, pair_power_constant, parity_of_halves,
                                 parity_of_pair, r_plus_minus, size_forms_of_halves,
@@ -124,9 +126,10 @@ def test_transfer_factor_sign_degenerate():
     gamma = GammaVector((), (1,))
     pair = LPair((), ())
     eta = SquareClass(1, 1)
-    # everything collapses to sgn_cd(w'')^val(eta)
-    assert transfer_factor_sign(shape, gamma, [pair], 1, -1, eta, M5, F5) == [-1]
-    assert transfer_factor_sign(shape, gamma, [pair], 1, 1, eta, M5, F5) == [1]
+    # everything collapses to sgn_cd(w'')^val(eta), which the block sign carries
+    for scd2 in (1, -1):
+        assert transfer_factor_sign(shape, gamma, [pair], scd2, M5, F5) == [1]
+        assert closed_block_sign(shape, 1, scd2, eta) == scd2
 
 
 def test_transfer_factor_sign_pair_slot_factor():
@@ -135,10 +138,12 @@ def test_transfer_factor_sign_pair_slot_factor():
     pair = enumerate_L(shape)[0]
     eta = SquareClass(0, 1)
     gamma = GammaVector((1, 4), ())
-    got = transfer_factor_sign(shape, gamma, [pair], 1, 1, eta, M5, F5)
-    # t2 odd: unit(eta), sgn_cd factors trivial here; j/2-1 = 0 kills the
-    # product sign; remaining factors: legendre(1-4) * top-product (empty)
+    got = transfer_factor_sign(shape, gamma, [pair], 1, M5, F5)
+    # j/2-1 = 0 kills the product sign; remaining factors: legendre(1-4) *
+    # top-product (empty)
     assert got == [-1]
+    # t2 odd: the block sign is unit(eta) * sgn_cd(w'), here trivial
+    assert closed_block_sign(shape, 1, 1, eta) == 1
 
 
 def _slotwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, m, rp_field):
@@ -161,23 +166,25 @@ def _slotwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, m, rp_field):
 
 @pytest.mark.parametrize("rp, rpp", [(4, 0), (5, 1), (0, 4), (1, 5), (2, 2), (3, 7)])
 def test_rows_have_one_entry_per_pairing(rp, rpp):
-    # Each route's row is its (gamma, pairing) factor for every pairing in
-    # the order given; on B = 0 shapes the row is one value repeated.
+    # Each route's block sign times its row is its (gamma, pairing) factor
+    # for every pairing in the order given; on B = 0 shapes the row is one
+    # value repeated.
     shape = SplitShape(rp, rpp)
     pairs = enumerate_L(shape)
     for field, m in ((F5, M5), (F7, M7)):
         for scd1, scd2, ue in itertools.product((1, -1), repeat=3):
             eta = SquareClass(rpp % 2, ue)
             for gamma in enumerate_gamma(shape, field, scd1 * scd2 * ue)[::7]:
-                args = (scd1, scd2, eta, m, field)
-                fw = factorwise_gamma_factor(shape, gamma, pairs, *args)
-                cl = transfer_factor_sign(shape, gamma, pairs, *args)
-                assert fw == [_slotwise_gamma_factor(shape, gamma, pair, *args)
+                fw_sign = factorwise_block_sign(shape, scd1, scd2, eta)
+                fw = factorwise_gamma_factor(shape, gamma, pairs, m, field)
+                cl = transfer_factor_sign(shape, gamma, pairs, scd2, m, field)
+                assert [fw_sign * x for x in fw] == [
+                    _slotwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, m, field)
+                    for pair in pairs]
+                assert cl == [transfer_factor_sign(shape, gamma, [pair], scd2, m, field)[0]
                               for pair in pairs]
-                assert cl == [transfer_factor_sign(shape, gamma, [pair], *args)[0]
-                              for pair in pairs]
-                assert factorwise_gamma_factor(shape, gamma, pairs[::-1], *args) == fw[::-1]
-                assert transfer_factor_sign(shape, gamma, pairs[::-1], *args) == cl[::-1]
+                assert factorwise_gamma_factor(shape, gamma, pairs[::-1], m, field) == fw[::-1]
+                assert transfer_factor_sign(shape, gamma, pairs[::-1], scd2, m, field) == cl[::-1]
                 if not shape.b_switch:
                     assert len(set(fw)) == len(set(cl)) == 1
 
@@ -236,8 +243,10 @@ def test_factorwise_check_degenerate():
     pair = LPair((), ())
     e = (1,)
     eta = SquareClass(1, 1)
-    (fw,), (cl,) = factorwise_transfer_check(shape, gamma, [pair], 1, -1, eta, M5, F5)
-    # the row entries differ; the u-parts (-1)^(val + u_1) and kappa_u make
+    (fw,), (cl,) = factorwise_transfer_check(shape, gamma, [pair], -1, M5, F5)
+    fw *= factorwise_block_sign(shape, 1, -1, eta)
+    cl *= closed_block_sign(shape, 1, -1, eta)
+    # the signed entries differ; the u-parts (-1)^(val + u_1) and kappa_u make
     # up for it at every point
     assert (fw, cl) == (1, -1)
     for u, expected in (((1,), 1), ((0,), -1)):

@@ -112,18 +112,23 @@ CHAIN_POINTS = [(rp, rpp, s1, s2, d2, n, d, m) for _, m, rp, rpp, signs in const
 # --- transfer: q = 5, R - r <= 4, every third sign vector ----------------------
 
 # R - r = 4 gives t2 = 2, with the last slot pinned to L1 at (4, 0) and free at (5, 1)
-TRANSFER_BLOCKS = [(field, m, shape, pairs, evecs[::3], *rest)
+TRANSFER_SHAPES = [(field, m, shape, pairs, evecs[::3], *rest)
                    for field, m, shape, pairs, evecs, *rest in constants.transfer_window((5,), 4)]
 
 
-def _route(row, grids):
-    """A route's value at each point: its row entry times its entry of grids(*block, etas=)."""
+def _route(block_sign, row, grids):
+    """A route's value at each point: its block sign, row entry and entry of grids(*block, etas=).
+
+    row(shape, gamma, pairs, scd2, m, field) is the route's row of gamma.
+    """
     out = []
-    for field, m, shape, pairs, evecs, scd1, scd2, k_second, uvecs, etas in TRANSFER_BLOCKS:
-        for (eta, gammas), eta_grids in zip(etas, grids(pairs, evecs, uvecs, k_second,
-                                                        etas=[eta for eta, _ in etas])):
-            out += [value * x for gamma in gammas for value, grid in zip(
-                row(shape, gamma, pairs, scd1, scd2, eta, m, field), eta_grids) for x in grid]
+    for field, m, shape, pairs, evecs, gammas, blocks in TRANSFER_SHAPES:
+        for scd1, scd2, k_second, uvecs, etas in blocks:
+            for (eta, target), eta_grids in zip(etas, grids(pairs, evecs, uvecs, k_second,
+                                                            etas=[eta for eta, _ in etas])):
+                sign = block_sign(shape, scd1, scd2, eta)
+                out += [sign * value * x for gamma in gammas[target] for value, grid in zip(
+                    row(shape, gamma, pairs, scd2, m, field), eta_grids) for x in grid]
     return out
 
 
@@ -258,11 +263,15 @@ REGISTRY = {
     }, {}),
     # transfer
     "transfer": Identity({
-        "per_factor": lambda: _route(constants.factorwise_gamma_factor, lambda *block, etas: [
-            constants.factorwise_grids(*block, eta) for eta in etas]),
+        "per_factor": lambda: _route(
+            constants.factorwise_block_sign,
+            lambda shape, gamma, pairs, scd2, m, field: constants.factorwise_gamma_factor(
+                shape, gamma, pairs, m, field),
+            lambda *block, etas: [constants.factorwise_grids(*block, eta) for eta in etas]),
         # the closed grids do not read eta: one call per block, as in the sweep
-        "closed": lambda: _route(constants.transfer_factor_sign, lambda *block, etas: [
-            constants.closed_grids(*block)] * len(etas)),
+        "closed": lambda: _route(
+            constants.closed_block_sign, constants.transfer_factor_sign,
+            lambda *block, etas: [constants.closed_grids(*block)] * len(etas)),
     }, LEGENDRE),
     # weyl
     "class_size": Identity({
@@ -434,7 +443,12 @@ FUSIONS = {
         {("scan", "solver"): {"descent_feasibility"}}),
     # the closed route's row also evaluates the per-factor route's row
     "transfer_factor_sign": ("transfer", constants, "transfer_factor_sign",
-        constants.factorwise_gamma_factor, "transfer", {ROUTES: {"factorwise_gamma_factor"}}),
+        lambda shape, gamma, pairs, scd2, m, field: constants.factorwise_gamma_factor(
+            shape, gamma, pairs, m, field), "transfer",
+        {ROUTES: {"factorwise_gamma_factor"}}),
+    # the closed block sign also evaluates the per-factor route's block sign
+    "closed_block_sign": ("transfer", constants, "closed_block_sign",
+        constants.factorwise_block_sign, "transfer", {ROUTES: {"factorwise_block_sign"}}),
     "factorwise_grids": ("transfer", constants, "factorwise_grids", lambda pairs, evecs, *_:
         fam.kappa_l2(evecs[0], pairs[0]), "transfer", {ROUTES: {"kappa_l2"}}),
     "closed_grids": ("transfer", constants, "closed_grids", lambda pairs, evecs, *_:

@@ -191,10 +191,12 @@ def _mirrored_pairings():
 
 
 def _negated_m(name):
+    # both routes' rows take (..., m, rp_field) last
     original = getattr(constants, name)
 
-    def faulty(shape, gamma, pairs, scd1, scd2, eta, m, rp_field):
-        return original(shape, gamma, pairs, scd1, scd2, eta, -m, rp_field)
+    def faulty(*args):
+        *head, m, rp_field = args
+        return original(*head, -m, rp_field)
 
     return constants, name, faulty
 
@@ -202,14 +204,16 @@ def _negated_m(name):
 # Faults on a subset of the points, on either side of the identity.  A
 # fault on a route's row scales the entries whose own (gamma, pairing)
 # satisfies its predicate.  The faults on the e- and u-parts reach a row
-# through its route's grid only.  The doubled closed-form sign gives rows
-# whose entries are not +-1.  The pairing-position fault flips per-factor
-# entries by where their pairing sits in the row, and the mirrored
-# pairings move a row's values to other pairings without changing them.
-# The negated top signs reach the per-factor route alone, and the flipped
-# eta[L2, gamma] the closed route on B = 1 shapes alone.  A route given -m
-# for m = sgn(-1) changes sign where it reads m an odd number of times: on
-# the B = 1 shapes with odd t2.
+# through its route's grid only, and those on the block signs through a
+# whole block: the per-factor one where sgn_cd(w'') = unit(eta) = -1, the
+# closed one where sgn_cd(w') = -1 on odd t2.  The doubled closed-form sign
+# gives rows whose entries are not +-1.  The pairing-position fault flips
+# per-factor entries by where their pairing sits in the row, and the
+# mirrored pairings move a row's values to other pairings without changing
+# them.  The negated top signs reach the per-factor route alone, and the
+# flipped eta[L2, gamma] the closed route on B = 1 shapes alone.  A route
+# given -m for m = sgn(-1) changes sign where it reads m an odd number of
+# times: on the B = 1 shapes with odd t2.
 PARTIAL_FAULTS = {
     "transfer_factor_sign": lambda: _scale_row_where(
         "transfer_factor_sign", lambda shape, gamma, *rest: sum(gamma.low) % 3 == 1),
@@ -225,6 +229,12 @@ PARTIAL_FAULTS = {
     "factorwise_gamma_factor_mirrored_pairings": _mirrored_pairings,
     "factorwise_gamma_factor_top_signs": _negated_top_signs,
     "factorwise_gamma_factor_negated_m": lambda: _negated_m("factorwise_gamma_factor"),
+    "factorwise_block_sign": lambda: _scale_where(
+        constants, "factorwise_block_sign",
+        lambda shape, scd1, scd2, eta: scd2 == -1 and eta.unit_sign == -1),
+    "closed_block_sign": lambda: _scale_where(
+        constants, "closed_block_sign",
+        lambda shape, scd1, scd2, eta: scd1 == -1 and shape.t2 % 2 == 1),
     "factorwise_e_factor": lambda: _scale_where(
         constants, "factorwise_e_factor", lambda e, pair: e[-1:] == (1,)),
     "factorwise_u_factor": lambda: _scale_where(
@@ -240,11 +250,12 @@ PARTIAL_FAULTS = {
 def _per_point_transfer_failures(q, rrmax):
     """The transfer sweep's failures, with both routes evaluated in full at every point.
 
-    No grid, no memo and no row of more than one pairing: each point
-    multiplies the per-factor route's gamma, e- and u-factors, and the
-    closed route's transfer_factor_sign (with its eta_of_L2), kappa_l2 and
-    kappa_u, each route's gamma factor taken from a one-pairing row.  Only
-    for rrmax <= 2, where every R - r takes all of r = 0, 1, 2.
+    No table, no grid, no memo and no row of more than one pairing: each
+    point multiplies the per-factor route's block sign, gamma, e- and
+    u-factors, and the closed route's block sign, transfer_factor_sign
+    (with its eta_of_L2), kappa_l2 and kappa_u, each route's gamma factor
+    taken from a one-pairing row.  Only for rrmax <= 2, where every R - r
+    takes all of r = 0, 1, 2.
     """
     field = ResidueParam(q)
     m = sgn_minus_one(field)
@@ -265,14 +276,16 @@ def _per_point_transfer_failures(q, rrmax):
                             for pair in fam.enumerate_L(shape):
                                 for e in fam.enumerate_e(shape):
                                     for u in itertools.product((0, 1), repeat=t):
-                                        fw = constants.factorwise_gamma_factor(
-                                            shape, gamma, [pair], scd1, scd2, eta, m,
-                                            field)[0] \
+                                        fw = constants.factorwise_block_sign(
+                                            shape, scd1, scd2, eta) \
+                                            * constants.factorwise_gamma_factor(
+                                                shape, gamma, [pair], m, field)[0] \
                                             * constants.factorwise_e_factor(e, pair) \
                                             * constants.factorwise_u_factor(u, k_second, eta)
-                                        cl = constants.transfer_factor_sign(
-                                            shape, gamma, [pair], scd1, scd2, eta, m,
-                                            field)[0] \
+                                        cl = constants.closed_block_sign(
+                                            shape, scd1, scd2, eta) \
+                                            * constants.transfer_factor_sign(
+                                                shape, gamma, [pair], scd2, m, field)[0] \
                                             * fam.kappa_l2(e, pair) * fam.kappa_u(u, k_second)
                                         if fw != cl:
                                             failures.append(
@@ -325,14 +338,14 @@ def test_transfer_negated_m_fails_on_b_one_shapes_with_odd_t2(fault, monkeypatch
 
 
 def test_transfer_checks_each_row_once(monkeypatch):
-    events, gammas, calls = [], Counter(), Counter()
+    checks, gammas, calls, yields = Counter(), Counter(), Counter(), []
     original_check = constants.factorwise_transfer_check
     original_gamma = fam.enumerate_gamma
     points, specs = suites.SUITES["transfer"]
 
-    def check(shape, gamma, pairs, *rest):
-        events.append(("check", shape.b_switch, len(pairs)))
-        return original_check(shape, gamma, pairs, *rest)
+    def check(shape, gamma, pairs, scd2, *rest):
+        checks[shape.rp, shape.rpp, scd2, len(pairs)] += 1
+        return original_check(shape, gamma, pairs, scd2, *rest)
 
     def enumerate_gamma(shape, field, target):
         gammas[shape.rp, shape.rpp] += 1
@@ -340,7 +353,7 @@ def test_transfer_checks_each_row_once(monkeypatch):
 
     def batches(**values):
         for checked, failures in points(**values):
-            events.append(checked)
+            yields.append(checked)
             yield checked, failures
 
     def counted(module, name, key):
@@ -356,33 +369,74 @@ def test_transfer_checks_each_row_once(monkeypatch):
     monkeypatch.setattr(fam, "enumerate_gamma", enumerate_gamma)
     monkeypatch.setitem(suites.SUITES, "transfer", (batches, specs))
     counted(fam, "eta_of_L2", lambda gamma, pair, shape, *rest: ("eta_of_L2", shape.b_switch))
-    for name in ("factorwise_grids", "closed_grids", "sgn_minus_one"):
+    for name in ("factorwise_grids", "closed_grids", "factorwise_block_sign",
+                 "closed_block_sign", "sgn_minus_one"):
         counted(constants, name, lambda *args, name=name: name)
     report = suites.run("transfer", qs=(5,), rrmax=2)
     assert report.passed
     shapes = [fam.SplitShape(*shape) for shape in constants._transfer_shapes(2, 5)]
+    field = ResidueParam(5)
+    vectors = {shape: sum(len(original_gamma(shape, field, target)) for target in (1, -1))
+               for shape in shapes}
     # one vector list per (shape, sign target), shared by the four
     # (beta', beta'', eta) blocks with that target
     assert len(gammas) == len(shapes) == 9 and set(gammas.values()) == {2}
-    # one check per (gamma, block) row, over all the shape's pairings, then
-    # that row's points as one batch
-    checks, yields = events[::2], events[1::2]
-    assert len(checks) == len(yields) == len(events) // 2
-    assert set(checks) == {("check", shape.b_switch, len(fam.enumerate_L(shape)))
-                           for shape in shapes}
-    # every (shape, beta', beta'', eta) block makes a row of each vector of its target
-    field = ResidueParam(5)
-    assert len(checks) == sum(4 * len(original_gamma(shape, field, target))
-                              for shape in shapes for target in (1, -1))
+    # one check per (vector, scd2), over all the shape's pairings: the two
+    # blocks of a target with the same scd2 share its rows
+    assert checks == {(shape.rp, shape.rpp, scd2, len(fam.enumerate_L(shape))): n
+                      for shape, n in vectors.items() for scd2 in (1, -1)}
+    # every block makes a row of each vector of its target, one batch each
+    assert len(yields) == 4 * sum(vectors.values()) == 2 * sum(checks.values())
     assert all(isinstance(n, int) and n > 0 for n in yields)
     assert sum(yields) == report.points_checked
-    # eta[L2, gamma] once per (gamma, pairing) where B = 1, and never where B = 0
-    assert calls["eta_of_L2", 1] == sum(n for _, b, n in checks if b == 1) > 0
+    # eta[L2, gamma] once per (vector, pairing, scd2) where B = 1, and never where B = 0
+    assert calls["eta_of_L2", 1] == sum(2 * n * len(fam.enumerate_L(shape))
+                                        for shape, n in vectors.items() if shape.b_switch) > 0
     assert calls["eta_of_L2", 0] == 0
-    # per-factor grids per (shape, beta', beta'', eta) block, closed ones per (shape, beta', beta'')
-    assert calls["factorwise_grids"] == 2 * calls["closed_grids"] == 8 * len(shapes) < len(checks)
+    # per-factor grids and both block signs per (shape, beta', beta'', eta)
+    # block, closed grids per (shape, beta', beta'')
+    assert calls["factorwise_grids"] == 2 * calls["closed_grids"] == 8 * len(shapes) \
+        < sum(checks.values())
+    assert calls["factorwise_block_sign"] == calls["closed_block_sign"] == 8 * len(shapes)
     # m = sgn(-1) once per q, here one, and never per row
     assert calls["sgn_minus_one"] == 1
+
+
+@pytest.mark.parametrize("qs, rrmax", [((5,), 2), ((5, 7), 4)])
+def test_transfer_keeps_no_table_past_its_shape(qs, rrmax, monkeypatch):
+    original_tables = constants.transfer_tables
+    original_gamma = fam.enumerate_gamma
+    alive = Counter()  # (q, r', r'') -> its route tables alive
+    filled = Counter()  # (q, r', r'') -> its route tables filled
+
+    class Table(list):
+        def __init__(self, rows, key):
+            super().__init__(rows)
+            self.key = key
+
+        def __del__(self):
+            alive[self.key] -= 1
+
+    def tables(shape, pairs, vectors, scd2, m, rp_field, rows):
+        key = (rp_field.q, shape.rp, shape.rpp)
+        assert set(+alive) <= {key}
+        alive[key] += 2
+        filled[key] += 2
+        return tuple(Table(table, key) for table in original_tables(
+            shape, pairs, vectors, scd2, m, rp_field, rows))
+
+    def enumerate_gamma(shape, field, target):
+        # a shape's vectors are built after every earlier shape's tables are dropped
+        assert +alive == Counter()
+        return original_gamma(shape, field, target)
+
+    monkeypatch.setattr(constants, "transfer_tables", tables)
+    monkeypatch.setattr(fam, "enumerate_gamma", enumerate_gamma)
+    report = suites.run("transfer", qs=qs, rrmax=rrmax)
+    assert report.passed
+    # one table per route, sign target and scd2 of every shape, none left alive
+    assert set(filled.values()) == {8}
+    assert +alive == Counter()
 
 
 def test_kappasum_fails_on_a_negated_kappa_zero(monkeypatch):
