@@ -659,6 +659,9 @@ def transfer_window(qs, rrmax: int):
         m = sgn_minus_one(field)
         for rp, rpp in _transfer_shapes(rrmax, q):
             shape = fam.SplitShape(rp, rpp)
+            pairs = fam.enumerate_L(shape)
+            evecs = fam.enumerate_e(shape)
+            gammas = {target: fam.enumerate_gamma(shape, field, target) for target in (1, -1)}
             blocks = []
             for beta1, beta2 in itertools.product(beta_options, repeat=2):
                 scd1 = sgn_cd((Partition(), beta1))
@@ -669,8 +672,7 @@ def transfer_window(qs, rrmax: int):
                 etas = [(eta, scd1 * scd2 * eta.unit_sign)
                         for eta in (SquareClass(rpp % 2, ue) for ue in (1, -1))]
                 blocks.append((scd1, scd2, k_second, uvecs, etas))
-            gammas = {target: fam.enumerate_gamma(shape, field, target) for target in (1, -1)}
-            yield field, m, shape, fam.enumerate_L(shape), fam.enumerate_e(shape), gammas, blocks
+            yield field, m, shape, pairs, evecs, gammas, blocks
             # to bound peak memory, drop this shape's vectors before the next
             # shape builds its own
             del gammas
