@@ -277,13 +277,9 @@ def collapse_and_product_constants(rp: int, rpp: int, scd1: int, scd2: int,
     if eta1.val_parity != t1 % 2 or eta2.val_parity != t2 % 2 or eta1 * eta2 != eta:
         raise ValueError("class parities violated")
 
-    sign = 1
+    sign = closed_block_sign(shape, scd1, scd2, eta)
     if (r * t2) % 2:
         sign *= m
-    if t2 % 2:
-        sign *= eta.unit_sign * scd1
-    if (t2 + eta.val_parity) % 2:
-        sign *= scd2
     if shape.b_switch:
         if eta2.val_parity:
             sign *= m
@@ -609,29 +605,31 @@ def closed_grids(pairs: list[fam.LPair], evecs: list[tuple[int, ...]],
             for pair in pairs]
 
 
-def factorwise_transfer_check(shape: fam.SplitShape, gamma: fam.GammaVector,
-                              pairs: list[fam.LPair], scd2: int, m: int,
-                              rp_field: ResidueParam) -> tuple[list[int], list[int]]:
-    """The two routes' rows of one assignment vector: each one's factor for every pairing.
+def factorwise_transfer_check(shape: fam.SplitShape, pairs: list[fam.LPair], vectors: list,
+                              m: int, rp_field: ResidueParam, rows: dict) -> tuple[list, dict]:
+    """The two routes' tables of one vector list: (per-factor table, {scd2: closed table}).
 
-    The per-factor route's row is factorwise_gamma_factor; the closed
-    route's is transfer_factor_sign, which reads the class eta[L2, gamma]
-    of each pairing when B = 1.  A row holds every factor of its route that
-    reads gamma, so the rows depend on a block only through
-    scd2 = sgn_cd(w''), and the sweep asks for them once per (vector,
-    scd2).  Each route's factors that read no gamma make up its block sign
-    (factorwise_block_sign, closed_block_sign).  Neither row depends on the
-    sign vector e or the block vector u: at a point (e, u) with a pairing
-    each route multiplies its block sign, that pairing's entry and the
-    point's entry of its own grid (factorwise_grids, closed_grids), and the
-    two products must agree.  The rows read the field through m = sgn(-1)
-    and legendre, the only function both routes enter.
+    A table holds one row per vector, in the vectors' order, and a row one
+    int per pairing.  The per-factor row, factorwise_gamma_factor, reads no
+    class sign and is built once per vector; the closed row,
+    transfer_factor_sign, reads scd2 = sgn_cd(w'') through eta[L2, gamma]
+    and is built once per (vector, scd2).  A row holds its route's factors
+    that read gamma; the others make up its block sign and its e x u grid.
+    The rows share only m = sgn(-1) and legendre.  rows interns the row
+    tuples of one shape, which take few distinct values.
     """
-    return (factorwise_gamma_factor(shape, gamma, pairs, m, rp_field),
-            transfer_factor_sign(shape, gamma, pairs, scd2, m, rp_field))
+    fw_table, cl_tables = [], {1: [], -1: []}
+    for gamma in vectors:
+        fw_row = tuple(factorwise_gamma_factor(shape, gamma, pairs, m, rp_field))
+        fw_table.append(rows.setdefault(fw_row, fw_row))
+        for scd2, cl_table in cl_tables.items():
+            cl_row = tuple(transfer_factor_sign(shape, gamma, pairs, scd2, m, rp_field))
+            cl_table.append(rows.setdefault(cl_row, cl_row))
+    return fw_table, cl_tables
 
 
 def _transfer_shapes(rrmax: int, q: int):
+    """(r', r'') to R - r = rrmax: r = 0, 1, 2 to R - r = 2, then r = 0, and r = 1 at q = 5 only."""
     for rr in range(0, rrmax + 1, 2):
         rs = (0, 1, 2) if rr <= 2 else ((0, 1) if q == 5 else (0,))
         for r in rs:
@@ -647,11 +645,13 @@ def transfer_window(qs, rrmax: int):
     regimes and for small two-block class data.  evecs lists the sign
     vectors e, and gammas maps each sign target to its admissible vectors.
     A vector's block enters only through the target scd1 scd2 unit(eta), so
-    each list is enumerated once per (q, shape, target).  blocks lists
+    each list is enumerated once per (q, shape, target), and transfer_points
+    builds the routes' tables of it once.  blocks lists
     (scd1, scd2, k_second, uvecs, etas) per (beta', beta''), with
     scd1 = sgn_cd(w'), scd2 = sgn_cd(w''), the block vectors u, whose second
     block K'' has the 1-based indices k_second, and etas, the two classes
-    eta of the shape's valuation parity, each with its sign target.
+    eta of the shape's valuation parity, each with its sign target.  A
+    shape's vectors are dropped before the next shape enumerates its own.
     """
     beta_options = [Partition(), Partition([1])]
     for q in qs:
@@ -678,23 +678,6 @@ def transfer_window(qs, rrmax: int):
             del gammas
 
 
-def transfer_tables(shape: fam.SplitShape, pairs: list[fam.LPair], vectors: list,
-                    scd2: int, m: int, rp_field: ResidueParam, rows: dict) -> tuple[list, list]:
-    """Each route's table of one vector list under scd2: its rows, aligned with the vectors.
-
-    One factorwise_transfer_check per vector.  rows interns the row tuples
-    of one shape: a row takes only a few distinct values, so the tables
-    hold references to a few tuples.
-    """
-    fw_table, cl_table = [], []
-    for gamma in vectors:
-        fw_row, cl_row = map(tuple, factorwise_transfer_check(
-            shape, gamma, pairs, scd2, m, rp_field))
-        fw_table.append(rows.setdefault(fw_row, fw_row))
-        cl_table.append(rows.setdefault(cl_row, cl_row))
-    return fw_table, cl_table
-
-
 def transfer_points(qs, rrmax: int):
     """Per-factor versus closed-form evaluation of the descent transfer factor.
 
@@ -705,14 +688,15 @@ def transfer_points(qs, rrmax: int):
     (gamma, pairing) factor times an e-part and a u-part, so each route
     does its work at three levels:
 
-      * per shape, sign target and scd2 = sgn_cd(w''): each route's table
-        of rows (transfer_tables), filled when a block first needs it.  A
-        row is the route's (gamma, pairing) factors, one int per pairing,
-        from one factorwise_transfer_check per vector: the per-factor
-        route's factorwise_gamma_factor and the closed route's
-        transfer_factor_sign, which calls eta_of_L2 once per pairing only
-        when B = 1.  The two blocks with the same target and scd2 share the
-        tables, which are dropped with the shape's vectors;
+      * per shape and sign target: one factorwise_transfer_check over the
+        target's vectors builds each route's table of rows.  A row is the
+        route's (gamma, pairing) factors, one int per pairing: the
+        per-factor route's factorwise_gamma_factor, once per vector, and
+        the closed route's transfer_factor_sign, once per vector and
+        scd2 = sgn_cd(w''), which calls eta_of_L2 once per pairing only
+        when B = 1.  A block reads the per-factor table of its target and
+        the closed table of its target and scd2.  The tables are dropped
+        with the shape's vectors;
       * per block: each route's block sign (factorwise_block_sign,
         closed_block_sign), and per pairing its e x u grid from its own
         tables, e first: factorwise_grids per eta, and closed_grids, which
@@ -734,17 +718,15 @@ def transfer_points(qs, rrmax: int):
     at which the two routes' products differ.
     """
     for field, m, shape, pairs, evecs, gammas, blocks in transfer_window(qs, rrmax):
-        tables = {}  # (sign target, scd2) -> (per-factor table, closed table)
         rows = {}  # the shape's interned rows
+        tables = {target: factorwise_transfer_check(shape, pairs, vectors, m, field, rows)
+                  for target, vectors in gammas.items()}
         for scd1, scd2, k_second, uvecs, etas in blocks:
             row_points = len(pairs) * len(evecs) * len(uvecs)
             cl_grids = closed_grids(pairs, evecs, uvecs, k_second)
             for eta, target in etas:
                 vectors = gammas[target]
-                if (target, scd2) not in tables:
-                    tables[target, scd2] = transfer_tables(
-                        shape, pairs, vectors, scd2, m, field, rows)
-                fw_table, cl_table = tables[target, scd2]
+                fw_table, cl_table = tables[target][0], tables[target][1][scd2]
                 fw_sign = factorwise_block_sign(shape, scd1, scd2, eta)
                 cl_sign = closed_block_sign(shape, scd1, scd2, eta)
                 # per pairing: each route's grid

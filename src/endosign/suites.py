@@ -74,6 +74,7 @@ def kappa_sum_points(max_rr: int):
 
 
 def _counting_shapes(t2: int, q: int):
+    """(2 t2, 0) and (2 t2 + 1, 1), and at q = 5 only, for t2 >= 1, (0, 2 t2) and (1, 2 t2 + 1)."""
     shapes = [(2 * t2, 0), (2 * t2 + 1, 1)]
     if q == 5 and t2 >= 1:
         shapes += [(0, 2 * t2), (1, 2 * t2 + 1)]

@@ -255,6 +255,14 @@ def test_transfer_reports_match_references(q, capsys):
     assert_matches_reference(out, f"transfer-q{q}")
 
 
+def test_transfer_report_at_the_rrmax_cap_keeps_its_digest(capsys):
+    # too large for a golden: 72,445,725 points at q = 5
+    code, out = run_cli(capsys, "verify", "transfer", "--q", "5", "--rrmax", "6")
+    assert code == 0
+    assert report_digest(out) == \
+        "902b28d6b6bb9d1279f16680b89bb02a981c7a130ff34ec188caa6694619d090"
+
+
 @pytest.mark.parametrize("q", COUNTING_GOLDEN_QS)
 def test_counting_reports_match_references(q, capsys):
     code, out = run_cli(capsys, "verify", "counting", "--q", q, "--t2max", "2")

@@ -338,14 +338,14 @@ def test_transfer_negated_m_fails_on_b_one_shapes_with_odd_t2(fault, monkeypatch
 
 
 def test_transfer_checks_each_row_once(monkeypatch):
-    checks, gammas, calls, yields = Counter(), Counter(), Counter(), []
+    builds, gammas, calls, yields = Counter(), Counter(), Counter(), []
     original_check = constants.factorwise_transfer_check
     original_gamma = fam.enumerate_gamma
     points, specs = suites.SUITES["transfer"]
 
-    def check(shape, gamma, pairs, scd2, *rest):
-        checks[shape.rp, shape.rpp, scd2, len(pairs)] += 1
-        return original_check(shape, gamma, pairs, scd2, *rest)
+    def check(shape, pairs, vectors, *rest):
+        builds[shape.rp, shape.rpp] += 1
+        return original_check(shape, pairs, vectors, *rest)
 
     def enumerate_gamma(shape, field, target):
         gammas[shape.rp, shape.rpp] += 1
@@ -369,6 +369,12 @@ def test_transfer_checks_each_row_once(monkeypatch):
     monkeypatch.setattr(fam, "enumerate_gamma", enumerate_gamma)
     monkeypatch.setitem(suites.SUITES, "transfer", (batches, specs))
     counted(fam, "eta_of_L2", lambda gamma, pair, shape, *rest: ("eta_of_L2", shape.b_switch))
+    # a row's key: the shape, the vector, the pairings it spans and, for
+    # the closed route, scd2 = sgn_cd(w'')
+    counted(constants, "factorwise_gamma_factor", lambda shape, gamma, pairs, *rest: (
+        "factorwise_gamma_factor", shape.rp, shape.rpp, gamma.low, gamma.high, len(pairs)))
+    counted(constants, "transfer_factor_sign", lambda shape, gamma, pairs, scd2, *rest: (
+        "transfer_factor_sign", shape.rp, shape.rpp, gamma.low, gamma.high, len(pairs), scd2))
     for name in ("factorwise_grids", "closed_grids", "factorwise_block_sign",
                  "closed_block_sign", "sgn_minus_one"):
         counted(constants, name, lambda *args, name=name: name)
@@ -376,27 +382,33 @@ def test_transfer_checks_each_row_once(monkeypatch):
     assert report.passed
     shapes = [fam.SplitShape(*shape) for shape in constants._transfer_shapes(2, 5)]
     field = ResidueParam(5)
-    vectors = {shape: sum(len(original_gamma(shape, field, target)) for target in (1, -1))
+    vectors = {shape: [gamma for target in (1, -1)
+                       for gamma in original_gamma(shape, field, target)]
                for shape in shapes}
     # one vector list per (shape, sign target), shared by the four
     # (beta', beta'', eta) blocks with that target
     assert len(gammas) == len(shapes) == 9 and set(gammas.values()) == {2}
-    # one check per (vector, scd2), over all the shape's pairings: the two
-    # blocks of a target with the same scd2 share its rows
-    assert checks == {(shape.rp, shape.rpp, scd2, len(fam.enumerate_L(shape))): n
-                      for shape, n in vectors.items() for scd2 in (1, -1)}
+    # one table build per (shape, sign target)
+    assert builds == {(shape.rp, shape.rpp): 2 for shape in shapes}
+    # the per-factor row once per vector and the closed row once per
+    # (vector, scd2), each over all the shape's pairings
+    fw_rows = {("factorwise_gamma_factor", shape.rp, shape.rpp, gamma.low, gamma.high,
+                len(fam.enumerate_L(shape))): 1 for shape, gs in vectors.items() for gamma in gs}
+    cl_rows = {("transfer_factor_sign", *key[1:], scd2): 1 for key in fw_rows for scd2 in (1, -1)}
+    assert {key: n for key, n in calls.items() if key[0] == "factorwise_gamma_factor"} == fw_rows
+    assert {key: n for key, n in calls.items() if key[0] == "transfer_factor_sign"} == cl_rows
     # every block makes a row of each vector of its target, one batch each
-    assert len(yields) == 4 * sum(vectors.values()) == 2 * sum(checks.values())
+    assert len(yields) == 4 * len(fw_rows) == 2 * len(cl_rows)
     assert all(isinstance(n, int) and n > 0 for n in yields)
     assert sum(yields) == report.points_checked
     # eta[L2, gamma] once per (vector, pairing, scd2) where B = 1, and never where B = 0
-    assert calls["eta_of_L2", 1] == sum(2 * n * len(fam.enumerate_L(shape))
-                                        for shape, n in vectors.items() if shape.b_switch) > 0
+    assert calls["eta_of_L2", 1] == sum(2 * len(gs) * len(fam.enumerate_L(shape))
+                                        for shape, gs in vectors.items() if shape.b_switch) > 0
     assert calls["eta_of_L2", 0] == 0
     # per-factor grids and both block signs per (shape, beta', beta'', eta)
     # block, closed grids per (shape, beta', beta'')
     assert calls["factorwise_grids"] == 2 * calls["closed_grids"] == 8 * len(shapes) \
-        < sum(checks.values())
+        < len(cl_rows)
     assert calls["factorwise_block_sign"] == calls["closed_block_sign"] == 8 * len(shapes)
     # m = sgn(-1) once per q, here one, and never per row
     assert calls["sgn_minus_one"] == 1
@@ -404,7 +416,7 @@ def test_transfer_checks_each_row_once(monkeypatch):
 
 @pytest.mark.parametrize("qs, rrmax", [((5,), 2), ((5, 7), 4)])
 def test_transfer_keeps_no_table_past_its_shape(qs, rrmax, monkeypatch):
-    original_tables = constants.transfer_tables
+    original_check = constants.factorwise_transfer_check
     original_gamma = fam.enumerate_gamma
     alive = Counter()  # (q, r', r'') -> its route tables alive
     filled = Counter()  # (q, r', r'') -> its route tables filled
@@ -417,26 +429,42 @@ def test_transfer_keeps_no_table_past_its_shape(qs, rrmax, monkeypatch):
         def __del__(self):
             alive[self.key] -= 1
 
-    def tables(shape, pairs, vectors, scd2, m, rp_field, rows):
+    def check(shape, pairs, vectors, m, rp_field, rows):
         key = (rp_field.q, shape.rp, shape.rpp)
         assert set(+alive) <= {key}
-        alive[key] += 2
-        filled[key] += 2
-        return tuple(Table(table, key) for table in original_tables(
-            shape, pairs, vectors, scd2, m, rp_field, rows))
+        alive[key] += 3
+        filled[key] += 3
+        fw_table, cl_tables = original_check(shape, pairs, vectors, m, rp_field, rows)
+        return Table(fw_table, key), {scd2: Table(table, key)
+                                      for scd2, table in cl_tables.items()}
 
     def enumerate_gamma(shape, field, target):
         # a shape's vectors are built after every earlier shape's tables are dropped
         assert +alive == Counter()
         return original_gamma(shape, field, target)
 
-    monkeypatch.setattr(constants, "transfer_tables", tables)
+    monkeypatch.setattr(constants, "factorwise_transfer_check", check)
     monkeypatch.setattr(fam, "enumerate_gamma", enumerate_gamma)
     report = suites.run("transfer", qs=qs, rrmax=rrmax)
     assert report.passed
-    # one table per route, sign target and scd2 of every shape, none left alive
-    assert set(filled.values()) == {8}
+    # per sign target of every shape: a per-factor table and a closed table
+    # per scd2, none left alive
+    assert set(filled.values()) == {6}
     assert +alive == Counter()
+
+
+def test_a_wrong_closed_block_sign_fails_constprod_and_transfer(monkeypatch):
+    # constprod's collapse constant takes d's block sign from closed_block_sign,
+    # so a fault in its one definition fails both identities that read it
+    monkeypatch.setattr(*PARTIAL_FAULTS["closed_block_sign"]())
+    for suite, bounds in (("constprod", {"rmax": 2}), ("transfer", {"rrmax": 2})):
+        report = suites.run(suite, qs=(5,), **bounds)
+        assert 0 < len(report.failures) < report.points_checked
+        assert {f["identity"] for f in report.failures} == {suite}
+        assert_records_name_their_points(report)
+        # the fault negates the sign where sgn_cd(w') = -1 on odd t2
+        assert {f["scd1"] for f in report.failures} == {-1}
+        assert {abs(f["rp"] - f["rpp"]) // 2 % 2 for f in report.failures} == {1}
 
 
 def test_kappasum_fails_on_a_negated_kappa_zero(monkeypatch):
