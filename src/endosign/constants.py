@@ -606,26 +606,24 @@ def closed_grids(pairs: list[fam.LPair], evecs: list[tuple[int, ...]],
 
 
 def factorwise_transfer_check(shape: fam.SplitShape, pairs: list[fam.LPair], vectors: list,
-                              m: int, rp_field: ResidueParam, rows: dict) -> tuple[list, dict]:
-    """The two routes' tables of one vector list: (per-factor table, {scd2: closed table}).
+                              m: int, rp_field: ResidueParam) -> dict:
+    """The positions of one vector list grouped by their two routes' rows, per scd2.
 
-    A table holds one row per vector, in the vectors' order, and a row one
-    int per pairing.  The per-factor row, factorwise_gamma_factor, reads no
-    class sign and is built once per vector; the closed row,
-    transfer_factor_sign, reads scd2 = sgn_cd(w'') through eta[L2, gamma]
-    and is built once per (vector, scd2).  A row holds its route's factors
-    that read gamma; the others make up its block sign and its e x u grid.
-    The rows share only m = sgn(-1) and legendre.  rows interns the row
-    tuples of one shape, which take few distinct values.
+    Returns {scd2: {(per-factor row, closed row): [positions]}}.  A row
+    holds its route's factors that read gamma, one int per pairing; the
+    others make up its block sign and its e x u grid.  The per-factor row,
+    factorwise_gamma_factor, reads no class sign and is built once per
+    vector; the closed row, transfer_factor_sign, reads scd2 = sgn_cd(w'')
+    through eta[L2, gamma] and is built once per (vector, scd2).  The rows
+    share only m = sgn(-1) and legendre.
     """
-    fw_table, cl_tables = [], {1: [], -1: []}
-    for gamma in vectors:
+    groups = {1: {}, -1: {}}
+    for position, gamma in enumerate(vectors):
         fw_row = tuple(factorwise_gamma_factor(shape, gamma, pairs, m, rp_field))
-        fw_table.append(rows.setdefault(fw_row, fw_row))
-        for scd2, cl_table in cl_tables.items():
+        for scd2, by_rows in groups.items():
             cl_row = tuple(transfer_factor_sign(shape, gamma, pairs, scd2, m, rp_field))
-            cl_table.append(rows.setdefault(cl_row, cl_row))
-    return fw_table, cl_tables
+            by_rows.setdefault((fw_row, cl_row), []).append(position)
+    return groups
 
 
 def _transfer_shapes(rrmax: int, q: int):
@@ -646,7 +644,7 @@ def transfer_window(qs, rrmax: int):
     vectors e, and gammas maps each sign target to its admissible vectors.
     A vector's block enters only through the target scd1 scd2 unit(eta), so
     each list is enumerated once per (q, shape, target), and transfer_points
-    builds the routes' tables of it once.  blocks lists
+    groups its vectors by their pair of rows once.  blocks lists
     (scd1, scd2, k_second, uvecs, etas) per (beta', beta''), with
     scd1 = sgn_cd(w'), scd2 = sgn_cd(w''), the block vectors u, whose second
     block K'' has the 1-based indices k_second, and etas, the two classes
@@ -689,27 +687,22 @@ def transfer_points(qs, rrmax: int):
     does its work at three levels:
 
       * per shape and sign target: one factorwise_transfer_check over the
-        target's vectors builds each route's table of rows.  A row is the
-        route's (gamma, pairing) factors, one int per pairing: the
-        per-factor route's factorwise_gamma_factor, once per vector, and
-        the closed route's transfer_factor_sign, once per vector and
-        scd2 = sgn_cd(w''), which calls eta_of_L2 once per pairing only
-        when B = 1.  A block reads the per-factor table of its target and
-        the closed table of its target and scd2.  The tables are dropped
-        with the shape's vectors;
+        target's vectors builds each vector's two rows, the closed one per
+        scd2 = sgn_cd(w'') and with one eta_of_L2 per pairing only when
+        B = 1, and groups the vectors' positions by their pair of rows.
+        The groups are dropped with the shape's vectors;
       * per block: each route's block sign (factorwise_block_sign,
-        closed_block_sign), and per pairing its e x u grid from its own
-        tables, e first: factorwise_grids per eta, and closed_grids, which
-        does not read eta, once per (q, shape, beta', beta'');
-      * per row: the verdict.
+        closed_block_sign), and per pairing its e x u grid, e first:
+        factorwise_grids per eta, and closed_grids, which does not read
+        eta, once per (q, shape, beta', beta'');
+      * per pair of rows of the block's target and scd2: the verdict.
 
     A row passes when, for every pairing, the per-factor block sign times
     its entry times its grid equals the closed block sign times its entry
-    times its grid, so within a block its verdict depends only on the two
-    rows.  Each block keeps the verdicts it has computed under the pair of
-    rows and drops them with the block.  A row is yielded as one batch;
-    only a row that fails is walked pairing by pairing, then e, then u, for
-    its failure records.
+    times its grid, so within a block its verdict depends only on its pair
+    of rows, and each pair is checked once.  A block is yielded as one
+    batch; only the vectors of a failing pair are walked, in the vectors'
+    order, pairing by pairing, then e, then u, for their failure records.
 
     The routes stay independent: each computes all of its own factors from
     the same ints m, scd1, scd2 and eta, and they share only the leaf
@@ -718,35 +711,33 @@ def transfer_points(qs, rrmax: int):
     at which the two routes' products differ.
     """
     for field, m, shape, pairs, evecs, gammas, blocks in transfer_window(qs, rrmax):
-        rows = {}  # the shape's interned rows
-        tables = {target: factorwise_transfer_check(shape, pairs, vectors, m, field, rows)
+        groups = {target: factorwise_transfer_check(shape, pairs, vectors, m, field)
                   for target, vectors in gammas.items()}
         for scd1, scd2, k_second, uvecs, etas in blocks:
             row_points = len(pairs) * len(evecs) * len(uvecs)
             cl_grids = closed_grids(pairs, evecs, uvecs, k_second)
             for eta, target in etas:
                 vectors = gammas[target]
-                fw_table, cl_table = tables[target][0], tables[target][1][scd2]
                 fw_sign = factorwise_block_sign(shape, scd1, scd2, eta)
                 cl_sign = closed_block_sign(shape, scd1, scd2, eta)
                 # per pairing: each route's grid
                 grids = list(zip(factorwise_grids(pairs, evecs, uvecs, k_second, eta), cl_grids))
-                verdicts = {}  # (per-factor row, closed row) -> passes
-                for gamma, fw_row, cl_row in zip(vectors, fw_table, cl_table):
-                    passed = verdicts.get((fw_row, cl_row))
-                    if passed is None:
-                        passed = verdicts[fw_row, cl_row] = all(
-                            [fw_sign * fw * x for x in fw_grid]
-                            == [cl_sign * cl * y for y in cl_grid]
-                            for fw, cl, (fw_grid, cl_grid) in zip(fw_row, cl_row, grids))
-                    yield row_points, () if passed else tuple(
-                        {"q": field.q, "rp": shape.rp, "rpp": shape.rpp, "scd1": scd1,
-                         "scd2": scd2, "eta": eta.name(), "gamma": gamma.to_json(),
-                         "e": list(e), "u": list(u), "pair": pair.to_json(),
-                         "identity": "transfer", "lhs": fw_sign * fw * x,
-                         "rhs": cl_sign * cl * y}
-                        for pair, fw, cl, (fw_grid, cl_grid) in zip(pairs, fw_row, cl_row, grids)
-                        for (e, u), x, y in zip(itertools.product(evecs, uvecs), fw_grid, cl_grid)
-                        if fw_sign * fw * x != cl_sign * cl * y)
-        # hold no vectors or tables past the shape, so that the window's drop frees them
-        del gammas, tables, rows, vectors, fw_table, cl_table
+                failing = sorted(
+                    (position, fw_row, cl_row)
+                    for (fw_row, cl_row), positions in groups[target][scd2].items()
+                    if not all([fw_sign * fw * x for x in fw_grid]
+                               == [cl_sign * cl * y for y in cl_grid]
+                               for fw, cl, (fw_grid, cl_grid) in zip(fw_row, cl_row, grids))
+                    for position in positions)
+                yield row_points * len(vectors), tuple(
+                    {"q": field.q, "rp": shape.rp, "rpp": shape.rpp, "scd1": scd1,
+                     "scd2": scd2, "eta": eta.name(), "gamma": vectors[position].to_json(),
+                     "e": list(e), "u": list(u), "pair": pair.to_json(),
+                     "identity": "transfer", "lhs": fw_sign * fw * x,
+                     "rhs": cl_sign * cl * y}
+                    for position, fw_row, cl_row in failing
+                    for pair, fw, cl, (fw_grid, cl_grid) in zip(pairs, fw_row, cl_row, grids)
+                    for (e, u), x, y in zip(itertools.product(evecs, uvecs), fw_grid, cl_grid)
+                    if fw_sign * fw * x != cl_sign * cl * y)
+        # hold no vectors or groups past the shape, so that the window's drop frees them
+        del gammas, groups, vectors

@@ -9,9 +9,9 @@ those inputs and yields one pair (checked, failures) per batch of points:
 checked is their number and failures their failure records, each naming
 its identity and its point, empty when they all pass.  Most checks yield
 every point on its own, as (1, failures); split yields the points of one
-(r', r'') at once and transfer those of one row.  SUITES maps a suite's
-name to its check and the specification of its parameters.  run() owns
-everything else: it checks the parameters against their bounds and caps
+(r', r'') at once and transfer those of one (block, eta).  SUITES maps a
+suite's name to its check and the specification of its parameters.  run()
+owns everything else: it checks the parameters against their bounds and caps
 before any point is checked, adds up the checked counts, times the sweep,
 collects the failures and builds the VerificationReport.  A value above its
 cap is refused there too, before any point, with an incomplete report, and

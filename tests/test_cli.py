@@ -212,15 +212,15 @@ def test_value_error_inside_sweep_is_not_a_usage_error(monkeypatch):
 
 
 def without_timing(out):
-    """A CLI report without its elapsed_ms line: the bytes that a golden stores."""
-    timing = [line for line in out.splitlines(keepends=True)
-              if line.startswith('  "elapsed_ms": ')]
-    assert len(timing) == 1
-    return out.replace(timing[0], "")
+    """A CLI report without its elapsed_ms lines, one per suite: the bytes that a golden stores."""
+    lines = out.splitlines(keepends=True)
+    kept = [line for line in lines if not line.lstrip().startswith('"elapsed_ms": ')]
+    assert len(lines) - len(kept) == sum(line.lstrip().startswith('"suite": ') for line in lines)
+    return "".join(kept)
 
 
 def report_digest(out):
-    """SHA-256 of a CLI report's JSON bytes with its elapsed_ms line dropped.
+    """SHA-256 of a CLI report's JSON bytes with its elapsed_ms lines dropped.
 
     The one digest by which reports are compared across runs and checkouts,
     for example at bounds too heavy for a golden.  A golden, which has no
@@ -255,12 +255,20 @@ def test_transfer_reports_match_references(q, capsys):
     assert_matches_reference(out, f"transfer-q{q}")
 
 
-def test_transfer_report_at_the_rrmax_cap_keeps_its_digest(capsys):
+@pytest.mark.parametrize("argv, digest", [
+    # every suite at its defaults, one elapsed_ms line each
+    (["all"], "849ff2a52da4da8e3c1313186bcfa308495893954e59bb78a657c97db8f722cb"),
     # too large for a golden: 72,445,725 points at q = 5
-    code, out = run_cli(capsys, "verify", "transfer", "--q", "5", "--rrmax", "6")
+    (["transfer", "--q", "5", "--rrmax", "6"],
+     "902b28d6b6bb9d1279f16680b89bb02a981c7a130ff34ec188caa6694619d090"),
+    # the heavy counting bound: 710 points, about 1 s
+    (["counting", "--q", "5", "--t2max", "3"],
+     "24f480bbfd6644eb90969593f7189f46c8e9d38a13e1171f0103c407dcc204c6"),
+], ids=["all", "transfer-q5-rrmax6", "counting-q5-t2max3"])
+def test_reports_without_a_golden_keep_their_digests(argv, digest, capsys):
+    code, out = run_cli(capsys, "verify", *argv)
     assert code == 0
-    assert report_digest(out) == \
-        "902b28d6b6bb9d1279f16680b89bb02a981c7a130ff34ec188caa6694619d090"
+    assert report_digest(out) == digest
 
 
 @pytest.mark.parametrize("q", COUNTING_GOLDEN_QS)

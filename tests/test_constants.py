@@ -243,10 +243,11 @@ def test_factorwise_check_degenerate():
     pair = LPair((), ())
     e = (1,)
     eta = SquareClass(1, 1)
-    fw_table, cl_tables = factorwise_transfer_check(shape, [pair], [gamma], M5, F5, {})
-    # one row per vector and one entry per pairing, here one of each
-    assert len(fw_table) == len(cl_tables[1]) == len(cl_tables[-1]) == 1
-    (fw,), (cl,) = fw_table[0], cl_tables[-1][0]
+    groups = factorwise_transfer_check(shape, [pair], [gamma], M5, F5)
+    # per scd2 one pair of rows holding the one vector, and one entry per pairing
+    assert set(groups) == {1, -1}
+    assert [list(by_rows.values()) for by_rows in groups.values()] == [[[0]], [[0]]]
+    [((fw,), (cl,))] = groups[-1]
     fw *= factorwise_block_sign(shape, 1, -1, eta)
     cl *= closed_block_sign(shape, 1, -1, eta)
     # the signed entries differ; the u-parts (-1)^(val + u_1) and kappa_u make

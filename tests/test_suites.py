@@ -388,7 +388,7 @@ def test_transfer_checks_each_row_once(monkeypatch):
     # one vector list per (shape, sign target), shared by the four
     # (beta', beta'', eta) blocks with that target
     assert len(gammas) == len(shapes) == 9 and set(gammas.values()) == {2}
-    # one table build per (shape, sign target)
+    # one builder call per (shape, sign target)
     assert builds == {(shape.rp, shape.rpp): 2 for shape in shapes}
     # the per-factor row once per vector and the closed row once per
     # (vector, scd2), each over all the shape's pairings
@@ -397,9 +397,15 @@ def test_transfer_checks_each_row_once(monkeypatch):
     cl_rows = {("transfer_factor_sign", *key[1:], scd2): 1 for key in fw_rows for scd2 in (1, -1)}
     assert {key: n for key, n in calls.items() if key[0] == "factorwise_gamma_factor"} == fw_rows
     assert {key: n for key, n in calls.items() if key[0] == "transfer_factor_sign"} == cl_rows
-    # every block makes a row of each vector of its target, one batch each
-    assert len(yields) == 4 * len(fw_rows) == 2 * len(cl_rows)
-    assert all(isinstance(n, int) and n > 0 for n in yields)
+    # one batch per (shape, beta', beta'', eta) block, of a row of each
+    # vector of its target
+    assert len(yields) == 8 * len(shapes) == 72
+    assert sorted(yields) == sorted(
+        len(fam.enumerate_L(shape)) * len(fam.enumerate_e(shape)) * 2 ** t
+        * len(original_gamma(shape, field, target))
+        for shape in shapes for t in (0, 1, 1, 2) for target in (1, -1))
+    # (0, 0) has no vector of target -1, so its four blocks of that target are empty
+    assert all(isinstance(n, int) for n in yields) and yields.count(0) == 4
     assert sum(yields) == report.points_checked
     # eta[L2, gamma] once per (vector, pairing, scd2) where B = 1, and never where B = 0
     assert calls["eta_of_L2", 1] == sum(2 * len(gs) * len(fam.enumerate_L(shape))
@@ -418,28 +424,27 @@ def test_transfer_checks_each_row_once(monkeypatch):
 def test_transfer_keeps_no_table_past_its_shape(qs, rrmax, monkeypatch):
     original_check = constants.factorwise_transfer_check
     original_gamma = fam.enumerate_gamma
-    alive = Counter()  # (q, r', r'') -> its route tables alive
-    filled = Counter()  # (q, r', r'') -> its route tables filled
+    alive = Counter()  # (q, r', r'') -> its row-pair groups alive
+    filled = Counter()  # (q, r', r'') -> its row-pair groups filled
 
-    class Table(list):
-        def __init__(self, rows, key):
-            super().__init__(rows)
+    class Groups(dict):
+        def __init__(self, by_rows, key):
+            super().__init__(by_rows)
             self.key = key
 
         def __del__(self):
             alive[self.key] -= 1
 
-    def check(shape, pairs, vectors, m, rp_field, rows):
+    def check(shape, pairs, vectors, m, rp_field):
         key = (rp_field.q, shape.rp, shape.rpp)
         assert set(+alive) <= {key}
-        alive[key] += 3
-        filled[key] += 3
-        fw_table, cl_tables = original_check(shape, pairs, vectors, m, rp_field, rows)
-        return Table(fw_table, key), {scd2: Table(table, key)
-                                      for scd2, table in cl_tables.items()}
+        alive[key] += 2
+        filled[key] += 2
+        return {scd2: Groups(by_rows, key)
+                for scd2, by_rows in original_check(shape, pairs, vectors, m, rp_field).items()}
 
     def enumerate_gamma(shape, field, target):
-        # a shape's vectors are built after every earlier shape's tables are dropped
+        # a shape's vectors are built after every earlier shape's groups are dropped
         assert +alive == Counter()
         return original_gamma(shape, field, target)
 
@@ -447,9 +452,8 @@ def test_transfer_keeps_no_table_past_its_shape(qs, rrmax, monkeypatch):
     monkeypatch.setattr(fam, "enumerate_gamma", enumerate_gamma)
     report = suites.run("transfer", qs=qs, rrmax=rrmax)
     assert report.passed
-    # per sign target of every shape: a per-factor table and a closed table
-    # per scd2, none left alive
-    assert set(filled.values()) == {6}
+    # per sign target of every shape: the groups of each scd2, none left alive
+    assert set(filled.values()) == {4}
     assert +alive == Counter()
 
 
