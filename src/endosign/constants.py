@@ -14,6 +14,7 @@ The headline identities verified exhaustively at desk scale:
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import families as fam
@@ -54,10 +55,14 @@ def split_pair_values(rp: int, rpp: int) -> tuple[int, int, int, int]:
     return r1p, r1pp, r2p, r2pp
 
 
-def split_sizes(rp: int, rpp: int, Np: int, Npp: int) -> tuple[int, int]:
-    """(n1, n2) of the splitting, via the quadratic closed forms."""
+def split_sizes(rp: int, rpp: int, ns: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """(n1, n2) of the splitting at each (N', N'') of ns, via the quadratic closed forms.
+
+    The closed forms read (r', r'') alone: evaluated once, then N', N'' added per point.
+    """
     s, d = rp + rpp, rp - rpp
-    return (s * s + (s + 1) * (s + 1) - 1) // 4 + Np, (d * d + (d + 1) * (d + 1) - 1) // 4 + Npp
+    form1, form2 = (s * s + (s + 1) * (s + 1) - 1) // 4, (d * d + (d + 1) * (d + 1) - 1) // 4
+    return [(form1 + Np, form2 + Npp) for Np, Npp in ns]
 
 
 def r_plus_minus(rp: int, rpp: int) -> tuple[int, int]:
@@ -99,8 +104,8 @@ def size_forms_of_halves(halves: tuple[int, int, int, int]) -> list[int]:
 
 
 def size_forms_of_pair(rp: int, rpp: int) -> list[int]:
-    """The closed forms of the split sizes at N' = N'' = 0, which the size forms equal."""
-    return list(split_sizes(rp, rpp, 0, 0))
+    """split_sizes at the single point N' = N'' = 0, which the size forms equal."""
+    return list(split_sizes(rp, rpp, [(0, 0)])[0])
 
 
 def companion_sums_of_halves(halves: tuple[int, int, int, int]) -> list[int]:
@@ -136,12 +141,12 @@ def swapped_split(halves: tuple[int, int, int, int], sizes: list[tuple[int, int]
 
 
 def mirrored_split(rp: int, rpp: int, ns: list[tuple[int, int]]) -> tuple:
-    """The split pair at (r', -r''), and split_sizes(r', -r'', N'', N') at each (N', N'') of ns.
+    """The split pair at (r', -r''), and one split_sizes call there over ns with N', N'' exchanged.
 
     By the r'' <-> -r'' symmetry it equals swapped_split of the data at (r', r'').
     """
     mirror = -rpp
-    return split_pair_values(rp, mirror), [split_sizes(rp, mirror, Npp, Np) for Np, Npp in ns]
+    return split_pair_values(rp, mirror), split_sizes(rp, mirror, [(Npp, Np) for Np, Npp in ns])
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +362,12 @@ def split_points(rmax: int, nmax: int):
     """Size-sum identity and the r'' <-> -r'' swap symmetry of the splitting.
 
     A point is one (r', r'', N', N''); the (nmax+1)^2 points of one (r', r'')
-    are yielded as one batch.  Each point's split_sizes, computed once, meet
-    size_totals in their sum and mirrored_split through swapped_split.
+    are checked and yielded as one batch.  One split_sizes call gives the row's
+    sizes, which meet size_totals in their sum and mirrored_split, one more
+    split_sizes call at (r', -r''), through swapped_split.
     """
     for rp, rpp, ns in split_window(rmax, nmax):
-        sizes = [split_sizes(rp, rpp, Np, Npp) for Np, Npp in ns]
+        sizes = split_sizes(rp, rpp, ns)
         sums, totals = [n1 + n2 for n1, n2 in sizes], size_totals(rp, rpp, ns)
         pair, mirror = swapped_split(split_pair_values(rp, rpp), sizes), mirrored_split(rp, rpp, ns)
         if sums == totals and pair == mirror:
@@ -479,19 +485,21 @@ def sign_chain(rp: int, rpp: int, scd1: int, scd2: int, d2: int, n: int, d: int,
     return base * endo * reduction * (-1) ** ((d2 * rpp) % 2)
 
 
-def collapse_product(chain: int, rp: int, rpp: int, scd1: int, scd2: int, n: int, m: int) -> int:
-    """The full nine-constant product at one point, which collapses to 1.
+def collapse_products(chains: list[int], rp: int, rpp: int, signs: list[tuple],
+                      m: int) -> list[int]:
+    """The full nine-constant product at each point of one (r', r''), which collapses to 1.
 
-    chain is sign_chain at block-count parity n, realigned to n = n1 + n2;
-    the split pair's data have trivial second factors, so add no block counts.
+    The points are signs, each (scd1, scd2, d2, d, n), and chains their sign_chain
+    values, realigned from block-count parity n to n = n1 + n2.  Half j of the split
+    pair reads only scd_j and has trivial second factors, so no block counts: the
+    split pair, its sizes and each half at both class signs are evaluated once.
     """
     r1p, r1pp, r2p, r2pp = split_pair_values(rp, rpp)
-    n1, n2 = split_sizes(rp, rpp, 0, 0)
-    total = chain * (-1) ** ((n + n1 + n2) % 2)
-    for (rpj, rppj, sj, nj) in ((r1p, r1pp, scd1, n1), (r2p, r2pp, scd2, n2)):
-        base_j, endo_j, reduction_j = chain_sign_constants(rpj, rppj, sj, 1, 0, nj, 0, m)
-        total *= base_j * endo_j * reduction_j
-    return total
+    [(n1, n2)] = split_sizes(rp, rpp, [(0, 0)])
+    half1, half2 = ({s: math.prod(chain_sign_constants(rpj, rppj, s, 1, 0, nj, 0, m))
+                     for s in (1, -1)} for rpj, rppj, nj in ((r1p, r1pp, n1), (r2p, r2pp, n2)))
+    return [chain * (-1) ** ((n + n1 + n2) % 2) * half1[s1] * half2[s2]
+            for chain, (s1, s2, _, _, n) in zip(chains, signs)]
 
 
 def chain_window(rmax: int):
@@ -508,23 +516,28 @@ def chain_window(rmax: int):
 
 
 def sign_chain_points(rmax: int):
-    """sign_chain against (-1)^n U, then collapse_product, the full product, against 1.
+    """sign_chain against (-1)^n U, then collapse_products, the full product, against 1.
 
-    U = U1 U2 over the split pair is aux's u_multiplicative, swept there.
+    The 32 points of one (q, r', r'') are checked and yielded as one batch:
+    sign_chain and its target per point, collapse_products once for the row.
+    A point whose chain fails is not checked for the collapse.  U = U1 U2
+    over the split pair is aux's u_multiplicative, swept there.
     """
     for q, m, rp, rpp, signs in chain_window(rmax):
         u = u_sign(rp, rpp, m)
-        for s1, s2, d2, d, npar in signs:
-            chain = sign_chain(rp, rpp, s1, s2, d2, npar, d, m)
+        chains = [sign_chain(rp, rpp, s1, s2, d2, npar, d, m) for s1, s2, d2, d, npar in signs]
+        failures = []
+        for (s1, s2, d2, d, npar), chain, total in zip(
+                signs, chains, collapse_products(chains, rp, rpp, signs, m)):
             target = (-1) ** npar * u
-            if chain != target:
-                yield 1, ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2, "d2": d2,
-                           "d": d, "n": npar, "lhs": chain, "rhs": target, "identity": "chain"},)
+            if chain == target and total == 1:
                 continue
-            total = collapse_product(chain, rp, rpp, s1, s2, npar, m)
-            yield 1, () if total == 1 else (
-                {"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2, "d2": d2,
-                 "d": d, "n": npar, "value": total, "identity": "collapse"},)
+            point = {"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2, "d2": d2,
+                     "d": d, "n": npar}
+            failures.append({**point, "lhs": chain, "rhs": target, "identity": "chain"}
+                            if chain != target else
+                            {**point, "value": total, "identity": "collapse"})
+        yield len(signs), failures
 
 
 def factorwise_gamma_factor(shape: fam.SplitShape, gamma: fam.GammaVector,

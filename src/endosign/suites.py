@@ -8,8 +8,9 @@ point generator, iterates the window, evaluates each identity's sides on
 those inputs and yields one pair (checked, failures) per batch of points:
 checked is their number and failures their failure records, each naming
 its identity and its point, empty when they all pass.  Most checks yield
-every point on its own, as (1, failures); split yields the points of one
-(r', r'') at once and transfer those of one (block, eta).  SUITES maps a
+every point on its own, as (1, failures); split and signchain yield the
+points of one (r', r'') row at once, evaluating what the row fixes once for
+it, and transfer yields those of one (block, eta).  SUITES maps a
 suite's name to its check and the specification of its parameters.  run()
 owns everything else: it checks the parameters against their bounds and caps
 before any point is checked, adds up the checked counts, times the sweep,
@@ -277,7 +278,7 @@ def descent_points(beta_max: int):
             continue
         yield 1, ()
         splits, assignments, eta1_minus = split_inputs(g, dd, N_plus, N_minus)
-        expected_sizes = split_sizes(g.rp, g.rpp, g.Np, g.Npp)
+        [expected_sizes] = split_sizes(g.rp, g.rpp, [(g.Np, g.Npp)])
         for split, sizes, matches in zip(splits, assignments, dsc.split_scan(splits, assignments)):
             sums = dsc.sector_size_sum(g, split, dd.blocks)
             yield 1, () if sums == expected_sizes else (

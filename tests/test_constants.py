@@ -29,15 +29,18 @@ M5, M7 = 1, -1
 
 
 def test_split_sum_identity_sample():
+    ns = [(2, 3), (0, 0), (4, 1)]
     for rp in range(6):
         for rpp in range(-6, 7):
-            n1, n2 = split_sizes(rp, rpp, 2, 3)
+            sizes = split_sizes(rp, rpp, ns)
             r1p, r1pp, r2p, r2pp = split_pair_values(rp, rpp)
-            # the size of (r', r'', N', N'') is r'^2 + r' + r''^2 + N' + N''
-            assert n1 + n2 == rp ** 2 + rp + rpp ** 2 + 2 + 3
-            # companion membership: n_j is the size of (r'_j, r''_j, N_j, 0)
-            assert n1 == r1p ** 2 + r1p + r1pp ** 2 + 2
-            assert n2 == r2p ** 2 + r2p + r2pp ** 2 + 3
+            assert len(sizes) == len(ns)
+            for (Np, Npp), (n1, n2) in zip(ns, sizes):
+                # the size of (r', r'', N', N'') is r'^2 + r' + r''^2 + N' + N''
+                assert n1 + n2 == rp ** 2 + rp + rpp ** 2 + Np + Npp
+                # companion membership: n_j is the size of (r'_j, r''_j, N_j, 0)
+                assert n1 == r1p ** 2 + r1p + r1pp ** 2 + Np
+                assert n2 == r2p ** 2 + r2p + r2pp ** 2 + Npp
 
 
 def test_r_plus_minus():

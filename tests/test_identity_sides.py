@@ -57,16 +57,13 @@ R_PLUS_MINUS = "r'_+ and r'_- are defined once; the identity is stated in them"
 # --- aux and split: r' <= 3, |r''| <= 3, N', N'' <= 1 -------------------------
 
 PAIRS = list(constants.pair_window(3))
+# (r', r'', the (N', N'') of its points) of each row
 SPLIT = list(constants.split_window(3, 1))
 
 
 def _halves(side):
     """side at the split pair of each (r', r''); split_pair_values runs inside the side."""
     return [side(constants.split_pair_values(rp, rpp)) for rp, rpp in PAIRS]
-
-
-def _sizes(rp, rpp, ns):
-    return [constants.split_sizes(rp, rpp, Np, Npp) for Np, Npp in ns]
 
 
 # --- kappasum: R - r <= 4 ---------------------------------------------------
@@ -105,8 +102,10 @@ CONSTPROD_POINTS = list(constants.constprod_window((5, 7), 2))
 
 # --- signchain: r' <= 3, |r''| <= 3 --------------------------------------------
 
+# (q, m, r', r'', the (scd1, scd2, d2, d, n) of its points) of each row
+CHAIN_ROWS = list(constants.chain_window(3))
 # (r', r'', scd1, scd2, d2, n, d, m) of each point, as the sweep passes them to sign_chain
-CHAIN_POINTS = [(rp, rpp, s1, s2, d2, n, d, m) for _, m, rp, rpp, signs in constants.chain_window(3)
+CHAIN_POINTS = [(rp, rpp, s1, s2, d2, n, d, m) for _, m, rp, rpp, signs in CHAIN_ROWS
                 for s1, s2, d2, d, n in signs]
 
 # --- transfer: q = 5, R - r <= 4, every third sign vector ----------------------
@@ -183,12 +182,14 @@ REGISTRY = {
         "r_plus_minus": "r'_+ enters U's exponent u; " + R_PLUS_MINUS}),
     # split
     "sum": Identity({
-        "sizes": lambda: [[n1 + n2 for n1, n2 in _sizes(*point)] for point in SPLIT],
+        "sizes": lambda: [[n1 + n2 for n1, n2 in constants.split_sizes(*point)]
+                          for point in SPLIT],
         "total": lambda: [constants.size_totals(*point) for point in SPLIT],
     }, {}),
     "swap": Identity({
         "pair": lambda: [constants.swapped_split(constants.split_pair_values(rp, rpp),
-                                                 _sizes(rp, rpp, ns)) for rp, rpp, ns in SPLIT],
+                                                 constants.split_sizes(rp, rpp, ns))
+                         for rp, rpp, ns in SPLIT],
         "mirror": lambda: [constants.mirrored_split(*point) for point in SPLIT],
     }, dict.fromkeys(("split_pair_values", "split_sizes"),
                      "a symmetry of the splitting: both sides evaluate it, at r'' and at -r''")),
@@ -256,9 +257,11 @@ REGISTRY = {
                       for rp, rpp, _, _, _, n, _, m in CHAIN_POINTS],
     }, {"r_plus_minus": "r'_+ enters the reduction sign and U's exponent; " + R_PLUS_MINUS}),
     "collapse": Identity({
-        "product": lambda: [constants.collapse_product(
-            constants.sign_chain(rp, rpp, s1, s2, d2, n, d, m), rp, rpp, s1, s2, n, m)
-            for rp, rpp, s1, s2, d2, n, d, m in CHAIN_POINTS],
+        # one collapse_products call per row, as in the sweep
+        "product": lambda: [total for _, m, rp, rpp, signs in CHAIN_ROWS
+                            for total in constants.collapse_products(
+                                [constants.sign_chain(rp, rpp, s1, s2, d2, n, d, m)
+                                 for s1, s2, d2, d, n in signs], rp, rpp, signs, m)],
         "one": lambda: [1] * len(CHAIN_POINTS),
     }, {}),
     # transfer
@@ -311,7 +314,7 @@ REGISTRY = {
     "sector_sum": Identity({
         "sectors": lambda: [dsc.sector_size_sum(g, split, dd.blocks)
                             for g, dd, split, _, _ in SIZE_SPLITS],
-        "quadruple": lambda: [constants.split_sizes(g.rp, g.rpp, g.Np, g.Npp)
+        "quadruple": lambda: [constants.split_sizes(g.rp, g.rpp, [(g.Np, g.Npp)])[0]
                               for g, *_ in SIZE_SPLITS],
     }, {}),
     "unique_split": Identity({
@@ -459,7 +462,8 @@ FUSIONS = {
     "parity_of_pair": ("parity_sum", constants, "parity_of_pair", lambda rpp:
         constants.split_pair_values(0, rpp), "aux", {HALVES_PAIR: {"split_pair_values"}}),
     "size_forms_of_halves": ("size_forms", constants, "size_forms_of_halves", lambda halves:
-        constants.split_sizes(*halves), "aux", {("closed", "halves"): {"split_sizes"}}),
+        constants.split_sizes(*halves[:2], [halves[2:]]), "aux",
+        {("closed", "halves"): {"split_sizes"}}),
     "size_forms_of_pair": ("size_forms", constants, "size_forms_of_pair",
         constants.split_pair_values, "aux", {("closed", "halves"): {"split_pair_values"}}),
     "companion_sums_of_halves": ("companion_sums", constants, "companion_sums_of_halves",
@@ -478,8 +482,8 @@ FUSIONS = {
         lambda rp, rpp, _, s2, eta, eta1, eta2, *rest: constants.even_case_transfer_constant(
             eta1, eta2, rp, rpp, s2, eta, 1), "constprod",
         {("even", "product"): {"even_case_transfer_constant"}}),
-    "size_totals": ("sum", constants, "size_totals", lambda rp, rpp, _: constants.split_sizes(
-        rp, rpp, 0, 0), "split", {("sizes", "total"): {"split_sizes"}}),
+    "size_totals": ("sum", constants, "size_totals", lambda rp, rpp, ns: constants.split_sizes(
+        rp, rpp, ns), "split", {("sizes", "total"): {"split_sizes"}}),
     "swapped_split": ("swap", constants, "swapped_split", lambda *_: constants.mirrored_split(
         0, 0, []), "split", {("mirror", "pair"): {"mirrored_split"}}),
     "mirrored_split": ("swap", constants, "mirrored_split", lambda *_: constants.swapped_split(

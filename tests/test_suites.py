@@ -43,9 +43,8 @@ def test_transfer_fails_on_a_flipped_transfer_factor_sign(monkeypatch):
 def test_descent_fails_on_an_off_by_one_split_size(monkeypatch):
     original = constants.split_sizes
 
-    def off_by_one(rp, rpp, Np, Npp):
-        n1, n2 = original(rp, rpp, Np, Npp)
-        return n1 + 1, n2
+    def off_by_one(rp, rpp, ns):
+        return [(n1 + 1, n2) for n1, n2 in original(rp, rpp, ns)]
 
     monkeypatch.setattr(suites, "split_sizes", off_by_one)
     report = suites.run("descent", beta_max=0)
@@ -840,9 +839,8 @@ def test_aux_fails_on_a_negated_u_sign(monkeypatch):
 def test_split_fails_on_an_off_by_one_split_size(monkeypatch):
     original = constants.split_sizes
 
-    def off_by_one(rp, rpp, Np, Npp):
-        n1, n2 = original(rp, rpp, Np, Npp)
-        return n1 + 1, n2
+    def off_by_one(rp, rpp, ns):
+        return [(n1 + 1, n2) for n1, n2 in original(rp, rpp, ns)]
 
     monkeypatch.setattr(constants, "split_sizes", off_by_one)
     report = suites.run("split", rmax=2, nmax=1)
@@ -850,6 +848,107 @@ def test_split_fails_on_an_off_by_one_split_size(monkeypatch):
     sums = [f for f in report.failures if f["identity"] == "sum"]
     assert len(sums) == report.points_checked > 0
     assert all(f["lhs"] == f["rhs"] + 1 for f in sums)
+
+
+def test_split_fails_on_a_split_size_shifted_at_the_last_point_only(monkeypatch):
+    # n1 + 1 only at N' = N'' = nmax, the last point of each row: a row
+    # function that evaluated the row's first point and reused it would miss it
+    original, nmax = constants.split_sizes, 1
+
+    def shifted(rp, rpp, ns):
+        return [(n1 + ((Np, Npp) == (nmax, nmax)), n2)
+                for (Np, Npp), (n1, n2) in zip(ns, original(rp, rpp, ns))]
+
+    monkeypatch.setattr(constants, "split_sizes", shifted)
+    report = suites.run("split", rmax=2, nmax=nmax)
+    assert_records_name_their_points(report)
+    corners = [(rp, rpp, nmax, nmax) for rp, rpp in constants.pair_window(2)]
+    sums = [f for f in report.failures if f["identity"] == "sum"]
+    assert [(f["rp"], f["rpp"], f["Np"], f["Npp"]) for f in sums] == corners
+    assert all(f["lhs"] == f["rhs"] + 1 for f in sums)
+    # the mirror's sizes at (r', -r'') are shifted at the same point
+    assert {(f["rp"], f["rpp"], f["Np"], f["Npp"]) for f in report.failures} == set(corners)
+
+
+def test_signchain_fails_where_a_half_reads_class_sign_minus_one(monkeypatch):
+    # The fault negates the halves' constants at class sign -1 and leaves
+    # sign_chain's own call exact, so only the collapse moves.  A row function
+    # that evaluated the halves at the row's first point, where both class
+    # signs are 1, and reused them would miss it.
+    original_constants, original_chain = constants.chain_sign_constants, constants.sign_chain
+
+    def negated(rp, rpp, scd1, *rest):
+        base, endo, reduction = original_constants(rp, rpp, scd1, *rest)
+        return -base if scd1 == -1 else base, endo, reduction
+
+    def exact_chain(*args):
+        constants.chain_sign_constants = original_constants
+        try:
+            return original_chain(*args)
+        finally:
+            constants.chain_sign_constants = negated
+
+    monkeypatch.setattr(constants, "chain_sign_constants", negated)
+    monkeypatch.setattr(constants, "sign_chain", exact_chain)
+    report = suites.run("signchain", rmax=2)
+    assert_records_name_their_points(report)
+    # half j reads scd_j, so the halves' product flips where exactly one of them is -1
+    flipped = [(q, rp, rpp, s1, s2, d2, d, n) for q, _, rp, rpp, signs in constants.chain_window(2)
+               for s1, s2, d2, d, n in signs if (s1 == -1) != (s2 == -1)]
+    assert len(report.failures) == len(flipped) > 0
+    assert [(f["q"], f["rp"], f["rpp"], f["scd1"], f["scd2"], f["d2"], f["d"], f["n"])
+            for f in report.failures] == flipped
+    assert all(f["identity"] == "collapse" and f["value"] == -1 for f in report.failures)
+
+
+def _batches_and_calls(monkeypatch, suite, names, **values):
+    """The checked count of each batch that suite yields at values, and the calls of names.
+
+    Each name is a function of the constants module; the suite must pass.
+    """
+    calls, yields = Counter(), []
+    points, specs = suites.SUITES[suite]
+
+    def batches(**values):
+        for checked, failures in points(**values):
+            yields.append(checked)
+            yield checked, failures
+
+    def counted(name):
+        original = getattr(constants, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(constants, name, call)
+
+    monkeypatch.setitem(suites.SUITES, suite, (batches, specs))
+    for name in names:
+        counted(name)
+    assert suites.run(suite, **values).passed
+    return yields, calls
+
+
+def test_split_checks_each_row_at_once(monkeypatch):
+    yields, calls = _batches_and_calls(monkeypatch, "split", ["split_sizes"], rmax=2, nmax=1)
+    # one batch per (r', r''), of its (nmax + 1)^2 points
+    assert yields == [4] * 15
+    # one split_sizes call for the row and one for its mirror at (r', -r'')
+    assert calls == {"split_sizes": 2 * 15}
+
+
+def test_signchain_checks_each_row_at_once(monkeypatch):
+    names = ["sign_chain", "chain_sign_constants", "split_pair_values", "split_sizes"]
+    yields, calls = _batches_and_calls(monkeypatch, "signchain", names, rmax=2)
+    # one batch per (q, r', r''), of its 32 class-sign and block-count points
+    rows = 2 * 3 * 5
+    assert yields == [32] * rows
+    # sign_chain per point, one chain_sign_constants call each; the split pair
+    # and its sizes once per row, and each half at both class signs
+    assert calls["sign_chain"] == 32 * rows
+    assert calls["split_pair_values"] == calls["split_sizes"] == rows
+    assert calls["chain_sign_constants"] - calls["sign_chain"] == 2 * 2 * rows
 
 
 def test_signchain_fails_on_a_negated_u_sign(monkeypatch):
