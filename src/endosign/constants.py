@@ -140,13 +140,13 @@ def swapped_split(halves: tuple[int, int, int, int], sizes: list[tuple[int, int]
     return (r2p, r2pp, r1p, r1pp), [(n2, n1) for n1, n2 in sizes]
 
 
-def mirrored_split(rp: int, rpp: int, ns: list[tuple[int, int]]) -> tuple:
-    """The split pair at (r', -r''), and one split_sizes call there over ns with N', N'' exchanged.
+def mirrored_split(rp: int, rpp: int, swapped: list[tuple[int, int]]) -> tuple:
+    """The split pair at (r', -r''), and one split_sizes call there over swapped, the (N'', N').
 
     By the r'' <-> -r'' symmetry it equals swapped_split of the data at (r', r'').
     """
     mirror = -rpp
-    return split_pair_values(rp, mirror), split_sizes(rp, mirror, [(Npp, Np) for Np, Npp in ns])
+    return split_pair_values(rp, mirror), split_sizes(rp, mirror, swapped)
 
 
 # ---------------------------------------------------------------------------
@@ -261,57 +261,59 @@ def weil_ratio_sign(eta1: SquareClass, eta2: SquareClass, m: int) -> int:
     return m * eta1.unit_sign * eta2.unit_sign  # sgn(-unit(eta)), eta = eta1 * eta2
 
 
-def collapse_and_product_constants(rp: int, rpp: int, scd1: int, scd2: int,
-                                   eta: SquareClass, eta1: SquareClass, eta2: SquareClass,
-                                   beta: int, rp_field: ResidueParam) -> tuple[Fraction, Fraction]:
-    """The fiber-collapse constant and the total product constant.
+def collapse_and_product_constants(rp: int, rpp: int, points: list[tuple],
+                                   rp_field: ResidueParam) -> list[tuple[Fraction, Fraction]]:
+    """The fiber-collapse constant and the total product constant at each point of one (r', r'').
 
-    The classes enter through scd1 = sgn_cd(w') and scd2 = sgn_cd(w''),
-    the field through q and m = sgn(-1), taken once per call.
+    A point is (scd1, scd2, eta, eta1, eta2, beta): the classes enter through
+    scd1 = sgn_cd(w') and scd2 = sgn_cd(w''), the field through q and
+    m = sgn(-1), taken once per call.
     The collapse constant absorbs the weight ratio sigma * sigma_fiber^-1 *
     sigma_1^-1 * sigma_2^-1 * d into a gamma-independent value; the product
     constant multiplies it by 2^(beta + 2 t1 + 2 t2), the Weil ratio, the
-    pair power constant and the three orientation signs.
+    pair power constant and the three orientation signs.  Each is a sign times
+    a magnitude that reads no class: the collapse magnitude ((q-3)/4)^-t2 and
+    the pair power constant are computed once per call, and the product
+    magnitude once for each beta.  Per point only the sign is evaluated: the
+    block sign, the m factors, the Weil ratio and the orientation signs.
     """
     shape = fam.SplitShape(rp, rpp)
     q = rp_field.q
     m = sgn_minus_one(rp_field)
-    t1, t2, r = shape.t1, shape.t2, shape.r
-    if beta not in (0, 1):
-        raise ValueError("beta must be 0 or 1")
-    if eta1.val_parity != t1 % 2 or eta2.val_parity != t2 % 2 or eta1 * eta2 != eta:
-        raise ValueError("class parities violated")
-
-    sign = closed_block_sign(shape, scd1, scd2, eta)
-    if (r * t2) % 2:
-        sign *= m
-    if shape.b_switch:
-        if eta2.val_parity:
-            sign *= m
-        sign *= eta2.unit_sign * scd2
-    collapse = Fraction(4, q - 3) ** t2 * sign
-
-    product = collapse * Fraction(2) ** (beta + 2 * t1 + 2 * t2) \
-        * weil_ratio_sign(eta1, eta2, m) \
-        * pair_power_constant(rp, rpp, rp_field) \
-        * alpha_constant(rp, rpp, scd1, scd2, eta, m) \
-        * alpha_constant(t1, t1, scd1, 1, eta1, m) \
-        * alpha_constant(t2, t2, scd2, 1, eta2, m)
-    return collapse, product
+    t1, t2 = shape.t1, shape.t2
+    collapse = Fraction(4, q - 3) ** t2
+    pair_power = pair_power_constant(rp, rpp, rp_field)
+    products = {beta: collapse * 2 ** (beta + 2 * t1 + 2 * t2) * pair_power for beta in (0, 1)}
+    row_sign = m if (shape.r * t2) % 2 else 1
+    out = []
+    for scd1, scd2, eta, eta1, eta2, beta in points:
+        if beta not in (0, 1):
+            raise ValueError("beta must be 0 or 1")
+        if eta1.val_parity != t1 % 2 or eta2.val_parity != t2 % 2 or eta1 * eta2 != eta:
+            raise ValueError("class parities violated")
+        sign = closed_block_sign(shape, scd1, scd2, eta) * row_sign
+        if shape.b_switch:
+            sign *= (m if eta2.val_parity else 1) * eta2.unit_sign * scd2
+        total = sign * weil_ratio_sign(eta1, eta2, m) \
+            * alpha_constant(rp, rpp, scd1, scd2, eta, m) \
+            * alpha_constant(t1, t1, scd1, 1, eta1, m) \
+            * alpha_constant(t2, t2, scd2, 1, eta2, m)
+        out.append((collapse * sign, products[beta] * total))
+    return out
 
 
-def product_formula_lhs(rp: int, rpp: int, scd1: int, scd2: int, eta: SquareClass,
-                        eta1: SquareClass, eta2: SquareClass, beta: int,
-                        rp_field: ResidueParam) -> Fraction:
-    """2^(-1-beta) * C_total * |families|, the product-formula identity's left-hand side.
+def product_formula_lhs(rp: int, rpp: int, points: list[tuple],
+                        rp_field: ResidueParam) -> list[Fraction]:
+    """2^(-1-beta) * C_total * |families|, the identity's left side, at each point of one (r', r'').
 
-    C_total is collapse_and_product_constants' product constant and
-    |families| the closed-form transversal family count.
+    The points are collapse_and_product_constants', whose product constant
+    is C_total; |families|, the closed-form transversal family count, reads
+    (r', r'') alone and is taken once.
     """
-    _, product = collapse_and_product_constants(rp, rpp, scd1, scd2, eta, eta1, eta2, beta,
-                                                rp_field)
     count = fam.transversal_family_count_formula(fam.SplitShape(rp, rpp), rp_field)
-    return product * count / 2 ** (1 + beta)
+    scales = {beta: count / 2 ** (1 + beta) for beta in (0, 1)}
+    return [product * scales[point[-1]] for (_, product), point in
+            zip(collapse_and_product_constants(rp, rpp, points, rp_field), points)]
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +354,14 @@ def aux_points(rmax: int):
 
 
 def split_window(rmax: int, nmax: int):
-    """(r', r'', the (N', N'') of its points) for each (r', r'') of pair_window; N', N'' <= nmax."""
+    """(r', r'', the (N', N'') of its points, each as (N'', N')) for each (r', r'') of pair_window.
+
+    N', N'' <= nmax; both lists are built once per sweep.
+    """
     ns = list(itertools.product(range(nmax + 1), repeat=2))
+    swapped = [(Npp, Np) for Np, Npp in ns]
     for rp, rpp in pair_window(rmax):
-        yield rp, rpp, ns
+        yield rp, rpp, ns, swapped
 
 
 def split_points(rmax: int, nmax: int):
@@ -364,12 +370,13 @@ def split_points(rmax: int, nmax: int):
     A point is one (r', r'', N', N''); the (nmax+1)^2 points of one (r', r'')
     are checked and yielded as one batch.  One split_sizes call gives the row's
     sizes, which meet size_totals in their sum and mirrored_split, one more
-    split_sizes call at (r', -r''), through swapped_split.
+    split_sizes call at (r', -r'') over the swapped grid, through swapped_split.
     """
-    for rp, rpp, ns in split_window(rmax, nmax):
+    for rp, rpp, ns, swapped in split_window(rmax, nmax):
         sizes = split_sizes(rp, rpp, ns)
         sums, totals = [n1 + n2 for n1, n2 in sizes], size_totals(rp, rpp, ns)
-        pair, mirror = swapped_split(split_pair_values(rp, rpp), sizes), mirrored_split(rp, rpp, ns)
+        pair = swapped_split(split_pair_values(rp, rpp), sizes)
+        mirror = mirrored_split(rp, rpp, swapped)
         if sums == totals and pair == mirror:
             yield len(ns), ()
             continue
@@ -400,8 +407,8 @@ def _degenerate_cases(rp, rpp, scd1, scd2, eta1, eta2):
 
 
 def constprod_window(qs, rmax: int):
-    """(field, m = sgn(-1), r', r'', scd1, scd2, eta, eta1, eta2, beta) of each point: every q,
-    (r', r'') of equal parity up to rmax, class and sign choice, and admissible beta."""
+    """(field, m = sgn(-1), r', r'', the (scd1, scd2, eta, eta1, eta2, beta) of its points) per
+    q and (r', r'') of equal parity up to rmax: every class and sign choice, admissible beta."""
     for q in qs:
         field = ResidueParam(q)
         m = sgn_minus_one(field)
@@ -410,29 +417,37 @@ def constprod_window(qs, rmax: int):
                 if (rp - rpp) % 2:
                     continue
                 t2 = fam.SplitShape(rp, rpp).t2
+                points = []
                 for ue, ue2, s1, s2 in itertools.product((1, -1), repeat=4):
                     eta = SquareClass(rpp % 2, ue)
                     eta2 = SquareClass(t2 % 2, ue2)
                     eta1 = eta * eta2
-                    for beta in _degenerate_cases(rp, rpp, s1, s2, eta1, eta2):
-                        yield field, m, rp, rpp, s1, s2, eta, eta1, eta2, beta
+                    points += [(s1, s2, eta, eta1, eta2, beta)
+                               for beta in _degenerate_cases(rp, rpp, s1, s2, eta1, eta2)]
+                yield field, m, rp, rpp, points
 
 
 def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
     """The product-formula constant identity at every point of constprod_window:
         2^(-1-beta) * C_total * |families| = C_even,
     checked exactly in rationals.
+    The points of one (q, r', r'') are checked and yielded as one batch: one
+    product_formula_lhs call for the row, even_case_transfer_constant per point.
     alt_two_power reads C_total with 2^(1 + beta + 2 t1 + 2 t2), which doubles
     the left-hand side.
     """
-    for field, m, rp, rpp, s1, s2, eta, eta1, eta2, beta in constprod_window(qs, rmax):
-        value = product_formula_lhs(rp, rpp, s1, s2, eta, eta1, eta2, beta, field)
-        lhs = ExactValue(2 * value if alt_two_power else value)
-        rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta, m)
-        yield 1, () if lhs.value == rhs else (
-            {"q": field.q, "rp": rp, "rpp": rpp, "eta": eta.name(), "eta1": eta1.name(),
-             "eta2": eta2.name(), "scd1": s1, "scd2": s2, "beta": beta,
-             "identity": "constprod", "lhs": str(lhs.value), "rhs": rhs},)
+    for field, m, rp, rpp, points in constprod_window(qs, rmax):
+        failures = []
+        for (s1, s2, eta, eta1, eta2, beta), value in zip(
+                points, product_formula_lhs(rp, rpp, points, field)):
+            lhs = ExactValue(2 * value if alt_two_power else value)
+            rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta, m)
+            if lhs.value != rhs:
+                failures.append(
+                    {"q": field.q, "rp": rp, "rpp": rpp, "eta": eta.name(), "eta1": eta1.name(),
+                     "eta2": eta2.name(), "scd1": s1, "scd2": s2, "beta": beta,
+                     "identity": "constprod", "lhs": str(lhs.value), "rhs": rhs})
+        yield len(points), failures
 
 
 def branch_switch(rp: int, rpp: int) -> int:

@@ -136,21 +136,22 @@ def class_splits(beta: Partition, degrees: tuple[int, ...]):
     """Every splitting beta = beta_+ u beta_- u union_i f_i * beta_i, of any sizes.
 
     degrees lists the f_i; each beta_i must be all-odd, entering beta with
-    parts scaled by f_i.  The m copies of a part go to bins in nondecreasing
-    order, so each multiset of bins is generated, and yielded, exactly once.
+    parts scaled by f_i.  A part may go to either sector, and to block i
+    only when part / f_i is an odd integer; its bins are found once per
+    call.  The m copies of a part go to its bins in nondecreasing order, so
+    each admissible multiset of bins is generated, and yielded, exactly once.
     """
-    nbins = 2 + len(degrees)
     mults = beta.counter()
-    for choice in itertools.product(*(itertools.combinations_with_replacement(range(nbins), m)
-                                      for m in mults.values())):
-        bins = [[] for _ in range(nbins)]
+    allowed = [[0, 1] + [2 + i for i, f in enumerate(degrees) if part % f == 0 and (part // f) % 2]
+               for part in mults]
+    for choice in itertools.product(*(itertools.combinations_with_replacement(where, m)
+                                      for where, m in zip(allowed, mults.values()))):
+        bins = [[] for _ in range(2 + len(degrees))]
         for part, wheres in zip(mults, choice):
             for where in wheres:
                 bins[where].append(part)
-        if all(p % f == 0 and (p // f) % 2 for f, raw in zip(degrees, bins[2:]) for p in raw):
-            yield ClassSplit(Partition(bins[0]), Partition(bins[1]),
-                             tuple(Partition(p // f for p in raw)
-                                   for f, raw in zip(degrees, bins[2:])))
+        yield ClassSplit(Partition(bins[0]), Partition(bins[1]),
+                         tuple(Partition(p // f for p in raw) for f, raw in zip(degrees, bins[2:])))
 
 
 def assignment_sizes(g: QuadrupleGamma, split: SizeSplit) -> tuple[int, int, int, int]:

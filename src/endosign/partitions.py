@@ -76,9 +76,13 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 
 class SymplecticPartition:
-    """A partition of an even total in which every odd part has even multiplicity."""
+    """A partition of an even total in which every odd part has even multiplicity.
 
-    __slots__ = ("base", "total")
+    jord_bp holds its distinct even parts, descending (the even blocks),
+    found once at construction.
+    """
+
+    __slots__ = ("base", "total", "jord_bp")
 
     def __init__(self, base: Partition):
         total = base.size()
@@ -86,11 +90,7 @@ class SymplecticPartition:
             raise ValueError(f"{base!r} is not a symplectic partition of {total}")
         self.base = base
         self.total = total
-
-    @property
-    def jord_bp(self) -> tuple[int, ...]:
-        """Distinct even parts, descending (the even blocks)."""
-        return tuple(sorted({k for k in self.base.parts if k % 2 == 0}, reverse=True))
+        self.jord_bp = tuple(sorted({k for k in base.parts if k % 2 == 0}, reverse=True))
 
     def __eq__(self, other):
         return isinstance(other, SymplecticPartition) and self.base == other.base

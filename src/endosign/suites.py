@@ -9,8 +9,9 @@ those inputs and yields one pair (checked, failures) per batch of points:
 checked is their number and failures their failure records, each naming
 its identity and its point, empty when they all pass.  Most checks yield
 every point on its own, as (1, failures); split and signchain yield the
-points of one (r', r'') row at once, evaluating what the row fixes once for
-it, and transfer yields those of one (block, eta).  SUITES maps a
+points of one (r', r'') row at once, and constprod those of one
+(q, r', r'') row, each evaluating what the row fixes once for it, and
+transfer yields those of one (block, eta).  SUITES maps a
 suite's name to its check and the specification of its parameters.  run()
 owns everything else: it checks the parameters against their bounds and caps
 before any point is checked, adds up the checked counts, times the sweep,

@@ -264,7 +264,15 @@ def test_transfer_reports_match_references(q, capsys):
     # the heavy counting bound: 710 points, about 1 s
     (["counting", "--q", "5", "--t2max", "3"],
      "24f480bbfd6644eb90969593f7189f46c8e9d38a13e1171f0103c407dcc204c6"),
-], ids=["all", "transfer-q5-rrmax6", "counting-q5-t2max3"])
+    # three breadth suites at their caps, about 1.2 s together
+    (["constprod", "--q", "5,7,11,13", "--rmax", "10"],
+     "45466a7302e8386d1d8f73e3619b08e69484231117ccb322107021f80a40f766"),
+    (["split", "--rmax", "60", "--nmax", "20"],
+     "7d41e2406031f9c81427ba649d3a1db9e3d17f84d49ce5daf1887ac98cc62729"),
+    (["descent", "--beta-max", "10"],
+     "8431b983e4bc151c308fdf96c74f75d1a0ed801e45c7dc1c1753b7504e593b1b"),
+], ids=["all", "transfer-q5-rrmax6", "counting-q5-t2max3", "constprod-cap", "split-cap",
+        "descent-cap"])
 def test_reports_without_a_golden_keep_their_digests(argv, digest, capsys):
     code, out = run_cli(capsys, "verify", *argv)
     assert code == 0

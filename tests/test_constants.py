@@ -9,7 +9,7 @@ import endosign
 from endosign.constants import (QuadrupleGamma, branch_switch,
                                 chain_sign_constants, closed_block_sign,
                                 collapse_and_product_constants,
-                                companion_sums_of_halves, companion_sums_of_pair,
+                                companion_sums_of_halves, companion_sums_of_pair, constprod_window,
                                 even_case_transfer_constant, factorwise_block_sign,
                                 factorwise_e_factor,
                                 factorwise_gamma_factor, factorwise_transfer_check,
@@ -194,19 +194,34 @@ def test_rows_have_one_entry_per_pairing(rp, rpp):
 
 def test_collapse_constant_values():
     one = SquareClass(0, 1)
-    collapse, product = collapse_and_product_constants(
-        0, 0, 1, 1, one, one, one, 0, F5)
+    [(collapse, product)] = collapse_and_product_constants(0, 0, [(1, 1, one, one, one, 0)], F5)
     assert collapse == 1
     odd = SquareClass(1, 1)
-    collapse, _ = collapse_and_product_constants(
-        2, 0, 1, 1, one, odd, odd, 1, F5)
+    [(collapse, _)] = collapse_and_product_constants(2, 0, [(1, 1, one, odd, odd, 1)], F5)
     assert collapse == 2  # ((q-3)/4)^(-1) at q = 5
+
+
+def test_collapse_constants_are_those_of_each_point_alone():
+    # a row's constants, in its points' order, are each point's own
+    for field, _, rp, rpp, points in constprod_window((5, 7), 3):
+        row = collapse_and_product_constants(rp, rpp, points, field)
+        assert row == [collapse_and_product_constants(rp, rpp, [point], field)[0]
+                       for point in points]
+        assert collapse_and_product_constants(rp, rpp, points[::-1], field) == row[::-1]
+
+
+def test_collapse_constants_check_the_class_parities_at_every_point():
+    one, odd = SquareClass(0, 1), SquareClass(1, 1)
+    good = (1, 1, one, odd, odd, 1)
+    with pytest.raises(ValueError, match="class parities"):
+        collapse_and_product_constants(2, 0, [good, (1, 1, one, one, one, 1)], F5)
+    with pytest.raises(ValueError, match="beta"):
+        collapse_and_product_constants(2, 0, [good, (1, 1, one, odd, odd, 2)], F5)
 
 
 def test_product_identity_base_point():
     one = SquareClass(0, 1)
-    _, product = collapse_and_product_constants(
-        0, 0, 1, 1, one, one, one, 0, F5)
+    [(_, product)] = collapse_and_product_constants(0, 0, [(1, 1, one, one, one, 0)], F5)
     lhs = product / 2  # family count is 1
     rhs = even_case_transfer_constant(one, one, 0, 0, 1, one, M5)
     assert lhs == rhs == 1

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from endosign import descent
 from endosign.constants import QuadrupleGamma, branch_switch, split_sizes
-from endosign.descent import (DescentDatum, assignment_sizes,
+from endosign.descent import (ClassSplit, DescentDatum, assignment_sizes,
                               class_splits, descent_feasibility,
                               enumerate_size_splits, sector_size_sum, SizeSplit,
                               solve_split_family, split_class_sign, whole_class_sign)
@@ -153,6 +154,39 @@ def test_class_splits_match_the_assign_and_dedup_enumeration():
                 want = list(assign_and_dedup_splits(beta, degrees))
                 assert len(set(got)) == len(got), (beta, degrees)
                 assert sorted(got) == sorted(want), (beta, degrees)
+
+
+def product_then_filter_splits(beta, degrees):
+    """Reference: the multisets of bins of every part, over all bins, then the all-odd filter."""
+    nbins = 2 + len(degrees)
+    mults = beta.counter()
+    for choice in itertools.product(*(itertools.combinations_with_replacement(range(nbins), m)
+                                      for m in mults.values())):
+        bins = [[] for _ in range(nbins)]
+        for part, wheres in zip(mults, choice):
+            for where in wheres:
+                bins[where].append(part)
+        if all(p % f == 0 and (p // f) % 2 for f, raw in zip(degrees, bins[2:]) for p in raw):
+            yield ClassSplit(Partition(bins[0]), Partition(bins[1]),
+                             tuple(Partition(p // f for p in raw)
+                                   for f, raw in zip(degrees, bins[2:])))
+
+
+def test_class_splits_build_only_what_they_yield_in_the_unpruned_order(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return ClassSplit(*args)
+
+    monkeypatch.setattr(descent, "ClassSplit", counted)
+    for total in range(8):
+        for beta in enumerate_partitions(total):
+            for degrees in ((), (1,), (2,), (1, 2)):
+                built.clear()
+                got = list(class_splits(beta, degrees))
+                assert len(built) == len(got), (beta, degrees)
+                assert got == list(product_then_filter_splits(beta, degrees)), (beta, degrees)
 
 
 def test_solver_roundtrip_and_rejection():

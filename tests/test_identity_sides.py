@@ -57,7 +57,7 @@ R_PLUS_MINUS = "r'_+ and r'_- are defined once; the identity is stated in them"
 # --- aux and split: r' <= 3, |r''| <= 3, N', N'' <= 1 -------------------------
 
 PAIRS = list(constants.pair_window(3))
-# (r', r'', the (N', N'') of its points) of each row
+# (r', r'', the (N', N'') of its points, each as (N'', N')) of each row
 SPLIT = list(constants.split_window(3, 1))
 
 
@@ -98,7 +98,11 @@ FIBER_POINTS = [(i, shape, pairs[pi], pi, taus, g)
 
 # --- constprod: q = 5, 7, r', r'' <= 2 -----------------------------------------
 
-CONSTPROD_POINTS = list(constants.constprod_window((5, 7), 2))
+# (field, m, r', r'', the (scd1, scd2, eta, eta1, eta2, beta) of its points) of each row
+CONSTPROD_ROWS = list(constants.constprod_window((5, 7), 2))
+# (m, r', r'', scd2, eta, eta1, eta2) of each point, as the sweep passes them to the even side
+CONSTPROD_POINTS = [(m, rp, rpp, s2, eta, eta1, eta2) for _, m, rp, rpp, points in CONSTPROD_ROWS
+                    for _, s2, eta, eta1, eta2, _ in points]
 
 # --- signchain: r' <= 3, |r''| <= 3 --------------------------------------------
 
@@ -182,15 +186,17 @@ REGISTRY = {
         "r_plus_minus": "r'_+ enters U's exponent u; " + R_PLUS_MINUS}),
     # split
     "sum": Identity({
-        "sizes": lambda: [[n1 + n2 for n1, n2 in constants.split_sizes(*point)]
-                          for point in SPLIT],
-        "total": lambda: [constants.size_totals(*point) for point in SPLIT],
+        "sizes": lambda: [[n1 + n2 for n1, n2 in constants.split_sizes(rp, rpp, ns)]
+                          for rp, rpp, ns, _ in SPLIT],
+        "total": lambda: [constants.size_totals(rp, rpp, ns) for rp, rpp, ns, _ in SPLIT],
     }, {}),
     "swap": Identity({
         "pair": lambda: [constants.swapped_split(constants.split_pair_values(rp, rpp),
                                                  constants.split_sizes(rp, rpp, ns))
-                         for rp, rpp, ns in SPLIT],
-        "mirror": lambda: [constants.mirrored_split(*point) for point in SPLIT],
+                         for rp, rpp, ns, _ in SPLIT],
+        # the swapped grid is the window's, built once, as in the sweep
+        "mirror": lambda: [constants.mirrored_split(rp, rpp, swapped)
+                           for rp, rpp, _, swapped in SPLIT],
     }, dict.fromkeys(("split_pair_values", "split_sizes"),
                      "a symmetry of the splitting: both sides evaluate it, at r'' and at -r''")),
     # kappasum
@@ -241,10 +247,11 @@ REGISTRY = {
     }, {}),
     # constprod
     "constprod": Identity({
-        "product": lambda: [constants.product_formula_lhs(*point, field)
-                            for field, _, *point in CONSTPROD_POINTS],
+        # one product_formula_lhs call per row, as in the sweep
+        "product": lambda: [value for field, _, rp, rpp, points in CONSTPROD_ROWS
+                            for value in constants.product_formula_lhs(rp, rpp, points, field)],
         "even": lambda: [constants.even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta, m)
-                         for _, m, rp, rpp, _, s2, eta, eta1, eta2, _ in CONSTPROD_POINTS],
+                         for m, rp, rpp, s2, eta, eta1, eta2 in CONSTPROD_POINTS],
     }, {"SquareClass.__mul__": "square-class group law: each side checks eta1 eta2 = eta "
                                "on its own",
         "SquareClass.__init__": "value type, built by SquareClass.__mul__",
@@ -341,8 +348,7 @@ REGISTRY = {
                             * par.eval_character_on_image(param, im2)
                             for _, param, im1, im2, _ in BILINEARITY_POINTS],
     }, {"eval_character_on_image": "the identity is this function's multiplicativity: "
-                                   "epsilon(xy) = epsilon(x) epsilon(y)",
-        "SymplecticPartition.jord_bp": "the even blocks epsilon is defined on"}),
+                                   "epsilon(xy) = epsilon(x) epsilon(y)"}),
 }
 
 
@@ -478,9 +484,11 @@ FUSIONS = {
     # the pairings of shape (0, 0), one with no L2 slot, fit every sign vector
     "kappa_sum_law": ("kappasum", fam, "kappa_sum_law", lambda e, _: fam.transversal_character_sum(
         e, KAPPA[0][3]), "kappasum", {("law", "sum"): {"transversal_character_sum", "kappa_l2"}}),
+    # the row's first point also evaluates the even case's constant
     "product_formula_lhs": ("constprod", constants, "product_formula_lhs",
-        lambda rp, rpp, _, s2, eta, eta1, eta2, *rest: constants.even_case_transfer_constant(
-            eta1, eta2, rp, rpp, s2, eta, 1), "constprod",
+        lambda rp, rpp, points, _: [constants.even_case_transfer_constant(
+            eta1, eta2, rp, rpp, s2, eta, 1) for _, s2, eta, eta1, eta2, _ in points[:1]],
+        "constprod",
         {("even", "product"): {"even_case_transfer_constant"}}),
     "size_totals": ("sum", constants, "size_totals", lambda rp, rpp, ns: constants.split_sizes(
         rp, rpp, ns), "split", {("sizes", "total"): {"split_sizes"}}),

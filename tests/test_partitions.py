@@ -56,6 +56,15 @@ def test_jord_bp_lists_distinct_even_parts():
     assert SymplecticPartition(Partition([1, 1])).jord_bp == ()
 
 
+def test_jord_bp_is_set_once_and_equals_the_distinct_even_parts():
+    # a slot filled at construction, not recomputed on each read
+    assert "jord_bp" in SymplecticPartition.__slots__
+    for two_n in range(0, 18, 2):
+        for sp in enumerate_symplectic(two_n):
+            assert sp.jord_bp == tuple(sorted({k for k in sp.base.parts if k % 2 == 0},
+                                              reverse=True))
+
+
 def test_symplectic_constructor_validates():
     with pytest.raises(ValueError):
         SymplecticPartition(Partition([3, 1]))

@@ -3,6 +3,7 @@
 import itertools
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -98,11 +99,11 @@ def test_descent_fails_on_class_splits_that_drop_a_part(monkeypatch):
 
 
 def test_constprod_fails_on_the_swapped_two_power_reading(monkeypatch):
+    # the row function's products, each halved
     original = constants.collapse_and_product_constants
 
     def halved(*args):
-        collapse, product = original(*args)
-        return collapse, product / 2
+        return [(collapse, product / 2) for collapse, product in original(*args)]
 
     monkeypatch.setattr(constants, "collapse_and_product_constants", halved)
     report = suites.run("constprod", qs=(5,), rmax=1)
@@ -133,6 +134,79 @@ def test_constprod_alternate_reading_can_fail_too(monkeypatch):
     assert {f["identity"] for f in report.failures} == {"constprod"}
     assert_records_name_their_points(report)
     assert report.notes == ["failures re-evaluated under the alternate two-power reading: fail"]
+
+
+def _constprod_points(qs, rmax, keep):
+    """(q, r', r'', scd1, scd2, eta, eta2, beta) of each point of constprod_window that keep admits.
+
+    keep reads the point's (r', r'', scd1, beta).
+    """
+    return [(field.q, rp, rpp, s1, s2, eta.name(), eta2.name(), beta)
+            for field, _, rp, rpp, points in constants.constprod_window(qs, rmax)
+            for s1, s2, eta, _, eta2, beta in points if keep(rp, rpp, s1, beta)]
+
+
+def _constprod_failures(report):
+    return [(f["q"], f["rp"], f["rpp"], f["scd1"], f["scd2"], f["eta"], f["eta2"], f["beta"])
+            for f in report.failures]
+
+
+def test_constprod_fails_where_the_orientation_sign_reads_scd1_minus_one(monkeypatch):
+    # Each point makes three alpha_constant calls, alpha(r', r'') first; the
+    # fault negates that one where sgn_cd(w') = -1.  It counts the calls
+    # because their arguments cannot single it out: at r' = r'' it can equal
+    # the t1 call, and negating both where their scd1 is -1 would cancel.
+    # A row function that evaluated the sign at the row's first point, where
+    # both class signs are 1, and reused it would miss the fault.
+    original, calls = constants.alpha_constant, itertools.count()
+
+    def negated(rp, rpp, scd1, *rest):
+        value = original(rp, rpp, scd1, *rest)
+        return -value if next(calls) % 3 == 0 and scd1 == -1 else value
+
+    monkeypatch.setattr(constants, "alpha_constant", negated)
+    report = suites.run("constprod", qs=(5, 7), rmax=3)
+    assert_records_name_their_points(report)
+    expected = _constprod_points((5, 7), 3, lambda rp, rpp, s1, beta: s1 == -1)
+    assert 0 < len(expected) < report.points_checked
+    assert _constprod_failures(report) == expected
+    assert all(f["lhs"] == str(-f["rhs"]) for f in report.failures)
+
+
+def test_constprod_fails_on_a_pair_power_constant_wrong_at_one_row(monkeypatch):
+    # tripled at (r', r'') = (3, 1) only: exactly that row's points fail, at every q
+    original = constants.pair_power_constant
+
+    def tripled(rp, rpp, rp_field):
+        return original(rp, rpp, rp_field) * (3 if (rp, rpp) == (3, 1) else 1)
+
+    monkeypatch.setattr(constants, "pair_power_constant", tripled)
+    report = suites.run("constprod", qs=(5, 7, 13), rmax=3)
+    assert_records_name_their_points(report)
+    expected = _constprod_points((5, 7, 13), 3, lambda rp, rpp, s1, beta: (rp, rpp) == (3, 1))
+    assert {q for q, *_ in expected} == {5, 7, 13}
+    assert _constprod_failures(report) == expected
+    assert all(f["lhs"] == str(3 * f["rhs"]) for f in report.failures)
+
+
+def test_constprod_fails_on_a_product_constant_halved_at_beta_zero(monkeypatch):
+    # A row function that took the product's magnitude at the row's first
+    # point, where beta = 1, and reused it at beta = 0 would double those
+    # products, and the fault would hide that.
+    original = constants.collapse_and_product_constants
+
+    def halved(rp, rpp, points, rp_field):
+        return [(collapse, product / 2 if beta == 0 else product)
+                for (collapse, product), (*_, beta) in
+                zip(original(rp, rpp, points, rp_field), points)]
+
+    monkeypatch.setattr(constants, "collapse_and_product_constants", halved)
+    report = suites.run("constprod", qs=(5, 7), rmax=3)
+    assert_records_name_their_points(report)
+    expected = _constprod_points((5, 7), 3, lambda rp, rpp, s1, beta: beta == 0)
+    assert 0 < len(expected) < report.points_checked
+    assert _constprod_failures(report) == expected
+    assert all(Fraction(f["lhs"]) == Fraction(f["rhs"], 2) for f in report.failures)
 
 
 @pytest.mark.parametrize("factor", ["factorwise_gamma_factor", "factorwise_e_factor",
@@ -949,6 +1023,29 @@ def test_signchain_checks_each_row_at_once(monkeypatch):
     assert calls["sign_chain"] == 32 * rows
     assert calls["split_pair_values"] == calls["split_sizes"] == rows
     assert calls["chain_sign_constants"] - calls["sign_chain"] == 2 * 2 * rows
+
+
+def test_constprod_checks_each_row_at_once(monkeypatch):
+    original, family_counts = fam.transversal_family_count_formula, []
+
+    def counted(*args):
+        family_counts.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fam, "transversal_family_count_formula", counted)
+    names = ["collapse_and_product_constants", "pair_power_constant", "alpha_constant",
+             "even_case_transfer_constant"]
+    yields, calls = _batches_and_calls(monkeypatch, "constprod", names, qs=(5, 7), rmax=2)
+    rows = list(constants.constprod_window((5, 7), 2))
+    # one batch per (q, r', r'') of equal parity, of all of its points
+    assert [(field.q, rp, rpp) for field, _, rp, rpp, _ in rows] == \
+        [(q, rp, rpp) for q in (5, 7) for rp in range(3) for rpp in range(3) if (rp - rpp) % 2 == 0]
+    assert yields == [len(points) for *_, points in rows]
+    # the row function, its pair power constant and the family count once per row;
+    # the three orientation signs and the right-hand side per point
+    assert calls["collapse_and_product_constants"] == calls["pair_power_constant"] == \
+        len(family_counts) == len(rows)
+    assert calls["alpha_constant"] == 3 * calls["even_case_transfer_constant"] == 3 * sum(yields)
 
 
 def test_signchain_fails_on_a_negated_u_sign(monkeypatch):
