@@ -10,8 +10,9 @@ Output is JSON by default (CSV with --format csv), written to stdout or to
 error (an unknown flag, a flag the verified suite does not read, an invalid
 flag value or an --out FILE that cannot be opened for writing, reported
 before any sweep or enumeration runs; verify all passes each flag to the
-suites that read it), 3 a resource cap was hit (the suites module refused
-the request with a report or payload flagged incomplete).
+suites that read it) or an output that could not be written (one line on
+stderr; this 2 wins over 1 and 3), 3 a resource cap was hit (the suites
+module refused the request with a report or payload flagged incomplete).
 """
 
 from __future__ import annotations
@@ -119,17 +120,23 @@ def main(argv=None) -> int:
     with out or contextlib.nullcontext(sys.stdout) as stream:
         if args.command == "verify":
             reports = [suites.run(name, **given[name]).to_json_dict() for name in names]
-            _emit(reports if args.suite == "all" else reports[0], args.format, stream)
-            if any(report.get("incomplete") for report in reports):
-                return 3
-            return 1 if any(report["failures"] for report in reports) else 0
-
-        # enumerate
-        builder = (suites.enumerate_params_report if args.kind == "params"
-                   else suites.enumerate_descent_report)
-        payload = builder(args.n)
-        _emit(payload, args.format, stream)
-        return 3 if payload.get("incomplete") else 0
+            payload = reports if args.suite == "all" else reports[0]
+        else:
+            payload = (suites.enumerate_params_report if args.kind == "params"
+                       else suites.enumerate_descent_report)(args.n)
+            reports = [payload]
+        try:
+            _emit(payload, args.format, stream)
+            stream.flush()
+        except OSError as exc:
+            # closed, so that the bytes left in its buffer are not written again at exit
+            with contextlib.suppress(OSError):
+                stream.close()
+            print(f"endosign: output not written: {exc.strerror}", file=sys.stderr)
+            return 2
+    if any(report.get("incomplete") for report in reports):
+        return 3
+    return 1 if any(report.get("failures") for report in reports) else 0
 
 
 if __name__ == "__main__":

@@ -262,26 +262,22 @@ def weil_ratio_sign(eta1: SquareClass, eta2: SquareClass, m: int) -> int:
 
 
 def collapse_and_product_constants(rp: int, rpp: int, points: list[tuple],
-                                   rp_field: ResidueParam) -> list[tuple[Fraction, Fraction]]:
-    """The fiber-collapse constant and the total product constant at each point of one (r', r'').
+                                   rp_field: ResidueParam) -> list[Fraction]:
+    """The total product constant C_total at each point of one (r', r'').
 
     A point is (scd1, scd2, eta, eta1, eta2, beta): the classes enter through
     scd1 = sgn_cd(w') and scd2 = sgn_cd(w''), the field through q and
-    m = sgn(-1), taken once per call.
-    The collapse constant absorbs the weight ratio sigma * sigma_fiber^-1 *
-    sigma_1^-1 * sigma_2^-1 * d into a gamma-independent value; the product
-    constant multiplies it by 2^(beta + 2 t1 + 2 t2), the Weil ratio, the
-    pair power constant and the three orientation signs.  Each is a sign times
-    a magnitude that reads no class: the collapse magnitude ((q-3)/4)^-t2 and
-    the pair power constant are computed once per call, and the product
-    magnitude once for each beta.  Per point only the sign is evaluated: the
-    block sign, the m factors, the Weil ratio and the orientation signs.
+    m = sgn(-1), taken once per call.  C_total is the fiber-collapse constant
+    (the weight ratio sigma * sigma_fiber^-1 * sigma_1^-1 * sigma_2^-1 * d,
+    a sign times ((q-3)/4)^-t2) times 2^(beta + 2 t1 + 2 t2), the Weil ratio,
+    the pair power constant and the three orientation signs: a sign per point
+    times a magnitude that reads no class, taken once for each beta.  The name
+    still says collapse because BENCHMARK.json counts this function's calls.
     """
     shape = fam.SplitShape(rp, rpp)
-    q = rp_field.q
     m = sgn_minus_one(rp_field)
     t1, t2 = shape.t1, shape.t2
-    collapse = Fraction(4, q - 3) ** t2
+    collapse = Fraction(4, rp_field.q - 3) ** t2
     pair_power = pair_power_constant(rp, rpp, rp_field)
     products = {beta: collapse * 2 ** (beta + 2 * t1 + 2 * t2) * pair_power for beta in (0, 1)}
     row_sign = m if (shape.r * t2) % 2 else 1
@@ -298,7 +294,7 @@ def collapse_and_product_constants(rp: int, rpp: int, points: list[tuple],
             * alpha_constant(rp, rpp, scd1, scd2, eta, m) \
             * alpha_constant(t1, t1, scd1, 1, eta1, m) \
             * alpha_constant(t2, t2, scd2, 1, eta2, m)
-        out.append((collapse * sign, products[beta] * total))
+        out.append(products[beta] * total)
     return out
 
 
@@ -306,13 +302,13 @@ def product_formula_lhs(rp: int, rpp: int, points: list[tuple],
                         rp_field: ResidueParam) -> list[Fraction]:
     """2^(-1-beta) * C_total * |families|, the identity's left side, at each point of one (r', r'').
 
-    The points are collapse_and_product_constants', whose product constant
-    is C_total; |families|, the closed-form transversal family count, reads
-    (r', r'') alone and is taken once.
+    The points are collapse_and_product_constants', which gives C_total;
+    |families|, the closed-form transversal family count, reads (r', r'')
+    alone and is taken once.
     """
     count = fam.transversal_family_count_formula(fam.SplitShape(rp, rpp), rp_field)
     scales = {beta: count / 2 ** (1 + beta) for beta in (0, 1)}
-    return [product * scales[point[-1]] for (_, product), point in
+    return [product * scales[point[-1]] for product, point in
             zip(collapse_and_product_constants(rp, rpp, points, rp_field), points)]
 
 
@@ -427,20 +423,18 @@ def constprod_window(qs, rmax: int):
                 yield field, m, rp, rpp, points
 
 
-def product_identity_points(qs, rmax: int, alt_two_power: bool = False):
+def product_identity_points(qs, rmax: int):
     """The product-formula constant identity at every point of constprod_window:
         2^(-1-beta) * C_total * |families| = C_even,
     checked exactly in rationals.
     The points of one (q, r', r'') are checked and yielded as one batch: one
     product_formula_lhs call for the row, even_case_transfer_constant per point.
-    alt_two_power reads C_total with 2^(1 + beta + 2 t1 + 2 t2), which doubles
-    the left-hand side.
     """
     for field, m, rp, rpp, points in constprod_window(qs, rmax):
         failures = []
         for (s1, s2, eta, eta1, eta2, beta), value in zip(
                 points, product_formula_lhs(rp, rpp, points, field)):
-            lhs = ExactValue(2 * value if alt_two_power else value)
+            lhs = ExactValue(value)
             rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta, m)
             if lhs.value != rhs:
                 failures.append(

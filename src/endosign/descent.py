@@ -214,17 +214,15 @@ def split_scan(splits: list[SizeSplit], sizes: list[tuple]) -> list[list[SizeSpl
             for split, own in zip(splits, sizes)]
 
 
-def sector_size_sum(g: QuadrupleGamma, split: SizeSplit,
+def sector_size_sum(sizes: tuple[int, int, int, int], split: SizeSplit,
                     blocks: tuple[UnitaryBlock, ...]) -> tuple[int, int]:
-    """(n1, n2) obtained by summing the sector sizes of a split.
+    """(n1, n2): a split's sector sizes (its assignment_sizes) plus its block weights.
 
-    Must reproduce the sizes of the quadruple splitting; checked by the
-    descent suite against split_sizes.
+    The descent suite checks them, on its sweep's own sizes, against split_sizes.
     """
-    n1_plus, n2_plus, n1_minus, n2_minus = assignment_sizes(g, split)
-    n1 = n1_plus + n1_minus + sum(p[0] * b.f for p, b in zip(split.pairs, blocks))
-    n2 = n2_plus + n2_minus + sum(p[1] * b.f for p, b in zip(split.pairs, blocks))
-    return n1, n2
+    n1_plus, n2_plus, n1_minus, n2_minus = sizes
+    return (n1_plus + n1_minus + sum(p[0] * b.f for p, b in zip(split.pairs, blocks)),
+            n2_plus + n2_minus + sum(p[1] * b.f for p, b in zip(split.pairs, blocks)))
 
 
 def whole_class_sign(beta: Partition) -> int:

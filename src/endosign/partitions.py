@@ -17,12 +17,12 @@ SYMPLECTIC_ENUM_CAP = 40
 
 
 class Partition:
-    """A partition: weakly decreasing positive integer parts."""
+    """A partition: positive int parts, taken as given and sorted weakly decreasing."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = sorted((int(p) for p in parts), reverse=True)
+        ps = sorted(parts, reverse=True)
         if ps and ps[-1] <= 0:
             raise ValueError(f"parts must be positive, got {ps}")
         self.parts = tuple(ps)

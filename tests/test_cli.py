@@ -1,12 +1,18 @@
+import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import endosign
 from endosign import constants, suites
 from endosign.cli import main
 from endosign.localfield import ResidueParam
@@ -200,6 +206,46 @@ def test_unwritable_out_exit_two(argv, target, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and f"--out {out}" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+NOT_WRITTEN = "endosign: output not written: No space left on device\n"
+needs_dev_full = pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+
+
+class FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "aux", "--rmax", "1"],
+    # refused: written, its report would exit 3
+    ["verify", "aux", "--rmax", "1000"],
+    ["enumerate", "params", "--n", "1", "--format", "csv"],
+])
+def test_a_stdout_that_cannot_be_written_exits_two(argv, capsys):
+    with contextlib.redirect_stdout(FullStdout()):
+        code = main(argv)
+    assert code == 2
+    assert capsys.readouterr() == ("", NOT_WRITTEN)
+
+
+@needs_dev_full
+def test_an_out_file_that_cannot_be_written_exits_two(capsys):
+    assert main(["verify", "aux", "--rmax", "1", "--out", "/dev/full"]) == 2
+    assert capsys.readouterr() == ("", NOT_WRITTEN)
+
+
+@needs_dev_full
+def test_a_full_stdout_exits_two_from_the_process(tmp_path):
+    # block-buffered, so that the bytes left unwritten would be flushed again at exit
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(endosign.__file__).resolve().parent.parent)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "endosign.cli", "verify", "aux", "--rmax", "1"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (2, NOT_WRITTEN)
 
 
 def test_value_error_inside_sweep_is_not_a_usage_error(monkeypatch):

@@ -192,13 +192,12 @@ def test_rows_have_one_entry_per_pairing(rp, rpp):
                     assert len(set(fw)) == len(set(cl)) == 1
 
 
-def test_collapse_constant_values():
+def test_product_constant_values():
     one = SquareClass(0, 1)
-    [(collapse, product)] = collapse_and_product_constants(0, 0, [(1, 1, one, one, one, 0)], F5)
-    assert collapse == 1
+    assert collapse_and_product_constants(0, 0, [(1, 1, one, one, one, 0)], F5) == [2]
+    # t2 = 1: the collapse magnitude ((q-3)/4)^(-1) = 2 at q = 5 enters the product
     odd = SquareClass(1, 1)
-    [(collapse, _)] = collapse_and_product_constants(2, 0, [(1, 1, one, odd, odd, 1)], F5)
-    assert collapse == 2  # ((q-3)/4)^(-1) at q = 5
+    assert collapse_and_product_constants(2, 0, [(1, 1, one, odd, odd, 1)], F5) == [1]
 
 
 def test_collapse_constants_are_those_of_each_point_alone():
@@ -221,7 +220,7 @@ def test_collapse_constants_check_the_class_parities_at_every_point():
 
 def test_product_identity_base_point():
     one = SquareClass(0, 1)
-    [(_, product)] = collapse_and_product_constants(0, 0, [(1, 1, one, one, one, 0)], F5)
+    [product] = collapse_and_product_constants(0, 0, [(1, 1, one, one, one, 0)], F5)
     lhs = product / 2  # family count is 1
     rhs = even_case_transfer_constant(one, one, 0, 0, 1, one, M5)
     assert lhs == rhs == 1

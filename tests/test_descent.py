@@ -214,4 +214,5 @@ def test_sector_sums_match_split_sizes():
     dd = DescentDatum(3, ONE, 2, ONE, ())
     g = QuadrupleGamma(1, 0, 2, 1)
     for split in enumerate_size_splits(dd, g, *descent_feasibility(dd, g)):
-        assert [sector_size_sum(g, split, dd.blocks)] == split_sizes(1, 0, [(2, 1)])
+        sizes = assignment_sizes(g, split)
+        assert [sector_size_sum(sizes, split, dd.blocks)] == split_sizes(1, 0, [(2, 1)])

@@ -319,7 +319,8 @@ REGISTRY = {
         "residuals": lambda: [(N_plus, N_minus) for _, _, N_plus, N_minus in DESCENT_DATA],
     }, {}),
     "sector_sum": Identity({
-        "sectors": lambda: [dsc.sector_size_sum(g, split, dd.blocks)
+        # the sweep hands sector_size_sum the assignments of split_inputs
+        "sectors": lambda: [dsc.sector_size_sum(dsc.assignment_sizes(g, split), split, dd.blocks)
                             for g, dd, split, _, _ in SIZE_SPLITS],
         "quadruple": lambda: [constants.split_sizes(g.rp, g.rpp, [(g.Np, g.Npp)])[0]
                               for g, *_ in SIZE_SPLITS],

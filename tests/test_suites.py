@@ -1,5 +1,6 @@
 """Each sweep must fail on a planted wrong formula (non-vacuity), and refuse a value above its cap."""
 
+import inspect
 import itertools
 import json
 from collections import Counter
@@ -15,6 +16,7 @@ from endosign.partitions import Partition
 from endosign.weyl import sgn_cd
 
 from test_families import scatter
+from test_source_guards import SMALL_SWEEPS
 
 
 def assert_records_name_their_points(report):
@@ -62,6 +64,26 @@ def test_descent_fails_on_a_solver_that_selects_no_split(monkeypatch):
     assert len(report.failures) == 1165
 
 
+def test_descent_fails_on_an_off_by_one_assignment_size(monkeypatch):
+    # n_{1,+} one too large at every split: its sector sums miss split_sizes and
+    # the solver selects no split, while the scan, whose sizes all moved alike,
+    # still matches.  Both identities read the sizes that the sweep built.
+    original = descent.assignment_sizes
+
+    def off_by_one(g, split):
+        n1_plus, *rest = original(g, split)
+        return (n1_plus + 1, *rest)
+
+    expected = [{"g": g.to_json(), "split": split.to_json(), "identity": identity}
+                for g, dd, N_plus, N_minus in suites.descent_window()
+                for split in descent.enumerate_size_splits(dd, g, N_plus, N_minus)
+                for identity in ("sector_sum", "unique_split")]
+    monkeypatch.setattr(descent, "assignment_sizes", off_by_one)
+    report = suites.run("descent", beta_max=0)
+    assert len(expected) == 2 * 1165
+    assert report.failures == expected
+
+
 def test_descent_fails_on_size_splits_with_a_shifted_plus_size(monkeypatch):
     # Each split with N'_- >= 1 gains a copy with one unit moved to N'_+, which
     # keeps both support sums but breaks N'_+ + N''_+ = N_+.
@@ -98,16 +120,52 @@ def test_descent_fails_on_class_splits_that_drop_a_part(monkeypatch):
     assert len(report.failures) == 2945
 
 
-def test_constprod_fails_on_the_swapped_two_power_reading(monkeypatch):
-    # the row function's products, each halved
+def _entries(monkeypatch, name):
+    """The keyword arguments of each entry into the suite's generator, as run() makes them."""
+    points, specs = suites.SUITES[name]
+    entries = []
+
+    def entered(**values):
+        entries.append(values)
+        return points(**values)
+
+    monkeypatch.setitem(suites.SUITES, name, (entered, specs))
+    return entries
+
+
+def _halve_products(monkeypatch, at_beta=(0, 1)):
+    """Halve the row function's product constants at the points whose beta is in at_beta."""
     original = constants.collapse_and_product_constants
 
-    def halved(*args):
-        return [(collapse, product / 2) for collapse, product in original(*args)]
+    def halved(rp, rpp, points, rp_field):
+        return [product / 2 if beta in at_beta else product
+                for product, (*_, beta) in zip(original(rp, rpp, points, rp_field), points)]
 
     monkeypatch.setattr(constants, "collapse_and_product_constants", halved)
-    report = suites.run("constprod", qs=(5,), rmax=1)
-    assert len(report.failures) == report.points_checked > 0
+
+
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
+def test_each_generator_takes_exactly_its_specs_keywords(name):
+    points, specs = suites.SUITES[name]
+    assert list(inspect.signature(points).parameters) == [spec[0] for spec in specs]
+
+
+@pytest.mark.parametrize("name, bounds", SMALL_SWEEPS, ids=[name for name, _ in SMALL_SWEEPS])
+def test_a_passing_sweep_enters_its_generator_once(name, bounds, monkeypatch):
+    entries = _entries(monkeypatch, name)
+    assert suites.run(name, **bounds).passed
+    assert entries == [suites.parameters(name, bounds)]
+
+
+def test_constprod_fails_on_the_swapped_two_power_reading(monkeypatch):
+    # the row function's products, each halved: every point fails by exactly
+    # half, so the alternate reading, which doubles the left side, holds.  The
+    # note is read off the sweep's records: its generator is entered once.
+    _halve_products(monkeypatch)
+    entries = _entries(monkeypatch, "constprod")
+    report = suites.run("constprod", qs=(5, 7), rmax=3)
+    assert entries == [{"qs": (5, 7), "rmax": 3}]
+    assert len(report.failures) == report.points_checked == 294
     assert {f["identity"] for f in report.failures} == {"constprod"}
     assert_records_name_their_points(report)
     assert report.notes == ["failures re-evaluated under the alternate two-power reading: pass"]
@@ -193,20 +251,15 @@ def test_constprod_fails_on_a_product_constant_halved_at_beta_zero(monkeypatch):
     # A row function that took the product's magnitude at the row's first
     # point, where beta = 1, and reused it at beta = 0 would double those
     # products, and the fault would hide that.
-    original = constants.collapse_and_product_constants
-
-    def halved(rp, rpp, points, rp_field):
-        return [(collapse, product / 2 if beta == 0 else product)
-                for (collapse, product), (*_, beta) in
-                zip(original(rp, rpp, points, rp_field), points)]
-
-    monkeypatch.setattr(constants, "collapse_and_product_constants", halved)
+    _halve_products(monkeypatch, at_beta=(0,))
     report = suites.run("constprod", qs=(5, 7), rmax=3)
     assert_records_name_their_points(report)
     expected = _constprod_points((5, 7), 3, lambda rp, rpp, s1, beta: beta == 0)
     assert 0 < len(expected) < report.points_checked
     assert _constprod_failures(report) == expected
     assert all(Fraction(f["lhs"]) == Fraction(f["rhs"], 2) for f in report.failures)
+    # every record holds when doubled, but doubled, each passing beta = 1 point fails
+    assert report.notes == ["failures re-evaluated under the alternate two-power reading: fail"]
 
 
 @pytest.mark.parametrize("factor", ["factorwise_gamma_factor", "factorwise_e_factor",
@@ -531,7 +584,7 @@ def test_transfer_keeps_no_table_past_its_shape(qs, rrmax, monkeypatch):
 
 
 def test_a_wrong_closed_block_sign_fails_constprod_and_transfer(monkeypatch):
-    # constprod's collapse constant takes d's block sign from closed_block_sign,
+    # constprod's product constant takes d's block sign from closed_block_sign,
     # so a fault in its one definition fails both identities that read it
     monkeypatch.setattr(*PARTIAL_FAULTS["closed_block_sign"]())
     for suite, bounds in (("constprod", {"rmax": 2}), ("transfer", {"rrmax": 2})):
