@@ -40,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
         for spec in specs:
             readers.setdefault(spec[0], []).append(name)
     for key, names in readers.items():
-        kind, metavar = (_parse_q_list, "Q1,Q2,...") if key == "qs" else (int, "N")
-        ver.add_argument(_flag(key), dest=key, type=kind, metavar=metavar, default=None,
+        kind, metavar = (_parse_q_list, "Q1,Q2,...") if key == "q" else (int, "N")
+        ver.add_argument(_flag(key), type=kind, metavar=metavar, default=None,
                          help=f"read by {', '.join(names)}")
     _output_flags(ver)
 
@@ -66,7 +66,7 @@ def _parse_q_list(text: str) -> tuple[int, ...]:
 
 def _flag(key: str) -> str:
     """The verify flag that sets the suite parameter key."""
-    return "--q" if key == "qs" else "--" + key.replace("_", "-")
+    return "--" + key.replace("_", "-")
 
 
 def _given(args) -> dict:

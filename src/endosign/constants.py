@@ -377,11 +377,11 @@ def split_points(rmax: int, nmax: int):
             yield len(ns), ()
             continue
         failures = []
-        for (Np, Npp), lhs, rhs, swapped, mirrored in zip(ns, sums, totals, pair[1], mirror[1]):
+        for (Np, Npp), lhs, rhs, exchanged, mirrored in zip(ns, sums, totals, pair[1], mirror[1]):
             point = {"rp": rp, "rpp": rpp, "Np": Np, "Npp": Npp}
             if lhs != rhs:
                 failures.append({**point, "lhs": lhs, "rhs": rhs, "identity": "sum"})
-            if pair[0] != mirror[0] or swapped != mirrored:
+            if pair[0] != mirror[0] or exchanged != mirrored:
                 failures.append({**point, "identity": "swap"})
         yield len(ns), failures
 
@@ -402,11 +402,10 @@ def _degenerate_cases(rp, rpp, scd1, scd2, eta1, eta2):
     return cases
 
 
-def constprod_window(qs, rmax: int):
+def constprod_window(q, rmax: int):
     """(field, m = sgn(-1), r', r'', the (scd1, scd2, eta, eta1, eta2, beta) of its points) per
     q and (r', r'') of equal parity up to rmax: every class and sign choice, admissible beta."""
-    for q in qs:
-        field = ResidueParam(q)
+    for field in map(ResidueParam, q):
         m = sgn_minus_one(field)
         for rp in range(rmax + 1):
             for rpp in range(rmax + 1):
@@ -423,14 +422,14 @@ def constprod_window(qs, rmax: int):
                 yield field, m, rp, rpp, points
 
 
-def product_identity_points(qs, rmax: int):
+def product_identity_points(q, rmax: int):
     """The product-formula constant identity at every point of constprod_window:
         2^(-1-beta) * C_total * |families| = C_even,
     checked exactly in rationals.
     The points of one (q, r', r'') are checked and yielded as one batch: one
     product_formula_lhs call for the row, even_case_transfer_constant per point.
     """
-    for field, m, rp, rpp, points in constprod_window(qs, rmax):
+    for field, m, rp, rpp, points in constprod_window(q, rmax):
         failures = []
         for (s1, s2, eta, eta1, eta2, beta), value in zip(
                 points, product_formula_lhs(rp, rpp, points, field)):
@@ -658,7 +657,7 @@ def _transfer_shapes(rrmax: int, q: int):
                 yield r, rr + r
 
 
-def transfer_window(qs, rrmax: int):
+def transfer_window(q, rrmax: int):
     """(field, m, shape, pairs, evecs, gammas, blocks) per (q, shape).
 
     A block is one (q, shape, beta', beta'', eta), in both branch-switch
@@ -674,10 +673,9 @@ def transfer_window(qs, rrmax: int):
     shape's vectors are dropped before the next shape enumerates its own.
     """
     beta_options = [Partition(), Partition([1])]
-    for q in qs:
-        field = ResidueParam(q)
+    for field in map(ResidueParam, q):
         m = sgn_minus_one(field)
-        for rp, rpp in _transfer_shapes(rrmax, q):
+        for rp, rpp in _transfer_shapes(rrmax, field.q):
             shape = fam.SplitShape(rp, rpp)
             pairs = fam.enumerate_L(shape)
             evecs = fam.enumerate_e(shape)
@@ -698,7 +696,7 @@ def transfer_window(qs, rrmax: int):
             del gammas
 
 
-def transfer_points(qs, rrmax: int):
+def transfer_points(q, rrmax: int):
     """Per-factor versus closed-form evaluation of the descent transfer factor.
 
     Each (beta', beta'', eta) block of each shape of transfer_window is
@@ -732,7 +730,7 @@ def transfer_points(qs, rrmax: int):
     both sides, so a wrong formula on either side fails exactly the points
     at which the two routes' products differ.
     """
-    for field, m, shape, pairs, evecs, gammas, blocks in transfer_window(qs, rrmax):
+    for field, m, shape, pairs, evecs, gammas, blocks in transfer_window(q, rrmax):
         groups = {target: factorwise_transfer_check(shape, pairs, vectors, m, field)
                   for target, vectors in gammas.items()}
         for scd1, scd2, k_second, uvecs, etas in blocks:

@@ -174,7 +174,7 @@ def solve_split_family(dd: DescentDatum, g: QuadrupleGamma,
     (with eta_{2,-} = eta_- eta_{1,-}) and the block splits.  Inverts the
     sector-size relations; requires r'' >= 0 (for r'' < 0 swap the
     assignment's two slots and negate r'').  Returns None when a parity
-    condition or inequality fails or the split breaks a size constraint.
+    condition fails, a residual is negative or a size constraint breaks.
     """
     if g.rpp < 0:
         raise ValueError("solver expects r'' >= 0; swap the assignment slots first")
@@ -185,11 +185,6 @@ def solve_split_family(dd: DescentDatum, g: QuadrupleGamma,
         return None
     if (dd.eta_minus * eta1_minus).val_parity != ((r_minus - rpp) // 2) % 2:
         return None
-    if n1_plus < ((r_plus + rpp) ** 2 - 1) // 4 or \
-            n2_plus < ((r_plus - rpp) ** 2 - 1) // 4 or \
-            n1_minus < (r_minus + rpp) ** 2 // 4 or \
-            n2_minus < (r_minus - rpp) ** 2 // 4:
-        return None
     split = SizeSplit(
         n1_plus - ((r_plus + rpp) ** 2 - 1) // 4,
         n1_minus - (r_minus + rpp) ** 2 // 4,
@@ -198,7 +193,7 @@ def solve_split_family(dd: DescentDatum, g: QuadrupleGamma,
         pairs)
     # The five size constraints, checked directly, not against the sweep's own scan.
     weights = [sum(p[k] * b.f for p, b in zip(pairs, dd.blocks)) for k in (0, 1)]
-    if len(pairs) != len(dd.blocks) or \
+    if min(split[:4]) < 0 or len(pairs) != len(dd.blocks) or \
             any(min(p) < 0 or sum(p) != b.d for p, b in zip(pairs, dd.blocks)) or \
             (split.Np_plus + split.Npp_plus, split.Np_minus + split.Npp_minus) != \
             descent_feasibility(dd, g) or \

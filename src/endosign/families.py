@@ -269,27 +269,22 @@ def transversal_family_count_formula(shape: SplitShape, rp_field: ResidueParam) 
     return Fraction((q - 1) ** (2 * t2) * (q - 3) ** (2 * t2), 2 ** (4 * t2))
 
 
-def family_selections(family, index: int, shape: SplitShape,
-                      rp_field: ResidueParam) -> dict[int, list[tuple[int, ...]]]:
-    """Selections gamma_j from the family's side `index` (1 or 2), keyed by sign product.
+def family_selections(halves, r: int, rp_field: ResidueParam) -> dict[int, list[tuple[int, ...]]]:
+    """Selections gamma_j from one side of a family, keyed by sign product.
 
-    Side 1 draws its residues from the G1 transversals on the pair slots
-    and takes free signs on the top slots; side 2 draws from the G2
-    transversals.  A selection is the flat tuple of its residues followed
-    by its top signs, and its sign product is the product of the Legendre
-    symbols of the residues and the top signs.  The selections for
-    (eta_j, w_j) are those whose sign product times unit(eta_j) equals
+    halves holds one transversal per pair slot, a family's G1s on side 1 and
+    its G2s on side 2, and r counts the side's free top signs: shape.r on
+    side 1, 0 on side 2.  A selection is the flat tuple of one residue per
+    half followed by its top signs, and its sign product is the product of
+    the Legendre symbols of the residues and the top signs.  The selections
+    for (eta_j, w_j) are those whose sign product times unit(eta_j) equals
     sgn_cd(w_j): the bucket at sgn_cd(w_j) * unit(eta_j).
     """
-    if index not in (1, 2):
-        raise ValueError("index must be 1 or 2")
     # (residues, Legendre sign product) of every choice of residues, slot by slot
     lows = [((), 1)]
-    for g1, g2 in family:
-        lows = [(low + (v,), sign * legendre(v, rp_field))
-                for low, sign in lows for v in (g1 if index == 1 else g2)]
-    tops = [(high, math.prod(high))
-            for high in itertools.product((1, -1), repeat=shape.r if index == 1 else 0)]
+    for half in halves:
+        lows = [(low + (v,), sign * legendre(v, rp_field)) for low, sign in lows for v in half]
+    tops = [(high, math.prod(high)) for high in itertools.product((1, -1), repeat=r)]
     out = {1: [], -1: []}
     for low, low_sign in lows:
         for high, high_sign in tops:
@@ -322,19 +317,20 @@ def reassembly_tallies(shape: SplitShape, pairs: list[LPair], choices: list,
                        rp_field: ResidueParam) -> dict[tuple[int, int], list[dict]]:
     """(tau1, tau2) -> per pairing, gamma's flat tuple low + high -> its number of preimages.
 
-    A preimage joins a selection from a family's side-1 bucket at tau1 and
-    one from its side-2 bucket at tau2.  One pass over the families, which
-    keeps no family, counts each joined pair comp1 + comp2 per (tau1, tau2);
-    each pairing's gather then maps every distinct joined pair once and adds
-    its count.  That is the per-preimage tally summed in another order, so
-    it holds for any gather, also one that sends two joined pairs to one
-    gamma.
+    A preimage joins a selection from a family's side-1 bucket at tau1 (its
+    G1s, shape.r top signs) and one from its side-2 bucket at tau2 (its G2s).
+    One pass over the families, which keeps no family, counts each joined
+    pair comp1 + comp2 per (tau1, tau2); each pairing's gather then maps
+    every distinct joined pair once and adds its count.  That is the
+    per-preimage tally summed in another order, so it holds for any gather,
+    also one that sends two joined pairs to one gamma.
     """
     gathers = [reassemble(pair, shape) for pair in pairs]
     widths = ({shape.t2 + shape.r}, {shape.t2})
     joined = {taus: Counter() for taus in itertools.product((1, -1), (1, -1))}
     for family in enumerate_transversal_families(shape, choices):
-        side1, side2 = [family_selections(family, idx, shape, rp_field) for idx in (1, 2)]
+        side1 = family_selections([g1 for g1, _ in family], shape.r, rp_field)
+        side2 = family_selections([g2 for _, g2 in family], 0, rp_field)
         if ({*map(len, side1[1]), *map(len, side1[-1])},
                 {*map(len, side2[1]), *map(len, side2[-1])}) != widths:
             raise ValueError("component lengths do not match the shape")

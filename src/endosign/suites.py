@@ -113,7 +113,7 @@ def counting_window(field: ResidueParam, t2max: int):
         yield t2, fam.SplitShape(2 * t2, 0), () if capped else _fiber_shapes(t2, field)
 
 
-def counting_points(qs, t2max: int):
+def counting_points(q, t2max: int):
     """Fiber sizes and family counts of the transversal reassembly map.
 
     Checks, per field and t2 of counting_window: (a) the family count against
@@ -133,17 +133,16 @@ def counting_points(qs, t2max: int):
     """
     worked_family_count = None
     worked_fiber_sizes: set[int] = set()
-    for q in qs:
-        field = ResidueParam(q)
+    for field in map(ResidueParam, q):
         choices = fam._slot_choices(field)
         pair_counts = fam.slot_pair_counts(choices)
         for t2, shape0, fiber_shapes in counting_window(field, t2max):
             counted = fam.count_transversal_families(shape0, choices)
             formula = fam.transversal_family_count_formula(shape0, field)
             yield 1, () if counted == formula else (
-                {"q": q, "t2": t2, "identity": "family_count", "lhs": counted,
+                {"q": field.q, "t2": t2, "identity": "family_count", "lhs": counted,
                  "rhs": str(formula)},)
-            if q == 5 and t2 == 1:
+            if field.q == 5 and t2 == 1:
                 worked_family_count = counted
             for shape, pairs, gammas, points in fiber_shapes:
                 tallies = fam.reassembly_tallies(shape, pairs, choices, field)
@@ -162,7 +161,7 @@ def counting_points(qs, t2max: int):
                     image = images.get(key, ())
                     expected = {flat[j] for j in image}
                     if tally.keys() != expected:
-                        yield 1, ({"q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
+                        yield 1, ({"q": field.q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
                                    "eta": eta.name(), "eta2": eta2.name(),
                                    "pair": pairs[pi].to_json(), "identity": "image",
                                    "extra": len(tally.keys() - expected),
@@ -174,15 +173,15 @@ def counting_points(qs, t2max: int):
                         observed = tally[flat[j]]
                         if counts[j] != observed or observed != predictions[j]:
                             failures += ({
-                                "q": q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
+                                "q": field.q, "rp": rp, "rpp": rpp, "scd1": s1, "scd2": s2,
                                 "eta": eta.name(), "eta2": eta2.name(),
                                 "pair": pairs[pi].to_json(), "gamma": vectors[j].to_json(),
                                 "identity": "fiber", "observed": observed,
                                 "slotwise": counts[j], "predicted": str(predictions[j])},)
-                        elif q == 5 and t2 == 1:
+                        elif field.q == 5 and t2 == 1:
                             worked_fiber_sizes.add(observed)
                     yield 1, failures
-    if 5 in qs and t2max >= 1:
+    if 5 in q and t2max >= 1:
         yield 1, () if worked_family_count == 4 else (
             {"identity": "worked_family_count", "lhs": worked_family_count, "rhs": 4},)
         yield 1, () if worked_fiber_sizes == {1, 2} else (
@@ -213,9 +212,10 @@ def weyl_points(nmax: int):
     for d in range(7):
         brute_a = brute_class_sizes_a(d)
         for pi, size in sorted(brute_a.items(), key=lambda kv: repr(kv[0])):
-            yield 1, () if class_size_a(pi) == size else (
+            formula = class_size_a(pi)
+            yield 1, () if formula == size else (
                 {"d": d, "cls": {"pi": pi.to_json()}, "identity": "class_size_a",
-                 "lhs": class_size_a(pi), "rhs": size},)
+                 "lhs": formula, "rhs": size},)
         total_a = sum(class_size_a(p) for p in enumerate_partitions(d))
         yield 1, () if total_a == factorial(d) else (
             {"d": d, "identity": "total_a", "lhs": total_a, "rhs": factorial(d)},)
@@ -357,18 +357,20 @@ def params_points(nmax: int):
 # ---------------------------------------------------------------------------
 
 # name -> (point generator, parameters).  A parameter is (keyword, default,
-# lower bound, cap, step); the q list "qs" is (keyword, default, lower bound,
-# cap), must hold distinct primes, and its cap bounds the largest q.  Entries
-# stay plain tuples so that tooling can wrap the generators in place.
+# lower bound, cap, step); the q list "q" is (keyword, default, lower bound,
+# cap), must hold distinct primes, and its cap bounds the largest q.  A
+# keyword is also the report's parameter name, and "--" + keyword, "-" for
+# "_", its CLI flag.  Entries stay plain tuples so that tooling can wrap the
+# generators in place.
 SUITES = {
     "aux": (aux_points, (("rmax", 30, 0, 60, 1),)),
     "split": (split_points, (("rmax", 30, 0, 60, 1), ("nmax", 10, 0, 20, 1))),
     "kappasum": (kappa_sum_points, (("max_rr", 6, 0, 10, 2),)),
-    "counting": (counting_points, (("qs", (5, 7, 13), 5, Q_CAP), ("t2max", 2, 0, 3, 1))),
-    "constprod": (product_identity_points, (("qs", (5, 7, 13), 5, Q_CAP),
+    "counting": (counting_points, (("q", (5, 7, 13), 5, Q_CAP), ("t2max", 2, 0, 3, 1))),
+    "constprod": (product_identity_points, (("q", (5, 7, 13), 5, Q_CAP),
                                             ("rmax", 6, 0, 10, 1))),
     "signchain": (sign_chain_points, (("rmax", 8, 0, 20, 1),)),
-    "transfer": (transfer_points, (("qs", (5, 7), 5, Q_CAP), ("rrmax", 4, 0, 6, 2))),
+    "transfer": (transfer_points, (("q", (5, 7), 5, Q_CAP), ("rrmax", 4, 0, 6, 2))),
     "weyl": (weyl_points, (("nmax", 4, 0, 5, 1),)),
     "descent": (descent_points, (("beta_max", 8, 0, 10, 1),)),
     "params": (params_points, (("nmax", 3, 0, ENUM_N_CAP, 1),)),
@@ -378,10 +380,12 @@ SUITES = {
 def parameters(name: str, given: dict) -> dict:
     """The suite's keyword arguments: the given values over the defaults.
 
-    Raises ValueError for a value below its lower bound or off its step,
-    and for a q list that is empty, repeats a value, or holds a value that
-    is not a prime >= 5.  Caps are checked by run(); a q above its cap is
-    left to that check unexamined, so no large q is ever trial-divided.
+    The q list is kept as a tuple, and run(name, **report.parameters) sweeps
+    again.  Raises TypeError for a keyword the suite does not take, and
+    ValueError for a value below its lower bound or off its step, or a q
+    list that is empty, repeats a value, or holds a value that is not a
+    prime >= 5.  Caps are checked by run(); a q above its cap is left to
+    that check unexamined, so no large q is ever trial-divided.
     """
     specs = SUITES[name][1]
     unknown = sorted(set(given) - {spec[0] for spec in specs})
@@ -390,7 +394,7 @@ def parameters(name: str, given: dict) -> dict:
     values = {}
     for key, default, low, cap, *step in specs:
         value = given.get(key, default)
-        if key == "qs":
+        if key == "q":
             value = tuple(value)
             if not value or len(set(value)) < len(value) or \
                     any(q < low or q <= cap and not is_prime(q) for q in value):
@@ -452,15 +456,10 @@ def run(name: str, **given) -> VerificationReport:
     points, specs = SUITES[name]
     values = parameters(name, given)
     for key, _, _, cap, *_ in specs:
-        if (max(values[key]) if key == "qs" else values[key]) > cap:
-            return VerificationReport(
-                name, {"error": f"{'q' if key == 'qs' else key} capped at {cap}"},
-                incomplete=True)
+        if (max(values[key]) if key == "q" else values[key]) > cap:
+            return VerificationReport(name, {"error": f"{key} capped at {cap}"}, incomplete=True)
     start = time.monotonic()
-    shown = dict(values)
-    if "qs" in shown:
-        shown["q"] = list(shown.pop("qs"))
-    report = VerificationReport(name, shown)
+    report = VerificationReport(name, values)
     checked = 0
     for count, failures in points(**values):
         checked += count

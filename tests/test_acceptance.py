@@ -45,13 +45,13 @@ def test_acceptance_04_counting():
     # fiber sizes equal the closed form on the image, family count formula,
     # q in {5, 7, 13} with pair-slot depth 2 (13 capped to depth 1 for the
     # fiber part), including the worked values 4 and {2, 1}
-    _run("4 (counting)", 120, "counting", qs=(5, 7, 13), t2max=2)
+    _run("4 (counting)", 120, "counting", q=(5, 7, 13), t2max=2)
 
 
 def test_acceptance_05_product_identity():
     # the product-formula constant identity over all sign and class data,
     # q in {5, 7, 13}, shapes up to 6, both degeneracy values, exact
-    report = _run("5 (product identity)", 60, "constprod", qs=(5, 7, 13), rmax=6)
+    report = _run("5 (product identity)", 60, "constprod", q=(5, 7, 13), rmax=6)
     assert not report.notes  # no failures, so no alternate-reading rerun
 
 
@@ -64,7 +64,7 @@ def test_acceptance_06_sign_chain():
 def test_acceptance_07_transfer_factorization():
     # per-factor route equals the closed form, q in {5, 7}, R - r <= 4,
     # all assignment vectors, sign vectors, block vectors and pairings
-    _run("7 (transfer factorization)", 120, "transfer", qs=(5, 7), rrmax=4)
+    _run("7 (transfer factorization)", 120, "transfer", q=(5, 7), rrmax=4)
 
 
 def test_acceptance_08_weyl_oracle():

@@ -18,6 +18,7 @@ from endosign.cli import main
 from endosign.localfield import ResidueParam
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +42,20 @@ def test_verify_pass_exit_zero(capsys):
     assert report["failures"] == []
 
 
+def test_the_readme_suite_table_lists_the_registry_defaults():
+    # rows "| `suite` | what it sweeps | `--key default ...` |"; the q list comma-joined
+    rows = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) >= 3 and cells[0].strip("`") in suites.SUITES:
+            rows[cells[0].strip("`")] = cells[-1].strip("`")
+    assert rows == {
+        name: " ".join(f"--{key.replace('_', '-')} "
+                       + (",".join(map(str, default)) if key == "q" else str(default))
+                       for key, default, *_ in specs)
+        for name, (_, specs) in suites.SUITES.items()}
+
+
 def test_verify_reports_are_deterministic(capsys):
     _, first = run_cli(capsys, "verify", "kappasum", "--max-rr", "4")
     _, second = run_cli(capsys, "verify", "kappasum", "--max-rr", "4")
@@ -54,14 +69,14 @@ def test_resource_cap_exit_three(capsys):
     assert report["incomplete"] is True and report["pass"] is False
 
 
-@pytest.mark.parametrize("qs", ["5,1000000007", "1000000008"])
-def test_q_cap_exit_three_before_any_field_is_built(qs, monkeypatch, capsys):
+@pytest.mark.parametrize("flag", ["5,1000000007", "1000000008"])
+def test_q_cap_exit_three_before_any_field_is_built(flag, monkeypatch, capsys):
     def no_field(self, q):
         raise AssertionError(f"ResidueParam({q}) was built above the q cap")
 
     monkeypatch.setattr(ResidueParam, "__init__", no_field)
     start = time.monotonic()
-    code, out = run_cli(capsys, "verify", "counting", "--q", qs)
+    code, out = run_cli(capsys, "verify", "counting", "--q", flag)
     assert time.monotonic() - start < 1
     assert code == 3
     report = json.loads(out)

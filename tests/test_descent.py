@@ -206,6 +206,12 @@ def test_solver_roundtrip_and_rejection():
         for i in range(4):
             off = tuple(n + (j == i) for j, n in enumerate(sizes))
             assert solve_split_family(dd, g, off, eta1m, split.pairs) is None
+    # moved within both sector sums: every size constraint holds, but n_{2,-}
+    # falls below its base size and would leave N''_- = -1
+    assert SizeSplit(2, 0, 1, 0, ()) in splits
+    sizes = assignment_sizes(g, SizeSplit(2, 0, 1, 0, ()))
+    moved = tuple(n + d for n, d in zip(sizes, (-1, 1, 1, -1)))
+    assert solve_split_family(dd, g, moved, eta1m, ()) is None
     with pytest.raises(ValueError):
         solve_split_family(dd, QuadrupleGamma(1, -1, 2, 1), (3, 0, 2, 0), ONE, ())
 

@@ -193,7 +193,8 @@ def test_reassemble_gather_against_the_scatter(field):
         for rp, rpp in suites._counting_shapes(t2, field.q):
             shape = SplitShape(rp, rpp)
             family = next(enumerate_transversal_families(shape, choices))
-            side1, side2 = [family_selections(family, idx, shape, field) for idx in (1, 2)]
+            side1 = family_selections([g1 for g1, _ in family], shape.r, field)
+            side2 = family_selections([g2 for _, g2 in family], 0, field)
             for pair in enumerate_L(shape):
                 gather = reassemble(pair, shape)
                 for c1 in side1[1] + side1[-1]:
@@ -272,8 +273,9 @@ def test_slot_pair_counts_against_the_linear_scan():
 def test_family_selection_sign_condition():
     shape = SplitShape(3, 1)
     family = next(enumerate_transversal_families(shape, _slot_choices(F5)))
-    for index, width in ((1, shape.t2 + shape.r), (2, shape.t2)):
-        buckets = family_selections(family, index, shape, F5)
+    for halves, r in (([g1 for g1, _ in family], shape.r), ([g2 for _, g2 in family], 0)):
+        width = shape.t2 + r
+        buckets = family_selections(halves, r, F5)
         assert sorted(buckets) == [-1, 1]
         for sign, sels in buckets.items():
             assert sels, "selections must exist"

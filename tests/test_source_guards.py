@@ -184,10 +184,10 @@ SMALL_SWEEPS = (
     ("aux", {"rmax": 1}),
     ("split", {"rmax": 1, "nmax": 1}),
     ("kappasum", {"max_rr": 2}),
-    ("counting", {"qs": (5,), "t2max": 1}),
-    ("constprod", {"qs": (5,), "rmax": 2}),
+    ("counting", {"q": (5,), "t2max": 1}),
+    ("constprod", {"q": (5,), "rmax": 2}),
     ("signchain", {"rmax": 2}),
-    ("transfer", {"qs": (5,), "rrmax": 2}),
+    ("transfer", {"q": (5,), "rrmax": 2}),
     ("weyl", {"nmax": 3}),
     ("descent", {"beta_max": 2}),
     ("params", {"nmax": 1}),

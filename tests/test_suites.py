@@ -11,6 +11,7 @@ import pytest
 from endosign import constants, descent, suites
 from endosign import families as fam
 from endosign import params as par
+from endosign.cli import main
 from endosign.localfield import ResidueParam, SquareClass, sgn_minus_one
 from endosign.partitions import Partition
 from endosign.weyl import sgn_cd
@@ -35,7 +36,7 @@ def test_transfer_fails_on_a_flipped_transfer_factor_sign(monkeypatch):
     original = constants.transfer_factor_sign
     monkeypatch.setattr(constants, "transfer_factor_sign",
                         lambda *args: _negated(original(*args)))
-    report = suites.run("transfer", qs=(5,), rrmax=0)
+    report = suites.run("transfer", q=(5,), rrmax=0)
     assert report.points_checked > 0
     assert len(report.failures) == report.points_checked
     assert {f["identity"] for f in report.failures} == {"transfer"}
@@ -157,14 +158,39 @@ def test_a_passing_sweep_enters_its_generator_once(name, bounds, monkeypatch):
     assert entries == [suites.parameters(name, bounds)]
 
 
+@pytest.mark.parametrize("name, bounds", SMALL_SWEEPS, ids=[name for name, _ in SMALL_SWEEPS])
+def test_a_report_re_runs_from_its_own_parameters(name, bounds, capsys):
+    report = suites.run(name, **bounds).to_json_dict()
+    given = json.loads(json.dumps(report["parameters"]))
+    again = suites.run(name, **given).to_json_dict()
+    assert {**again, "elapsed_ms": 0} == {**report, "elapsed_ms": 0}
+    # the CLI flag of a parameter is "--" + its key with "-" for "_"
+    flags = [arg for key, value in given.items()
+             for arg in ("--" + key.replace("_", "-"),
+                         ",".join(map(str, value)) if key == "q" else str(value))]
+    assert main(["verify", name, *flags]) == 0
+
+    def untimed(text):
+        return [line for line in text.splitlines(keepends=True)
+                if not line.startswith('  "elapsed_ms": ')]
+
+    printed = capsys.readouterr().out
+    assert untimed(printed) == untimed(json.dumps(report, sort_keys=True, indent=2) + "\n")
+
+
+def test_a_keyword_the_suite_does_not_take_is_a_type_error():
+    with pytest.raises(TypeError, match="suite 'aux' takes no parameter 'q'"):
+        suites.run("aux", q=(5,))
+
+
 def test_constprod_fails_on_the_swapped_two_power_reading(monkeypatch):
     # the row function's products, each halved: every point fails by exactly
     # half, so the alternate reading, which doubles the left side, holds.  The
     # note is read off the sweep's records: its generator is entered once.
     _halve_products(monkeypatch)
     entries = _entries(monkeypatch, "constprod")
-    report = suites.run("constprod", qs=(5, 7), rmax=3)
-    assert entries == [{"qs": (5, 7), "rmax": 3}]
+    report = suites.run("constprod", q=(5, 7), rmax=3)
+    assert entries == [{"q": (5, 7), "rmax": 3}]
     assert len(report.failures) == report.points_checked == 294
     assert {f["identity"] for f in report.failures} == {"constprod"}
     assert_records_name_their_points(report)
@@ -175,7 +201,7 @@ def test_constprod_fails_on_a_pair_power_constant_off_by_three(monkeypatch):
     original = constants.pair_power_constant
     monkeypatch.setattr(constants, "pair_power_constant",
                         lambda *args: original(*args) * 3)
-    report = suites.run("constprod", qs=(5,), rmax=2)
+    report = suites.run("constprod", q=(5,), rmax=2)
     assert len(report.failures) == report.points_checked > 0
     assert {f["identity"] for f in report.failures} == {"constprod"}
     assert_records_name_their_points(report)
@@ -187,20 +213,20 @@ def test_constprod_alternate_reading_can_fail_too(monkeypatch):
     original = constants.even_case_transfer_constant
     monkeypatch.setattr(constants, "even_case_transfer_constant",
                         lambda *args: -original(*args))
-    report = suites.run("constprod", qs=(5,), rmax=1)
+    report = suites.run("constprod", q=(5,), rmax=1)
     assert len(report.failures) == report.points_checked > 0
     assert {f["identity"] for f in report.failures} == {"constprod"}
     assert_records_name_their_points(report)
     assert report.notes == ["failures re-evaluated under the alternate two-power reading: fail"]
 
 
-def _constprod_points(qs, rmax, keep):
+def _constprod_points(q, rmax, keep):
     """(q, r', r'', scd1, scd2, eta, eta2, beta) of each point of constprod_window that keep admits.
 
     keep reads the point's (r', r'', scd1, beta).
     """
     return [(field.q, rp, rpp, s1, s2, eta.name(), eta2.name(), beta)
-            for field, _, rp, rpp, points in constants.constprod_window(qs, rmax)
+            for field, _, rp, rpp, points in constants.constprod_window(q, rmax)
             for s1, s2, eta, _, eta2, beta in points if keep(rp, rpp, s1, beta)]
 
 
@@ -223,7 +249,7 @@ def test_constprod_fails_where_the_orientation_sign_reads_scd1_minus_one(monkeyp
         return -value if next(calls) % 3 == 0 and scd1 == -1 else value
 
     monkeypatch.setattr(constants, "alpha_constant", negated)
-    report = suites.run("constprod", qs=(5, 7), rmax=3)
+    report = suites.run("constprod", q=(5, 7), rmax=3)
     assert_records_name_their_points(report)
     expected = _constprod_points((5, 7), 3, lambda rp, rpp, s1, beta: s1 == -1)
     assert 0 < len(expected) < report.points_checked
@@ -239,7 +265,7 @@ def test_constprod_fails_on_a_pair_power_constant_wrong_at_one_row(monkeypatch):
         return original(rp, rpp, rp_field) * (3 if (rp, rpp) == (3, 1) else 1)
 
     monkeypatch.setattr(constants, "pair_power_constant", tripled)
-    report = suites.run("constprod", qs=(5, 7, 13), rmax=3)
+    report = suites.run("constprod", q=(5, 7, 13), rmax=3)
     assert_records_name_their_points(report)
     expected = _constprod_points((5, 7, 13), 3, lambda rp, rpp, s1, beta: (rp, rpp) == (3, 1))
     assert {q for q, *_ in expected} == {5, 7, 13}
@@ -252,7 +278,7 @@ def test_constprod_fails_on_a_product_constant_halved_at_beta_zero(monkeypatch):
     # point, where beta = 1, and reused it at beta = 0 would double those
     # products, and the fault would hide that.
     _halve_products(monkeypatch, at_beta=(0,))
-    report = suites.run("constprod", qs=(5, 7), rmax=3)
+    report = suites.run("constprod", q=(5, 7), rmax=3)
     assert_records_name_their_points(report)
     expected = _constprod_points((5, 7), 3, lambda rp, rpp, s1, beta: beta == 0)
     assert 0 < len(expected) < report.points_checked
@@ -267,7 +293,7 @@ def test_constprod_fails_on_a_product_constant_halved_at_beta_zero(monkeypatch):
 def test_transfer_fails_on_a_negated_factorwise_factor(factor, monkeypatch):
     original = getattr(constants, factor)
     monkeypatch.setattr(constants, factor, lambda *args: _negated(original(*args)))
-    report = suites.run("transfer", qs=(5,), rrmax=2)
+    report = suites.run("transfer", q=(5,), rrmax=2)
     assert len(report.failures) == report.points_checked > 0
     assert {f["identity"] for f in report.failures} == {"transfer"}
     assert_records_name_their_points(report)
@@ -429,7 +455,7 @@ def _per_point_transfer_failures(q, rrmax):
 @pytest.mark.parametrize("fault", sorted(PARTIAL_FAULTS))
 def test_transfer_sweep_fails_where_the_per_point_check_fails(fault, monkeypatch):
     monkeypatch.setattr(*PARTIAL_FAULTS[fault]())
-    report = suites.run("transfer", qs=(5,), rrmax=2)
+    report = suites.run("transfer", q=(5,), rrmax=2)
     assert 0 < len(report.failures) < report.points_checked
     assert_records_name_their_points(report)
     assert report.failures == _per_point_transfer_failures(5, 2)
@@ -438,7 +464,7 @@ def test_transfer_sweep_fails_where_the_per_point_check_fails(fault, monkeypatch
 @pytest.mark.parametrize("fault", ["factorwise_u_factor", "transfer_factor_sign"])
 def test_transfer_records_of_one_gamma_differ_by_their_block(fault, monkeypatch):
     monkeypatch.setattr(*PARTIAL_FAULTS[fault]())
-    report = suites.run("transfer", qs=(5,), rrmax=2)
+    report = suites.run("transfer", q=(5,), rrmax=2)
     assert_records_name_their_points(report)
     # a gamma of one sign target lies in four (beta', beta'', eta) blocks
     blockless = {json.dumps({**f, "scd1": 0, "scd2": 0, "eta": 0}) for f in report.failures}
@@ -447,7 +473,7 @@ def test_transfer_records_of_one_gamma_differ_by_their_block(fault, monkeypatch)
 
 def test_transfer_eta_of_l2_fault_fails_on_b_one_shapes_only(monkeypatch):
     monkeypatch.setattr(*PARTIAL_FAULTS["eta_of_L2"]())
-    report = suites.run("transfer", qs=(5,), rrmax=2)
+    report = suites.run("transfer", q=(5,), rrmax=2)
     assert_records_name_their_points(report)
     # the closed route reads eta[L2, gamma] only when B = 1, that is r' < r''
     assert {(f["rp"], f["rpp"]) for f in report.failures} == {(0, 2), (1, 3), (2, 4)}
@@ -457,7 +483,7 @@ def test_transfer_eta_of_l2_fault_fails_on_b_one_shapes_only(monkeypatch):
                                    "transfer_factor_sign_negated_m"])
 def test_transfer_negated_m_fails_on_b_one_shapes_with_odd_t2(fault, monkeypatch):
     monkeypatch.setattr(*PARTIAL_FAULTS[fault]())
-    report = suites.run("transfer", qs=(5,), rrmax=4)
+    report = suites.run("transfer", q=(5,), rrmax=4)
     assert_records_name_their_points(report)
     # the r' < r'' shapes with t2 = 1 fail; (0, 4) and (1, 5), with t2 = 2, pass
     assert {(f["rp"], f["rpp"]) for f in report.failures} == {(0, 2), (1, 3), (2, 4)}
@@ -504,7 +530,7 @@ def test_transfer_checks_each_row_once(monkeypatch):
     for name in ("factorwise_grids", "closed_grids", "factorwise_block_sign",
                  "closed_block_sign", "sgn_minus_one"):
         counted(constants, name, lambda *args, name=name: name)
-    report = suites.run("transfer", qs=(5,), rrmax=2)
+    report = suites.run("transfer", q=(5,), rrmax=2)
     assert report.passed
     shapes = [fam.SplitShape(*shape) for shape in constants._transfer_shapes(2, 5)]
     field = ResidueParam(5)
@@ -546,8 +572,8 @@ def test_transfer_checks_each_row_once(monkeypatch):
     assert calls["sgn_minus_one"] == 1
 
 
-@pytest.mark.parametrize("qs, rrmax", [((5,), 2), ((5, 7), 4)])
-def test_transfer_keeps_no_table_past_its_shape(qs, rrmax, monkeypatch):
+@pytest.mark.parametrize("q, rrmax", [((5,), 2), ((5, 7), 4)])
+def test_transfer_keeps_no_table_past_its_shape(q, rrmax, monkeypatch):
     original_check = constants.factorwise_transfer_check
     original_gamma = fam.enumerate_gamma
     alive = Counter()  # (q, r', r'') -> its row-pair groups alive
@@ -576,7 +602,7 @@ def test_transfer_keeps_no_table_past_its_shape(qs, rrmax, monkeypatch):
 
     monkeypatch.setattr(constants, "factorwise_transfer_check", check)
     monkeypatch.setattr(fam, "enumerate_gamma", enumerate_gamma)
-    report = suites.run("transfer", qs=qs, rrmax=rrmax)
+    report = suites.run("transfer", q=q, rrmax=rrmax)
     assert report.passed
     # per sign target of every shape: the groups of each scd2, none left alive
     assert set(filled.values()) == {4}
@@ -588,7 +614,7 @@ def test_a_wrong_closed_block_sign_fails_constprod_and_transfer(monkeypatch):
     # so a fault in its one definition fails both identities that read it
     monkeypatch.setattr(*PARTIAL_FAULTS["closed_block_sign"]())
     for suite, bounds in (("constprod", {"rmax": 2}), ("transfer", {"rrmax": 2})):
-        report = suites.run(suite, qs=(5,), **bounds)
+        report = suites.run(suite, q=(5,), **bounds)
         assert 0 < len(report.failures) < report.points_checked
         assert {f["identity"] for f in report.failures} == {suite}
         assert_records_name_their_points(report)
@@ -653,7 +679,7 @@ def test_counting_fails_on_a_reassembly_with_l1_and_l2_swapped(monkeypatch):
     original = fam.reassemble
     monkeypatch.setattr(fam, "reassemble", lambda pair, shape: original(
         fam.LPair(pair.l2, pair.l1), shape))
-    report = suites.run("counting", qs=(5,), t2max=1)
+    report = suites.run("counting", q=(5,), t2max=1)
     assert report.failures and not report.passed
     assert {f["identity"] for f in report.failures} == {"image", "worked_fibers"}
     assert_records_name_their_points(report)
@@ -676,11 +702,17 @@ def _repeated_first_entry():
     return fam, "reassemble", repeating
 
 
+def _family_sides(family, shape, field):
+    """A family's side-1 and side-2 selections, as reassembly_tallies builds them."""
+    return (fam.family_selections([g1 for g1, _ in family], shape.r, field),
+            fam.family_selections([g2 for _, g2 in family], 0, field))
+
+
 def _per_preimage_tallies(shape, pairs, choices, field):
     """reassembly_tallies with each (family, c1, c2, pairing) reassembled on its own."""
     tallies = {taus: [Counter() for _ in pairs] for taus in itertools.product((1, -1), (1, -1))}
     for family in fam.enumerate_transversal_families(shape, choices):
-        side1, side2 = [fam.family_selections(family, idx, shape, field) for idx in (1, 2)]
+        side1, side2 = _family_sides(family, shape, field)
         for (tau1, tau2), row in tallies.items():
             for c1, c2, (pair, tally) in itertools.product(side1[tau1], side2[tau2],
                                                            zip(pairs, row)):
@@ -719,7 +751,7 @@ def test_the_tally_is_the_per_preimage_tally(q, monkeypatch):
                          [(5, 97, {"image", "worked_fibers"}), (7, 48, {"image"})])
 def test_counting_fails_on_a_gather_that_repeats_an_entry(q, count, identities, monkeypatch):
     monkeypatch.setattr(*_repeated_first_entry())
-    report = suites.run("counting", qs=(q,), t2max=1)
+    report = suites.run("counting", q=(q,), t2max=1)
     assert len(report.failures) == count
     assert {f["identity"] for f in report.failures} == identities
     assert_records_name_their_points(report)
@@ -728,7 +760,7 @@ def test_counting_fails_on_a_gather_that_repeats_an_entry(q, count, identities, 
 def test_counting_fails_on_a_doubled_fiber_size_prediction(monkeypatch):
     original = fam.fiber_size_prediction
     monkeypatch.setattr(fam, "fiber_size_prediction", lambda *args: original(*args) * 2)
-    report = suites.run("counting", qs=(5,), t2max=1)
+    report = suites.run("counting", q=(5,), t2max=1)
     assert report.failures and not report.passed
     assert {f["identity"] for f in report.failures} == {"fiber", "worked_fibers"}
     assert_records_name_their_points(report)
@@ -739,7 +771,7 @@ def test_counting_fails_on_a_doubled_fiber_size_prediction(monkeypatch):
 def test_counting_fails_on_a_slotwise_count_off_by_one(monkeypatch):
     original = fam.fiber_count_check
     monkeypatch.setattr(fam, "fiber_count_check", lambda *args: original(*args) + 1)
-    report = suites.run("counting", qs=(5,), t2max=1)
+    report = suites.run("counting", q=(5,), t2max=1)
     assert {f["identity"] for f in report.failures} == {"fiber", "worked_fibers"}
     assert_records_name_their_points(report)
     fibers = [f for f in report.failures if f["identity"] == "fiber"]
@@ -750,9 +782,12 @@ def test_counting_fails_on_a_slotwise_count_off_by_one(monkeypatch):
 def test_counting_rejects_components_that_do_not_match_the_shape(monkeypatch):
     original = fam.family_selections
     for side, change in itertools.product((1, 2), (-1, 1)):
-        def misshapen(family, index, shape, rp_field, _side=side, _change=change):
-            buckets = original(family, index, shape, rp_field)
-            if index == _side and shape.t2 == 1:
+        built = itertools.count(1)
+
+        def misshapen(halves, r, rp_field, _side=side, _change=change, _built=built):
+            buckets = original(halves, r, rp_field)
+            # per family, side 1 is built first and side 2 second
+            if (next(_built) - _side) % 2 == 0 and len(halves) == 1:
                 # every selection of the side one entry short or long
                 return {sign: [sel[:-1] if _change < 0 else sel + (1,) for sel in sels]
                         for sign, sels in buckets.items()}
@@ -761,7 +796,7 @@ def test_counting_rejects_components_that_do_not_match_the_shape(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(fam, "family_selections", misshapen)
             with pytest.raises(ValueError, match="component lengths do not match the shape"):
-                suites.run("counting", qs=(5,), t2max=1)
+                suites.run("counting", q=(5,), t2max=1)
 
 
 def test_counting_builds_the_slot_choices_once_per_field(monkeypatch):
@@ -773,7 +808,7 @@ def test_counting_builds_the_slot_choices_once_per_field(monkeypatch):
         return original(field)
 
     monkeypatch.setattr(fam, "_slot_choices", counted)
-    report = suites.run("counting", qs=(5,), t2max=1)
+    report = suites.run("counting", q=(5,), t2max=1)
     assert report.passed
     # one table serves the family counts, the families of every shape and
     # the slotwise count
@@ -803,7 +838,7 @@ def test_counting_builds_each_tally_once(monkeypatch):
         return applied
 
     monkeypatch.setattr(fam, "reassemble", reassemble)
-    report = suites.run("counting", qs=(5,), t2max=1)
+    report = suites.run("counting", q=(5,), t2max=1)
     assert report.passed
     # two selection tables per (shape, family), one gather per (shape,
     # pairing), one vector list per (shape, sign target), one eta_of_L2 per
@@ -834,7 +869,7 @@ def test_counting_keeps_no_family_past_its_iteration(q, t2max, monkeypatch):
         return table
 
     monkeypatch.setattr(fam, "family_selections", counted)
-    report = suites.run("counting", qs=(q,), t2max=t2max)
+    report = suites.run("counting", q=(q,), t2max=t2max)
     assert report.passed
     # one family's two tables, and the next family's two while they are built
     assert 0 < alive["peak"] <= 4
@@ -854,7 +889,7 @@ def _per_point_counting_failures(q, t2max):
     for t2, _, fiber_shapes in suites.counting_window(field, t2max):
         for shape, *_ in fiber_shapes:
             rp, rpp = shape.rp, shape.rpp
-            tables = [[fam.family_selections(family, idx, shape, field) for idx in (1, 2)]
+            tables = [_family_sides(family, shape, field)
                       for family in fam.enumerate_transversal_families(shape, choices)]
             for s1, s2, ue, ue2 in itertools.product((1, -1), repeat=4):
                 eta, eta2 = SquareClass(rpp % 2, ue), SquareClass(t2 % 2, ue2)
@@ -946,7 +981,7 @@ COUNTING_FAULTS = {
 def test_counting_sweep_fails_where_the_per_point_check_fails(fault, q, monkeypatch):
     plant, identity, counts = COUNTING_FAULTS[fault]
     monkeypatch.setattr(*plant())
-    report = suites.run("counting", qs=(q,), t2max=1)
+    report = suites.run("counting", q=(q,), t2max=1)
     shaped = [f for f in report.failures if f["identity"] in ("image", "fiber")]
     assert_records_name_their_points(report)
     assert len(shaped) == counts[q]
@@ -1088,7 +1123,7 @@ def test_constprod_checks_each_row_at_once(monkeypatch):
     monkeypatch.setattr(fam, "transversal_family_count_formula", counted)
     names = ["collapse_and_product_constants", "pair_power_constant", "alpha_constant",
              "even_case_transfer_constant"]
-    yields, calls = _batches_and_calls(monkeypatch, "constprod", names, qs=(5, 7), rmax=2)
+    yields, calls = _batches_and_calls(monkeypatch, "constprod", names, q=(5, 7), rmax=2)
     rows = list(constants.constprod_window((5, 7), 2))
     # one batch per (q, r', r'') of equal parity, of all of its points
     assert [(field.q, rp, rpp) for field, _, rp, rpp, _ in rows] == \
@@ -1158,7 +1193,7 @@ def test_params_fails_on_a_restriction_to_the_other_eigenspace(monkeypatch):
 
 
 @pytest.mark.parametrize("name, given, error", [
-    ("counting", {"qs": (5, 1000000007)}, "q capped at 101"),
+    ("counting", {"q": (5, 1000000007)}, "q capped at 101"),
     ("aux", {"rmax": 1000}, "rmax capped at 60"),
 ])
 def test_a_value_above_its_cap_is_refused_with_an_incomplete_report(name, given, error,
