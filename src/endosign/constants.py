@@ -18,7 +18,6 @@ import math
 from fractions import Fraction
 
 from . import families as fam
-from .exact import ExactValue
 from .localfield import TRIVIAL, ResidueParam, SquareClass, legendre, sgn_minus_one
 from .partitions import Partition
 from .weyl import sgn_cd
@@ -433,13 +432,12 @@ def product_identity_points(q, rmax: int):
         failures = []
         for (s1, s2, eta, eta1, eta2, beta), value in zip(
                 points, product_formula_lhs(rp, rpp, points, field)):
-            lhs = ExactValue(value)
             rhs = even_case_transfer_constant(eta1, eta2, rp, rpp, s2, eta, m)
-            if lhs.value != rhs:
+            if value != rhs:
                 failures.append(
                     {"q": field.q, "rp": rp, "rpp": rpp, "eta": eta.name(), "eta1": eta1.name(),
                      "eta2": eta2.name(), "scd1": s1, "scd2": s2, "beta": beta,
-                     "identity": "constprod", "lhs": str(lhs.value), "rhs": rhs})
+                     "identity": "constprod", "lhs": str(value), "rhs": rhs})
         yield len(points), failures
 
 

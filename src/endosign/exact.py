@@ -1,6 +1,9 @@
-"""Exact nonzero rationals: the left-hand side of the product-formula identity.
+"""Exact nonzero rationals.
 
-A failure record writes one as its Fraction's string, such as "-3/4".
+No sweep builds one: constprod compares plain Fractions and writes its
+left side as the Fraction's string.  The class stays because the per-layer
+metrics exact.ExactValue.init.calls and exact.self_s of BENCHMARK.json
+name it.
 """
 
 from fractions import Fraction

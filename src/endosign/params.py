@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .partitions import Partition, SymplecticPartition
+from .partitions import SymplecticPartition
 
 PLUS, MINUS = 1, -1
 
@@ -39,44 +39,15 @@ class UnipQuadParam:
                  eps_minus: Mapping[int, int] | None = None):
         self.lam_plus = lam_plus
         self.lam_minus = lam_minus
-        self.eps_plus = _check_eps(eps_plus or {}, lam_plus, "+") if eps_plus is not None \
+        self.eps_plus = _check_eps(eps_plus, lam_plus, "+") if eps_plus is not None \
             else {k: 1 for k in lam_plus.jord_bp}
-        self.eps_minus = _check_eps(eps_minus or {}, lam_minus, "-") if eps_minus is not None \
+        self.eps_minus = _check_eps(eps_minus, lam_minus, "-") if eps_minus is not None \
             else {k: 1 for k in lam_minus.jord_bp}
-        total = lam_plus.total + lam_minus.total
-        if total % 2:
-            raise ValueError("total size must be even")
-        self.n = total // 2
+        self.n = (lam_plus.size() + lam_minus.size()) // 2
 
     def __repr__(self):
-        return (f"UnipQuadParam(lam_plus={list(self.lam_plus.base.parts)}, "
-                f"lam_minus={list(self.lam_minus.base.parts)}, n={self.n})")
-
-
-class AssembledTriple:
-    """(lambda, s, h) with the commuting refinement into four cells.
-
-    cells maps (s_sign, h_sign) to the sub-multiset of lambda lying in that
-    joint eigenspace; s and h are the two marginal splittings.
-    """
-
-    __slots__ = ("cells",)
-
-    def __init__(self, cells: Mapping[tuple[int, int], Partition]):
-        keys = {(PLUS, PLUS), (PLUS, MINUS), (MINUS, PLUS), (MINUS, MINUS)}
-        cells = dict(cells)
-        if set(cells) != keys:
-            raise ValueError("cells must cover the four (s, h) sign pairs")
-        self.cells = cells
-
-    def restrict(self, h_sign: int) -> tuple[SymplecticPartition, SymplecticPartition]:
-        """(lambda+, lambda-) of the factor supported on the given h-eigenspace."""
-        return (SymplecticPartition(self.cells[PLUS, h_sign]),
-                SymplecticPartition(self.cells[MINUS, h_sign]))
-
-    def __repr__(self):
-        cells = ", ".join(f"{k}: {list(v.parts)}" for k, v in sorted(self.cells.items()))
-        return f"AssembledTriple(cells={{{cells}}})"
+        return (f"UnipQuadParam(lam_plus={list(self.lam_plus.parts)}, "
+                f"lam_minus={list(self.lam_minus.parts)}, n={self.n})")
 
 
 def endoscopic_pairs(n: int) -> list[tuple[int, int]]:
@@ -87,20 +58,28 @@ def endoscopic_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def assemble_triple(t1: UnipQuadParam, t2: UnipQuadParam,
-                    pair: tuple[int, int]) -> AssembledTriple:
+                    pair: tuple[int, int]) -> dict[tuple[int, int], SymplecticPartition]:
     """Assemble two parameters into (lambda, s, h) for the pair (n1, n2).
 
-    h has +1 exactly on the first factor, s has +1 on the plus-partitions.
+    The triple is its four cells: (s_sign, h_sign) maps to the sub-multiset
+    of lambda in that joint eigenspace.  h has +1 exactly on the first
+    factor, s has +1 on the plus-partitions.
     """
     n1, n2 = pair
     if t1.n != n1 or t2.n != n2:
         raise ValueError(f"factor sizes ({t1.n}, {t2.n}) do not match pair {pair}")
-    return AssembledTriple({
-        (PLUS, PLUS): t1.lam_plus.base,
-        (MINUS, PLUS): t1.lam_minus.base,
-        (PLUS, MINUS): t2.lam_plus.base,
-        (MINUS, MINUS): t2.lam_minus.base,
-    })
+    return {
+        (PLUS, PLUS): t1.lam_plus,
+        (MINUS, PLUS): t1.lam_minus,
+        (PLUS, MINUS): t2.lam_plus,
+        (MINUS, MINUS): t2.lam_minus,
+    }
+
+
+def restrict(cells: Mapping[tuple[int, int], SymplecticPartition],
+             h_sign: int) -> tuple[SymplecticPartition, SymplecticPartition]:
+    """(lambda+, lambda-) of the factor supported on the given h-eigenspace."""
+    return cells[PLUS, h_sign], cells[MINUS, h_sign]
 
 
 def eval_character_on_image(param: UnipQuadParam, image: Mapping[tuple[int, int], int]) -> int:

@@ -75,31 +75,20 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     yield from gen(n, n if n else 1, ())
 
 
-class SymplecticPartition:
+class SymplecticPartition(Partition):
     """A partition of an even total in which every odd part has even multiplicity.
 
     jord_bp holds its distinct even parts, descending (the even blocks),
     found once at construction.
     """
 
-    __slots__ = ("base", "total", "jord_bp")
+    __slots__ = ("jord_bp",)
 
-    def __init__(self, base: Partition):
-        total = base.size()
-        if not is_symplectic(base, total):
-            raise ValueError(f"{base!r} is not a symplectic partition of {total}")
-        self.base = base
-        self.total = total
-        self.jord_bp = tuple(sorted({k for k in base.parts if k % 2 == 0}, reverse=True))
-
-    def __eq__(self, other):
-        return isinstance(other, SymplecticPartition) and self.base == other.base
-
-    def __repr__(self):
-        return f"SymplecticPartition({list(self.base.parts)})"
-
-    def to_json(self) -> list[int]:
-        return self.base.to_json()
+    def __init__(self, parts: Iterable[int] = ()):
+        super().__init__(parts)
+        if not is_symplectic(self, self.size()):
+            raise ValueError(f"{list(self.parts)} is not a symplectic partition")
+        self.jord_bp = tuple(sorted({k for k in self.parts if k % 2 == 0}, reverse=True))
 
 
 def enumerate_symplectic(two_n: int) -> list[SymplecticPartition]:
@@ -109,5 +98,5 @@ def enumerate_symplectic(two_n: int) -> list[SymplecticPartition]:
     if two_n > SYMPLECTIC_ENUM_CAP:
         raise ResourceLimitError(
             f"symplectic enumeration capped at {SYMPLECTIC_ENUM_CAP}, got {two_n}")
-    return [SymplecticPartition(p)
+    return [SymplecticPartition(p.parts)
             for p in enumerate_partitions(two_n) if is_symplectic(p, two_n)]

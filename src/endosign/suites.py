@@ -36,7 +36,7 @@ from . import params as par
 from .constants import (QuadrupleGamma, aux_points, product_identity_points,
                         sign_chain_points, split_points, split_sizes, transfer_points)
 from .localfield import ResidueParam, SquareClass, is_prime
-from .partitions import Partition, enumerate_partitions, enumerate_symplectic
+from .partitions import SymplecticPartition, enumerate_partitions, enumerate_symplectic
 from .weyl import (brute_class_sizes, brute_class_sizes_a, class_size_a, class_size_b,
                    conjugation_orbit_sizes, order_b)
 
@@ -203,7 +203,7 @@ def weyl_points(nmax: int):
             total += size
             yield 1, () if formula == size else (
                 {"N": N, "cls": {"alpha": alpha.to_json(), "beta": beta.to_json()},
-                 "identity": "class_size", "lhs": formula, "rhs": size},)
+                 "identity": "class_size", "lhs": str(formula), "rhs": size},)
         yield 1, () if total == order_b(N) else (
             {"N": N, "identity": "total", "lhs": total, "rhs": order_b(N)},)
         if N <= 3:
@@ -215,10 +215,10 @@ def weyl_points(nmax: int):
             formula = class_size_a(pi)
             yield 1, () if formula == size else (
                 {"d": d, "cls": {"pi": pi.to_json()}, "identity": "class_size_a",
-                 "lhs": formula, "rhs": size},)
+                 "lhs": str(formula), "rhs": size},)
         total_a = sum(class_size_a(p) for p in enumerate_partitions(d))
         yield 1, () if total_a == factorial(d) else (
-            {"d": d, "identity": "total_a", "lhs": total_a, "rhs": factorial(d)},)
+            {"d": d, "identity": "total_a", "lhs": str(total_a), "rhs": factorial(d)},)
 
 
 def descent_window():
@@ -310,8 +310,8 @@ def bilinearity_window():
     even blocks on the plus side and one on the minus side; every character, every image pair."""
     for blocks_plus in ((), (2,), (4, 2), (6, 4, 2)):
         for blocks_minus in ((), (2,)):
-            sp = par.SymplecticPartition(Partition(blocks_plus))
-            sm = par.SymplecticPartition(Partition(blocks_minus))
+            sp = SymplecticPartition(blocks_plus)
+            sm = SymplecticPartition(blocks_minus)
             keys = [(par.PLUS, k) for k in sp.jord_bp] + [(par.MINUS, k) for k in sm.jord_bp]
             signs = list(itertools.product((1, -1), repeat=len(keys)))
             images = [dict(zip(keys, bits)) for bits in signs]
@@ -333,8 +333,8 @@ def params_points(nmax: int):
     every point of bilinearity_window.
     """
     for n, t1, t2, ns in restriction_window(nmax):
-        triple = par.assemble_triple(t1, t2, ns)
-        back1, back2 = triple.restrict(par.PLUS), triple.restrict(par.MINUS)
+        cells = par.assemble_triple(t1, t2, ns)
+        back1, back2 = par.restrict(cells, par.PLUS), par.restrict(cells, par.MINUS)
         yield 1, () if (back1 == (t1.lam_plus, t1.lam_minus)
                         and back2 == (t2.lam_plus, t2.lam_minus)) else (
             {"n": n, "pair": list(ns),
@@ -381,11 +381,12 @@ def parameters(name: str, given: dict) -> dict:
     """The suite's keyword arguments: the given values over the defaults.
 
     The q list is kept as a tuple, and run(name, **report.parameters) sweeps
-    again.  Raises TypeError for a keyword the suite does not take, and
-    ValueError for a value below its lower bound or off its step, or a q
-    list that is empty, repeats a value, or holds a value that is not a
-    prime >= 5.  Caps are checked by run(); a q above its cap is left to
-    that check unexamined, so no large q is ever trial-divided.
+    again.  Raises TypeError for a keyword the suite does not take, a bound
+    that is not an int (a bool included) or a q that is not a list or tuple
+    of ints, and ValueError for a value below its lower bound or off its
+    step, or a q list that is empty, repeats a value, or holds a value that
+    is not a prime >= 5.  Caps are checked by run(); a q above its cap is
+    left to that check unexamined, so no large q is ever trial-divided.
     """
     specs = SUITES[name][1]
     unknown = sorted(set(given) - {spec[0] for spec in specs})
@@ -395,11 +396,15 @@ def parameters(name: str, given: dict) -> dict:
     for key, default, low, cap, *step in specs:
         value = given.get(key, default)
         if key == "q":
+            if not isinstance(value, (list, tuple)) or any(type(q) is not int for q in value):
+                raise TypeError(f"q must be a list of ints, got {value!r}")
             value = tuple(value)
             if not value or len(set(value)) < len(value) or \
                     any(q < low or q <= cap and not is_prime(q) for q in value):
                 raise ValueError(f"q must list distinct primes >= {low}, got {list(value)}")
         else:
+            if type(value) is not int:
+                raise TypeError(f"{key} must be an int, got {value!r}")
             step, = step
             if value < low or (value - low) % step:
                 kind = "an even integer" if step == 2 else "an integer"
@@ -447,11 +452,12 @@ class VerificationReport:
 def run(name: str, **given) -> VerificationReport:
     """Sweep one suite and report every failing point.
 
-    The parameters are checked before any point: ValueError for an invalid
-    value; a value above its cap is refused with an incomplete report that
-    names the cap in parameters["error"] and checks no point.  The generator
-    is entered once.  A failing constprod report notes, read off its records,
-    whether doubling the left side (the alternate two-power reading) passes.
+    The parameters are checked before any point: TypeError or ValueError for
+    an invalid value; a value above its cap is refused with an incomplete
+    report that names the cap in parameters["error"] and checks no point.
+    The generator is entered once.  A failing constprod report notes, read
+    off its records, whether doubling the left side (the alternate two-power
+    reading) passes.
     """
     points, specs = SUITES[name]
     values = parameters(name, given)

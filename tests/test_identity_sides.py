@@ -336,9 +336,9 @@ REGISTRY = {
                         "what assignment_sizes computes"}),
     # params
     "restriction": Identity({
-        "restricted": lambda: [(triple.restrict(par.PLUS), triple.restrict(par.MINUS))
-                               for triple in (par.assemble_triple(t1, t2, ns)
-                                              for _, t1, t2, ns in RESTRICTION_POINTS)],
+        "restricted": lambda: [(par.restrict(cells, par.PLUS), par.restrict(cells, par.MINUS))
+                               for cells in (par.assemble_triple(t1, t2, ns)
+                                             for _, t1, t2, ns in RESTRICTION_POINTS)],
         "factors": lambda: [((t1.lam_plus, t1.lam_minus), (t2.lam_plus, t2.lam_minus))
                             for _, t1, t2, _ in RESTRICTION_POINTS],
     }, {}),

@@ -33,9 +33,9 @@ def test_enumerate_symplectic_against_brute_filter():
         brute = [p for p in enumerate_partitions(two_n)
                  if all(m % 2 == 0 for k, m in p.counter().items() if k % 2)]
         got = enumerate_symplectic(two_n)
-        assert [sp.base for sp in got] == brute
-        assert len({sp.base for sp in got}) == len(got)
-        assert all(is_symplectic(sp.base, two_n) for sp in got)
+        assert got == brute
+        assert len(set(got)) == len(got)
+        assert all(is_symplectic(sp, two_n) for sp in got)
 
 
 def test_enumeration_order_is_lex_descending():
@@ -51,9 +51,9 @@ def test_enumerate_symplectic_cap():
 
 
 def test_jord_bp_lists_distinct_even_parts():
-    sp = SymplecticPartition(Partition([4, 4, 3, 3, 2, 1, 1]))
+    sp = SymplecticPartition([4, 4, 3, 3, 2, 1, 1])
     assert sp.jord_bp == (4, 2)
-    assert SymplecticPartition(Partition([1, 1])).jord_bp == ()
+    assert SymplecticPartition([1, 1]).jord_bp == ()
 
 
 def test_jord_bp_is_set_once_and_equals_the_distinct_even_parts():
@@ -61,10 +61,28 @@ def test_jord_bp_is_set_once_and_equals_the_distinct_even_parts():
     assert "jord_bp" in SymplecticPartition.__slots__
     for two_n in range(0, 18, 2):
         for sp in enumerate_symplectic(two_n):
-            assert sp.jord_bp == tuple(sorted({k for k in sp.base.parts if k % 2 == 0},
+            assert sp.jord_bp == tuple(sorted({k for k in sp.parts if k % 2 == 0},
                                               reverse=True))
 
 
 def test_symplectic_constructor_validates():
     with pytest.raises(ValueError):
-        SymplecticPartition(Partition([3, 1]))
+        SymplecticPartition([3, 1])
+    with pytest.raises(ValueError):
+        SymplecticPartition([3])
+    with pytest.raises(ValueError):
+        SymplecticPartition([2, 0])
+
+
+def test_a_symplectic_partition_is_a_partition():
+    sp = SymplecticPartition([2, 1, 1])
+    assert isinstance(sp, Partition)
+    assert sp == Partition([2, 1, 1]) and Partition([2, 1, 1]) == sp
+    assert hash(sp) == hash(Partition([2, 1, 1]))
+    assert len({sp, Partition([2, 1, 1])}) == 1
+    assert sp != Partition([2, 2])
+    # it adds only the even-block slot to what a Partition holds
+    assert SymplecticPartition.__slots__ == ("jord_bp",)
+    assert set(vars(SymplecticPartition)) == \
+        {"__init__", "__slots__", "jord_bp", "__module__", "__doc__"}
+    assert (sp.parts, sp.size(), sp.to_json()) == ((2, 1, 1), 4, [2, 1, 1])

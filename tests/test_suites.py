@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from endosign import constants, descent, suites
+from endosign import constants, descent, suites, weyl
 from endosign import families as fam
 from endosign import params as par
 from endosign.cli import main
@@ -181,6 +181,33 @@ def test_a_report_re_runs_from_its_own_parameters(name, bounds, capsys):
 def test_a_keyword_the_suite_does_not_take_is_a_type_error():
     with pytest.raises(TypeError, match="suite 'aux' takes no parameter 'q'"):
         suites.run("aux", q=(5,))
+
+
+@pytest.mark.parametrize("name, given", [
+    ("counting", {"q": (5.0,)}), ("counting", {"q": 5}), ("counting", {"q": "5"}),
+    ("aux", {"rmax": 2.0}), ("aux", {"rmax": True}),
+])
+def test_a_value_of_the_wrong_type_is_a_type_error(name, given, monkeypatch):
+    def no_field(self, q):
+        raise AssertionError(f"ResidueParam({q!r}) was built for a mistyped parameter")
+
+    monkeypatch.setattr(ResidueParam, "__init__", no_field)
+    [key] = given
+    with pytest.raises(TypeError, match=f"^{key} must be"):
+        suites.run(name, **given)
+
+
+def test_constprod_fails_on_a_zero_left_side(monkeypatch, capsys):
+    # a zero family count makes every left side 0: each point fails as a record
+    monkeypatch.setattr(fam, "transversal_family_count_formula", lambda shape, field: Fraction(0))
+    report = suites.run("constprod", q=(5,), rmax=0)
+    assert len(report.failures) == report.points_checked == 23
+    assert {f["identity"] for f in report.failures} == {"constprod"}
+    assert all(f["lhs"] == "0" for f in report.failures)
+    assert_records_name_their_points(report)
+    assert report.notes == ["failures re-evaluated under the alternate two-power reading: fail"]
+    assert main(["verify", "constprod", "--q", "5", "--rmax", "0"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == report.failures
 
 
 def test_constprod_fails_on_the_swapped_two_power_reading(monkeypatch):
@@ -653,7 +680,21 @@ def test_weyl_fails_on_an_off_by_one_class_size(monkeypatch):
     assert len(report.failures) == 8
     assert {f["identity"] for f in report.failures} == {"class_size"}
     assert_records_name_their_points(report)
-    assert all(f["lhs"] == f["rhs"] + 1 for f in report.failures)
+    assert all(Fraction(f["lhs"]) == f["rhs"] + 1 for f in report.failures)
+
+
+def test_weyl_fails_on_a_centralizer_order_that_does_not_divide(monkeypatch, capsys):
+    # z([1]) off by one: 3 does not divide |W_1| = 2, nor 2 divide 1! = 1
+    original = weyl._centralizer_factor
+    monkeypatch.setattr(weyl, "_centralizer_factor",
+                        lambda p, weight: original(p, weight) + (p == Partition([1])))
+    report = suites.run("weyl", nmax=1)
+    assert_records_name_their_points(report)
+    assert sorted((f["identity"], f["lhs"], f["rhs"]) for f in report.failures) == [
+        ("class_size", "2/3", 1), ("class_size", "2/3", 1),
+        ("class_size_a", "1/2", 1), ("total_a", "1/2", 1)]
+    assert main(["verify", "weyl", "--nmax", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == report.failures
 
 
 def test_weyl_fails_on_an_off_by_one_symmetric_class_size(monkeypatch):
@@ -668,10 +709,10 @@ def test_weyl_fails_on_an_off_by_one_symmetric_class_size(monkeypatch):
     assert_records_name_their_points(report)
     classes = [f for f in report.failures if "cls" in f]
     assert [f["d"] for f in classes] == [d for d in range(7) for _ in range(class_counts[d])]
-    assert all(f["lhs"] == f["rhs"] + 1 and list(f["cls"]) == ["pi"]
+    assert all(Fraction(f["lhs"]) == f["rhs"] + 1 and list(f["cls"]) == ["pi"]
                and sum(f["cls"]["pi"]) == f["d"] for f in classes)
     totals = [f for f in report.failures if "cls" not in f]
-    assert [(f["identity"], f["lhs"] - f["rhs"]) for f in totals] == \
+    assert [(f["identity"], Fraction(f["lhs"]) - f["rhs"]) for f in totals] == \
         [("total_a", count) for count in class_counts]
 
 
@@ -1180,9 +1221,8 @@ def test_params_fails_on_a_constant_character(monkeypatch):
 
 
 def test_params_fails_on_a_restriction_to_the_other_eigenspace(monkeypatch):
-    original = par.AssembledTriple.restrict
-    monkeypatch.setattr(par.AssembledTriple, "restrict",
-                        lambda triple, h_sign: original(triple, -h_sign))
+    original = par.restrict
+    monkeypatch.setattr(par, "restrict", lambda cells, h_sign: original(cells, -h_sign))
     report = suites.run("params")
     assert {f["identity"] for f in report.failures} == {"restriction"}
     assert_records_name_their_points(report)
