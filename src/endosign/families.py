@@ -15,13 +15,19 @@ in {+1, -1}).  This module enumerates:
   * families of two-element square/non-square transversals with the
     reassembly map used in the product-formula fiber count.
 
+The residue slots are exactly the pair slots' entries, so the admissible
+vectors are built pair slot by pair slot from the distinct residue pairs,
+carrying their Legendre sign product, and no rejected candidate is built.
 A pairing splits gamma into two components gamma1 and gamma2, which are
 again GammaVectors: residues on their pair slots, and (for gamma1) signs on
 their top slots.  A transversal family is the plain tuple of its per-slot
 (G1, G2) pairs.  The reassembly side works on flat tuples: a selection is
 its residues followed by its top signs, and the reassembly tallies are
 keyed by gamma's flat tuple low + high, so no sweep hashes or compares a
-GammaVector.
+GammaVector.  A side's selection table reads only that side's halves, so
+the tallies build it once per distinct halves and shape.  The vectors feed
+the image side of the counting identity and the selections its tally
+side, so their builders are separate and share only legendre.
 
 All weights and counts are exact.
 """
@@ -61,6 +67,9 @@ class SplitShape:
         return f"SplitShape(rp={self.rp}, rpp={self.rpp})"
 
 
+_SIGNS = frozenset((1, -1))
+
+
 class GammaVector:
     """An assignment vector: residues on the low slots, signs on the high slots."""
 
@@ -69,7 +78,7 @@ class GammaVector:
     def __init__(self, low: tuple[int, ...], high: tuple[int, ...]):
         self.low = tuple(low)
         self.high = tuple(high)
-        if not {*self.high} <= {1, -1}:
+        if not _SIGNS.issuperset(self.high):
             raise ValueError("high entries must be +-1")
 
     def sign_product(self, rp_field: ResidueParam) -> int:
@@ -137,25 +146,28 @@ def enumerate_gamma(shape: SplitShape, rp_field: ResidueParam,
     Admissibility: on every even pair slot j the residues at j-1 and j
     differ, and the product of all entry signs equals target.  For
     (eta, w', w'') the target is sgn_cd(w') * sgn_cd(w'') * unit(eta).
+
+    The low slots are the pair slots' residue pairs, so the low tuples are
+    built pair slot by pair slot from the distinct residue pairs (a, b),
+    each with its Legendre sign product, carrying the tuple's sign product;
+    each low tuple then takes the top-sign tuples whose product makes up
+    target.  No rejected candidate is built, and the vectors come out in
+    lexicographic order of low, then high.
     """
     if target not in (1, -1):
         raise ValueError(f"target must be +-1, got {target}")
-    nlow = shape.R - shape.r
-    units = list(rp_field.units())
-    out = []
-    for low in itertools.product(units, repeat=nlow):
-        if any(low[j - 2] == low[j - 1] for j in shape.jhat):
-            continue
-        low_sign = 1
-        for v in low:
-            low_sign *= legendre(v, rp_field)
-        for high in itertools.product((1, -1), repeat=shape.r):
-            hs = 1
-            for s in high:
-                hs *= s
-            if low_sign * hs == target:
-                out.append(GammaVector(low, high))
-    return out
+    signs = {v: legendre(v, rp_field) for v in rp_field.units()}
+    residue_pairs = [((a, b), sa * sb) for a, sa in signs.items()
+                     for b, sb in signs.items() if a != b]
+    # one lazy extension per pair slot, so no level's tuples are held as a list
+    lows = [((), 1)]
+    for _ in shape.jhat:
+        lows = ((low + pair, sign * pair_sign)
+                for low, sign in lows for pair, pair_sign in residue_pairs)
+    tops = {1: [], -1: []}
+    for high in itertools.product((1, -1), repeat=shape.r):
+        tops[math.prod(high)].append(high)
+    return [GammaVector(low, high) for low, sign in lows for high in tops[sign * target]]
 
 
 def kappa_u(u: tuple[int, ...], k_second: tuple[int, ...]) -> int:
@@ -319,21 +331,30 @@ def reassembly_tallies(shape: SplitShape, pairs: list[LPair], choices: list,
 
     A preimage joins a selection from a family's side-1 bucket at tau1 (its
     G1s, shape.r top signs) and one from its side-2 bucket at tau2 (its G2s).
-    One pass over the families, which keeps no family, counts each joined
-    pair comp1 + comp2 per (tau1, tau2); each pairing's gather then maps
-    every distinct joined pair once and adds its count.  That is the
-    per-preimage tally summed in another order, so it holds for any gather,
-    also one that sends two joined pairs to one gamma.
+    A side's selection table reads only that side's halves, so each distinct
+    halves' table is built once per side, on first sight, and kept until the
+    shape's tallies are built: at most ((q-1)^2/4)^t2 tables a side.  One
+    pass over the families counts each joined pair comp1 + comp2 per (tau1,
+    tau2); each pairing's gather then maps every distinct joined pair once
+    and adds its count.  That is the per-preimage tally summed in another
+    order, so it holds for any gather, also one that sends two joined pairs
+    to one gamma.
     """
     gathers = [reassemble(pair, shape) for pair in pairs]
-    widths = ({shape.t2 + shape.r}, {shape.t2})
+
+    def table(built: dict, halves: tuple, r: int) -> dict[int, list[tuple[int, ...]]]:
+        selections = built.get(halves)
+        if selections is None:
+            selections = built[halves] = family_selections(halves, r, rp_field)
+            if {*map(len, selections[1]), *map(len, selections[-1])} != {shape.t2 + r}:
+                raise ValueError("component lengths do not match the shape")
+        return selections
+
+    built1, built2 = {}, {}
     joined = {taus: Counter() for taus in itertools.product((1, -1), (1, -1))}
     for family in enumerate_transversal_families(shape, choices):
-        side1 = family_selections([g1 for g1, _ in family], shape.r, rp_field)
-        side2 = family_selections([g2 for _, g2 in family], 0, rp_field)
-        if ({*map(len, side1[1]), *map(len, side1[-1])},
-                {*map(len, side2[1]), *map(len, side2[-1])}) != widths:
-            raise ValueError("component lengths do not match the shape")
+        side1 = table(built1, tuple(g1 for g1, _ in family), shape.r)
+        side2 = table(built2, tuple(g2 for _, g2 in family), 0)
         for (tau1, tau2), counts in joined.items():
             counts.update(itertools.starmap(
                 operator.add, itertools.product(side1[tau1], side2[tau2])))

@@ -289,19 +289,23 @@ def descent_points(beta_max: int):
                 {"g": g.to_json(), "split": split.to_json(), "identity": "unique_split"},)
 
 
-def _unip_quad_params(n: int):
-    for a in range(n + 1):
-        for lp in enumerate_symplectic(2 * a):
-            for lm in enumerate_symplectic(2 * (n - a)):
-                yield par.UnipQuadParam(lp, lm)
+def _unip_quad_params(n: int, symplectic: list[list[SymplecticPartition]]):
+    """The parameters of size n, from symplectic[k], the symplectic partitions of 2k, k <= n."""
+    return [par.UnipQuadParam(lp, lm)
+            for a in range(n + 1) for lp in symplectic[a] for lm in symplectic[n - a]]
 
 
 def restriction_window(nmax: int):
-    """(n, t1, t2, (n1, n2)) for each parameter pair of each endoscopic pair of size n <= nmax."""
+    """(n, t1, t2, (n1, n2)) for each parameter pair of each endoscopic pair of size n <= nmax.
+
+    Each size's symplectic partitions and parameters are enumerated once.
+    """
+    symplectic = [enumerate_symplectic(2 * k) for k in range(nmax + 1)]
+    params = [_unip_quad_params(k, symplectic) for k in range(nmax + 1)]
     for n in range(nmax + 1):
         for n1, n2 in par.endoscopic_pairs(n):
-            for t1 in _unip_quad_params(n1):
-                for t2 in _unip_quad_params(n2):
+            for t1 in params[n1]:
+                for t2 in params[n2]:
                     yield n, t1, t2, (n1, n2)
 
 
@@ -505,19 +509,20 @@ def enumerate_params_report(n: int) -> dict:
     if n > ENUM_N_CAP:
         return {"kind": "params", "n": n, "incomplete": True,
                 "error": f"parameter enumeration capped at n = {ENUM_N_CAP}"}
+    symplectic = [enumerate_symplectic(2 * k) for k in range(n + 1)]
     partitions = [{"partition": sp.to_json(),
                    "even_blocks": list(sp.jord_bp),
                    "component_group_order": 2 ** len(sp.jord_bp)}
-                  for sp in enumerate_symplectic(2 * n)]
+                  for sp in symplectic[n]]
     parameters = []
-    for t in _unip_quad_params(n):
+    for t in _unip_quad_params(n, symplectic):
         chars = 2 ** (len(t.lam_plus.jord_bp) + len(t.lam_minus.jord_bp))
         parameters.append({"lam_plus": t.lam_plus.to_json(),
                            "lam_minus": t.lam_minus.to_json(),
                            "characters": chars})
-    counts = {}
-    for k in range(n + 1):
-        counts[k] = sum(1 for _ in _unip_quad_params(k))
+    # the number of parameters of size k, from the partition counts
+    counts = [sum(len(symplectic[a]) * len(symplectic[k - a]) for a in range(k + 1))
+              for k in range(n + 1)]
     assembled = [{"pair": [n1, n2], "combinations": counts[n1] * counts[n2]}
                  for n1, n2 in par.endoscopic_pairs(n)]
     return {

@@ -332,8 +332,13 @@ def test_transfer_reports_match_references(q, capsys):
      "7d41e2406031f9c81427ba649d3a1db9e3d17f84d49ce5daf1887ac98cc62729"),
     (["descent", "--beta-max", "10"],
      "8431b983e4bc151c308fdf96c74f75d1a0ed801e45c7dc1c1753b7504e593b1b"),
+    # q = 11, which no golden reaches: 4,931,469 and 82 points
+    (["transfer", "--q", "11", "--rrmax", "4"],
+     "f6674317332fdf4ff992b65f50dc0b78ad7a53f3d9ec11b330670153754e0e96"),
+    (["counting", "--q", "11", "--t2max", "1"],
+     "92295f670b2cce3d69a2eeb689de5eb3e5852e791d4d98b676579ec2d8d3a033"),
 ], ids=["all", "transfer-q5-rrmax6", "counting-q5-t2max3", "constprod-cap", "split-cap",
-        "descent-cap"])
+        "descent-cap", "transfer-q11-rrmax4", "counting-q11-t2max1"])
 def test_reports_without_a_golden_keep_their_digests(argv, digest, capsys):
     code, out = run_cli(capsys, "verify", *argv)
     assert code == 0

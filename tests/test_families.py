@@ -89,6 +89,37 @@ def test_enumerate_gamma_count_against_oracle():
             assert got == want
 
 
+def candidate_filter(shape, field, target):
+    """(low, high) of every admissible vector, as a filter over all (q-1)^(R-r) 2^r candidates.
+
+    Low tuples in lexicographic order, each followed by its top-sign tuples
+    in product order: the order enumerate_gamma must keep.
+    """
+    out = []
+    for low in itertools.product(field.units(), repeat=shape.R - shape.r):
+        if any(low[j - 2] == low[j - 1] for j in shape.jhat):
+            continue
+        low_sign = math.prod(legendre(v, field) for v in low)
+        for high in itertools.product((1, -1), repeat=shape.r):
+            if low_sign * math.prod(high) == target:
+                out.append((low, high))
+    return out
+
+
+@pytest.mark.parametrize("q", [5, 7, 11])
+def test_enumerate_gamma_is_the_candidate_filter_in_order(q):
+    field = ResidueParam(q)
+    # every shape with R - r <= 4 and r <= 2, in both orientations
+    shapes = {(rr + r, r) for rr in (0, 2, 4) for r in (0, 1, 2)}
+    shapes |= {(rpp, rp) for rp, rpp in shapes}
+    assert len(shapes) == 15
+    for rp, rpp in sorted(shapes):
+        shape = SplitShape(rp, rpp)
+        for target in (1, -1):
+            assert [(g.low, g.high) for g in enumerate_gamma(shape, field, target)] == \
+                candidate_filter(shape, field, target)
+
+
 def test_kappa_u():
     assert kappa_u((0, 0), (2,)) == 1
     assert kappa_u((0, 1), (2,)) == -1
@@ -299,3 +330,24 @@ def test_sgn_slot_reads_the_top_signs(field):
             # negating one top sign negates the product
             flipped = GammaVector(gamma.low, (-gamma.high[0],) + gamma.high[1:])
             assert flipped.sign_product(field) == -direct
+
+
+def test_families_with_the_same_halves_get_equal_tables():
+    # a side's table reads only that side's halves, so reassembly_tallies
+    # builds it once per distinct halves; at q = 5 no two families share a
+    # side's halves, at q = 7 each transversal pairs with four at its slot
+    field = F7
+    for shape in (SplitShape(3, 1), SplitShape(4, 0), SplitShape(5, 1)):
+        families = list(enumerate_transversal_families(shape, _slot_choices(field)))
+        for k, r in ((0, shape.r), (1, 0)):
+            tables = {}
+            for family in families:
+                halves = tuple(pair[k] for pair in family)
+                other = tuple(pair[1 - k] for pair in family)
+                tables.setdefault(halves, {})[other] = family_selections(halves, r, field)
+            # several families share each side's halves, with their other halves differing
+            assert len(tables) < len(families)
+            for halves, by_other in tables.items():
+                assert len(by_other) > 1
+                first = next(iter(by_other.values()))
+                assert all(table == first for table in by_other.values())

@@ -827,7 +827,8 @@ def test_counting_rejects_components_that_do_not_match_the_shape(monkeypatch):
 
         def misshapen(halves, r, rp_field, _side=side, _change=change, _built=built):
             buckets = original(halves, r, rp_field)
-            # per family, side 1 is built first and side 2 second
+            # per family, side 1 is built first and side 2 second; at q = 5 no
+            # two families of a shape share a side's halves, so each builds both
             if (next(_built) - _side) % 2 == 0 and len(halves) == 1:
                 # every selection of the side one entry short or long
                 return {sign: [sel[:-1] if _change < 0 else sel + (1,) for sel in sels]
@@ -881,39 +882,100 @@ def test_counting_builds_each_tally_once(monkeypatch):
     monkeypatch.setattr(fam, "reassemble", reassemble)
     report = suites.run("counting", q=(5,), t2max=1)
     assert report.passed
-    # two selection tables per (shape, family), one gather per (shape,
-    # pairing), one vector list per (shape, sign target), one eta_of_L2 per
-    # (vector, pairing, sgn_cd(w2)), one slotwise count per (vector,
-    # pairing) and one prediction per (shape, vector); one reassembly per
-    # preimage would be 163 calls, and one vector list, eta_of_L2, slotwise
-    # count and prediction per point 96, 984, 492 and 492.  Each gather maps
-    # each distinct joined pair of (tau1, tau2) once: 123 applications, where
-    # one per (preimage, pairing) would be 163
+    # one selection table per (shape, side, distinct halves), which at q = 5,
+    # where no two families of a shape share a side's halves, is two per
+    # (shape, family); one gather per (shape, pairing), one vector list per
+    # (shape, sign target), one eta_of_L2 per (vector, pairing, sgn_cd(w2)),
+    # one slotwise count per (vector, pairing) and one prediction per
+    # (shape, vector); one reassembly per preimage would be 163 calls, and
+    # one vector list, eta_of_L2, slotwise count and prediction per point
+    # 96, 984, 492 and 492.  Each gather maps each distinct joined pair of
+    # (tau1, tau2) once: 123 applications, where one per (preimage, pairing)
+    # would be 163
     assert calls == {"family_selections": 36, "reassemble": 8, "enumerate_gamma": 12,
                      "eta_of_L2": 246, "fiber_count_check": 123,
                      "fiber_size_prediction": 75, "gather": 123}
 
 
-@pytest.mark.parametrize("q, t2max", [(5, 1), (7, 2)])
-def test_counting_keeps_no_family_past_its_iteration(q, t2max, monkeypatch):
-    original = fam.family_selections
-    alive = {"now": 0, "peak": 0}
+@pytest.mark.parametrize("q, t2max, builds", [(5, 1, 36), (7, 2, 364)])
+def test_counting_builds_each_side_table_once_and_keeps_none_past_its_shape(q, t2max, builds,
+                                                                           monkeypatch):
+    original_selections = fam.family_selections
+    original_tallies = fam.reassembly_tallies
+    alive = {"now": 0}
+    built = []  # per shape, (r, halves) -> its table builds
 
     class Table(dict):
         def __del__(self):
             alive["now"] -= 1
 
-    def counted(*args):
-        table = Table(original(*args))
+    def counted(halves, r, rp_field):
+        built[-1][r, tuple(halves)] += 1
         alive["now"] += 1
-        alive["peak"] = max(alive["peak"], alive["now"])
-        return table
+        return Table(original_selections(halves, r, rp_field))
+
+    def tallies(shape, pairs, choices, rp_field):
+        assert alive["now"] == 0
+        built.append(Counter())
+        out = original_tallies(shape, pairs, choices, rp_field)
+        assert alive["now"] == 0
+        # one build per side and distinct halves: G1s with shape.r top signs, G2s with none
+        families = list(fam.enumerate_transversal_families(shape, choices))
+        assert built[-1] == Counter(
+            (r, halves) for k, r in ((0, shape.r), (1, 0))
+            for halves in {tuple(pair[k] for pair in family) for family in families})
+        return out
 
     monkeypatch.setattr(fam, "family_selections", counted)
+    monkeypatch.setattr(fam, "reassembly_tallies", tallies)
     report = suites.run("counting", q=(q,), t2max=t2max)
     assert report.passed
-    # one family's two tables, and the next family's two while they are built
-    assert 0 < alive["peak"] <= 4
+    assert sum(sum(shape.values()) for shape in built) == builds
+    assert alive["now"] == 0
+
+
+def _dropped_minus_bucket(half):
+    # every table with no top signs whose halves include half loses its -1
+    # bucket: every side-2 table, and at r = 0 side 1's too
+    original = fam.family_selections
+
+    def dropped(halves, r, rp_field):
+        table = original(halves, r, rp_field)
+        if r == 0 and half in halves:
+            return {1: table[1], -1: []}
+        return table
+
+    return fam, "family_selections", dropped
+
+
+@pytest.mark.parametrize("q, t2max", [(5, 1), (7, 2)])
+def test_counting_fails_where_a_faulty_side_two_half_enters_the_tally(q, t2max, monkeypatch):
+    field = ResidueParam(q)
+    choices = fam._slot_choices(field)
+    half = choices[0][1]
+    # a point's tally joins each family's side-1 bucket at tau1 with its
+    # side-2 bucket at tau2, so the fault loses preimages exactly where a
+    # table it empties is read at -1
+    expected, points = set(), 0
+    for _, _, fiber_shapes in suites.counting_window(field, t2max):
+        for shape, pairs, _, shape_points in fiber_shapes:
+            families = list(fam.enumerate_transversal_families(shape, choices))
+            g1_hit, g2_hit = (any(half in (pair[k] for pair in family) for family in families)
+                              for k in (0, 1))
+            hit = (g1_hit and shape.r == 0, g2_hit)
+            for s1, s2, eta, eta2, pi, taus, _, _ in shape_points:
+                points += 1
+                if any(h and tau == -1 for h, tau in zip(hit, taus)):
+                    expected.add((shape.rp, shape.rpp, s1, s2, eta.name(), eta2.name(),
+                                  json.dumps(pairs[pi].to_json())))
+    assert 0 < len(expected) < points
+    monkeypatch.setattr(*_dropped_minus_bucket(half))
+    report = suites.run("counting", q=(q,), t2max=t2max)
+    assert_records_name_their_points(report)
+    failed = {(f["rp"], f["rpp"], f["scd1"], f["scd2"], f["eta"], f["eta2"],
+               json.dumps(f["pair"]))
+              for f in report.failures if f["identity"] in ("image", "fiber")}
+    assert failed == expected
 
 
 def _per_point_counting_failures(q, t2max):
