@@ -201,19 +201,21 @@ def even_case_transfer_constant(eta1: SquareClass, eta2: SquareClass, rp: int, r
 
 
 def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector,
-                         pairs: list[fam.LPair], scd2: int, m: int,
-                         rp_field: ResidueParam) -> list[int]:
-    """The closed-form transfer-factor sign d of one assignment vector, one entry per pairing.
+                         pairs: list[fam.LPair], m: int,
+                         rp_field: ResidueParam) -> dict[int, list[int]]:
+    """The closed-form transfer-factor sign d of one assignment vector: {scd2: row}.
 
-    d is closed_block_sign times this row, which holds every factor that
-    reads gamma: the even-pair-slot product of sgn(g_{j-1} g_j)^(j/2-1) and
-    sgn(g_{j-1} - g_j); the top-slot product of sgn(g_j)^((R-r)/2); and the
-    tail governed by the branch switch B with the class eta[L2, gamma],
-    which reads scd2 = sgn_cd(w'').  The first two read gamma alone and are
-    computed once.  Only the tail reads the pairing and m = sgn(-1): when
-    B = 1 each entry multiplies in its own pairing's tail, with one
-    eta_of_L2 per pairing; when B = 0 the row is the gamma-only value
-    repeated.  The row does not read sgn_cd(w') or eta.
+    d is closed_block_sign times the row at scd2 = sgn_cd(w''), which has
+    one entry per pairing and holds every factor that reads gamma: the
+    even-pair-slot product of sgn(g_{j-1} g_j)^(j/2-1) and sgn(g_{j-1} - g_j);
+    the top-slot product of sgn(g_j)^((R-r)/2); and the tail governed by the
+    branch switch B with the class eta[L2, gamma], which reads scd2.  The
+    first two read gamma alone and are computed once per vector.  Only the
+    tail reads the pairing, scd2 and m = sgn(-1): when B = 1 gamma is split
+    once per pairing, and each row's entry multiplies in its own pairing's
+    tail, with one eta_of_L2 of that split's L2 component per scd2; when
+    B = 0 both rows are the gamma-only value repeated.  The rows do not read
+    sgn_cd(w') or eta.
     """
     out = 1
     for j in shape.jhat:
@@ -225,13 +227,15 @@ def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector,
         for s in gamma.high:
             out *= s
     if not shape.b_switch:
-        return [out] * len(pairs)
-    row = []
+        row = [out] * len(pairs)
+        return {1: row, -1: row}
+    rows = {1: [], -1: []}
     for pair in pairs:
-        eta2L = fam.eta_of_L2(gamma, pair, shape, scd2, rp_field)
-        tail = (m if eta2L.val_parity else 1) * eta2L.unit_sign * scd2
-        row.append(out * tail)
-    return row
+        comp2 = fam.gamma_L_split(gamma, pair)[1]
+        for scd2, row in rows.items():
+            eta2L = fam.eta_of_L2(comp2, shape, scd2, rp_field)
+            row.append(out * (m if eta2L.val_parity else 1) * eta2L.unit_sign * scd2)
+    return rows
 
 
 def closed_block_sign(shape: fam.SplitShape, scd1: int, scd2: int, eta: SquareClass) -> int:
@@ -631,17 +635,17 @@ def factorwise_transfer_check(shape: fam.SplitShape, pairs: list[fam.LPair], vec
     Returns {scd2: {(per-factor row, closed row): [positions]}}.  A row
     holds its route's factors that read gamma, one int per pairing; the
     others make up its block sign and its e x u grid.  The per-factor row,
-    factorwise_gamma_factor, reads no class sign and is built once per
-    vector; the closed row, transfer_factor_sign, reads scd2 = sgn_cd(w'')
-    through eta[L2, gamma] and is built once per (vector, scd2).  The rows
-    share only m = sgn(-1) and legendre.
+    factorwise_gamma_factor, reads no class sign; the closed rows,
+    transfer_factor_sign, read scd2 = sgn_cd(w'') through eta[L2, gamma]
+    and come one per scd2 from one call.  Both are built once per vector.
+    The rows share only m = sgn(-1) and legendre.
     """
     groups = {1: {}, -1: {}}
     for position, gamma in enumerate(vectors):
         fw_row = tuple(factorwise_gamma_factor(shape, gamma, pairs, m, rp_field))
+        rows = transfer_factor_sign(shape, gamma, pairs, m, rp_field)
         for scd2, by_rows in groups.items():
-            cl_row = tuple(transfer_factor_sign(shape, gamma, pairs, scd2, m, rp_field))
-            by_rows.setdefault((fw_row, cl_row), []).append(position)
+            by_rows.setdefault((fw_row, tuple(rows[scd2])), []).append(position)
     return groups
 
 
@@ -705,10 +709,11 @@ def transfer_points(q, rrmax: int):
     does its work at three levels:
 
       * per shape and sign target: one factorwise_transfer_check over the
-        target's vectors builds each vector's two rows, the closed one per
-        scd2 = sgn_cd(w'') and with one eta_of_L2 per pairing only when
-        B = 1, and groups the vectors' positions by their pair of rows.
-        The groups are dropped with the shape's vectors;
+        target's vectors builds each vector's per-factor row and its closed
+        rows, one per scd2 = sgn_cd(w''), with one gamma_L_split per
+        pairing and one eta_of_L2 per (pairing, scd2) only when B = 1, and
+        groups the vectors' positions by their pair of rows.  The groups
+        are dropped with the shape's vectors;
       * per block: each route's block sign (factorwise_block_sign,
         closed_block_sign), and per pairing its e x u grid, e first:
         factorwise_grids per eta, and closed_grids, which does not read

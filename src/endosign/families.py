@@ -20,10 +20,13 @@ vectors are built pair slot by pair slot from the distinct residue pairs,
 carrying their Legendre sign product, and no rejected candidate is built.
 A pairing splits gamma into two components gamma1 and gamma2, which are
 again GammaVectors: residues on their pair slots, and (for gamma1) signs on
-their top slots.  A transversal family is the plain tuple of its per-slot
-(G1, G2) pairs.  The reassembly side works on flat tuples: a selection is
-its residues followed by its top signs, and the reassembly tallies are
-keyed by gamma's flat tuple low + high, so no sweep hashes or compares a
+their top slots.  The class eta[L2, gamma] reads gamma only through
+gamma2, so eta_of_L2 takes gamma2, and each caller splits a vector once
+per pairing and reads the class at both class signs from that one split.
+A transversal family is the plain tuple of its per-slot (G1, G2) pairs.
+The reassembly side works on flat tuples: a selection is its residues
+followed by its top signs, and the reassembly tallies are keyed by
+gamma's flat tuple low + high, so no sweep hashes or compares a
 GammaVector.  A side's selection table reads only that side's halves, so
 the tallies build it once per distinct halves and shape.  The vectors feed
 the image side of the counting identity and the selections its tally
@@ -235,16 +238,16 @@ def gamma_L_split(gamma: GammaVector, pair: LPair) -> tuple[GammaVector, GammaVe
             GammaVector(tuple(map(at, pair.l2_index)), ()))
 
 
-def eta_of_L2(gamma: GammaVector, pair: LPair, shape: SplitShape,
-              scd2: int, rp_field: ResidueParam) -> SquareClass:
-    """The square class eta[L2, gamma].
+def eta_of_L2(comp2: GammaVector, shape: SplitShape, scd2: int,
+              rp_field: ResidueParam) -> SquareClass:
+    """The square class eta[L2, gamma], read off gamma's L2 component comp2.
 
-    Characterized by: valuation parity t2, and unit sign times the product
-    of the L2-component signs equal to scd2 = sgn_cd(w'').
+    comp2 is gamma2, the second value of gamma_L_split(gamma, pair); the
+    class depends on gamma only through it.  Characterized by: valuation
+    parity t2, and unit sign times the product of comp2's signs equal to
+    scd2 = sgn_cd(w'').
     """
-    comp2 = gamma_L_split(gamma, pair)[1]
-    unit = scd2 * comp2.sign_product(rp_field)
-    return SquareClass(shape.t2 % 2, unit)
+    return SquareClass(shape.t2 % 2, scd2 * comp2.sign_product(rp_field))
 
 
 def _slot_choices(rp_field: ResidueParam) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -375,14 +378,16 @@ def image_groups(shape: SplitShape, pairs: list[LPair], gammas: dict[int, list[G
 
     gammas maps each sign target sgn_cd(w1) sgn_cd(w2) unit(eta) to its
     admissible vectors; a key lists the positions in gammas[target] of its
-    image's vectors, in order.
+    image's vectors, in order.  Each (pairing, vector) is split once, and
+    its L2 component read by eta_of_L2 once per sgn_cd(w2).
     """
     images: dict[tuple, list[int]] = {}
     for pi, pair in enumerate(pairs):
         for target, vectors in gammas.items():
             for j, g in enumerate(vectors):
+                comp2 = gamma_L_split(g, pair)[1]
                 for scd2 in (1, -1):
-                    eta_l2 = eta_of_L2(g, pair, shape, scd2, rp_field)
+                    eta_l2 = eta_of_L2(comp2, shape, scd2, rp_field)
                     images.setdefault((pi, target, scd2, eta_l2.val_parity, eta_l2.unit_sign),
                                       []).append(j)
     return images

@@ -130,8 +130,8 @@ def test_transfer_factor_sign_degenerate():
     pair = LPair((), ())
     eta = SquareClass(1, 1)
     # everything collapses to sgn_cd(w'')^val(eta), which the block sign carries
+    assert transfer_factor_sign(shape, gamma, [pair], M5, F5) == {1: [1], -1: [1]}
     for scd2 in (1, -1):
-        assert transfer_factor_sign(shape, gamma, [pair], scd2, M5, F5) == [1]
         assert closed_block_sign(shape, 1, scd2, eta) == scd2
 
 
@@ -141,10 +141,10 @@ def test_transfer_factor_sign_pair_slot_factor():
     pair = enumerate_L(shape)[0]
     eta = SquareClass(0, 1)
     gamma = GammaVector((1, 4), ())
-    got = transfer_factor_sign(shape, gamma, [pair], 1, M5, F5)
+    got = transfer_factor_sign(shape, gamma, [pair], M5, F5)
     # j/2-1 = 0 kills the product sign; remaining factors: legendre(1-4) *
-    # top-product (empty)
-    assert got == [-1]
+    # top-product (empty); B = 0, so both scd2 share the row
+    assert got == {1: [-1], -1: [-1]}
     # t2 odd: the block sign is unit(eta) * sgn_cd(w'), here trivial
     assert closed_block_sign(shape, 1, 1, eta) == 1
 
@@ -180,14 +180,15 @@ def test_rows_have_one_entry_per_pairing(rp, rpp):
             for gamma in enumerate_gamma(shape, field, scd1 * scd2 * ue)[::7]:
                 fw_sign = factorwise_block_sign(shape, scd1, scd2, eta)
                 fw = factorwise_gamma_factor(shape, gamma, pairs, m, field)
-                cl = transfer_factor_sign(shape, gamma, pairs, scd2, m, field)
+                cl = transfer_factor_sign(shape, gamma, pairs, m, field)[scd2]
                 assert [fw_sign * x for x in fw] == [
                     _slotwise_gamma_factor(shape, gamma, pair, scd1, scd2, eta, m, field)
                     for pair in pairs]
-                assert cl == [transfer_factor_sign(shape, gamma, [pair], scd2, m, field)[0]
+                assert cl == [transfer_factor_sign(shape, gamma, [pair], m, field)[scd2][0]
                               for pair in pairs]
                 assert factorwise_gamma_factor(shape, gamma, pairs[::-1], m, field) == fw[::-1]
-                assert transfer_factor_sign(shape, gamma, pairs[::-1], scd2, m, field) == cl[::-1]
+                assert transfer_factor_sign(shape, gamma, pairs[::-1], m, field)[scd2] \
+                    == cl[::-1]
                 if not shape.b_switch:
                     assert len(set(fw)) == len(set(cl)) == 1
 

@@ -236,15 +236,15 @@ def test_reassemble_gather_against_the_scatter(field):
 
 def test_eta_of_L2():
     shape = SplitShape(1, 1)
-    gamma = GammaVector((), (1,))
-    trivial_pair = LPair((), ())
-    assert eta_of_L2(gamma, trivial_pair, shape, 1, F5) == SquareClass(0, 1)
-    assert eta_of_L2(gamma, trivial_pair, shape, -1, F5) == SquareClass(0, -1)
+    _, comp2 = gamma_L_split(GammaVector((), (1,)), LPair((), ()))
+    assert eta_of_L2(comp2, shape, 1, F5) == SquareClass(0, 1)
+    assert eta_of_L2(comp2, shape, -1, F5) == SquareClass(0, -1)
 
     shape = SplitShape(2, 0)
     pair = enumerate_L(shape)[0]
-    gamma = GammaVector((2, 1), ())  # L2 component is the slot-1 entry, value 2
-    got = eta_of_L2(gamma, pair, shape, 1, F5)
+    _, comp2 = gamma_L_split(GammaVector((2, 1), ()), pair)
+    assert comp2.low == (2,)  # L2 component is the slot-1 entry, value 2
+    got = eta_of_L2(comp2, shape, 1, F5)
     assert got == SquareClass(1, -1)  # legendre(2, 5) = -1 forces unit sign -1
 
 
@@ -257,8 +257,8 @@ def test_eta_product_relation():
             for pair in enumerate_L(shape):
                 # the complementary class eta[L1, gamma] = eta * eta[L2, gamma]
                 # satisfies its own sign condition
-                e1 = eta * eta_of_L2(gamma, pair, shape, scd2, F5)
-                comp1, _ = gamma_L_split(gamma, pair)
+                comp1, comp2 = gamma_L_split(gamma, pair)
+                e1 = eta * eta_of_L2(comp2, shape, scd2, F5)
                 assert e1.unit_sign * comp1.sign_product(F5) == scd1
                 assert e1.val_parity == shape.t1 % 2
 

@@ -280,7 +280,9 @@ REGISTRY = {
             lambda *block, etas: [constants.factorwise_grids(*block, eta) for eta in etas]),
         # the closed grids do not read eta: one call per block, as in the sweep
         "closed": lambda: _route(
-            constants.closed_block_sign, constants.transfer_factor_sign,
+            constants.closed_block_sign,
+            lambda shape, gamma, pairs, scd2, m, field: constants.transfer_factor_sign(
+                shape, gamma, pairs, m, field)[scd2],
             lambda *block, etas: [constants.closed_grids(*block)] * len(etas)),
     }, LEGENDRE),
     # weyl
@@ -453,8 +455,7 @@ FUSIONS = {
         {("scan", "solver"): {"descent_feasibility"}}),
     # the closed route's row also evaluates the per-factor route's row
     "transfer_factor_sign": ("transfer", constants, "transfer_factor_sign",
-        lambda shape, gamma, pairs, scd2, m, field: constants.factorwise_gamma_factor(
-            shape, gamma, pairs, m, field), "transfer",
+        constants.factorwise_gamma_factor, "transfer",
         {ROUTES: {"factorwise_gamma_factor"}}),
     # the closed block sign also evaluates the per-factor route's block sign
     "closed_block_sign": ("transfer", constants, "closed_block_sign",
@@ -523,6 +524,8 @@ def test_the_guard_catches_a_fusion_planted_in_the_sweeps_side(name, monkeypatch
 
 
 def test_the_closed_transfer_route_reads_eta_of_l2():
-    # on the shapes with B = 1 the closed row reads eta[L2, gamma]; the per-factor row never does
+    # on the shapes with B = 1 the closed row splits gamma and reads eta[L2, gamma];
+    # the per-factor row does neither
     runs = run_sides(REGISTRY["transfer"])
-    assert "eta_of_L2" in runs["closed"][1] - runs["per_factor"][1]
+    assert {"gamma_L_split", "eta_of_L2"} <= runs["closed"][1]
+    assert {"gamma_L_split", "eta_of_L2"}.isdisjoint(runs["per_factor"][1])

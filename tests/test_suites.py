@@ -28,7 +28,10 @@ def assert_records_name_their_points(report):
 
 
 def _negated(value):
-    # a route's row is a list with one entry per pairing; its e- and u-parts are ints
+    # a route's row is a list with one entry per pairing, the closed route's
+    # rows a dict of one row per scd2; its e- and u-parts are ints
+    if isinstance(value, dict):
+        return {scd2: _negated(row) for scd2, row in value.items()}
     return [-x for x in value] if isinstance(value, list) else -value
 
 
@@ -334,12 +337,19 @@ def _scale_where(module, name, when, factor=-1):
 
 
 def _scale_row_where(name, when, factor=-1):
-    # scales the entries of a route's row whose own pairing satisfies when
+    # scales the entries of a route's row whose own pairing satisfies when;
+    # the closed route returns one row per scd2, and each is scaled alike
     original = getattr(constants, name)
 
-    def faulty(shape, gamma, pairs, *rest):
+    def scaled(shape, gamma, pairs, row, *rest):
         return [factor * x if when(shape, gamma, pair, *rest) else x
-                for pair, x in zip(pairs, original(shape, gamma, pairs, *rest))]
+                for pair, x in zip(pairs, row)]
+
+    def faulty(shape, gamma, pairs, *rest):
+        rows = original(shape, gamma, pairs, *rest)
+        if isinstance(rows, dict):
+            return {scd2: scaled(shape, gamma, pairs, row, *rest) for scd2, row in rows.items()}
+        return scaled(shape, gamma, pairs, rows, *rest)
 
     return constants, name, faulty
 
@@ -390,7 +400,8 @@ def _negated_m(name):
 # per-factor entries by where their pairing sits in the row, and the
 # mirrored pairings move a row's values to other pairings without changing
 # them.  The negated top signs reach the per-factor route alone, and the
-# flipped eta[L2, gamma] the closed route on B = 1 shapes alone.  A route
+# flipped eta[L2, gamma] and the misread split the closed route on B = 1
+# shapes alone.  A route
 # given -m for m = sgn(-1) changes sign where it reads m an odd number of
 # times: on the B = 1 shapes with odd t2.
 PARTIAL_FAULTS = {
@@ -422,6 +433,7 @@ PARTIAL_FAULTS = {
         fam, "kappa_l2", lambda e, pair: e[:1] == (1,) and len(pair.l2) == 1),
     "kappa_u": lambda: _scale_where(fam, "kappa_u", lambda u, k_second: u[:1] == (0,)),
     "eta_of_L2": lambda: _flipped_eta_of_l2(),
+    "gamma_L_split": lambda: _misread_split(),
     "transfer_factor_sign_negated_m": lambda: _negated_m("transfer_factor_sign"),
 }
 
@@ -432,8 +444,9 @@ def _per_point_transfer_failures(q, rrmax):
     No table, no grid, no memo and no row of more than one pairing: each
     point multiplies the per-factor route's block sign, gamma, e- and
     u-factors, and the closed route's block sign, transfer_factor_sign
-    (with its eta_of_L2), kappa_l2 and kappa_u, each route's gamma factor
-    taken from a one-pairing row.  Only for rrmax <= 2, where every R - r
+    (with its gamma_L_split and eta_of_L2, so gamma is split afresh at
+    every point), kappa_l2 and kappa_u, each route's gamma factor taken
+    from a one-pairing row, the closed one at the point's scd2.  Only for rrmax <= 2, where every R - r
     takes all of r = 0, 1, 2.
     """
     field = ResidueParam(q)
@@ -464,7 +477,7 @@ def _per_point_transfer_failures(q, rrmax):
                                         cl = constants.closed_block_sign(
                                             shape, scd1, scd2, eta) \
                                             * constants.transfer_factor_sign(
-                                                shape, gamma, [pair], scd2, m, field)[0] \
+                                                shape, gamma, [pair], m, field)[scd2][0] \
                                             * fam.kappa_l2(e, pair) * fam.kappa_u(u, k_second)
                                         if fw != cl:
                                             failures.append(
@@ -503,6 +516,18 @@ def test_transfer_eta_of_l2_fault_fails_on_b_one_shapes_only(monkeypatch):
     report = suites.run("transfer", q=(5,), rrmax=2)
     assert_records_name_their_points(report)
     # the closed route reads eta[L2, gamma] only when B = 1, that is r' < r''
+    assert {(f["rp"], f["rpp"]) for f in report.failures} == {(0, 2), (1, 3), (2, 4)}
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_transfer_split_fault_fails_where_the_per_point_check_fails_on_b_one_shapes(
+        q, monkeypatch):
+    monkeypatch.setattr(*PARTIAL_FAULTS["gamma_L_split"]())
+    report = suites.run("transfer", q=(q,), rrmax=2)
+    assert 0 < len(report.failures) < report.points_checked
+    assert_records_name_their_points(report)
+    assert report.failures == _per_point_transfer_failures(q, 2)
+    # only the closed route splits gamma, and only when B = 1, that is r' < r''
     assert {(f["rp"], f["rpp"]) for f in report.failures} == {(0, 2), (1, 3), (2, 4)}
 
 
@@ -547,13 +572,16 @@ def test_transfer_checks_each_row_once(monkeypatch):
     monkeypatch.setattr(constants, "factorwise_transfer_check", check)
     monkeypatch.setattr(fam, "enumerate_gamma", enumerate_gamma)
     monkeypatch.setitem(suites.SUITES, "transfer", (batches, specs))
-    counted(fam, "eta_of_L2", lambda gamma, pair, shape, *rest: ("eta_of_L2", shape.b_switch))
-    # a row's key: the shape, the vector, the pairings it spans and, for
-    # the closed route, scd2 = sgn_cd(w'')
+    counted(fam, "eta_of_L2", lambda comp2, shape, *rest: ("eta_of_L2", shape.b_switch))
+    # a split's key: the vector and the pairing; no two shapes of B = 1
+    # share a vector's length
+    counted(fam, "gamma_L_split", lambda gamma, pair: (
+        "gamma_L_split", gamma.low, gamma.high, pair.l1, pair.l2))
+    # a row's key: the shape, the vector and the pairings it spans
     counted(constants, "factorwise_gamma_factor", lambda shape, gamma, pairs, *rest: (
         "factorwise_gamma_factor", shape.rp, shape.rpp, gamma.low, gamma.high, len(pairs)))
-    counted(constants, "transfer_factor_sign", lambda shape, gamma, pairs, scd2, *rest: (
-        "transfer_factor_sign", shape.rp, shape.rpp, gamma.low, gamma.high, len(pairs), scd2))
+    counted(constants, "transfer_factor_sign", lambda shape, gamma, pairs, *rest: (
+        "transfer_factor_sign", shape.rp, shape.rpp, gamma.low, gamma.high, len(pairs)))
     for name in ("factorwise_grids", "closed_grids", "factorwise_block_sign",
                  "closed_block_sign", "sgn_minus_one"):
         counted(constants, name, lambda *args, name=name: name)
@@ -569,11 +597,11 @@ def test_transfer_checks_each_row_once(monkeypatch):
     assert len(gammas) == len(shapes) == 9 and set(gammas.values()) == {2}
     # one builder call per (shape, sign target)
     assert builds == {(shape.rp, shape.rpp): 2 for shape in shapes}
-    # the per-factor row once per vector and the closed row once per
-    # (vector, scd2), each over all the shape's pairings
+    # the per-factor row and the closed rows of both scd2 once per vector,
+    # each over all the shape's pairings
     fw_rows = {("factorwise_gamma_factor", shape.rp, shape.rpp, gamma.low, gamma.high,
                 len(fam.enumerate_L(shape))): 1 for shape, gs in vectors.items() for gamma in gs}
-    cl_rows = {("transfer_factor_sign", *key[1:], scd2): 1 for key in fw_rows for scd2 in (1, -1)}
+    cl_rows = {("transfer_factor_sign", *key[1:]): 1 for key in fw_rows}
     assert {key: n for key, n in calls.items() if key[0] == "factorwise_gamma_factor"} == fw_rows
     assert {key: n for key, n in calls.items() if key[0] == "transfer_factor_sign"} == cl_rows
     # one batch per (shape, beta', beta'', eta) block, of a row of each
@@ -586,9 +614,13 @@ def test_transfer_checks_each_row_once(monkeypatch):
     # (0, 0) has no vector of target -1, so its four blocks of that target are empty
     assert all(isinstance(n, int) for n in yields) and yields.count(0) == 4
     assert sum(yields) == report.points_checked
-    # eta[L2, gamma] once per (vector, pairing, scd2) where B = 1, and never where B = 0
-    assert calls["eta_of_L2", 1] == sum(2 * len(gs) * len(fam.enumerate_L(shape))
-                                        for shape, gs in vectors.items() if shape.b_switch) > 0
+    # gamma split once per (vector, pairing) and eta[L2, gamma] read once per
+    # (vector, pairing, scd2) where B = 1, and neither where B = 0
+    splits = {("gamma_L_split", gamma.low, gamma.high, pair.l1, pair.l2): 1
+              for shape, gs in vectors.items() if shape.b_switch
+              for gamma in gs for pair in fam.enumerate_L(shape)}
+    assert {key: n for key, n in calls.items() if key[0] == "gamma_L_split"} == splits
+    assert calls["eta_of_L2", 1] == 2 * len(splits) > 0
     assert calls["eta_of_L2", 0] == 0
     # per-factor grids and both block signs per (shape, beta', beta'', eta)
     # block, closed grids per (shape, beta', beta'')
@@ -858,8 +890,8 @@ def test_counting_builds_the_slot_choices_once_per_field(monkeypatch):
 
 
 def test_counting_builds_each_tally_once(monkeypatch):
-    calls = {"family_selections": 0, "reassemble": 0, "enumerate_gamma": 0, "eta_of_L2": 0,
-             "fiber_count_check": 0, "fiber_size_prediction": 0, "gather": 0}
+    calls = {"family_selections": 0, "reassemble": 0, "enumerate_gamma": 0, "gamma_L_split": 0,
+             "eta_of_L2": 0, "fiber_count_check": 0, "fiber_size_prediction": 0, "gather": 0}
     for name in calls.keys() - {"gather"}:
         original = getattr(fam, name)
 
@@ -885,15 +917,16 @@ def test_counting_builds_each_tally_once(monkeypatch):
     # one selection table per (shape, side, distinct halves), which at q = 5,
     # where no two families of a shape share a side's halves, is two per
     # (shape, family); one gather per (shape, pairing), one vector list per
-    # (shape, sign target), one eta_of_L2 per (vector, pairing, sgn_cd(w2)),
-    # one slotwise count per (vector, pairing) and one prediction per
-    # (shape, vector); one reassembly per preimage would be 163 calls, and
-    # one vector list, eta_of_L2, slotwise count and prediction per point
-    # 96, 984, 492 and 492.  Each gather maps each distinct joined pair of
+    # (shape, sign target), one split per (vector, pairing), one eta_of_L2
+    # per (vector, pairing, sgn_cd(w2)), one slotwise count per (vector,
+    # pairing) and one prediction per (shape, vector); one reassembly per
+    # preimage would be 163 calls, one split per eta_of_L2 246, and one
+    # vector list, eta_of_L2, slotwise count and prediction per point 96,
+    # 984, 492 and 492.  Each gather maps each distinct joined pair of
     # (tau1, tau2) once: 123 applications, where one per (preimage, pairing)
     # would be 163
     assert calls == {"family_selections": 36, "reassemble": 8, "enumerate_gamma": 12,
-                     "eta_of_L2": 246, "fiber_count_check": 123,
+                     "gamma_L_split": 123, "eta_of_L2": 246, "fiber_count_check": 123,
                      "fiber_size_prediction": 75, "gather": 123}
 
 
@@ -983,7 +1016,8 @@ def _per_point_counting_failures(q, t2max):
 
     Every sign choice (s1, s2, ue, ue2) and pairing builds its own tally,
     one scatter per preimage keyed by gamma's flat tuple, and its own image,
-    in the order in which the sweep reports them.
+    splitting each vector afresh, in the order in which the sweep reports
+    them.
     """
     field = ResidueParam(q)
     choices = fam._slot_choices(field)
@@ -999,8 +1033,8 @@ def _per_point_counting_failures(q, t2max):
                 eta1 = eta * eta2
                 gammas = fam.enumerate_gamma(shape, field, s1 * s2 * ue)
                 for pair in fam.enumerate_L(shape):
-                    image = [g for g in gammas
-                             if fam.eta_of_L2(g, pair, shape, s2, field) == eta2]
+                    image = [g for g in gammas if fam.eta_of_L2(
+                        fam.gamma_L_split(g, pair)[1], shape, s2, field) == eta2]
                     tally = {}
                     for side1, side2 in tables:
                         for c1 in side1[s1 * eta1.unit_sign]:
@@ -1031,15 +1065,30 @@ def _per_point_counting_failures(q, t2max):
 
 
 def _flipped_eta_of_l2():
+    # keyed on the L2 component's first residue, at scd2 = -1 only
     original = fam.eta_of_L2
 
-    def flipped(gamma, pair, shape, scd2, rp_field):
-        eta2 = original(gamma, pair, shape, scd2, rp_field)
-        if scd2 == -1 and gamma.low[:1] == (2,):
+    def flipped(comp2, shape, scd2, rp_field):
+        eta2 = original(comp2, shape, scd2, rp_field)
+        if scd2 == -1 and comp2.low[:1] == (2,):
             return SquareClass(eta2.val_parity, -eta2.unit_sign)
         return eta2
 
     return fam, "eta_of_L2", flipped
+
+
+def _misread_split():
+    # gamma2 takes its first slot's L1 residue in place of its L2 one when
+    # gamma's first residue is 1 mod 3
+    original = fam.gamma_L_split
+
+    def misread(gamma, pair):
+        comp1, comp2 = original(gamma, pair)
+        if gamma.low[:1] and gamma.low[0] % 3 == 1:
+            return comp1, fam.GammaVector(comp1.low[:1] + comp2.low[1:], ())
+        return comp1, comp2
+
+    return fam, "gamma_L_split", misread
 
 
 def _doubled_fiber_size_prediction():
@@ -1074,6 +1123,7 @@ def _pair_dependent_slotwise_count():
 # pairing, so a slotwise count shared across pairings would misplace it.
 COUNTING_FAULTS = {
     "eta_of_L2": (_flipped_eta_of_l2, "image", {5: 48, 7: 24}),
+    "gamma_L_split": (_misread_split, "image", {5: 80, 7: 40}),
     "fiber_size_prediction": (_doubled_fiber_size_prediction, "fiber", {5: 72, 7: 60}),
     "fiber_count_check": (_pair_dependent_slotwise_count, "fiber", {5: 72, 7: 60}),
 }
