@@ -316,7 +316,9 @@ def test_transfer_reports_match_references(q, capsys):
     assert_matches_reference(out, f"transfer-q{q}")
 
 
-@pytest.mark.parametrize("argv, digest", [
+# (verify's arguments, the report's digest) of the reports too large for a
+# golden; tests/test_heavy.py checks HEAVY.json against these pins
+DIGEST_PINS = [
     # every suite at its defaults, one elapsed_ms line each
     (["all"], "849ff2a52da4da8e3c1313186bcfa308495893954e59bb78a657c97db8f722cb"),
     # too large for a golden: 72,445,725 points at q = 5
@@ -337,8 +339,12 @@ def test_transfer_reports_match_references(q, capsys):
      "f6674317332fdf4ff992b65f50dc0b78ad7a53f3d9ec11b330670153754e0e96"),
     (["counting", "--q", "11", "--t2max", "1"],
      "92295f670b2cce3d69a2eeb689de5eb3e5852e791d4d98b676579ec2d8d3a033"),
-], ids=["all", "transfer-q5-rrmax6", "counting-q5-t2max3", "constprod-cap", "split-cap",
-        "descent-cap", "transfer-q11-rrmax4", "counting-q11-t2max1"])
+]
+
+
+@pytest.mark.parametrize("argv, digest", DIGEST_PINS, ids=[
+    "all", "transfer-q5-rrmax6", "counting-q5-t2max3", "constprod-cap", "split-cap", "descent-cap",
+    "transfer-q11-rrmax4", "counting-q11-t2max1"])
 def test_reports_without_a_golden_keep_their_digests(argv, digest, capsys):
     code, out = run_cli(capsys, "verify", *argv)
     assert code == 0

@@ -401,9 +401,8 @@ def _negated_m(name):
 # mirrored pairings move a row's values to other pairings without changing
 # them.  The negated top signs reach the per-factor route alone, and the
 # flipped eta[L2, gamma] and the misread split the closed route on B = 1
-# shapes alone.  A route
-# given -m for m = sgn(-1) changes sign where it reads m an odd number of
-# times: on the B = 1 shapes with odd t2.
+# shapes alone.  A route given -m for m = sgn(-1) changes sign where it
+# reads m an odd number of times: on the B = 1 shapes with odd t2.
 PARTIAL_FAULTS = {
     "transfer_factor_sign": lambda: _scale_row_where(
         "transfer_factor_sign", lambda shape, gamma, *rest: sum(gamma.low) % 3 == 1),
@@ -446,8 +445,8 @@ def _per_point_transfer_failures(q, rrmax):
     u-factors, and the closed route's block sign, transfer_factor_sign
     (with its gamma_L_split and eta_of_L2, so gamma is split afresh at
     every point), kappa_l2 and kappa_u, each route's gamma factor taken
-    from a one-pairing row, the closed one at the point's scd2.  Only for rrmax <= 2, where every R - r
-    takes all of r = 0, 1, 2.
+    from a one-pairing row, the closed one at the point's scd2.  Only for
+    rrmax <= 2, where every R - r takes all of r = 0, 1, 2.
     """
     field = ResidueParam(q)
     m = sgn_minus_one(field)
