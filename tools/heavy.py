@@ -1,28 +1,26 @@
-"""Time the heavy bounds, each in a fresh process, and write the record as JSON.
+"""Time the heavy bounds, each in a fresh process, and write the record as HEAVY.json.
 
-Run from the root of a source checkout:
+    python3 tools/heavy.py
 
-    python3 tools/heavy.py                 # writes HEAVY.json
-    python3 tools/heavy.py --out FILE      # writes FILE instead
-
-Each bound of BOUNDS runs as `python -m endosign.cli verify ...` in its own
-process, with the checkout's src/ first on PYTHONPATH and PYTHONHASHSEED=0,
-one bound after the other.  Per bound the record holds its argv, the points
-its report checked, the report's digest, and the process's wall time, CPU
-time (user plus system) and peak resident set size, the last two from
-os.wait4.  The wall and CPU times include the interpreter's start-up and
+runs the bounds on the checkout that holds this script and writes
+HEAVY.json at its root.  Each bound of BOUNDS runs as
+`python -m endosign.cli verify ...` in its own process, with the
+checkout's src/ first on PYTHONPATH and PYTHONHASHSEED=0, one bound after
+the other.  Per bound the record holds its argv, the points its report
+checked, the report's digest, and the process's wall time, CPU time (user
+plus system) and peak resident set size, the last two from os.wait4.  The wall and CPU times include the interpreter's start-up and
 the package import, about 0.1 s.  The digest is SHA-256 of the report's
 bytes with its elapsed_ms lines dropped: the recipe of report_digest in
 tests/test_cli.py, which pins the digests of the first five bounds, so a
 record whose digests differ from those pins was taken on code whose
 reports changed.  A bound whose process exits other than 0 stops the run.
 
-Standard library only; it builds nothing and writes only the record.
+Standard library only; it builds nothing and writes only the record.  To
+compare two checkouts, run each one's copy of the script.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -76,16 +74,13 @@ def run_bound(argv: list[str]) -> dict:
             "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "HEAVY.json"), help="record file")
-    args = parser.parse_args(argv)
+def main() -> int:
     record = {"python": platform.python_version(), "platform": platform.platform(),
               "cpus": os.cpu_count(), "bounds": []}
     for bound in BOUNDS:
         record["bounds"].append(run_bound(bound))
         print(json.dumps(record["bounds"][-1]), file=sys.stderr)
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    (ROOT / "HEAVY.json").write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
