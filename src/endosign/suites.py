@@ -374,7 +374,7 @@ SUITES = {
     "constprod": (product_identity_points, (("q", (5, 7, 13), 5, Q_CAP),
                                             ("rmax", 6, 0, 10, 1))),
     "signchain": (sign_chain_points, (("rmax", 8, 0, 20, 1),)),
-    "transfer": (transfer_points, (("q", (5, 7), 5, Q_CAP), ("rrmax", 4, 0, 6, 2))),
+    "transfer": (transfer_points, (("q", (5, 7, 13), 5, Q_CAP), ("rrmax", 4, 0, 6, 2))),
     "weyl": (weyl_points, (("nmax", 4, 0, 5, 1),)),
     "descent": (descent_points, (("beta_max", 8, 0, 10, 1),)),
     "params": (params_points, (("nmax", 3, 0, ENUM_N_CAP, 1),)),

@@ -320,7 +320,7 @@ def test_transfer_reports_match_references(q, capsys):
 # golden; tests/test_heavy.py checks HEAVY.json against these pins
 DIGEST_PINS = [
     # every suite at its defaults, one elapsed_ms line each
-    (["all"], "849ff2a52da4da8e3c1313186bcfa308495893954e59bb78a657c97db8f722cb"),
+    (["all"], "200ddad837cd780e3cb9d5bbe82d169ac86510932b4f4923ee24257457d5bf0d"),
     # too large for a golden: 72,445,725 points at q = 5
     (["transfer", "--q", "5", "--rrmax", "6"],
      "902b28d6b6bb9d1279f16680b89bb02a981c7a130ff34ec188caa6694619d090"),

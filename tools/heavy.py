@@ -42,6 +42,8 @@ BOUNDS = [
     # pinned nowhere: the bounds where the time goes
     ["verify", "transfer", "--q", "5,7", "--rrmax", "6"],
     ["verify", "counting", "--q", "7", "--t2max", "3"],
+    # the m = +1 field of transfer's default q list that meets every Legendre profile
+    ["verify", "transfer", "--q", "13", "--rrmax", "4"],
 ]
 
 
