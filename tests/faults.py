@@ -43,7 +43,8 @@ class Run(NamedTuple):
     reference is a pair (view, expected) with view(failures) == expected(),
     expected evaluated under the plant; relation holds on every record;
     notes are the report's notes; cli asks that `endosign verify` at the
-    bounds exits 1 and prints the same failures.
+    bounds exits 1 and prints the same failures; aliases are further test
+    ids that check the same run, which sweeps once for all of them.
     """
     test: str
     suite: str
@@ -55,6 +56,7 @@ class Run(NamedTuple):
     relation: Callable = None
     notes: list = None
     cli: bool = False
+    aliases: tuple = ()
 
 
 class Fault(NamedTuple):
@@ -564,12 +566,15 @@ FAULTS = dict([
            _partial_transfer("kappa_u", {"transfer": 15828})),
     _fault("eta_of_L2", patch(fam, "eta_of_L2", flipped_eta_of_l2),
            _partial_transfer("eta_of_L2", on_b_one_shapes_with_odd_t2(72, 576, 2304),
-                             by=identity_and_shape),
+                             by=identity_and_shape,
+                             aliases=("test_transfer_eta_of_l2_fault_fails_on_b_one_shapes_only",)),
            _per_point_counting("eta_of_L2", 5, {"image": 48}),
            _per_point_counting("eta_of_L2", 7, {"image": 24})),
     _fault("gamma_L_split", patch(fam, "gamma_L_split", misread_split),
            _partial_transfer("gamma_L_split", on_b_one_shapes_with_odd_t2(144, 1152, 4608),
-                             by=identity_and_shape),
+                             by=identity_and_shape, aliases=(
+                                 "test_transfer_split_fault_fails_where_the_per_point_check_fails"
+                                 "_on_b_one_shapes[5]",)),
            Run("test_transfer_split_fault_fails_where_the_per_point_check_fails"
                "_on_b_one_shapes[7]",
                "transfer", {"q": (7,), "rrmax": 2}, 88749,

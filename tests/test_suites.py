@@ -468,13 +468,21 @@ def _plant(patcher, fault):
         patcher.setattr(module, name, value)
 
 
+# The reports of runs with aliases, so that each sweeps once for all its ids.
+_SWEPT = {}
+
+
 def _check(fault, run, monkeypatch, capsys):
     """Sweep run's suite under fault's plant and hold the report to run's expectation."""
     with monkeypatch.context() as patcher:
         entries = _entries(patcher, run.suite)
         _plant(patcher, fault)
-        report = suites.run(run.suite, **run.bounds)
-        assert entries == [suites.parameters(run.suite, run.bounds)]
+        report = _SWEPT.get((fault.name, run.test))
+        if report is None:
+            report = suites.run(run.suite, **run.bounds)
+            assert entries == [suites.parameters(run.suite, run.bounds)]
+            if run.aliases:
+                _SWEPT[fault.name, run.test] = report
         assert report.points_checked == run.points
         assert Counter(map(run.by, report.failures)) == run.counts
         assert report.passed == (not run.counts)
@@ -516,13 +524,16 @@ def _catalogue_test(cases):
     return test
 
 
-# Each catalogue run is collected as the test its id names and checked by
-# _check; runs whose ids share a name are that test's parameters.
+# Each catalogue run is collected as the test its id, and each of its
+# aliases, names and checked by _check; ids that share a name are that
+# test's parameters.
 _BY_NAME = {}
 for _fault in faults.FAULTS.values():
     for _run in _fault.runs:
-        _name, _, _param = _run.test.partition("[")
-        _BY_NAME.setdefault(_name, {}).setdefault(_param[:-1] or None, []).append((_fault, _run))
+        for _test in (_run.test, *_run.aliases):
+            _name, _, _param = _test.partition("[")
+            _BY_NAME.setdefault(_name, {}).setdefault(_param[:-1] or None, []).append(
+                (_fault, _run))
 for _name, _cases in _BY_NAME.items():
     globals()[_name] = _catalogue_test(_cases)
 
