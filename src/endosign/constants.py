@@ -212,10 +212,10 @@ def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector,
     branch switch B with the class eta[L2, gamma], which reads scd2.  The
     first two read gamma alone and are computed once per vector.  Only the
     tail reads the pairing, scd2 and m = sgn(-1): when B = 1 gamma is split
-    once per pairing, and each row's entry multiplies in its own pairing's
-    tail, with one eta_of_L2 of that split's L2 component per scd2; when
-    B = 0 both rows are the gamma-only value repeated.  The rows do not read
-    sgn_cd(w') or eta.
+    once per pairing, and one eta_of_L2 of that split's L2 component gives
+    the class at both values of scd2, so each row's entry multiplies in its
+    own pairing's tail; when B = 0 both rows are the gamma-only value
+    repeated.  The rows do not read sgn_cd(w') or eta.
     """
     out = 1
     for j in shape.jhat:
@@ -231,9 +231,9 @@ def transfer_factor_sign(shape: fam.SplitShape, gamma: fam.GammaVector,
         return {1: row, -1: row}
     rows = {1: [], -1: []}
     for pair in pairs:
-        comp2 = fam.gamma_L_split(gamma, pair)[1]
+        classes = fam.eta_of_L2(fam.gamma_L_split(gamma, pair)[1], shape, rp_field)
         for scd2, row in rows.items():
-            eta2L = fam.eta_of_L2(comp2, shape, scd2, rp_field)
+            eta2L = classes[scd2]
             row.append(out * (m if eta2L.val_parity else 1) * eta2L.unit_sign * scd2)
     return rows
 
@@ -710,8 +710,8 @@ def transfer_points(q, rrmax: int):
 
       * per shape and sign target: one factorwise_transfer_check over the
         target's vectors builds each vector's per-factor row and its closed
-        rows, one per scd2 = sgn_cd(w''), with one gamma_L_split per
-        pairing and one eta_of_L2 per (pairing, scd2) only when B = 1, and
+        rows, one per scd2 = sgn_cd(w''), with one gamma_L_split and one
+        eta_of_L2 per pairing, which serves both scd2, only when B = 1, and
         groups the vectors' positions by their pair of rows.  The groups
         are dropped with the shape's vectors;
       * per block: each route's block sign (factorwise_block_sign,

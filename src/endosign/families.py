@@ -18,11 +18,13 @@ in {+1, -1}).  This module enumerates:
 The residue slots are exactly the pair slots' entries, so the admissible
 vectors are built pair slot by pair slot from the distinct residue pairs,
 carrying their Legendre sign product, and no rejected candidate is built.
-A pairing splits gamma into two components gamma1 and gamma2, which are
-again GammaVectors: residues on their pair slots, and (for gamma1) signs on
-their top slots.  The class eta[L2, gamma] reads gamma only through
-gamma2, so eta_of_L2 takes gamma2, and each caller splits a vector once
-per pairing and reads the class at both class signs from that one split.
+A pairing splits gamma into two components gamma1 and gamma2, flat
+tuples in the selection format of the reassembly side: gamma1 is the L1
+residues followed by gamma's top signs, gamma2 the L2 residues.  The class
+eta[L2, gamma] reads gamma only through gamma2, and its two values, one
+per class sign, share one Legendre sign product, so eta_of_L2 takes gamma2
+and returns both; each caller splits a vector once per pairing and reads
+both classes from one eta_of_L2 call.
 A transversal family is the plain tuple of its per-slot (G1, G2) pairs.
 The reassembly side works on flat tuples: a selection is its residues
 followed by its top signs, and the reassembly tallies are keyed by
@@ -83,14 +85,6 @@ class GammaVector:
         self.high = tuple(high)
         if not _SIGNS.issuperset(self.high):
             raise ValueError("high entries must be +-1")
-
-    def sign_product(self, rp_field: ResidueParam) -> int:
-        out = 1
-        for v in self.low:
-            out *= legendre(v, rp_field)
-        for s in self.high:
-            out *= s
-        return out
 
     def __hash__(self):
         return hash((self.low, self.high))
@@ -227,27 +221,38 @@ def enumerate_e(shape: SplitShape) -> list[tuple[int, ...]]:
     return list(itertools.product((1, -1), repeat=shape.R))
 
 
-def gamma_L_split(gamma: GammaVector, pair: LPair) -> tuple[GammaVector, GammaVector]:
-    """Split gamma along (L1, L2) into its components gamma1 and gamma2.
+def gamma_L_split(gamma: GammaVector, pair: LPair) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split gamma along (L1, L2) into its components gamma1 and gamma2, as flat tuples.
 
-    gamma1 takes the residues at the L1 slots and all the top signs of
-    gamma (length t1); gamma2 takes the residues at the L2 slots (length t2).
+    gamma1 is the residues at the L1 slots followed by all the top signs of
+    gamma (length t1); gamma2 is the residues at the L2 slots (length t2).
+    That is the selection format of family_selections, so
+    reassemble(pair, shape)(gamma1 + gamma2) is gamma.low + gamma.high.
     """
     at = gamma.low.__getitem__
-    return (GammaVector(tuple(map(at, pair.l1_index)), gamma.high),
-            GammaVector(tuple(map(at, pair.l2_index)), ()))
+    return tuple(map(at, pair.l1_index)) + gamma.high, tuple(map(at, pair.l2_index))
 
 
-def eta_of_L2(comp2: GammaVector, shape: SplitShape, scd2: int,
-              rp_field: ResidueParam) -> SquareClass:
-    """The square class eta[L2, gamma], read off gamma's L2 component comp2.
+def eta_of_L2(comp2: tuple[int, ...], shape: SplitShape,
+              rp_field: ResidueParam) -> dict[int, SquareClass]:
+    """The square class eta[L2, gamma] at both class signs: {scd2: class}.
 
     comp2 is gamma2, the second value of gamma_L_split(gamma, pair); the
-    class depends on gamma only through it.  Characterized by: valuation
-    parity t2, and unit sign times the product of comp2's signs equal to
-    scd2 = sgn_cd(w'').
+    class depends on gamma only through it and on scd2 = sgn_cd(w'').  It
+    is characterized by: valuation parity t2, and unit sign times the
+    product of the Legendre signs of comp2's residues equal to scd2.  That
+    product is taken once and serves both values of scd2.  The returned
+    dict is one of four shared ones, and must not be modified.
     """
-    return SquareClass(shape.t2 % 2, scd2 * comp2.sign_product(rp_field))
+    sign = 1
+    for v in comp2:
+        sign *= legendre(v, rp_field)
+    return _ETA_CLASSES[shape.t2 % 2, sign]
+
+
+# eta[L2, gamma] at both class signs, keyed by (t2 mod 2, gamma2's sign product)
+_ETA_CLASSES = {(parity, sign): {1: SquareClass(parity, sign), -1: SquareClass(parity, -sign)}
+                for parity in (0, 1) for sign in (1, -1)}
 
 
 def _slot_choices(rp_field: ResidueParam) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -379,15 +384,15 @@ def image_groups(shape: SplitShape, pairs: list[LPair], gammas: dict[int, list[G
     gammas maps each sign target sgn_cd(w1) sgn_cd(w2) unit(eta) to its
     admissible vectors; a key lists the positions in gammas[target] of its
     image's vectors, in order.  Each (pairing, vector) is split once, and
-    its L2 component read by eta_of_L2 once per sgn_cd(w2).
+    its L2 component read by one eta_of_L2 call, which gives the class at
+    both values of sgn_cd(w2).
     """
     images: dict[tuple, list[int]] = {}
     for pi, pair in enumerate(pairs):
         for target, vectors in gammas.items():
             for j, g in enumerate(vectors):
-                comp2 = gamma_L_split(g, pair)[1]
-                for scd2 in (1, -1):
-                    eta_l2 = eta_of_L2(comp2, shape, scd2, rp_field)
+                classes = eta_of_L2(gamma_L_split(g, pair)[1], shape, rp_field)
+                for scd2, eta_l2 in classes.items():
                     images.setdefault((pi, target, scd2, eta_l2.val_parity, eta_l2.unit_sign),
                                       []).append(j)
     return images

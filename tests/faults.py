@@ -136,14 +136,24 @@ def negated_m(original):
 
 
 def flipped_eta_of_l2(original):
-    # keyed on the L2 component's first residue, at scd2 = -1 only
-    def flipped(comp2, shape, scd2, rp_field):
-        eta2 = original(comp2, shape, scd2, rp_field)
-        if scd2 == -1 and comp2.low[:1] == (2,):
-            return SquareClass(eta2.val_parity, -eta2.unit_sign)
-        return eta2
+    # keyed on the L2 component's first residue, the class at scd2 = -1 only
+    def flipped(comp2, shape, rp_field):
+        classes = original(comp2, shape, rp_field)
+        if comp2[:1] == (2,):
+            eta2 = classes[-1]
+            return {**classes, -1: SquareClass(eta2.val_parity, -eta2.unit_sign)}
+        return classes
 
     return flipped
+
+
+def one_class_eta_of_l2(original):
+    # a caller that reads the scd2 = +1 class for both class signs
+    def one_class(comp2, shape, rp_field):
+        classes = original(comp2, shape, rp_field)
+        return {scd2: classes[1] for scd2 in classes}
+
+    return one_class
 
 
 def misread_split(original):
@@ -152,7 +162,7 @@ def misread_split(original):
     def misread(gamma, pair):
         comp1, comp2 = original(gamma, pair)
         if gamma.low[:1] and gamma.low[0] % 3 == 1:
-            return comp1, fam.GammaVector(comp1.low[:1] + comp2.low[1:], ())
+            return comp1, comp1[:1] + comp2[1:]
         return comp1, comp2
 
     return misread
@@ -357,7 +367,7 @@ def per_point_counting_failures(q, t2max):
                 gammas = fam.enumerate_gamma(shape, field, s1 * s2 * ue)
                 for pair in fam.enumerate_L(shape):
                     image = [g for g in gammas if fam.eta_of_L2(
-                        fam.gamma_L_split(g, pair)[1], shape, s2, field) == eta2]
+                        fam.gamma_L_split(g, pair)[1], shape, field)[s2] == eta2]
                     tally = {}
                     for side1, side2 in tables:
                         for c1 in side1[s1 * eta1.unit_sign]:
@@ -497,10 +507,11 @@ def on_b_one_shapes_with_odd_t2(*counts):
 # per-factor entries by where their pairing sits in the row, and the
 # mirrored pairings move a row's values to other pairings without changing
 # them.  The negated top signs reach the per-factor route alone, and the
-# flipped eta[L2, gamma] and the misread split the closed route on B = 1
-# shapes alone.  A route given -m for m = sgn(-1) changes sign where it
-# reads m an odd number of times: on the B = 1 shapes with odd t2; (0, 4)
-# and (1, 5), with t2 = 2, pass.
+# flipped eta[L2, gamma], the class read at scd2 = +1 for both class signs
+# and the misread split the closed route on B = 1 shapes alone.  A route
+# given -m for m = sgn(-1) changes sign where it reads m an odd number of
+# times: on the B = 1 shapes with odd t2; (0, 4) and (1, 5), with t2 = 2,
+# pass.
 #
 # In counting, every tally is shared by sign choices with both signs of
 # sgn_cd(w2), so the eta_of_L2 fault passes at the first point that builds
@@ -570,6 +581,11 @@ FAULTS = dict([
                              aliases=("test_transfer_eta_of_l2_fault_fails_on_b_one_shapes_only",)),
            _per_point_counting("eta_of_L2", 5, {"image": 48}),
            _per_point_counting("eta_of_L2", 7, {"image": 24})),
+    _fault("eta_of_L2_one_class", patch(fam, "eta_of_L2", one_class_eta_of_l2),
+           _partial_transfer("eta_of_L2_one_class", on_b_one_shapes_with_odd_t2(288, 2304, 9216),
+                             by=identity_and_shape),
+           _per_point_counting("eta_of_L2_one_class", 5, {"image": 60}),
+           _per_point_counting("eta_of_L2_one_class", 7, {"image": 36})),
     _fault("gamma_L_split", patch(fam, "gamma_L_split", misread_split),
            _partial_transfer("gamma_L_split", on_b_one_shapes_with_odd_t2(144, 1152, 4608),
                              by=identity_and_shape, aliases=(

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from endosign import suites
+from endosign import families, suites
 from endosign.families import (GammaVector, LPair, SplitShape, _slot_choices,
                                count_transversal_families, enumerate_e,
                                enumerate_gamma, enumerate_L,
@@ -172,21 +172,21 @@ def test_character_sum_identity_exhaustive():
                 assert total == 0
 
 
+def legendre_product(values, field):
+    return math.prod(legendre(v, field) for v in values)
+
+
 def test_gamma_split_degenerate():
-    shape = SplitShape(2, 2)
     gamma = GammaVector((), (1, -1))
-    comp1, comp2 = gamma_L_split(gamma, LPair((), ()))
-    assert (comp2.low, comp2.high) == ((), ())
-    assert (comp1.low, comp1.high) == ((), (1, -1))
+    # gamma1 is its L1 residues, here none, followed by gamma's top signs
+    assert gamma_L_split(gamma, LPair((), ())) == ((1, -1), ())
 
 
 def test_gamma_split_swaps_pair():
     shape = SplitShape(2, 0)
     gamma = GammaVector((3, 4), ())
     pair = enumerate_L(shape)[0]  # l1 = (2,), l2 = (1,)
-    comp1, comp2 = gamma_L_split(gamma, pair)
-    assert (comp1.low, comp1.high) == ((4,), ())
-    assert (comp2.low, comp2.high) == ((3,), ())
+    assert gamma_L_split(gamma, pair) == ((4,), (3,))
 
 
 def scatter(comp1, comp2, pair, shape):
@@ -211,10 +211,8 @@ def test_split_reassemble_roundtrip():
         for gamma in enumerate_gamma(shape, F5, 1):
             for pair in enumerate_L(shape):
                 comp1, comp2 = gamma_L_split(gamma, pair)
-                flat = comp1.low + comp1.high + comp2.low
-                assert reassemble(pair, shape)(flat) == gamma.low + gamma.high
-                assert scatter(comp1.low + comp1.high, comp2.low, pair, shape) == \
-                    gamma.low + gamma.high
+                assert reassemble(pair, shape)(comp1 + comp2) == gamma.low + gamma.high
+                assert scatter(comp1, comp2, pair, shape) == gamma.low + gamma.high
 
 
 @pytest.mark.parametrize("field", [F5, F7])
@@ -237,15 +235,40 @@ def test_reassemble_gather_against_the_scatter(field):
 def test_eta_of_L2():
     shape = SplitShape(1, 1)
     _, comp2 = gamma_L_split(GammaVector((), (1,)), LPair((), ()))
-    assert eta_of_L2(comp2, shape, 1, F5) == SquareClass(0, 1)
-    assert eta_of_L2(comp2, shape, -1, F5) == SquareClass(0, -1)
+    classes = eta_of_L2(comp2, shape, F5)
+    assert list(classes) == [1, -1]
+    assert (classes[1], classes[-1]) == (SquareClass(0, 1), SquareClass(0, -1))
 
     shape = SplitShape(2, 0)
     pair = enumerate_L(shape)[0]
     _, comp2 = gamma_L_split(GammaVector((2, 1), ()), pair)
-    assert comp2.low == (2,)  # L2 component is the slot-1 entry, value 2
-    got = eta_of_L2(comp2, shape, 1, F5)
-    assert got == SquareClass(1, -1)  # legendre(2, 5) = -1 forces unit sign -1
+    assert comp2 == (2,)  # L2 component is the slot-1 entry, value 2
+    classes = eta_of_L2(comp2, shape, F5)
+    # legendre(2, 5) = -1 forces unit sign -1 at scd2 = 1, and +1 at scd2 = -1
+    assert (classes[1], classes[-1]) == (SquareClass(1, -1), SquareClass(1, 1))
+
+
+@pytest.mark.parametrize("field", [F5, F7])
+def test_eta_of_L2_takes_one_sign_product_for_both_classes(field, monkeypatch):
+    calls = []
+
+    def counted(x, rp):
+        calls.append(x)
+        return legendre(x, rp)
+
+    monkeypatch.setattr(families, "legendre", counted)
+    for t2 in (0, 1, 2):
+        shape = SplitShape(2 * t2, 0)
+        for comp2 in itertools.product(field.units(), repeat=t2):
+            calls.clear()
+            classes = eta_of_L2(comp2, shape, field)
+            assert calls == list(comp2)
+            assert list(classes) == [1, -1]
+            # both classes have parity t2, and opposite unit signs, the one at
+            # scd2 = 1 times comp2's sign product being 1
+            assert classes[1].val_parity == classes[-1].val_parity == t2 % 2
+            assert classes[1].unit_sign == -classes[-1].unit_sign \
+                == legendre_product(comp2, field)
 
 
 def test_eta_product_relation():
@@ -258,8 +281,9 @@ def test_eta_product_relation():
                 # the complementary class eta[L1, gamma] = eta * eta[L2, gamma]
                 # satisfies its own sign condition
                 comp1, comp2 = gamma_L_split(gamma, pair)
-                e1 = eta * eta_of_L2(comp2, shape, scd2, F5)
-                assert e1.unit_sign * comp1.sign_product(F5) == scd1
+                e1 = eta * eta_of_L2(comp2, shape, F5)[scd2]
+                residues, tops = comp1[:shape.t2], comp1[shape.t2:]
+                assert e1.unit_sign * legendre_product(residues, F5) * math.prod(tops) == scd1
                 assert e1.val_parity == shape.t1 % 2
 
 
@@ -321,15 +345,17 @@ def test_family_selection_sign_condition():
 
 @pytest.mark.parametrize("field", [F5, F7])
 def test_sgn_slot_reads_the_top_signs(field):
-    # the sign of every slot: Legendre signs of the residues, then the top signs
+    # the sign of every slot: Legendre signs of the residues, then the top
+    # signs; enumerate_gamma admits a vector at the target its signs multiply to
     for shape in (SplitShape(3, 1), SplitShape(5, 1)):
-        for gamma in enumerate_gamma(shape, field, 1) + enumerate_gamma(shape, field, -1):
-            assert len(gamma.high) == shape.r
-            direct = math.prod(legendre(v, field) for v in gamma.low) * math.prod(gamma.high)
-            assert gamma.sign_product(field) == direct
-            # negating one top sign negates the product
-            flipped = GammaVector(gamma.low, (-gamma.high[0],) + gamma.high[1:])
-            assert flipped.sign_product(field) == -direct
+        for target in (1, -1):
+            for gamma in enumerate_gamma(shape, field, target):
+                assert len(gamma.high) == shape.r
+                direct = legendre_product(gamma.low, field) * math.prod(gamma.high)
+                assert direct == target
+                # negating one top sign negates the product
+                flipped = (-gamma.high[0],) + gamma.high[1:]
+                assert legendre_product(gamma.low, field) * math.prod(flipped) == -direct
 
 
 def test_families_with_the_same_halves_get_equal_tables():

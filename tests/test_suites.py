@@ -157,13 +157,14 @@ def test_transfer_checks_each_row_once(monkeypatch):
     # (0, 0) has no vector of target -1, so its four blocks of that target are empty
     assert all(isinstance(n, int) for n in yields) and yields.count(0) == 4
     assert sum(yields) == report.points_checked
-    # gamma split once per (vector, pairing) and eta[L2, gamma] read once per
-    # (vector, pairing, scd2) where B = 1, and neither where B = 0
+    # gamma split once per (vector, pairing) and eta[L2, gamma] read at both
+    # scd2 from one call per (vector, pairing) where B = 1, and neither where
+    # B = 0
     splits = {("gamma_L_split", gamma.low, gamma.high, pair.l1, pair.l2): 1
               for shape, gs in vectors.items() if shape.b_switch
               for gamma in gs for pair in fam.enumerate_L(shape)}
     assert {key: n for key, n in calls.items() if key[0] == "gamma_L_split"} == splits
-    assert calls["eta_of_L2", 1] == 2 * len(splits) > 0
+    assert calls["eta_of_L2", 1] == len(splits) > 0
     assert calls["eta_of_L2", 0] == 0
     # per-factor grids and both block signs per (shape, beta', beta'', eta)
     # block, closed grids per (shape, beta', beta'')
@@ -315,16 +316,16 @@ def test_counting_builds_each_tally_once(monkeypatch):
     # one selection table per (shape, side, distinct halves), which at q = 5,
     # where no two families of a shape share a side's halves, is two per
     # (shape, family); one gather per (shape, pairing), one vector list per
-    # (shape, sign target), one split per (vector, pairing), one eta_of_L2
-    # per (vector, pairing, sgn_cd(w2)), one slotwise count per (vector,
+    # (shape, sign target), one split and one eta_of_L2, serving both
+    # sgn_cd(w2), per (vector, pairing), one slotwise count per (vector,
     # pairing) and one prediction per (shape, vector); one reassembly per
-    # preimage would be 163 calls, one split per eta_of_L2 246, and one
-    # vector list, eta_of_L2, slotwise count and prediction per point 96,
-    # 984, 492 and 492.  Each gather maps each distinct joined pair of
-    # (tau1, tau2) once: 123 applications, where one per (preimage, pairing)
-    # would be 163
+    # preimage would be 163 calls, one eta_of_L2 per (vector, pairing,
+    # sgn_cd(w2)) 246, and one vector list, eta_of_L2, slotwise count and
+    # prediction per point 96, 984, 492 and 492.  Each gather maps each
+    # distinct joined pair of (tau1, tau2) once: 123 applications, where one
+    # per (preimage, pairing) would be 163
     assert calls == {"family_selections": 36, "reassemble": 8, "enumerate_gamma": 12,
-                     "gamma_L_split": 123, "eta_of_L2": 246, "fiber_count_check": 123,
+                     "gamma_L_split": 123, "eta_of_L2": 123, "fiber_count_check": 123,
                      "fiber_size_prediction": 75, "gather": 123}
 
 

@@ -44,6 +44,8 @@ BOUNDS = [
     ["verify", "counting", "--q", "7", "--t2max", "3"],
     # the m = +1 field of transfer's default q list that meets every Legendre profile
     ["verify", "transfer", "--q", "13", "--rrmax", "4"],
+    # counting's selection tables and tally at the largest field that runs in seconds
+    ["verify", "counting", "--q", "11", "--t2max", "2"],
 ]
 
 
